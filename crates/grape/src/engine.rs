@@ -12,22 +12,30 @@
 //! forces to simulating all 2048 chip memories separately. The per-chip
 //! partitioning enters only through the (analytic) timing model.
 
-use crate::chip::HwIParticle;
 use crate::format::{FixedPointFormat, Precision};
-use crate::lanes::{partial_to_force, GrapeLaneTile, SweepPartial};
+use crate::lanes::{scalar_sweep, GrapeJLanes, GrapeLaneTile, SweepPartial};
 use crate::perf::HardwareClock;
-use crate::pipeline::PipelineRegisters;
 use crate::predictor::{predict_j, JParticle, PredictedJ};
 use crate::timing::TimingModel;
 use grape6_core::engine::ForceEngine;
 use grape6_core::lanes::LaneWidth;
-use grape6_core::particle::{ForceResult, IParticle, Neighbor, ParticleSystem};
+use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_core::sweep::{chunked_jsweep, j_chunk_size, SMALL_BLOCK_MAX};
 use rayon::prelude::*;
 
-/// Sweep every predicted j-particle for up to `W` i-particles through one
-/// AoSoA lane tile (large-block path) and read the results out, including
-/// the host-side self-potential correction.
+/// Read one swept partial out for `ip`. The pipeline sums over *all* j
+/// including the particle itself; the self term contributes no force but
+/// −m/ε of potential, which the host removes (paper convention).
+fn read_out(p: &SweepPartial, ip: &IParticle, jmem: &[JParticle], eps2: f64) -> ForceResult {
+    let (acc, jerk, mut pot) = p.regs.read();
+    if let Some(own) = jmem.get(ip.index) {
+        pot += own.mass / eps2.sqrt();
+    }
+    ForceResult { acc, jerk, pot, nn: p.nn }
+}
+
+/// Large-block path: sweep every predicted j-particle for up to `W`
+/// i-particles through one AoSoA lane tile and read the results out.
 // grape6-lint: hot
 fn sweep_group_lanes<const W: usize>(
     fmt: &FixedPointFormat,
@@ -38,26 +46,26 @@ fn sweep_group_lanes<const W: usize>(
     jmem: &[JParticle],
     eps2: f64,
 ) {
-    let fresh = [SweepPartial::default(); W];
-    let mut tile = GrapeLaneTile::<W>::load(fmt, precision, ips, &fresh[..ips.len()]);
+    let mut tile = GrapeLaneTile::<W>::load(fmt, precision, ips);
     for (j, pj) in pred.iter().enumerate() {
-        tile.interact(fmt, precision, j, pj, eps2);
+        tile.interact(j, pj, eps2);
     }
     let mut parts = [SweepPartial::default(); W];
     tile.store(&mut parts[..ips.len()]);
     for ((o, p), ip) in os.iter_mut().zip(&parts).zip(ips) {
-        let m = (ip.index < jmem.len()).then(|| jmem[ip.index].mass);
-        *o = partial_to_force(p, m, eps2);
+        *o = read_out(p, ip, jmem, eps2);
     }
 }
 
-/// One j-chunk of the small-block sweep through the AoSoA lane kernel:
-/// groups of `W` i-particles share a tile, each group predicting the
-/// chunk's j-particles on the fly (prediction is a pure function of
-/// `(j, t)`, so re-evaluating it per group cannot change any bit).
+/// Small-block path, one j-chunk: each i-particle sweeps the chunk `W`
+/// j-particles at a time (lanes across j, prediction fused into the lane
+/// loop — a pure function of `(j, t)`, so re-evaluating it per i-particle
+/// cannot change any bit), then the `< W` leftover j through the scalar
+/// oracle. Exact associativity of the fixed-point sums makes the lane order
+/// invisible.
 #[allow(clippy::too_many_arguments)]
 // grape6-lint: hot
-fn small_fill_lanes<const W: usize>(
+fn small_fill_jlanes<const W: usize>(
     fmt: &FixedPointFormat,
     precision: Precision,
     js: std::ops::Range<usize>,
@@ -67,14 +75,30 @@ fn small_fill_lanes<const W: usize>(
     t: f64,
     eps2: f64,
 ) {
-    for (rs, is) in row.chunks_mut(W).zip(ips.chunks(W)) {
-        let mut tile = GrapeLaneTile::<W>::load(fmt, precision, is, rs);
-        for j in js.clone() {
-            let pj = predict_j(fmt, precision, &jmem[j], t);
-            tile.interact(fmt, precision, j, &pj, eps2);
+    let (groups, tail) = jmem[js.clone()].as_chunks::<W>();
+    let tail_start = js.end - tail.len();
+    for (r, ip) in row.iter_mut().zip(ips) {
+        let mut lanes = GrapeJLanes::<W>::load(fmt, precision, ip);
+        for (g, group) in groups.iter().enumerate() {
+            lanes.interact(js.start + g * W, group, t, eps2);
         }
-        tile.store(rs);
+        *r = lanes.store();
+        r.merge(&small_fill_scalar(fmt, precision, tail_start..js.end, ip, jmem, t, eps2));
     }
+}
+
+/// The scalar oracle over one j-chunk, predicting on the fly.
+fn small_fill_scalar(
+    fmt: &FixedPointFormat,
+    precision: Precision,
+    js: std::ops::Range<usize>,
+    ip: &IParticle,
+    jmem: &[JParticle],
+    t: f64,
+    eps2: f64,
+) -> SweepPartial {
+    let predicted = js.map(|j| (j, predict_j(fmt, precision, &jmem[j], t)));
+    scalar_sweep(fmt, precision, ip, predicted, eps2)
 }
 
 /// Configuration of a simulated GRAPE-6 installation.
@@ -132,11 +156,9 @@ pub struct Grape6Engine {
     // sizes (i-particles up, forces down, j-particles on every write-back).
     wire_bytes: u64,
     // Predicted j-particles, refreshed per compute call (large blocks).
-    pred: Vec<crate::predictor::PredictedJ>,
+    pred: Vec<PredictedJ>,
     // Per-chunk partial rows of the small-block sweep (capacity reused).
     partials: Vec<SweepPartial>,
-    // Encoded i-particles of the current small block (capacity reused).
-    hws: Vec<HwIParticle>,
     // Merged sweep results of the current small block (capacity reused).
     swept: Vec<SweepPartial>,
 }
@@ -153,7 +175,6 @@ impl Grape6Engine {
             wire_bytes: 0,
             pred: Vec::new(),
             partials: Vec::new(),
-            hws: Vec::new(),
             swept: Vec::new(),
         }
     }
@@ -294,13 +315,13 @@ impl ForceEngine for Grape6Engine {
         let fmt = self.config.format;
         let precision = self.config.precision;
         let eps2 = self.eps2;
+        let jmem = &self.jmem;
         if ips.len() > SMALL_BLOCK_MAX {
             // Predictor pipelines: every chip predicts its resident
             // j-particles, then i-particles sweep the shared prediction in
             // parallel.
             self.pred.clear();
-            self.jmem
-                .par_iter()
+            jmem.par_iter()
                 .map(|j| predict_j(&fmt, precision, j, t))
                 .collect_into_vec(&mut self.pred);
 
@@ -308,40 +329,11 @@ impl ForceEngine for Grape6Engine {
             // make the reduction order irrelevant, so a flat parallel sweep
             // is bit-identical to the hardware's chip/board/NB tree.
             let pred = &self.pred;
-            let jmem = &self.jmem;
             match self.config.lanes {
                 LaneWidth::Scalar => {
                     out.par_iter_mut().zip(ips.par_iter()).for_each(|(o, ip)| {
-                        let hw = HwIParticle::encode(&fmt, precision, ip.pos, ip.vel);
-                        let mut regs = PipelineRegisters::new();
-                        // The hardware also reports the nearest neighbour of
-                        // each i-particle (for collision/accretion detection).
-                        let mut nn: Option<Neighbor> = None;
-                        for (j, pj) in pred.iter().enumerate() {
-                            regs.accumulate(
-                                &fmt, precision, hw.qpos, pj.qpos, hw.vel, pj.vel, pj.mass, eps2,
-                            );
-                            if j != ip.index {
-                                let dx = fmt.decode_vec([
-                                    pj.qpos[0].wrapping_sub(hw.qpos[0]),
-                                    pj.qpos[1].wrapping_sub(hw.qpos[1]),
-                                    pj.qpos[2].wrapping_sub(hw.qpos[2]),
-                                ]);
-                                let r2 = dx.norm2();
-                                if nn.is_none_or(|n| r2 < n.r2) {
-                                    nn = Some(Neighbor { index: j, r2 });
-                                }
-                            }
-                        }
-                        let (acc, jerk, mut pot) = regs.read();
-                        // The pipeline sums over *all* j including the
-                        // particle itself; the self term contributes no force
-                        // but −m/ε of potential, which the host removes
-                        // (paper convention).
-                        if ip.index < jmem.len() {
-                            pot += jmem[ip.index].mass / eps2.sqrt();
-                        }
-                        *o = ForceResult { acc, jerk, pot, nn };
+                        let js = pred.iter().copied().enumerate();
+                        *o = read_out(&scalar_sweep(&fmt, precision, ip, js, eps2), ip, jmem, eps2);
                     });
                 }
                 LaneWidth::W4 => {
@@ -362,64 +354,29 @@ impl ForceEngine for Grape6Engine {
             // makes the chunked merge bit-identical to the flat sweep above.
             self.swept.clear();
             self.swept.resize(ips.len(), SweepPartial::default());
-            let jmem = &self.jmem;
-            match self.config.lanes {
-                LaneWidth::Scalar => {
-                    self.hws.clear();
-                    self.hws.extend(
-                        ips.iter().map(|ip| HwIParticle::encode(&fmt, precision, ip.pos, ip.vel)),
-                    );
-                    let hws = &self.hws;
-                    chunked_jsweep(
-                        n_j,
-                        j_chunk_size(n_j),
-                        &mut self.partials,
-                        &mut self.swept,
-                        |js, row| {
-                            for j in js {
-                                let pj = predict_j(&fmt, precision, &jmem[j], t);
-                                for (r, (hw, ip)) in row.iter_mut().zip(hws.iter().zip(ips)) {
-                                    r.regs.accumulate(
-                                        &fmt, precision, hw.qpos, pj.qpos, hw.vel, pj.vel, pj.mass,
-                                        eps2,
-                                    );
-                                    if j != ip.index {
-                                        let dx = fmt.decode_vec([
-                                            pj.qpos[0].wrapping_sub(hw.qpos[0]),
-                                            pj.qpos[1].wrapping_sub(hw.qpos[1]),
-                                            pj.qpos[2].wrapping_sub(hw.qpos[2]),
-                                        ]);
-                                        let r2 = dx.norm2();
-                                        if r.nn.is_none_or(|n| r2 < n.r2) {
-                                            r.nn = Some(Neighbor { index: j, r2 });
-                                        }
-                                    }
-                                }
-                            }
-                        },
-                        SweepPartial::merge,
-                    );
-                }
-                LaneWidth::W4 => chunked_jsweep(
-                    n_j,
-                    j_chunk_size(n_j),
-                    &mut self.partials,
-                    &mut self.swept,
-                    |js, row| small_fill_lanes::<4>(&fmt, precision, js, row, ips, jmem, t, eps2),
-                    SweepPartial::merge,
-                ),
-                LaneWidth::W8 => chunked_jsweep(
-                    n_j,
-                    j_chunk_size(n_j),
-                    &mut self.partials,
-                    &mut self.swept,
-                    |js, row| small_fill_lanes::<8>(&fmt, precision, js, row, ips, jmem, t, eps2),
-                    SweepPartial::merge,
-                ),
-            }
+            let lanes = self.config.lanes;
+            chunked_jsweep(
+                n_j,
+                j_chunk_size(n_j),
+                &mut self.partials,
+                &mut self.swept,
+                |js, row| match lanes {
+                    LaneWidth::Scalar => {
+                        for (r, ip) in row.iter_mut().zip(ips) {
+                            *r = small_fill_scalar(&fmt, precision, js.clone(), ip, jmem, t, eps2);
+                        }
+                    }
+                    LaneWidth::W4 => {
+                        small_fill_jlanes::<4>(&fmt, precision, js, row, ips, jmem, t, eps2)
+                    }
+                    LaneWidth::W8 => {
+                        small_fill_jlanes::<8>(&fmt, precision, js, row, ips, jmem, t, eps2)
+                    }
+                },
+                SweepPartial::merge,
+            );
             for ((o, p), ip) in out.iter_mut().zip(&self.swept).zip(ips) {
-                let m = (ip.index < self.jmem.len()).then(|| self.jmem[ip.index].mass);
-                *o = partial_to_force(p, m, eps2);
+                *o = read_out(p, ip, jmem, eps2);
             }
         }
     }
@@ -592,35 +549,73 @@ mod tests {
         }
     }
 
+    fn assert_same_bits(got: &[ForceResult], want: &[ForceResult], what: &str) {
+        for (k, (g, r)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.acc, r.acc, "{what} k={k} acc");
+            assert_eq!(g.jerk, r.jerk, "{what} k={k} jerk");
+            assert_eq!(g.pot.to_bits(), r.pot.to_bits(), "{what} k={k} pot");
+            assert_eq!(
+                g.nn.map(|n| (n.index, n.r2.to_bits())),
+                r.nn.map(|n| (n.index, n.r2.to_bits())),
+                "{what} k={k} nn"
+            );
+        }
+    }
+
     #[test]
     fn lane_widths_bit_identical_on_both_paths() {
         // Scalar / W4 / W8 pipeline emulation must agree bit for bit on the
-        // small-block (j-parallel) and large-block (per-i) paths, including
-        // ragged blocks not divisible by either lane width.
+        // small-block (j-lane) and large-block (i-lane) paths, including
+        // ragged blocks not divisible by either lane width, in both
+        // arithmetic modes.
         let sys = ring_system(61);
-        let force = |lanes: LaneWidth, b: usize| {
-            let mut hw = Grape6Engine::new(Grape6Config { lanes, ..Grape6Config::sc2002() });
-            hw.load(&sys);
-            let idx: Vec<usize> = (0..b).collect();
-            let ips = ips_for(&sys, &idx);
-            let mut out = vec![ForceResult::default(); b];
-            hw.compute(0.0, &ips, &mut out);
-            out
-        };
-        for b in [1usize, 3, 7, 13, 16, 17, 21, 61] {
-            let reference = force(LaneWidth::Scalar, b);
-            for lanes in [LaneWidth::W4, LaneWidth::W8] {
-                let got = force(lanes, b);
-                for (k, (g, r)) in got.iter().zip(&reference).enumerate() {
-                    assert_eq!(g.acc, r.acc, "{lanes} b={b} k={k} acc");
-                    assert_eq!(g.jerk, r.jerk, "{lanes} b={b} k={k} jerk");
-                    assert_eq!(g.pot.to_bits(), r.pot.to_bits(), "{lanes} b={b} k={k} pot");
-                    assert_eq!(
-                        g.nn.map(|n| (n.index, n.r2.to_bits())),
-                        r.nn.map(|n| (n.index, n.r2.to_bits())),
-                        "{lanes} b={b} k={k} nn"
-                    );
+        for base in [Grape6Config::sc2002(), Grape6Config::sc2002_exact()] {
+            let force = |lanes: LaneWidth, b: usize| {
+                let mut hw = Grape6Engine::new(Grape6Config { lanes, ..base });
+                hw.load(&sys);
+                let idx: Vec<usize> = (0..b).collect();
+                let ips = ips_for(&sys, &idx);
+                let mut out = vec![ForceResult::default(); b];
+                hw.compute(0.0, &ips, &mut out);
+                out
+            };
+            for b in [1usize, 3, 7, 13, 16, 17, 21, 61] {
+                let reference = force(LaneWidth::Scalar, b);
+                for lanes in [LaneWidth::W4, LaneWidth::W8] {
+                    let what = format!("{:?} {lanes} b={b}", base.precision);
+                    assert_same_bits(&force(lanes, b), &reference, &what);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn jlane_small_blocks_match_the_flat_scalar_sweep() {
+        // j-counts around the lane width (all-tail, one short of a group,
+        // exactly one group, one over) and a paper-like 2051 whose last
+        // chunk ends in a 3-particle tail; the block holds the first, a
+        // middle and the last particle, so the own slot falls in lanes and
+        // tails alike.
+        for n in [1usize, 3, 4, 5, 7, 8, 9, 2051] {
+            let sys = ring_system(n);
+            let mut idx = vec![0, n / 2, n - 1];
+            idx.dedup();
+            let ips = ips_for(&sys, &idx);
+            for lanes in [LaneWidth::W4, LaneWidth::W8] {
+                let config = Grape6Config { lanes, ..Grape6Config::sc2002() };
+                let mut hw = Grape6Engine::new(config);
+                hw.load(&sys);
+                let mut got = vec![ForceResult::default(); ips.len()];
+                hw.compute(0.25, &ips, &mut got);
+                let (fmt, precision, eps2) = (config.format, config.precision, hw.eps2);
+                let flat: Vec<ForceResult> = ips
+                    .iter()
+                    .map(|ip| {
+                        let p = small_fill_scalar(&fmt, precision, 0..n, ip, hw.jmem(), 0.25, eps2);
+                        read_out(&p, ip, hw.jmem(), eps2)
+                    })
+                    .collect();
+                assert_same_bits(&got, &flat, &format!("{lanes} n_j={n}"));
             }
         }
     }

@@ -48,37 +48,51 @@ pub fn round_vec(v: Vec3, bits: u32) -> Vec3 {
     Vec3::new(round_mantissa(v.x, bits), round_mantissa(v.y, bits), round_mantissa(v.z, bits))
 }
 
-/// Lane-parallel [`round_mantissa`]: round `W` values at once, bit-identical
-/// to the scalar routine in every lane.
+/// The short pipeline word as loop-invariant integer constants: the
+/// branch-free form of [`round_mantissa`] that the lane kernels inline at
+/// every pipeline stage.
 ///
-/// The loop body is branch-free — the `bits ≥ 53` early-out is hoisted (it
-/// depends only on the format, not the data), and the scalar routine's
-/// zero/non-finite early-outs become per-lane selects of the *input* value
-/// (for `x = ±0.0` the untouched input preserves the sign bit; for
-/// NaN/infinity it preserves the payload, exactly as the scalar early
-/// return does). Everything else is integer mask/compare/add on the raw
-/// bit patterns, which the autovectorizer lowers to packed SIMD.
-#[inline]
-// grape6-lint: hot
-pub fn round_mantissa_lanes<const W: usize>(xs: [f64; W], bits: u32) -> [f64; W] {
-    if bits >= 53 {
-        return xs;
+/// With `b` the raw bits, `shift = 53 − bits`, `half = 2^(shift−1)`:
+/// `(b + (half − 1) + ((b >> shift) & 1)) & !mask` carries into the kept
+/// bits exactly when the dropped fraction is above half, or equal to half
+/// with an odd kept mantissa — the round-to-nearest-even predicate of
+/// [`round_mantissa`] as one add chain. ±0 maps to itself and a carry out
+/// of the mantissa steps the exponent, as in the predicate form; only
+/// non-finite inputs need a select. `bits ≥ 53` is the same expression with
+/// all-pass constants, so one loop body serves every [`Precision`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShortWord {
+    shift: u32,
+    // half − 1 (0 when nothing is dropped).
+    bias: u64,
+    // 1 when rounding, 0 for the identity word.
+    odd: u64,
+    // !mask: the kept sign, exponent and short-mantissa bits.
+    keep: u64,
+}
+
+impl ShortWord {
+    /// The word of a `bits`-bit mantissa (implicit leading bit included).
+    pub fn new(bits: u32) -> Self {
+        if bits >= 53 {
+            return Self { shift: 0, bias: 0, odd: 0, keep: !0 };
+        }
+        let shift = 53 - bits;
+        Self { shift, bias: (1u64 << (shift - 1)) - 1, odd: 1, keep: !((1u64 << shift) - 1) }
     }
-    let shift = 53 - bits;
-    let mask = (1u64 << shift) - 1;
-    let half = 1u64 << (shift - 1);
-    let mut out = [0.0f64; W];
-    for k in 0..W {
-        let x = xs[k];
+
+    /// Round `x` to this word, bit-identical to [`round_mantissa`].
+    #[inline(always)]
+    // grape6-lint: hot
+    pub fn round(self, x: f64) -> f64 {
         let b = x.to_bits();
-        let frac = b & mask;
-        let mut base = b & !mask;
-        // Round to nearest, ties to even — same predicate as the scalar path.
-        let up = frac > half || (frac == half && (base >> shift) & 1 == 1);
-        base = if up { base.wrapping_add(1u64 << shift) } else { base };
-        out[k] = if x == 0.0 || !x.is_finite() { x } else { f64::from_bits(base) };
+        let r = b.wrapping_add(self.bias).wrapping_add((b >> self.shift) & self.odd) & self.keep;
+        if x.is_finite() {
+            f64::from_bits(r)
+        } else {
+            x
+        }
     }
-    out
 }
 
 /// Documented half-ulp *relative* error bound of [`round_mantissa`]:
@@ -146,19 +160,25 @@ impl FixedPointFormat {
         (i64::MAX as f64) * self.resolution()
     }
 
+    /// `2^frac_bits`: a coordinate times this is in grid units.
+    pub fn scale(&self) -> f64 {
+        2.0f64.powi(self.frac_bits as i32)
+    }
+
     /// Encode, rounding to the nearest representable value. Saturates at the
     /// format's range (the hardware clamps; an escaping particle pegged at
     /// the boundary is detected by the host).
     #[inline]
     pub fn encode(&self, x: f64) -> i64 {
-        let scaled = x * 2.0f64.powi(self.frac_bits as i32);
-        if scaled >= i64::MAX as f64 {
-            i64::MAX
-        } else if scaled <= i64::MIN as f64 {
-            i64::MIN
-        } else {
-            scaled.round_ties_even() as i64
-        }
+        Self::to_grid(x * self.scale())
+    }
+
+    /// Round a coordinate already in grid units ([`scale`](Self::scale)) to
+    /// its grid integer. Branch-free for the lane kernels: the `as` cast
+    /// saturates, which is the clamp at the format's range.
+    #[inline(always)]
+    pub(crate) fn to_grid(scaled: f64) -> i64 {
+        scaled.round_ties_even() as i64
     }
 
     /// Decode back to `f64`.
@@ -213,6 +233,16 @@ impl FixedAccumulator {
         self.value += other.value;
     }
 
+    /// Fold deferred-carry limb sums — per-digit totals of [`split_limbs`]
+    /// outputs — into the register: the same integer, modulo 2¹²⁸, as one
+    /// [`add`](Self::add) per contribution.
+    #[inline]
+    pub fn add_limbs(&mut self, sums: [i128; 3]) {
+        let folded =
+            sums[0].wrapping_add(sums[1] << LIMB_BITS).wrapping_add(sums[2] << (2 * LIMB_BITS));
+        self.value = self.value.wrapping_add(folded);
+    }
+
     /// Read out as `f64`.
     #[inline]
     pub fn to_f64(&self) -> f64 {
@@ -225,6 +255,68 @@ impl FixedAccumulator {
         debug_assert!(scaled.abs() < i128::MAX as f64 / 4.0, "accumulator overflow risk: {x}");
         scaled.round_ties_even() as i128
     }
+}
+
+/// Bits per deferred-carry limb: a contribution on the 2⁻⁹⁶ grid is
+/// `d0 + d1·2⁴² + d2·2⁸⁴` with three signed digits (see [`split_limbs`]).
+const LIMB_BITS: u32 = 42;
+
+/// Contributions a limb lane may absorb between folds into the `i128`
+/// register. Every digit of an in-domain contribution has magnitude ≤ 2⁴²
+/// ([`limbs_out_of_domain`]), so 2¹⁶ of them sum below 2⁵⁸ — no `i64` limb
+/// can wrap, at any j-count.
+pub(crate) const LIMB_FOLD_INTERVAL: u32 = 1 << 16;
+const _: () = assert!((LIMB_FOLD_INTERVAL as u64) << LIMB_BITS < 1 << 62);
+
+// `1.5·2⁵²·g` for the digit grids g = 2⁻¹², 2⁻⁵⁴, 2⁻⁹⁶. Adding one to a value
+// `r` with |r| < 2⁵¹·g lands in the binade [2⁵²·g, 2⁵³·g), whose ulp is g:
+// IEEE round-to-nearest-even turns the sum into `C + d·g` with `d` the
+// integer nearest `r/g` (ties to even `d`, since C/g = 1.5·2⁵² is even), and
+// `d` sits in the low mantissa bits, so `bits(sum) − bits(C) = d` exactly.
+const SPLIT_C2: f64 = 1.5 * (1u64 << 40) as f64;
+const SPLIT_C1: f64 = 1.5 / (1u64 << 2) as f64;
+const SPLIT_C0: f64 = 1.5 / (1u64 << 44) as f64;
+
+/// Split one contribution into the digits `[d0, d1, d2]` of
+/// `round_ties_even(x·2⁹⁶) = d0 + d1·2⁴² + d2·2⁸⁴` — the integer
+/// [`FixedAccumulator::add`] would add — using only correctly-rounded f64
+/// add/sub and integer bit operations, so a lane loop over it vectorises.
+///
+/// Exact whenever [`limbs_out_of_domain`] of `d2` is zero — every finite `x`
+/// inside the accumulator contract |x| < 2²⁹, and on up to 2³⁰ — and
+/// meaningless otherwise. Range arguments, top down:
+///
+/// * `x + C2` stays inside [2⁴⁰, 2⁴¹) because |x| < 2³⁹, so `d2` is the
+///   integer nearest x·2¹² and `h2 = d2·2⁻¹²` is exact. `r1 = x − h2` is exact:
+///   if ulp(x) ≥ 2⁻¹² then h2 = x; else both are multiples of ulp(x) and
+///   |r1| ≤ 2⁻¹³ ≤ |x| (or h2 = 0 and r1 = x), so r1 fits x's 53 bits.
+/// * |r1| ≤ 2⁻¹³ < 2⁻³ keeps `r1 + C1` inside [2⁻², 2⁻¹): `d1` is the integer
+///   nearest r1·2⁵⁴, |d1| ≤ 2⁴¹, and `r0 = r1 − h1` is exact by the same
+///   argument one level down, |r0| ≤ 2⁻⁵⁵.
+/// * |r0| ≤ 2⁻⁵⁵ < 2⁻⁴⁵ keeps `r0 + C0` inside [2⁻⁴⁴, 2⁻⁴³), whose ulp is the
+///   accumulator quantum: this one addition *is* the quantisation, ties to
+///   even `d0`. Because h2 + h1 is an even multiple of the quantum,
+///   ties-to-even on `d0` is ties-to-even on the whole sum, |d0| ≤ 2⁴¹.
+#[inline(always)]
+// grape6-lint: hot
+pub fn split_limbs(x: f64) -> [i64; 3] {
+    let digit = |t: f64, c: f64| (t.to_bits() as i64).wrapping_sub(c.to_bits() as i64);
+    let t2 = x + SPLIT_C2;
+    let r1 = x - (t2 - SPLIT_C2);
+    let t1 = r1 + SPLIT_C1;
+    let r0 = r1 - (t1 - SPLIT_C1);
+    let t0 = r0 + SPLIT_C0;
+    [digit(t0, SPLIT_C0), digit(t1, SPLIT_C1), digit(t2, SPLIT_C2)]
+}
+
+/// Nonzero iff the top digit `d2` of [`split_limbs`] lies outside
+/// [−2⁴², 2⁴²), i.e. the input was NaN, ±∞ or |x| ≥ 2³⁰ (a NaN or overflowed
+/// `x + C2` leaves the binade, which moves `bits − bits(C2)` by ≥ 2⁵¹).
+/// OR-reduce it over lanes and registers; any set bit sends that
+/// j-particle through [`FixedAccumulator::add`] instead.
+#[inline(always)]
+pub fn limbs_out_of_domain(d2: i64) -> u64 {
+    (d2.wrapping_add(1 << LIMB_BITS) as u64) >> (LIMB_BITS + 1)
 }
 
 /// Accumulator triple for a vector quantity.
@@ -247,6 +339,14 @@ impl VecAccumulator {
         self.x.add(v.x);
         self.y.add(v.y);
         self.z.add(v.z);
+    }
+
+    /// Fold per-component limb sums ([`FixedAccumulator::add_limbs`]).
+    #[inline]
+    pub(crate) fn add_limbs(&mut self, sums: [[i128; 3]; 3]) {
+        self.x.add_limbs(sums[0]);
+        self.y.add_limbs(sums[1]);
+        self.z.add_limbs(sums[2]);
     }
 
     /// Merge another vector accumulator.

@@ -57,7 +57,7 @@ pub use fault_engine::FaultTolerantEngine;
 pub use format::{FixedPointFormat, Precision};
 pub use grid::HostGrid;
 pub use host_api::{g6_open, G6Error, G6Handle};
-pub use lanes::{GrapeLaneTile, SweepPartial};
+pub use lanes::{GrapeJLanes, GrapeLaneTile, SweepPartial};
 pub use link::{Link, WireFormat};
 pub use network::{NetworkMode, NetworkTree};
 pub use node::{Grape6Node, NodeTraffic};

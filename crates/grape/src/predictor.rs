@@ -8,7 +8,7 @@
 //! exact, because the increment is small); velocities in short floating
 //! point.
 
-use crate::format::{round_mantissa, round_vec, FixedPointFormat, Precision};
+use crate::format::{round_mantissa, round_vec, FixedPointFormat, Precision, ShortWord};
 use grape6_core::vec3::Vec3;
 
 /// A j-particle as held in GRAPE-6 memory (SSRAM): fixed-point position,
@@ -90,6 +90,32 @@ pub fn predict_j(
     PredictedJ { qpos, vel, mass: j.mass }
 }
 
+/// [`predict_j`] for one lane of a `for k in 0..W` loop: the same
+/// expression tree with [`ShortWord::round`] for the stage roundings and the
+/// precomputed grid [`scale`](FixedPointFormat::scale), so the loop body is
+/// branch-free. Returns the predicted fixed-point position and velocity.
+#[inline(always)]
+// grape6-lint: hot
+pub(crate) fn predict_lane(
+    word: ShortWord,
+    scale: f64,
+    j: &JParticle,
+    t: f64,
+) -> ([i64; 3], [f64; 3]) {
+    let dt = word.round(t - j.t0);
+    let dt2h = word.round(dt * dt * 0.5);
+    let dt3s = word.round(dt * dt * dt / 6.0);
+    let (v, a, k) = (j.vel.to_array(), j.acc.to_array(), j.jerk.to_array());
+    let mut qpos = [0i64; 3];
+    let mut vel = [0.0f64; 3];
+    for c in 0..3 {
+        let dpos = word.round(v[c] * dt + a[c] * dt2h + k[c] * dt3s);
+        qpos[c] = j.qpos[c].wrapping_add(FixedPointFormat::to_grid(dpos * scale));
+        vel[c] = word.round(v[c] + a[c] * dt + k[c] * dt2h);
+    }
+    (qpos, vel)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,6 +173,51 @@ mod tests {
         // The *increment* (≈0.11 AU here) is rounded to 24 bits → error ≲ 1e-8 AU.
         assert!(dpos < 1e-7, "prediction error {dpos:e}");
         assert!((hw.vel - exact.vel).norm() < 1e-7);
+    }
+
+    #[test]
+    fn lane_predictor_matches_predict_j_bitwise() {
+        // Random states, then the same with one field made non-finite,
+        // huge (position increment saturates the grid) or subnormal.
+        let fmt = FixedPointFormat::default();
+        let mut seed = 7u64;
+        let mut rng = move || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e19, 5e-324, -0.0];
+        for case in 0..200 {
+            let mut j = JParticle {
+                qpos: fmt.encode_vec(Vec3::new(rng() * 60.0, rng() * 60.0, rng())),
+                vel: Vec3::new(rng(), rng(), rng()),
+                acc: Vec3::new(rng(), rng(), rng()) * 1e-3,
+                jerk: Vec3::new(rng(), rng(), rng()) * 1e-5,
+                mass: 1e-9,
+                t0: rng(),
+            };
+            if case >= 100 {
+                let x = odd[case % odd.len()];
+                match case % 5 {
+                    0 => j.vel.x = x,
+                    1 => j.acc.y = x,
+                    2 => j.jerk.z = x,
+                    3 => j.t0 = x,
+                    _ => j.vel.z = x,
+                }
+            }
+            for precision in
+                [Precision::grape6(), Precision::Exact, Precision::Grape6 { mantissa_bits: 10 }]
+            {
+                let t = 1.0 + rng();
+                let want = predict_j(&fmt, precision, &j, t);
+                let word = ShortWord::new(precision.mantissa_bits());
+                let (qpos, vel) = predict_lane(word, fmt.scale(), &j, t);
+                assert_eq!(qpos, want.qpos, "case {case} {precision:?}");
+                // (IEEE leaves the sign and payload of a NaN *result* open.)
+                let key = |x: f64| if x.is_nan() { u64::MAX } else { x.to_bits() };
+                assert_eq!(vel.map(key), want.vel.to_array().map(key), "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use grape6_core::force::pair_force_jerk;
 use grape6_core::vec3::Vec3;
 use grape6_hw::format::{
-    round_mantissa, round_mantissa_lanes, FixedAccumulator, FixedPointFormat, Precision,
-    VecAccumulator,
+    limbs_out_of_domain, round_mantissa, split_limbs, FixedAccumulator, FixedPointFormat,
+    Precision, ShortWord, VecAccumulator,
 };
 use grape6_hw::pipeline::{pipeline_interaction, PipelineRegisters};
 use grape6_hw::predictor::{predict_j, JParticle};
@@ -244,56 +244,61 @@ proptest! {
         prop_assert!((acc.to_f64() - x).abs() <= accum_quantum());
     }
 
-    // ---------- lane-parallel rounding vs the scalar reference ----------
+    // ---------- the lane kernels' rounding vs the predicate-form oracle ----------
 
     #[test]
-    fn round_lanes_match_scalar_on_raw_bit_patterns(
+    fn short_word_matches_round_mantissa_on_raw_bit_patterns(
         raw in prop::collection::vec(0u64..u64::MAX, 8),
         bits in 1u32..60,
     ) {
         // Arbitrary bit patterns cover every class at once: normals,
-        // subnormals, ±0, ±∞, and NaNs with arbitrary payloads. The lane
-        // kernel must reproduce the scalar routine bit for bit on all of
-        // them (including NaN payload and −0.0 sign preservation).
-        let mut xs = [0.0f64; 8];
-        for k in 0..8 {
-            xs[k] = f64::from_bits(raw[k]);
-        }
-        let w8 = round_mantissa_lanes::<8>(xs, bits);
-        for k in 0..8 {
-            let want = round_mantissa(xs[k], bits).to_bits();
+        // subnormals, ±0, ±∞, and NaNs with arbitrary payloads. The
+        // branch-free identity the lane kernels inline must reproduce the
+        // predicate form bit for bit on all of them (including NaN payload
+        // and −0.0 sign preservation).
+        let word = ShortWord::new(bits);
+        for &r in &raw {
+            let x = f64::from_bits(r);
             prop_assert_eq!(
-                w8[k].to_bits(), want,
-                "W=8 lane {}: x = {:e} ({:#018x}), bits = {}", k, xs[k], raw[k], bits
+                word.round(x).to_bits(), round_mantissa(x, bits).to_bits(),
+                "x = {:e} ({:#018x}), bits = {}", x, r, bits
             );
-        }
-        let w4a = round_mantissa_lanes::<4>([xs[0], xs[1], xs[2], xs[3]], bits);
-        let w4b = round_mantissa_lanes::<4>([xs[4], xs[5], xs[6], xs[7]], bits);
-        for k in 0..4 {
-            prop_assert_eq!(w4a[k].to_bits(), round_mantissa(xs[k], bits).to_bits());
-            prop_assert_eq!(w4b[k].to_bits(), round_mantissa(xs[k + 4], bits).to_bits());
         }
     }
 
     #[test]
-    fn round_lanes_match_scalar_on_subnormals(
+    fn short_word_matches_round_mantissa_on_subnormals(
         raw in prop::collection::vec(0u64..u64::MAX, 4),
         bits in 1u32..53,
     ) {
-        // Force the biased exponent to zero: every lane is a subnormal (or
+        // Force the biased exponent to zero: every value is a subnormal (or
         // ±0), the regime where the integer round-up can carry into the
         // exponent field and promote to the smallest normal.
-        let mut xs = [0.0f64; 4];
-        for k in 0..4 {
-            xs[k] = f64::from_bits(raw[k] & 0x800F_FFFF_FFFF_FFFF);
-        }
-        let got = round_mantissa_lanes::<4>(xs, bits);
-        for k in 0..4 {
-            let want = round_mantissa(xs[k], bits).to_bits();
+        let word = ShortWord::new(bits);
+        for &r in &raw {
+            let x = f64::from_bits(r & 0x800F_FFFF_FFFF_FFFF);
             prop_assert_eq!(
-                got[k].to_bits(), want,
-                "subnormal lane {}: x = {:e}, bits = {}", k, xs[k], bits
+                word.round(x).to_bits(), round_mantissa(x, bits).to_bits(),
+                "subnormal x = {:e}, bits = {}", x, bits
             );
+        }
+    }
+
+    // ---------- deferred-carry limbs vs the i128 accumulator ----------
+
+    #[test]
+    fn limb_digits_match_the_accumulator_on_raw_bit_patterns(
+        raw in prop::collection::vec(0u64..u64::MAX, 8),
+        exp in prop::collection::vec(900u64..1060, 8),
+    ) {
+        // All classes from the raw patterns, then the same mantissas pulled
+        // into the exponent range the accumulator actually resolves
+        // (2⁻¹²³ … 2³⁷ straddles both the 2⁻⁹⁷ rounding edge and the 2²⁹
+        // contract edge).
+        for (&r, &e) in raw.iter().zip(&exp) {
+            check_limbs_against_accumulator(f64::from_bits(r))?;
+            let dense = (r & 0x800F_FFFF_FFFF_FFFF) | (e << 52);
+            check_limbs_against_accumulator(f64::from_bits(dense))?;
         }
     }
 
@@ -307,11 +312,121 @@ proptest! {
     }
 }
 
+/// The limb path for one value: either flagged out of domain — allowed only
+/// outside the accumulator contract (finite, |x| < 2²⁹), where the kernels
+/// hand the value to `FixedAccumulator::add` itself — or digits that fold to
+/// exactly what `add` accumulates.
+fn check_limbs_against_accumulator(x: f64) -> Result<(), proptest::TestCaseError> {
+    let d = split_limbs(x);
+    let in_contract = x.abs() < 2.0f64.powi(29);
+    if limbs_out_of_domain(d[2]) != 0 {
+        prop_assert!(!in_contract, "in-contract x = {:e} flagged out of domain", x);
+        return Ok(());
+    }
+    prop_assert!(x.abs() <= 2.0f64.powi(30), "x = {:e} ({:#018x}) not flagged", x, x.to_bits());
+    prop_assert!(d.iter().all(|d| d.abs() <= 1 << 42), "x = {:e}: digit too large {:?}", x, d);
+    // `add` debug-asserts its contract; between 2²⁹ and the limb domain's
+    // edge only a release build can ask it.
+    if in_contract || !cfg!(debug_assertions) {
+        let mut want = FixedAccumulator::new();
+        want.add(x);
+        let mut got = FixedAccumulator::new();
+        got.add_limbs(d.map(i128::from));
+        prop_assert_eq!(got, want, "x = {:e} ({:#018x})", x, x.to_bits());
+    }
+    Ok(())
+}
+
 #[test]
-fn round_lanes_edge_cases_bit_exact() {
-    // The specific values the lane kernel's per-lane selects exist for:
-    // signed zeros (sign bit must survive), infinities and NaNs (payload
-    // must survive), subnormals at both ends, and exact round-to-even ties.
+fn limb_digits_directed_edges() {
+    let q = 2.0f64.powi(-96);
+    let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+    let above = |x: f64| f64::from_bits(x.to_bits() + 1);
+    let mut edges = vec![
+        0.0,
+        5e-324,
+        f64::MIN_POSITIVE,
+        below(f64::MIN_POSITIVE),
+        // Ties of the final rounding, both parities of the even neighbour,
+        // and their nearest non-ties.
+        0.5 * q,
+        1.5 * q,
+        2.5 * q,
+        below(0.5 * q),
+        above(0.5 * q),
+        below(1.5 * q),
+        above(1.5 * q),
+        // Ties riding on top of a higher bit.
+        2.0f64.powi(-45) + 0.5 * q,
+        2.0f64.powi(-45) + 1.5 * q,
+        // Where x stops needing the final rounding at all.
+        2.0f64.powi(-44),
+        below(2.0f64.powi(-44)),
+        above(2.0f64.powi(-44)),
+        // Ties of the two upper digit splits.
+        2.0f64.powi(-13),
+        3.0 * 2.0f64.powi(-13),
+        2.0f64.powi(-55),
+        3.0 * 2.0f64.powi(-55),
+        1.0 / 3.0,
+        1e-9 / 3.0,
+        12345.678,
+        // The contract edge and the limb domain's own edge.
+        below(2.0f64.powi(29)),
+        2.0f64.powi(29),
+        below(2.0f64.powi(30)),
+        2.0f64.powi(30),
+        2.0f64.powi(39),
+        2.0f64.powi(41),
+        f64::MAX,
+        f64::INFINITY,
+        f64::NAN,
+        f64::from_bits(0x7FF0_0000_0000_0001),
+        f64::from_bits(0x7FFF_FFFF_FFFF_FFFF),
+    ];
+    edges.extend(edges.clone().iter().map(|x| -x));
+    for x in edges {
+        if let Err(e) = check_limbs_against_accumulator(x) {
+            panic!("{e:?}");
+        }
+    }
+    // Non-finite and out-of-range values must be flagged, not merely allowed to be.
+    for x in
+        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 2.0f64.powi(30), -2.0f64.powi(31), -f64::MAX]
+    {
+        assert_ne!(limbs_out_of_domain(split_limbs(x)[2]), 0, "x = {x:e} not flagged");
+    }
+}
+
+#[test]
+fn limb_sums_fold_like_sequential_adds() {
+    // Digit sums of many contributions (mixed signs and magnitudes) fold to
+    // the same register as one `add` each.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut sums = [0i128; 3];
+    let mut want = FixedAccumulator::new();
+    for _ in 0..10_000 {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let mantissa = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+        let x = mantissa * 2.0f64.powi((state % 120) as i32 - 100);
+        want.add(x);
+        for (s, d) in sums.iter_mut().zip(split_limbs(x)) {
+            *s += i128::from(d);
+        }
+    }
+    let mut got = FixedAccumulator::new();
+    got.add_limbs(sums);
+    assert_eq!(got, want);
+}
+
+#[test]
+fn short_word_edge_cases_bit_exact() {
+    // The values the branch-free identity has to get right without the
+    // predicate form's early returns: signed zeros (sign bit must survive),
+    // infinities and NaNs (selected through, payload intact), subnormals at
+    // both ends, and exact round-to-even ties.
     let edges: [f64; 8] = [
         0.0,
         -0.0,
@@ -322,15 +437,16 @@ fn round_lanes_edge_cases_bit_exact() {
         -f64::MIN_POSITIVE,                    // largest-magnitude negative normal boundary
         f64::MAX,
     ];
-    for bits in [1u32, 8, 24, 45, 52, 53, 60] {
-        let got = round_mantissa_lanes::<8>(edges, bits);
-        for k in 0..8 {
-            assert_eq!(
-                got[k].to_bits(),
-                round_mantissa(edges[k], bits).to_bits(),
-                "edge lane {k}: x = {:e}, bits = {bits}",
-                edges[k]
-            );
+    let assert_same = |x: f64, bits: u32| {
+        assert_eq!(
+            ShortWord::new(bits).round(x).to_bits(),
+            round_mantissa(x, bits).to_bits(),
+            "x = {x:e}, bits = {bits}"
+        );
+    };
+    for bits in [0u32, 1, 8, 24, 45, 52, 53, 60] {
+        for x in edges {
+            assert_same(x, bits);
         }
     }
     // Exact ties: mantissa fraction exactly half an ulp of the short word,
@@ -340,15 +456,8 @@ fn round_lanes_edge_cases_bit_exact() {
         let even = f64::from_bits((0x3FF0_0000_0000_0000u64) | (1u64 << (shift - 1)));
         let odd =
             f64::from_bits((0x3FF0_0000_0000_0000u64 | (1u64 << shift)) | (1u64 << (shift - 1)));
-        let ties = [even, odd, -even, -odd];
-        let got = round_mantissa_lanes::<4>(ties, bits);
-        for k in 0..4 {
-            assert_eq!(
-                got[k].to_bits(),
-                round_mantissa(ties[k], bits).to_bits(),
-                "tie lane {k}: x = {:e}, bits = {bits}",
-                ties[k]
-            );
+        for x in [even, odd, -even, -odd] {
+            assert_same(x, bits);
         }
     }
 }

@@ -293,13 +293,25 @@ impl<'a> Parser<'a> {
                         other => return Err(self.err(&format!("bad escape `\\{}`", other as char))),
                     }
                 }
-                _ => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                lead => {
+                    // Consume one UTF-8 code point: its length comes from the
+                    // lead byte, and only those bytes are validated (bad
+                    // continuation bytes, overlongs and surrogates included)
+                    // — never the rest of the input, which made long strings
+                    // quadratic.
+                    let len = match lead {
+                        0x00..=0x7F => 1,
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        _ => 4,
+                    };
+                    let point = self
+                        .bytes
+                        .get(self.pos..self.pos + len)
+                        .and_then(|seq| std::str::from_utf8(seq).ok())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
+                    out.push_str(point);
+                    self.pos += len;
                 }
             }
         }
@@ -465,6 +477,36 @@ mod tests {
         let s = to_string(&x).unwrap();
         assert_eq!(s, u64::MAX.to_string());
         assert_eq!(from_str::<u64>(&s).unwrap(), x);
+    }
+
+    #[test]
+    fn long_and_multibyte_strings_round_trip() {
+        // 4 MiB of string body: linear now, quadratic when every character
+        // re-validated the whole rest of the input.
+        let long: String = "0123456789abcdef".repeat(4 << 16);
+        let mixed = "aé€😀 — \u{10348}𐍈\u{7FF}߿\u{FFFF}".repeat(1000);
+        for text in [long, mixed] {
+            let json = to_string(&text).unwrap();
+            assert_eq!(from_str::<String>(&json).unwrap(), text);
+        }
+    }
+
+    #[test]
+    fn broken_utf8_in_strings_is_rejected() {
+        let cases: [&[u8]; 8] = [
+            b"\"\xE2\x82\"",     // 3-byte sequence cut short by the quote
+            b"\"\xF0\x9F\x98\"", // 4-byte sequence cut short by the quote
+            b"\"\xE2\x82",       // … by the end of input
+            b"\"\xF0\x9F",       // … by the end of input
+            b"\"\xC3\x28\"",     // bad continuation byte
+            b"\"\x80\"",         // continuation byte as lead
+            b"\"\xC0\xAF\"",     // overlong encoding
+            b"\"\xED\xA0\x80\"", // UTF-16 surrogate
+        ];
+        for bytes in cases {
+            let err = value_from_slice(bytes).unwrap_err();
+            assert!(err.to_string().contains("invalid UTF-8"), "{bytes:?}: {err}");
+        }
     }
 
     #[test]
