@@ -7,7 +7,6 @@ use grape6_core::blockstep::BlockScheduler;
 use grape6_core::engine::ForceEngine;
 use grape6_core::force::{accumulate_on, pair_force_jerk, DirectEngine};
 use grape6_core::hermite::{correct, predict};
-use grape6_core::lanes::LaneWidth;
 use grape6_core::particle::{ForceResult, IParticle};
 use grape6_core::vec3::Vec3;
 use grape6_disk::DiskBuilder;
@@ -43,9 +42,7 @@ fn bench_j_sweep(c: &mut Criterion) {
 }
 
 fn bench_engine_block(c: &mut Criterion) {
-    // A realistic block-force call: 64 i-particles against 8k j-particles,
-    // once per AoSoA lane width (the results are bitwise identical; only
-    // the kernel differs).
+    // A realistic block-force call: 64 i-particles against 8k j-particles.
     let sys = DiskBuilder::paper(8192).build();
     let ips: Vec<IParticle> = (0..64)
         .map(|k| {
@@ -56,13 +53,11 @@ fn bench_engine_block(c: &mut Criterion) {
     let mut out = vec![ForceResult::default(); ips.len()];
     let mut group = c.benchmark_group("direct_engine");
     group.throughput(Throughput::Elements(64 * 8194));
-    for lanes in LaneWidth::ALL {
-        let mut engine = DirectEngine::with_lane_width(lanes);
-        engine.load(&sys);
-        group.bench_function(format!("block64_n8k_{lanes}"), |b| {
-            b.iter(|| engine.compute(black_box(0.0), &ips, &mut out))
-        });
-    }
+    let mut engine = DirectEngine::new();
+    engine.load(&sys);
+    group.bench_function("block64_n8k", |b| {
+        b.iter(|| engine.compute(black_box(0.0), &ips, &mut out))
+    });
     group.finish();
 }
 

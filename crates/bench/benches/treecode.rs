@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use grape6_core::engine::ForceEngine;
 use grape6_core::particle::{ForceResult, IParticle};
 use grape6_disk::DiskBuilder;
-use grape6_tree::{Octree, TreeEngine};
+use grape6_tree::{HybridTreeEngine, Octree};
 
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("tree_build");
@@ -37,7 +37,7 @@ fn bench_small_block_cost(c: &mut Criterion) {
     // a full rebuild. Compare against a same-time request that reuses the
     // tree.
     let sys = DiskBuilder::paper(8192).build();
-    let mut engine = TreeEngine::new(0.5);
+    let mut engine = HybridTreeEngine::new(0.5, 0.0);
     engine.load(&sys);
     let ips = [IParticle { index: 0, pos: sys.pos[0], vel: sys.vel[0] }];
     let mut out = [ForceResult::default()];

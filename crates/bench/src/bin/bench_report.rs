@@ -43,7 +43,7 @@ fn main() -> std::process::ExitCode {
         }
     }
 
-    println!("\nkernel microbench (AoSoA lane widths, full-block j-sweep):");
+    println!("\nkernel microbench (scalar oracle vs product lane kernel, full-block j-sweep):");
     print_header(&["kernel", "lanes", "bodies", "inter/s real", "vs scalar"], 14);
     for k in &report.kernel_microbench {
         print_row(

@@ -2,8 +2,9 @@
 //! summation under individual timesteps.
 //!
 //! Two tables:
-//! 1. force accuracy of the Barnes-Hut approximation vs opening angle —
-//!    direct summation is the accuracy reference the paper requires;
+//! 1. force accuracy of the Barnes-Hut approximation (the tree engine at a
+//!    zero neighbour radius) vs opening angle — direct summation is the
+//!    accuracy reference the paper requires;
 //! 2. cost per *block step* under the block individual-timestep driver:
 //!    the tree pays an O(N log N) rebuild for every block no matter how
 //!    small, so its advantage evaporates exactly as §3 claims.
@@ -13,7 +14,7 @@ use grape6_core::engine::ForceEngine;
 use grape6_core::force::DirectEngine;
 use grape6_core::particle::{ForceResult, IParticle};
 use grape6_sim::Simulation;
-use grape6_tree::TreeEngine;
+use grape6_tree::HybridTreeEngine;
 use std::time::Instant;
 
 fn main() {
@@ -35,7 +36,7 @@ fn main() {
 
     print_header(&["theta", "median err", "99% err", "evals/N"], 14);
     for &theta in &[0.9, 0.7, 0.5, 0.3] {
-        let mut tree = TreeEngine::new(theta);
+        let mut tree = HybridTreeEngine::new(theta, 0.0);
         tree.load(&sys);
         let mut out = vec![ForceResult::default(); ips.len()];
         tree.compute(0.0, &ips, &mut out);
@@ -67,7 +68,8 @@ fn main() {
                 (sim.block_hist.blocks, sim.block_hist.mean())
             }
             _ => {
-                let mut sim = Simulation::new(sys, experiment_config(), TreeEngine::new(0.5));
+                let mut sim =
+                    Simulation::new(sys, experiment_config(), HybridTreeEngine::new(0.5, 0.0));
                 sim.run_to(t_run, 0.0);
                 (sim.block_hist.blocks, sim.block_hist.mean())
             }

@@ -13,13 +13,14 @@
 
 use crate::experiment_config;
 use grape6_core::engine::ForceEngine;
-use grape6_core::force::FLOPS_PER_INTERACTION;
-use grape6_core::lanes::LaneWidth;
+use grape6_core::force::{DirectEngine, ScalarDirectEngine, FLOPS_PER_INTERACTION};
 use grape6_core::particle::ParticleSystem;
 use grape6_disk::DiskBuilder;
-use grape6_hw::{FaultPlan, FaultTolerantEngine, Grape6Config, Grape6Engine, TimingModel};
+use grape6_hw::{
+    FaultPlan, FaultTolerantEngine, Grape6Config, Grape6Engine, ScalarGrape6Engine, TimingModel,
+};
 use grape6_sim::{Simulation, TelemetryReport};
-use grape6_tree::{HybridTreeEngine, TreeEngine};
+use grape6_tree::HybridTreeEngine;
 use serde::{Deserialize, Serialize};
 
 /// Bumped whenever a field of [`BenchReport`] changes meaning or name.
@@ -52,13 +53,12 @@ pub enum EngineKind {
     Direct,
     /// The GRAPE-6 functional + timing simulator (full SC2002 machine).
     Grape6,
-    /// The Barnes-Hut baseline at the given opening angle.
-    Tree(f64),
     /// The dual-modular fault-tolerant GRAPE-6 running a seeded random
     /// [`FaultPlan`] (the given seed; 8 events over the first 40 blocks).
     Grape6Faulty(u64),
-    /// The hybrid tree+direct engine: Barnes-Hut far field at the given
-    /// opening angle, exact near field inside the given neighbour radius.
+    /// The tree engine: Barnes-Hut far field at the given opening angle,
+    /// exact near field inside the given neighbour radius (zero: the pure
+    /// Barnes-Hut baseline).
     Hybrid {
         /// Opening angle θ of the far-field walk.
         theta: f64,
@@ -105,7 +105,7 @@ pub fn standard_workloads() -> Vec<WorkloadSpec> {
             n: 512,
             seed: 20020616,
             t_end: 2.0,
-            engine: EngineKind::Tree(0.5),
+            engine: EngineKind::Hybrid { theta: 0.5, r_near: 0.0 },
         },
         WorkloadSpec {
             id: "grape6_ft_faulty",
@@ -140,10 +140,11 @@ pub struct WorkloadResult {
     /// Modeled sustained machine speed, Tflops (57 flops per interaction
     /// over modeled seconds; 0 for engines without a timing model).
     pub modeled_tflops: f64,
-    /// AoSoA lane width of the force kernels the workload ran with
-    /// (`"scalar"`, `"w4"`, `"w8"`; engines without a lane path report
-    /// `"scalar"`). Results are bitwise lane-width-invariant — this field
-    /// records which kernel produced them, not what they contain.
+    /// AoSoA lane width of the force kernels the workload ran with: the
+    /// engine family's compile-time constant (`"w8"` direct, `"w4"` GRAPE;
+    /// the tree engine has no lane path and reports `"scalar"`). Results
+    /// are bitwise lane-width-invariant — this field records which kernel
+    /// produced them, not what they contain.
     pub lane_width: String,
 }
 
@@ -221,8 +222,8 @@ pub struct BenchReport {
     /// Host thread-scaling sweep of every workload (wall clocks vary with
     /// the thread count; work counters must not).
     pub thread_scaling: Vec<ThreadScalingResult>,
-    /// Per-kernel interaction rates at every AoSoA lane width
-    /// (scalar / W = 4 / W = 8), with speedups over the scalar reference.
+    /// Per-kernel interaction rates: the scalar oracle and the product lane
+    /// kernel of each family, with the speedup of the latter over the former.
     pub kernel_microbench: Vec<KernelRate>,
     /// Per-block-step host-phase nanoseconds (Schedule / Predict / JUpdate)
     /// on zero-force disks, for both block schedulers, up to the
@@ -246,14 +247,15 @@ pub struct BenchReport {
     pub paper_check: PaperCheck,
 }
 
-/// One timed kernel microbenchmark point: a fixed blocked force sweep at a
-/// fixed lane width. The interaction count is deterministic; the wall clock
+/// One timed kernel microbenchmark point: a fixed blocked force sweep
+/// through one kernel. The interaction count is deterministic; the wall clock
 /// (and hence the rate) tracks the host.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KernelRate {
     /// Which force kernel (`"direct"` or `"grape6"`).
     pub kernel: String,
-    /// AoSoA lane width (`"scalar"`, `"w4"`, `"w8"`).
+    /// `"scalar"` for the oracle row, the family's lane width (`"w8"`
+    /// direct, `"w4"` GRAPE) for the product row.
     pub lane_width: String,
     /// Bodies in the j-memory.
     pub n_bodies: u64,
@@ -265,7 +267,7 @@ pub struct KernelRate {
     pub wall_seconds: f64,
     /// `interactions / wall_seconds`.
     pub interactions_per_second_real: f64,
-    /// This width's rate over the same kernel's scalar rate (1.0 for the
+    /// This row's rate over the same kernel's scalar rate (1.0 for the
     /// scalar rows themselves).
     pub speedup_vs_scalar: f64,
 }
@@ -338,8 +340,7 @@ pub fn run_hybrid_bench(n: usize, seed: u64, theta: f64, r_near: f64, reps: usiz
     let hybrid_interactions = hybrid.interaction_count();
     let hybrid_wall_seconds = best * reps as f64;
 
-    let (direct_interactions, direct_wall_seconds) =
-        time_kernel(grape6_core::force::DirectEngine::new(), &sys, reps);
+    let (direct_interactions, direct_wall_seconds) = time_kernel(DirectEngine::new(), &sys, reps);
 
     let rate = |inter: u64, wall: f64| if wall > 0.0 { inter as f64 / wall } else { 0.0 };
     HybridBench {
@@ -540,44 +541,58 @@ fn time_kernel<E: ForceEngine>(mut engine: E, sys: &ParticleSystem, reps: usize)
     ((reps * n * n) as u64, best * reps as f64)
 }
 
-/// Time the direct and GRAPE-6 force kernels at every lane width on fixed
-/// seeded disks (`n_direct` / `n_grape6` planetesimals, `reps` full-block
-/// sweeps each) and derive per-width speedups over the scalar reference.
-pub fn run_kernel_microbench(n_direct: usize, n_grape6: usize, reps: usize) -> Vec<KernelRate> {
-    let mut rates = Vec::new();
-    for (kernel, n) in [("direct", n_direct), ("grape6", n_grape6)] {
-        let sys = DiskBuilder::paper(n).with_seed(20020616).build();
-        let mut scalar_rate = 0.0;
-        for lanes in LaneWidth::ALL {
-            let (interactions, wall_seconds) = match kernel {
-                "direct" => time_kernel(
-                    grape6_core::force::DirectEngine::with_lane_width(lanes),
-                    &sys,
-                    reps,
-                ),
-                _ => time_kernel(
-                    Grape6Engine::new(Grape6Config { lanes, ..Grape6Config::sc2002() }),
-                    &sys,
-                    reps,
-                ),
-            };
-            let rate = if wall_seconds > 0.0 { interactions as f64 / wall_seconds } else { 0.0 };
-            if lanes == LaneWidth::Scalar {
-                scalar_rate = rate;
-            }
-            rates.push(KernelRate {
-                kernel: kernel.to_string(),
-                lane_width: lanes.label().to_string(),
-                n_bodies: sys.len() as u64,
-                block: sys.len() as u64,
-                interactions,
-                wall_seconds,
-                interactions_per_second_real: rate,
-                speedup_vs_scalar: if scalar_rate > 0.0 { rate / scalar_rate } else { 0.0 },
-            });
+/// Report label of a lane width (`"w8"`, `"w4"`).
+fn lane_label(width: usize) -> String {
+    format!("w{width}")
+}
+
+/// The scalar-oracle row and the product lane-kernel row of one kernel
+/// family, from their `(interactions, wall seconds)` timings.
+fn kernel_rows(
+    kernel: &str,
+    lanes: usize,
+    sys: &ParticleSystem,
+    oracle: (u64, f64),
+    product: (u64, f64),
+) -> [KernelRate; 2] {
+    let rate = |(n, wall): (u64, f64)| if wall > 0.0 { n as f64 / wall } else { 0.0 };
+    let scalar_rate = rate(oracle);
+    [("scalar".to_string(), oracle), (lane_label(lanes), product)].map(|(lane_width, timed)| {
+        KernelRate {
+            kernel: kernel.to_string(),
+            lane_width,
+            n_bodies: sys.len() as u64,
+            block: sys.len() as u64,
+            interactions: timed.0,
+            wall_seconds: timed.1,
+            interactions_per_second_real: rate(timed),
+            speedup_vs_scalar: if scalar_rate > 0.0 { rate(timed) / scalar_rate } else { 0.0 },
         }
-    }
-    rates
+    })
+}
+
+/// Time the direct and GRAPE-6 force kernels, each through its scalar oracle
+/// and its product lane kernel, on fixed seeded disks (`n_direct` /
+/// `n_grape6` planetesimals, `reps` full-block sweeps each).
+pub fn run_kernel_microbench(n_direct: usize, n_grape6: usize, reps: usize) -> Vec<KernelRate> {
+    let d = DiskBuilder::paper(n_direct).with_seed(20020616).build();
+    let g = DiskBuilder::paper(n_grape6).with_seed(20020616).build();
+    let hw = || Grape6Engine::new(Grape6Config::sc2002());
+    let direct = kernel_rows(
+        "direct",
+        grape6_core::lanes::LANE_WIDTH,
+        &d,
+        time_kernel(ScalarDirectEngine::default(), &d, reps),
+        time_kernel(DirectEngine::new(), &d, reps),
+    );
+    let grape6 = kernel_rows(
+        "grape6",
+        grape6_hw::lanes::LANE_WIDTH,
+        &g,
+        time_kernel(ScalarGrape6Engine(hw()), &g, reps),
+        time_kernel(hw(), &g, reps),
+    );
+    direct.into_iter().chain(grape6).collect()
 }
 
 /// The standard microbench configuration the shipped report uses: blocks
@@ -613,25 +628,22 @@ fn run_with<E: ForceEngine>(spec: &WorkloadSpec, engine: E) -> WorkloadResult {
 
 /// Run one workload to completion.
 pub fn run_workload(spec: &WorkloadSpec) -> WorkloadResult {
-    // Direct and GRAPE-6 run their default AoSoA lane width; the tree
-    // engines have no lane path and report the scalar kernel.
-    let lanes = match spec.engine {
-        EngineKind::Tree(_) | EngineKind::Hybrid { .. } => LaneWidth::Scalar,
-        _ => LaneWidth::default(),
-    };
-    let mut out = match spec.engine {
-        EngineKind::Direct => run_with(spec, grape6_core::force::DirectEngine::new()),
-        EngineKind::Grape6 => run_with(spec, Grape6Engine::sc2002()),
-        EngineKind::Tree(theta) => run_with(spec, TreeEngine::new(theta)),
+    let grape_lanes = lane_label(grape6_hw::lanes::LANE_WIDTH);
+    let (mut out, lanes) = match spec.engine {
+        EngineKind::Direct => {
+            (run_with(spec, DirectEngine::new()), lane_label(grape6_core::lanes::LANE_WIDTH))
+        }
+        EngineKind::Grape6 => (run_with(spec, Grape6Engine::sc2002()), grape_lanes),
         EngineKind::Grape6Faulty(seed) => {
             let plan = FaultPlan::random(seed, 8, 40);
-            run_with(spec, FaultTolerantEngine::new(Grape6Config::sc2002(), &plan))
+            (run_with(spec, FaultTolerantEngine::new(Grape6Config::sc2002(), &plan)), grape_lanes)
         }
+        // The tree engine has no lane path: its sums run the scalar kernel.
         EngineKind::Hybrid { theta, r_near } => {
-            run_with(spec, HybridTreeEngine::new(theta, r_near))
+            (run_with(spec, HybridTreeEngine::new(theta, r_near)), "scalar".to_string())
         }
     };
-    out.lane_width = lanes.label().to_string();
+    out.lane_width = lanes;
     out
 }
 
@@ -730,20 +742,22 @@ mod tests {
     }
 
     #[test]
-    fn kernel_microbench_covers_both_kernels_at_every_width() {
+    fn kernel_microbench_pairs_each_product_kernel_with_its_oracle() {
         let rates = run_kernel_microbench(48, 32, 1);
-        assert_eq!(rates.len(), 2 * LaneWidth::ALL.len());
-        for kernel in ["direct", "grape6"] {
-            let rows: Vec<&KernelRate> = rates.iter().filter(|r| r.kernel == kernel).collect();
-            assert_eq!(rows.len(), LaneWidth::ALL.len(), "{kernel}");
-            // The scalar row leads and anchors the speedup column.
-            assert_eq!(rows[0].lane_width, "scalar");
-            assert_eq!(rows[0].speedup_vs_scalar, 1.0);
-            for r in rows {
-                assert!(r.interactions > 0);
-                assert_eq!(r.interactions, r.block * r.n_bodies);
-                assert!(r.interactions_per_second_real > 0.0, "{kernel}/{}", r.lane_width);
-                assert!(r.speedup_vs_scalar > 0.0);
+        let labels: Vec<(&str, &str)> =
+            rates.iter().map(|r| (r.kernel.as_str(), r.lane_width.as_str())).collect();
+        // The scalar row leads and anchors the speedup column.
+        assert_eq!(
+            labels,
+            [("direct", "scalar"), ("direct", "w8"), ("grape6", "scalar"), ("grape6", "w4")]
+        );
+        for r in &rates {
+            assert!(r.interactions > 0);
+            assert_eq!(r.interactions, r.block * r.n_bodies);
+            assert!(r.interactions_per_second_real > 0.0, "{}/{}", r.kernel, r.lane_width);
+            assert!(r.speedup_vs_scalar > 0.0);
+            if r.lane_width == "scalar" {
+                assert_eq!(r.speedup_vs_scalar, 1.0);
             }
         }
     }
@@ -841,7 +855,7 @@ mod tests {
             paper_check: PaperCheck::sc2002(),
         };
         assert!(report.workloads[0].modeled_tflops > 0.0);
-        assert_eq!(report.workloads[0].lane_width, LaneWidth::default().label());
+        assert_eq!(report.workloads[0].lane_width, "w4", "the GRAPE family's lane width");
         assert_eq!(report.thread_scaling[0].entries.len(), SCALING_THREADS.len());
         assert!((report.thread_scaling[0].entries[0].speedup_force_vs_1 - 1.0).abs() < 1e-12);
         let json = serde_json::to_string_pretty(&report).unwrap();

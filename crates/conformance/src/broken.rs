@@ -9,19 +9,14 @@
 //! failing scenario to the minimal two-particle repro.
 
 use grape6_core::engine::ForceEngine;
-use grape6_core::force::pair_force_jerk;
-use grape6_core::particle::{ForceResult, IParticle, Neighbor, ParticleSystem};
-use grape6_core::vec3::Vec3;
+use grape6_core::force::accumulate_with_nn;
+use grape6_core::jmem::JMemory;
+use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 
 /// A direct-summation engine whose j-loop drops the last particle.
 #[derive(Debug, Default)]
 pub struct BrokenEngine {
-    jpos: Vec<Vec3>,
-    jvel: Vec<Vec3>,
-    jacc: Vec<Vec3>,
-    jjerk: Vec<Vec3>,
-    jtime: Vec<f64>,
-    jmass: Vec<f64>,
+    jmem: JMemory,
     eps2: f64,
     interactions: u64,
 }
@@ -35,56 +30,23 @@ impl BrokenEngine {
 
 impl ForceEngine for BrokenEngine {
     fn load(&mut self, sys: &ParticleSystem) {
-        self.jpos = sys.pos.clone();
-        self.jvel = sys.vel.clone();
-        self.jacc = sys.acc.clone();
-        self.jjerk = sys.jerk.clone();
-        self.jtime = sys.time.clone();
-        self.jmass = sys.mass.clone();
+        self.jmem.load(sys);
         self.eps2 = sys.softening * sys.softening;
     }
 
     fn update_j(&mut self, sys: &ParticleSystem, indices: &[usize]) {
-        for &j in indices {
-            self.jpos[j] = sys.pos[j];
-            self.jvel[j] = sys.vel[j];
-            self.jacc[j] = sys.acc[j];
-            self.jjerk[j] = sys.jerk[j];
-            self.jtime[j] = sys.time[j];
-            self.jmass[j] = sys.mass[j];
-        }
+        self.jmem.update(sys, indices);
     }
 
     fn compute(&mut self, t: f64, ips: &[IParticle], out: &mut [ForceResult]) {
         // BUG (intentional): `..n - 1` drops the last j-particle.
-        let n = self.jpos.len();
-        let upper = n.saturating_sub(1);
+        let upper = self.jmem.len().saturating_sub(1);
+        self.jmem.predict_all(t);
+        let (ppos, pvel) = self.jmem.predicted_all();
         for (ip, res) in ips.iter().zip(out.iter_mut()) {
-            let mut r = ForceResult::default();
-            for j in 0..upper {
-                if j == ip.index {
-                    continue;
-                }
-                let dt = t - self.jtime[j];
-                let pos = self.jpos[j]
-                    + self.jvel[j] * dt
-                    + self.jacc[j] * (dt * dt / 2.0)
-                    + self.jjerk[j] * (dt * dt * dt / 6.0);
-                let vel = self.jvel[j] + self.jacc[j] * dt + self.jjerk[j] * (dt * dt / 2.0);
-                let dx = pos - ip.pos;
-                let dv = vel - ip.vel;
-                let (acc, jerk, pot) = pair_force_jerk(dx, dv, self.jmass[j], self.eps2);
-                r.acc += acc;
-                r.jerk += jerk;
-                r.pot += pot;
-                let r2 = dx.norm2();
-                if r.nn.is_none_or(|nn| r2 < nn.r2) {
-                    r.nn = Some(Neighbor { index: j, r2 });
-                }
-                self.interactions += 1;
-            }
-            *res = r;
+            *res = accumulate_with_nn(ip, 0..upper, ppos, pvel, self.jmem.mass(), self.eps2);
         }
+        self.interactions += (ips.len() * upper) as u64;
     }
 
     fn interaction_count(&self) -> u64 {
@@ -103,6 +65,7 @@ impl ForceEngine for BrokenEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grape6_core::vec3::Vec3;
 
     #[test]
     fn drops_the_last_particle() {

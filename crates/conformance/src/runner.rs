@@ -20,14 +20,14 @@ use crate::oracle::{Oracle, Tolerances, SAFETY};
 use crate::scenario::Scenario;
 use grape6_core::blockstep::SchedulerKind;
 use grape6_core::engine::ForceEngine;
-use grape6_core::force::DirectEngine;
+use grape6_core::force::{DirectEngine, ScalarDirectEngine};
 use grape6_core::integrator::{BlockHermite, HermiteConfig};
-use grape6_core::lanes::LaneWidth;
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_core::vec3::Vec3;
 use grape6_hw::format::accum_quantum;
 use grape6_hw::{
     ClusterEngine, FaultPlan, FaultTolerantEngine, Grape6Config, Grape6Engine, NodeEngine,
+    ScalarGrape6Engine,
 };
 use grape6_sim::Simulation;
 use grape6_tree::HybridTreeEngine;
@@ -496,48 +496,33 @@ pub fn run_check(sc: &Scenario, check: &str) -> Option<String> {
             None
         }
         "lanes/direct" | "lanes/grape6" => {
-            // The lane-width axis: the scalar reference kernel, the 4-wide
-            // and the 8-wide AoSoA tiles must produce identical bits on both
-            // the large-block (whole system) and small-block (blocked-by-5,
-            // including ragged remainders) paths.
-            let hw = check.ends_with("grape6");
-            let with = |lanes: LaneWidth| {
-                if hw {
-                    let mut full =
-                        Grape6Engine::new(Grape6Config { lanes, ..Grape6Config::sc2002() });
-                    let mut blocked =
-                        Grape6Engine::new(Grape6Config { lanes, ..Grape6Config::sc2002() });
-                    (forces(&mut full, sys, t0), forces_blocked(&mut blocked, sys, t0, 5))
-                } else {
-                    (
-                        forces(&mut DirectEngine::with_lane_width(lanes), sys, t0),
-                        forces_blocked(&mut DirectEngine::with_lane_width(lanes), sys, t0, 5),
-                    )
-                }
+            // The lane kernels against their scalar oracle: identical bits
+            // on both the large-block (whole system) and small-block
+            // (blocked-by-5, including ragged remainders) paths.
+            let (full, blocked, ref_full, ref_blocked) = if check.ends_with("grape6") {
+                (
+                    forces(&mut grape6(), sys, t0),
+                    forces_blocked(&mut grape6(), sys, t0, 5),
+                    forces(&mut ScalarGrape6Engine(grape6()), sys, t0),
+                    forces_blocked(&mut ScalarGrape6Engine(grape6()), sys, t0, 5),
+                )
+            } else {
+                (
+                    forces(&mut DirectEngine::new(), sys, t0),
+                    forces_blocked(&mut DirectEngine::new(), sys, t0, 5),
+                    forces(&mut ScalarDirectEngine::default(), sys, t0),
+                    forces_blocked(&mut ScalarDirectEngine::default(), sys, t0, 5),
+                )
             };
-            let (ref_full, ref_blocked) = with(LaneWidth::Scalar);
-            for lanes in [LaneWidth::W4, LaneWidth::W8] {
-                let (full, blocked) = with(lanes);
-                if let Some(d) = cmp_bitwise(&full, &ref_full, 2) {
-                    return Some(format!("lanes = {lanes}, full block: {d}"));
-                }
-                if let Some(d) = cmp_bitwise(&blocked, &ref_blocked, 2) {
-                    return Some(format!("lanes = {lanes}, blocked(5): {d}"));
-                }
-            }
-            None
+            cmp_bitwise(&full, &ref_full, 2).map(|d| format!("full block: {d}")).or_else(|| {
+                cmp_bitwise(&blocked, &ref_blocked, 2).map(|d| format!("blocked(5): {d}"))
+            })
         }
         "lanes/traj-direct" => {
-            // Whole block-timestep integrations must stay bitwise locked
-            // across lane widths, exactly like the thread-count axis.
-            let scalar = run_trajectory(sc, DirectEngine::with_lane_width(LaneWidth::Scalar));
-            for lanes in [LaneWidth::W4, LaneWidth::W8] {
-                let got = run_trajectory(sc, DirectEngine::with_lane_width(lanes));
-                if let Some(d) = cmp_system_bits(&got, &scalar) {
-                    return Some(format!("lanes = {lanes}: {d}"));
-                }
-            }
-            None
+            // Whole block-timestep integrations must stay bitwise locked to
+            // the scalar oracle, exactly like the thread-count axis.
+            let oracle = run_trajectory(sc, ScalarDirectEngine::default());
+            cmp_system_bits(&run_trajectory(sc, DirectEngine::new()), &oracle)
         }
         "traj/ft-vs-grape6" => {
             // Whole integrations: the DMR fault-tolerant wrapper on a

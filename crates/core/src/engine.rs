@@ -6,9 +6,16 @@
 //! j-particle memory. Implementations:
 //!
 //! * [`crate::force::DirectEngine`] — CPU direct summation (reference),
-//! * `grape6_hw::Grape6Engine` — the functional + timing GRAPE-6 simulator,
-//! * `grape6_tree::TreeEngine` — the Barnes-Hut baseline the paper argues
-//!   against in §3.
+//! * `grape6_hw::Grape6Engine` — the functional + timing GRAPE-6 simulator
+//!   (and its routed / clustered / fault-tolerant wrappers),
+//! * `grape6_tree::HybridTreeEngine` — octree far field + exact near field;
+//!   at a zero neighbour radius it is the pure Barnes-Hut baseline the
+//!   paper argues against in §3.
+//!
+//! The f64 engines share one j-particle store and predictor,
+//! [`crate::jmem::JMemory`]. Scalar reference kernels
+//! ([`crate::force::ScalarDirectEngine`], `grape6_hw::ScalarGrape6Engine`)
+//! are test oracles: types a test names, never a value a run can select.
 
 use crate::particle::{ForceResult, IParticle, ParticleSystem};
 use serde::{Deserialize, Serialize};

@@ -7,7 +7,8 @@
 //! convention the paper adopts, this costs 38 + 19 = 57 floating-point
 //! operations per interaction.
 
-use crate::lanes::{sweep_tile_lanes, LaneTile, LaneWidth};
+use crate::jmem::JMemory;
+use crate::lanes::{sweep_tile_lanes, LaneTile, LANE_WIDTH};
 use crate::particle::{ForceResult, IParticle, Neighbor, ParticleSystem};
 use crate::sweep::{chunked_jsweep, j_chunk_size, SMALL_BLOCK_MAX};
 use crate::vec3::Vec3;
@@ -24,59 +25,11 @@ pub const FLOPS_PER_INTERACTION: u64 = 57;
 /// of the hardware broadcasting one j-particle to all pipelines.
 const J_TILE: usize = 1024;
 
-/// Sweep one j-tile for `W` i-particles at once (GRAPE's virtual multiple
-/// pipelines: one j-stream feeding `W` accumulator sets). Each i-particle's
-/// accumulation order is still ascending j, so the result bits are identical
-/// to a scalar per-i sweep — the unroll only changes instruction scheduling.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-// grape6-lint: hot
-fn sweep_tile<const W: usize>(
-    os: &mut [ForceResult],
-    ips: &[IParticle],
-    jlo: usize,
-    jhi: usize,
-    ppos: &[Vec3],
-    pvel: &[Vec3],
-    jmass: &[f64],
-    eps2: f64,
-) {
-    debug_assert_eq!(os.len(), W);
-    debug_assert_eq!(ips.len(), W);
-    let mut acc = [Vec3::zero(); W];
-    let mut jerk = [Vec3::zero(); W];
-    let mut pot = [0.0f64; W];
-    let mut nn = [None::<Neighbor>; W];
-    for k in 0..W {
-        (acc[k], jerk[k], pot[k], nn[k]) = (os[k].acc, os[k].jerk, os[k].pot, os[k].nn);
-    }
-    for j in jlo..jhi {
-        let pj = ppos[j];
-        let vj = pvel[j];
-        let mj = jmass[j];
-        for k in 0..W {
-            let ip = &ips[k];
-            if j == ip.index {
-                continue;
-            }
-            let dx = pj - ip.pos;
-            let r2 = dx.norm2();
-            if nn[k].is_none_or(|nb| r2 < nb.r2) {
-                nn[k] = Some(Neighbor { index: j, r2 });
-            }
-            let (a, jk, p) = pair_force_jerk(dx, vj - ip.vel, mj, eps2);
-            acc[k] += a;
-            jerk[k] += jk;
-            pot[k] += p;
-        }
-    }
-    for k in 0..W {
-        os[k] = ForceResult { acc: acc[k], jerk: jerk[k], pot: pot[k], nn: nn[k] };
-    }
-}
-
-/// Cache-blocked sweep of all j-particles for one i-chunk: j in L2-sized
-/// tiles (outer), i-particles four at a time (inner), remainder scalar.
+/// Cache-blocked sweep of all j-particles for one i-chunk through the AoSoA
+/// lane kernel: j in L2-sized tiles (outer), i-particles in
+/// [`LANE_WIDTH`]-wide [`LaneTile`]s (inner); a ragged tail is padded inside
+/// the tile (see the remainder-lane rule in [`crate::lanes`]). Lanes only
+/// span i-particles, so each sum is the ascending-j sum of the scalar oracle.
 // grape6-lint: hot
 fn tiled_block_sweep(
     os: &mut [ForceResult],
@@ -93,77 +46,33 @@ fn tiled_block_sweep(
     let mut jlo = 0;
     while jlo < n {
         let jhi = (jlo + J_TILE).min(n);
-        let mut k = 0;
-        while k + 4 <= ips.len() {
-            sweep_tile::<4>(&mut os[k..k + 4], &ips[k..k + 4], jlo, jhi, ppos, pvel, jmass, eps2);
-            k += 4;
-        }
-        match ips.len() - k {
-            1 => sweep_tile::<1>(&mut os[k..], &ips[k..], jlo, jhi, ppos, pvel, jmass, eps2),
-            2 => sweep_tile::<2>(&mut os[k..], &ips[k..], jlo, jhi, ppos, pvel, jmass, eps2),
-            3 => sweep_tile::<3>(&mut os[k..], &ips[k..], jlo, jhi, ppos, pvel, jmass, eps2),
-            _ => {}
-        }
-        jlo = jhi;
-    }
-}
-
-/// Cache-blocked sweep of all j-particles for one i-chunk through the AoSoA
-/// lane kernel: j in L2-sized tiles (outer), i-particles in `W`-wide
-/// [`LaneTile`]s (inner); a ragged tail is padded inside the tile (see the
-/// remainder-lane rule in [`crate::lanes`]). Bitwise identical to
-/// [`tiled_block_sweep`] because lanes only span i-particles.
-// grape6-lint: hot
-fn tiled_block_sweep_lanes<const W: usize>(
-    os: &mut [ForceResult],
-    ips: &[IParticle],
-    ppos: &[Vec3],
-    pvel: &[Vec3],
-    jmass: &[f64],
-    eps2: f64,
-) {
-    for o in os.iter_mut() {
-        *o = ForceResult::default();
-    }
-    let n = ppos.len();
-    let mut jlo = 0;
-    while jlo < n {
-        let jhi = (jlo + J_TILE).min(n);
-        for (rs, is) in os.chunks_mut(W).zip(ips.chunks(W)) {
-            sweep_tile_lanes::<W>(rs, is, jlo, jhi, ppos, pvel, jmass, eps2);
+        for (rs, is) in os.chunks_mut(LANE_WIDTH).zip(ips.chunks(LANE_WIDTH)) {
+            sweep_tile_lanes::<LANE_WIDTH>(rs, is, jlo, jhi, ppos, pvel, jmass, eps2);
         }
         jlo = jhi;
     }
 }
 
 /// One j-chunk of the small-block sweep through the AoSoA lane kernel:
-/// groups of `W` i-particles share a [`LaneTile`], and each group predicts
-/// the chunk's j-particles on the fly with the same Taylor expression as the
-/// scalar fused sweep (prediction is a pure function of `(j, t)`, so
-/// re-evaluating it per group cannot change any bit).
+/// groups of [`LANE_WIDTH`] i-particles share a [`LaneTile`], and each group
+/// predicts the chunk's j-particles on the fly (prediction is a pure
+/// function of `(j, t)`, so re-evaluating it per group cannot change any
+/// bit).
 #[inline]
-#[allow(clippy::too_many_arguments)]
 // grape6-lint: hot
-fn small_fill_lanes<const W: usize>(
+fn small_fill_lanes(
     js: std::ops::Range<usize>,
     row: &mut [ForceResult],
     ips: &[IParticle],
     t: f64,
-    jpos: &[Vec3],
-    jvel: &[Vec3],
-    jacc: &[Vec3],
-    jjerk: &[Vec3],
-    jmass: &[f64],
-    jtime: &[f64],
+    jmem: &JMemory,
     eps2: f64,
 ) {
-    for (rs, is) in row.chunks_mut(W).zip(ips.chunks(W)) {
-        let mut tile = LaneTile::<W>::load(is, rs);
+    let jmass = jmem.mass();
+    for (rs, is) in row.chunks_mut(LANE_WIDTH).zip(ips.chunks(LANE_WIDTH)) {
+        let mut tile = LaneTile::<LANE_WIDTH>::load(is, rs);
         for j in js.clone() {
-            let dt = t - jtime[j];
-            let dt2 = dt * dt;
-            let pp = jpos[j] + jvel[j] * dt + jacc[j] * (dt2 / 2.0) + jjerk[j] * (dt2 * dt / 6.0);
-            let pv = jvel[j] + jacc[j] * dt + jjerk[j] * (dt2 / 2.0);
+            let (pp, pv) = jmem.predicted(j, t);
             tile.interact(j, pp, pv, jmass[j], eps2);
         }
         tile.store(rs);
@@ -224,33 +133,35 @@ pub fn accumulate_on(
     ForceResult { acc, jerk, pot, nn: None }
 }
 
-/// Like [`accumulate_on`], but also tracks the nearest neighbour (by
-/// unsoftened distance), as the GRAPE-6 pipelines do in hardware.
+/// Sum the forces on one i-particle over the j-indices `js`, in order,
+/// skipping its own slot and tracking the nearest neighbour (by unsoftened
+/// distance) as the GRAPE-6 pipelines do in hardware. The scalar reference
+/// loop: the lane kernels must reproduce its bits over an ascending range,
+/// and the tree engine sums its neighbour lists through it.
 #[inline]
 // grape6-lint: hot
 pub fn accumulate_with_nn(
-    ipos: Vec3,
-    ivel: Vec3,
+    ip: &IParticle,
+    js: impl IntoIterator<Item = usize>,
     jpos: &[Vec3],
     jvel: &[Vec3],
     jmass: &[f64],
     eps2: f64,
-    skip: usize,
 ) -> ForceResult {
     let mut acc = Vec3::zero();
     let mut jerk = Vec3::zero();
     let mut pot = 0.0;
-    let mut nn: Option<crate::particle::Neighbor> = None;
-    for j in 0..jpos.len() {
-        if j == skip {
+    let mut nn: Option<Neighbor> = None;
+    for j in js {
+        if j == ip.index {
             continue;
         }
-        let dx = jpos[j] - ipos;
+        let dx = jpos[j] - ip.pos;
         let r2 = dx.norm2();
         if nn.is_none_or(|n| r2 < n.r2) {
-            nn = Some(crate::particle::Neighbor { index: j, r2 });
+            nn = Some(Neighbor { index: j, r2 });
         }
-        let (a, jk, p) = pair_force_jerk(dx, jvel[j] - ivel, jmass[j], eps2);
+        let (a, jk, p) = pair_force_jerk(dx, jvel[j] - ip.vel, jmass[j], eps2);
         acc += a;
         jerk += jk;
         pot += p;
@@ -258,32 +169,15 @@ pub fn accumulate_with_nn(
     ForceResult { acc, jerk, pot, nn }
 }
 
-/// j-particles per parallel chunk of the full-system prediction sweep.
-/// Large enough to amortize work-item scheduling at paper-scale N, small
-/// enough that a handful of chunks still load-balance a small host.
-const PREDICT_CHUNK: usize = 4096;
-
 /// CPU reference force engine: direct summation over a mirrored j-particle
 /// store with on-the-fly Hermite prediction — the software equivalent of the
 /// GRAPE memory unit + predictor pipeline + force pipelines.
 #[derive(Debug, Default, Clone)]
 pub struct DirectEngine {
-    /// j-particle mirror: state at each particle's individual time.
-    jpos: Vec<Vec3>,
-    jvel: Vec<Vec3>,
-    jacc: Vec<Vec3>,
-    jjerk: Vec<Vec3>,
-    jmass: Vec<f64>,
-    jtime: Vec<f64>,
-    /// Predicted j state: persistent scratch sized by `load`, refreshed in
-    /// place by `predict_all` on each large-block `compute` call.
-    ppos: Vec<Vec3>,
-    pvel: Vec<Vec3>,
+    jmem: JMemory,
     /// Per-chunk partial rows of the small-block sweep (capacity reused).
     partials: Vec<ForceResult>,
     eps2: f64,
-    /// Width of the AoSoA force kernels (all widths are bit-identical).
-    lane_width: LaneWidth,
     interactions: u64,
     force_calls: u64,
 }
@@ -294,92 +188,27 @@ impl DirectEngine {
         Self::default()
     }
 
-    /// Create an engine with an explicit kernel lane width.
-    pub fn with_lane_width(lanes: LaneWidth) -> Self {
-        Self { lane_width: lanes, ..Self::default() }
-    }
-
-    /// Select the kernel lane width (bitwise-neutral; any time is safe).
-    pub fn set_lane_width(&mut self, lanes: LaneWidth) {
-        self.lane_width = lanes;
-    }
-
-    /// The currently selected kernel lane width.
-    pub fn lane_width(&self) -> LaneWidth {
-        self.lane_width
-    }
-
-    /// Number of j-particles currently resident.
-    pub fn n_j(&self) -> usize {
-        self.jpos.len()
-    }
-
-    /// Refresh the persistent prediction scratch (`ppos`/`pvel`, sized once
-    /// by `load`) to time `t`. Position and velocity are fused in one pass
-    /// per j-particle, and the sweep runs in fixed-size chunks rather than
-    /// per-element work items — at paper-scale N this is the dominant O(N)
-    /// host cost of a large block, so it must neither allocate nor resize.
-    /// Chunking is bitwise-neutral: each prediction is a pure function of
-    /// `(j, t)`.
-    // grape6-lint: hot
-    fn predict_all(&mut self, t: f64) {
-        let n = self.jpos.len();
-        debug_assert_eq!(self.ppos.len(), n, "prediction scratch is sized by load()");
-        debug_assert_eq!(self.pvel.len(), n, "prediction scratch is sized by load()");
-        let (jpos, jvel, jacc, jjerk, jtime) =
-            (&self.jpos, &self.jvel, &self.jacc, &self.jjerk, &self.jtime);
-        self.ppos
-            .par_chunks_mut(PREDICT_CHUNK)
-            .zip(self.pvel.par_chunks_mut(PREDICT_CHUNK))
-            .enumerate()
-            .for_each(|(c, (pps, pvs))| {
-                let base = c * PREDICT_CHUNK;
-                for (k, (pp, pv)) in pps.iter_mut().zip(pvs).enumerate() {
-                    let j = base + k;
-                    let dt = t - jtime[j];
-                    let dt2 = dt * dt;
-                    *pp = jpos[j]
-                        + jvel[j] * dt
-                        + jacc[j] * (dt2 / 2.0)
-                        + jjerk[j] * (dt2 * dt / 6.0);
-                    *pv = jvel[j] + jacc[j] * dt + jjerk[j] * (dt2 / 2.0);
-                }
-            });
+    /// Number of `compute` calls since the last counter reset.
+    pub fn force_calls(&self) -> u64 {
+        self.force_calls
     }
 }
 
 impl crate::engine::ForceEngine for DirectEngine {
     fn load(&mut self, sys: &ParticleSystem) {
-        self.jpos = sys.pos.clone();
-        self.jvel = sys.vel.clone();
-        self.jacc = sys.acc.clone();
-        self.jjerk = sys.jerk.clone();
-        self.jmass = sys.mass.clone();
-        self.jtime = sys.time.clone();
-        // Size the persistent prediction scratch once here so the per-block
-        // `predict_all` sweep never touches the allocator (capacity is
-        // retained across reloads).
-        self.ppos.resize(sys.len(), Vec3::zero());
-        self.pvel.resize(sys.len(), Vec3::zero());
+        self.jmem.load(sys);
         self.eps2 = sys.softening * sys.softening;
     }
 
     fn update_j(&mut self, sys: &ParticleSystem, indices: &[usize]) {
-        for &i in indices {
-            self.jpos[i] = sys.pos[i];
-            self.jvel[i] = sys.vel[i];
-            self.jacc[i] = sys.acc[i];
-            self.jjerk[i] = sys.jerk[i];
-            self.jmass[i] = sys.mass[i];
-            self.jtime[i] = sys.time[i];
-        }
+        self.jmem.update(sys, indices);
     }
 
     // grape6-lint: hot
     fn compute(&mut self, t: f64, ips: &[IParticle], out: &mut [ForceResult]) {
         assert_eq!(ips.len(), out.len());
         let b = ips.len();
-        let n = self.jpos.len();
+        let n = self.jmem.len();
         // Hardware convention: every i-particle interacts with every resident
         // j-particle (the self term contributes nothing to force/jerk).
         self.interactions += (b as u64) * (n as u64);
@@ -387,93 +216,35 @@ impl crate::engine::ForceEngine for DirectEngine {
         if b == 0 {
             return;
         }
+        let eps2 = self.eps2;
         if b > SMALL_BLOCK_MAX {
             // Enough i-particles to fill the pool: predict once, then sweep
-            // i-chunks in parallel through the cache-blocked, 4-wide kernel.
+            // i-chunks in parallel through the cache-blocked lane kernel.
             // Per-i results are pure functions of (i, all j), so the i-chunk
             // size may follow the thread count without affecting bits.
-            self.predict_all(t);
-            let (ppos, pvel, jmass, eps2) = (&self.ppos, &self.pvel, &self.jmass, self.eps2);
+            self.jmem.predict_all(t);
+            let (ppos, pvel) = self.jmem.predicted_all();
+            let jmass = self.jmem.mass();
             let threads = rayon::current_num_threads().max(1);
-            // i-chunks align to the tile width (bitwise-neutral: per-i
-            // results never depend on how the block is split).
-            let w = self.lane_width.width().max(4);
-            let ic = b.div_ceil(w * threads).next_multiple_of(w);
-            let lanes = self.lane_width;
-            out.par_chunks_mut(ic).zip(ips.par_chunks(ic)).for_each(|(os, is)| match lanes {
-                LaneWidth::Scalar => tiled_block_sweep(os, is, ppos, pvel, jmass, eps2),
-                LaneWidth::W4 => tiled_block_sweep_lanes::<4>(os, is, ppos, pvel, jmass, eps2),
-                LaneWidth::W8 => tiled_block_sweep_lanes::<8>(os, is, ppos, pvel, jmass, eps2),
-            });
+            let ic = b.div_ceil(LANE_WIDTH * threads).next_multiple_of(LANE_WIDTH);
+            out.par_chunks_mut(ic)
+                .zip(ips.par_chunks(ic))
+                .for_each(|(os, is)| tiled_block_sweep(os, is, ppos, pvel, jmass, eps2));
         } else {
             // Few i-particles (the common small-block case): parallelize the
             // j-sweep instead, reducing partial sums like the GRAPE hardware
             // reduction tree. Prediction is fused into the sweep — each chunk
-            // predicts its own j-range on the fly with the same Taylor
-            // expression as `predict_all`, so the bits match while the
-            // separate predict pass (and its memory round-trip) disappears.
-            let jc = j_chunk_size(n);
-            let Self { jpos, jvel, jacc, jjerk, jmass, jtime, partials, eps2, lane_width, .. } =
-                self;
-            let eps2 = *eps2;
-            match *lane_width {
-                LaneWidth::Scalar => chunked_jsweep(
-                    n,
-                    jc,
-                    partials,
-                    out,
-                    |js, row| {
-                        for j in js {
-                            let dt = t - jtime[j];
-                            let dt2 = dt * dt;
-                            let pp = jpos[j]
-                                + jvel[j] * dt
-                                + jacc[j] * (dt2 / 2.0)
-                                + jjerk[j] * (dt2 * dt / 6.0);
-                            let pv = jvel[j] + jacc[j] * dt + jjerk[j] * (dt2 / 2.0);
-                            for (r, ip) in row.iter_mut().zip(ips) {
-                                if j == ip.index {
-                                    continue;
-                                }
-                                let dx = pp - ip.pos;
-                                let r2 = dx.norm2();
-                                if r.nn.is_none_or(|nb| r2 < nb.r2) {
-                                    r.nn = Some(Neighbor { index: j, r2 });
-                                }
-                                let (a, jk, p) = pair_force_jerk(dx, pv - ip.vel, jmass[j], eps2);
-                                r.acc += a;
-                                r.jerk += jk;
-                                r.pot += p;
-                            }
-                        }
-                    },
-                    ForceResult::merge,
-                ),
-                LaneWidth::W4 => chunked_jsweep(
-                    n,
-                    jc,
-                    partials,
-                    out,
-                    |js, row| {
-                        small_fill_lanes::<4>(
-                            js, row, ips, t, jpos, jvel, jacc, jjerk, jmass, jtime, eps2,
-                        )
-                    },
-                    ForceResult::merge,
-                ),
-                LaneWidth::W8 => chunked_jsweep(
-                    n,
-                    jc,
-                    partials,
-                    out,
-                    |js, row| {
-                        small_fill_lanes::<8>(
-                            js, row, ips, t, jpos, jvel, jacc, jjerk, jmass, jtime, eps2,
-                        )
-                    },
-                    ForceResult::merge,
-                ),
-            }
+            // predicts its own j-range on the fly, so the separate predict
+            // pass (and its memory round-trip) disappears.
+            let jmem = &self.jmem;
+            chunked_jsweep(
+                n,
+                j_chunk_size(n),
+                &mut self.partials,
+                out,
+                |js, row| small_fill_lanes(js, row, ips, t, jmem, eps2),
+                ForceResult::merge,
+            );
         }
     }
 
@@ -510,10 +281,47 @@ impl crate::engine::ForceEngine for DirectEngine {
     }
 }
 
-impl DirectEngine {
-    /// Number of `compute` calls since the last counter reset.
-    pub fn force_calls(&self) -> u64 {
-        self.force_calls
+/// The scalar oracle of [`DirectEngine`]: the same j-memory and path split,
+/// every sum one [`accumulate_with_nn`] per i-particle over ascending j —
+/// continuous for large blocks, per j-chunk partials merged in order for
+/// small ones (the product's two summation structures round differently).
+/// Tests and `grape6-conformance` pin the lane kernels against it bit for
+/// bit; it is a type a test names, never an option a run can select.
+#[derive(Debug, Default, Clone)]
+pub struct ScalarDirectEngine(DirectEngine);
+
+impl crate::engine::ForceEngine for ScalarDirectEngine {
+    fn load(&mut self, sys: &ParticleSystem) {
+        self.0.load(sys);
+    }
+
+    fn update_j(&mut self, sys: &ParticleSystem, indices: &[usize]) {
+        self.0.update_j(sys, indices);
+    }
+
+    fn compute(&mut self, t: f64, ips: &[IParticle], out: &mut [ForceResult]) {
+        assert_eq!(ips.len(), out.len());
+        let DirectEngine { jmem, eps2, interactions, .. } = &mut self.0;
+        let n = jmem.len();
+        *interactions += (ips.len() as u64) * (n as u64);
+        jmem.predict_all(t);
+        let (ppos, pvel) = jmem.predicted_all();
+        let chunk = if ips.len() > SMALL_BLOCK_MAX { n.max(1) } else { j_chunk_size(n) };
+        for (o, ip) in out.iter_mut().zip(ips) {
+            *o = ForceResult::default();
+            for lo in (0..n).step_by(chunk) {
+                let js = lo..(lo + chunk).min(n);
+                o.merge(&accumulate_with_nn(ip, js, ppos, pvel, jmem.mass(), *eps2));
+            }
+        }
+    }
+
+    fn interaction_count(&self) -> u64 {
+        self.0.interactions
+    }
+
+    fn name(&self) -> &'static str {
+        "direct-scalar"
     }
 }
 
@@ -653,46 +461,52 @@ mod tests {
     }
 
     #[test]
-    fn lane_widths_bit_identical_on_both_paths() {
-        // Scalar / W4 / W8 engines must agree bit for bit on the small-block
-        // (j-parallel) and large-block (i-parallel tiled) paths, including
-        // ragged blocks not divisible by either lane width.
+    fn lane_kernels_match_the_scalar_oracle_on_both_paths() {
+        // The product engine must agree bit for bit with its scalar oracle
+        // on the small-block (j-parallel) and large-block (i-parallel tiled)
+        // paths, including ragged blocks not divisible by the lane width, at
+        // a block time that makes the predictor live.
         let mut sys = ParticleSystem::new(0.003, 0.0);
         let mut seed = 777u64;
         let mut rng = move || {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         };
-        for _ in 0..61 {
+        for i in 0..61 {
             sys.push(
                 Vec3::new(rng() * 20.0, rng() * 20.0, rng()),
                 Vec3::new(rng(), rng(), rng()),
                 1e-8 * (1.0 + rng().abs()),
             );
+            sys.acc[i] = Vec3::new(rng(), rng(), rng()) * 1e-3;
+            sys.jerk[i] = Vec3::new(rng(), rng(), rng()) * 1e-5;
         }
-        let force = |lanes: crate::lanes::LaneWidth, b: usize| {
-            let mut e = DirectEngine::with_lane_width(lanes);
-            e.load(&sys);
-            let ips: Vec<IParticle> =
-                (0..b).map(|i| IParticle { index: i, pos: sys.pos[i], vel: sys.vel[i] }).collect();
+        fn force<E: ForceEngine + Default>(sys: &ParticleSystem, b: usize) -> Vec<ForceResult> {
+            let mut e = E::default();
+            e.load(sys);
+            let ips: Vec<IParticle> = (0..b)
+                .map(|i| {
+                    let (pos, vel) = sys.predict(i, 0.25);
+                    IParticle { index: i, pos, vel }
+                })
+                .collect();
             let mut out = vec![ForceResult::default(); b];
-            e.compute(0.0, &ips, &mut out);
+            e.compute(0.25, &ips, &mut out);
+            assert_eq!(e.interaction_count(), (b * sys.len()) as u64);
             out
-        };
-        for b in [1usize, 3, 7, 13, 16, 17, 21, 40, 61] {
-            let reference = force(crate::lanes::LaneWidth::Scalar, b);
-            for lanes in [crate::lanes::LaneWidth::W4, crate::lanes::LaneWidth::W8] {
-                let got = force(lanes, b);
-                for (k, (g, r)) in got.iter().zip(&reference).enumerate() {
-                    assert_eq!(g.acc, r.acc, "{lanes} b={b} k={k} acc");
-                    assert_eq!(g.jerk, r.jerk, "{lanes} b={b} k={k} jerk");
-                    assert_eq!(g.pot.to_bits(), r.pot.to_bits(), "{lanes} b={b} k={k} pot");
-                    assert_eq!(
-                        g.nn.map(|nb| (nb.index, nb.r2.to_bits())),
-                        r.nn.map(|nb| (nb.index, nb.r2.to_bits())),
-                        "{lanes} b={b} k={k} nn"
-                    );
-                }
+        }
+        for b in [1usize, 3, 4, 5, 13, 16, 17, 21, 61] {
+            let reference = force::<ScalarDirectEngine>(&sys, b);
+            let got = force::<DirectEngine>(&sys, b);
+            for (k, (g, r)) in got.iter().zip(&reference).enumerate() {
+                assert_eq!(g.acc, r.acc, "b={b} k={k} acc");
+                assert_eq!(g.jerk, r.jerk, "b={b} k={k} jerk");
+                assert_eq!(g.pot.to_bits(), r.pot.to_bits(), "b={b} k={k} pot");
+                assert_eq!(
+                    g.nn.map(|nb| (nb.index, nb.r2.to_bits())),
+                    r.nn.map(|nb| (nb.index, nb.r2.to_bits())),
+                    "b={b} k={k} nn"
+                );
             }
         }
     }

@@ -4,8 +4,9 @@
 //! serve eight *virtual multiple pipelines*: one j-particle stream broadcast
 //! to a fixed-width bank of i-particle register sets (paper §5.2). This
 //! module is the host-side analogue: a [`LaneTile`] packs `W` i-particles
-//! into structure-of-arrays lanes (`W` ∈ {4, 8}, the AoSoA tile), and the
-//! inner j-sweep broadcasts one j-particle to all `W` lanes per iteration.
+//! into structure-of-arrays lanes (the AoSoA tile; the engine runs
+//! `W` = [`LANE_WIDTH`]), and the inner j-sweep broadcasts one j-particle to
+//! all `W` lanes per iteration.
 //! Every per-lane operation is a straight-line `f64` add/mul/div/sqrt or a
 //! select over a fixed-width array, which the autovectorizer lowers to
 //! packed SIMD on x86-64 (2 lanes on SSE2, 4 on AVX2) without any `unsafe`
@@ -16,10 +17,11 @@
 //! Lanes run over **i-particles only**; the j-loop is never split or
 //! reordered by the lane structure. Each i-particle's accumulator therefore
 //! sees exactly the same contributions in exactly the same ascending-j
-//! order as the scalar reference kernel, and every lane operation
-//! (IEEE-754 add, mul, div, sqrt — all correctly rounded on every target)
-//! computes the identical expression tree. Hence the output bits are
-//! identical for scalar, `W = 4` and `W = 8` — a property pinned by
+//! order as the scalar oracle
+//! ([`ScalarDirectEngine`](crate::force::ScalarDirectEngine)), and every
+//! lane operation (IEEE-754 add, mul, div, sqrt — all correctly rounded on
+//! every target) computes the identical expression tree. Hence the output
+//! bits are identical for the oracle and any `W` — a property pinned by
 //! `tests/lane_determinism.rs` and the conformance runner's `lanes/*`
 //! checks. No FMA contraction is used or permitted (rustc does not contract
 //! `a * b + c` across `f64` expressions).
@@ -35,69 +37,13 @@
 
 use crate::particle::{ForceResult, IParticle, Neighbor};
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
-/// Runtime-selected lane width of the blocked force kernels.
-///
-/// `Scalar` keeps the original (pre-AoSoA) kernels as the bitwise reference;
-/// `W4`/`W8` select the 4- and 8-wide AoSoA tiles. All three produce
-/// bit-identical results — the width only changes instruction scheduling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LaneWidth {
-    /// The scalar reference kernels (one i-particle at a time in the small
-    /// path, the legacy 4-wide AoS unroll in the large path).
-    Scalar,
-    /// 4-wide AoSoA tiles (one AVX2 register of f64 per lane array).
-    W4,
-    /// 8-wide AoSoA tiles (two AVX2 registers / one AVX-512 per array).
-    W8,
-}
-
-impl Default for LaneWidth {
-    /// The production default: 8-wide tiles.
-    fn default() -> Self {
-        LaneWidth::W8
-    }
-}
-
-impl LaneWidth {
-    /// Number of i-particles per tile (1 for the scalar reference).
-    pub const fn width(self) -> usize {
-        match self {
-            LaneWidth::Scalar => 1,
-            LaneWidth::W4 => 4,
-            LaneWidth::W8 => 8,
-        }
-    }
-
-    /// All selectable widths, scalar reference first.
-    pub const ALL: [LaneWidth; 3] = [LaneWidth::Scalar, LaneWidth::W4, LaneWidth::W8];
-
-    /// Parse a CLI/env spelling: `"scalar"`, `"4"`, or `"8"`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "scalar" | "1" => Ok(LaneWidth::Scalar),
-            "4" | "w4" => Ok(LaneWidth::W4),
-            "8" | "w8" => Ok(LaneWidth::W8),
-            other => Err(format!("unknown lane width `{other}` (expected scalar, 4 or 8)")),
-        }
-    }
-
-    /// Stable identifier used in reports and bench JSON.
-    pub fn label(self) -> &'static str {
-        match self {
-            LaneWidth::Scalar => "scalar",
-            LaneWidth::W4 => "w4",
-            LaneWidth::W8 => "w8",
-        }
-    }
-}
-
-impl std::fmt::Display for LaneWidth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
+/// i-particles per [`LaneTile`] of the direct engine's kernels. A
+/// compile-time constant chosen by end-to-end measurement (README, "SIMD
+/// kernels"): the output bits cannot depend on it, so it is not an option.
+/// The kernels stay generic over `W`; retuning for another CPU is this one
+/// constant, backed by `bench_report`'s `kernel_microbench`.
+pub const LANE_WIDTH: usize = 8;
 
 /// Sentinel for "no self-index to skip" / "no neighbour seen yet".
 const NONE: u64 = u64::MAX;
@@ -260,8 +206,7 @@ impl<const W: usize> LaneTile<W> {
 }
 
 /// Sweep the j-range `jlo..jhi` for up to `W` i-particles through an AoSoA
-/// tile, continuing the accumulation already present in `os`. The lane-width
-/// counterpart of the scalar `sweep_tile` in `crate::force`.
+/// tile, continuing the accumulation already present in `os`.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 // grape6-lint: hot
@@ -285,7 +230,7 @@ pub fn sweep_tile_lanes<const W: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::force::pair_force_jerk;
+    use crate::force::accumulate_with_nn;
 
     fn jset(n: usize) -> (Vec<Vec3>, Vec<Vec3>, Vec<f64>) {
         let mut seed = 99u64;
@@ -304,33 +249,6 @@ mod tests {
         (pos, vel, mass)
     }
 
-    fn scalar_reference(
-        ip: &IParticle,
-        jlo: usize,
-        jhi: usize,
-        pos: &[Vec3],
-        vel: &[Vec3],
-        mass: &[f64],
-        eps2: f64,
-    ) -> ForceResult {
-        let mut r = ForceResult::default();
-        for j in jlo..jhi {
-            if j == ip.index {
-                continue;
-            }
-            let dx = pos[j] - ip.pos;
-            let r2 = dx.norm2();
-            if r.nn.is_none_or(|nb| r2 < nb.r2) {
-                r.nn = Some(Neighbor { index: j, r2 });
-            }
-            let (a, jk, p) = pair_force_jerk(dx, vel[j] - ip.vel, mass[j], eps2);
-            r.acc += a;
-            r.jerk += jk;
-            r.pot += p;
-        }
-        r
-    }
-
     fn assert_tile_matches_scalar<const W: usize>(b: usize) {
         let (pos, vel, mass) = jset(37);
         let eps2 = 0.008 * 0.008;
@@ -341,7 +259,7 @@ mod tests {
         sweep_tile_lanes::<W>(&mut out, &ips, 0, 20, &pos, &vel, &mass, eps2);
         sweep_tile_lanes::<W>(&mut out, &ips, 20, 37, &pos, &vel, &mass, eps2);
         for (k, ip) in ips.iter().enumerate() {
-            let want = scalar_reference(ip, 0, 37, &pos, &vel, &mass, eps2);
+            let want = accumulate_with_nn(ip, 0..37, &pos, &vel, &mass, eps2);
             assert_eq!(out[k].acc, want.acc, "W={W} b={b} lane {k} acc");
             assert_eq!(out[k].jerk, want.jerk, "W={W} b={b} lane {k} jerk");
             assert_eq!(out[k].pot.to_bits(), want.pot.to_bits(), "W={W} b={b} lane {k} pot");
@@ -378,20 +296,8 @@ mod tests {
         sweep_tile_lanes::<4>(&mut out, &ips, 0, 9, &pos, &vel, &mass, 1e-4);
         for (k, ip) in ips.iter().enumerate() {
             assert_ne!(out[k].nn.unwrap().index, ip.index);
-            let want = scalar_reference(ip, 0, 9, &pos, &vel, &mass, 1e-4);
+            let want = accumulate_with_nn(ip, 0..9, &pos, &vel, &mass, 1e-4);
             assert_eq!(out[k].acc, want.acc);
         }
-    }
-
-    #[test]
-    fn lane_width_parse_and_labels() {
-        assert_eq!(LaneWidth::parse("scalar").unwrap(), LaneWidth::Scalar);
-        assert_eq!(LaneWidth::parse("4").unwrap(), LaneWidth::W4);
-        assert_eq!(LaneWidth::parse("w8").unwrap(), LaneWidth::W8);
-        assert!(LaneWidth::parse("16").is_err());
-        assert_eq!(LaneWidth::W4.width(), 4);
-        assert_eq!(LaneWidth::Scalar.width(), 1);
-        assert_eq!(LaneWidth::W8.label(), "w8");
-        assert_eq!(LaneWidth::default(), LaneWidth::W8);
     }
 }

@@ -4,7 +4,8 @@
 //! *"A 29.5 Tflops simulation of planetesimals in Uranus-Neptune region on
 //! GRAPE-6"* (Makino, Kokubo, Fukushige & Daisaka):
 //!
-//! * direct-summation softened gravity with analytic jerk ([`force`]),
+//! * direct-summation softened gravity with analytic jerk ([`force`]) over
+//!   the one host j-particle memory and predictor ([`jmem`]),
 //! * the 4th-order Hermite predictor/corrector ([`hermite`]),
 //! * the block individual-timestep algorithm ([`blockstep`], [`integrator`]),
 //! * the Sun as an external potential ([`central`]),
@@ -46,6 +47,7 @@ pub mod engine;
 pub mod force;
 pub mod hermite;
 pub mod integrator;
+pub mod jmem;
 pub mod kepler;
 pub mod lanes;
 pub mod observer;
@@ -63,7 +65,6 @@ pub mod prelude {
     pub use crate::force::DirectEngine;
     pub use crate::integrator::{BlockHermite, BlockStepInfo, HermiteConfig, RunStats};
     pub use crate::kepler::{elements_to_state, state_to_elements, Elements};
-    pub use crate::lanes::LaneWidth;
     pub use crate::observer::{HostPhase, StepObserver};
     pub use crate::particle::{ForceResult, IParticle, ParticleSystem};
     pub use crate::shared_step::SharedHermite;

@@ -6,6 +6,7 @@
 //! Makino 1991). The SoA layout keeps the force kernel's j-particle sweep
 //! contiguous, which is what the GRAPE memory units provide in hardware.
 
+use crate::hermite;
 use crate::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 
@@ -111,14 +112,7 @@ impl ParticleSystem {
     /// i-particles.
     #[inline]
     pub fn predict(&self, i: usize, t: f64) -> (Vec3, Vec3) {
-        let dt = t - self.time[i];
-        let dt2 = dt * dt;
-        let p = self.pos[i]
-            + self.vel[i] * dt
-            + self.acc[i] * (dt2 / 2.0)
-            + self.jerk[i] * (dt2 * dt / 6.0);
-        let v = self.vel[i] + self.acc[i] * dt + self.jerk[i] * (dt2 / 2.0);
-        (p, v)
+        hermite::predict(self.pos[i], self.vel[i], self.acc[i], self.jerk[i], t - self.time[i])
     }
 
     /// Check structural invariants; used by tests and debug assertions.

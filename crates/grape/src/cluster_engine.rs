@@ -71,19 +71,6 @@ impl ClusterEngine {
     pub fn hosts(&self) -> usize {
         self.hosts
     }
-
-    fn encode(&self, sys: &ParticleSystem, i: usize) -> JParticle {
-        JParticle::encode(
-            &self.format,
-            self.precision,
-            sys.pos[i],
-            sys.vel[i],
-            sys.acc[i],
-            sys.jerk[i],
-            sys.mass[i],
-            sys.time[i],
-        )
-    }
 }
 
 impl ForceEngine for ClusterEngine {
@@ -98,7 +85,9 @@ impl ForceEngine for ClusterEngine {
             self.precision,
             sys.softening,
         );
-        let js: Vec<JParticle> = (0..sys.len()).map(|i| self.encode(sys, i)).collect();
+        let js: Vec<JParticle> = (0..sys.len())
+            .map(|i| JParticle::from_system(&self.format, self.precision, sys, i))
+            .collect();
         self.jmass = js.iter().map(|j| j.mass).collect();
         cluster.load_j(&js).expect("particle set exceeds cluster node capacity");
         self.cluster = Some(cluster);
@@ -107,7 +96,7 @@ impl ForceEngine for ClusterEngine {
     fn update_j(&mut self, sys: &ParticleSystem, indices: &[usize]) {
         let mut cluster = self.cluster.take().expect("load before update_j");
         for &i in indices {
-            let j = self.encode(sys, i);
+            let j = JParticle::from_system(&self.format, self.precision, sys, i);
             self.jmass[i] = j.mass;
             // Each particle has one owning host; only that host writes it
             // back, and the exchange network mirrors the packet to peers.

@@ -13,12 +13,11 @@
 //! partitioning enters only through the (analytic) timing model.
 
 use crate::format::{FixedPointFormat, Precision};
-use crate::lanes::{scalar_sweep, GrapeJLanes, GrapeLaneTile, SweepPartial};
+use crate::lanes::{scalar_sweep, GrapeJLanes, GrapeLaneTile, SweepPartial, LANE_WIDTH};
 use crate::perf::HardwareClock;
 use crate::predictor::{predict_j, JParticle, PredictedJ};
 use crate::timing::TimingModel;
 use grape6_core::engine::ForceEngine;
-use grape6_core::lanes::LaneWidth;
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_core::sweep::{chunked_jsweep, j_chunk_size, SMALL_BLOCK_MAX};
 use rayon::prelude::*;
@@ -34,10 +33,11 @@ fn read_out(p: &SweepPartial, ip: &IParticle, jmem: &[JParticle], eps2: f64) -> 
     ForceResult { acc, jerk, pot, nn: p.nn }
 }
 
-/// Large-block path: sweep every predicted j-particle for up to `W`
-/// i-particles through one AoSoA lane tile and read the results out.
+/// Large-block path: sweep every predicted j-particle for up to
+/// [`LANE_WIDTH`] i-particles through one AoSoA lane tile and read the
+/// results out.
 // grape6-lint: hot
-fn sweep_group_lanes<const W: usize>(
+fn sweep_group_lanes(
     fmt: &FixedPointFormat,
     precision: Precision,
     os: &mut [ForceResult],
@@ -46,26 +46,26 @@ fn sweep_group_lanes<const W: usize>(
     jmem: &[JParticle],
     eps2: f64,
 ) {
-    let mut tile = GrapeLaneTile::<W>::load(fmt, precision, ips);
+    let mut tile = GrapeLaneTile::<LANE_WIDTH>::load(fmt, precision, ips);
     for (j, pj) in pred.iter().enumerate() {
         tile.interact(j, pj, eps2);
     }
-    let mut parts = [SweepPartial::default(); W];
+    let mut parts = [SweepPartial::default(); LANE_WIDTH];
     tile.store(&mut parts[..ips.len()]);
     for ((o, p), ip) in os.iter_mut().zip(&parts).zip(ips) {
         *o = read_out(p, ip, jmem, eps2);
     }
 }
 
-/// Small-block path, one j-chunk: each i-particle sweeps the chunk `W`
-/// j-particles at a time (lanes across j, prediction fused into the lane
-/// loop — a pure function of `(j, t)`, so re-evaluating it per i-particle
-/// cannot change any bit), then the `< W` leftover j through the scalar
+/// Small-block path, one j-chunk: each i-particle sweeps the chunk
+/// [`LANE_WIDTH`] j-particles at a time (lanes across j, prediction fused
+/// into the lane loop — a pure function of `(j, t)`, so re-evaluating it per
+/// i-particle cannot change any bit), then the leftover j through the scalar
 /// oracle. Exact associativity of the fixed-point sums makes the lane order
 /// invisible.
 #[allow(clippy::too_many_arguments)]
 // grape6-lint: hot
-fn small_fill_jlanes<const W: usize>(
+fn small_fill_jlanes(
     fmt: &FixedPointFormat,
     precision: Precision,
     js: std::ops::Range<usize>,
@@ -75,12 +75,12 @@ fn small_fill_jlanes<const W: usize>(
     t: f64,
     eps2: f64,
 ) {
-    let (groups, tail) = jmem[js.clone()].as_chunks::<W>();
+    let (groups, tail) = jmem[js.clone()].as_chunks::<LANE_WIDTH>();
     let tail_start = js.end - tail.len();
     for (r, ip) in row.iter_mut().zip(ips) {
-        let mut lanes = GrapeJLanes::<W>::load(fmt, precision, ip);
+        let mut lanes = GrapeJLanes::<LANE_WIDTH>::load(fmt, precision, ip);
         for (g, group) in groups.iter().enumerate() {
-            lanes.interact(js.start + g * W, group, t, eps2);
+            lanes.interact(js.start + g * LANE_WIDTH, group, t, eps2);
         }
         *r = lanes.store();
         r.merge(&small_fill_scalar(fmt, precision, tail_start..js.end, ip, jmem, t, eps2));
@@ -113,10 +113,6 @@ pub struct Grape6Config {
     /// Refuse particle sets that exceed one node's j-memory (on by default;
     /// the real machine simply cannot run them).
     pub enforce_memory_limit: bool,
-    /// Lane width of the host-side pipeline emulation kernels (the virtual
-    /// multiple pipelines of §5.2). Bitwise-neutral: every width produces
-    /// identical output bits; only throughput changes.
-    pub lanes: LaneWidth,
 }
 
 impl Grape6Config {
@@ -127,7 +123,6 @@ impl Grape6Config {
             format: FixedPointFormat::default(),
             precision: Precision::grape6(),
             enforce_memory_limit: true,
-            lanes: LaneWidth::default(),
         }
     }
 
@@ -240,19 +235,6 @@ impl Grape6Engine {
         self.wire_bytes += (repaired.len() * crate::wire::J_PACKET_BYTES) as u64;
         repaired
     }
-
-    fn encode_j(&self, sys: &ParticleSystem, i: usize) -> JParticle {
-        JParticle::encode(
-            &self.config.format,
-            self.config.precision,
-            sys.pos[i],
-            sys.vel[i],
-            sys.acc[i],
-            sys.jerk[i],
-            sys.mass[i],
-            sys.time[i],
-        )
-    }
 }
 
 impl ForceEngine for Grape6Engine {
@@ -271,7 +253,9 @@ impl ForceEngine for Grape6Engine {
              self-interaction cutoff)"
         );
         self.eps2 = sys.softening * sys.softening;
-        self.jmem = (0..sys.len()).map(|i| self.encode_j(sys, i)).collect();
+        let (fmt, precision) = (self.config.format, self.config.precision);
+        self.jmem =
+            (0..sys.len()).map(|i| JParticle::from_system(&fmt, precision, sys, i)).collect();
         self.wire_bytes += (sys.len() * crate::wire::J_PACKET_BYTES) as u64;
     }
 
@@ -287,16 +271,7 @@ impl ForceEngine for Grape6Engine {
         let fmt = self.config.format;
         let precision = self.config.precision;
         for &i in indices {
-            self.jmem[i] = JParticle::encode(
-                &fmt,
-                precision,
-                sys.pos[i],
-                sys.vel[i],
-                sys.acc[i],
-                sys.jerk[i],
-                sys.mass[i],
-                sys.time[i],
-            );
+            self.jmem[i] = JParticle::from_system(&fmt, precision, sys, i);
         }
         self.wire_bytes += (indices.len() * crate::wire::J_PACKET_BYTES) as u64;
     }
@@ -329,24 +304,9 @@ impl ForceEngine for Grape6Engine {
             // make the reduction order irrelevant, so a flat parallel sweep
             // is bit-identical to the hardware's chip/board/NB tree.
             let pred = &self.pred;
-            match self.config.lanes {
-                LaneWidth::Scalar => {
-                    out.par_iter_mut().zip(ips.par_iter()).for_each(|(o, ip)| {
-                        let js = pred.iter().copied().enumerate();
-                        *o = read_out(&scalar_sweep(&fmt, precision, ip, js, eps2), ip, jmem, eps2);
-                    });
-                }
-                LaneWidth::W4 => {
-                    out.par_chunks_mut(4).zip(ips.par_chunks(4)).for_each(|(os, is)| {
-                        sweep_group_lanes::<4>(&fmt, precision, os, is, pred, jmem, eps2)
-                    });
-                }
-                LaneWidth::W8 => {
-                    out.par_chunks_mut(8).zip(ips.par_chunks(8)).for_each(|(os, is)| {
-                        sweep_group_lanes::<8>(&fmt, precision, os, is, pred, jmem, eps2)
-                    });
-                }
-            }
+            out.par_chunks_mut(LANE_WIDTH)
+                .zip(ips.par_chunks(LANE_WIDTH))
+                .for_each(|(os, is)| sweep_group_lanes(&fmt, precision, os, is, pred, jmem, eps2));
         } else {
             // Small block: split j-space across the pool instead, prediction
             // fused into each chunk (the chip predicts the j-particle right
@@ -354,25 +314,12 @@ impl ForceEngine for Grape6Engine {
             // makes the chunked merge bit-identical to the flat sweep above.
             self.swept.clear();
             self.swept.resize(ips.len(), SweepPartial::default());
-            let lanes = self.config.lanes;
             chunked_jsweep(
                 n_j,
                 j_chunk_size(n_j),
                 &mut self.partials,
                 &mut self.swept,
-                |js, row| match lanes {
-                    LaneWidth::Scalar => {
-                        for (r, ip) in row.iter_mut().zip(ips) {
-                            *r = small_fill_scalar(&fmt, precision, js.clone(), ip, jmem, t, eps2);
-                        }
-                    }
-                    LaneWidth::W4 => {
-                        small_fill_jlanes::<4>(&fmt, precision, js, row, ips, jmem, t, eps2)
-                    }
-                    LaneWidth::W8 => {
-                        small_fill_jlanes::<8>(&fmt, precision, js, row, ips, jmem, t, eps2)
-                    }
-                },
+                |js, row| small_fill_jlanes(&fmt, precision, js, row, ips, jmem, t, eps2),
                 SweepPartial::merge,
             );
             for ((o, p), ip) in out.iter_mut().zip(&self.swept).zip(ips) {
@@ -438,6 +385,44 @@ impl ForceEngine for Grape6Engine {
 
     fn name(&self) -> &'static str {
         "grape6"
+    }
+}
+
+/// The scalar oracle of [`Grape6Engine`]: the wrapped engine's j-memory,
+/// every i-particle one flat [`scalar_sweep`] over all j (exact fixed-point
+/// associativity makes the flat sweep the reference for both block paths).
+/// Tests and `grape6-conformance` pin the lane kernels against it bit for
+/// bit; it is a type a test names, never an option a run can select, and it
+/// charges no modeled clock or wire traffic.
+#[derive(Debug, Clone)]
+pub struct ScalarGrape6Engine(pub Grape6Engine);
+
+impl ForceEngine for ScalarGrape6Engine {
+    fn load(&mut self, sys: &ParticleSystem) {
+        self.0.load(sys);
+    }
+
+    fn update_j(&mut self, sys: &ParticleSystem, indices: &[usize]) {
+        self.0.update_j(sys, indices);
+    }
+
+    fn compute(&mut self, t: f64, ips: &[IParticle], out: &mut [ForceResult]) {
+        assert_eq!(ips.len(), out.len());
+        let Grape6Engine { config, jmem, eps2, interactions, .. } = &mut self.0;
+        *interactions += (ips.len() as u64) * (jmem.len() as u64);
+        for (o, ip) in out.iter_mut().zip(ips) {
+            let js = 0..jmem.len();
+            let p = small_fill_scalar(&config.format, config.precision, js, ip, jmem, t, *eps2);
+            *o = read_out(&p, ip, jmem, *eps2);
+        }
+    }
+
+    fn interaction_count(&self) -> u64 {
+        self.0.interactions
+    }
+
+    fn name(&self) -> &'static str {
+        "grape6-scalar"
     }
 }
 
@@ -563,28 +548,26 @@ mod tests {
     }
 
     #[test]
-    fn lane_widths_bit_identical_on_both_paths() {
-        // Scalar / W4 / W8 pipeline emulation must agree bit for bit on the
-        // small-block (j-lane) and large-block (i-lane) paths, including
-        // ragged blocks not divisible by either lane width, in both
-        // arithmetic modes.
+    fn lane_kernels_match_the_scalar_oracle_on_both_paths() {
+        // The product pipeline emulation must agree bit for bit with its
+        // scalar oracle on the small-block (j-lane) and large-block (i-lane)
+        // paths, including ragged blocks not divisible by the lane width,
+        // in both arithmetic modes.
         let sys = ring_system(61);
-        for base in [Grape6Config::sc2002(), Grape6Config::sc2002_exact()] {
-            let force = |lanes: LaneWidth, b: usize| {
-                let mut hw = Grape6Engine::new(Grape6Config { lanes, ..base });
-                hw.load(&sys);
+        for config in [Grape6Config::sc2002(), Grape6Config::sc2002_exact()] {
+            fn force<E: ForceEngine>(mut e: E, sys: &ParticleSystem, b: usize) -> Vec<ForceResult> {
+                e.load(sys);
                 let idx: Vec<usize> = (0..b).collect();
-                let ips = ips_for(&sys, &idx);
+                let ips = ips_for(sys, &idx);
                 let mut out = vec![ForceResult::default(); b];
-                hw.compute(0.0, &ips, &mut out);
+                e.compute(0.0, &ips, &mut out);
+                assert_eq!(e.interaction_count(), (b * sys.len()) as u64);
                 out
-            };
-            for b in [1usize, 3, 7, 13, 16, 17, 21, 61] {
-                let reference = force(LaneWidth::Scalar, b);
-                for lanes in [LaneWidth::W4, LaneWidth::W8] {
-                    let what = format!("{:?} {lanes} b={b}", base.precision);
-                    assert_same_bits(&force(lanes, b), &reference, &what);
-                }
+            }
+            for b in [1usize, 3, 4, 5, 13, 16, 17, 21, 61] {
+                let reference = force(ScalarGrape6Engine(Grape6Engine::new(config)), &sys, b);
+                let what = format!("{:?} b={b}", config.precision);
+                assert_same_bits(&force(Grape6Engine::new(config), &sys, b), &reference, &what);
             }
         }
     }
@@ -595,28 +578,21 @@ mod tests {
         // exactly one group, one over) and a paper-like 2051 whose last
         // chunk ends in a 3-particle tail; the block holds the first, a
         // middle and the last particle, so the own slot falls in lanes and
-        // tails alike.
+        // tails alike. The block time makes the fused predictor live.
         for n in [1usize, 3, 4, 5, 7, 8, 9, 2051] {
             let sys = ring_system(n);
             let mut idx = vec![0, n / 2, n - 1];
             idx.dedup();
             let ips = ips_for(&sys, &idx);
-            for lanes in [LaneWidth::W4, LaneWidth::W8] {
-                let config = Grape6Config { lanes, ..Grape6Config::sc2002() };
-                let mut hw = Grape6Engine::new(config);
-                hw.load(&sys);
-                let mut got = vec![ForceResult::default(); ips.len()];
-                hw.compute(0.25, &ips, &mut got);
-                let (fmt, precision, eps2) = (config.format, config.precision, hw.eps2);
-                let flat: Vec<ForceResult> = ips
-                    .iter()
-                    .map(|ip| {
-                        let p = small_fill_scalar(&fmt, precision, 0..n, ip, hw.jmem(), 0.25, eps2);
-                        read_out(&p, ip, hw.jmem(), eps2)
-                    })
-                    .collect();
-                assert_same_bits(&got, &flat, &format!("{lanes} n_j={n}"));
-            }
+            let mut hw = Grape6Engine::sc2002();
+            let mut oracle = ScalarGrape6Engine(Grape6Engine::sc2002());
+            hw.load(&sys);
+            oracle.load(&sys);
+            let mut got = vec![ForceResult::default(); ips.len()];
+            let mut flat = got.clone();
+            hw.compute(0.25, &ips, &mut got);
+            oracle.compute(0.25, &ips, &mut flat);
+            assert_same_bits(&got, &flat, &format!("n_j={n}"));
         }
     }
 

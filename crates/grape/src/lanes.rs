@@ -42,6 +42,14 @@ use crate::predictor::{predict_lane, JParticle, PredictedJ};
 use grape6_core::particle::{IParticle, Neighbor};
 use grape6_core::vec3::Vec3;
 
+/// Lanes per [`GrapeLaneTile`] / [`GrapeJLanes`] of the engine's kernels. A
+/// compile-time constant chosen by end-to-end measurement (README, "SIMD
+/// kernels": 4 beats 8 on 10 of 10 `grape6_2k` pairs — the integer limb
+/// lanes fill 256-bit vectors); the output bits cannot depend on it, so it
+/// is not an option. The kernels stay generic over `W`; retuning for another
+/// CPU is this one constant, backed by `bench_report`'s `kernel_microbench`.
+pub const LANE_WIDTH: usize = 4;
+
 /// Partial pipeline state for one i-particle over one j-chunk. The
 /// fixed-point accumulators merge exactly associatively (the hardware
 /// reduction-tree property), so chunked partials read out bit-identically
@@ -69,7 +77,8 @@ impl SweepPartial {
 
 /// The scalar oracle: sweep the predicted j-particles `js` (index, state)
 /// for one i-particle through [`PipelineRegisters::accumulate`]. The lane
-/// kernels must reproduce this bit for bit; `LaneWidth::Scalar` runs it.
+/// kernels must reproduce this bit for bit; the engine itself runs it only
+/// over the `< W` leftover j of a small-block chunk.
 ///
 /// The force accumulates *unmasked* over every j, the own slot included
 /// (its self term contributes no force but −m/ε of potential, removed by

@@ -51,7 +51,7 @@ pub use board::{BoardGeometry, ProcessorBoard};
 pub use chip::{ChipGeometry, Grape6Chip, HwIParticle};
 pub use cluster::Grape6Cluster;
 pub use cluster_engine::ClusterEngine;
-pub use engine::{Grape6Config, Grape6Engine};
+pub use engine::{Grape6Config, Grape6Engine, ScalarGrape6Engine};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use fault_engine::FaultTolerantEngine;
 pub use format::{FixedPointFormat, Precision};

@@ -43,19 +43,6 @@ impl NodeEngine {
     pub fn node(&self) -> &Grape6Node {
         &self.node
     }
-
-    fn encode(&self, sys: &ParticleSystem, i: usize) -> JParticle {
-        JParticle::encode(
-            &self.format,
-            self.precision,
-            sys.pos[i],
-            sys.vel[i],
-            sys.acc[i],
-            sys.jerk[i],
-            sys.mass[i],
-            sys.time[i],
-        )
-    }
 }
 
 impl ForceEngine for NodeEngine {
@@ -63,14 +50,16 @@ impl ForceEngine for NodeEngine {
         assert!(sys.softening > 0.0, "GRAPE-6 requires positive softening");
         self.eps = sys.softening;
         self.node.set_softening(sys.softening);
-        let js: Vec<JParticle> = (0..sys.len()).map(|i| self.encode(sys, i)).collect();
+        let js: Vec<JParticle> = (0..sys.len())
+            .map(|i| JParticle::from_system(&self.format, self.precision, sys, i))
+            .collect();
         self.jmass = js.iter().map(|j| j.mass).collect();
         self.node.load_j(&js).expect("particle set exceeds node capacity");
     }
 
     fn update_j(&mut self, sys: &ParticleSystem, indices: &[usize]) {
         for &i in indices {
-            let j = self.encode(sys, i);
+            let j = JParticle::from_system(&self.format, self.precision, sys, i);
             self.jmass[i] = j.mass;
             self.node.store_j(i, &j).expect("bad j index");
         }

@@ -9,6 +9,7 @@
 //! point.
 
 use crate::format::{round_mantissa, round_vec, FixedPointFormat, Precision, ShortWord};
+use grape6_core::particle::ParticleSystem;
 use grape6_core::vec3::Vec3;
 
 /// A j-particle as held in GRAPE-6 memory (SSRAM): fixed-point position,
@@ -51,6 +52,26 @@ impl JParticle {
             mass: round_mantissa(mass, bits),
             t0,
         }
+    }
+
+    /// Encode particle `i` of `sys` as of its individual time — what `load`
+    /// and every j write-back put in memory.
+    pub fn from_system(
+        fmt: &FixedPointFormat,
+        precision: Precision,
+        sys: &ParticleSystem,
+        i: usize,
+    ) -> Self {
+        Self::encode(
+            fmt,
+            precision,
+            sys.pos[i],
+            sys.vel[i],
+            sys.acc[i],
+            sys.jerk[i],
+            sys.mass[i],
+            sys.time[i],
+        )
     }
 }
 

@@ -22,7 +22,9 @@
 //! `--checkpoint` writes a `G6CK` restart file every `--checkpoint-every`
 //! block steps (default 256) and once at the end; `--resume` restarts from
 //! such a file bit-identically (pass the same `--engine`; `--in` is then
-//! ignored).
+//! ignored). `--engine tree` is the Barnes-Hut baseline: the hybrid engine
+//! at a zero neighbour radius. A flag value that does not parse is an error,
+//! never a silent default.
 
 use grape6_core::blockstep::SchedulerKind;
 use grape6_core::engine::ForceEngine;
@@ -36,7 +38,7 @@ use grape6_sim::{
     load_auto, load_checkpoint, run_to_with_checkpoints, save_auto, save_diagnostics_csv,
     Simulation,
 };
-use grape6_tree::{HybridTreeEngine, TreeEngine};
+use grape6_tree::HybridTreeEngine;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -58,8 +60,11 @@ impl Args {
         self.argv.windows(2).find(|w| w[0] == key).map(|w| w[1].as_str())
     }
 
-    fn parse<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        self.get(key).and_then(|v| v.parse().ok())
+    /// The typed value of `key`: `None` when the flag is absent, an error
+    /// naming the flag and the offending text when it does not parse.
+    fn parse<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        let typed = |v: &str| v.parse().map_err(|_| format!("invalid value '{v}' for {key}"));
+        self.get(key).map(typed).transpose()
     }
 
     fn has(&self, key: &str) -> bool {
@@ -67,21 +72,15 @@ impl Args {
     }
 }
 
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
-    eprintln!("usage: grape6 <gen|run|analyze|perf> [flags]   (see module docs)");
-    ExitCode::FAILURE
-}
-
-fn cmd_gen(args: &Args) -> ExitCode {
-    let Some(n) = args.parse::<usize>("--n") else {
-        return fail("gen requires --n <planetesimals>");
+fn cmd_gen(args: &Args) -> Result<(), String> {
+    let Some(n) = args.parse::<usize>("--n")? else {
+        return Err("gen requires --n <planetesimals>".into());
     };
     let Some(out) = args.get("--out").map(PathBuf::from) else {
-        return fail("gen requires --out <file.json>");
+        return Err("gen requires --out <file.json>".into());
     };
     let mut builder = DiskBuilder::paper(n);
-    if let Some(seed) = args.parse::<u64>("--seed") {
+    if let Some(seed) = args.parse::<u64>("--seed")? {
         builder = builder.with_seed(seed);
     }
     if args.has("--no-protoplanets") {
@@ -91,37 +90,37 @@ fn cmd_gen(args: &Args) -> ExitCode {
         builder.total_mass = grape6_disk::PowerLawMass::paper().mean() * n as f64;
     }
     let sys = builder.build();
-    if let Err(e) = save_auto(&out, &sys) {
-        return fail(&format!("writing {}: {e}", out.display()));
-    }
+    save_auto(&out, &sys).map_err(|e| format!("writing {}: {e}", out.display()))?;
     println!(
         "wrote {}: {} bodies, ring mass {:.1} M_earth",
         out.display(),
         sys.len(),
         sys.total_mass() / units::M_EARTH
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_run(args: &Args) -> ExitCode {
-    let Some(t_end) = args.parse::<f64>("--t") else {
-        return fail("run requires --t <time units>");
+fn cmd_run(args: &Args) -> Result<(), String> {
+    let Some(t_end) = args.parse::<f64>("--t")? else {
+        return Err("run requires --t <time units>".into());
     };
     let resume = args.get("--resume").map(PathBuf::from);
     let input = args.get("--in").map(PathBuf::from);
     if resume.is_none() && input.is_none() {
-        return fail("run requires --in <snap.json> (or --resume <file.g6ck>)");
+        return Err("run requires --in <snap.json> (or --resume <file.g6ck>)".into());
     }
     // The initial system is only loaded for fresh runs; a resume rebuilds
     // everything (system, schedule, counters) from the checkpoint.
     let sys = match (&resume, &input) {
-        (None, Some(path)) => match load_auto(path) {
-            Ok(s) => Some(s),
-            Err(e) => return fail(&format!("reading {}: {e}", path.display())),
-        },
+        (None, Some(path)) => {
+            Some(load_auto(path).map_err(|e| format!("reading {}: {e}", path.display()))?)
+        }
         _ => None,
     };
-    let eta = args.parse::<f64>("--eta").unwrap_or(0.02);
+    let eta = args.parse::<f64>("--eta")?.unwrap_or(0.02);
+    let theta = args.parse::<f64>("--theta")?.unwrap_or(0.5);
+    let near_radius = args.parse::<f64>("--near-radius")?.unwrap_or(1.0);
+    let accrete = args.parse::<f64>("--accrete")?;
     let config = HermiteConfig {
         eta,
         eta_start: eta / 8.0,
@@ -134,17 +133,14 @@ fn cmd_run(args: &Args) -> ExitCode {
             let parsed = std::fs::read_to_string(path)
                 .map_err(|e| e.to_string())
                 .and_then(|s| serde_json::from_str::<FaultPlan>(&s).map_err(|e| e.to_string()));
-            match parsed {
-                Ok(plan) => Some(plan),
-                Err(e) => return fail(&format!("reading fault plan {path}: {e}")),
-            }
+            Some(parsed.map_err(|e| format!("reading fault plan {path}: {e}"))?)
         }
     };
     // A fault plan implies the fault-tolerant engine.
     let engine_name = match (args.get("--engine"), &fault_plan) {
         (Some("grape6") | Some("grape6-ft") | None, Some(_)) => "grape6-ft".to_string(),
         (Some(other), Some(_)) => {
-            return fail(&format!("--faults requires the grape6 engine, not '{other}'"))
+            return Err(format!("--faults requires the grape6 engine, not '{other}'"))
         }
         (name, None) => name.unwrap_or("direct").to_string(),
     };
@@ -154,13 +150,13 @@ fn cmd_run(args: &Args) -> ExitCode {
         None => SchedulerKind::TickBucket,
         Some(s) => match SchedulerKind::parse(s) {
             Some(k) => k,
-            None => return fail(&format!("unknown --scheduler '{s}' (use tick|heap)")),
+            None => return Err(format!("unknown --scheduler '{s}' (use tick|heap)")),
         },
     };
     let checkpoint = args.get("--checkpoint").map(PathBuf::from);
-    let checkpoint_every = args.parse::<u64>("--checkpoint-every").unwrap_or(256);
+    let checkpoint_every = args.parse::<u64>("--checkpoint-every")?.unwrap_or(256);
     if checkpoint.is_none() && args.get("--checkpoint-every").is_some() {
-        return fail("--checkpoint-every needs --checkpoint <file.g6ck>");
+        return Err("--checkpoint-every needs --checkpoint <file.g6ck>".into());
     }
 
     let telemetry_out = args.get("--telemetry").map(PathBuf::from);
@@ -171,31 +167,28 @@ fn cmd_run(args: &Args) -> ExitCode {
     macro_rules! drive {
         ($engine:expr) => {{
             let mut sim = match &resume {
-                Some(path) => match load_checkpoint(path, $engine) {
-                    Ok(s) => s,
-                    Err(e) => return fail(&format!("resuming {}: {e}", path.display())),
-                },
+                Some(path) => load_checkpoint(path, $engine)
+                    .map_err(|e| format!("resuming {}: {e}", path.display()))?,
                 None => {
                     let sys = sys.expect("fresh run loads --in");
                     Simulation::new_ext(sys, config, $engine, scheduler, telemetry_out.is_some())
                 }
             };
-            if let Some(inflation) = args.parse::<f64>("--accrete") {
+            if let Some(inflation) = accrete {
                 sim.enable_accretion(RadiusModel::icy_inflated(inflation));
             }
             let t_target = sim.t() + t_end;
             let diag_interval = (t_target - sim.t()) / 16.0;
             match &checkpoint {
                 Some(path) => {
-                    if let Err(e) = run_to_with_checkpoints(
+                    run_to_with_checkpoints(
                         &mut sim,
                         t_target,
                         diag_interval,
                         checkpoint_every,
                         path,
-                    ) {
-                        return fail(&format!("checkpointing {}: {e}", path.display()));
-                    }
+                    )
+                    .map_err(|e| format!("checkpointing {}: {e}", path.display()))?;
                     println!("checkpoints -> {} (every {checkpoint_every} blocks)", path.display());
                 }
                 None => {
@@ -230,24 +223,21 @@ fn cmd_run(args: &Args) -> ExitCode {
                 println!("mergers: {}", sim.accretion_log.count());
             }
             if let Some(out) = args.get("--out").map(PathBuf::from) {
-                if let Err(e) = save_auto(&out, &sim.sys) {
-                    return fail(&format!("writing {}: {e}", out.display()));
-                }
+                save_auto(&out, &sim.sys)
+                    .map_err(|e| format!("writing {}: {e}", out.display()))?;
                 println!("snapshot -> {}", out.display());
             }
             if let Some(diag) = args.get("--diag").map(PathBuf::from) {
-                if let Err(e) = save_diagnostics_csv(&diag, &sim.diagnostics) {
-                    return fail(&format!("writing {}: {e}", diag.display()));
-                }
+                save_diagnostics_csv(&diag, &sim.diagnostics)
+                    .map_err(|e| format!("writing {}: {e}", diag.display()))?;
                 println!("diagnostics -> {}", diag.display());
             }
             if let Some(tele) = &telemetry_out {
                 match sim.telemetry_report() {
                     Some(rep) => {
                         let json = serde_json::to_string_pretty(&rep);
-                        if let Err(e) = json.and_then(|j| Ok(std::fs::write(tele, j)?)) {
-                            return fail(&format!("writing {}: {e}", tele.display()));
-                        }
+                        json.and_then(|j| Ok(std::fs::write(tele, j)?))
+                            .map_err(|e| format!("writing {}: {e}", tele.display()))?;
                         println!(
                             "telemetry -> {} ({:.3} s host, {:.2e} interactions/s real)",
                             tele.display(),
@@ -277,44 +267,34 @@ fn cmd_run(args: &Args) -> ExitCode {
             let plan = fault_plan.clone().unwrap_or_default();
             drive!(FaultTolerantEngine::new(Grape6Config::sc2002(), &plan));
         }
-        "tree" => {
-            let theta = args.parse::<f64>("--theta").unwrap_or(0.5);
+        "tree" | "hybrid" => {
+            // Barnes-Hut is the hybrid engine's zero-neighbour-radius limit.
+            let r_near = if engine_name == "tree" { 0.0 } else { near_radius };
             if !(theta >= 0.0 && theta.is_finite()) {
-                return fail("--theta must be a finite non-negative number");
-            }
-            drive!(TreeEngine::new(theta));
-        }
-        "hybrid" => {
-            let theta = args.parse::<f64>("--theta").unwrap_or(0.5);
-            let r_near = args.parse::<f64>("--near-radius").unwrap_or(1.0);
-            if !(theta >= 0.0 && theta.is_finite()) {
-                return fail("--theta must be a finite non-negative number");
+                return Err("--theta must be a finite non-negative number".into());
             }
             if !(r_near >= 0.0 && r_near.is_finite()) {
-                return fail("--near-radius must be a finite non-negative number");
+                return Err("--near-radius must be a finite non-negative number".into());
             }
             drive!(HybridTreeEngine::new(theta, r_near));
         }
         other => {
-            return fail(&format!("unknown engine '{other}' (direct|grape6|grape6-ft|tree|hybrid)"))
+            return Err(format!("unknown engine '{other}' (direct|grape6|grape6-ft|tree|hybrid)"))
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_analyze(args: &Args) -> ExitCode {
+fn cmd_analyze(args: &Args) -> Result<(), String> {
     let Some(input) = args.get("--in").map(PathBuf::from) else {
-        return fail("analyze requires --in <snap.json>");
+        return Err("analyze requires --in <snap.json>".into());
     };
-    let sys = match load_auto(&input) {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("reading {}: {e}", input.display())),
-    };
-    let bins = args.parse::<usize>("--bins").unwrap_or(22);
+    let sys = load_auto(&input).map_err(|e| format!("reading {}: {e}", input.display()))?;
+    let bins = args.parse::<usize>("--bins")?.unwrap_or(22);
     // The K heaviest bodies are treated as protoplanets and excluded from
     // the planetesimal statistics (mass alone cannot separate them from a
     // rescaled spectrum's top end, so the count is explicit).
-    let k_proto: usize = args.parse("--protoplanets").unwrap_or(2);
+    let k_proto = args.parse::<usize>("--protoplanets")?.unwrap_or(2);
     let mut by_mass: Vec<usize> = (0..sys.len()).filter(|&i| sys.mass[i] > 0.0).collect();
     by_mass.sort_by(|&a, &b| sys.mass[b].total_cmp(&sys.mass[a]));
     let protos: Vec<usize> = by_mass.iter().copied().take(k_proto).collect();
@@ -357,15 +337,15 @@ fn cmd_analyze(args: &Args) -> ExitCode {
         census.ejected,
         100.0 * census.disturbed_fraction()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_perf(args: &Args) -> ExitCode {
-    let Some(n) = args.parse::<usize>("--n") else {
-        return fail("perf requires --n <total particles>");
+fn cmd_perf(args: &Args) -> Result<(), String> {
+    let Some(n) = args.parse::<usize>("--n")? else {
+        return Err("perf requires --n <total particles>".into());
     };
-    let Some(block) = args.parse::<usize>("--block") else {
-        return fail("perf requires --block <active particles>");
+    let Some(block) = args.parse::<usize>("--block")? else {
+        return Err("perf requires --block <active particles>".into());
     };
     let model = TimingModel::sc2002();
     let b = model.block_step(block, n);
@@ -383,16 +363,24 @@ fn cmd_perf(args: &Args) -> ExitCode {
         b.total() * 1e3,
         flops / b.total() / 1e12
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let args = Args::new();
-    match args.subcommand() {
+    let done = match args.subcommand() {
         Some("gen") => cmd_gen(&args),
         Some("run") => cmd_run(&args),
         Some("analyze") => cmd_analyze(&args),
         Some("perf") => cmd_perf(&args),
-        _ => fail("missing or unknown subcommand"),
+        _ => Err("missing or unknown subcommand".into()),
+    };
+    match done {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            eprintln!("usage: grape6 <gen|run|analyze|perf> [flags]   (see module docs)");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -1,0 +1,74 @@
+//! The `grape6` binary at its trust boundary: a flag value that does not
+//! parse is an error naming the flag and the text — never a silent default —
+//! and `--engine tree` is the hybrid engine at a zero neighbour radius.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn grape6(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_grape6")).args(args).output().expect("spawn grape6")
+}
+
+/// A scratch directory unique to one test (tests run on parallel threads).
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("g6-cli-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn gen_disk(dir: &std::path::Path) -> String {
+    let disk = dir.join("disk.json").display().to_string();
+    let out = grape6(&["gen", "--n", "48", "--seed", "11", "--out", &disk]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    disk
+}
+
+#[test]
+fn malformed_flag_values_are_errors_naming_flag_and_text() {
+    let dir = scratch("bad");
+    let disk = gen_disk(&dir);
+    let snap = dir.join("never.g6sn").display().to_string();
+    let cases: [(&[&str], &str, &str); 6] = [
+        (&["gen", "--n", "8", "--seed", "oops", "--out", &snap], "--seed", "oops"),
+        (&["run", "--in", &disk, "--t", "abc"], "--t", "abc"),
+        (&["run", "--in", &disk, "--t", "1", "--theta", "banana"], "--theta", "banana"),
+        (&["run", "--in", &disk, "--t", "1", "--eta", "0.0.2"], "--eta", "0.0.2"),
+        (
+            &["run", "--in", &disk, "--t", "1", "--checkpoint", &snap, "--checkpoint-every", "x"],
+            "--checkpoint-every",
+            "x",
+        ),
+        (&["analyze", "--in", &disk, "--bins", "-3"], "--bins", "-3"),
+    ];
+    for (args, flag, text) in cases {
+        let out = grape6(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(
+            stderr.contains(&format!("invalid value '{text}' for {flag}")),
+            "{args:?}: stderr must name the flag and the text, got:\n{stderr}"
+        );
+    }
+    assert!(!dir.join("never.g6sn").exists(), "a rejected invocation must not write output");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn engine_tree_is_the_hybrid_engine_at_zero_near_radius() {
+    let dir = scratch("tree");
+    let disk = gen_disk(&dir);
+    let tree = dir.join("tree.g6sn").display().to_string();
+    let hybrid = dir.join("hybrid.g6sn").display().to_string();
+    let run = |extra: &[&str], out: &str| {
+        let mut args = vec!["run", "--in", &disk, "--t", "4", "--theta", "0.5", "--out", out];
+        args.extend_from_slice(extra);
+        let done = grape6(&args);
+        assert!(done.status.success(), "{}", String::from_utf8_lossy(&done.stderr));
+    };
+    run(&["--engine", "tree"], &tree);
+    run(&["--engine", "hybrid", "--near-radius", "0"], &hybrid);
+    let (a, b) = (std::fs::read(&tree).unwrap(), std::fs::read(&hybrid).unwrap());
+    assert!(!a.is_empty());
+    assert_eq!(a, b, "--engine tree must be --engine hybrid --near-radius 0, byte for byte");
+    std::fs::remove_dir_all(&dir).ok();
+}

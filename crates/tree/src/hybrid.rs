@@ -18,128 +18,27 @@
 
 use crate::octree::{InteractionLists, Octree};
 use grape6_core::engine::{ForceEngine, TreeWork};
-use grape6_core::force::{accumulate_on, pair_force_jerk};
-use grape6_core::particle::{ForceResult, IParticle, Neighbor, ParticleSystem};
+use grape6_core::force::{accumulate_on, accumulate_with_nn};
+use grape6_core::jmem::JMemory;
+use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_core::sweep::{j_chunk_size, SMALL_BLOCK_MAX};
-use grape6_core::vec3::Vec3;
 use rayon::prelude::*;
 
-/// j-particles per parallel chunk of the full prediction sweep — must match
-/// `DirectEngine`'s chunking convention (prediction is a pure function of
-/// `(j, t)`, so the chunk size is bitwise-neutral either way).
-const PREDICT_CHUNK: usize = 4096;
-
-/// Per-chunk walk totals, reduced in chunk order (every field is an
-/// associative integer sum or max, so the reduction order cannot matter).
-#[derive(Debug, Clone, Copy, Default)]
-struct ChunkTotals {
-    work: TreeWork,
-    interactions: u64,
+/// Charge one walk's emitted lists to a work accumulator.
+fn note(work: &mut TreeWork, lists: &InteractionLists) {
+    let near = lists.near.len() as u64;
+    let far = lists.far_pos.len() as u64;
+    work.near_interactions += near;
+    work.far_interactions += far;
+    work.cells_opened += lists.cells_opened;
+    work.list_len_sum += near + far;
+    work.list_len_max = work.list_len_max.max(near + far);
+    work.lists_emitted += 1;
 }
 
-impl ChunkTotals {
-    fn note(&mut self, lists: &InteractionLists) {
-        let near = lists.near.len() as u64;
-        let far = lists.far_pos.len() as u64;
-        self.work.near_interactions += near;
-        self.work.far_interactions += far;
-        self.work.cells_opened += lists.cells_opened;
-        self.work.list_len_sum += near + far;
-        self.work.list_len_max = self.work.list_len_max.max(near + far);
-        self.work.lists_emitted += 1;
-        self.interactions += near + far;
-    }
-}
-
-impl std::iter::Sum for ChunkTotals {
-    fn sum<I: Iterator<Item = Self>>(it: I) -> Self {
-        it.fold(Self::default(), |mut a, b| {
-            a.work.merge(&b.work);
-            a.interactions += b.interactions;
-            a
-        })
-    }
-}
-
-/// Near-field sum for one i-particle of a *small* block: fixed j-chunks of
-/// the (ascending) neighbour list, each summed from zero, partials merged
-/// in ascending chunk order — the exact structure of `DirectEngine`'s
-/// chunked j-parallel sweep, so a full-coverage list reproduces its bits.
-// grape6-lint: hot
-fn near_sum_chunked(
-    ip: &IParticle,
-    near: &[u32],
-    ppos: &[Vec3],
-    pvel: &[Vec3],
-    jmass: &[f64],
-    eps2: f64,
-) -> ForceResult {
-    let mut out = ForceResult::default();
-    let ln = near.len();
-    if ln == 0 {
-        return out;
-    }
-    let chunk = j_chunk_size(ln);
-    let mut lo = 0;
-    while lo < ln {
-        let hi = (lo + chunk).min(ln);
-        let mut part = ForceResult::default();
-        for &j in &near[lo..hi] {
-            let j = j as usize;
-            if j == ip.index {
-                continue;
-            }
-            let dx = ppos[j] - ip.pos;
-            let r2 = dx.norm2();
-            if part.nn.is_none_or(|nb| r2 < nb.r2) {
-                part.nn = Some(Neighbor { index: j, r2 });
-            }
-            let (a, jk, p) = pair_force_jerk(dx, pvel[j] - ip.vel, jmass[j], eps2);
-            part.acc += a;
-            part.jerk += jk;
-            part.pot += p;
-        }
-        out.merge(&part);
-        lo = hi;
-    }
-    out
-}
-
-/// Near-field sum for one i-particle of a *large* block: one continuous
-/// accumulation over the ascending neighbour list — the per-i order of
-/// `DirectEngine`'s cache-tiled large-block sweep.
-// grape6-lint: hot
-fn near_sum_flat(
-    ip: &IParticle,
-    near: &[u32],
-    ppos: &[Vec3],
-    pvel: &[Vec3],
-    jmass: &[f64],
-    eps2: f64,
-) -> ForceResult {
-    let mut acc = Vec3::zero();
-    let mut jerk = Vec3::zero();
-    let mut pot = 0.0;
-    let mut nn = None::<Neighbor>;
-    for &j in near {
-        let j = j as usize;
-        if j == ip.index {
-            continue;
-        }
-        let dx = ppos[j] - ip.pos;
-        let r2 = dx.norm2();
-        if nn.is_none_or(|nb| r2 < nb.r2) {
-            nn = Some(Neighbor { index: j, r2 });
-        }
-        let (a, jk, p) = pair_force_jerk(dx, pvel[j] - ip.vel, jmass[j], eps2);
-        acc += a;
-        jerk += jk;
-        pot += p;
-    }
-    ForceResult { acc, jerk, pot, nn }
-}
-
-/// Hybrid tree + direct force engine (the sixth [`ForceEngine`]).
+/// Hybrid tree + direct force engine — and, at `r_near = 0`, the pure
+/// Barnes-Hut baseline of the paper's §3 (bitwise the fused
+/// [`Octree::force_on`] walk for θ < 1).
 #[derive(Debug, Clone)]
 pub struct HybridTreeEngine {
     /// Opening angle θ of the multipole acceptance criterion (0 = open
@@ -149,17 +48,8 @@ pub struct HybridTreeEngine {
     /// distance of an i-particle is summed directly at full precision and
     /// is eligible for the nearest-neighbour report.
     pub r_near: f64,
-    /// j-particle mirror: state at each particle's individual time.
-    jpos: Vec<Vec3>,
-    jvel: Vec<Vec3>,
-    jacc: Vec<Vec3>,
-    jjerk: Vec<Vec3>,
-    jmass: Vec<f64>,
-    jtime: Vec<f64>,
-    /// Predicted j state at the tree's build time (persistent scratch sized
-    /// by `load`, refreshed in place by `rebuild`).
-    ppos: Vec<Vec3>,
-    pvel: Vec<Vec3>,
+    /// The tree is built over the memory's `predict_all` snapshot.
+    jmem: JMemory,
     eps2: f64,
     tree: Option<Octree>,
     last_tree_time: Option<f64>,
@@ -178,14 +68,7 @@ impl HybridTreeEngine {
         Self {
             theta,
             r_near,
-            jpos: Vec::new(),
-            jvel: Vec::new(),
-            jacc: Vec::new(),
-            jjerk: Vec::new(),
-            jmass: Vec::new(),
-            jtime: Vec::new(),
-            ppos: Vec::new(),
-            pvel: Vec::new(),
+            jmem: JMemory::default(),
             eps2: 0.0,
             tree: None,
             last_tree_time: None,
@@ -201,49 +84,18 @@ impl HybridTreeEngine {
         Self::new(0.0, f64::INFINITY)
     }
 
-    /// Trees built since the last counter reset.
-    pub fn build_count(&self) -> u64 {
-        self.work.builds
-    }
-
-    /// Walk work counters accumulated since the last reset.
-    pub fn work(&self) -> TreeWork {
-        self.work
-    }
-
     /// Number of `compute` calls since the last counter reset.
     pub fn force_calls(&self) -> u64 {
         self.force_calls
     }
 
-    /// Refresh the predicted j state to `t` (same Taylor expression, same
-    /// chunking as `DirectEngine::predict_all` — bit-identical predictions)
-    /// and rebuild the octree over it. Build order is body-index order:
-    /// thread count never touches the tree shape.
+    /// Predict every j-particle to `t` and rebuild the octree over the
+    /// snapshot. Build order is body-index order: thread count never touches
+    /// the tree shape.
     fn rebuild(&mut self, t: f64) {
-        let n = self.jpos.len();
-        debug_assert_eq!(self.ppos.len(), n, "prediction scratch is sized by load()");
-        debug_assert_eq!(self.pvel.len(), n, "prediction scratch is sized by load()");
-        let (jpos, jvel, jacc, jjerk, jtime) =
-            (&self.jpos, &self.jvel, &self.jacc, &self.jjerk, &self.jtime);
-        self.ppos
-            .par_chunks_mut(PREDICT_CHUNK)
-            .zip(self.pvel.par_chunks_mut(PREDICT_CHUNK))
-            .enumerate()
-            .for_each(|(c, (pps, pvs))| {
-                let base = c * PREDICT_CHUNK;
-                for (k, (pp, pv)) in pps.iter_mut().zip(pvs).enumerate() {
-                    let j = base + k;
-                    let dt = t - jtime[j];
-                    let dt2 = dt * dt;
-                    *pp = jpos[j]
-                        + jvel[j] * dt
-                        + jacc[j] * (dt2 / 2.0)
-                        + jjerk[j] * (dt2 * dt / 6.0);
-                    *pv = jvel[j] + jacc[j] * dt + jjerk[j] * (dt2 / 2.0);
-                }
-            });
-        self.tree = Some(Octree::build(&self.ppos, &self.pvel, &self.jmass));
+        self.jmem.predict_all(t);
+        let (ppos, pvel) = self.jmem.predicted_all();
+        self.tree = Some(Octree::build(ppos, pvel, self.jmem.mass()));
         self.last_tree_time = Some(t);
         self.work.builds += 1;
     }
@@ -251,30 +103,14 @@ impl HybridTreeEngine {
 
 impl ForceEngine for HybridTreeEngine {
     fn load(&mut self, sys: &ParticleSystem) {
-        self.jpos = sys.pos.clone();
-        self.jvel = sys.vel.clone();
-        self.jacc = sys.acc.clone();
-        self.jjerk = sys.jerk.clone();
-        self.jmass = sys.mass.clone();
-        self.jtime = sys.time.clone();
-        self.ppos.resize(sys.len(), Vec3::zero());
-        self.pvel.resize(sys.len(), Vec3::zero());
-        self.ppos.truncate(sys.len());
-        self.pvel.truncate(sys.len());
+        self.jmem.load(sys);
         self.eps2 = sys.softening * sys.softening;
         self.tree = None;
         self.last_tree_time = None;
     }
 
     fn update_j(&mut self, sys: &ParticleSystem, indices: &[usize]) {
-        for &i in indices {
-            self.jpos[i] = sys.pos[i];
-            self.jvel[i] = sys.vel[i];
-            self.jacc[i] = sys.acc[i];
-            self.jjerk[i] = sys.jerk[i];
-            self.jmass[i] = sys.mass[i];
-            self.jtime[i] = sys.time[i];
-        }
+        self.jmem.update(sys, indices);
         // Bodies moved: the tree (and its predicted snapshot) is stale.
         self.tree = None;
         self.last_tree_time = None;
@@ -292,29 +128,35 @@ impl ForceEngine for HybridTreeEngine {
         }
         let tree = self.tree.as_ref().expect("tree built above");
         let (theta, r_near, eps2) = (self.theta, self.r_near, self.eps2);
-        let (ppos, pvel, jmass) = (&self.ppos, &self.pvel, &self.jmass);
+        let (ppos, pvel) = self.jmem.predicted_all();
+        let jmass = self.jmem.mass();
         // Mirror DirectEngine's path split: small blocks take the chunked
         // j-partial summation structure, large blocks the continuous per-i
         // sweep — the two structures round differently, and the theta = 0
         // anchor must match whichever one DirectEngine would have used.
         let small = b <= SMALL_BLOCK_MAX;
         // i-chunks may follow the thread count: per-i results are pure
-        // functions of (i, tree), and the walk totals are associative sums.
+        // functions of (i, tree), and the walk totals are associative
+        // integer sums and maxima.
         let threads = rayon::current_num_threads().max(1);
         let ic = b.div_ceil(threads);
-        let totals: ChunkTotals = out
+        let chunk_work: Vec<TreeWork> = out
             .par_chunks_mut(ic)
             .zip(ips.par_chunks(ic))
             .map(|(os, is)| {
                 let mut lists = InteractionLists::default();
-                let mut tot = ChunkTotals::default();
+                let mut work = TreeWork::default();
                 for (o, ip) in os.iter_mut().zip(is) {
                     tree.interaction_lists(ip.pos, theta, r_near, &mut lists);
-                    *o = if small {
-                        near_sum_chunked(ip, &lists.near, ppos, pvel, jmass, eps2)
-                    } else {
-                        near_sum_flat(ip, &lists.near, ppos, pvel, jmass, eps2)
-                    };
+                    // Near field: ascending-j partial sums per list chunk,
+                    // merged in order (one chunk = one continuous sum).
+                    let near = &lists.near;
+                    let chunk = if small { j_chunk_size(near.len()) } else { near.len().max(1) };
+                    *o = near.chunks(chunk).fold(ForceResult::default(), |mut sum, js| {
+                        let js = js.iter().map(|&j| j as usize);
+                        sum.merge(&accumulate_with_nn(ip, js, ppos, pvel, jmass, eps2));
+                        sum
+                    });
                     // Far field: one GRAPE-style j-sweep over the emitted
                     // list (cells + far leaf bodies), appended after the
                     // near sum. Empty at theta = 0, so the anchor path
@@ -333,13 +175,15 @@ impl ForceEngine for HybridTreeEngine {
                         o.jerk += far.jerk;
                         o.pot += far.pot;
                     }
-                    tot.note(&lists);
+                    note(&mut work, &lists);
                 }
-                tot
+                work
             })
-            .sum();
-        self.interactions += totals.interactions;
-        self.work.merge(&totals.work);
+            .collect();
+        for work in &chunk_work {
+            self.interactions += work.list_len_sum;
+            self.work.merge(work);
+        }
     }
 
     /// Actual near + far interaction-list evaluations — the whole point of
@@ -411,6 +255,7 @@ impl ForceEngine for HybridTreeEngine {
 mod tests {
     use super::*;
     use grape6_core::force::DirectEngine;
+    use grape6_core::vec3::Vec3;
 
     fn disk_like(n: usize, seed: u64) -> ParticleSystem {
         let mut sys = ParticleSystem::new(0.01, 1.0);
@@ -497,30 +342,34 @@ mod tests {
 
     #[test]
     fn moderate_theta_approximates_direct_and_does_less_work() {
+        // A real neighbour sphere, and the pure Barnes-Hut limit (the near
+        // list is then just the self entry).
         let sys = disk_like(800, 3);
-        let mut hybrid = HybridTreeEngine::new(0.6, 2.0);
         let mut direct = DirectEngine::new();
-        hybrid.load(&sys);
         direct.load(&sys);
         let ips = ips_for(&sys, 0..sys.len());
-        let mut out_h = vec![ForceResult::default(); ips.len()];
         let mut out_d = vec![ForceResult::default(); ips.len()];
-        hybrid.compute(0.0, &ips, &mut out_h);
         direct.compute(0.0, &ips, &mut out_d);
-        let mut worst: f64 = 0.0;
-        for k in 0..ips.len() {
-            worst = worst.max((out_h[k].acc - out_d[k].acc).norm() / out_d[k].acc.norm());
+        for r_near in [2.0, 0.0] {
+            let mut hybrid = HybridTreeEngine::new(0.6, r_near);
+            hybrid.load(&sys);
+            let mut out_h = vec![ForceResult::default(); ips.len()];
+            hybrid.compute(0.0, &ips, &mut out_h);
+            let mut worst: f64 = 0.0;
+            for k in 0..ips.len() {
+                worst = worst.max((out_h[k].acc - out_d[k].acc).norm() / out_d[k].acc.norm());
+            }
+            assert!(worst < 0.05, "r_near {r_near}: worst rel error {worst}");
+            let w = hybrid.work;
+            assert!(w.far_interactions > 0, "no cells were accepted");
+            assert!(w.near_interactions >= sys.len() as u64, "self entries are near");
+            assert!(
+                hybrid.interaction_count() < (sys.len() as u64).pow(2) / 3,
+                "r_near {r_near}: hybrid did {} evaluations, not ≪ N² = {}",
+                hybrid.interaction_count(),
+                (sys.len() as u64).pow(2)
+            );
         }
-        assert!(worst < 0.05, "worst rel error {worst}");
-        let w = hybrid.work();
-        assert!(w.far_interactions > 0, "no cells were accepted");
-        assert!(w.near_interactions > 0, "no neighbours were found");
-        assert!(
-            hybrid.interaction_count() < (sys.len() as u64).pow(2) / 3,
-            "hybrid did {} evaluations, not ≪ N² = {}",
-            hybrid.interaction_count(),
-            (sys.len() as u64).pow(2)
-        );
     }
 
     #[test]
@@ -533,7 +382,7 @@ mod tests {
                 let ips = ips_for(&sys, 0..sys.len());
                 let mut out = vec![ForceResult::default(); ips.len()];
                 e.compute(0.0, &ips, &mut out);
-                (out, e.interaction_count(), e.work())
+                (out, e.interaction_count(), e.work)
             })
         };
         let (ref_out, ref_count, ref_work) = run(1);
@@ -554,13 +403,19 @@ mod tests {
         let mut out = vec![ForceResult::default(); 10];
         e.compute(0.0, &ips, &mut out);
         e.compute(0.0, &ips, &mut out);
-        assert_eq!(e.build_count(), 1, "same-time calls must share the tree");
+        assert_eq!(e.work.builds, 1, "same-time calls must share the tree");
         e.compute(0.5, &ips, &mut out);
-        assert_eq!(e.build_count(), 2);
+        assert_eq!(e.work.builds, 2);
         sys.pos[0] = Vec3::new(100.0, 0.0, 0.0);
         e.update_j(&sys, &[0]);
         e.compute(0.5, &ips, &mut out);
-        assert_eq!(e.build_count(), 3, "update_j must force a rebuild");
+        assert_eq!(e.work.builds, 3, "update_j must force a rebuild");
+        // The §3 argument in miniature: one-particle blocks at distinct
+        // times each pay a full O(N log N) build.
+        for k in 1..=20 {
+            e.compute(0.5 + k as f64 * 1e-3, &ips[..1], &mut out[..1]);
+        }
+        assert_eq!(e.work.builds, 23);
     }
 
     #[test]
@@ -579,7 +434,7 @@ mod tests {
         fresh.restore_checkpoint_state(&state).unwrap();
         assert_eq!(fresh.interaction_count(), e.interaction_count());
         assert_eq!(fresh.force_calls(), e.force_calls());
-        assert_eq!(fresh.work(), e.work());
+        assert_eq!(fresh.work, e.work);
         assert!(fresh.restore_checkpoint_state(&state[..10]).is_err());
     }
 }

@@ -6,13 +6,21 @@
 //! timesteps of particles vary widely"). Built to quantify that argument:
 //! experiment E5 compares its cost and accuracy against direct summation
 //! under both shared and individual timesteps.
+//!
+//! One engine, [`HybridTreeEngine`]: octree far field as GRAPE-shaped
+//! interaction lists plus an exact near field inside a neighbour radius.
+//! The §3 baseline is its zero-radius limit, `HybridTreeEngine::new(θ, 0.0)`
+//! — pinned bitwise against the fused [`Octree::force_on`] walk. The crucial
+//! (and intentional) inefficiency: the tree is rebuilt from predicted
+//! positions whenever forces are needed at a new time. Under shared
+//! timesteps the O(N log N) build amortizes over N force evaluations; under
+//! *individual* timesteps a block of a few dozen particles pays the same
+//! build — exactly why the paper uses direct summation on special hardware.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-pub mod engine;
 pub mod hybrid;
 pub mod octree;
 
-pub use engine::TreeEngine;
 pub use hybrid::HybridTreeEngine;
 pub use octree::{InteractionLists, Octree, TreeForce};

@@ -12,7 +12,8 @@
 //! * [`core`] (`grape6-core`) — integrator, forces, scheduler, Kepler tools;
 //! * [`hw`] (`grape6-hw`) — the GRAPE-6 hardware simulator;
 //! * [`disk`] (`grape6-disk`) — initial conditions and disk analysis;
-//! * [`tree`] (`grape6-tree`) — the Barnes-Hut baseline;
+//! * [`tree`] (`grape6-tree`) — the octree engine (hybrid tree + direct; Barnes-Hut
+//!   baseline at a zero neighbour radius);
 //! * [`sim`] (`grape6-sim`) — the simulation driver and I/O.
 //!
 //! ## Quickstart
@@ -55,5 +56,5 @@ pub mod prelude {
         decode_checkpoint, encode_checkpoint, load_checkpoint, run_ensemble, save_checkpoint,
         AccretionLog, RadiusModel, Simulation, TimestepHistogram,
     };
-    pub use grape6_tree::{HybridTreeEngine, TreeEngine};
+    pub use grape6_tree::HybridTreeEngine;
 }

@@ -44,7 +44,7 @@ fn cluster_satellite_scenario_pins_cell_opening_edge_cases() {
         .collect();
     let mut out = vec![ForceResult::default(); ips.len()];
     engine.compute(sc.sys.t, &ips, &mut out);
-    let work = engine.work();
+    let work = engine.tree_work().expect("the tree engine reports walk counters");
     assert!(work.cells_opened > 0, "no cells opened: {work:?}");
     assert!(work.far_interactions > 0, "no far-field accepts: {work:?}");
     assert!(work.near_interactions > 0, "no near-field neighbours: {work:?}");

@@ -42,7 +42,7 @@ fn grape6_hw_arithmetic_single_precision_class() {
 fn tree_approximates_cpu_within_mac_bound() {
     let sys = disk(1000, 77);
     let cpu = forces(&mut DirectEngine::new(), &sys, 0.0);
-    let tree = forces(&mut TreeEngine::new(0.4), &sys, 0.0);
+    let tree = forces(&mut HybridTreeEngine::new(0.4, 0.0), &sys, 0.0);
     let mut worst: f64 = 0.0;
     for i in 0..sys.len() {
         worst = worst.max((tree[i].acc - cpu[i].acc).norm() / cpu[i].acc.norm());
@@ -200,7 +200,7 @@ fn engine_matrix_softening_zero_rows() {
         }
         // The tree baseline accepts ε = 0 too and must stay a coarse
         // approximation of the unsoftened reference.
-        let tree = forces(&mut TreeEngine::new(0.4), sys, 0.0);
+        let tree = forces(&mut HybridTreeEngine::new(0.4, 0.0), sys, 0.0);
         let mut worst: f64 = 0.0;
         for i in 0..sys.len() {
             let a = full[i].acc.norm();

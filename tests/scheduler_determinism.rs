@@ -86,26 +86,29 @@ fn hybrid_survives_checkpoint_kill_resume_bitwise() {
     // engine's walk counters (carried in its checkpoint state) must land
     // on the uninterrupted totals, not restart from zero.
     use grape6_sim::checkpoint::{decode_checkpoint, encode_checkpoint};
-    let mk = || HybridTreeEngine::new(0.5, 3.0);
-    let reference = run(mk(), 48, 21, 30, SchedulerKind::Heap);
-    let half = run(mk(), 48, 21, 15, SchedulerKind::Heap);
-    let bytes = encode_checkpoint(&half);
-    drop(half); // the "kill": nothing survives but the checkpoint bytes
-    let mut resumed = decode_checkpoint(bytes, mk()).unwrap();
-    for _ in 0..15 {
-        resumed.step();
+    // (0.5, 0.0) is the Barnes-Hut baseline `--engine tree` runs.
+    for r_near in [3.0, 0.0] {
+        let mk = || HybridTreeEngine::new(0.5, r_near);
+        let reference = run(mk(), 48, 21, 30, SchedulerKind::Heap);
+        let half = run(mk(), 48, 21, 15, SchedulerKind::Heap);
+        let bytes = encode_checkpoint(&half);
+        drop(half); // the "kill": nothing survives but the checkpoint bytes
+        let mut resumed = decode_checkpoint(bytes, mk()).unwrap();
+        for _ in 0..15 {
+            resumed.step();
+        }
+        assert_systems_bit_equal(&resumed.sys, &reference.sys, "hybrid checkpoint resume");
+        assert_eq!(
+            resumed.engine.interaction_count(),
+            reference.engine.interaction_count(),
+            "interaction counter must resume, not reset"
+        );
+        assert_eq!(
+            resumed.engine.tree_work(),
+            reference.engine.tree_work(),
+            "walk counters must resume, not reset"
+        );
     }
-    assert_systems_bit_equal(&resumed.sys, &reference.sys, "hybrid checkpoint resume");
-    assert_eq!(
-        resumed.engine.interaction_count(),
-        reference.engine.interaction_count(),
-        "interaction counter must resume, not reset"
-    );
-    assert_eq!(
-        resumed.engine.tree_work(),
-        reference.engine.tree_work(),
-        "walk counters must resume, not reset"
-    );
 }
 
 #[test]

@@ -41,7 +41,7 @@ fn counters_match_engine_exactly_grape6() {
 
 #[test]
 fn counters_match_engine_exactly_tree() {
-    let sim = run_with_telemetry(TreeEngine::new(0.5), 96, 1.0);
+    let sim = run_with_telemetry(HybridTreeEngine::new(0.5, 0.0), 96, 1.0);
     let tele = sim.telemetry.as_ref().unwrap();
     assert_eq!(tele.interactions(), sim.engine.interaction_count());
     assert_eq!(tele.wire_bytes(), sim.engine.bytes_transferred());
