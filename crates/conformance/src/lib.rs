@@ -17,8 +17,9 @@
 //!   pipeline rounding, fixed-point position quantization, accumulator
 //!   quanta), not from hand-tuned epsilons;
 //! * [`runner`] — drives the same scenario through `DirectEngine`,
-//!   `Grape6Engine` (hardware and exact arithmetic), `NodeEngine`,
-//!   `ClusterEngine` and `FaultTolerantEngine`, comparing forces against
+//!   `Grape6Engine` (hardware and exact arithmetic), `ClusterEngine` (one
+//!   host — the routed node of the `*node*` checks — and four) and
+//!   `FaultTolerantEngine`, comparing forces against
 //!   the oracle and requiring **bitwise** equality wherever the
 //!   determinism contract promises it (routed-vs-flat, cluster-vs-flat,
 //!   FT-vs-plain, thread counts, small-vs-large block paths);

@@ -26,8 +26,7 @@ use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_core::vec3::Vec3;
 use grape6_hw::format::accum_quantum;
 use grape6_hw::{
-    ClusterEngine, FaultPlan, FaultTolerantEngine, Grape6Config, Grape6Engine, NodeEngine,
-    ScalarGrape6Engine,
+    ClusterEngine, FaultPlan, FaultTolerantEngine, Grape6Config, Grape6Engine, ScalarGrape6Engine,
 };
 use grape6_sim::Simulation;
 use grape6_tree::HybridTreeEngine;
@@ -278,7 +277,7 @@ pub fn run_check(sc: &Scenario, check: &str) -> Option<String> {
             // The routed readout carries no neighbour registers (nn: None),
             // so the bitwise contract covers forces only.
             let flat = forces(&mut grape6(), sys, t0);
-            let routed = forces(&mut NodeEngine::production(), sys, t0);
+            let routed = forces(&mut ClusterEngine::single_node(), sys, t0);
             cmp_bitwise(&routed, &flat, 0)
         }
         "diff/cluster-vs-grape6" => {
@@ -316,7 +315,7 @@ pub fn run_check(sc: &Scenario, check: &str) -> Option<String> {
             // bit for bit through update_j.
             let (mut isys, t) = initialized_system(sc, 1);
             let mut flat = grape6();
-            let mut node = NodeEngine::production();
+            let mut node = ClusterEngine::single_node();
             let mut cluster = ClusterEngine::production();
             flat.load(&isys);
             node.load(&isys);

@@ -42,21 +42,20 @@ pub struct Grape6Cluster {
 
 impl Grape6Cluster {
     /// Build a cluster of `hosts` nodes, each with `boards_per_node` boards.
+    /// Call [`Self::set_softening`] before the first force call.
     pub fn new(
         hosts: usize,
         boards_per_node: usize,
         board: BoardGeometry,
         format: FixedPointFormat,
         precision: Precision,
-        softening: f64,
     ) -> Self {
         assert!(hosts >= 1);
         let ports: Vec<(Sender<JMessage>, Receiver<JMessage>)> =
             (0..hosts).map(|_| unbounded()).collect();
         let members = (0..hosts)
             .map(|h| {
-                let mut node = Grape6Node::new(boards_per_node, board, format, precision);
-                node.set_softening(softening);
+                let node = Grape6Node::new(boards_per_node, board, format, precision);
                 let peers = ports
                     .iter()
                     .enumerate()
@@ -71,7 +70,17 @@ impl Grape6Cluster {
 
     /// The production cluster: 4 hosts × 4 boards (Fig 7).
     pub fn production(precision: Precision, softening: f64) -> Self {
-        Self::new(4, 4, BoardGeometry::default(), FixedPointFormat::default(), precision, softening)
+        let mut cluster =
+            Self::new(4, 4, BoardGeometry::default(), FixedPointFormat::default(), precision);
+        cluster.set_softening(softening);
+        cluster
+    }
+
+    /// Set the softening every node uses for subsequent force calls.
+    pub fn set_softening(&mut self, eps: f64) {
+        for m in &mut self.members {
+            m.node.set_softening(eps);
+        }
     }
 
     /// Number of hosts.
@@ -160,7 +169,10 @@ mod tests {
             chips: 2,
             chip: crate::chip::ChipGeometry { jmem_capacity: 32, ..Default::default() },
         };
-        Grape6Cluster::new(4, 2, board, FixedPointFormat::default(), Precision::grape6(), 0.01)
+        let mut cluster =
+            Grape6Cluster::new(4, 2, board, FixedPointFormat::default(), Precision::grape6());
+        cluster.set_softening(0.01);
+        cluster
     }
 
     fn j_at(x: f64, y: f64, m: f64) -> JParticle {

@@ -8,10 +8,16 @@
 //! the per-blockstep synchronization of §4.3. Force calls partition the
 //! active i-block across the hosts in contiguous chunks.
 //!
+//! With `hosts = 1` this is the fully-routed single node (GRAPE-6A's
+//! single-card unit is the degenerate member of the cluster): no peers, an
+//! empty barrier, one i-chunk — every packet still crosses the wire protocol
+//! and the board structure of one [`crate::node::Grape6Node`].
+//!
 //! Because the j-memories are mirrored and the fixed-point reduction is
 //! exactly associative, the forces are **bit-identical** to
 //! [`crate::engine::Grape6Engine`] with the same format and precision — the
-//! conformance harness pins this down across thousands of fuzzed scenarios.
+//! conformance harness pins this down across thousands of fuzzed scenarios,
+//! and `tests/routed_vs_flat.rs` through whole integrations at 1 and 4 hosts.
 
 use crate::board::BoardGeometry;
 use crate::chip::HwIParticle;
@@ -22,16 +28,10 @@ use grape6_core::engine::ForceEngine;
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 
 /// The functional GRAPE-6 cluster as a force engine.
-///
-/// The cluster itself is built lazily at [`ForceEngine::load`], because the
-/// softening length travels with the particle system.
 pub struct ClusterEngine {
-    hosts: usize,
-    boards_per_node: usize,
-    board: BoardGeometry,
+    cluster: Grape6Cluster,
     format: FixedPointFormat,
     precision: Precision,
-    cluster: Option<Grape6Cluster>,
     /// Masses as resident in hardware (host-side self-potential correction).
     jmass: Vec<f64>,
     eps: f64,
@@ -39,7 +39,8 @@ pub struct ClusterEngine {
 }
 
 impl ClusterEngine {
-    /// Build an engine over `hosts` nodes of `boards_per_node` boards each.
+    /// Build an engine over `hosts` nodes of `boards_per_node` boards each
+    /// (the softening arrives with the particle system at `load`).
     pub fn new(
         hosts: usize,
         boards_per_node: usize,
@@ -47,14 +48,10 @@ impl ClusterEngine {
         format: FixedPointFormat,
         precision: Precision,
     ) -> Self {
-        assert!(hosts >= 1);
         Self {
-            hosts,
-            boards_per_node,
-            board,
+            cluster: Grape6Cluster::new(hosts, boards_per_node, board, format, precision),
             format,
             precision,
-            cluster: None,
             jmass: Vec::new(),
             eps: 0.0,
             interactions: 0,
@@ -67,9 +64,15 @@ impl ClusterEngine {
         Self::new(4, 4, BoardGeometry::default(), FixedPointFormat::default(), Precision::grape6())
     }
 
+    /// One production node (4 boards × 32 chips) behind one host: the
+    /// fully-routed data path with no exchange network.
+    pub fn single_node() -> Self {
+        Self::new(1, 4, BoardGeometry::default(), FixedPointFormat::default(), Precision::grape6())
+    }
+
     /// Number of hosts in the cluster.
     pub fn hosts(&self) -> usize {
-        self.hosts
+        self.cluster.hosts()
     }
 }
 
@@ -77,46 +80,35 @@ impl ForceEngine for ClusterEngine {
     fn load(&mut self, sys: &ParticleSystem) {
         assert!(sys.softening > 0.0, "GRAPE-6 requires positive softening");
         self.eps = sys.softening;
-        let mut cluster = Grape6Cluster::new(
-            self.hosts,
-            self.boards_per_node,
-            self.board,
-            self.format,
-            self.precision,
-            sys.softening,
-        );
+        self.cluster.set_softening(sys.softening);
         let js: Vec<JParticle> = (0..sys.len())
             .map(|i| JParticle::from_system(&self.format, self.precision, sys, i))
             .collect();
         self.jmass = js.iter().map(|j| j.mass).collect();
-        cluster.load_j(&js).expect("particle set exceeds cluster node capacity");
-        self.cluster = Some(cluster);
+        self.cluster.load_j(&js).expect("particle set exceeds cluster node capacity");
     }
 
     fn update_j(&mut self, sys: &ParticleSystem, indices: &[usize]) {
-        let mut cluster = self.cluster.take().expect("load before update_j");
         for &i in indices {
             let j = JParticle::from_system(&self.format, self.precision, sys, i);
             self.jmass[i] = j.mass;
             // Each particle has one owning host; only that host writes it
             // back, and the exchange network mirrors the packet to peers.
-            let owner = i % self.hosts;
-            cluster.write_back(owner, i, &j).expect("bad j index");
+            let owner = i % self.hosts();
+            self.cluster.write_back(owner, i, &j).expect("bad j index");
         }
         // Blockstep barrier: every node drains its data-in port before the
         // next force call.
-        cluster.barrier();
-        self.cluster = Some(cluster);
+        self.cluster.barrier();
     }
 
     fn compute(&mut self, t: f64, ips: &[IParticle], out: &mut [ForceResult]) {
         assert_eq!(ips.len(), out.len());
-        let cluster = self.cluster.as_mut().expect("load before compute");
-        let n_j = cluster.n_j();
-        self.interactions += (ips.len() as u64) * (n_j as u64);
+        let hosts = self.hosts();
+        self.interactions += (ips.len() as u64) * (self.cluster.n_j() as u64);
         // Contiguous partition of the i-block across hosts (the paper's
         // block-cyclic assignment reduced to one block per host per call).
-        let chunk = ips.len().div_ceil(self.hosts).max(1);
+        let chunk = ips.len().div_ceil(hosts).max(1);
         for (c, (ips_c, out_c)) in ips.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate() {
             let hw: Vec<(HwIParticle, u32)> = ips_c
                 .iter()
@@ -127,7 +119,7 @@ impl ForceEngine for ClusterEngine {
                     )
                 })
                 .collect();
-            let results = cluster.compute(c % self.hosts, t, &hw);
+            let results = self.cluster.compute(c % hosts, t, &hw);
             for ((o, mut r), ip) in out_c.iter_mut().zip(results).zip(ips_c) {
                 if ip.index < self.jmass.len() {
                     r.pot += self.jmass[ip.index] / self.eps;
@@ -175,49 +167,66 @@ mod tests {
         idx.iter().map(|&i| IParticle { index: i, pos: sys.pos[i], vel: sys.vel[i] }).collect()
     }
 
+    /// The routed single node and the four-host production cluster.
+    fn topologies() -> [ClusterEngine; 2] {
+        [ClusterEngine::single_node(), ClusterEngine::production()]
+    }
+
     #[test]
     fn cluster_engine_matches_flat_engine_bitwise() {
-        let sys = disk(60);
-        let mut cl = ClusterEngine::production();
-        let mut flat = Grape6Engine::sc2002();
-        cl.load(&sys);
-        flat.load(&sys);
-        let idx: Vec<usize> = (0..60).collect();
+        // 100 i-particles: three chip-loads on the single node, 25 per host
+        // on the cluster.
+        let sys = disk(100);
+        let idx: Vec<usize> = (0..100).collect();
         let ips = ips_for(&sys, &idx);
-        let mut out_c = vec![ForceResult::default(); 60];
-        let mut out_f = vec![ForceResult::default(); 60];
-        cl.compute(0.5, &ips, &mut out_c);
+        let mut flat = Grape6Engine::sc2002();
+        flat.load(&sys);
+        let mut out_f = vec![ForceResult::default(); 100];
         flat.compute(0.5, &ips, &mut out_f);
-        for i in 0..60 {
-            assert_eq!(out_c[i].acc, out_f[i].acc, "particle {i} acc");
-            assert_eq!(out_c[i].jerk, out_f[i].jerk, "particle {i} jerk");
-            assert_eq!(out_c[i].pot, out_f[i].pot, "particle {i} pot");
+        for mut cl in topologies() {
+            cl.load(&sys);
+            let mut out_c = vec![ForceResult::default(); 100];
+            cl.compute(0.5, &ips, &mut out_c);
+            for i in 0..100 {
+                assert_eq!(out_c[i].acc, out_f[i].acc, "hosts {} particle {i} acc", cl.hosts());
+                assert_eq!(out_c[i].jerk, out_f[i].jerk, "hosts {} particle {i} jerk", cl.hosts());
+                assert_eq!(out_c[i].pot, out_f[i].pot, "hosts {} particle {i} pot", cl.hosts());
+            }
+            assert_eq!(cl.interaction_count(), 100 * 100);
         }
     }
 
     #[test]
     fn cluster_engine_tracks_updates_bitwise() {
-        let mut sys = disk(24);
-        let mut cl = ClusterEngine::production();
-        let mut flat = Grape6Engine::sc2002();
-        cl.load(&sys);
-        flat.load(&sys);
-        for i in [2usize, 9, 21] {
-            sys.pos[i] += Vec3::new(-0.03, 0.01, 0.002);
-            sys.vel[i] *= 0.999;
-            sys.time[i] = 0.25;
+        for mut cl in topologies() {
+            let mut sys = disk(32);
+            let mut flat = Grape6Engine::sc2002();
+            cl.load(&sys);
+            flat.load(&sys);
+            // Mutate a few particles as a block step would.
+            for i in [3usize, 17, 29] {
+                sys.pos[i] += Vec3::new(0.01, -0.02, 0.002);
+                sys.vel[i] *= 1.001;
+                sys.acc[i] = Vec3::new(1e-4, 0.0, -1e-5);
+                sys.jerk[i] = Vec3::new(0.0, 1e-6, 0.0);
+                sys.time[i] = 0.5;
+            }
+            cl.update_j(&sys, &[3, 17, 29]);
+            flat.update_j(&sys, &[3, 17, 29]);
+            let ips = ips_for(&sys, &[0, 5, 29]);
+            let mut out_c = vec![ForceResult::default(); 3];
+            let mut out_f = vec![ForceResult::default(); 3];
+            cl.compute(1.0, &ips, &mut out_c);
+            flat.compute(1.0, &ips, &mut out_f);
+            for k in 0..3 {
+                assert_eq!(out_c[k].acc, out_f[k].acc, "hosts {}", cl.hosts());
+                assert_eq!(out_c[k].pot, out_f[k].pot, "hosts {}", cl.hosts());
+            }
+            assert_eq!(cl.interaction_count(), 3 * 32);
+            // `load` on the standing cluster replaces every mirror.
+            cl.load(&sys);
+            cl.compute(1.0, &ips, &mut out_c);
+            assert_eq!(out_c[2].acc, out_f[2].acc, "hosts {} reloaded", cl.hosts());
         }
-        cl.update_j(&sys, &[2, 9, 21]);
-        flat.update_j(&sys, &[2, 9, 21]);
-        let ips = ips_for(&sys, &[0, 5, 21]);
-        let mut out_c = vec![ForceResult::default(); 3];
-        let mut out_f = vec![ForceResult::default(); 3];
-        cl.compute(1.0, &ips, &mut out_c);
-        flat.compute(1.0, &ips, &mut out_f);
-        for k in 0..3 {
-            assert_eq!(out_c[k].acc, out_f[k].acc);
-            assert_eq!(out_c[k].pot, out_f[k].pot);
-        }
-        assert_eq!(cl.interaction_count(), 3 * 24);
     }
 }

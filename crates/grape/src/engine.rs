@@ -12,6 +12,7 @@
 //! forces to simulating all 2048 chip memories separately. The per-chip
 //! partitioning enters only through the (analytic) timing model.
 
+use crate::chip::ChipError;
 use crate::format::{FixedPointFormat, Precision};
 use crate::lanes::{scalar_sweep, GrapeJLanes, GrapeLaneTile, SweepPartial, LANE_WIDTH};
 use crate::perf::HardwareClock;
@@ -210,6 +211,43 @@ impl Grape6Engine {
         &self.jmem
     }
 
+    /// Empty the j-memory, set the softening of subsequent force calls and
+    /// reserve room for `reserve` words — the state [`Self::write_j`] fills.
+    pub fn reset_jmem(&mut self, softening: f64, reserve: usize) {
+        assert!(
+            softening > 0.0,
+            "GRAPE-6 requires a positive softening length (the pipeline has no \
+             self-interaction cutoff)"
+        );
+        self.eps2 = softening * softening;
+        self.jmem.clear();
+        self.jmem.reserve(reserve);
+    }
+
+    /// The hardware's write port (`g6_set_j_particle`): put one j-word at
+    /// `address`, overwriting a resident word or appending at
+    /// `address == n_j()` (memory fills densely from 0, as the DMA does).
+    /// Charges one j-packet. Every way a particle enters j-memory — `load`,
+    /// `update_j`, the host API, the DMR pair — is the host encoding a word
+    /// and writing it here.
+    // grape6-lint: hot
+    pub fn write_j(&mut self, address: usize, word: JParticle) -> Result<(), ChipError> {
+        let len = self.jmem.len();
+        match self.jmem.get_mut(address) {
+            Some(resident) => *resident = word,
+            None if address > len => return Err(ChipError::BadSlot { slot: address, len }),
+            None => {
+                let capacity = self.config.timing.geometry.node_jmem_capacity();
+                if self.config.enforce_memory_limit && len >= capacity {
+                    return Err(ChipError::MemoryOverflow { requested: len + 1, capacity });
+                }
+                self.jmem.push(word);
+            }
+        }
+        self.wire_bytes += crate::wire::J_PACKET_BYTES as u64;
+        Ok(())
+    }
+
     /// Fault injection: XOR one bit of the resident j-particle `index`'s
     /// fixed-point x-position word (an SSRAM soft error). `index` wraps
     /// modulo the loaded count, `bit` modulo 64, so any seeded address is
@@ -247,16 +285,12 @@ impl ForceEngine for Grape6Engine {
                 sys.len()
             );
         }
-        assert!(
-            sys.softening > 0.0,
-            "GRAPE-6 requires a positive softening length (the pipeline has no \
-             self-interaction cutoff)"
-        );
-        self.eps2 = sys.softening * sys.softening;
+        self.reset_jmem(sys.softening, sys.len());
         let (fmt, precision) = (self.config.format, self.config.precision);
-        self.jmem =
-            (0..sys.len()).map(|i| JParticle::from_system(&fmt, precision, sys, i)).collect();
-        self.wire_bytes += (sys.len() * crate::wire::J_PACKET_BYTES) as u64;
+        for i in 0..sys.len() {
+            self.write_j(i, JParticle::from_system(&fmt, precision, sys, i))
+                .expect("dense fill of a set within capacity");
+        }
     }
 
     /// Write back a batch of j-particles. The integrator defers corrector
@@ -268,12 +302,12 @@ impl ForceEngine for Grape6Engine {
     /// changes the bits that land in j-memory.
     // grape6-lint: hot
     fn update_j(&mut self, sys: &ParticleSystem, indices: &[usize]) {
-        let fmt = self.config.format;
-        let precision = self.config.precision;
+        let (fmt, precision) = (self.config.format, self.config.precision);
         for &i in indices {
-            self.jmem[i] = JParticle::from_system(&fmt, precision, sys, i);
+            assert!(i < self.jmem.len(), "update_j of unloaded particle {i}");
+            self.write_j(i, JParticle::from_system(&fmt, precision, sys, i))
+                .expect("overwrite of a resident word");
         }
-        self.wire_bytes += (indices.len() * crate::wire::J_PACKET_BYTES) as u64;
     }
 
     // grape6-lint: hot
@@ -689,6 +723,41 @@ mod tests {
         let mut after = vec![ForceResult::default(); 1];
         hw.compute(0.0, &ips, &mut after);
         assert_ne!(before[0].acc, after[0].acc);
+    }
+
+    #[test]
+    fn write_port_is_load_and_update_j() {
+        // N appends are `load`, an overwrite is `update_j` of that index —
+        // same j-memory words, same wire ledger — and a hole is refused.
+        let mut sys = ring_system(16);
+        let (fmt, precision) = (FixedPointFormat::default(), Precision::grape6());
+        let mut loaded = Grape6Engine::sc2002();
+        let mut written = Grape6Engine::sc2002();
+        loaded.load(&sys);
+        written.reset_jmem(sys.softening, 0);
+        for i in 0..sys.len() {
+            written.write_j(i, JParticle::from_system(&fmt, precision, &sys, i)).unwrap();
+        }
+        assert_eq!(written.jmem(), loaded.jmem());
+        assert_eq!(written.bytes_transferred(), loaded.bytes_transferred());
+
+        sys.pos[8] = Vec3::new(500.0, 0.0, 0.0);
+        sys.time[8] = 0.5;
+        loaded.update_j(&sys, &[8]);
+        written.write_j(8, JParticle::from_system(&fmt, precision, &sys, 8)).unwrap();
+        assert_eq!(written.jmem(), loaded.jmem());
+        assert_eq!(written.bytes_transferred(), loaded.bytes_transferred());
+        let ips = ips_for(&sys, &[0, 8]);
+        let mut out_l = vec![ForceResult::default(); 2];
+        let mut out_w = out_l.clone();
+        loaded.compute(1.0, &ips, &mut out_l);
+        written.compute(1.0, &ips, &mut out_w);
+        assert_same_bits(&out_w, &out_l, "write port");
+
+        let bytes = written.bytes_transferred();
+        let hole = written.write_j(18, written.jmem()[0]);
+        assert_eq!(hole, Err(ChipError::BadSlot { slot: 18, len: 16 }));
+        assert_eq!((written.n_j(), written.bytes_transferred()), (16, bytes));
     }
 
     #[test]

@@ -160,12 +160,14 @@ impl ForceEngine for FaultTolerantEngine {
     }
 
     fn update_j(&mut self, sys: &ParticleSystem, indices: &[usize]) {
-        self.unit_a.update_j(sys, indices);
-        self.unit_b.update_j(sys, indices);
-        // The freshly encoded words are clean by construction; mirror them
-        // into the authoritative copy.
+        let (fmt, precision) = (self.unit_a.config.format, self.unit_a.config.precision);
         for &i in indices {
-            self.shadow[i] = self.unit_a.jmem()[i];
+            // One host-side encode; the same word goes to both units and,
+            // clean by construction, into the authoritative copy.
+            let word = JParticle::from_system(&fmt, precision, sys, i);
+            self.shadow[i] = word;
+            self.unit_a.write_j(i, word).expect("overwrite of a resident word");
+            self.unit_b.write_j(i, word).expect("overwrite of a resident word");
         }
     }
 
@@ -285,9 +287,22 @@ impl ForceEngine for FaultTolerantEngine {
         self.step = u64_at(56);
         self.injector.set_cursor(u64_at(64) as usize)?;
         self.extra_wire_bytes = u64_at(72);
-        self.unit_a.config.timing.geometry.boards_per_host = u64_at(80) as usize;
-        self.unit_b.config.timing.geometry.boards_per_host = u64_at(88) as usize;
-        self.armed_link_flip = if state[96] == 1 { Some(u64_at(97) as usize) } else { None };
+        // Degrading only ever decrements a unit's board count, never below 1.
+        for (k, unit) in [(80, &mut self.unit_a), (88, &mut self.unit_b)] {
+            let boards = &mut unit.config.timing.geometry.boards_per_host;
+            let saved = u64_at(k);
+            if saved == 0 || saved > *boards as u64 {
+                return Err(format!(
+                    "grape6-ft checkpoint state: boards_per_host {saved} outside 1..={boards}"
+                ));
+            }
+            *boards = saved as usize;
+        }
+        self.armed_link_flip = match state[96] {
+            0 => None,
+            1 => Some(u64_at(97) as usize),
+            tag => return Err(format!("grape6-ft checkpoint state: armed_link_flip tag {tag}")),
+        };
         let mut k = fixed;
         for unit in [&mut self.unit_a, &mut self.unit_b] {
             if state.len() < k + 4 {
@@ -468,5 +483,30 @@ mod tests {
         assert_eq!(resumed.bytes_transferred(), e.bytes_transferred());
         assert_eq!(resumed.modeled_seconds().to_bits(), e.modeled_seconds().to_bits());
         assert!(resumed.restore_checkpoint_state(&state[..10]).is_err());
+    }
+
+    #[test]
+    fn damaged_checkpoint_state_is_rejected_naming_the_field() {
+        // G6CK carries no checksum, so the blob's own fields are the trust
+        // boundary: a zero board count used to restore `Ok` and then divide
+        // by zero in the timing model at the next force call.
+        let sys = ring_system(8);
+        let (_, e) = faulty(&sys, &[vec![0, 1]], FaultPlan::empty());
+        let state = e.checkpoint_state();
+        let restore = |at: std::ops::Range<usize>, bytes: &[u8]| {
+            let mut damaged = state.clone();
+            damaged[at].copy_from_slice(bytes);
+            FaultTolerantEngine::new(Grape6Config::single_host(), &FaultPlan::empty())
+                .restore_checkpoint_state(&damaged)
+        };
+        assert_eq!(restore(0..0, &[]), Ok(()));
+        for at in [80..88, 88..96] {
+            for boards in [0, u64::MAX] {
+                let err = restore(at.clone(), &boards.to_le_bytes()).unwrap_err();
+                assert!(err.contains("boards_per_host"), "{err}");
+            }
+        }
+        let err = restore(96..97, &[7]).unwrap_err();
+        assert!(err.contains("armed_link_flip"), "{err}");
     }
 }

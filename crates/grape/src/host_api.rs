@@ -10,6 +10,7 @@
 //! driver structure ports over directly.
 
 use crate::engine::{Grape6Config, Grape6Engine};
+use crate::predictor::JParticle;
 use grape6_core::engine::ForceEngine;
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_core::vec3::Vec3;
@@ -21,10 +22,8 @@ pub enum G6Error {
     CalcPending,
     /// `lasthalf` without a preceding `firsthalf`.
     NoCalcPending,
-    /// j index outside the loaded address space.
+    /// j address past the end of the loaded region or of the j-memory.
     BadAddress,
-    /// Board not opened.
-    NotOpen,
 }
 
 impl std::fmt::Display for G6Error {
@@ -33,7 +32,6 @@ impl std::fmt::Display for G6Error {
             G6Error::CalcPending => write!(f, "g6calc already pending"),
             G6Error::NoCalcPending => write!(f, "no g6calc pending"),
             G6Error::BadAddress => write!(f, "bad j-particle address"),
-            G6Error::NotOpen => write!(f, "cluster not open"),
         }
     }
 }
@@ -42,26 +40,26 @@ impl std::error::Error for G6Error {}
 
 /// An open GRAPE-6 "cluster" handle, in the style of the C host library.
 pub struct G6Handle {
-    engine: Option<Grape6Engine>,
-    /// Shadow of the particle data for engine reloads.
-    shadow: ParticleSystem,
+    engine: Grape6Engine,
     /// The predict time set by `set_ti`.
     ti: f64,
     /// Pending firsthalf state: the i-particles awaiting `lasthalf`.
     pending: Option<Vec<IParticle>>,
 }
 
-/// Open the (simulated) hardware — `g6_open(clusterid)`.
+/// Open the (simulated) hardware — `g6_open(clusterid)`. `capacity_hint`
+/// reserves j-memory for that many particles.
 pub fn g6_open(config: Grape6Config, softening: f64, capacity_hint: usize) -> G6Handle {
-    let mut shadow = ParticleSystem::new(softening, 0.0);
-    shadow.pos.reserve(capacity_hint);
-    G6Handle { engine: Some(Grape6Engine::new(config)), shadow, ti: 0.0, pending: None }
+    let mut engine = Grape6Engine::new(config);
+    engine.reset_jmem(softening, capacity_hint);
+    G6Handle { engine, ti: 0.0, pending: None }
 }
 
 impl G6Handle {
     /// `g6_set_j_particle`: write one particle into hardware address
     /// `address`. Addresses must be filled densely from 0 (as the DMA does);
-    /// rewriting an existing address updates it.
+    /// rewriting an existing address updates it. A hole, or an append past
+    /// the node's j-memory capacity, is [`G6Error::BadAddress`].
     #[allow(clippy::too_many_arguments)]
     pub fn set_j_particle(
         &mut self,
@@ -73,33 +71,16 @@ impl G6Handle {
         jerk: Vec3,
         t0: f64,
     ) -> Result<(), G6Error> {
-        let n = self.shadow.len();
-        match address.cmp(&n) {
-            std::cmp::Ordering::Less => {
-                self.shadow.pos[address] = pos;
-                self.shadow.vel[address] = vel;
-                self.shadow.acc[address] = acc;
-                self.shadow.jerk[address] = jerk;
-                self.shadow.mass[address] = mass;
-                self.shadow.time[address] = t0;
-                // Update the live engine mirror if already loaded.
-                if let Some(engine) = &mut self.engine {
-                    if engine.n_j() == n {
-                        engine.update_j(&self.shadow, &[address]);
-                    }
-                }
-                Ok(())
-            }
-            std::cmp::Ordering::Equal => {
-                self.shadow.push(pos, vel, mass);
-                self.shadow.acc[address] = acc;
-                self.shadow.jerk[address] = jerk;
-                self.shadow.time[address] = t0;
-                // Appending invalidates the load; reload lazily at firsthalf.
-                Ok(())
-            }
-            std::cmp::Ordering::Greater => Err(G6Error::BadAddress),
-        }
+        let config = &self.engine.config;
+        let word =
+            JParticle::encode(&config.format, config.precision, pos, vel, acc, jerk, mass, t0);
+        self.engine.write_j(address, word).map_err(|_| G6Error::BadAddress)
+    }
+
+    /// Particle `i` of `sys` into address `i`.
+    fn set_from_system(&mut self, sys: &ParticleSystem, i: usize) -> Result<(), G6Error> {
+        let (acc, jerk) = (sys.acc[i], sys.jerk[i]);
+        self.set_j_particle(i, sys.mass[i], sys.pos[i], sys.vel[i], acc, jerk, sys.time[i])
     }
 
     /// `g6_set_ti`: set the prediction time for the next force calculation.
@@ -109,7 +90,7 @@ impl G6Handle {
 
     /// Loaded j-particle count.
     pub fn n_j(&self) -> usize {
-        self.shadow.len()
+        self.engine.n_j()
     }
 
     /// `g6calc_firsthalf`: start the pipeline sweep for the given
@@ -121,10 +102,6 @@ impl G6Handle {
         if self.pending.is_some() {
             return Err(G6Error::CalcPending);
         }
-        let engine = self.engine.as_mut().ok_or(G6Error::NotOpen)?;
-        if engine.n_j() != self.shadow.len() {
-            engine.load(&self.shadow);
-        }
         self.pending = Some(ips.to_vec());
         Ok(())
     }
@@ -133,9 +110,8 @@ impl G6Handle {
     /// `calc_firsthalf`.
     pub fn calc_lasthalf(&mut self) -> Result<Vec<ForceResult>, G6Error> {
         let ips = self.pending.take().ok_or(G6Error::NoCalcPending)?;
-        let engine = self.engine.as_mut().ok_or(G6Error::NotOpen)?;
         let mut out = vec![ForceResult::default(); ips.len()];
-        engine.compute(self.ti, &ips, &mut out);
+        self.engine.compute(self.ti, &ips, &mut out);
         Ok(out)
     }
 
@@ -147,13 +123,12 @@ impl G6Handle {
 
     /// Modeled hardware seconds accumulated.
     pub fn hardware_seconds(&self) -> f64 {
-        self.engine.as_ref().map_or(0.0, |e| e.clock().seconds())
+        self.engine.clock().seconds()
     }
 
     /// `g6_close`: release the hardware; returns the performance report.
-    pub fn close(mut self) -> crate::perf::PerfReport {
-        let engine = self.engine.take().expect("already closed");
-        engine.perf_report()
+    pub fn close(self) -> crate::perf::PerfReport {
+        self.engine.perf_report()
     }
 }
 
@@ -162,33 +137,15 @@ impl G6Handle {
 /// produce identical trajectories (see the tests).
 impl ForceEngine for G6Handle {
     fn load(&mut self, sys: &ParticleSystem) {
-        self.shadow = ParticleSystem::new(sys.softening, 0.0);
+        self.engine.reset_jmem(sys.softening, sys.len());
         for i in 0..sys.len() {
-            self.set_j_particle(
-                i,
-                sys.mass[i],
-                sys.pos[i],
-                sys.vel[i],
-                sys.acc[i],
-                sys.jerk[i],
-                sys.time[i],
-            )
-            .expect("dense fill cannot fail");
+            self.set_from_system(sys, i).expect("particle set exceeds node j-memory capacity");
         }
     }
 
     fn update_j(&mut self, sys: &ParticleSystem, indices: &[usize]) {
         for &i in indices {
-            self.set_j_particle(
-                i,
-                sys.mass[i],
-                sys.pos[i],
-                sys.vel[i],
-                sys.acc[i],
-                sys.jerk[i],
-                sys.time[i],
-            )
-            .expect("update of a loaded address cannot fail");
+            self.set_from_system(sys, i).expect("update of a loaded address cannot fail");
         }
     }
 
@@ -199,13 +156,11 @@ impl ForceEngine for G6Handle {
     }
 
     fn interaction_count(&self) -> u64 {
-        self.engine.as_ref().map_or(0, |e| e.interaction_count())
+        self.engine.interaction_count()
     }
 
     fn reset_counters(&mut self) {
-        if let Some(e) = &mut self.engine {
-            e.reset_counters();
-        }
+        self.engine.reset_counters();
     }
 
     fn name(&self) -> &'static str {
@@ -217,22 +172,26 @@ impl ForceEngine for G6Handle {
 mod tests {
     use super::*;
 
-    fn handle_with_ring(n: usize) -> G6Handle {
-        let mut h = g6_open(Grape6Config::sc2002(), 0.008, n);
+    fn ring(n: usize, r: f64) -> ParticleSystem {
+        let mut sys = ParticleSystem::new(0.008, 1.0);
+        let v = grape6_core::units::circular_speed(r, 1.0);
         for k in 0..n {
             let th = k as f64 * std::f64::consts::TAU / n as f64;
-            let r = 20.0;
-            let v = grape6_core::units::circular_speed(r, 1.0);
-            h.set_j_particle(
-                k,
-                1e-9,
+            sys.push(
                 Vec3::new(r * th.cos(), r * th.sin(), 0.0),
                 Vec3::new(-v * th.sin(), v * th.cos(), 0.0),
-                Vec3::zero(),
-                Vec3::zero(),
-                0.0,
-            )
-            .unwrap();
+                1e-9,
+            );
+        }
+        sys
+    }
+
+    fn handle_with_ring(n: usize) -> G6Handle {
+        let mut h = g6_open(Grape6Config::sc2002(), 0.008, n);
+        let sys = ring(n, 20.0);
+        for k in 0..n {
+            h.set_j_particle(k, 1e-9, sys.pos[k], sys.vel[k], Vec3::zero(), Vec3::zero(), 0.0)
+                .unwrap();
         }
         h
     }
@@ -277,6 +236,45 @@ mod tests {
             h.set_j_particle(3, 1e-9, Vec3::zero(), Vec3::zero(), Vec3::zero(), Vec3::zero(), 0.0),
             Err(G6Error::BadAddress)
         );
+    }
+
+    #[test]
+    fn append_past_the_j_memory_is_a_bad_address() {
+        // 2 chips × 2 words: the fifth particle has nowhere to go.
+        let mut config = Grape6Config::single_host();
+        config.timing.geometry.board.chips = 2;
+        config.timing.geometry.board.chip.jmem_capacity = 2;
+        let mut h = g6_open(config, 0.008, 8);
+        let sys = ring(5, 20.0);
+        for k in 0..4 {
+            assert_eq!(h.set_from_system(&sys, k), Ok(()));
+        }
+        assert_eq!(h.set_from_system(&sys, 4), Err(G6Error::BadAddress));
+        assert_eq!(h.n_j(), 4);
+        // Overwriting a resident address still works on a full memory.
+        assert_eq!(h.set_from_system(&sys, 3), Ok(()));
+    }
+
+    #[test]
+    fn reload_of_the_same_n_replaces_the_first_system() {
+        // `ForceEngine::load` is "(re)load the complete particle set": after
+        // a second load of as many particles, forces come from the second
+        // set — bit for bit a fresh engine's.
+        let (first, second) = (ring(46, 20.0), ring(46, 31.0));
+        let ips: Vec<IParticle> = (0..46)
+            .map(|i| IParticle { index: i, pos: second.pos[i], vel: second.vel[i] })
+            .collect();
+        let mut got = vec![ForceResult::default(); 46];
+        let mut want = got.clone();
+        let mut h = g6_open(Grape6Config::sc2002(), 0.008, 46);
+        h.load(&first);
+        h.compute(0.0, &ips, &mut got);
+        h.load(&second);
+        h.compute(0.0, &ips, &mut got);
+        let mut fresh = Grape6Engine::sc2002();
+        fresh.load(&second);
+        fresh.compute(0.0, &ips, &mut want);
+        assert_eq!(got, want);
     }
 
     #[test]

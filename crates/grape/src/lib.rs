@@ -20,7 +20,15 @@
 //!
 //! [`engine::Grape6Engine`] packages all of this as a
 //! [`grape6_core::engine::ForceEngine`], so the same block-timestep Hermite
-//! host code drives either the CPU reference or the simulated hardware.
+//! host code drives either the CPU reference or the simulated hardware. Its
+//! j-memory has one write port ([`engine::Grape6Engine::write_j`], the
+//! library's `g6_set_j_particle`): `load` and `update_j` are host-side encode
+//! loops over it, and so are the two engines layered on it, the C-style
+//! [`host_api::G6Handle`] and the dual-modular
+//! [`fault_engine::FaultTolerantEngine`]. The fully-routed data paths —
+//! every packet over the wire protocol and the board structure — are one
+//! engine too, [`cluster_engine::ClusterEngine`]: one host is the routed
+//! node, four the production cluster, both bit-identical to the flat engine.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -38,7 +46,6 @@ pub mod lanes;
 pub mod link;
 pub mod network;
 pub mod node;
-pub mod node_engine;
 pub mod parallel_models;
 pub mod perf;
 pub mod pipeline;
@@ -61,7 +68,6 @@ pub use lanes::{GrapeJLanes, GrapeLaneTile, SweepPartial};
 pub use link::{Link, WireFormat};
 pub use network::{NetworkMode, NetworkTree};
 pub use node::{Grape6Node, NodeTraffic};
-pub use node_engine::NodeEngine;
 pub use parallel_models::{ParallelModel, Strategy};
 pub use perf::{HardwareClock, PerfReport};
 pub use redundancy::{compare_units, recover, scrub, Recovery, RedundancyReport};

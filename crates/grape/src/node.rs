@@ -18,7 +18,6 @@ use crate::predictor::JParticle;
 use crate::wire;
 use bytes::{Bytes, BytesMut};
 use grape6_core::particle::ForceResult;
-use grape6_core::vec3::Vec3;
 
 /// Byte-transfer statistics of a node (what crossed which wire).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -110,35 +109,33 @@ impl Grape6Node {
         self.eps2 = eps * eps;
     }
 
-    /// Load a j-particle set, distributing it over the boards (block
-    /// distribution, matching the DMA order of the real hardware). The data
-    /// arrives as a wire-encoded stream, as it would over the host port.
-    pub fn load_j_stream(&mut self, stream: Bytes) -> Result<(), crate::chip::ChipError> {
-        let particles = wire::decode_j_block(stream.clone());
-        self.traffic.j_bytes += stream.len() as u64;
-        if particles.len() > self.capacity() {
+    /// Deal `particles` over the boards in service in contiguous blocks (the
+    /// DMA order of the real hardware), rebuilding the routing table; boards
+    /// out of service end up empty.
+    fn distribute(&mut self, particles: &[JParticle]) -> Result<(), crate::chip::ChipError> {
+        let capacity = self.capacity();
+        if particles.len() > capacity {
             return Err(crate::chip::ChipError::MemoryOverflow {
                 requested: particles.len(),
-                capacity: self.capacity(),
+                capacity,
             });
         }
         self.routes.clear();
-        let live: Vec<usize> = (0..self.boards.len()).filter(|&b| !self.failed[b]).collect();
-        let per_board = particles.len().div_ceil(live.len()).max(1);
+        let per_board = particles.len().div_ceil(self.live_boards()).max(1);
         let mut chunks = particles.chunks(per_board);
-        for &b in &live {
-            let chunk = chunks.next().unwrap_or(&[]);
-            self.boards[b].load_j(chunk)?;
-            for s in 0..chunk.len() {
-                self.routes.push((b, s));
-            }
-        }
-        for (b, dead) in self.failed.iter().enumerate() {
-            if *dead {
-                self.boards[b].load_j(&[])?;
-            }
+        for (b, board) in self.boards.iter_mut().enumerate() {
+            let chunk = if self.failed[b] { &[] } else { chunks.next().unwrap_or(&[]) };
+            board.load_j(chunk)?;
+            self.routes.extend((0..chunk.len()).map(|s| (b, s)));
         }
         Ok(())
+    }
+
+    /// Load a j-particle set, distributing it over the boards. The data
+    /// arrives as a wire-encoded stream, as it would over the host port.
+    pub fn load_j_stream(&mut self, stream: Bytes) -> Result<(), crate::chip::ChipError> {
+        self.traffic.j_bytes += stream.len() as u64;
+        self.distribute(&wire::decode_j_block(stream))
     }
 
     /// Convenience: encode + load.
@@ -199,26 +196,10 @@ impl Grape6Node {
         let particles: Vec<JParticle> =
             (0..self.routes.len()).map(|k| *self.peek_j(k).expect("routed j missing")).collect();
         self.failed[board] = true;
-        let live: Vec<usize> = (0..self.boards.len()).filter(|&b| !self.failed[b]).collect();
-        let cap: usize = live.iter().map(|&b| self.boards[b].geometry.jmem_capacity()).sum();
-        if particles.len() > cap {
+        if let Err(overflow) = self.distribute(&particles) {
             self.failed[board] = false;
-            return Err(crate::chip::ChipError::MemoryOverflow {
-                requested: particles.len(),
-                capacity: cap,
-            });
+            return Err(overflow);
         }
-        self.routes.clear();
-        let per_board = particles.len().div_ceil(live.len()).max(1);
-        let mut chunks = particles.chunks(per_board);
-        for &b in &live {
-            let chunk = chunks.next().unwrap_or(&[]);
-            self.boards[b].load_j(chunk)?;
-            for s in 0..chunk.len() {
-                self.routes.push((b, s));
-            }
-        }
-        self.boards[board].load_j(&[])?;
         self.traffic.j_bytes += (migrated * wire::J_PACKET_BYTES) as u64;
         Ok(migrated)
     }
@@ -292,24 +273,10 @@ impl Grape6Node {
     }
 }
 
-/// Helper: encode a host-side particle state for this node's formats.
-#[allow(clippy::too_many_arguments)]
-pub fn encode_host_particle(
-    format: &FixedPointFormat,
-    precision: Precision,
-    pos: Vec3,
-    vel: Vec3,
-    acc: Vec3,
-    jerk: Vec3,
-    mass: f64,
-    t0: f64,
-) -> JParticle {
-    JParticle::encode(format, precision, pos, vel, acc, jerk, mass, t0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grape6_core::vec3::Vec3;
 
     fn small_node() -> Grape6Node {
         let board = BoardGeometry {
@@ -340,7 +307,7 @@ mod tests {
         let js: Vec<JParticle> = (1..=10).map(|k| j_at(k as f64, 1e-6)).collect();
         node.load_j(&js).unwrap();
         assert_eq!(node.n_j(), 10);
-        assert!(node.traffic().j_bytes >= 10 * wire::J_PACKET_BYTES as u64);
+        assert_eq!(node.traffic().j_bytes, 10 * wire::J_PACKET_BYTES as u64);
     }
 
     #[test]
@@ -370,8 +337,8 @@ mod tests {
             })
             .sum();
         assert!((out[0].acc.x - expect).abs() < 1e-10, "{} vs {expect}", out[0].acc.x);
-        assert!(node.traffic().i_bytes > 0);
-        assert!(node.traffic().f_bytes > 0);
+        assert_eq!(node.traffic().i_bytes, wire::I_PACKET_BYTES as u64);
+        assert_eq!(node.traffic().f_bytes, wire::F_PACKET_BYTES as u64);
     }
 
     #[test]

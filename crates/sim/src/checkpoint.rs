@@ -497,6 +497,27 @@ mod tests {
     }
 
     #[test]
+    fn damaged_grape6_ft_engine_state_rejected() {
+        // G6CK has no checksum: a zeroed board count inside the engine blob
+        // must come back as an error from the decoder, not as a resumed run
+        // that divides by zero at its first force call.
+        use grape6_hw::{FaultPlan, FaultTolerantEngine, Grape6Config};
+        let engine = || FaultTolerantEngine::new(Grape6Config::single_host(), &FaultPlan::empty());
+        let sys = DiskBuilder::paper(16).with_seed(7).build();
+        let mut raw = encode_checkpoint(&Simulation::new(sys, cfg(), engine())).to_vec();
+        assert!(decode_checkpoint(bytes::Bytes::from(raw.clone()), engine()).is_ok());
+        let pat = b"grape6-ft";
+        // Name, u32 state length, then the blob; unit A's boards at 80..88.
+        let blob = raw.windows(pat.len()).rposition(|w| w == pat).unwrap() + pat.len() + 4;
+        raw[blob + 80..blob + 88].fill(0);
+        let err = match decode_checkpoint(bytes::Bytes::from(raw), engine()) {
+            Err(e) => e,
+            Ok(_) => panic!("zero boards_per_host accepted"),
+        };
+        assert!(err.to_string().contains("boards_per_host"), "{err}");
+    }
+
+    #[test]
     fn garbage_and_truncation_rejected() {
         assert!(decode_checkpoint(bytes::Bytes::from_static(b"nope"), DirectEngine::new()).is_err());
         let good = encode_checkpoint(&fresh(16, 7));

@@ -50,7 +50,7 @@ pub mod prelude {
     };
     pub use grape6_hw::{
         ClusterEngine, FaultPlan, FaultTolerantEngine, FixedPointFormat, Grape6Config,
-        Grape6Engine, MachineGeometry, NodeEngine, PerfReport, Precision, TimingModel,
+        Grape6Engine, MachineGeometry, PerfReport, Precision, TimingModel,
     };
     pub use grape6_sim::{
         decode_checkpoint, encode_checkpoint, load_checkpoint, run_ensemble, save_checkpoint,

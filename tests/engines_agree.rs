@@ -134,7 +134,7 @@ fn engine_matrix_agrees_across_block_sizes_softened() {
                 assert!(dj <= oracle.jerk[i], "{tag}: particle {i} |Δjerk| {dj:e}");
             }
             // Routed data paths: forces bitwise (nn stays on the flat chip).
-            let node = forces_blocked(&mut NodeEngine::production(), sys, block);
+            let node = forces_blocked(&mut ClusterEngine::single_node(), sys, block);
             let cluster = forces_blocked(&mut ClusterEngine::production(), sys, block);
             for (i, (n, c)) in node.iter().zip(&cluster).enumerate() {
                 assert_eq!(n.acc, hw[i].acc, "{tag}: node particle {i} acc");

@@ -1,14 +1,14 @@
 //! The strongest hardware-model statement in the suite: an entire
-//! block-timestep integration through the *fully-routed* node (wire packets,
-//! per-board j-slices, reduction merges) is **bit-identical** to the fast
-//! flat-memory engine. This is the software proof of the property the
+//! block-timestep integration through the *fully-routed* machine (wire
+//! packets, per-board j-slices, reduction merges; at four hosts also the
+//! write-back exchange and the blockstep barrier) is **bit-identical** to the
+//! fast flat-memory engine. This is the software proof of the property the
 //! GRAPE-6 designers built in hardware: fixed-point accumulation makes the
 //! reduction order irrelevant, so topology cannot change the answer.
 
 mod common;
 
 use grape6::prelude::*;
-use grape6_hw::NodeEngine;
 
 fn disk() -> grape6_core::particle::ParticleSystem {
     common::disk(96, 123)
@@ -21,15 +21,14 @@ fn full_integration_is_bit_identical_across_data_paths() {
     let mut sim_flat = Simulation::new(disk(), config, Grape6Engine::sc2002());
     sim_flat.run_to(4.0, 0.0);
 
-    let mut sim_routed = Simulation::new(disk(), config, NodeEngine::production());
-    sim_routed.run_to(4.0, 0.0);
+    // The routed single node, then the four-host cluster.
+    for routed in [ClusterEngine::single_node(), ClusterEngine::production()] {
+        let tag = format!("{} host(s)", routed.hosts());
+        let mut sim_routed = Simulation::new(disk(), config, routed);
+        sim_routed.run_to(4.0, 0.0);
 
-    assert_eq!(sim_flat.stats().block_steps, sim_routed.stats().block_steps);
-    assert_eq!(sim_flat.sys.t, sim_routed.sys.t);
-    for i in 0..sim_flat.sys.len() {
-        assert_eq!(sim_flat.sys.pos[i], sim_routed.sys.pos[i], "particle {i} position");
-        assert_eq!(sim_flat.sys.vel[i], sim_routed.sys.vel[i], "particle {i} velocity");
-        assert_eq!(sim_flat.sys.dt[i], sim_routed.sys.dt[i], "particle {i} timestep");
+        assert_eq!(sim_flat.stats(), sim_routed.stats(), "{tag}");
+        common::assert_systems_bit_equal(&sim_flat.sys, &sim_routed.sys, &tag);
     }
 }
 
