@@ -15,17 +15,51 @@
 //! Exit status is nonzero if the run produces no work or the checkpoint
 //! cannot be written/reloaded.
 
-use grape6_bench::report::NullForceEngine;
 use grape6_bench::{arg_or, experiment_config, fmt, paper_disk, print_header, print_row};
 use grape6_core::blockstep::SchedulerKind;
 use grape6_core::energy::EnergyLedger;
+use grape6_core::engine::ForceEngine;
 use grape6_core::integrator::BlockHermite;
+use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_sim::checkpoint::{checkpoint_now, load_checkpoint};
 use grape6_sim::stats::BlockSizeHistogram;
 use grape6_sim::{Simulation, Telemetry, TelemetryReport};
 use serde::Serialize;
 use std::path::Path;
 use std::time::Instant;
+
+/// A force engine that computes no pairwise forces: every result is zero,
+/// so the Sun's central potential (applied host-side by the integrator) is
+/// the only acceleration and still spreads particles across realistic
+/// timestep rungs, and the *host* paths — scheduling, prediction,
+/// correction, j-update batching — are the entire cost of a block step.
+#[derive(Debug, Default)]
+struct NullForceEngine {
+    n_j: usize,
+    interactions: u64,
+}
+
+impl ForceEngine for NullForceEngine {
+    fn load(&mut self, sys: &ParticleSystem) {
+        self.n_j = sys.len();
+    }
+
+    fn update_j(&mut self, _sys: &ParticleSystem, _indices: &[usize]) {}
+
+    fn compute(&mut self, _t: f64, ips: &[IParticle], out: &mut [ForceResult]) {
+        // The hardware convention: every i against every resident j.
+        self.interactions += (ips.len() as u64) * (self.n_j as u64);
+        out.fill(ForceResult::default());
+    }
+
+    fn interaction_count(&self) -> u64 {
+        self.interactions
+    }
+
+    fn name(&self) -> &'static str {
+        "null"
+    }
+}
 
 /// The telemetry artifact the weekly cron uploads.
 #[derive(Debug, Serialize)]
@@ -186,4 +220,23 @@ fn main() -> std::process::ExitCode {
     }
     println!("report -> {out}");
     std::process::ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn null_engine_reports_zero_forces_and_hardware_counters() {
+        let sys = paper_disk(8, 1);
+        let mut e = NullForceEngine::default();
+        e.load(&sys);
+        let ips: Vec<IParticle> = (0..sys.len())
+            .map(|i| IParticle { index: i, pos: sys.pos[i], vel: sys.vel[i] })
+            .collect();
+        let mut out = vec![ForceResult::default(); sys.len()];
+        e.compute(0.0, &ips, &mut out);
+        assert_eq!(e.interaction_count(), (sys.len() * sys.len()) as u64);
+        assert!(out.iter().all(|r| r.acc == grape6_core::vec3::Vec3::zero() && r.nn.is_none()));
+    }
 }

@@ -7,11 +7,11 @@
 //!          [--out service_latency.json]
 //! ```
 //!
-//! Default is the standard 256-job / 4-tenant pass (the configuration the
-//! shipped `BENCH_report.json` embeds); `--smoke` is the 64-job / 2-tenant
-//! CI gate. Explicit flags override either base. The process exits
-//! nonzero if any contract fails: a lost or wedged job, a duplicate that
-//! is not a cache hit, or any result byte differing from a fresh rerun.
+//! Default is the standard 256-job / 4-tenant pass; `--smoke` is the
+//! 64-job / 2-tenant CI gate. Explicit flags override either base (a value
+//! that does not parse is a usage error, exit 2). The process exits nonzero
+//! if any contract fails: a lost or wedged job, a duplicate that is not a
+//! cache hit, or any result byte differing from a fresh rerun.
 
 use grape6_bench::arg_or;
 use grape6_bench::loadgen::{run_load_gen, LoadGenConfig};

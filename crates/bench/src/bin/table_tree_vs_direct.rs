@@ -19,6 +19,7 @@ use std::time::Instant;
 
 fn main() {
     let n: usize = arg_or("--n", 8192);
+    let t_run: f64 = arg_or("--t", 24.0);
     println!("E5: tree vs direct (paper §3), N = {n}\n");
 
     // --- Table 1: accuracy vs opening angle ---
@@ -57,7 +58,6 @@ fn main() {
     // --- Table 2: wall time per block step under individual timesteps ---
     println!("\ncost under the block individual-timestep driver (same trajectory length):");
     print_header(&["engine", "blocks", "mean block", "wall (s)", "s/blockstep"], 14);
-    let t_run: f64 = arg_or("--t", 24.0);
     for engine_name in ["direct", "tree"] {
         let sys = paper_disk(n, 3);
         let start = Instant::now();

@@ -1,16 +1,17 @@
 //! # grape6-bench
 //!
-//! The benchmark harness: one binary per experiment of DESIGN.md §4
-//! (`table_headline`, `fig13_gaps`, `table_hardware`, `table_blockstep`,
-//! `table_tree_vs_direct`, `table_network_scaling`, `table_small_blocks`,
-//! `table_scattering`, `table_accuracy`), plus Criterion micro-benches of
-//! the hot kernels. This library holds the shared table-printing and
-//! workload helpers.
+//! One binary per experiment of DESIGN.md §4 (`table_headline`,
+//! `fig13_gaps`, `table_hardware`, `table_blockstep`, `table_tree_vs_direct`,
+//! `table_network_scaling`, `table_small_blocks`, `table_scattering`,
+//! `table_accuracy`), the job-service load generator (`load_gen`,
+//! [`loadgen`]), the 1.8M-body host-path smoke (`large_n_smoke`) and
+//! Criterion micro-benches of the hot kernels; wall-clock performance is
+//! measured by the standalone `benchmark/` package, not here. This library
+//! holds the shared table-printing, workload and flag helpers.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 pub mod loadgen;
-pub mod report;
 
 use grape6_core::integrator::HermiteConfig;
 use grape6_core::particle::ParticleSystem;
@@ -56,18 +57,31 @@ pub fn experiment_config() -> HermiteConfig {
     HermiteConfig { dt_max: 2.0f64.powi(3), ..HermiteConfig::default() }
 }
 
-/// Parse a `--key value` style argument from the command line, with a
-/// default. Accepts integers and floats via `FromStr`.
+/// The typed value of `--key value` in `argv`: `None` when the flag is
+/// absent, an error naming flag and text when the value is bad or missing.
+fn parse_arg<T: std::str::FromStr>(argv: &[String], key: &str) -> Result<Option<T>, String> {
+    let Some(at) = argv.iter().position(|a| a == key) else {
+        return Ok(None);
+    };
+    let Some(text) = argv.get(at + 1) else {
+        return Err(format!("{key} needs a value"));
+    };
+    text.parse().map(Some).map_err(|_| format!("invalid value '{text}' for {key}"))
+}
+
+/// Parse a `--key value` style argument from the command line (integers,
+/// floats and strings via `FromStr`), with a default for an absent flag. A
+/// bad or missing value is a usage error — stderr, exit status 2 — never the
+/// default: a typo in `--n` must not start the full 1.8M-body run.
 pub fn arg_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == key {
-            if let Ok(v) = w[1].parse() {
-                return v;
-            }
+    let argv: Vec<String> = std::env::args().collect();
+    match parse_arg(&argv, key) {
+        Ok(value) => value.unwrap_or(default),
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            std::process::exit(2);
         }
     }
-    default
 }
 
 #[cfg(test)]
@@ -93,5 +107,13 @@ mod tests {
     fn arg_or_returns_default_without_flag() {
         assert_eq!(arg_or("--nonexistent-flag", 42usize), 42);
         assert_eq!(arg_or("--nonexistent-flag", 2.5f64), 2.5);
+    }
+
+    #[test]
+    fn parse_arg_rejects_unparsable_and_missing_values() {
+        let argv: Vec<String> = ["bin", "--n", "2k", "--steps"].map(String::from).to_vec();
+        assert_eq!(parse_arg::<usize>(&argv, "--n"), Err("invalid value '2k' for --n".into()));
+        assert_eq!(parse_arg::<u64>(&argv, "--steps"), Err("--steps needs a value".into()));
+        assert_eq!(parse_arg::<String>(&argv, "--n"), Ok(Some("2k".into())));
     }
 }

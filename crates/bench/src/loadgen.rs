@@ -13,10 +13,10 @@
 //!
 //! The workload itself is fully seeded: the spec pool, the duplicate
 //! pattern, and the job→client assignment derive from `seed`, so the work
-//! counters in [`ServiceLatencyResult`] are deterministic and exact-gated
-//! by `bench_compare`; only the latency/throughput fields (and the
-//! preemption count and cache-hit/coalesce split, which depend on thread
-//! interleaving) track the host.
+//! counters in [`ServiceLatencyResult`] are deterministic; only the
+//! latency/throughput fields (and the preemption count and
+//! cache-hit/coalesce split, which depend on thread interleaving) track
+//! the host.
 
 use grape6_serve::job::{JobSpec, RunnerSim};
 use grape6_serve::protocol::{hex_decode, JobState, Request, Response};
@@ -24,7 +24,7 @@ use grape6_serve::service::{ServeConfig, TenantQuota};
 use grape6_serve::TcpServer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -61,8 +61,8 @@ pub struct LoadGenConfig {
 }
 
 impl LoadGenConfig {
-    /// The standard configuration the shipped `BENCH_report.json` uses:
-    /// 256 jobs across 4 tenants (the acceptance-scale run).
+    /// The standard configuration, `load_gen`'s default: 256 jobs across
+    /// 4 tenants (the acceptance-scale run).
     pub fn standard() -> Self {
         Self {
             jobs: 256,
@@ -75,10 +75,9 @@ impl LoadGenConfig {
             n_min: 24,
             n_max: 48,
             // Heavy enough that a primary job costs ~10 ms of simulation
-            // across several slices: latencies are compute-dominated (stable
-            // under the slowdown gate, well above its 1 ms noise floor) and
-            // the fair-share preemption path runs under real load, not just
-            // in the unit tests.
+            // across several slices: latencies are compute-dominated and the
+            // fair-share preemption path runs under real load, not just in
+            // the unit tests.
             t_end: 8.0,
             verify_fresh: 4,
         }
@@ -95,15 +94,15 @@ impl LoadGenConfig {
     }
 }
 
-/// The `service_latency` section of `BENCH_report.json` (schema v6).
+/// What one load-generation pass measured (`load_gen --out` writes it as
+/// `service_latency.json`).
 ///
 /// Work counters (`jobs` through `block_steps`) are deterministic for a
-/// given config and exact-gated by `bench_compare`. The latency and
-/// throughput fields track the host and are gated slowdown-only; the
+/// given config. The latency and throughput fields track the host; the
 /// preemption count and the cache-hit/coalesce split depend on thread
 /// interleaving and are informational (their *sum*, `duplicate_hits`, is
-/// deterministic and exact-gated).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// deterministic).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServiceLatencyResult {
     /// Jobs submitted.
     pub jobs: u64,
@@ -265,7 +264,7 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 }
 
 /// Run the full load-generation pass against an in-process TCP server and
-/// verify every exactness contract. Returns the report section; `Err` is a
+/// verify every exactness contract. Returns the measurements; `Err` is a
 /// contract violation (lost job, non-identical duplicate, …).
 pub fn run_load_gen(cfg: &LoadGenConfig) -> Result<ServiceLatencyResult, String> {
     assert!(cfg.jobs >= 1 && cfg.tenants >= 1 && cfg.clients_per_tenant >= 1);
@@ -428,29 +427,6 @@ pub fn run_load_gen(cfg: &LoadGenConfig) -> Result<ServiceLatencyResult, String>
         wall_seconds,
         jobs_per_second: cfg.jobs as f64 / wall_seconds,
     })
-}
-
-/// The standard (256-job / 4-tenant) section the shipped report uses.
-///
-/// Min-of-reps on the tail: the pass runs twice and the rep with the lower
-/// p99 is kept. Closed-loop tail latency on an oversubscribed host is
-/// queueing-dominated and spiky; the minimum absorbs one-off scheduler
-/// stalls (same reasoning as the host-phase microbench reps) while the
-/// work counters are identical across reps by determinism — asserted here.
-pub fn standard_service_latency() -> ServiceLatencyResult {
-    let cfg = LoadGenConfig::standard();
-    let a = run_load_gen(&cfg).expect("service latency contracts hold");
-    let b = run_load_gen(&cfg).expect("service latency contracts hold (rep 2)");
-    assert_eq!(
-        (a.unique_specs, a.duplicate_hits, a.completed, a.block_steps),
-        (b.unique_specs, b.duplicate_hits, b.completed, b.block_steps),
-        "work counters must be rep-identical"
-    );
-    if b.p99_ms < a.p99_ms {
-        b
-    } else {
-        a
-    }
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ use crate::vec3::Vec3;
 /// compile-time constant chosen by end-to-end measurement (README, "SIMD
 /// kernels"): the output bits cannot depend on it, so it is not an option.
 /// The kernels stay generic over `W`; retuning for another CPU is this one
-/// constant, backed by `bench_report`'s `kernel_microbench`.
+/// constant, backed by `benchmark`'s `core.force.interactions_per_s` (`direct_16k`).
 pub const LANE_WIDTH: usize = 8;
 
 /// Sentinel for "no self-index to skip" / "no neighbour seen yet".

@@ -47,7 +47,7 @@ use grape6_core::vec3::Vec3;
 /// kernels": 4 beats 8 on 10 of 10 `grape6_2k` pairs — the integer limb
 /// lanes fill 256-bit vectors); the output bits cannot depend on it, so it
 /// is not an option. The kernels stay generic over `W`; retuning for another
-/// CPU is this one constant, backed by `bench_report`'s `kernel_microbench`.
+/// CPU is this one constant, backed by `benchmark`'s `grape.engine.interactions_per_s`.
 pub const LANE_WIDTH: usize = 4;
 
 /// Partial pipeline state for one i-particle over one j-chunk. The

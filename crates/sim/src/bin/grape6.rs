@@ -2,7 +2,8 @@
 //!
 //! Subcommands:
 //!
-//! * `gen      --n <N> [--seed <S>] [--no-protoplanets] --out <snap.json>`
+//! * `gen      --n <N> [--seed <S>] [--no-protoplanets] [--production-masses]
+//!             --out <snap.json>`
 //! * `run      --in <snap.json> --t <time>
 //!             [--engine direct|grape6|grape6-ft|tree|hybrid]
 //!             [--theta <θ>] [--near-radius <r>]
@@ -11,7 +12,7 @@
 //!             [--faults <plan.json>] [--checkpoint <file.g6ck>]
 //!             [--checkpoint-every <blocks>] [--resume <file.g6ck>]
 //!             [--scheduler tick|heap]`
-//! * `analyze  --in <snap.json> [--bins <B>]`
+//! * `analyze  --in <snap.json> [--bins <B>] [--protoplanets <K>]`
 //! * `perf     --n <N> --block <n_act>`
 //!
 //! Times are in simulation units (1 yr = 2π); snapshots are JSON, or the
@@ -23,8 +24,11 @@
 //! block steps (default 256) and once at the end; `--resume` restarts from
 //! such a file bit-identically (pass the same `--engine`; `--in` is then
 //! ignored). `--engine tree` is the Barnes-Hut baseline: the hybrid engine
-//! at a zero neighbour radius. A flag value that does not parse is an error,
-//! never a silent default.
+//! at a zero neighbour radius. `gen --production-masses` keeps the paper's
+//! per-body masses instead of the ring's total mass; `analyze --protoplanets`
+//! is how many of the heaviest bodies to set aside (default 2). An unknown
+//! flag, a valued flag with no value and a value that does not parse are
+//! errors before any work or output — never a silent default.
 
 use grape6_core::blockstep::SchedulerKind;
 use grape6_core::engine::ForceEngine;
@@ -54,6 +58,25 @@ impl Args {
 
     fn subcommand(&self) -> Option<&str> {
         self.argv.first().map(|s| s.as_str())
+    }
+
+    /// Reject what the lookups below would never see: a token outside the
+    /// subcommand's `valued` flags and `switches`, and a valued flag followed
+    /// by nothing or by another flag.
+    fn check(&self, valued: &[&str], switches: &[&str]) -> Result<(), String> {
+        let sub = self.subcommand().unwrap_or_default();
+        let mut rest = self.argv.iter().skip(1);
+        while let Some(token) = rest.next() {
+            if valued.contains(&token.as_str()) {
+                if rest.next().is_none_or(|value| value.starts_with("--")) {
+                    return Err(format!("{token} needs a value"));
+                }
+            } else if !switches.contains(&token.as_str()) {
+                let what = if token.starts_with("--") { "unknown flag" } else { "stray argument" };
+                return Err(format!("{what} '{token}' for {sub}"));
+            }
+        }
+        Ok(())
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -368,12 +391,42 @@ fn cmd_perf(args: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args = Args::new();
-    let done = match args.subcommand() {
-        Some("gen") => cmd_gen(&args),
-        Some("run") => cmd_run(&args),
-        Some("analyze") => cmd_analyze(&args),
-        Some("perf") => cmd_perf(&args),
-        _ => Err("missing or unknown subcommand".into()),
+    // Each subcommand's valued flags and switches; anything else is an error.
+    type Cmd = fn(&Args) -> Result<(), String>;
+    let table: Option<(&[&str], &[&str], Cmd)> = match args.subcommand() {
+        Some("gen") => Some((
+            &["--n", "--seed", "--out"],
+            &["--no-protoplanets", "--production-masses"],
+            cmd_gen,
+        )),
+        Some("run") => Some((
+            &[
+                "--in",
+                "--t",
+                "--engine",
+                "--theta",
+                "--near-radius",
+                "--eta",
+                "--accrete",
+                "--out",
+                "--diag",
+                "--telemetry",
+                "--faults",
+                "--checkpoint",
+                "--checkpoint-every",
+                "--resume",
+                "--scheduler",
+            ],
+            &[],
+            cmd_run,
+        )),
+        Some("analyze") => Some((&["--in", "--bins", "--protoplanets"], &[], cmd_analyze)),
+        Some("perf") => Some((&["--n", "--block"], &[], cmd_perf)),
+        _ => None,
+    };
+    let done = match table {
+        Some((valued, switches, cmd)) => args.check(valued, switches).and_then(|()| cmd(&args)),
+        None => Err("missing or unknown subcommand".into()),
     };
     match done {
         Ok(()) => ExitCode::SUCCESS,

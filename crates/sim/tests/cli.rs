@@ -1,6 +1,6 @@
-//! The `grape6` binary at its trust boundary: a flag value that does not
-//! parse is an error naming the flag and the text — never a silent default —
-//! and `--engine tree` is the hybrid engine at a zero neighbour radius.
+//! The `grape6` binary at its trust boundary: a value that does not parse, an
+//! unknown flag and a valued flag with no value are errors naming the flag —
+//! never a silent default — and `--engine tree` is hybrid at `--near-radius 0`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -50,6 +50,32 @@ fn malformed_flag_values_are_errors_naming_flag_and_text() {
         );
     }
     assert!(!dir.join("never.g6sn").exists(), "a rejected invocation must not write output");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unknown_flags_and_valueless_flags_are_errors_before_any_output() {
+    let dir = scratch("flags");
+    let disk = gen_disk(&dir);
+    let snap = dir.join("never.g6sn").display().to_string();
+    // Unchecked, the first three exit 0 on the default direct engine with no
+    // fault injected, and the fourth takes the next flag as the engine name.
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["run", "--in", &disk, "--t", "2", "--engin", "grape6", "--out", &snap],
+            "unknown flag '--engin' for run",
+        ),
+        (&["run", "--in", &disk, "--t", "2", "--out", &snap, "--engine"], "--engine needs a value"),
+        (&["run", "--in", &disk, "--t", "2", "--out", &snap, "--faults"], "--faults needs a value"),
+        (&["run", "--in", &disk, "--t", "2", "--engine", "--out", &snap], "--engine needs a value"),
+    ];
+    for (args, message) in cases {
+        let out = grape6(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(stderr.contains(message), "{args:?}: expected '{message}', got:\n{stderr}");
+        assert!(!dir.join("never.g6sn").exists(), "{args:?} must not write output");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -71,12 +71,21 @@ fn mid_run_board_failure_completes_with_recovery_telemetry() {
     };
     let mut faulty = faulty_run(n, seed, blocks, &plan);
 
-    let st = faulty.engine.fault_stats();
-    assert_eq!(st.injected, 3, "all scheduled faults must fire");
-    assert_eq!(st.boards_failed, 1);
-    assert!(st.dmr_mismatches >= 1, "SSRAM flip must be caught by the DMR compare");
-    assert!(st.checksum_errors >= 1, "link flip must be caught by the packet checksum");
-    assert!(st.retries >= 2, "recovery must have retried");
+    // Each rung runs exactly once: the SSRAM flip is caught by the DMR
+    // compare, survives its retry, is scrubbed (one word) and retried again;
+    // the link flip is caught by the packet checksum and retried.
+    assert_eq!(
+        faulty.engine.fault_stats(),
+        FaultStats {
+            injected: 3,
+            dmr_mismatches: 1,
+            checksum_errors: 1,
+            retries: 3,
+            scrubs: 1,
+            words_scrubbed: 1,
+            boards_failed: 1,
+        }
+    );
     assert_eq!(faulty.engine.boards_per_host(), (1, 2), "unit A runs degraded");
 
     // The physics is untouched: bit-identical state, hence identical energy.
