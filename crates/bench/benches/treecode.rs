@@ -1,12 +1,12 @@
 //! Criterion benches of the Barnes-Hut baseline: tree build, single
-//! traversals at several opening angles, and the per-blockstep cost that the
-//! §3 argument turns on.
+//! traversals at several opening angles, the per-point and per-group list
+//! walks, and the per-blockstep cost that the §3 argument turns on.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use grape6_core::engine::ForceEngine;
 use grape6_core::particle::{ForceResult, IParticle};
 use grape6_disk::DiskBuilder;
-use grape6_tree::{HybridTreeEngine, Octree};
+use grape6_tree::{HybridTreeEngine, InteractionLists, Octree};
 
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("tree_build");
@@ -29,6 +29,32 @@ fn bench_traverse(c: &mut Criterion) {
             b.iter(|| tree.force_on(black_box(sys.pos[100]), sys.vel[100], th, 6.4e-5, 100))
         });
     }
+    group.finish();
+}
+
+fn bench_lists(c: &mut Criterion) {
+    // The two list walks of the hybrid engine's configuration on the
+    // `hybrid_32k` disk: one point's own lists against the lists a whole
+    // group shares (Barnes' modified algorithm) — the second is the longer
+    // walk, paid once per group instead of once per member.
+    let sys = DiskBuilder::paper(32768).build();
+    let tree = Octree::build(&sys.pos, &sys.vel, &sys.mass);
+    let mut lists = InteractionLists::default();
+    let mut group = c.benchmark_group("tree_lists_n32k");
+    group.bench_function("per_point", |b| {
+        b.iter(|| {
+            tree.interaction_lists(black_box(sys.pos[100]), 0.5, 1.0, &mut lists);
+            lists.len()
+        })
+    });
+    let g = tree.group_of(100, sys.pos[100]).expect("body 100 is a tree body");
+    group.throughput(Throughput::Elements(tree.group_bodies(g).len() as u64));
+    group.bench_function("per_group", |b| {
+        b.iter(|| {
+            tree.group_lists(black_box(g), 0.5, 1.0, &mut lists);
+            lists.len()
+        })
+    });
     group.finish();
 }
 
@@ -57,6 +83,6 @@ fn bench_small_block_cost(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_build, bench_traverse, bench_small_block_cost
+    targets = bench_build, bench_traverse, bench_lists, bench_small_block_cost
 }
 criterion_main!(benches);

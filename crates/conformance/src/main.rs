@@ -17,7 +17,7 @@
 #![forbid(unsafe_code)]
 
 use grape6_conformance::corpus;
-use grape6_conformance::runner::{run_check, run_scenario};
+use grape6_conformance::runner::{run_check, run_scenario, BROKEN_CHECKS};
 use grape6_conformance::scenario::generate;
 use grape6_conformance::shrink::shrink;
 use std::path::PathBuf;
@@ -73,35 +73,36 @@ fn default_corpus() -> Option<PathBuf> {
     p.is_dir().then_some(p)
 }
 
-/// Dev-only self-test: the harness must catch the intentionally broken
+/// Dev-only self-test: the harness must catch every intentionally broken
 /// kernel and minimize the failure to a handful of particles.
 fn broken_kernel_selftest(args: &Args) -> ExitCode {
-    let check = "broken/dropped-pair";
     for seed in args.start_seed..args.start_seed + args.seeds {
         let sc = generate(seed);
         if sc.len() < 2 {
-            continue; // one lone particle cannot expose a dropped pair
+            continue; // one lone particle exposes neither a dropped pair nor a group
         }
-        let Some(detail) = run_check(&sc, check) else {
-            println!("FAIL  seed {seed}: broken kernel escaped the oracle on {}", sc.name);
-            return ExitCode::from(2);
-        };
-        let min = shrink(&sc, check);
-        println!(
-            "caught  seed {seed}: {} ({} particles) minimized to {} particles",
-            sc.name,
-            sc.len(),
-            min.len()
-        );
-        if min.len() > 8 {
-            println!("FAIL  minimized repro still has {} particles (want ≤ 8)", min.len());
-            return ExitCode::from(2);
-        }
-        match corpus::write_failure(&args.failures, &min, check, &detail) {
-            Ok(path) => println!("        repro written to {}", path.display()),
-            Err(e) => {
-                eprintln!("error: cannot write repro: {e}");
+        for &check in BROKEN_CHECKS {
+            let Some(detail) = run_check(&sc, check) else {
+                println!("FAIL  seed {seed}: {check} escaped the oracle on {}", sc.name);
                 return ExitCode::from(2);
+            };
+            let min = shrink(&sc, check);
+            println!(
+                "caught  seed {seed}: {check} on {} ({} particles) minimized to {} particles",
+                sc.name,
+                sc.len(),
+                min.len()
+            );
+            if min.len() > 8 {
+                println!("FAIL  minimized repro still has {} particles (want ≤ 8)", min.len());
+                return ExitCode::from(2);
+            }
+            match corpus::write_failure(&args.failures, &min, check, &detail) {
+                Ok(path) => println!("        repro written to {}", path.display()),
+                Err(e) => {
+                    eprintln!("error: cannot write repro: {e}");
+                    return ExitCode::from(2);
+                }
             }
         }
     }

@@ -14,12 +14,12 @@
 //! Every check is addressable by name so the shrinker can re-run exactly
 //! the failing property while it minimizes a scenario.
 
-use crate::broken::BrokenEngine;
+use crate::broken::{centre_walk_forces, BrokenEngine};
 use crate::metamorphic;
 use crate::oracle::{Oracle, Tolerances, SAFETY};
 use crate::scenario::Scenario;
 use grape6_core::blockstep::SchedulerKind;
-use grape6_core::engine::ForceEngine;
+use grape6_core::engine::{ForceEngine, TreeWork};
 use grape6_core::force::{DirectEngine, ScalarDirectEngine};
 use grape6_core::integrator::{BlockHermite, HermiteConfig};
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
@@ -29,7 +29,8 @@ use grape6_hw::{
     ClusterEngine, FaultPlan, FaultTolerantEngine, Grape6Config, Grape6Engine, ScalarGrape6Engine,
 };
 use grape6_sim::Simulation;
-use grape6_tree::HybridTreeEngine;
+use grape6_tree::hybrid::scalar_group_forces;
+use grape6_tree::{HybridTreeEngine, Octree};
 
 /// One failed check on one scenario.
 #[derive(Debug, Clone)]
@@ -71,7 +72,13 @@ pub const ALL_CHECKS: &[&str] = &[
     "hybrid/predicted-theta0-vs-direct",
     "hybrid/theta-budget",
     "hybrid/counters-reproducible",
+    "hybrid/group-lists-vs-scalar",
 ];
+
+/// The dev-only checks of the intentionally broken kernels
+/// ([`crate::broken`]): each must *fail* on any scenario of two or more
+/// particles, and shrink to a handful.
+pub const BROKEN_CHECKS: &[&str] = &["broken/dropped-pair", "broken/centre-walk"];
 
 fn all_ips(sys: &ParticleSystem) -> Vec<IParticle> {
     (0..sys.len()).map(|i| IParticle { index: i, pos: sys.pos[i], vel: sys.vel[i] }).collect()
@@ -212,6 +219,56 @@ fn forces_blocked<E: ForceEngine>(
     out
 }
 
+/// A group-walking kernel against the scalar oracle of Barnes' modified
+/// algorithm: a couple of block steps in (j-prediction live), every force
+/// must be the scalar sum over its group's `Octree::group_lists` bit for
+/// bit — neighbour and walk counters included — on the large-block path
+/// and the chunked small-block path (blocked by 5), at every production
+/// opening angle. `kernel(isys, t, tree, ips, block, theta, r_near)` returns
+/// the forces on `ips` taken in blocks of `block`, and its walk counters if
+/// it keeps any.
+fn group_lists_vs_scalar(
+    sc: &Scenario,
+    kernel: impl Fn(
+        &ParticleSystem,
+        f64,
+        &Octree,
+        &[IParticle],
+        usize,
+        f64,
+        f64,
+    ) -> (Vec<ForceResult>, Option<TreeWork>),
+) -> Option<String> {
+    let (isys, t) = initialized_system(sc, 2);
+    let ips = predicted_ips(&isys, t);
+    let (ppos, pvel): (Vec<Vec3>, Vec<Vec3>) = ips.iter().map(|ip| (ip.pos, ip.vel)).unzip();
+    let tree = Octree::build(&ppos, &pvel, &isys.mass);
+    let eps2 = isys.softening * isys.softening;
+    let r_near = near_radius(&isys);
+    for theta in [0.3, 0.5, 0.75] {
+        for block in [ips.len(), 5] {
+            let mut want = Vec::with_capacity(ips.len());
+            let mut want_work = TreeWork { builds: 1, ..TreeWork::default() };
+            for is in ips.chunks(block) {
+                let (out, work) = scalar_group_forces(&tree, is, theta, r_near, eps2);
+                want.extend(out);
+                want_work.merge(&work);
+            }
+            let (got, work) = kernel(&isys, t, &tree, &ips, block, theta, r_near);
+            if let Some(d) = cmp_bitwise(&got, &want, 2) {
+                return Some(format!("theta = {theta}, blocks of {block}: {d}"));
+            }
+            if work.is_some_and(|work| work != want_work) {
+                return Some(format!(
+                    "theta = {theta}, blocks of {block}: walk counters {work:?} differ from \
+                     the oracle's {want_work:?}"
+                ));
+            }
+        }
+    }
+    None
+}
+
 fn run_trajectory<E: ForceEngine>(sc: &Scenario, engine: E) -> ParticleSystem {
     let cfg = HermiteConfig { dt_max: sc.dt_max, ..HermiteConfig::default() };
     let mut sim = Simulation::new(sc.sys.clone(), cfg, engine);
@@ -258,7 +315,7 @@ fn cmp_system_bits(a: &ParticleSystem, b: &ParticleSystem) -> Option<String> {
 
 /// Run a single named check on a scenario. Returns `None` on pass, or a
 /// description of the first violation. Unknown names panic (the shrinker
-/// and CLI only pass names from [`ALL_CHECKS`] or `"broken/dropped-pair"`).
+/// and CLI only pass names from [`ALL_CHECKS`] or [`BROKEN_CHECKS`]).
 pub fn run_check(sc: &Scenario, check: &str) -> Option<String> {
     let sys = &sc.sys;
     let t0 = sys.t;
@@ -624,6 +681,25 @@ pub fn run_check(sc: &Scenario, check: &str) -> Option<String> {
             }
             None
         }
+        "hybrid/group-lists-vs-scalar" => {
+            group_lists_vs_scalar(sc, |isys, t, _, ips, block, theta, r_near| {
+                let mut engine = HybridTreeEngine::new(theta, r_near);
+                engine.load(isys);
+                let mut out = vec![ForceResult::default(); ips.len()];
+                for (is, os) in ips.chunks(block).zip(out.chunks_mut(block)) {
+                    engine.compute(t, is, os);
+                }
+                (out, engine.tree_work())
+            })
+        }
+        "broken/centre-walk" => {
+            // Dev-only: a group walk measured from the centre of the group's
+            // box instead of the box. The scalar comparison must flag it.
+            group_lists_vs_scalar(sc, |isys, _, tree, ips, block, theta, r_near| {
+                let eps2 = isys.softening * isys.softening;
+                (centre_walk_forces(tree, ips, block, theta, r_near, eps2), None)
+            })
+        }
         "broken/dropped-pair" => {
             // Dev-only: an intentionally broken kernel that drops the last
             // j-particle from every sum. The oracle must flag it.
@@ -665,14 +741,13 @@ mod tests {
     }
 
     #[test]
-    fn the_broken_kernel_is_caught() {
+    fn the_broken_kernels_are_caught() {
         for seed in 0..6 {
             let sc = generate(seed);
             if sc.len() >= 2 {
-                assert!(
-                    run_check(&sc, "broken/dropped-pair").is_some(),
-                    "seed {seed}: dropped-pair kernel escaped the oracle"
-                );
+                for check in BROKEN_CHECKS {
+                    assert!(run_check(&sc, check).is_some(), "seed {seed}: {check} escaped");
+                }
             }
         }
     }

@@ -100,6 +100,12 @@ pub struct TreeWork {
     /// Walks performed (one per i-particle per force call).
     #[serde(default)]
     pub lists_emitted: u64,
+    /// Tree walks actually performed. Under Barnes' modified algorithm one
+    /// walk emits the list a whole group of i-particles shares, so this
+    /// counts the groups with an active member, summed over force calls,
+    /// while `lists_emitted` keeps counting lists served (one per i).
+    #[serde(default)]
+    pub walks: u64,
 }
 
 impl TreeWork {
@@ -118,6 +124,7 @@ impl TreeWork {
         self.list_len_sum += other.list_len_sum;
         self.list_len_max = self.list_len_max.max(other.list_len_max);
         self.lists_emitted += other.lists_emitted;
+        self.walks += other.walks;
     }
 }
 

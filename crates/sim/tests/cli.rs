@@ -98,3 +98,35 @@ fn engine_tree_is_the_hybrid_engine_at_zero_near_radius() {
     assert_eq!(a, b, "--engine tree must be --engine hybrid --near-radius 0, byte for byte");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn hybrid_resume_under_another_theta_is_refused_naming_both() {
+    // The engine blob carries the configuration that determines the run's
+    // bits: resuming a θ = 0.5 checkpoint with --theta 0.3 would silently
+    // continue a different run.
+    let dir = scratch("resume");
+    let disk = gen_disk(&dir);
+    let ck = dir.join("half.g6ck").display().to_string();
+    let snap = dir.join("never.g6sn").display().to_string();
+    let hybrid = ["--engine", "hybrid", "--near-radius", "1"];
+    let mut first = vec!["run", "--in", &disk, "--t", "4", "--theta", "0.5"];
+    first.extend_from_slice(&hybrid);
+    first.extend_from_slice(&["--checkpoint", &ck, "--checkpoint-every", "4"]);
+    let done = grape6(&first);
+    assert!(done.status.success(), "{}", String::from_utf8_lossy(&done.stderr));
+
+    let mut resume = vec!["run", "--resume", &ck, "--t", "4", "--theta", "0.3", "--out", &snap];
+    resume.extend_from_slice(&hybrid);
+    let out = grape6(&resume);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a resume under another theta must fail");
+    assert!(stderr.contains("0.5") && stderr.contains("0.3"), "must name both values:\n{stderr}");
+    assert!(!dir.join("never.g6sn").exists(), "a refused resume must not write output");
+
+    // The same flags as the checkpointed run resume cleanly.
+    resume[6] = "0.5";
+    let out = grape6(&resume);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(dir.join("never.g6sn").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,17 +1,35 @@
 //! The hybrid tree + direct force engine (Fukushige & Kawai 2016's
 //! production pattern for collisional N-body on GRAPE): far-field forces
 //! from a Barnes-Hut walk emitted as GRAPE-style interaction lists, a
-//! radius-based near-field neighbour list summed directly at full
-//! precision, under the same block individual-timestep host loop as every
-//! other engine.
+//! radius-based near field summed directly at full precision, under the
+//! same block individual-timestep host loop as every other engine.
+//!
+//! The walk is Barnes' modified algorithm, as in both tree-on-GRAPE papers
+//! (Fukushige & Kawai 2016; Kawai, Fukushige & Makino 1999): the active
+//! i-particles are bucketed by tree *group* ([`Octree::group_lists`]), each
+//! group with an active member walks the tree **once**, and the two lists
+//! it emits are swept for all its active members through
+//! [`LaneTile`]s — `LANE_WIDTH` i-lanes, one broadcast j, the shape of the
+//! hardware's j-stream over a bank of i-pipelines (paper §5.2) and of
+//! [`DirectEngine`](grape6_core::force::DirectEngine)'s large-block path.
+//! Near: every candidate of the group (a superset of each member's own
+//! `r_near` sphere) summed directly, ascending j, self skipped by the
+//! lane. Far: the shared list of accepted cells and far leaf bodies, swept
+//! from a zero seed and added after the near sum. The nearest neighbour is
+//! the nearest candidate, reported only inside `r_near`. Shared lists are
+//! longer than per-particle ones (≈ 900 against ≈ 640 entries per i on
+//! the `hybrid_32k` disk): more, far cheaper interactions — the
+//! algorithm's trade.
 //!
 //! Determinism contract (the same one `TickScheduler` and the lane tiles
-//! meet): the tree build inserts bodies in index order from predicted
-//! state, the walk recurses in fixed octant order, near lists are sorted
-//! ascending, and the per-i summation structure mirrors
-//! [`DirectEngine`](grape6_core::force::DirectEngine) exactly — so results
-//! are bit-identical for any `RAYON_NUM_THREADS`, and at `theta = 0` with a
-//! disk-spanning neighbour radius the near list *is* `0..n` with the same
+//! meet): tree, groups and lists are pure functions of the j-memory state
+//! at the block time, a lane computes the expression tree of
+//! `pair_force_jerk`, and the per-i summation structure mirrors
+//! `DirectEngine` exactly — so every result equals a scalar
+//! `accumulate_with_nn` / `accumulate_on` over the same two lists bit for
+//! bit ([`scalar_group_forces`]), whichever other particles are active and
+//! for any `RAYON_NUM_THREADS`; and at `theta = 0` with a disk-spanning
+//! neighbour radius every group's candidate list *is* `0..n` with the same
 //! chunk boundaries, reproducing `DirectEngine` bitwise on both the
 //! small-block (chunked j-partial) and large-block (continuous ascending
 //! sweep) paths.
@@ -20,25 +38,55 @@ use crate::octree::{InteractionLists, Octree};
 use grape6_core::engine::{ForceEngine, TreeWork};
 use grape6_core::force::{accumulate_on, accumulate_with_nn};
 use grape6_core::jmem::JMemory;
+use grape6_core::lanes::{sweep_sources_lanes, LaneTile, LANE_WIDTH};
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_core::sweep::{j_chunk_size, SMALL_BLOCK_MAX};
 use rayon::prelude::*;
 
-/// Charge one walk's emitted lists to a work accumulator.
-fn note(work: &mut TreeWork, lists: &InteractionLists) {
-    let near = lists.near.len() as u64;
-    let far = lists.far_pos.len() as u64;
-    work.near_interactions += near;
-    work.far_interactions += far;
-    work.cells_opened += lists.cells_opened;
-    work.list_len_sum += near + far;
-    work.list_len_max = work.list_len_max.max(near + far);
-    work.lists_emitted += 1;
+/// Group field of the bucket key of an i-particle that walks alone, as a
+/// one-point group: its index is not a tree body (an external probe), or it
+/// is not where the tree holds that body.
+const LONE: u64 = u32::MAX as u64;
+
+/// Bucket key of block slot `slot` walking with `group`: sorting the keys
+/// gathers each group's active members, in block order.
+fn key(group: u64, slot: usize) -> u64 {
+    (group << 32) | slot as u64
+}
+
+fn group_of_key(key: u64) -> u64 {
+    key >> 32
+}
+
+fn slot_of_key(key: u64) -> usize {
+    (key & u64::from(u32::MAX)) as usize
+}
+
+/// Work pieces per pool thread. The pool schedules statically, and a
+/// group's cost varies with its list, so each thread gets a few pieces.
+const PIECES_PER_THREAD: usize = 4;
+
+/// Most i-particles one piece takes before its group is completed. A block
+/// larger than the pieces of one round is swept in several rounds, so the
+/// result scratch stays a few hundred KiB whatever the block size.
+const PIECE_MAX: usize = 2048;
+
+/// One worker's share of a force call — a run of whole groups in bucket
+/// order — and the scratch it sweeps them with (reused across calls).
+#[derive(Debug, Clone, Default)]
+struct Piece {
+    /// This piece's range of the engine's bucket-ordered key array.
+    keys: std::ops::Range<usize>,
+    /// Results, in key order.
+    out: Vec<ForceResult>,
+    /// Active members of the group being swept.
+    ips: Vec<IParticle>,
+    lists: InteractionLists,
+    work: TreeWork,
 }
 
 /// Hybrid tree + direct force engine — and, at `r_near = 0`, the pure
-/// Barnes-Hut baseline of the paper's §3 (bitwise the fused
-/// [`Octree::force_on`] walk for θ < 1).
+/// Barnes-Hut baseline of the paper's §3.
 #[derive(Debug, Clone)]
 pub struct HybridTreeEngine {
     /// Opening angle θ of the multipole acceptance criterion (0 = open
@@ -48,11 +96,16 @@ pub struct HybridTreeEngine {
     /// distance of an i-particle is summed directly at full precision and
     /// is eligible for the nearest-neighbour report.
     pub r_near: f64,
-    /// The tree is built over the memory's `predict_all` snapshot.
+    /// The tree is built over — and the sweeps read — the memory's
+    /// `predict_all` snapshot.
     jmem: JMemory,
     eps2: f64,
-    tree: Option<Octree>,
-    last_tree_time: Option<f64>,
+    /// Arena reused across rebuilds; current only while `tree_time` is set.
+    tree: Octree,
+    tree_time: Option<f64>,
+    /// One [`key`] per i-particle of the block, sorted.
+    keys: Vec<u64>,
+    pieces: Vec<Piece>,
     interactions: u64,
     force_calls: u64,
     work: TreeWork,
@@ -70,8 +123,10 @@ impl HybridTreeEngine {
             r_near,
             jmem: JMemory::default(),
             eps2: 0.0,
-            tree: None,
-            last_tree_time: None,
+            tree: Octree::unbuilt(),
+            tree_time: None,
+            keys: Vec::new(),
+            pieces: Vec::new(),
             interactions: 0,
             force_calls: 0,
             work: TreeWork::default(),
@@ -90,14 +145,153 @@ impl HybridTreeEngine {
     }
 
     /// Predict every j-particle to `t` and rebuild the octree over the
-    /// snapshot. Build order is body-index order: thread count never touches
-    /// the tree shape.
+    /// snapshot. The tree is a function of the snapshot alone: thread count
+    /// never touches its shape.
     fn rebuild(&mut self, t: f64) {
         self.jmem.predict_all(t);
         let (ppos, pvel) = self.jmem.predicted_all();
-        self.tree = Some(Octree::build(ppos, pvel, self.jmem.mass()));
-        self.last_tree_time = Some(t);
+        self.tree.rebuild(ppos, pvel, self.jmem.mass());
+        self.tree_time = Some(t);
         self.work.builds += 1;
+    }
+
+    /// Bucket the block by group: one sorted key per i-particle.
+    // grape6-lint: hot
+    fn bucket(&mut self, ips: &[IParticle]) {
+        assert!(ips.len() < u32::MAX as usize, "block slots are u32");
+        let tree = &self.tree;
+        self.keys.clear();
+        self.keys.extend(ips.iter().enumerate().map(|(slot, ip)| {
+            key(tree.group_of(ip.index, ip.pos).map_or(LONE, |g| g as u64), slot)
+        }));
+        self.keys.sort_unstable();
+    }
+
+    /// Cut the sorted keys from `from` on into at most `want` pieces of
+    /// about equal i-count (at most [`PIECE_MAX`]), never through a group.
+    /// Returns how many of `self.pieces` that took (the rest keep their
+    /// scratch for a wider call) and where the next round starts.
+    fn cut_pieces(&mut self, from: usize, want: usize) -> (usize, usize) {
+        let b = self.keys.len();
+        let target = (b - from).div_ceil(want).min(PIECE_MAX);
+        let mut used = 0;
+        let mut lo = from;
+        while lo < b && used < want {
+            let mut hi = (lo + target).min(b);
+            let group = group_of_key(self.keys[hi - 1]);
+            while hi < b && group != LONE && group_of_key(self.keys[hi]) == group {
+                hi += 1;
+            }
+            if used == self.pieces.len() {
+                self.pieces.push(Piece::default());
+            }
+            self.pieces[used].keys = lo..hi;
+            used += 1;
+            lo = hi;
+        }
+        (used, lo)
+    }
+}
+
+/// Everything a worker reads while it sweeps its piece.
+struct Sweep<'a> {
+    tree: &'a Octree,
+    keys: &'a [u64],
+    ips: &'a [IParticle],
+    theta: f64,
+    r_near: f64,
+    eps2: f64,
+    /// Small blocks take `DirectEngine`'s chunked j-partial structure.
+    small: bool,
+}
+
+impl Sweep<'_> {
+    /// Walk and sum every group of `piece`.
+    // grape6-lint: hot
+    fn run(&self, piece: &mut Piece) {
+        piece.work = TreeWork::default();
+        piece.out.clear();
+        piece.out.resize(piece.keys.len(), ForceResult::default());
+        let keys = &self.keys[piece.keys.clone()];
+        let mut lo = 0;
+        while lo < keys.len() {
+            let group = group_of_key(keys[lo]);
+            let mut hi = lo + 1;
+            while group != LONE && hi < keys.len() && group_of_key(keys[hi]) == group {
+                hi += 1;
+            }
+            piece.ips.clear();
+            piece.ips.extend(keys[lo..hi].iter().map(|&key| self.ips[slot_of_key(key)]));
+            if group == LONE {
+                let at = piece.ips[0].pos;
+                self.tree.interaction_lists(at, self.theta, self.r_near, &mut piece.lists);
+            } else {
+                self.tree.group_lists(group as usize, self.theta, self.r_near, &mut piece.lists);
+            }
+            self.sum(&piece.ips, &piece.lists, &mut piece.out[lo..hi]);
+            let (members, near, far) =
+                ((hi - lo) as u64, piece.lists.near.len() as u64, piece.lists.far_pos.len() as u64);
+            piece.work.walks += 1;
+            piece.work.cells_opened += piece.lists.cells_opened;
+            piece.work.near_interactions += members * near;
+            piece.work.far_interactions += members * far;
+            piece.work.list_len_sum += members * (near + far);
+            piece.work.list_len_max = piece.work.list_len_max.max(near + far);
+            piece.work.lists_emitted += members;
+            lo = hi;
+        }
+    }
+
+    /// Sweep one group's shared lists for its active members, a tile of
+    /// `LANE_WIDTH` members at a time.
+    // grape6-lint: hot
+    fn sum(&self, ips: &[IParticle], lists: &InteractionLists, out: &mut [ForceResult]) {
+        let near = &lists.near;
+        let (jpos, jvel, jmass) = self.tree.bodies();
+        // Near field: ascending-j partial sums per list chunk, merged in
+        // order (a large block's one chunk is one continuous sum).
+        let chunk = if self.small { j_chunk_size(near.len()) } else { near.len().max(1) };
+        let r2_near = self.r_near * self.r_near;
+        for (os, is) in out.chunks_mut(LANE_WIDTH).zip(ips.chunks(LANE_WIDTH)) {
+            let mut partial = [ForceResult::default(); LANE_WIDTH];
+            let partial = &mut partial[..is.len()];
+            for js in near.chunks(chunk) {
+                partial.fill(ForceResult::default());
+                let mut tile = LaneTile::<LANE_WIDTH>::load(is, partial);
+                for &j in js {
+                    let j = j as usize;
+                    tile.interact(j, jpos[j], jvel[j], jmass[j], self.eps2);
+                }
+                tile.store(partial);
+                for (o, p) in os.iter_mut().zip(partial.iter()) {
+                    o.merge(p);
+                }
+            }
+            for o in os.iter_mut() {
+                // The tile saw every candidate; the report is radius-limited.
+                o.nn = o.nn.filter(|nb| nb.r2 <= r2_near);
+            }
+            // Far field: one GRAPE-style j-sweep over the shared list
+            // (cells + far leaf bodies) from a zero seed, added after the
+            // near sum. Empty at theta = 0, so the anchor path never
+            // perturbs a bit.
+            if !lists.far_pos.is_empty() {
+                partial.fill(ForceResult::default());
+                sweep_sources_lanes::<LANE_WIDTH>(
+                    partial,
+                    is,
+                    &lists.far_pos,
+                    &lists.far_vel,
+                    &lists.far_mass,
+                    self.eps2,
+                );
+                for (o, far) in os.iter_mut().zip(partial.iter()) {
+                    o.acc += far.acc;
+                    o.jerk += far.jerk;
+                    o.pot += far.pot;
+                }
+            }
+        }
     }
 }
 
@@ -105,15 +299,13 @@ impl ForceEngine for HybridTreeEngine {
     fn load(&mut self, sys: &ParticleSystem) {
         self.jmem.load(sys);
         self.eps2 = sys.softening * sys.softening;
-        self.tree = None;
-        self.last_tree_time = None;
+        self.tree_time = None;
     }
 
     fn update_j(&mut self, sys: &ParticleSystem, indices: &[usize]) {
         self.jmem.update(sys, indices);
         // Bodies moved: the tree (and its predicted snapshot) is stale.
-        self.tree = None;
-        self.last_tree_time = None;
+        self.tree_time = None;
     }
 
     fn compute(&mut self, t: f64, ips: &[IParticle], out: &mut [ForceResult]) {
@@ -123,66 +315,39 @@ impl ForceEngine for HybridTreeEngine {
         if b == 0 {
             return;
         }
-        if self.last_tree_time != Some(t) || self.tree.is_none() {
+        if self.tree_time != Some(t) {
             self.rebuild(t);
         }
-        let tree = self.tree.as_ref().expect("tree built above");
-        let (theta, r_near, eps2) = (self.theta, self.r_near, self.eps2);
-        let (ppos, pvel) = self.jmem.predicted_all();
-        let jmass = self.jmem.mass();
-        // Mirror DirectEngine's path split: small blocks take the chunked
-        // j-partial summation structure, large blocks the continuous per-i
-        // sweep — the two structures round differently, and the theta = 0
-        // anchor must match whichever one DirectEngine would have used.
-        let small = b <= SMALL_BLOCK_MAX;
-        // i-chunks may follow the thread count: per-i results are pure
+        self.bucket(ips);
+        // Pieces may follow the thread count: per-i results are pure
         // functions of (i, tree), and the walk totals are associative
         // integer sums and maxima.
         let threads = rayon::current_num_threads().max(1);
-        let ic = b.div_ceil(threads);
-        let chunk_work: Vec<TreeWork> = out
-            .par_chunks_mut(ic)
-            .zip(ips.par_chunks(ic))
-            .map(|(os, is)| {
-                let mut lists = InteractionLists::default();
-                let mut work = TreeWork::default();
-                for (o, ip) in os.iter_mut().zip(is) {
-                    tree.interaction_lists(ip.pos, theta, r_near, &mut lists);
-                    // Near field: ascending-j partial sums per list chunk,
-                    // merged in order (one chunk = one continuous sum).
-                    let near = &lists.near;
-                    let chunk = if small { j_chunk_size(near.len()) } else { near.len().max(1) };
-                    *o = near.chunks(chunk).fold(ForceResult::default(), |mut sum, js| {
-                        let js = js.iter().map(|&j| j as usize);
-                        sum.merge(&accumulate_with_nn(ip, js, ppos, pvel, jmass, eps2));
-                        sum
-                    });
-                    // Far field: one GRAPE-style j-sweep over the emitted
-                    // list (cells + far leaf bodies), appended after the
-                    // near sum. Empty at theta = 0, so the anchor path
-                    // never perturbs a bit.
-                    if !lists.far_pos.is_empty() {
-                        let far = accumulate_on(
-                            ip.pos,
-                            ip.vel,
-                            &lists.far_pos,
-                            &lists.far_vel,
-                            &lists.far_mass,
-                            eps2,
-                            usize::MAX,
-                        );
-                        o.acc += far.acc;
-                        o.jerk += far.jerk;
-                        o.pot += far.pot;
-                    }
-                    note(&mut work, &lists);
+        let want = if threads == 1 { 1 } else { threads * PIECES_PER_THREAD };
+        let mut from = 0;
+        while from < b {
+            let (used, next) = self.cut_pieces(from, want);
+            let sweep = Sweep {
+                tree: &self.tree,
+                keys: &self.keys,
+                ips,
+                theta: self.theta,
+                r_near: self.r_near,
+                eps2: self.eps2,
+                // Mirror DirectEngine's path split: the two structures
+                // round differently, and the theta = 0 anchor must match
+                // whichever one DirectEngine would have used.
+                small: b <= SMALL_BLOCK_MAX,
+            };
+            self.pieces[..used].par_iter_mut().for_each(|piece| sweep.run(piece));
+            for piece in &self.pieces[..used] {
+                for (&key, o) in self.keys[piece.keys.clone()].iter().zip(&piece.out) {
+                    out[slot_of_key(key)] = *o;
                 }
-                work
-            })
-            .collect();
-        for work in &chunk_work {
-            self.interactions += work.list_len_sum;
-            self.work.merge(work);
+                self.interactions += piece.work.list_len_sum;
+                self.work.merge(&piece.work);
+            }
+            from = next;
         }
     }
 
@@ -203,8 +368,10 @@ impl ForceEngine for HybridTreeEngine {
         Some(self.work)
     }
 
+    /// Counters, then the configuration that determines the run's bits: a
+    /// resume under another `theta` / `r_near` would be a different run.
     fn checkpoint_state(&self) -> Vec<u8> {
-        let mut state = Vec::with_capacity(72);
+        let mut state = Vec::with_capacity(STATE_BYTES);
         for v in [
             self.interactions,
             self.force_calls,
@@ -215,6 +382,9 @@ impl ForceEngine for HybridTreeEngine {
             self.work.list_len_sum,
             self.work.list_len_max,
             self.work.lists_emitted,
+            self.work.walks,
+            self.theta.to_bits(),
+            self.r_near.to_bits(),
         ] {
             state.extend_from_slice(&v.to_le_bytes());
         }
@@ -222,33 +392,123 @@ impl ForceEngine for HybridTreeEngine {
     }
 
     fn restore_checkpoint_state(&mut self, state: &[u8]) -> Result<(), String> {
-        if state.len() != 72 {
+        if state.len() == 72 {
+            return Err("hybrid-tree checkpoint state: 72 bytes, written before the engine \
+                        recorded theta and r_near — it cannot be continued bit-identically"
+                .into());
+        }
+        if state.len() != STATE_BYTES {
             return Err(format!(
-                "hybrid-tree checkpoint state: expected 72 bytes, got {}",
+                "hybrid-tree checkpoint state: expected {STATE_BYTES} bytes, got {}",
                 state.len()
             ));
         }
-        let mut k = 0;
-        let mut next = || {
-            let v = u64::from_le_bytes(state[k..k + 8].try_into().unwrap());
-            k += 8;
-            v
+        let mut words =
+            state.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")));
+        let mut next = || words.next().expect("length checked above");
+        let (interactions, force_calls) = (next(), next());
+        let work = TreeWork {
+            builds: next(),
+            cells_opened: next(),
+            near_interactions: next(),
+            far_interactions: next(),
+            list_len_sum: next(),
+            list_len_max: next(),
+            lists_emitted: next(),
+            walks: next(),
         };
-        self.interactions = next();
-        self.force_calls = next();
-        self.work.builds = next();
-        self.work.cells_opened = next();
-        self.work.near_interactions = next();
-        self.work.far_interactions = next();
-        self.work.list_len_sum = next();
-        self.work.list_len_max = next();
-        self.work.lists_emitted = next();
+        let (theta, r_near) = (f64::from_bits(next()), f64::from_bits(next()));
+        if theta.to_bits() != self.theta.to_bits() || r_near.to_bits() != self.r_near.to_bits() {
+            return Err(format!(
+                "hybrid-tree checkpoint was written with theta {theta} and near radius {r_near}, \
+                 but this engine has theta {} and near radius {}",
+                self.theta, self.r_near
+            ));
+        }
+        (self.interactions, self.force_calls, self.work) = (interactions, force_calls, work);
         Ok(())
     }
 
     fn name(&self) -> &'static str {
         "hybrid-tree"
     }
+}
+
+/// Bytes of [`HybridTreeEngine::checkpoint_state`]: ten counters, θ, r_near.
+const STATE_BYTES: usize = 96;
+
+/// The scalar oracle of [`HybridTreeEngine::compute`]: the forces and walk
+/// counters of a block over `tree`, every i-particle evaluated on its own —
+/// its group's [`Octree::group_lists`] (its own point walk when it has no
+/// group) summed by [`scalar_list_sum`]. Tests and `grape6-conformance` pin
+/// the engine against it bit for bit; like
+/// [`ScalarDirectEngine`](grape6_core::force::ScalarDirectEngine) it is
+/// something a test names, never a path a run can select.
+pub fn scalar_group_forces(
+    tree: &Octree,
+    ips: &[IParticle],
+    theta: f64,
+    r_near: f64,
+    eps2: f64,
+) -> (Vec<ForceResult>, TreeWork) {
+    let small = ips.len() <= SMALL_BLOCK_MAX;
+    let mut lists = InteractionLists::default();
+    let mut work = TreeWork::default();
+    let mut walked = std::collections::BTreeSet::new();
+    let out = ips
+        .iter()
+        .map(|ip| {
+            let group = tree.group_of(ip.index, ip.pos);
+            match group {
+                Some(g) => tree.group_lists(g, theta, r_near, &mut lists),
+                None => tree.interaction_lists(ip.pos, theta, r_near, &mut lists),
+            }
+            if group.is_none_or(|g| walked.insert(g)) {
+                work.walks += 1;
+                work.cells_opened += lists.cells_opened;
+            }
+            let (near, far) = (lists.near.len() as u64, lists.far_pos.len() as u64);
+            work.near_interactions += near;
+            work.far_interactions += far;
+            work.list_len_sum += near + far;
+            work.list_len_max = work.list_len_max.max(near + far);
+            work.lists_emitted += 1;
+            scalar_list_sum(ip, &lists, tree, r_near, eps2, small)
+        })
+        .collect();
+    (out, work)
+}
+
+/// One i-particle summed over a pair of lists the scalar way, in the
+/// engine's summation structure: the near entries (bodies of `tree`) through
+/// [`accumulate_with_nn`] — in `j_chunk_size` partials merged in order for a
+/// `small` block, one continuous sum otherwise — the neighbour kept only
+/// inside `r_near`, then the far sources through [`accumulate_on`] from a
+/// zero seed, added last.
+pub fn scalar_list_sum(
+    ip: &IParticle,
+    lists: &InteractionLists,
+    tree: &Octree,
+    r_near: f64,
+    eps2: f64,
+    small: bool,
+) -> ForceResult {
+    let (pos, vel, mass) = tree.bodies();
+    let chunk = if small { j_chunk_size(lists.near.len()) } else { lists.near.len().max(1) };
+    let mut o = ForceResult::default();
+    for js in lists.near.chunks(chunk) {
+        let js = js.iter().map(|&j| j as usize);
+        o.merge(&accumulate_with_nn(ip, js, pos, vel, mass, eps2));
+    }
+    o.nn = o.nn.filter(|nb| nb.r2 <= r_near * r_near);
+    if !lists.far_pos.is_empty() {
+        let (fp, fv, fm) = (&lists.far_pos, &lists.far_vel, &lists.far_mass);
+        let far = accumulate_on(ip.pos, ip.vel, fp, fv, fm, eps2, usize::MAX);
+        o.acc += far.acc;
+        o.jerk += far.jerk;
+        o.pot += far.pot;
+    }
+    o
 }
 
 #[cfg(test)]
@@ -419,7 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_state_round_trips() {
+    fn checkpoint_state_round_trips_and_pins_the_configuration() {
         let sys = disk_like(80, 6);
         let mut e = HybridTreeEngine::new(0.4, 2.0);
         e.load(&sys);
@@ -428,13 +688,170 @@ mod tests {
         e.compute(0.0, &ips, &mut out);
         e.compute(0.25, &ips[..3], &mut out[..3]);
         let state = e.checkpoint_state();
-        assert_eq!(state.len(), 72);
+        assert_eq!(state.len(), 96);
         let mut fresh = HybridTreeEngine::new(0.4, 2.0);
         fresh.load(&sys);
         fresh.restore_checkpoint_state(&state).unwrap();
         assert_eq!(fresh.interaction_count(), e.interaction_count());
         assert_eq!(fresh.force_calls(), e.force_calls());
         assert_eq!(fresh.work, e.work);
+        assert!(fresh.work.walks > 0 && fresh.work.walks < fresh.work.lists_emitted);
         assert!(fresh.restore_checkpoint_state(&state[..10]).is_err());
+        // A resume under another opening angle or radius is a different
+        // run: refused, naming both values, and nothing restored.
+        for (theta, r_near, named) in [(0.3, 2.0, ["0.4", "0.3"]), (0.4, 2.5, ["2", "2.5"])] {
+            let mut other = HybridTreeEngine::new(theta, r_near);
+            other.load(&sys);
+            let err = other.restore_checkpoint_state(&state).unwrap_err();
+            assert!(named.iter().all(|v| err.contains(v)), "{err}");
+            assert_eq!(other.work, TreeWork::default());
+        }
+        // The nine-counter blob of earlier versions carries no configuration.
+        let err = fresh.restore_checkpoint_state(&state[..72]).unwrap_err();
+        assert!(err.contains("theta"), "{err}");
+    }
+
+    /// Live derivatives and staggered individual times: prediction matters.
+    fn stagger(sys: &mut ParticleSystem) {
+        for i in 0..sys.len() {
+            sys.acc[i] = sys.pos[i] * -1e-4;
+            sys.jerk[i] = sys.vel[i] * -1e-4;
+            sys.time[i] = (i % 4) as f64 * 0.03125;
+        }
+    }
+
+    fn predicted_ips(sys: &ParticleSystem, t: f64) -> Vec<IParticle> {
+        (0..sys.len())
+            .map(|i| {
+                let (pos, vel) = sys.predict(i, t);
+                IParticle { index: i, pos, vel }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn engine_is_the_scalar_sum_over_group_lists_bitwise() {
+        // The product (group buckets, lane tiles, pieces across the pool)
+        // against the scalar oracle, one i-particle at a time over
+        // `Octree::group_lists`: forces, neighbours and counters, on both
+        // block paths, with ragged tiles, at every pool size.
+        let mut sys = disk_like(600, 7);
+        stagger(&mut sys);
+        let t = 0.125;
+        let ips = predicted_ips(&sys, t);
+        let (ppos, pvel): (Vec<_>, Vec<_>) = ips.iter().map(|ip| (ip.pos, ip.vel)).unzip();
+        let tree = Octree::build(&ppos, &pvel, &sys.mass);
+        let eps2 = sys.softening * sys.softening;
+        for theta in [0.3, 0.5, 0.75] {
+            for r_near in [0.0, 1.0, 3.0] {
+                for block in [1usize, 5, 16, 17, 600] {
+                    // Strided blocks: members of one group arrive apart.
+                    let blocks: Vec<Vec<IParticle>> = (0..600usize.div_ceil(block))
+                        .map(|c| {
+                            let stride = 600 / block;
+                            (0..block).map(|k| ips[(c + k * stride) % 600]).collect()
+                        })
+                        .take(7)
+                        .collect();
+                    let mut want_work = TreeWork::default();
+                    let want: Vec<Vec<ForceResult>> = blocks
+                        .iter()
+                        .map(|is| {
+                            let (out, work) = scalar_group_forces(&tree, is, theta, r_near, eps2);
+                            want_work.merge(&work);
+                            out
+                        })
+                        .collect();
+                    want_work.builds = 1;
+                    for threads in [1usize, 2, 4, 8] {
+                        rayon::with_num_threads(threads, || {
+                            let mut e = HybridTreeEngine::new(theta, r_near);
+                            e.load(&sys);
+                            for (is, want) in blocks.iter().zip(&want) {
+                                let mut out = vec![ForceResult::default(); is.len()];
+                                e.compute(t, is, &mut out);
+                                let tag = format!("θ={theta} r={r_near} b={block} T={threads}");
+                                assert_bits_equal(&out, want, &tag);
+                            }
+                            assert_eq!(e.work, want_work, "θ={theta} r={r_near} b={block}");
+                            assert_eq!(e.interaction_count(), want_work.list_len_sum);
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_block_larger_than_one_round_of_pieces_is_swept_in_rounds() {
+        // One thread cuts one piece per round, of at most PIECE_MAX members.
+        let sys = disk_like(PIECE_MAX + 700, 9);
+        let tree = Octree::build(&sys.pos, &sys.vel, &sys.mass);
+        let ips = ips_for(&sys, 0..sys.len());
+        let eps2 = sys.softening * sys.softening;
+        let (want, work) = scalar_group_forces(&tree, &ips, 0.5, 1.0, eps2);
+        for threads in [1usize, 2] {
+            rayon::with_num_threads(threads, || {
+                let mut e = HybridTreeEngine::new(0.5, 1.0);
+                e.load(&sys);
+                let mut out = vec![ForceResult::default(); ips.len()];
+                e.compute(0.0, &ips, &mut out);
+                assert_bits_equal(&out, &want, &format!("T={threads}"));
+                assert_eq!(e.work, TreeWork { builds: 1, ..work });
+                assert!(e
+                    .pieces
+                    .iter()
+                    .all(|p| p.out.len() <= PIECE_MAX + crate::octree::GROUP_MAX));
+            });
+        }
+    }
+
+    #[test]
+    fn probes_and_displaced_bodies_walk_alone() {
+        // An index that is not a tree body, and a body asked about away
+        // from where the tree holds it, get their own point walk: exact
+        // near field around the point they gave, never a group's box.
+        let sys = disk_like(300, 8);
+        let tree = Octree::build(&sys.pos, &sys.vel, &sys.mass);
+        let mut ips = ips_for(&sys, 0..40);
+        ips[3].index = usize::MAX;
+        ips[9].pos += Vec3::new(0.5, -0.25, 0.0);
+        ips[20].index = usize::MAX;
+        let mut e = HybridTreeEngine::new(0.5, 2.0);
+        e.load(&sys);
+        let mut out = vec![ForceResult::default(); ips.len()];
+        e.compute(0.0, &ips, &mut out);
+        let eps2 = sys.softening * sys.softening;
+        let (want, work) = scalar_group_forces(&tree, &ips, 0.5, 2.0, eps2);
+        assert_bits_equal(&out, &want, "probes");
+        assert_eq!(e.work, TreeWork { builds: 1, ..work });
+        for k in [3usize, 9, 20] {
+            let mut lists = InteractionLists::default();
+            tree.interaction_lists(ips[k].pos, 0.5, 2.0, &mut lists);
+            let alone = scalar_group_forces(&tree, &ips[k..=k], 0.5, 2.0, eps2);
+            assert_eq!(alone.1.list_len_sum, lists.len() as u64, "slot {k} walked with a group");
+        }
+    }
+
+    #[test]
+    fn theta_zero_anchor_holds_with_massless_bodies() {
+        // Test particles (mass 0) are bodies like any other: they must
+        // stay in the lists, or the anchor loses them as neighbours.
+        for seed in 0..20 {
+            let mut sys = disk_like(60, 100 + seed);
+            sys.mass.iter_mut().step_by(2).for_each(|m| *m = 0.0);
+            let mut hybrid = HybridTreeEngine::direct_equivalent();
+            let mut direct = DirectEngine::new();
+            hybrid.load(&sys);
+            direct.load(&sys);
+            for b in [5usize, 60] {
+                let ips = ips_for(&sys, 0..b);
+                let mut out_h = vec![ForceResult::default(); b];
+                let mut out_d = vec![ForceResult::default(); b];
+                hybrid.compute(0.0, &ips, &mut out_h);
+                direct.compute(0.0, &ips, &mut out_d);
+                assert_bits_equal(&out_h, &out_d, &format!("seed={seed} b={b}"));
+            }
+        }
     }
 }

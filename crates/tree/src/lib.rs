@@ -8,10 +8,11 @@
 //! under both shared and individual timesteps.
 //!
 //! One engine, [`HybridTreeEngine`]: octree far field as GRAPE-shaped
-//! interaction lists plus an exact near field inside a neighbour radius.
-//! The §3 baseline is its zero-radius limit, `HybridTreeEngine::new(θ, 0.0)`
-//! — pinned bitwise against the fused [`Octree::force_on`] walk. The crucial
-//! (and intentional) inefficiency: the tree is rebuilt from predicted
+//! interaction lists plus an exact near field inside a neighbour radius, one
+//! list pair per group of neighbouring i-particles (Barnes' modified
+//! algorithm). The §3 baseline is its zero-radius limit,
+//! `HybridTreeEngine::new(θ, 0.0)`; the fused [`Octree::force_on`] walk is
+//! the oracle of the list walks. The crucial (and intentional) inefficiency: the tree is rebuilt from predicted
 //! positions whenever forces are needed at a new time. Under shared
 //! timesteps the O(N log N) build amortizes over N force evaluations; under
 //! *individual* timesteps a block of a few dozen particles pays the same

@@ -36,6 +36,16 @@ fn permute(sys: &ParticleSystem, seed: u64) -> (ParticleSystem, Vec<usize>) {
     (out, perm)
 }
 
+/// Turn every `stride`-th body into a massless test particle (none at 0).
+/// Test particles are bodies like any other to the walk: a leaf of them has
+/// zero mass, not zero bodies.
+fn with_test_particles(mut sys: ParticleSystem, stride: usize) -> ParticleSystem {
+    if stride > 0 {
+        sys.mass.iter_mut().step_by(stride).for_each(|m| *m = 0.0);
+    }
+    sys
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -48,8 +58,9 @@ proptest! {
         seed in 0u64..1000,
         theta in 0.0f64..0.9,
         r_scale in 0.0f64..1.2,
+        massless in 0usize..4,
     ) {
-        let sys = disk(n, seed);
+        let sys = with_test_particles(disk(n, seed), massless);
         let n = sys.len(); // the builder appends protoplanets past the asked-for n
         let tree = Octree::build(&sys.pos, &sys.vel, &sys.mass);
         // Radii from degenerate (0: only self qualifies) up to spanning a
@@ -80,6 +91,52 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The same partition for the list a whole group shares: candidates and
+    /// far bodies partition n, candidates never repeat, and the candidate
+    /// set covers the neighbour ball of *every* member — the shared near
+    /// field is a superset of each member's own, so it stays exact.
+    #[test]
+    fn prop_group_lists_partition_and_cover_every_members_ball(
+        n in 16usize..220,
+        seed in 0u64..1000,
+        theta in 0.0f64..0.9,
+        r_scale in 0.0f64..0.4,
+        massless in 0usize..4,
+    ) {
+        let sys = with_test_particles(disk(n, seed), massless);
+        let n = sys.len();
+        let tree = Octree::build(&sys.pos, &sys.vel, &sys.mass);
+        let r_near = r_scale * 30.0;
+        let mut lists = InteractionLists::default();
+        let mut grouped = 0;
+        for g in 0..tree.group_count() {
+            tree.group_lists(g, theta, r_near, &mut lists);
+            prop_assert_eq!(
+                lists.near.len() as u64 + lists.far_bodies,
+                n as u64,
+                "group {}: candidates {} + far bodies {} must partition n={}",
+                g, lists.near.len(), lists.far_bodies, n
+            );
+            for w in lists.near.windows(2) {
+                prop_assert!(w[0] < w[1], "group {}: candidates repeat or disorder {:?}", g, w);
+            }
+            for &i in tree.group_bodies(g) {
+                grouped += 1;
+                prop_assert_eq!(tree.group_of(i as usize, sys.pos[i as usize]), Some(g));
+                for j in 0..n {
+                    if (sys.pos[j] - sys.pos[i as usize]).norm2() <= r_near * r_near {
+                        prop_assert!(
+                            lists.near.binary_search(&(j as u32)).is_ok(),
+                            "group {}: body {} is within r_near={} of member {} but no candidate",
+                            g, j, r_near, i
+                        );
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(grouped, n, "groups must partition the bodies");
     }
 
     /// Renumbering the particles renumbers the lists but cannot change how
