@@ -229,10 +229,11 @@ pub fn sweep_tile_lanes<const W: usize>(
 
 /// Sweep a list of far-field *sources* — accepted tree cells and leaf
 /// bodies, which carry no j-index — for up to `W` i-particles, continuing
-/// the accumulation in `os`. No lane skips a source (a source is never the
-/// i-particle itself) and no neighbour is reported: `os[k].nn` is left as it
-/// was. Per lane this is [`crate::force::accumulate_on`] with skipping
-/// disabled, bit for bit.
+/// the accumulation in `os`. List positions stand in for j-indices and no
+/// lane skips one (a source is never the i-particle itself), so per lane
+/// acc, jerk and pot are [`crate::force::accumulate_on`] with skipping
+/// disabled, bit for bit, and `nn` names the nearest source by its position
+/// in the list.
 #[inline]
 // grape6-lint: hot
 pub fn sweep_sources_lanes<const W: usize>(
@@ -246,17 +247,12 @@ pub fn sweep_sources_lanes<const W: usize>(
     debug_assert_eq!(spos.len(), svel.len());
     debug_assert_eq!(spos.len(), smass.len());
     let mut tile = LaneTile::<W>::load(ips, os);
-    // List positions stand in for j-indices; with every skip register at
-    // NONE (which no list position reaches) every lane takes every source.
+    // No list position reaches NONE: every lane takes every source.
     tile.skip = [NONE; W];
     for (k, ((&p, &v), &m)) in spos.iter().zip(svel).zip(smass).enumerate() {
         tile.interact(k, p, v, m, eps2);
     }
-    for (k, o) in os.iter_mut().enumerate() {
-        o.acc = Vec3::new(tile.ax[k], tile.ay[k], tile.az[k]);
-        o.jerk = Vec3::new(tile.jx[k], tile.jy[k], tile.jz[k]);
-        o.pot = tile.pot[k];
-    }
+    tile.store(os);
 }
 
 #[cfg(test)]
@@ -337,14 +333,13 @@ mod tests {
     fn source_sweep_matches_accumulate_on_and_never_skips() {
         // Sources have no j-index: an i-particle whose own index equals a
         // list position (0..3 here), or the NONE sentinel of an external
-        // probe, must still take every source; nn is left untouched.
+        // probe, must still take every source.
         let (pos, vel, mass) = jset(21);
         let eps2 = 1e-4;
         let mut ips: Vec<IParticle> =
             (0..5).map(|i| IParticle { index: i, pos: pos[i] * 3.0, vel: vel[i] }).collect();
         ips[4].index = usize::MAX;
-        let seed = ForceResult { nn: Some(Neighbor { index: 7, r2: 0.5 }), ..Default::default() };
-        let mut out = vec![seed; 5];
+        let mut out = vec![ForceResult::default(); 5];
         sweep_sources_lanes::<8>(&mut out, &ips, &pos, &vel, &mass, eps2);
         for (k, ip) in ips.iter().enumerate() {
             let want =
@@ -352,7 +347,9 @@ mod tests {
             assert_eq!(out[k].acc, want.acc, "lane {k} acc");
             assert_eq!(out[k].jerk, want.jerk, "lane {k} jerk");
             assert_eq!(out[k].pot.to_bits(), want.pot.to_bits(), "lane {k} pot");
-            assert_eq!(out[k].nn, seed.nn, "lane {k} nn");
+            let nearest = (0..21)
+                .min_by(|&a, &b| (pos[a] - ip.pos).norm2().total_cmp(&(pos[b] - ip.pos).norm2()));
+            assert_eq!(out[k].nn.map(|nb| nb.index), nearest, "lane {k} nearest source");
         }
     }
 }

@@ -62,13 +62,14 @@ fn slot_of_key(key: u64) -> usize {
     (key & u64::from(u32::MAX)) as usize
 }
 
-/// Work pieces per pool thread. The pool schedules statically, and a
-/// group's cost varies with its list, so each thread gets a few pieces.
-const PIECES_PER_THREAD: usize = 4;
-
-/// Most i-particles one piece takes before its group is completed. A block
-/// larger than the pieces of one round is swept in several rounds, so the
-/// result scratch stays a few hundred KiB whatever the block size.
+/// Most i-particles one piece takes before its group is completed. A round
+/// is one piece per pool thread, so a block larger than that is swept in
+/// several rounds and the result scratch stays ~160 KiB per thread whatever
+/// the block size (buffering a whole 32k-body block cost +2.5 MiB of peak
+/// RSS). One piece per thread balances: on a 21,846-body block of the
+/// `hybrid_32k` disk on two threads, summed over the rounds, the mean
+/// thread's work (list entries + 20 × cells opened) is 0.983 of the busier
+/// thread's — and 0.983, 0.980, 0.987 with 2, 4, 8 pieces per thread.
 const PIECE_MAX: usize = 2048;
 
 /// One worker's share of a force call — a run of whole groups in bucket
@@ -319,14 +320,13 @@ impl ForceEngine for HybridTreeEngine {
             self.rebuild(t);
         }
         self.bucket(ips);
-        // Pieces may follow the thread count: per-i results are pure
-        // functions of (i, tree), and the walk totals are associative
-        // integer sums and maxima.
+        // One piece per pool thread and round. Pieces may follow the thread
+        // count: per-i results are pure functions of (i, tree), and the walk
+        // totals are associative integer sums and maxima.
         let threads = rayon::current_num_threads().max(1);
-        let want = if threads == 1 { 1 } else { threads * PIECES_PER_THREAD };
         let mut from = 0;
         while from < b {
-            let (used, next) = self.cut_pieces(from, want);
+            let (used, next) = self.cut_pieces(from, threads);
             let sweep = Sweep {
                 tree: &self.tree,
                 keys: &self.keys,
@@ -735,7 +735,8 @@ mod tests {
         // against the scalar oracle, one i-particle at a time over
         // `Octree::group_lists`: forces, neighbours and counters, on both
         // block paths, with ragged tiles, at every pool size.
-        let mut sys = disk_like(600, 7);
+        let n = 2100; // enough bodies for groups of GROUP_MAX
+        let mut sys = disk_like(n, 7);
         stagger(&mut sys);
         let t = 0.125;
         let ips = predicted_ips(&sys, t);
@@ -744,12 +745,12 @@ mod tests {
         let eps2 = sys.softening * sys.softening;
         for theta in [0.3, 0.5, 0.75] {
             for r_near in [0.0, 1.0, 3.0] {
-                for block in [1usize, 5, 16, 17, 600] {
+                for block in [1usize, 5, 16, 17, n] {
                     // Strided blocks: members of one group arrive apart.
-                    let blocks: Vec<Vec<IParticle>> = (0..600usize.div_ceil(block))
+                    let blocks: Vec<Vec<IParticle>> = (0..n.div_ceil(block))
                         .map(|c| {
-                            let stride = 600 / block;
-                            (0..block).map(|k| ips[(c + k * stride) % 600]).collect()
+                            let stride = n / block;
+                            (0..block).map(|k| ips[(c + k * stride) % n]).collect()
                         })
                         .take(7)
                         .collect();
@@ -811,7 +812,7 @@ mod tests {
         // An index that is not a tree body, and a body asked about away
         // from where the tree holds it, get their own point walk: exact
         // near field around the point they gave, never a group's box.
-        let sys = disk_like(300, 8);
+        let sys = disk_like(2100, 8);
         let tree = Octree::build(&sys.pos, &sys.vel, &sys.mass);
         let mut ips = ips_for(&sys, 0..40);
         ips[3].index = usize::MAX;
@@ -825,11 +826,15 @@ mod tests {
         let (want, work) = scalar_group_forces(&tree, &ips, 0.5, 2.0, eps2);
         assert_bits_equal(&out, &want, "probes");
         assert_eq!(e.work, TreeWork { builds: 1, ..work });
+        // Each of the three, as a block of its own, walks once and consumes
+        // exactly its point walk's list.
+        let mut lists = InteractionLists::default();
         for k in [3usize, 9, 20] {
-            let mut lists = InteractionLists::default();
+            e.reset_counters();
+            e.compute(0.0, &ips[k..=k], &mut out[k..=k]);
             tree.interaction_lists(ips[k].pos, 0.5, 2.0, &mut lists);
-            let alone = scalar_group_forces(&tree, &ips[k..=k], 0.5, 2.0, eps2);
-            assert_eq!(alone.1.list_len_sum, lists.len() as u64, "slot {k} walked with a group");
+            assert_eq!((e.work.walks, e.work.list_len_sum), (1, lists.len() as u64), "slot {k}");
+            assert_eq!(e.work.cells_opened, lists.cells_opened, "slot {k}");
         }
     }
 

@@ -23,8 +23,9 @@
 //!
 //! # Groups (Barnes' modified algorithm)
 //!
-//! The maximal cells holding at most [`GROUP_MAX`] bodies are the tree's
-//! *groups*: neighbouring bodies that share one interaction list
+//! The maximal cells holding at most [`group_cap`] bodies ([`GROUP_MAX`] in
+//! any system large enough for a tree to pay) are the tree's *groups*:
+//! neighbouring bodies that share one interaction list
 //! ([`Octree::group_lists`]), which is what turns the list into a
 //! GRAPE-shaped j-sweep (one j stream broadcast to a bank of i-pipelines;
 //! Fukushige & Kawai 2016, Kawai, Fukushige & Makino 1999). Groups are a
@@ -50,11 +51,22 @@ const MAX_DEPTH: usize = 64;
 /// 32 → 0.093 s, 64 → 0.085 s, 128 → 0.087 s, 256 → 0.094 s. Larger groups
 /// walk less and sum more (710 → 1,523 list entries per i across that
 /// range); the total is flat within 10 % from 32 to 256. 32 is the small
-/// end of that plateau: the fewest interactions for the same time, and a
-/// system of a few dozen bodies still splits into several groups — one
-/// group holding everything is a direct sum that never meets the acceptance
-/// criterion (the conformance corpus' 36-body ClusterSatellite scenario).
+/// end of that plateau: the fewest interactions for the same time.
 pub const GROUP_MAX: usize = 32;
+
+/// Most bodies a group of an `n`-body tree may hold: [`GROUP_MAX`], but no
+/// more than 1/64 of the system. A shared list is opened as far as the most
+/// demanding point of the group's box needs, and in a small system a
+/// 32-body box is a large part of everything: on the 802-body test disk
+/// (θ = 0.5) groups of ≤ 32 read 0.534 N² list entries where one walk per
+/// particle read 0.45 N², ≤ 16 reads 0.468, ≤ 12 (this rule) 0.453 and
+/// ≤ 8 (the leaves) 0.432 — and the tree must stay cheaper than the direct
+/// sum it approximates (`tests/tree_accuracy.rs` holds it under N²/2 there).
+/// From 2,048 bodies on this is `GROUP_MAX`; below 512 the groups are the
+/// leaves.
+pub fn group_cap(n: usize) -> usize {
+    (n / 64).min(GROUP_MAX)
+}
 
 /// A node of the octree (internal arena representation).
 #[derive(Debug, Clone)]
@@ -230,12 +242,12 @@ impl Octree {
 
     /// Subdivide `node` (at `depth`) until every cell holds at most
     /// `LEAF_CAPACITY` bodies, registering the first cell on each path with
-    /// at most [`GROUP_MAX`] bodies as a group (`grouped`: an ancestor
+    /// at most [`group_cap`] bodies as a group (`grouped`: an ancestor
     /// already is one).
     fn split(&mut self, node: usize, depth: usize, mut grouped: bool) {
         let run = self.nodes[node].run();
         let is_leaf = run.len() <= LEAF_CAPACITY || depth >= MAX_DEPTH;
-        if !grouped && (run.len() <= GROUP_MAX || is_leaf) {
+        if !grouped && (run.len() <= group_cap(self.pos.len()) || is_leaf) {
             let g = self.groups.len() as u32;
             self.groups.push(node as u32);
             for &b in &self.order[run.clone()] {
@@ -803,13 +815,18 @@ mod tests {
     }
 
     #[test]
-    fn groups_are_the_maximal_cells_of_at_most_group_max_bodies() {
-        for (pos, vel, mass) in [random_cloud(3000, 41), annulus(2000, 42), random_cloud(30, 43)] {
+    fn groups_are_the_maximal_cells_of_at_most_group_cap_bodies() {
+        assert_eq!(
+            [100, 802, 2047, 2048, 40_000].map(group_cap),
+            [1, 12, 31, GROUP_MAX, GROUP_MAX]
+        );
+        for (pos, vel, mass) in [random_cloud(3000, 41), annulus(900, 42), random_cloud(30, 43)] {
             let tree = Octree::build(&pos, &vel, &mass);
+            let cap = group_cap(pos.len());
             let mut seen = vec![false; pos.len()];
             for g in 0..tree.group_count() {
                 let bodies = tree.group_bodies(g);
-                assert!(!bodies.is_empty() && bodies.len() <= GROUP_MAX);
+                assert!(!bodies.is_empty() && bodies.len() <= cap.max(LEAF_CAPACITY));
                 let (lo, hi) = tree.group_box(g);
                 for &b in bodies {
                     assert!(!std::mem::replace(&mut seen[b as usize], true), "body {b} twice");
@@ -819,14 +836,19 @@ mod tests {
                 }
             }
             assert!(seen.iter().all(|&s| s), "a body is in no group");
-            // Maximal: the parent of a group's cell holds more than GROUP_MAX.
-            for n in &tree.nodes {
-                for c in n.children() {
-                    if tree.groups.contains(&(c as u32)) {
-                        assert!(n.len as usize > GROUP_MAX);
-                    }
+            // Maximal: down every path from the root, the first cell that
+            // holds at most `cap` bodies (or is a leaf) is a group.
+            let (mut stack, mut found) = (vec![0usize], 0);
+            while let Some(at) = stack.pop() {
+                let n = &tree.nodes[at];
+                if n.len as usize <= cap || n.is_leaf() {
+                    assert!(tree.groups.contains(&(at as u32)), "cell {at} is not a group");
+                    found += 1;
+                } else {
+                    stack.extend(n.children());
                 }
             }
+            assert_eq!(found, tree.group_count());
             // A probe, or a body asked about elsewhere, has no group.
             assert_eq!(tree.group_of(pos.len(), pos[0]), None);
             assert_eq!(tree.group_of(usize::MAX, pos[0]), None);

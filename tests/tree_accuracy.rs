@@ -63,23 +63,29 @@ fn theta_zero_reproduces_direct_sum_within_reorder_budget() {
 fn moderate_theta_is_accurate_and_cheap() {
     // Accuracy from the derived multipole budget; cheapness from the
     // engine's own evaluation counter (the tree must beat N² by a wide
-    // margin, or it is not earning its approximation error).
+    // margin at this size, or it is not earning its approximation error).
     let sys = disk(800, 7);
+    let n = sys.len() as u64;
     let cpu = forces(&mut DirectEngine::new(), &sys, 0.0);
-    let tree = forces(&mut HybridTreeEngine::new(0.5, 0.0), &sys, 0.0);
+    let mut engine = HybridTreeEngine::new(0.5, 0.0);
+    let tree = forces(&mut engine, &sys, 0.0);
     let tol = Oracle::tree(0.5, sys.len()).tolerances(&sys, 0.0);
     assert_within_budget(&tree, &cpu, &tol, "barnes-hut θ=0.5");
-    assert_cheap(&mut HybridTreeEngine::new(0.5, 0.0), "barnes-hut θ=0.5");
+    // At N ≈ 800 on a thin disk the walk wins ~2× over N²; the asymptotic
+    // O(N log N) growth itself is pinned by `octree::cost_scales_sub_quadratically`.
+    assert!(
+        engine.interaction_count() < n * n / 2,
+        "tree did {} evaluations — not meaningfully below N² = {}",
+        engine.interaction_count(),
+        n * n
+    );
+    assert_cheaper_with_size(&mut engine, "barnes-hut θ=0.5");
 }
 
-/// The work half of the "accurate and cheap" contracts. One list serves a
-/// whole group of up to `GROUP_MAX` bodies, so it is opened as far as its
-/// most demanding member needs: on a thin 800-body disk that is about half
-/// of N² (as the per-particle walk was), and the tree's advantage shows from
-/// a couple of thousand bodies — a third of N² here, 3 % at N = 32k. The
-/// asymptotic O(N log N) growth itself is pinned by
-/// `octree::cost_scales_sub_quadratically`.
-fn assert_cheap(engine: &mut HybridTreeEngine, tag: &str) {
+/// Beside the 800-body bound (where `octree::group_cap` keeps the groups
+/// small): on a 2,000-body disk, where the groups reach `GROUP_MAX`, the
+/// shared lists must stay under a third of N² (measured 0.26; 0.03 at 32k).
+fn assert_cheaper_with_size(engine: &mut HybridTreeEngine, tag: &str) {
     let sys = disk(2000, 7);
     let n = sys.len() as u64;
     engine.reset_counters();
@@ -97,6 +103,7 @@ fn hybrid_moderate_theta_is_accurate_and_cheap() {
     // The same derived-budget contract for the hybrid: near field exact,
     // far field within the θ bound, total work well below N².
     let sys = disk(800, 7);
+    let n = sys.len() as u64;
     let cpu = forces(&mut DirectEngine::new(), &sys, 0.0);
     let mut engine = HybridTreeEngine::new(0.5, 2.0);
     let hybrid = forces(&mut engine, &sys, 0.0);
@@ -104,7 +111,13 @@ fn hybrid_moderate_theta_is_accurate_and_cheap() {
     assert_within_budget(&hybrid, &cpu, &tol, "hybrid θ=0.5");
     let work = engine.tree_work().expect("hybrid reports tree work");
     assert!(work.near_interactions > 0 && work.far_interactions > 0);
-    assert_cheap(&mut engine, "hybrid θ=0.5");
+    assert!(
+        engine.interaction_count() < n * n / 2,
+        "hybrid did {} evaluations — not meaningfully below N² = {}",
+        engine.interaction_count(),
+        n * n
+    );
+    assert_cheaper_with_size(&mut engine, "hybrid θ=0.5");
 }
 
 #[test]
