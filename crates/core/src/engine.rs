@@ -8,9 +8,8 @@
 //! * [`crate::force::DirectEngine`] — CPU direct summation (reference),
 //! * `grape6_hw::Grape6Engine` — the functional + timing GRAPE-6 simulator;
 //!   around it the routed `ClusterEngine` (one host is the routed node, four
-//!   the production cluster), the DMR `FaultTolerantEngine` and the C-style
-//!   `G6Handle`, the last two writing j-memory through the flat engine's
-//!   one write port,
+//!   the production cluster) and the DMR `FaultTolerantEngine`, which
+//!   writes j-memory through the flat engine's one write port,
 //! * `grape6_tree::HybridTreeEngine` — octree far field + exact near field;
 //!   at a zero neighbour radius it is the pure Barnes-Hut baseline the
 //!   paper argues against in §3.

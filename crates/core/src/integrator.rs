@@ -190,19 +190,9 @@ impl BlockHermite {
         }
     }
 
-    /// Which scheduler implementation this integrator runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.scheduler.kind()
-    }
-
     /// Run statistics accumulated so far.
     pub fn stats(&self) -> RunStats {
         self.stats
-    }
-
-    /// Reset run statistics (not the schedule).
-    pub fn reset_stats(&mut self) {
-        self.stats = RunStats::default();
     }
 
     /// Whether `initialize` has been called.

@@ -121,19 +121,16 @@ pub mod paper {
     pub const M_PROTOPLANET: f64 = 3.0e-5;
     /// Lower cutoff of the planetesimal mass function (M_sun). Chosen so the
     /// total ring mass matches the Hayashi (1981) nebula the paper cites:
-    /// the icy 15–35 AU annulus holds ≈ 29 M_earth (see
-    /// `grape6_disk::nebula`), and the m^-2.5 law with hi/lo = 100 has mean
-    /// ≈ 2.7·lo, so lo ≈ 1.8×10⁻¹¹ gives 1.8 M × mean ≈ 29 M_earth.
+    /// its icy branch, Σ = 30 (r/AU)^-3/2 g/cm², integrated over the
+    /// 15–35 AU annulus is 4π Σ₁ (√35 − √15) AU² ≈ 8.7×10⁻⁵ M_sun ≈
+    /// 29 M_earth, and the m^-2.5 law with hi/lo = 100 has mean ≈ 2.7·lo,
+    /// so lo ≈ 1.8×10⁻¹¹ gives 1.8 M × mean ≈ 29 M_earth.
     pub const M_PLANETESIMAL_LO: f64 = 1.8e-11;
     /// Upper cutoff of the planetesimal mass function (M_sun).
     pub const M_PLANETESIMAL_HI: f64 = 1.8e-9;
     /// Gordon Bell convention: flops charged per pairwise force (38) plus its
     /// time derivative (19) = 57 (§5.2).
     pub const FLOPS_PER_INTERACTION: u64 = 57;
-    /// Reported sustained performance (Tflops) of the production run.
-    pub const ACHIEVED_TFLOPS: f64 = 29.5;
-    /// Theoretical peak (Tflops) of the 2048-chip configuration.
-    pub const PEAK_TFLOPS: f64 = 63.4;
 }
 
 #[cfg(test)]

@@ -16,15 +16,9 @@
 pub mod analysis;
 pub mod builder;
 pub mod massfn;
-pub mod nebula;
 pub mod profile;
-pub mod resonance;
-pub mod stirring;
 
 pub use analysis::{tisserand, DiskSnapshot, MassSpectrum, RadialHistogram, ScatteringCensus};
 pub use builder::{DiskBuilder, Protoplanet};
 pub use massfn::PowerLawMass;
-pub use nebula::HayashiNebula;
 pub use profile::RadialProfile;
-pub use resonance::{resonance_census, Resonance};
-pub use stirring::LocalDisk;

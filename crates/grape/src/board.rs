@@ -106,16 +106,6 @@ impl ProcessorBoard {
         self.chips[chip].peek_j(slot)
     }
 
-    /// Fault injection: corrupt one position bit of the j-particle at
-    /// global `index`, routed to the owning chip's SSRAM.
-    pub fn corrupt_word(&mut self, index: usize, bit: u32) -> Result<(), ChipError> {
-        let &(chip, slot) = self
-            .routes
-            .get(index)
-            .ok_or(ChipError::BadSlot { slot: index, len: self.routes.len() })?;
-        self.chips[chip].corrupt_word(slot, bit)
-    }
-
     /// Write back one updated j-particle by global index.
     pub fn store_j(&mut self, index: usize, particle: JParticle) -> Result<(), ChipError> {
         let &(chip, slot) = self

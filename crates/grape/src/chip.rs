@@ -142,20 +142,10 @@ impl Grape6Chip {
         Ok(())
     }
 
-    /// Read back one j-memory slot (diagnostic port; used for memory
-    /// scrubbing and fault injection in tests).
+    /// Read back one j-memory slot (diagnostic port; a board failure
+    /// migrates the resident words through it).
     pub fn peek_j(&self, slot: usize) -> Option<&JParticle> {
         self.jmem.get(slot)
-    }
-
-    /// Fault injection: XOR one bit of the stored particle's fixed-point
-    /// x-position word — a single-event upset in this chip's SSRAM. The
-    /// memory cell changes underneath the machine; no wire is crossed.
-    pub fn corrupt_word(&mut self, slot: usize, bit: u32) -> Result<(), ChipError> {
-        let len = self.jmem.len();
-        let j = self.jmem.get_mut(slot).ok_or(ChipError::BadSlot { slot, len })?;
-        j.qpos[0] ^= 1i64 << (bit % 64);
-        Ok(())
     }
 
     /// Overwrite one j-memory slot (the per-blockstep write-back path).

@@ -185,16 +185,6 @@ impl Grape6Engine {
         &self.clock
     }
 
-    /// Reset the modeled clock (keeps j-memory).
-    pub fn reset_clock(&mut self) {
-        self.clock.reset();
-    }
-
-    /// Resident j-particles.
-    pub fn n_j(&self) -> usize {
-        self.jmem.len()
-    }
-
     /// Performance report over everything charged since the last reset.
     pub fn perf_report(&self) -> crate::perf::PerfReport {
         crate::perf::PerfReport::new(
@@ -211,25 +201,12 @@ impl Grape6Engine {
         &self.jmem
     }
 
-    /// Empty the j-memory, set the softening of subsequent force calls and
-    /// reserve room for `reserve` words — the state [`Self::write_j`] fills.
-    pub fn reset_jmem(&mut self, softening: f64, reserve: usize) {
-        assert!(
-            softening > 0.0,
-            "GRAPE-6 requires a positive softening length (the pipeline has no \
-             self-interaction cutoff)"
-        );
-        self.eps2 = softening * softening;
-        self.jmem.clear();
-        self.jmem.reserve(reserve);
-    }
-
     /// The hardware's write port (`g6_set_j_particle`): put one j-word at
     /// `address`, overwriting a resident word or appending at
-    /// `address == n_j()` (memory fills densely from 0, as the DMA does).
-    /// Charges one j-packet. Every way a particle enters j-memory — `load`,
-    /// `update_j`, the host API, the DMR pair — is the host encoding a word
-    /// and writing it here.
+    /// `address == jmem().len()` (memory fills densely from 0, as the DMA
+    /// does). Charges one j-packet. Every way a particle enters j-memory —
+    /// `load`, `update_j`, the DMR pair — is the host encoding a word and
+    /// writing it here.
     // grape6-lint: hot
     pub fn write_j(&mut self, address: usize, word: JParticle) -> Result<(), ChipError> {
         let len = self.jmem.len();
@@ -285,7 +262,14 @@ impl ForceEngine for Grape6Engine {
                 sys.len()
             );
         }
-        self.reset_jmem(sys.softening, sys.len());
+        assert!(
+            sys.softening > 0.0,
+            "GRAPE-6 requires a positive softening length (the pipeline has no \
+             self-interaction cutoff)"
+        );
+        self.eps2 = sys.softening * sys.softening;
+        self.jmem.clear();
+        self.jmem.reserve(sys.len());
         let (fmt, precision) = (self.config.format, self.config.precision);
         for i in 0..sys.len() {
             self.write_j(i, JParticle::from_system(&fmt, precision, sys, i))
@@ -734,7 +718,7 @@ mod tests {
         let mut loaded = Grape6Engine::sc2002();
         let mut written = Grape6Engine::sc2002();
         loaded.load(&sys);
-        written.reset_jmem(sys.softening, 0);
+        written.load(&ParticleSystem::new(sys.softening, 1.0));
         for i in 0..sys.len() {
             written.write_j(i, JParticle::from_system(&fmt, precision, &sys, i)).unwrap();
         }
@@ -757,7 +741,7 @@ mod tests {
         let bytes = written.bytes_transferred();
         let hole = written.write_j(18, written.jmem()[0]);
         assert_eq!(hole, Err(ChipError::BadSlot { slot: 18, len: 16 }));
-        assert_eq!((written.n_j(), written.bytes_transferred()), (16, bytes));
+        assert_eq!((written.jmem().len(), written.bytes_transferred()), (16, bytes));
     }
 
     #[test]

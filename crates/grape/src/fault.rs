@@ -106,12 +106,6 @@ impl FaultPlan {
         Self { seed, events }
     }
 
-    /// A single board death at the given force call — the headline
-    /// mid-run failure scenario of the acceptance tests.
-    pub fn board_failure(at_step: u64, unit: usize) -> Self {
-        Self { seed: 0, events: vec![FaultEvent { at_step, kind: FaultKind::BoardFail { unit } }] }
-    }
-
     /// Total number of scheduled events.
     pub fn len(&self) -> usize {
         self.events.len()

@@ -23,8 +23,7 @@
 //! host code drives either the CPU reference or the simulated hardware. Its
 //! j-memory has one write port ([`engine::Grape6Engine::write_j`], the
 //! library's `g6_set_j_particle`): `load` and `update_j` are host-side encode
-//! loops over it, and so are the two engines layered on it, the C-style
-//! [`host_api::G6Handle`] and the dual-modular
+//! loops over it, and so is the engine layered on it, the dual-modular
 //! [`fault_engine::FaultTolerantEngine`]. The fully-routed data paths —
 //! every packet over the wire protocol and the board structure — are one
 //! engine too, [`cluster_engine::ClusterEngine`]: one host is the routed
@@ -40,8 +39,6 @@ pub mod engine;
 pub mod fault;
 pub mod fault_engine;
 pub mod format;
-pub mod grid;
-pub mod host_api;
 pub mod lanes;
 pub mod link;
 pub mod network;
@@ -50,7 +47,6 @@ pub mod parallel_models;
 pub mod perf;
 pub mod pipeline;
 pub mod predictor;
-pub mod redundancy;
 pub mod timing;
 pub mod wire;
 
@@ -62,13 +58,10 @@ pub use engine::{Grape6Config, Grape6Engine, ScalarGrape6Engine};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use fault_engine::FaultTolerantEngine;
 pub use format::{FixedPointFormat, Precision};
-pub use grid::HostGrid;
-pub use host_api::{g6_open, G6Error, G6Handle};
 pub use lanes::{GrapeJLanes, GrapeLaneTile, SweepPartial};
 pub use link::{Link, WireFormat};
 pub use network::{NetworkMode, NetworkTree};
 pub use node::{Grape6Node, NodeTraffic};
 pub use parallel_models::{ParallelModel, Strategy};
 pub use perf::{HardwareClock, PerfReport};
-pub use redundancy::{compare_units, recover, scrub, Recovery, RedundancyReport};
 pub use timing::{MachineGeometry, StepBreakdown, TimingModel};

@@ -149,23 +149,6 @@ impl Grape6Node {
         self.boards[board].peek_j(slot)
     }
 
-    /// Flip one bit of a stored position word — a single-event upset in the
-    /// SSRAM, the fault class memory scrubbing exists for. Routed down to
-    /// the owning chip's memory cell (no wire is crossed: this is the cell
-    /// changing underneath us).
-    pub fn inject_position_fault(
-        &mut self,
-        index: usize,
-        bit: u32,
-    ) -> Result<(), crate::chip::ChipError> {
-        assert!(bit < 64);
-        let &(board, slot) = self
-            .routes
-            .get(index)
-            .ok_or(crate::chip::ChipError::BadSlot { slot: index, len: self.routes.len() })?;
-        self.boards[board].corrupt_word(slot, bit)
-    }
-
     /// Boards still in service.
     pub fn live_boards(&self) -> usize {
         self.failed.iter().filter(|f| !**f).count()

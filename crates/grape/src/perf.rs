@@ -29,11 +29,6 @@ impl HardwareClock {
     pub fn seconds(&self) -> f64 {
         self.breakdown.total()
     }
-
-    /// Reset to zero.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
 }
 
 /// The §6-style performance summary.
@@ -101,9 +96,6 @@ mod tests {
         c.charge(&step);
         assert_eq!(c.steps, 2);
         assert!((c.seconds() - 2.2e-3).abs() < 1e-12);
-        c.reset();
-        assert_eq!(c.steps, 0);
-        assert_eq!(c.seconds(), 0.0);
     }
 
     #[test]

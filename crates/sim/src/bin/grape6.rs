@@ -102,6 +102,9 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     let Some(out) = args.get("--out").map(PathBuf::from) else {
         return Err("gen requires --out <file.json>".into());
     };
+    if n == 0 {
+        return Err("--n must be at least 1".into());
+    }
     let mut builder = DiskBuilder::paper(n);
     if let Some(seed) = args.parse::<u64>("--seed")? {
         builder = builder.with_seed(seed);
@@ -127,19 +130,14 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let Some(t_end) = args.parse::<f64>("--t")? else {
         return Err("run requires --t <time units>".into());
     };
+    if !t_end.is_finite() || t_end < 0.0 {
+        return Err(format!("--t = {t_end} must be finite and non-negative"));
+    }
     let resume = args.get("--resume").map(PathBuf::from);
     let input = args.get("--in").map(PathBuf::from);
     if resume.is_none() && input.is_none() {
         return Err("run requires --in <snap.json> (or --resume <file.g6ck>)".into());
     }
-    // The initial system is only loaded for fresh runs; a resume rebuilds
-    // everything (system, schedule, counters) from the checkpoint.
-    let sys = match (&resume, &input) {
-        (None, Some(path)) => {
-            Some(load_auto(path).map_err(|e| format!("reading {}: {e}", path.display()))?)
-        }
-        _ => None,
-    };
     let eta = args.parse::<f64>("--eta")?.unwrap_or(0.02);
     let theta = args.parse::<f64>("--theta")?.unwrap_or(0.5);
     let near_radius = args.parse::<f64>("--near-radius")?.unwrap_or(1.0);
@@ -149,6 +147,15 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         eta_start: eta / 8.0,
         dt_max: 2.0f64.powi(3),
         dt_min: 2.0f64.powi(-40),
+    };
+    config.validate()?;
+    // The initial system is only loaded for fresh runs; a resume rebuilds
+    // everything (system, schedule, counters) from the checkpoint.
+    let sys = match (&resume, &input) {
+        (None, Some(path)) => {
+            Some(load_auto(path).map_err(|e| format!("reading {}: {e}", path.display()))?)
+        }
+        _ => None,
     };
     let fault_plan = match args.get("--faults") {
         None => None,

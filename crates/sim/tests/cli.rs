@@ -60,7 +60,10 @@ fn unknown_flags_and_valueless_flags_are_errors_before_any_output() {
     let snap = dir.join("never.g6sn").display().to_string();
     // Unchecked, the first three exit 0 on the default direct engine with no
     // fault injected, and the fourth takes the next flag as the engine name.
-    let cases: [(&[&str], &str); 4] = [
+    // The last six parse but are out of range: unchecked, `gen --n 0` and
+    // `--eta 0 | -1 | nan` panic in the library (exit 101), `--t nan` exits 0
+    // after zero block steps and `--t inf` never returns.
+    let cases: [(&[&str], &str); 10] = [
         (
             &["run", "--in", &disk, "--t", "2", "--engin", "grape6", "--out", &snap],
             "unknown flag '--engin' for run",
@@ -68,12 +71,19 @@ fn unknown_flags_and_valueless_flags_are_errors_before_any_output() {
         (&["run", "--in", &disk, "--t", "2", "--out", &snap, "--engine"], "--engine needs a value"),
         (&["run", "--in", &disk, "--t", "2", "--out", &snap, "--faults"], "--faults needs a value"),
         (&["run", "--in", &disk, "--t", "2", "--engine", "--out", &snap], "--engine needs a value"),
+        (&["gen", "--n", "0", "--out", &snap], "--n must be at least 1"),
+        (&["run", "--in", &disk, "--t", "2", "--eta", "0", "--out", &snap], "eta and eta_start"),
+        (&["run", "--in", &disk, "--t", "2", "--eta", "-1", "--out", &snap], "eta and eta_start"),
+        (&["run", "--in", &disk, "--t", "2", "--eta", "nan", "--out", &snap], "eta and eta_start"),
+        (&["run", "--in", &disk, "--t", "nan", "--out", &snap], "--t = NaN must be finite"),
+        (&["run", "--in", &disk, "--t", "inf", "--out", &snap], "--t = inf must be finite"),
     ];
     for (args, message) in cases {
         let out = grape6(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{args:?} must fail");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail cleanly, got:\n{stderr}");
         assert!(stderr.contains(message), "{args:?}: expected '{message}', got:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must print nothing to stdout");
         assert!(!dir.join("never.g6sn").exists(), "{args:?} must not write output");
     }
     std::fs::remove_dir_all(&dir).ok();
