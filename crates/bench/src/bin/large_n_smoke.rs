@@ -1,7 +1,8 @@
 //! `large_n_smoke` — the paper-scale host-path smoke test (weekly CI cron).
 //!
 //! Builds the §6 headline disk (N = 1,799,998 planetesimals + 2
-//! protoplanets by default), initializes the block-timestep integrator,
+//! protoplanets by default), initializes it through the product constructor
+//! (`Simulation::with_telemetry`: one sweep plus the O(N) energy ledger),
 //! runs a few hundred block steps and writes one chunked G6CK v2
 //! checkpoint — all through the zero-force [`NullForceEngine`], so the
 //! run isolates exactly the O(N) host terms this harness guards: tick
@@ -17,13 +18,10 @@
 
 use grape6_bench::{arg_or, experiment_config, fmt, paper_disk, print_header, print_row};
 use grape6_core::blockstep::SchedulerKind;
-use grape6_core::energy::EnergyLedger;
 use grape6_core::engine::ForceEngine;
-use grape6_core::integrator::BlockHermite;
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_sim::checkpoint::{checkpoint_now, load_checkpoint};
-use grape6_sim::stats::BlockSizeHistogram;
-use grape6_sim::{Simulation, Telemetry, TelemetryReport};
+use grape6_sim::{Simulation, TelemetryReport};
 use serde::Serialize;
 use std::path::Path;
 use std::time::Instant;
@@ -108,29 +106,10 @@ fn main() -> std::process::ExitCode {
     let build_seconds = t_build.elapsed().as_secs_f64();
     println!("disk: {n_bodies} bodies in {build_seconds:.1} s");
 
-    let kind = SchedulerKind::TickBucket;
-    let mut sim = Simulation {
-        sys,
-        integrator: BlockHermite::with_scheduler(experiment_config(), kind),
-        engine: NullForceEngine::default(),
-        // The pairwise energy reference is O(N²) — 1.6e12 pair sums at this
-        // N — and the smoke never reads it; open a zeroed ledger instead.
-        ledger: EnergyLedger { e0: 0.0, l0: 0.0 },
-        block_hist: BlockSizeHistogram::new(),
-        diagnostics: Vec::new(),
-        radius_model: None,
-        accretion_log: Default::default(),
-        encounter_log: None,
-        telemetry: Some(Telemetry::new()),
-    };
-
     let t_init = Instant::now();
-    match &mut sim.telemetry {
-        Some(t) => sim.integrator.initialize_observed(&mut sim.sys, &mut sim.engine, t),
-        None => unreachable!("telemetry attached above"),
-    }
+    let mut sim = Simulation::with_telemetry(sys, experiment_config(), NullForceEngine::default());
     let init_seconds = t_init.elapsed().as_secs_f64();
-    println!("init: forces + schedule in {init_seconds:.1} s");
+    println!("init: forces + schedule + energy ledger in {init_seconds:.1} s");
 
     let t_steps = Instant::now();
     for _ in 0..steps {
@@ -200,7 +179,7 @@ fn main() -> std::process::ExitCode {
 
     let report = SmokeReport {
         n_bodies,
-        scheduler: kind.name(),
+        scheduler: SchedulerKind::TickBucket.name(),
         block_steps: stats.block_steps,
         particle_steps: stats.particle_steps,
         build_seconds,

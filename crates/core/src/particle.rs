@@ -27,7 +27,10 @@ pub struct ParticleSystem {
     pub time: Vec<f64>,
     /// Individual timesteps (powers of two once scheduled).
     pub dt: Vec<f64>,
-    /// Softened pairwise potential at the particle (set by full force passes).
+    /// Softened pairwise potential −Σⱼ mⱼ/√(r² + ε²) at the particle, self
+    /// term excluded, as the engine returned it at the particle's own
+    /// `time[i]`: all at `t` right after `initialize`, mixed epochs once the
+    /// run is stepping.
     pub pot: Vec<f64>,
     /// Stable external identifiers (survive any reordering).
     pub id: Vec<u64>,

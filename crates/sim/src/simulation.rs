@@ -60,7 +60,9 @@ pub struct Simulation<E: ForceEngine> {
 }
 
 impl<E: ForceEngine> Simulation<E> {
-    /// Initialize a simulation: computes initial forces and timesteps.
+    /// Initialize a simulation: one full-N force sweep for the initial
+    /// forces, potentials and timesteps, then the energy ledger in O(N) from
+    /// those potentials ([`EnergyLedger::from_sweep`]; no host pair sum).
     pub fn new(sys: ParticleSystem, config: HermiteConfig, engine: E) -> Self {
         Self::new_ext(sys, config, engine, SchedulerKind::TickBucket, false)
     }
@@ -91,7 +93,7 @@ impl<E: ForceEngine> Simulation<E> {
             integrator.initialize(&mut sys, &mut engine);
             None
         };
-        let ledger = EnergyLedger::open(&sys);
+        let ledger = EnergyLedger::from_sweep(&sys);
         Self {
             sys,
             integrator,
@@ -209,10 +211,11 @@ impl<E: ForceEngine> Simulation<E> {
             t.phase_begin(HostPhase::Io);
         }
         let s = self.stats();
+        let (energy_error, l_error) = self.ledger.synchronized_errors(&self.sys, self.sys.t);
         self.diagnostics.push(DiagnosticRow {
             t: self.sys.t,
-            energy_error: self.ledger.synchronized_energy_error(&self.sys, self.sys.t),
-            l_error: self.ledger.synchronized_l_error(&self.sys, self.sys.t),
+            energy_error,
+            l_error,
             block_steps: s.block_steps,
             particle_steps: s.particle_steps,
             interactions: s.interactions,

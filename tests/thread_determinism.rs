@@ -132,6 +132,22 @@ fn energy_sum_bits_invariant_across_thread_counts() {
 }
 
 #[test]
+fn ledger_e0_bits_invariant_across_thread_counts() {
+    // `Simulation::new` opens its ledger from the sweep's potentials with
+    // sequential sums, so e0 inherits the engines' force determinism.
+    fn e0_at<E: ForceEngine>(mk: impl Fn() -> E, t: usize) -> u64 {
+        rayon::with_num_threads(t, || {
+            Simulation::new(disk(300, 99), HermiteConfig::default(), mk()).ledger.e0.to_bits()
+        })
+    }
+    for &t in &[2usize, 4] {
+        assert_eq!(e0_at(DirectEngine::new, t), e0_at(DirectEngine::new, 1), "direct t={t}");
+        let hybrid = || HybridTreeEngine::new(0.5, 3.0);
+        assert_eq!(e0_at(hybrid, t), e0_at(hybrid, 1), "hybrid t={t}");
+    }
+}
+
+#[test]
 fn integration_bits_invariant_across_thread_counts() {
     // A real 500-block-step integration through scheduler, predictor, force,
     // corrector and j-update must land on identical bits for any pool size.
