@@ -59,24 +59,33 @@ fn bench_lists(c: &mut Criterion) {
 }
 
 fn bench_small_block_cost(c: &mut Criterion) {
-    // The §3 killer: a single-particle force request at a fresh time forces
-    // a full rebuild. Compare against a same-time request that reuses the
-    // tree.
+    // The §3 killer: a force request at a fresh time forces a full rebuild,
+    // however few particles ask. The engine sums blocks of up to 16 directly
+    // instead, so the smallest block that still pays is 17 particles.
+    // Compare against a same-time request that reuses the tree, and against
+    // the one-particle block that never builds one.
     let sys = DiskBuilder::paper(8192).build();
     let mut engine = HybridTreeEngine::new(0.5, 0.0);
     engine.load(&sys);
-    let ips = [IParticle { index: 0, pos: sys.pos[0], vel: sys.vel[0] }];
-    let mut out = [ForceResult::default()];
+    let ips: Vec<IParticle> =
+        (0..17).map(|i| IParticle { index: i, pos: sys.pos[i], vel: sys.vel[i] }).collect();
+    let mut out = [ForceResult::default(); 17];
     let mut t = 0.0f64;
-    c.bench_function("tree_block1_fresh_time", |b| {
+    c.bench_function("tree_block17_fresh_time", |b| {
         b.iter(|| {
             t += 1e-9; // force a rebuild each call
             engine.compute(black_box(t), &ips, &mut out)
         })
     });
     engine.compute(1e6, &ips, &mut out);
-    c.bench_function("tree_block1_cached_tree", |b| {
+    c.bench_function("tree_block17_cached_tree", |b| {
         b.iter(|| engine.compute(black_box(1e6), &ips, &mut out))
+    });
+    c.bench_function("tree_block1_direct", |b| {
+        b.iter(|| {
+            t += 1e-9;
+            engine.compute(black_box(t), &ips[..1], &mut out[..1])
+        })
     });
 }
 

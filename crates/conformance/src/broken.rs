@@ -14,12 +14,20 @@
 //! get cells accepted that fail their own acceptance test and lose
 //! neighbours (themselves included) to the far field — and the
 //! `hybrid/group-lists-vs-scalar` comparison no longer holds.
+//!
+//! [`tail_dropped_forces`]' bug is the one a lanes-across-j kernel invites:
+//! it sweeps every j-chunk in whole groups of `J_LANES` and never comes back
+//! for the ragged tail. Any j-count that is not a multiple of `J_LANES`
+//! loses its last few particles from every sum, and `lanes/small-j` — which
+//! also sweeps the scenario less its last particle, so one of its two
+//! j-counts always has a tail — flags it.
 
 use grape6_core::engine::ForceEngine;
-use grape6_core::force::accumulate_with_nn;
+use grape6_core::force::{accumulate_with_nn, scalar_small_chunk};
 use grape6_core::jmem::JMemory;
+use grape6_core::lanes::J_LANES;
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
-use grape6_core::sweep::SMALL_BLOCK_MAX;
+use grape6_core::sweep::j_chunk_size;
 use grape6_tree::hybrid::scalar_list_sum;
 use grape6_tree::{InteractionLists, Octree};
 
@@ -72,20 +80,18 @@ impl ForceEngine for BrokenEngine {
     }
 }
 
-/// Forces on `ips`, taken in blocks of `block`, from a group walk over `tree`
-/// that measures every distance from the centre of the group's box.
+/// Forces on `ips` from a group walk over `tree` that measures every
+/// distance from the centre of the group's box.
 pub fn centre_walk_forces(
     tree: &Octree,
     ips: &[IParticle],
-    block: usize,
     theta: f64,
     r_near: f64,
     eps2: f64,
 ) -> Vec<ForceResult> {
     let mut lists = InteractionLists::default();
-    let mut out = Vec::with_capacity(ips.len());
-    for is in ips.chunks(block) {
-        for ip in is {
+    ips.iter()
+        .map(|ip| {
             // BUG (intentional): the group's lists come from a point walk
             // at the centre of its box.
             let at = tree.group_of(ip.index, ip.pos).map_or(ip.pos, |g| {
@@ -93,11 +99,34 @@ pub fn centre_walk_forces(
                 (lo + hi) * 0.5
             });
             tree.interaction_lists(at, theta, r_near, &mut lists);
-            let small = is.len() <= SMALL_BLOCK_MAX;
-            out.push(scalar_list_sum(ip, &lists, tree, r_near, eps2, small));
-        }
-    }
-    out
+            scalar_list_sum(ip, &lists, tree, r_near, eps2)
+        })
+        .collect()
+}
+
+/// Small-block forces on `ips` from the particles of `sys` at time `t`, in
+/// the product's summation structure except that only whole groups of
+/// [`J_LANES`] j-particles are swept.
+pub fn tail_dropped_forces(sys: &ParticleSystem, t: f64, ips: &[IParticle]) -> Vec<ForceResult> {
+    let mut jmem = JMemory::default();
+    jmem.load(sys);
+    jmem.predict_all(t);
+    let (ppos, pvel) = jmem.predicted_all();
+    let (n, eps2) = (sys.len(), sys.softening * sys.softening);
+    let chunk = j_chunk_size(n);
+    ips.iter()
+        .map(|ip| {
+            let mut o = ForceResult::default();
+            for lo in (0..n).step_by(chunk) {
+                let len = chunk.min(n - lo);
+                // BUG (intentional): `len % J_LANES` trailing particles of
+                // the chunk are never swept.
+                let js = lo..lo + len / J_LANES * J_LANES;
+                o.merge(&scalar_small_chunk(ip, js, ppos, pvel, jmem.mass(), eps2));
+            }
+            o
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -129,8 +158,24 @@ mod tests {
         let pos = [Vec3::new(10.0, 0.0, 0.0), Vec3::new(-10.0, 0.0, 0.0)];
         let tree = Octree::build(&pos, &[Vec3::zero(); 2], &[1e-6; 2]);
         let ips = [IParticle { index: 0, pos: pos[0], vel: Vec3::zero() }];
-        let out = centre_walk_forces(&tree, &ips, 1, 0.5, 1.0, 0.008 * 0.008);
+        let out = centre_walk_forces(&tree, &ips, 0.5, 1.0, 0.008 * 0.008);
         assert!(out[0].pot < -1e-6 / 0.008);
         assert!(out[0].nn.is_none());
+    }
+
+    #[test]
+    fn tail_drop_loses_the_particles_past_the_last_whole_group() {
+        // Ten bodies on a line: the sweep covers j = 0..8 and never sees
+        // bodies 8 and 9, so body 0's pull comes from seven bodies, not nine.
+        let mut sys = ParticleSystem::new(0.008, 0.0);
+        for k in 0..10 {
+            sys.push(Vec3::new(k as f64, 0.0, 0.0), Vec3::zero(), 1e-6);
+        }
+        let ips = [IParticle { index: 0, pos: sys.pos[0], vel: sys.vel[0] }];
+        let eps2 = sys.softening * sys.softening;
+        let seven = accumulate_with_nn(&ips[0], 0..8, &sys.pos, &sys.vel, &sys.mass, eps2);
+        let nine = accumulate_with_nn(&ips[0], 0..10, &sys.pos, &sys.vel, &sys.mass, eps2);
+        let got = tail_dropped_forces(&sys, 0.0, &ips)[0];
+        assert!((got.acc.x - seven.acc.x).abs() < 1e-20 && got.acc.x < nine.acc.x);
     }
 }

@@ -14,22 +14,24 @@
 //! Every check is addressable by name so the shrinker can re-run exactly
 //! the failing property while it minimizes a scenario.
 
-use crate::broken::{centre_walk_forces, BrokenEngine};
+use crate::broken::{centre_walk_forces, tail_dropped_forces, BrokenEngine};
 use crate::metamorphic;
 use crate::oracle::{Oracle, Tolerances, SAFETY};
 use crate::scenario::Scenario;
+use crate::shrink::drop_particle;
 use grape6_core::blockstep::SchedulerKind;
 use grape6_core::engine::{ForceEngine, TreeWork};
 use grape6_core::force::{DirectEngine, ScalarDirectEngine};
 use grape6_core::integrator::{BlockHermite, HermiteConfig};
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
+use grape6_core::sweep::SMALL_BLOCK_MAX;
 use grape6_core::vec3::Vec3;
 use grape6_hw::format::accum_quantum;
 use grape6_hw::{
     ClusterEngine, FaultPlan, FaultTolerantEngine, Grape6Config, Grape6Engine, ScalarGrape6Engine,
 };
 use grape6_sim::Simulation;
-use grape6_tree::hybrid::scalar_group_forces;
+use grape6_tree::hybrid::{scalar_block_forces, scalar_group_forces};
 use grape6_tree::{HybridTreeEngine, Octree};
 
 /// One failed check on one scenario.
@@ -64,6 +66,7 @@ pub const ALL_CHECKS: &[&str] = &[
     "meta/threads-grape6",
     "lanes/direct",
     "lanes/grape6",
+    "lanes/small-j",
     "lanes/traj-direct",
     "traj/ft-vs-grape6",
     "traj/threads-grape6",
@@ -78,7 +81,8 @@ pub const ALL_CHECKS: &[&str] = &[
 /// The dev-only checks of the intentionally broken kernels
 /// ([`crate::broken`]): each must *fail* on any scenario of two or more
 /// particles, and shrink to a handful.
-pub const BROKEN_CHECKS: &[&str] = &["broken/dropped-pair", "broken/centre-walk"];
+pub const BROKEN_CHECKS: &[&str] =
+    &["broken/dropped-pair", "broken/centre-walk", "broken/small-j-tail"];
 
 fn all_ips(sys: &ParticleSystem) -> Vec<IParticle> {
     (0..sys.len()).map(|i| IParticle { index: i, pos: sys.pos[i], vel: sys.vel[i] }).collect()
@@ -210,8 +214,18 @@ fn forces_blocked<E: ForceEngine>(
     t: f64,
     block: usize,
 ) -> Vec<ForceResult> {
+    ips_blocked(engine, sys, t, &all_ips(sys), block)
+}
+
+/// [`forces_blocked`] for given i-particles (predicted ones, probes).
+fn ips_blocked<E: ForceEngine>(
+    engine: &mut E,
+    sys: &ParticleSystem,
+    t: f64,
+    ips: &[IParticle],
+    block: usize,
+) -> Vec<ForceResult> {
     engine.load(sys);
-    let ips = all_ips(sys);
     let mut out = vec![ForceResult::default(); ips.len()];
     for (is, os) in ips.chunks(block).zip(out.chunks_mut(block)) {
         engine.compute(t, is, os);
@@ -219,15 +233,42 @@ fn forces_blocked<E: ForceEngine>(
     out
 }
 
-/// A group-walking kernel against the scalar oracle of Barnes' modified
-/// algorithm: a couple of block steps in (j-prediction live), every force
-/// must be the scalar sum over its group's `Octree::group_lists` bit for
-/// bit — neighbour and walk counters included — on the large-block path
-/// and the chunked small-block path (blocked by 5), at every production
-/// opening angle. `kernel(isys, t, tree, ips, block, theta, r_near)` returns
-/// the forces on `ips` taken in blocks of `block`, and its walk counters if
-/// it keeps any.
-fn group_lists_vs_scalar(
+/// A small-block kernel against the scalar definition of the j-lane
+/// summation structure (`ScalarDirectEngine`), a couple of block steps in
+/// (j-prediction live), in blocks of 1, 5 and 16 — on the scenario and on
+/// the scenario less its last particle: one of the two j-counts is not a
+/// multiple of `J_LANES`, so a ragged tail is swept whatever the scenario.
+/// `kernel(isys, t, ips, block)` returns the forces on `ips` taken in blocks
+/// of `block`.
+fn small_j_vs_scalar(
+    sc: &Scenario,
+    kernel: impl Fn(&ParticleSystem, f64, &[IParticle], usize) -> Vec<ForceResult>,
+) -> Option<String> {
+    let cut = (sc.len() >= 2).then(|| drop_particle(sc, sc.len() - 1));
+    for sc in std::iter::once(sc).chain(&cut) {
+        let (isys, t) = initialized_system(sc, 2);
+        let ips = predicted_ips(&isys, t);
+        for block in [1, 5, SMALL_BLOCK_MAX] {
+            let want = ips_blocked(&mut ScalarDirectEngine::default(), &isys, t, &ips, block);
+            if let Some(d) = cmp_bitwise(&kernel(&isys, t, &ips, block), &want, 2) {
+                return Some(format!("{} bodies, blocks of {block}: {d}", isys.len()));
+            }
+        }
+    }
+    None
+}
+
+/// The scalar oracles of the hybrid engine share this shape: forces and walk
+/// counters of one block over a tree.
+type BlockOracle = fn(&Octree, &[IParticle], f64, f64, f64) -> (Vec<ForceResult>, TreeWork);
+
+/// A force kernel of the hybrid engine against a scalar `oracle`, a couple
+/// of block steps in (j-prediction live): every force must match bit for
+/// bit — neighbour and walk counters included — taken as one block and in
+/// blocks of 5, at every production opening angle.
+/// `kernel(isys, t, tree, ips, block, theta, r_near)` returns the forces on
+/// `ips` taken in blocks of `block`, and its walk counters if it keeps any.
+fn hybrid_vs_scalar(
     sc: &Scenario,
     kernel: impl Fn(
         &ParticleSystem,
@@ -238,6 +279,7 @@ fn group_lists_vs_scalar(
         f64,
         f64,
     ) -> (Vec<ForceResult>, Option<TreeWork>),
+    oracle: BlockOracle,
 ) -> Option<String> {
     let (isys, t) = initialized_system(sc, 2);
     let ips = predicted_ips(&isys, t);
@@ -248,12 +290,14 @@ fn group_lists_vs_scalar(
     for theta in [0.3, 0.5, 0.75] {
         for block in [ips.len(), 5] {
             let mut want = Vec::with_capacity(ips.len());
-            let mut want_work = TreeWork { builds: 1, ..TreeWork::default() };
+            let mut want_work = TreeWork::default();
             for is in ips.chunks(block) {
-                let (out, work) = scalar_group_forces(&tree, is, theta, r_near, eps2);
+                let (out, work) = oracle(&tree, is, theta, r_near, eps2);
                 want.extend(out);
                 want_work.merge(&work);
             }
+            // Every block that walked shares the one tree built at `t`.
+            want_work.builds = u64::from(want_work.walks > 0);
             let (got, work) = kernel(&isys, t, &tree, &ips, block, theta, r_near);
             if let Some(d) = cmp_bitwise(&got, &want, 2) {
                 return Some(format!("theta = {theta}, blocks of {block}: {d}"));
@@ -681,24 +725,35 @@ pub fn run_check(sc: &Scenario, check: &str) -> Option<String> {
             }
             None
         }
-        "hybrid/group-lists-vs-scalar" => {
-            group_lists_vs_scalar(sc, |isys, t, _, ips, block, theta, r_near| {
+        "hybrid/group-lists-vs-scalar" => hybrid_vs_scalar(
+            sc,
+            |isys, t, _, ips, block, theta, r_near| {
                 let mut engine = HybridTreeEngine::new(theta, r_near);
-                engine.load(isys);
-                let mut out = vec![ForceResult::default(); ips.len()];
-                for (is, os) in ips.chunks(block).zip(out.chunks_mut(block)) {
-                    engine.compute(t, is, os);
-                }
+                let out = ips_blocked(&mut engine, isys, t, ips, block);
                 (out, engine.tree_work())
-            })
-        }
+            },
+            scalar_block_forces,
+        ),
+        "lanes/small-j" => small_j_vs_scalar(sc, |isys, t, ips, block| {
+            ips_blocked(&mut DirectEngine::new(), isys, t, ips, block)
+        }),
         "broken/centre-walk" => {
             // Dev-only: a group walk measured from the centre of the group's
-            // box instead of the box. The scalar comparison must flag it.
-            group_lists_vs_scalar(sc, |isys, _, tree, ips, block, theta, r_near| {
-                let eps2 = isys.softening * isys.softening;
-                (centre_walk_forces(tree, ips, block, theta, r_near, eps2), None)
-            })
+            // box instead of the box, at every block size. The scalar
+            // comparison must flag it.
+            hybrid_vs_scalar(
+                sc,
+                |isys, _, tree, ips, _, theta, r_near| {
+                    let eps2 = isys.softening * isys.softening;
+                    (centre_walk_forces(tree, ips, theta, r_near, eps2), None)
+                },
+                scalar_group_forces,
+            )
+        }
+        "broken/small-j-tail" => {
+            // Dev-only: a j-lane sweep that never returns for the ragged
+            // tail of a chunk. The scalar definition must flag it.
+            small_j_vs_scalar(sc, |isys, t, ips, _| tail_dropped_forces(isys, t, ips))
         }
         "broken/dropped-pair" => {
             // Dev-only: an intentionally broken kernel that drops the last

@@ -21,7 +21,8 @@ use grape6_core::particle::ParticleSystem;
 use grape6_core::vec3::Vec3;
 use grape6_hw::format::round_vec;
 
-fn drop_particle(sc: &Scenario, victim: usize) -> Scenario {
+/// `sc` without particle `victim`.
+pub(crate) fn drop_particle(sc: &Scenario, victim: usize) -> Scenario {
     let src = &sc.sys;
     let mut sys = ParticleSystem::new(src.softening, src.central_mass);
     sys.t = src.t;

@@ -10,9 +10,10 @@
 //!   around it the routed `ClusterEngine` (one host is the routed node, four
 //!   the production cluster) and the DMR `FaultTolerantEngine`, which
 //!   writes j-memory through the flat engine's one write port,
-//! * `grape6_tree::HybridTreeEngine` — octree far field + exact near field;
-//!   at a zero neighbour radius it is the pure Barnes-Hut baseline the
-//!   paper argues against in §3.
+//! * `grape6_tree::HybridTreeEngine` — octree far field + exact near field
+//!   for blocks large enough to pay for a tree build, the direct engine's
+//!   small-block sweep below; at a zero neighbour radius it is the
+//!   Barnes-Hut baseline the paper argues against in §3.
 //!
 //! The f64 engines share one j-particle store and predictor,
 //! [`crate::jmem::JMemory`]. Scalar reference kernels

@@ -8,7 +8,7 @@
 //! operations per interaction.
 
 use crate::jmem::JMemory;
-use crate::lanes::{sweep_tile_lanes, LaneTile, LANE_WIDTH};
+use crate::lanes::{fold_lanes, sweep_tile_lanes, JLanes, J_LANES, LANE_WIDTH};
 use crate::particle::{ForceResult, IParticle, Neighbor, ParticleSystem};
 use crate::sweep::{chunked_jsweep, j_chunk_size, SMALL_BLOCK_MAX};
 use crate::vec3::Vec3;
@@ -53,30 +53,93 @@ fn tiled_block_sweep(
     }
 }
 
-/// One j-chunk of the small-block sweep through the AoSoA lane kernel:
-/// groups of [`LANE_WIDTH`] i-particles share a [`LaneTile`], and each group
-/// predicts the chunk's j-particles on the fly (prediction is a pure
-/// function of `(j, t)`, so re-evaluating it per group cannot change any
-/// bit).
+/// One j-chunk of the small-block sweep, lanes across j: each [`JGroup`] of
+/// [`J_LANES`] consecutive j-particles is predicted once, on the fly, and
+/// swept against every i-particle's [`JLanes`] registers in `row`.
 #[inline]
 // grape6-lint: hot
 fn small_fill_lanes(
     js: std::ops::Range<usize>,
-    row: &mut [ForceResult],
+    row: &mut [JLanes],
     ips: &[IParticle],
     t: f64,
     jmem: &JMemory,
     eps2: f64,
 ) {
-    let jmass = jmem.mass();
-    for (rs, is) in row.chunks_mut(LANE_WIDTH).zip(ips.chunks(LANE_WIDTH)) {
-        let mut tile = LaneTile::<LANE_WIDTH>::load(is, rs);
-        for j in js.clone() {
-            let (pp, pv) = jmem.predicted(j, t);
-            tile.interact(j, pp, pv, jmass[j], eps2);
+    for j0 in js.clone().step_by(J_LANES) {
+        let group = jmem.predict_lanes(j0, (js.end - j0).min(J_LANES), t);
+        for (lanes, ip) in row.iter_mut().zip(ips) {
+            lanes.interact(ip, &group, eps2);
         }
-        tile.store(rs);
     }
+}
+
+/// Exact forces on a small block (at most [`SMALL_BLOCK_MAX`] i-particles)
+/// from every particle of `jmem` at time `t` — the one small-block path of
+/// the f64 engines. Direct summation costs a few ns per pair where anything
+/// that touches all N bodies first (a full prediction pass, a tree build)
+/// costs tens of ns per body, so below ~16 i-particles it wins at any N.
+///
+/// Summation structure (what [`scalar_small_chunk`] defines the scalar way):
+/// per [`j_chunk_size`] chunk, [`J_LANES`] interleaved partial sums folded
+/// 0 → 7, chunks merged ascending — a function of the j-count alone, so the
+/// bits are the same for any `RAYON_NUM_THREADS`. `partials` is the
+/// per-chunk register scratch (capacity reused).
+// grape6-lint: hot
+pub fn small_block_forces(
+    jmem: &JMemory,
+    partials: &mut Vec<JLanes>,
+    t: f64,
+    ips: &[IParticle],
+    eps2: f64,
+    out: &mut [ForceResult],
+) {
+    debug_assert!(ips.len() <= SMALL_BLOCK_MAX);
+    let n = jmem.len();
+    chunked_jsweep(
+        n,
+        j_chunk_size(n),
+        partials,
+        out,
+        |js, row| small_fill_lanes(js, row, ips, t, jmem, eps2),
+        |o, lanes| o.merge(&lanes.fold()),
+    );
+}
+
+/// The scalar definition of one j-chunk of the small-block sum: lane `k` is
+/// one [`accumulate_with_nn`] over the chunk's j with
+/// `(j − js.start) mod J_LANES = k`, ascending, and the lanes reduce through
+/// [`fold_lanes`].
+pub fn scalar_small_chunk(
+    ip: &IParticle,
+    js: std::ops::Range<usize>,
+    jpos: &[Vec3],
+    jvel: &[Vec3],
+    jmass: &[f64],
+    eps2: f64,
+) -> ForceResult {
+    fold_lanes(&std::array::from_fn(|k| {
+        let lane = (js.start + k..js.end).step_by(J_LANES);
+        accumulate_with_nn(ip, lane, jpos, jvel, jmass, eps2)
+    }))
+}
+
+/// The scalar definition of [`small_block_forces`] for one i-particle over
+/// already-predicted j-particles: [`scalar_small_chunk`] per
+/// [`j_chunk_size`] chunk, merged in ascending order.
+pub fn scalar_small_block(
+    ip: &IParticle,
+    jpos: &[Vec3],
+    jvel: &[Vec3],
+    jmass: &[f64],
+    eps2: f64,
+) -> ForceResult {
+    let (n, chunk) = (jpos.len(), j_chunk_size(jpos.len()));
+    let mut o = ForceResult::default();
+    for lo in (0..n).step_by(chunk) {
+        o.merge(&scalar_small_chunk(ip, lo..(lo + chunk).min(n), jpos, jvel, jmass, eps2));
+    }
+    o
 }
 
 /// Pairwise softened force contribution of a source of mass `mj` at relative
@@ -175,8 +238,8 @@ pub fn accumulate_with_nn(
 #[derive(Debug, Default, Clone)]
 pub struct DirectEngine {
     jmem: JMemory,
-    /// Per-chunk partial rows of the small-block sweep (capacity reused).
-    partials: Vec<ForceResult>,
+    /// Per-chunk lane registers of the small-block sweep (capacity reused).
+    partials: Vec<JLanes>,
     eps2: f64,
     interactions: u64,
     force_calls: u64,
@@ -231,20 +294,10 @@ impl crate::engine::ForceEngine for DirectEngine {
                 .zip(ips.par_chunks(ic))
                 .for_each(|(os, is)| tiled_block_sweep(os, is, ppos, pvel, jmass, eps2));
         } else {
-            // Few i-particles (the common small-block case): parallelize the
-            // j-sweep instead, reducing partial sums like the GRAPE hardware
-            // reduction tree. Prediction is fused into the sweep — each chunk
-            // predicts its own j-range on the fly, so the separate predict
-            // pass (and its memory round-trip) disappears.
-            let jmem = &self.jmem;
-            chunked_jsweep(
-                n,
-                j_chunk_size(n),
-                &mut self.partials,
-                out,
-                |js, row| small_fill_lanes(js, row, ips, t, jmem, eps2),
-                ForceResult::merge,
-            );
+            // Few i-particles (the common small-block case): lanes and the
+            // pool go across j instead, partial sums reduced like the GRAPE
+            // hardware reduction tree, prediction fused into the sweep.
+            small_block_forces(&self.jmem, &mut self.partials, t, ips, eps2, out);
         }
     }
 
@@ -282,9 +335,9 @@ impl crate::engine::ForceEngine for DirectEngine {
 }
 
 /// The scalar oracle of [`DirectEngine`]: the same j-memory and path split,
-/// every sum one [`accumulate_with_nn`] per i-particle over ascending j —
-/// continuous for large blocks, per j-chunk partials merged in order for
-/// small ones (the product's two summation structures round differently).
+/// every sum built from [`accumulate_with_nn`] — one continuous ascending
+/// sweep per i-particle for large blocks, [`scalar_small_block`] for small
+/// ones (the product's two summation structures round differently).
 /// Tests and `grape6-conformance` pin the lane kernels against it bit for
 /// bit; it is a type a test names, never an option a run can select.
 #[derive(Debug, Default, Clone)]
@@ -306,13 +359,13 @@ impl crate::engine::ForceEngine for ScalarDirectEngine {
         *interactions += (ips.len() as u64) * (n as u64);
         jmem.predict_all(t);
         let (ppos, pvel) = jmem.predicted_all();
-        let chunk = if ips.len() > SMALL_BLOCK_MAX { n.max(1) } else { j_chunk_size(n) };
+        let (jmass, eps2) = (jmem.mass(), *eps2);
         for (o, ip) in out.iter_mut().zip(ips) {
-            *o = ForceResult::default();
-            for lo in (0..n).step_by(chunk) {
-                let js = lo..(lo + chunk).min(n);
-                o.merge(&accumulate_with_nn(ip, js, ppos, pvel, jmem.mass(), *eps2));
-            }
+            *o = if ips.len() > SMALL_BLOCK_MAX {
+                accumulate_with_nn(ip, 0..n, ppos, pvel, jmass, eps2)
+            } else {
+                scalar_small_block(ip, ppos, pvel, jmass, eps2)
+            };
         }
     }
 
@@ -453,9 +506,13 @@ mod tests {
             let ips = make_ips(&[i]);
             let mut out = vec![ForceResult::default(); 1];
             e.compute(0.0, &ips, &mut out);
-            assert!((out[0].acc - out_large[k].acc).norm() < 1e-13);
-            assert!((out[0].jerk - out_large[k].jerk).norm() < 1e-13);
-            assert!((out[0].pot - out_large[k].pot).abs() < 1e-12);
+            // The two summation structures round differently. |jerk| reaches
+            // 5e3 here, where 1e-13 is under one ulp: its bound is relative,
+            // a few ulps for a 64-term sum (measured: at most 1.9).
+            let large = &out_large[k];
+            assert!((out[0].acc - large.acc).norm() < 1e-13);
+            assert!((out[0].jerk - large.jerk).norm() < 8.0 * f64::EPSILON * large.jerk.norm());
+            assert!((out[0].pot - large.pot).abs() < 1e-12);
             assert_eq!(out[0].nn.map(|nb| nb.index), out_large[k].nn.map(|nb| nb.index));
         }
     }
@@ -509,6 +566,107 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `n` bodies with live derivatives and staggered individual times.
+    fn staggered(n: usize, seed: u64) -> ParticleSystem {
+        let mut sys = ParticleSystem::new(0.003, 0.0);
+        let mut state = seed;
+        let mut rng = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for i in 0..n {
+            sys.push(
+                Vec3::new(rng() * 20.0, rng() * 20.0, rng()),
+                Vec3::new(rng(), rng(), rng()),
+                1e-8 * (1.0 + rng().abs()),
+            );
+            sys.acc[i] = Vec3::new(rng(), rng(), rng()) * 1e-3;
+            sys.jerk[i] = Vec3::new(rng(), rng(), rng()) * 1e-5;
+            sys.time[i] = (i % 5) as f64 * 0.03125;
+        }
+        sys
+    }
+
+    fn bits(r: &ForceResult) -> ([u64; 7], Option<(usize, u64)>) {
+        let v = [r.acc.x, r.acc.y, r.acc.z, r.jerk.x, r.jerk.y, r.jerk.z, r.pot];
+        (v.map(f64::to_bits), r.nn.map(|nb| (nb.index, nb.r2.to_bits())))
+    }
+
+    #[test]
+    fn small_path_is_the_scalar_definition_for_every_block_size_and_ragged_tail() {
+        // j-counts that leave a ragged last group (n mod 8 != 0), a ragged
+        // last chunk, and — at 4161 bodies, where the chunk size (66) is not
+        // a multiple of J_LANES — a ragged tail in *every* chunk.
+        let t = 0.25;
+        for n in [1usize, 7, 9, 61, 64, 71, 203, 4161] {
+            let sys = staggered(n, 31 + n as u64);
+            for b in 1..=SMALL_BLOCK_MAX {
+                // i-particles spread over the chunks (so most sweep chunks
+                // that do not hold their own slot), the last body, and a
+                // probe that is no body at all.
+                let mut ips: Vec<IParticle> = (0..b)
+                    .map(|k| {
+                        let index = (k * n / b + k) % n;
+                        let (pos, vel) = sys.predict(index, t);
+                        IParticle { index, pos, vel }
+                    })
+                    .collect();
+                ips[b / 2].index = n - 1;
+                ips[b - 1] =
+                    IParticle { index: usize::MAX, pos: Vec3::new(0.5, -0.25, 0.1), ..ips[b - 1] };
+                let mut oracle = ScalarDirectEngine::default();
+                oracle.load(&sys);
+                let mut want = vec![ForceResult::default(); b];
+                oracle.compute(t, &ips, &mut want);
+                for threads in [1usize, 2, 4, 8] {
+                    let got = rayon::with_num_threads(threads, || {
+                        let mut e = engine_for(&sys);
+                        let mut out = vec![ForceResult::default(); b];
+                        e.compute(t, &ips, &mut out);
+                        out
+                    });
+                    for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(bits(g), bits(w), "n={n} b={b} slot {k} threads={threads}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn small_path_neighbour_is_min_r2_then_lowest_j_and_massless_bodies_count() {
+        // 100 bodies = two chunks of 64. Seen from a probe at the origin,
+        // two bodies sit at exactly the same distance, nearer than the rest.
+        let mut sys = ParticleSystem::new(0.01, 0.0);
+        for k in 0..100 {
+            sys.push(Vec3::new(10.0 + k as f64, 3.0, 0.0), Vec3::zero(), 1e-6);
+        }
+        let probe = [IParticle { index: usize::MAX, pos: Vec3::zero(), vel: Vec3::zero() }];
+        let nearest = |a: usize, b: usize| {
+            let mut tied = sys.clone();
+            tied.pos[a] = Vec3::new(2.0, 0.0, 0.0);
+            tied.pos[b] = Vec3::new(0.0, -2.0, 0.0);
+            // Test particles are bodies like any other.
+            tied.mass[a] = 0.0;
+            tied.mass[b] = 0.0;
+            let mut out = [ForceResult::default()];
+            engine_for(&tied).compute(0.0, &probe, &mut out);
+            let mut want = [ForceResult::default()];
+            let mut oracle = ScalarDirectEngine::default();
+            oracle.load(&tied);
+            oracle.compute(0.0, &probe, &mut want);
+            assert_eq!(bits(&out[0]), bits(&want[0]), "tie {a} / {b}");
+            assert_eq!(out[0].nn.map(|nb| nb.r2), Some(4.0));
+            out[0].nn.map(|nb| nb.index)
+        };
+        // Same lane, different lanes with the lower j in the *higher* lane
+        // (j = 1 is lane 1, j = 8 lane 0), and either side of a chunk edge.
+        assert_eq!(nearest(3, 11), Some(3));
+        assert_eq!(nearest(8, 1), Some(1));
+        assert_eq!(nearest(70, 10), Some(10));
+        assert_eq!(nearest(63, 64), Some(63));
     }
 
     #[test]

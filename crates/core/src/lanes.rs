@@ -12,12 +12,12 @@
 //! packed SIMD on x86-64 (2 lanes on SSE2, 4 on AVX2) without any `unsafe`
 //! or `core::arch` intrinsics — the crate stays `forbid(unsafe_code)`.
 //!
-//! # Determinism contract (why lane width cannot change bits)
+//! # Determinism contract (why `LANE_WIDTH` cannot change bits)
 //!
-//! Lanes run over **i-particles only**; the j-loop is never split or
-//! reordered by the lane structure. Each i-particle's accumulator therefore
-//! sees exactly the same contributions in exactly the same ascending-j
-//! order as the scalar oracle
+//! [`LaneTile`]'s lanes run over **i-particles only**; the j-loop is never
+//! split or reordered by the lane structure. Each i-particle's accumulator
+//! therefore sees exactly the same contributions in exactly the same
+//! ascending-j order as the scalar oracle
 //! ([`ScalarDirectEngine`](crate::force::ScalarDirectEngine)), and every
 //! lane operation (IEEE-754 add, mul, div, sqrt — all correctly rounded on
 //! every target) computes the identical expression tree. Hence the output
@@ -25,6 +25,22 @@
 //! `tests/lane_determinism.rs` and the conformance runner's `lanes/*`
 //! checks. No FMA contraction is used or permitted (rustc does not contract
 //! `a * b + c` across `f64` expressions).
+//!
+//! # Lanes across j (small blocks)
+//!
+//! A block of at most `SMALL_BLOCK_MAX` i-particles cannot fill i-lanes — a
+//! one-particle block would compute `LANE_WIDTH` copies of one lane — so its
+//! sweep turns the tile on its side, as GRAPE-6 itself splits **j** across
+//! chips and boards and sums the partial forces in a reduction tree (Makino
+//! et al. 2003): [`JGroup`] holds [`J_LANES`] consecutive predicted
+//! j-particles and [`JLanes`] one i-particle's `J_LANES` partial sums. Here
+//! the lanes *do* split the j-sum, so [`J_LANES`] is part of the small-path
+//! summation structure, exactly like `j_chunk_size`: within a j-chunk lane
+//! `k` sums the chunk's j with `(j − chunk start) mod J_LANES = k` in
+//! ascending order and [`fold_lanes`] adds lanes 0 → `J_LANES − 1`. The
+//! scalar oracle sums in that same structure
+//! ([`scalar_small_chunk`](crate::force::scalar_small_chunk)), so product
+//! and oracle still agree bit for bit, for any thread count.
 //!
 //! # Remainder-lane rule
 //!
@@ -35,6 +51,7 @@
 //! Only `LaneTile::store`'s first `out.len()` lanes are read back, so the
 //! padding cannot influence any result bit.
 
+use crate::force::pair_force_jerk;
 use crate::particle::{ForceResult, IParticle, Neighbor};
 use crate::vec3::Vec3;
 
@@ -253,6 +270,126 @@ pub fn sweep_sources_lanes<const W: usize>(
         tile.interact(k, p, v, m, eps2);
     }
     tile.store(os);
+}
+
+/// j-particles per [`JGroup`] — the lanes of the small-block sweep. Unlike
+/// [`LANE_WIDTH`] this is part of the small-path summation structure, like
+/// `j_chunk_size`: changing it changes output bits (module docs, "Lanes
+/// across j"), so it is a named constant and never an option.
+pub const J_LANES: usize = 8;
+
+/// [`J_LANES`] consecutive j-particles predicted to the block time, one per
+/// lane ([`JMemory::predict_lanes`](crate::jmem::JMemory::predict_lanes)).
+/// A ragged group (`w < J_LANES`, the tail of a j-chunk) replicates its last
+/// j-particle into the unused lanes: real, finite arithmetic that
+/// [`JLanes::interact`] masks out.
+#[derive(Debug, Clone)]
+pub struct JGroup {
+    /// j-index of lane 0.
+    pub(crate) j0: usize,
+    /// Lanes that hold a j-particle of their own (`1..=J_LANES`).
+    pub(crate) w: usize,
+    pub(crate) px: [f64; J_LANES],
+    pub(crate) py: [f64; J_LANES],
+    pub(crate) pz: [f64; J_LANES],
+    pub(crate) vx: [f64; J_LANES],
+    pub(crate) vy: [f64; J_LANES],
+    pub(crate) vz: [f64; J_LANES],
+    pub(crate) mass: [f64; J_LANES],
+}
+
+/// One i-particle's register file in the small-block sweep: [`J_LANES`]
+/// partial sums and nearest-neighbour registers, lane `k` fed by the `k`-th
+/// j-particle of every [`JGroup`] of one j-chunk (the f64 twin of
+/// `grape6_hw::lanes::GrapeJLanes`).
+#[derive(Debug, Clone)]
+pub struct JLanes {
+    ax: [f64; J_LANES],
+    ay: [f64; J_LANES],
+    az: [f64; J_LANES],
+    jx: [f64; J_LANES],
+    jy: [f64; J_LANES],
+    jz: [f64; J_LANES],
+    pot: [f64; J_LANES],
+    /// Nearest-neighbour squared distance (valid only when `nn_j != NONE`).
+    nn_r2: [f64; J_LANES],
+    /// Nearest-neighbour j-index, [`NONE`] until the first candidate.
+    nn_j: [u64; J_LANES],
+}
+
+impl Default for JLanes {
+    fn default() -> Self {
+        Self {
+            ax: [0.0; J_LANES],
+            ay: [0.0; J_LANES],
+            az: [0.0; J_LANES],
+            jx: [0.0; J_LANES],
+            jy: [0.0; J_LANES],
+            jz: [0.0; J_LANES],
+            pot: [0.0; J_LANES],
+            nn_r2: [f64::INFINITY; J_LANES],
+            nn_j: [NONE; J_LANES],
+        }
+    }
+}
+
+impl JLanes {
+    /// Broadcast one i-particle to the lanes of `g` and accumulate each
+    /// lane's force, jerk, potential and nearest-neighbour candidacy.
+    ///
+    /// Per lane this is [`LaneTile::interact`] with the roles swapped: one
+    /// [`pair_force_jerk`], the lane of the i-particle's own slot and the
+    /// unused lanes of a ragged group excluded by a select that leaves their
+    /// accumulator bits untouched.
+    #[inline(always)]
+    // grape6-lint: hot
+    pub fn interact(&mut self, ip: &IParticle, g: &JGroup, eps2: f64) {
+        let skip = ip.index as u64;
+        let (j0, end) = (g.j0 as u64, (g.j0 + g.w) as u64);
+        for k in 0..J_LANES {
+            let j64 = j0 + k as u64;
+            let dx = Vec3::new(g.px[k], g.py[k], g.pz[k]) - ip.pos;
+            let dv = Vec3::new(g.vx[k], g.vy[k], g.vz[k]) - ip.vel;
+            let r2 = dx.norm2();
+            let active = (j64 != skip) & (j64 < end);
+            let take = active & ((self.nn_j[k] == NONE) | (r2 < self.nn_r2[k]));
+            self.nn_r2[k] = if take { r2 } else { self.nn_r2[k] };
+            self.nn_j[k] = if take { j64 } else { self.nn_j[k] };
+            let (a, jk, p) = pair_force_jerk(dx, dv, g.mass[k], eps2);
+            self.ax[k] = if active { self.ax[k] + a.x } else { self.ax[k] };
+            self.ay[k] = if active { self.ay[k] + a.y } else { self.ay[k] };
+            self.az[k] = if active { self.az[k] + a.z } else { self.az[k] };
+            self.jx[k] = if active { self.jx[k] + jk.x } else { self.jx[k] };
+            self.jy[k] = if active { self.jy[k] + jk.y } else { self.jy[k] };
+            self.jz[k] = if active { self.jz[k] + jk.z } else { self.jz[k] };
+            self.pot[k] = if active { self.pot[k] + p } else { self.pot[k] };
+        }
+    }
+
+    /// Reduce the lanes to the j-chunk's partial result ([`fold_lanes`]).
+    #[inline]
+    pub fn fold(&self) -> ForceResult {
+        fold_lanes(&std::array::from_fn(|k| ForceResult {
+            acc: Vec3::new(self.ax[k], self.ay[k], self.az[k]),
+            jerk: Vec3::new(self.jx[k], self.jy[k], self.jz[k]),
+            pot: self.pot[k],
+            nn: (self.nn_j[k] != NONE)
+                .then(|| Neighbor { index: self.nn_j[k] as usize, r2: self.nn_r2[k] }),
+        }))
+    }
+}
+
+/// The reduction of the small-block sweep's lanes, defined once for the
+/// product kernel and its scalar oracle: lane 0, then lanes 1 → `J_LANES − 1`
+/// [merged](ForceResult::merge) in that order — sums add left to right, the
+/// nearest neighbour is the minimum r², then the lowest j.
+#[inline]
+pub fn fold_lanes(lanes: &[ForceResult; J_LANES]) -> ForceResult {
+    let mut o = lanes[0];
+    for lane in &lanes[1..] {
+        o.merge(lane);
+    }
+    o
 }
 
 #[cfg(test)]

@@ -61,6 +61,22 @@ impl ParticleSystem {
         self.pos.is_empty()
     }
 
+    /// Reserve room for `additional` more particles in every array, so a
+    /// caller that knows its count pushes without regrowing nine `Vec`s by
+    /// doubling. A decoder must bound `additional` by the bytes it actually
+    /// holds, never by a count it merely read.
+    pub fn reserve(&mut self, additional: usize) {
+        self.pos.reserve(additional);
+        self.vel.reserve(additional);
+        self.acc.reserve(additional);
+        self.jerk.reserve(additional);
+        self.mass.reserve(additional);
+        self.time.reserve(additional);
+        self.dt.reserve(additional);
+        self.pot.reserve(additional);
+        self.id.reserve(additional);
+    }
+
     /// Append a particle with position, velocity and mass; dynamical state
     /// (acc/jerk/dt) is zeroed until the integrator initializes it.
     pub fn push(&mut self, pos: Vec3, vel: Vec3, mass: f64) -> usize {
@@ -195,17 +211,19 @@ pub struct ForceResult {
 }
 
 impl ForceResult {
-    /// Fold the partial result of a disjoint j-range into this one: sums
-    /// add, the nearest neighbour keeps the strictly closer candidate (so a
-    /// tie resolves to the earlier partial). Partials must be merged in
-    /// ascending j-chunk order for the floating-point sums to be bit-stable.
+    /// Fold the partial result of a disjoint j-set into this one: sums add,
+    /// the nearest neighbour keeps the closer candidate and, at exactly
+    /// equal r², the lower j-index — what one ascending sweep would have
+    /// reported, whether the partials are ascending j-chunks or interleaved
+    /// j-lanes. Partials must be merged in a fixed order for the
+    /// floating-point sums to be bit-stable.
     #[inline]
     pub fn merge(&mut self, other: &Self) {
         self.acc += other.acc;
         self.jerk += other.jerk;
         self.pot += other.pot;
         if let Some(nb) = other.nn {
-            if self.nn.is_none_or(|t| nb.r2 < t.r2) {
+            if self.nn.is_none_or(|t| nb.r2 < t.r2 || (nb.r2 == t.r2 && nb.index < t.index)) {
                 self.nn = Some(nb);
             }
         }

@@ -29,26 +29,29 @@ pub fn j_chunk_size(n_j: usize) -> usize {
 }
 
 /// Sweep `0..n_j` in fixed chunks of `chunk`, calling `fill(j_range, row)`
-/// once per chunk with a zeroed row of `out.len()` partials, then fold the
-/// rows into `out` with `combine`, in ascending chunk order.
+/// once per chunk with a defaulted row of `out.len()` partials, then fold the
+/// rows into `out` with `combine`, in ascending chunk order. A partial may be
+/// of another type than a result (the f64 sweep's is a register file of
+/// j-lanes that `combine` reduces).
 ///
 /// `scratch` holds the per-chunk partial rows between calls so steady-state
 /// sweeps allocate nothing (capacity is retained).
 // grape6-lint: hot
-pub fn chunked_jsweep<R, F>(
+pub fn chunked_jsweep<O, R, F>(
     n_j: usize,
     chunk: usize,
     scratch: &mut Vec<R>,
-    out: &mut [R],
+    out: &mut [O],
     fill: F,
-    combine: impl Fn(&mut R, &R),
+    combine: impl Fn(&mut O, &R),
 ) where
+    O: Default,
     R: Default + Clone + Send,
     F: Fn(std::ops::Range<usize>, &mut [R]) + Sync + Send,
 {
     let b = out.len();
     for o in out.iter_mut() {
-        *o = R::default();
+        *o = O::default();
     }
     if n_j == 0 || b == 0 {
         return;

@@ -292,6 +292,8 @@ fn decode_chunked_system(buf: &mut bytes::Bytes) -> std::io::Result<ParticleSyst
     let central_mass = buf.get_f64_le();
     let mut sys = ParticleSystem::new(softening, central_mass);
     sys.t = t;
+    // Bounded by the bytes present: a hostile `n` cannot demand memory.
+    sys.reserve(n.min(buf.len() / BINARY_PARTICLE_BYTES));
     loop {
         if buf.len() < 4 {
             return Err(bad("truncated body chunk length"));
@@ -532,5 +534,22 @@ mod tests {
         let mut trailing = good.to_vec();
         trailing.push(0);
         assert!(decode_checkpoint(bytes::Bytes::from(trailing), DirectEngine::new()).is_err());
+    }
+
+    #[test]
+    fn a_hostile_particle_count_reserves_nothing_and_is_rejected() {
+        // The decoder reserves for the bodies the buffer can hold, not for
+        // the count the header claims: u64::MAX particles over one real
+        // record must come back as an error, not as an allocation failure.
+        let sys = DiskBuilder::paper(1).with_seed(3).build();
+        let mut raw = u64::MAX.to_le_bytes().to_vec();
+        for field in [sys.t, sys.softening, sys.central_mass] {
+            raw.extend_from_slice(&field.to_le_bytes());
+        }
+        raw.extend_from_slice(&(BINARY_PARTICLE_BYTES as u32).to_le_bytes());
+        crate::io::encode_particle_range(&sys, 0..1, &mut raw);
+        raw.extend_from_slice(&0u32.to_le_bytes());
+        let err = decode_chunked_system(&mut bytes::Bytes::from(raw)).unwrap_err();
+        assert!(err.to_string().contains("1 of the declared"), "{err}");
     }
 }

@@ -148,6 +148,8 @@ pub fn decode_binary_snapshot(mut buf: bytes::Bytes) -> std::io::Result<Particle
     let central_mass = buf.get_f64_le();
     let mut sys = ParticleSystem::new(softening, central_mass);
     sys.t = t;
+    // Bounded by the bytes present: a hostile `n` cannot demand memory.
+    sys.reserve(n.min(buf.len() / BINARY_PARTICLE_BYTES));
     for _ in 0..n {
         decode_particle_record(&mut buf, &mut sys);
     }

@@ -21,26 +21,32 @@
 //! the `hybrid_32k` disk): more, far cheaper interactions — the
 //! algorithm's trade.
 //!
-//! Determinism contract (the same one `TickScheduler` and the lane tiles
-//! meet): tree, groups and lists are pure functions of the j-memory state
-//! at the block time, a lane computes the expression tree of
-//! `pair_force_jerk`, and the per-i summation structure mirrors
-//! `DirectEngine` exactly — so every result equals a scalar
-//! `accumulate_with_nn` / `accumulate_on` over the same two lists bit for
-//! bit ([`scalar_group_forces`]), whichever other particles are active and
-//! for any `RAYON_NUM_THREADS`; and at `theta = 0` with a disk-spanning
-//! neighbour radius every group's candidate list *is* `0..n` with the same
-//! chunk boundaries, reproducing `DirectEngine` bitwise on both the
-//! small-block (chunked j-partial) and large-block (continuous ascending
-//! sweep) paths.
+//! **Tree for b > 16, direct below.** A block of at most [`SMALL_BLOCK_MAX`]
+//! i-particles never touches the tree: [`small_block_forces`], `DirectEngine`'s
+//! own small path, sums it exactly over the j-memory. A walk first predicts and
+//! rebuilds all N bodies (42–51 ns each) where a direct pair costs 2–6 ns, so
+//! the crossover is b ≈ rebuild ns/body ÷ pair ns ≈ 10–20, N-independent. The
+//! paper's §3 objection — a rebuild per tiny block — is left to 17 ≤ b ≲ a few
+//! hundred, which still rebuild.
+//!
+//! Determinism contract (the one `TickScheduler` and the lane tiles meet): a
+//! small block is a pure function of the j-memory; a large one's tree, groups
+//! and lists are pure functions of the j-memory at the block time, each list
+//! one ascending sweep of `pair_force_jerk` — so every result equals its scalar
+//! oracle ([`scalar_block_forces`]) bit for bit, whichever other particles are
+//! active and for any `RAYON_NUM_THREADS`; and at `theta = 0` with a
+//! disk-spanning `r_near` every candidate list *is* `0..n`, reproducing
+//! `DirectEngine` bitwise on both of its paths.
 
 use crate::octree::{InteractionLists, Octree};
 use grape6_core::engine::{ForceEngine, TreeWork};
-use grape6_core::force::{accumulate_on, accumulate_with_nn};
+use grape6_core::force::{
+    accumulate_on, accumulate_with_nn, scalar_small_block, small_block_forces,
+};
 use grape6_core::jmem::JMemory;
-use grape6_core::lanes::{sweep_sources_lanes, LaneTile, LANE_WIDTH};
+use grape6_core::lanes::{sweep_sources_lanes, JLanes, LaneTile, LANE_WIDTH};
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
-use grape6_core::sweep::{j_chunk_size, SMALL_BLOCK_MAX};
+use grape6_core::sweep::SMALL_BLOCK_MAX;
 use rayon::prelude::*;
 
 /// Group field of the bucket key of an i-particle that walks alone, as a
@@ -97,10 +103,12 @@ pub struct HybridTreeEngine {
     /// distance of an i-particle is summed directly at full precision and
     /// is eligible for the nearest-neighbour report.
     pub r_near: f64,
-    /// The tree is built over — and the sweeps read — the memory's
-    /// `predict_all` snapshot.
+    /// A small block sweeps the memory itself; the tree is built over — and
+    /// a large block's sweeps read — its `predict_all` snapshot.
     jmem: JMemory,
     eps2: f64,
+    /// Per-chunk lane registers of the small-block sweep (capacity reused).
+    partials: Vec<JLanes>,
     /// Arena reused across rebuilds; current only while `tree_time` is set.
     tree: Octree,
     tree_time: Option<f64>,
@@ -124,6 +132,7 @@ impl HybridTreeEngine {
             r_near,
             jmem: JMemory::default(),
             eps2: 0.0,
+            partials: Vec::new(),
             tree: Octree::unbuilt(),
             tree_time: None,
             keys: Vec::new(),
@@ -202,8 +211,6 @@ struct Sweep<'a> {
     theta: f64,
     r_near: f64,
     eps2: f64,
-    /// Small blocks take `DirectEngine`'s chunked j-partial structure.
-    small: bool,
 }
 
 impl Sweep<'_> {
@@ -247,49 +254,28 @@ impl Sweep<'_> {
     /// `LANE_WIDTH` members at a time.
     // grape6-lint: hot
     fn sum(&self, ips: &[IParticle], lists: &InteractionLists, out: &mut [ForceResult]) {
-        let near = &lists.near;
         let (jpos, jvel, jmass) = self.tree.bodies();
-        // Near field: ascending-j partial sums per list chunk, merged in
-        // order (a large block's one chunk is one continuous sum).
-        let chunk = if self.small { j_chunk_size(near.len()) } else { near.len().max(1) };
         let r2_near = self.r_near * self.r_near;
         for (os, is) in out.chunks_mut(LANE_WIDTH).zip(ips.chunks(LANE_WIDTH)) {
-            let mut partial = [ForceResult::default(); LANE_WIDTH];
-            let partial = &mut partial[..is.len()];
-            for js in near.chunks(chunk) {
-                partial.fill(ForceResult::default());
-                let mut tile = LaneTile::<LANE_WIDTH>::load(is, partial);
-                for &j in js {
-                    let j = j as usize;
-                    tile.interact(j, jpos[j], jvel[j], jmass[j], self.eps2);
-                }
-                tile.store(partial);
-                for (o, p) in os.iter_mut().zip(partial.iter()) {
-                    o.merge(p);
-                }
+            // Near field: one ascending-j sweep of the group's candidates.
+            let mut tile = LaneTile::<LANE_WIDTH>::load(is, os);
+            for &j in &lists.near {
+                let j = j as usize;
+                tile.interact(j, jpos[j], jvel[j], jmass[j], self.eps2);
             }
-            for o in os.iter_mut() {
-                // The tile saw every candidate; the report is radius-limited.
-                o.nn = o.nn.filter(|nb| nb.r2 <= r2_near);
-            }
-            // Far field: one GRAPE-style j-sweep over the shared list
-            // (cells + far leaf bodies) from a zero seed, added after the
-            // near sum. Empty at theta = 0, so the anchor path never
-            // perturbs a bit.
+            tile.store(os);
+            // The tile saw every candidate; the report is radius-limited.
+            os.iter_mut().for_each(|o| o.nn = o.nn.filter(|nb| nb.r2 <= r2_near));
+            // Far field: one j-sweep over the shared list (cells + far leaf
+            // bodies) from a zero seed, added after the near sum.
             if !lists.far_pos.is_empty() {
-                partial.fill(ForceResult::default());
-                sweep_sources_lanes::<LANE_WIDTH>(
-                    partial,
-                    is,
-                    &lists.far_pos,
-                    &lists.far_vel,
-                    &lists.far_mass,
-                    self.eps2,
-                );
+                let (fp, fv, fm) = (&lists.far_pos, &lists.far_vel, &lists.far_mass);
+                let mut partial = [ForceResult::default(); LANE_WIDTH];
+                let partial = &mut partial[..is.len()];
+                sweep_sources_lanes::<LANE_WIDTH>(partial, is, fp, fv, fm, self.eps2);
                 for (o, far) in os.iter_mut().zip(partial.iter()) {
-                    o.acc += far.acc;
-                    o.jerk += far.jerk;
-                    o.pot += far.pot;
+                    // A source has no j-index: sums only.
+                    o.merge(&ForceResult { nn: None, ..*far });
                 }
             }
         }
@@ -313,7 +299,13 @@ impl ForceEngine for HybridTreeEngine {
         assert_eq!(ips.len(), out.len());
         self.force_calls += 1;
         let b = ips.len();
-        if b == 0 {
+        if b <= SMALL_BLOCK_MAX {
+            // Too few i-particles to pay for touching all N bodies first:
+            // exact forces straight off the j-memory, tree left as it is.
+            small_block_forces(&self.jmem, &mut self.partials, t, ips, self.eps2, out);
+            let r2_near = self.r_near * self.r_near;
+            out.iter_mut().for_each(|o| o.nn = o.nn.filter(|nb| nb.r2 <= r2_near));
+            self.interactions += (b * self.jmem.len()) as u64;
             return;
         }
         if self.tree_time != Some(t) {
@@ -334,10 +326,6 @@ impl ForceEngine for HybridTreeEngine {
                 theta: self.theta,
                 r_near: self.r_near,
                 eps2: self.eps2,
-                // Mirror DirectEngine's path split: the two structures
-                // round differently, and the theta = 0 anchor must match
-                // whichever one DirectEngine would have used.
-                small: b <= SMALL_BLOCK_MAX,
             };
             self.pieces[..used].par_iter_mut().for_each(|piece| sweep.run(piece));
             for piece in &self.pieces[..used] {
@@ -351,9 +339,9 @@ impl ForceEngine for HybridTreeEngine {
         }
     }
 
-    /// Actual near + far interaction-list evaluations — the whole point of
-    /// the hybrid is that this is far below the hardware convention's
-    /// `n_i × n_j`.
+    /// Pairs actually evaluated: near + far list entries of the large
+    /// blocks ([`TreeWork::list_len_sum`]) plus `n_i × n_j` for each small
+    /// block — far below the hardware convention's `n_i × n_j` throughout.
     fn interaction_count(&self) -> u64 {
         self.interactions
     }
@@ -437,13 +425,32 @@ impl ForceEngine for HybridTreeEngine {
 /// Bytes of [`HybridTreeEngine::checkpoint_state`]: ten counters, θ, r_near.
 const STATE_BYTES: usize = 96;
 
-/// The scalar oracle of [`HybridTreeEngine::compute`]: the forces and walk
-/// counters of a block over `tree`, every i-particle evaluated on its own —
-/// its group's [`Octree::group_lists`] (its own point walk when it has no
-/// group) summed by [`scalar_list_sum`]. Tests and `grape6-conformance` pin
-/// the engine against it bit for bit; like
-/// [`ScalarDirectEngine`](grape6_core::force::ScalarDirectEngine) it is
-/// something a test names, never a path a run can select.
+/// The scalar oracle of [`HybridTreeEngine::compute`] over `tree` (built on
+/// the j-memory's snapshot at the block time), path split included: a block
+/// that walks is [`scalar_group_forces`]; a smaller one is `ScalarDirectEngine`'s
+/// sum over every body, the neighbour cut at `r_near`, and no tree work. Tests
+/// and `grape6-conformance` name it; no run can select it.
+pub fn scalar_block_forces(
+    tree: &Octree,
+    ips: &[IParticle],
+    theta: f64,
+    r_near: f64,
+    eps2: f64,
+) -> (Vec<ForceResult>, TreeWork) {
+    if ips.len() > SMALL_BLOCK_MAX {
+        return scalar_group_forces(tree, ips, theta, r_near, eps2);
+    }
+    let (pos, vel, mass) = tree.bodies();
+    let sum = |ip| scalar_small_block(ip, pos, vel, mass, eps2);
+    let mut out: Vec<ForceResult> = ips.iter().map(sum).collect();
+    out.iter_mut().for_each(|o| o.nn = o.nn.filter(|nb| nb.r2 <= r_near * r_near));
+    (out, TreeWork::default())
+}
+
+/// The forces and walk counters of a block that walks, whatever its size,
+/// every i-particle evaluated on its own — its group's
+/// [`Octree::group_lists`] (its own point walk when it has no group) summed
+/// by [`scalar_list_sum`].
 pub fn scalar_group_forces(
     tree: &Octree,
     ips: &[IParticle],
@@ -451,7 +458,6 @@ pub fn scalar_group_forces(
     r_near: f64,
     eps2: f64,
 ) -> (Vec<ForceResult>, TreeWork) {
-    let small = ips.len() <= SMALL_BLOCK_MAX;
     let mut lists = InteractionLists::default();
     let mut work = TreeWork::default();
     let mut walked = std::collections::BTreeSet::new();
@@ -473,7 +479,7 @@ pub fn scalar_group_forces(
             work.list_len_sum += near + far;
             work.list_len_max = work.list_len_max.max(near + far);
             work.lists_emitted += 1;
-            scalar_list_sum(ip, &lists, tree, r_near, eps2, small)
+            scalar_list_sum(ip, &lists, tree, r_near, eps2)
         })
         .collect();
     (out, work)
@@ -481,33 +487,22 @@ pub fn scalar_group_forces(
 
 /// One i-particle summed over a pair of lists the scalar way, in the
 /// engine's summation structure: the near entries (bodies of `tree`) through
-/// [`accumulate_with_nn`] — in `j_chunk_size` partials merged in order for a
-/// `small` block, one continuous sum otherwise — the neighbour kept only
-/// inside `r_near`, then the far sources through [`accumulate_on`] from a
-/// zero seed, added last.
+/// one [`accumulate_with_nn`], the neighbour kept only inside `r_near`, then
+/// the far sources through [`accumulate_on`] from a zero seed, added last
+/// (an empty far list adds +0.0 to sums that are never −0.0: no bit moves).
 pub fn scalar_list_sum(
     ip: &IParticle,
     lists: &InteractionLists,
     tree: &Octree,
     r_near: f64,
     eps2: f64,
-    small: bool,
 ) -> ForceResult {
     let (pos, vel, mass) = tree.bodies();
-    let chunk = if small { j_chunk_size(lists.near.len()) } else { lists.near.len().max(1) };
-    let mut o = ForceResult::default();
-    for js in lists.near.chunks(chunk) {
-        let js = js.iter().map(|&j| j as usize);
-        o.merge(&accumulate_with_nn(ip, js, pos, vel, mass, eps2));
-    }
+    let near = lists.near.iter().map(|&j| j as usize);
+    let mut o = accumulate_with_nn(ip, near, pos, vel, mass, eps2);
     o.nn = o.nn.filter(|nb| nb.r2 <= r_near * r_near);
-    if !lists.far_pos.is_empty() {
-        let (fp, fv, fm) = (&lists.far_pos, &lists.far_vel, &lists.far_mass);
-        let far = accumulate_on(ip.pos, ip.vel, fp, fv, fm, eps2, usize::MAX);
-        o.acc += far.acc;
-        o.jerk += far.jerk;
-        o.pot += far.pot;
-    }
+    let (fp, fv, fm) = (&lists.far_pos, &lists.far_vel, &lists.far_mass);
+    o.merge(&accumulate_on(ip.pos, ip.vel, fp, fv, fm, eps2, usize::MAX));
     o
 }
 
@@ -540,6 +535,24 @@ mod tests {
         idx.map(|i| IParticle { index: i, pos: sys.pos[i], vel: sys.vel[i] }).collect()
     }
 
+    /// Live derivatives and staggered individual times: prediction matters.
+    fn stagger(sys: &mut ParticleSystem) {
+        for i in 0..sys.len() {
+            sys.acc[i] = sys.pos[i] * -1e-4;
+            sys.jerk[i] = sys.vel[i] * -1e-4;
+            sys.time[i] = (i % 4) as f64 * 0.03125;
+        }
+    }
+
+    fn predicted_ips(sys: &ParticleSystem, t: f64) -> Vec<IParticle> {
+        (0..sys.len())
+            .map(|i| {
+                let (pos, vel) = sys.predict(i, t);
+                IParticle { index: i, pos, vel }
+            })
+            .collect()
+    }
+
     fn assert_bits_equal(a: &[ForceResult], b: &[ForceResult], tag: &str) {
         for (k, (x, y)) in a.iter().zip(b).enumerate() {
             assert_eq!(x.acc, y.acc, "{tag}: particle {k} acc");
@@ -555,21 +568,26 @@ mod tests {
 
     #[test]
     fn theta_zero_full_radius_is_bitwise_direct_on_both_paths() {
-        let sys = disk_like(120, 1);
+        // Staggered particle times: the engine's j-prediction is live.
+        let mut sys = disk_like(120, 1);
+        stagger(&mut sys);
+        let t = 0.5;
+        let all = predicted_ips(&sys, t);
         let mut hybrid = HybridTreeEngine::direct_equivalent();
         let mut direct = DirectEngine::new();
         hybrid.load(&sys);
         direct.load(&sys);
-        // Small block (chunked j-partial path) and large block (continuous
-        // per-i path) — DirectEngine's two paths are NOT bitwise equal to
-        // each other, so the hybrid must match each one on its own turf.
+        // Small block (DirectEngine's own j-lane sweep, no tree) and large
+        // block (a walk whose candidate list is 0..n) — DirectEngine's paths
+        // are NOT bitwise equal, so the hybrid must match each on its own turf.
         for b in [1usize, 5, SMALL_BLOCK_MAX, SMALL_BLOCK_MAX + 1, 120] {
-            let ips = ips_for(&sys, 0..b);
             let mut out_h = vec![ForceResult::default(); b];
             let mut out_d = vec![ForceResult::default(); b];
-            hybrid.compute(0.0, &ips, &mut out_h);
-            direct.compute(0.0, &ips, &mut out_d);
+            hybrid.compute(t, &all[..b], &mut out_h);
+            direct.compute(t, &all[..b], &mut out_d);
             assert_bits_equal(&out_h, &out_d, &format!("b={b}"));
+            assert_eq!(hybrid.work.builds, u64::from(b > SMALL_BLOCK_MAX), "b={b}");
+            assert_eq!(hybrid.interaction_count(), direct.interaction_count(), "b={b}");
         }
     }
 
@@ -659,8 +677,8 @@ mod tests {
         let mut sys = disk_like(100, 5);
         let mut e = HybridTreeEngine::new(0.5, 2.0);
         e.load(&sys);
-        let ips = ips_for(&sys, 0..10);
-        let mut out = vec![ForceResult::default(); 10];
+        let ips = ips_for(&sys, 0..SMALL_BLOCK_MAX + 1);
+        let mut out = vec![ForceResult::default(); ips.len()];
         e.compute(0.0, &ips, &mut out);
         e.compute(0.0, &ips, &mut out);
         assert_eq!(e.work.builds, 1, "same-time calls must share the tree");
@@ -670,12 +688,20 @@ mod tests {
         e.update_j(&sys, &[0]);
         e.compute(0.5, &ips, &mut out);
         assert_eq!(e.work.builds, 3, "update_j must force a rebuild");
-        // The §3 argument in miniature: one-particle blocks at distinct
-        // times each pay a full O(N log N) build.
+        // The §3 argument, where it still applies: blocks that walk, at
+        // distinct times, each pay a full O(N log N) build ...
         for k in 1..=20 {
-            e.compute(0.5 + k as f64 * 1e-3, &ips[..1], &mut out[..1]);
+            e.compute(0.5 + k as f64 * 1e-3, &ips, &mut out);
         }
         assert_eq!(e.work.builds, 23);
+        // ... and where it no longer does: one-particle blocks never build
+        // (nor walk: `TreeWork` is tree work only), they pay N pairs each.
+        let (work, pairs) = (e.work, e.interaction_count());
+        for k in 21..=40 {
+            e.compute(0.5 + k as f64 * 1e-3, &ips[..1], &mut out[..1]);
+        }
+        assert_eq!(e.work, work, "20 one-particle blocks: 0 builds, 0 walks");
+        assert_eq!(e.interaction_count(), pairs + 20 * sys.len() as u64);
     }
 
     #[test]
@@ -711,30 +737,12 @@ mod tests {
         assert!(err.contains("theta"), "{err}");
     }
 
-    /// Live derivatives and staggered individual times: prediction matters.
-    fn stagger(sys: &mut ParticleSystem) {
-        for i in 0..sys.len() {
-            sys.acc[i] = sys.pos[i] * -1e-4;
-            sys.jerk[i] = sys.vel[i] * -1e-4;
-            sys.time[i] = (i % 4) as f64 * 0.03125;
-        }
-    }
-
-    fn predicted_ips(sys: &ParticleSystem, t: f64) -> Vec<IParticle> {
-        (0..sys.len())
-            .map(|i| {
-                let (pos, vel) = sys.predict(i, t);
-                IParticle { index: i, pos, vel }
-            })
-            .collect()
-    }
-
     #[test]
     fn engine_is_the_scalar_sum_over_group_lists_bitwise() {
-        // The product (group buckets, lane tiles, pieces across the pool)
-        // against the scalar oracle, one i-particle at a time over
-        // `Octree::group_lists`: forces, neighbours and counters, on both
-        // block paths, with ragged tiles, at every pool size.
+        // The product (group buckets, lane tiles, pieces across the pool;
+        // the j-lane sweep for blocks that do not walk) against the scalar
+        // oracle, one i-particle at a time: forces, neighbours and counters,
+        // on both block paths, with ragged tiles, at every pool size.
         let n = 2100; // enough bodies for groups of GROUP_MAX
         let mut sys = disk_like(n, 7);
         stagger(&mut sys);
@@ -758,12 +766,15 @@ mod tests {
                     let want: Vec<Vec<ForceResult>> = blocks
                         .iter()
                         .map(|is| {
-                            let (out, work) = scalar_group_forces(&tree, is, theta, r_near, eps2);
+                            let (out, work) = scalar_block_forces(&tree, is, theta, r_near, eps2);
                             want_work.merge(&work);
                             out
                         })
                         .collect();
-                    want_work.builds = 1;
+                    // Blocks that walk share one build; small ones pay b × N.
+                    let walks = block > SMALL_BLOCK_MAX;
+                    want_work.builds = u64::from(walks);
+                    let direct_pairs = if walks { 0 } else { blocks.len() * block * n };
                     for threads in [1usize, 2, 4, 8] {
                         rayon::with_num_threads(threads, || {
                             let mut e = HybridTreeEngine::new(theta, r_near);
@@ -775,7 +786,8 @@ mod tests {
                                 assert_bits_equal(&out, want, &tag);
                             }
                             assert_eq!(e.work, want_work, "θ={theta} r={r_near} b={block}");
-                            assert_eq!(e.interaction_count(), want_work.list_len_sum);
+                            let pairs = want_work.list_len_sum + direct_pairs as u64;
+                            assert_eq!(e.interaction_count(), pairs);
                         });
                     }
                 }
@@ -826,15 +838,23 @@ mod tests {
         let (want, work) = scalar_group_forces(&tree, &ips, 0.5, 2.0, eps2);
         assert_bits_equal(&out, &want, "probes");
         assert_eq!(e.work, TreeWork { builds: 1, ..work });
-        // Each of the three, as a block of its own, walks once and consumes
-        // exactly its point walk's list.
+        // Each of the three, seventeen times over in a block that walks:
+        // seventeen lone walks, each consuming exactly its point walk's list.
         let mut lists = InteractionLists::default();
         for k in [3usize, 9, 20] {
+            let block = [ips[k]; SMALL_BLOCK_MAX + 1];
+            e.reset_counters();
+            e.compute(0.0, &block, &mut out[..block.len()]);
+            tree.interaction_lists(ips[k].pos, 0.5, 2.0, &mut lists);
+            assert_eq!((e.work.walks, e.work.list_len_sum), (17, 17 * lists.len() as u64), "{k}");
+            assert_eq!(e.work.cells_opened, 17 * lists.cells_opened, "slot {k}");
+            // As a block of its own it never walks: the exact sum over all
+            // N bodies around the point it gave, whatever index it carries.
             e.reset_counters();
             e.compute(0.0, &ips[k..=k], &mut out[k..=k]);
-            tree.interaction_lists(ips[k].pos, 0.5, 2.0, &mut lists);
-            assert_eq!((e.work.walks, e.work.list_len_sum), (1, lists.len() as u64), "slot {k}");
-            assert_eq!(e.work.cells_opened, lists.cells_opened, "slot {k}");
+            let (want, work) = scalar_block_forces(&tree, &ips[k..=k], 0.5, 2.0, eps2);
+            assert_bits_equal(&out[k..=k], &want, &format!("slot {k} alone"));
+            assert_eq!((e.work, e.interaction_count()), (work, sys.len() as u64), "slot {k}");
         }
     }
 

@@ -15,7 +15,8 @@ use grape6::prelude::*;
 use grape6_conformance::{Oracle, Tolerances};
 use grape6_core::force::{accumulate_on, accumulate_with_nn};
 use grape6_core::particle::{ForceResult, IParticle};
-use grape6_tree::hybrid::scalar_group_forces;
+use grape6_core::sweep::SMALL_BLOCK_MAX;
+use grape6_tree::hybrid::scalar_block_forces;
 use grape6_tree::{InteractionLists, Octree};
 
 fn assert_within_budget(
@@ -163,8 +164,10 @@ fn barnes_hut_limit_is_the_fused_walk_bitwise() {
         }
     }
     // The engine at a zero radius shares each list across a group, so its
-    // contract is the scalar sum over `Octree::group_lists` (bit for bit, on
-    // both block paths, with its j-prediction live) and the derived budget.
+    // contract is its scalar oracle — the sum over `Octree::group_lists` for
+    // a block that walks, the exact direct sum for one of at most
+    // SMALL_BLOCK_MAX, whatever theta (bit for bit, with its j-prediction
+    // live) — and the derived budget.
     let cpu = forces(&mut DirectEngine::new(), &sys, 0.0);
     for theta in [0.0, 0.3, 0.5, 0.75, 0.9] {
         for block in [5usize, n] {
@@ -173,11 +176,12 @@ fn barnes_hut_limit_is_the_fused_walk_bitwise() {
             for is in ips.chunks(block) {
                 let mut out = vec![ForceResult::default(); is.len()];
                 engine.compute(t, is, &mut out);
-                let (want, _) = scalar_group_forces(&tree, is, theta, 0.0, eps2);
+                let (want, _) = scalar_block_forces(&tree, is, theta, 0.0, eps2);
                 assert_forces_bit_equal(&out, &want, &format!("θ={theta} block={block}"));
                 assert!(out.iter().all(|o| o.nn.is_none()), "no neighbour inside a zero radius");
             }
-            assert_eq!(engine.tree_work().unwrap().lists_emitted, n as u64);
+            let walked = if block > SMALL_BLOCK_MAX { n as u64 } else { 0 };
+            assert_eq!(engine.tree_work().unwrap().lists_emitted, walked);
         }
         let got = forces(&mut HybridTreeEngine::new(theta, 0.0), &sys, 0.0);
         let tol = Oracle::tree(theta, n).tolerances(&sys, 0.0);
