@@ -218,4 +218,23 @@ mod tests {
         assert_eq!(e.interaction_count(), (sys.len() * sys.len()) as u64);
         assert!(out.iter().all(|r| r.acc == grape6_core::vec3::Vec3::zero() && r.nn.is_none()));
     }
+
+    #[test]
+    fn null_engine_overwrites_every_element_of_out() {
+        // The `ForceEngine::compute` contract the integrator's reused result
+        // buffer relies on (tests/engine_contract.rs covers the others).
+        use grape6_core::particle::Neighbor;
+        let sys = paper_disk(30, 2);
+        let mut e = NullForceEngine::default();
+        e.load(&sys);
+        for b in [1, 16, 17, sys.len()] {
+            let ips: Vec<IParticle> =
+                (0..b).map(|i| IParticle { index: i, pos: sys.pos[i], vel: sys.vel[i] }).collect();
+            let nan = grape6_core::vec3::Vec3::new(f64::NAN, f64::NAN, f64::NAN);
+            let nn = Some(Neighbor { index: 7, r2: -1.0 });
+            let mut out = vec![ForceResult { acc: nan, jerk: nan, pot: f64::NAN, nn }; b];
+            e.compute(0.0, &ips, &mut out);
+            assert!(out.iter().all(|r| *r == ForceResult::default()), "b={b}");
+        }
+    }
 }

@@ -145,6 +145,11 @@ pub trait ForceEngine {
     /// Compute force, jerk and potential on each i-particle at time `t`.
     /// The engine predicts its j-particles to `t` internally (the GRAPE-6
     /// predictor pipeline).
+    ///
+    /// Contract: `out.len() == ips.len()`, and **every element of `out` is
+    /// overwritten** — acc, jerk, pot and `nn` alike — so the result never
+    /// depends on what `out` held before. The integrator relies on it to
+    /// reuse its result buffer without clearing it.
     fn compute(&mut self, t: f64, ips: &[IParticle], out: &mut [ForceResult]);
 
     /// Total pairwise interactions evaluated since the last reset, counted

@@ -94,6 +94,16 @@ impl RunStats {
     }
 }
 
+/// The first `b` slots of the reused result buffer, for the engine to fill.
+/// The buffer only grows and is never cleared: [`ForceEngine::compute`]
+/// overwrites every element of `out`, so no stale result can leak through.
+fn first_slots(results: &mut Vec<ForceResult>, b: usize) -> &mut [ForceResult] {
+    if results.len() < b {
+        results.resize(b, ForceResult::default());
+    }
+    &mut results[..b]
+}
+
 /// The block-timestep Hermite integrator. Generic over the force engine so
 /// the same host code drives the CPU reference, the GRAPE-6 simulator, and
 /// the tree baseline.
@@ -229,10 +239,9 @@ impl BlockHermite {
             self.ips.push(IParticle { index: i, pos: sys.pos[i], vel: sys.vel[i] });
         }
         obs.phase_end(HostPhase::Predict);
-        self.results.clear();
-        self.results.resize(n, ForceResult::default());
+        let results = first_slots(&mut self.results, n);
         obs.phase_begin(HostPhase::Force);
-        engine.compute(sys.t, &self.ips, &mut self.results);
+        engine.compute(sys.t, &self.ips, results);
         obs.phase_end(HostPhase::Force);
         let init_interactions = engine.interaction_count() - before;
         self.stats.interactions += init_interactions;
@@ -292,7 +301,7 @@ impl BlockHermite {
     /// [`Self::last_block`]. Includes the nearest-neighbour reports the
     /// GRAPE-6 pipelines produce — the hook for collision detection.
     pub fn last_results(&self) -> &[ForceResult] {
-        &self.results
+        &self.results[..self.block.len()]
     }
 
     /// Record externally mutated particles (e.g. an accretion merge) whose
@@ -365,11 +374,10 @@ impl BlockHermite {
         // happened in between, and the entries written are identical (the
         // corrector is the only mutator of the owning particles' state).
         self.flush_j_updates(sys, engine, obs);
-        self.results.clear();
-        self.results.resize(block.len(), ForceResult::default());
+        let results = first_slots(&mut self.results, block.len());
         let before = engine.interaction_count();
         obs.phase_begin(HostPhase::Force);
-        engine.compute(t_block, &self.ips, &mut self.results);
+        engine.compute(t_block, &self.ips, results);
         obs.phase_end(HostPhase::Force);
         let interactions = engine.interaction_count() - before;
 
@@ -635,6 +643,36 @@ mod tests {
             assert_eq!(sys_a.dt[i].to_bits(), sys_c.dt[i].to_bits());
         }
         assert_eq!(integ_a.stats(), integ_c.stats());
+    }
+
+    #[test]
+    fn last_results_track_the_last_block_when_it_shrinks() {
+        // The result buffer only grows; what a caller sees must not. 18
+        // light bodies on wide circular orbits (dt_des ≫ 1/8): 17 due at
+        // 1/8, one held back to 3/16 — a 17-body block, then a 1-body one.
+        let mut sys = ParticleSystem::new(0.0, 1.0);
+        for k in 0..18 {
+            let (r, phi) = (15.0 + k as f64, 0.35 * k as f64);
+            let v = units::circular_speed(r, 1.0);
+            sys.push(
+                Vec3::new(r * phi.cos(), r * phi.sin(), 0.0),
+                Vec3::new(-v * phi.sin(), v * phi.cos(), 0.0),
+                1e-12,
+            );
+        }
+        let cfg = HermiteConfig { dt_max: 0.125, dt_min: 0.0625, ..HermiteConfig::default() };
+        let mut engine = DirectEngine::new();
+        BlockHermite::new(cfg).initialize(&mut sys, &mut engine);
+        assert!(sys.dt.iter().all(|&dt| dt == 0.125));
+        sys.time[17] = 0.0625;
+        let mut integ = BlockHermite::resume_from(cfg, &sys, RunStats::default());
+        for want in [17, 1] {
+            let info = integ.step(&mut sys, &mut engine);
+            assert_eq!(info.n_active, want);
+            assert_eq!(integ.last_block().len(), want);
+            assert_eq!(integ.last_results().len(), want);
+        }
+        assert_eq!(integ.last_block(), &[17]);
     }
 
     #[test]

@@ -205,6 +205,36 @@ impl<const W: usize> LaneTile<W> {
         }
     }
 
+    /// Broadcast one far-field source to all lanes and accumulate its
+    /// force, jerk and potential: [`Self::interact`] without the self-skip
+    /// and neighbour selects (a source is never an i-particle, and nobody
+    /// reads its `nn`), acc, jerk and pot the same expression tree.
+    #[inline(always)]
+    // grape6-lint: hot
+    pub fn interact_source(&mut self, pj: Vec3, vj: Vec3, mj: f64, eps2: f64) {
+        for k in 0..W {
+            let dx = pj.x - self.px[k];
+            let dy = pj.y - self.py[k];
+            let dz = pj.z - self.pz[k];
+            let dvx = vj.x - self.vx[k];
+            let dvy = vj.y - self.vy[k];
+            let dvz = vj.z - self.vz[k];
+            let r2e = dx * dx + dy * dy + dz * dz + eps2;
+            let rinv = 1.0 / r2e.sqrt();
+            let rinv2 = rinv * rinv;
+            let mr3inv = mj * rinv2 * rinv;
+            let rv = dx * dvx + dy * dvy + dz * dvz;
+            let alpha = 3.0 * rv * rinv2;
+            self.ax[k] += dx * mr3inv;
+            self.ay[k] += dy * mr3inv;
+            self.az[k] += dz * mr3inv;
+            self.jx[k] += (dvx - dx * alpha) * mr3inv;
+            self.jy[k] += (dvy - dy * alpha) * mr3inv;
+            self.jz[k] += (dvz - dz * alpha) * mr3inv;
+            self.pot[k] += -mj * rinv;
+        }
+    }
+
     /// Write the first `out.len()` lanes back; padding lanes are dropped.
     #[inline]
     pub fn store(&self, out: &mut [ForceResult]) {
@@ -246,11 +276,10 @@ pub fn sweep_tile_lanes<const W: usize>(
 
 /// Sweep a list of far-field *sources* — accepted tree cells and leaf
 /// bodies, which carry no j-index — for up to `W` i-particles, continuing
-/// the accumulation in `os`. List positions stand in for j-indices and no
-/// lane skips one (a source is never the i-particle itself), so per lane
-/// acc, jerk and pot are [`crate::force::accumulate_on`] with skipping
-/// disabled, bit for bit, and `nn` names the nearest source by its position
-/// in the list.
+/// the accumulation in `os`. No lane skips a source (it is never the
+/// i-particle itself) and none is a neighbour candidate, so per lane acc,
+/// jerk and pot are [`crate::force::accumulate_on`] with skipping
+/// disabled, bit for bit, and `nn` passes through untouched.
 #[inline]
 // grape6-lint: hot
 pub fn sweep_sources_lanes<const W: usize>(
@@ -264,10 +293,8 @@ pub fn sweep_sources_lanes<const W: usize>(
     debug_assert_eq!(spos.len(), svel.len());
     debug_assert_eq!(spos.len(), smass.len());
     let mut tile = LaneTile::<W>::load(ips, os);
-    // No list position reaches NONE: every lane takes every source.
-    tile.skip = [NONE; W];
-    for (k, ((&p, &v), &m)) in spos.iter().zip(svel).zip(smass).enumerate() {
-        tile.interact(k, p, v, m, eps2);
+    for ((&p, &v), &m) in spos.iter().zip(svel).zip(smass) {
+        tile.interact_source(p, v, m, eps2);
     }
     tile.store(os);
 }
@@ -470,23 +497,36 @@ mod tests {
     fn source_sweep_matches_accumulate_on_and_never_skips() {
         // Sources have no j-index: an i-particle whose own index equals a
         // list position (0..3 here), or the NONE sentinel of an external
-        // probe, must still take every source.
+        // probe, must still take every source — and no source is ever
+        // reported as a neighbour.
         let (pos, vel, mass) = jset(21);
         let eps2 = 1e-4;
         let mut ips: Vec<IParticle> =
             (0..5).map(|i| IParticle { index: i, pos: pos[i] * 3.0, vel: vel[i] }).collect();
         ips[4].index = usize::MAX;
-        let mut out = vec![ForceResult::default(); 5];
-        sweep_sources_lanes::<8>(&mut out, &ips, &pos, &vel, &mass, eps2);
-        for (k, ip) in ips.iter().enumerate() {
-            let want =
-                crate::force::accumulate_on(ip.pos, ip.vel, &pos, &vel, &mass, eps2, usize::MAX);
-            assert_eq!(out[k].acc, want.acc, "lane {k} acc");
-            assert_eq!(out[k].jerk, want.jerk, "lane {k} jerk");
-            assert_eq!(out[k].pot.to_bits(), want.pot.to_bits(), "lane {k} pot");
-            let nearest = (0..21)
-                .min_by(|&a, &b| (pos[a] - ip.pos).norm2().total_cmp(&(pos[b] - ip.pos).norm2()));
-            assert_eq!(out[k].nn.map(|nb| nb.index), nearest, "lane {k} nearest source");
+        for w in [4usize, 8] {
+            let mut out = vec![ForceResult::default(); 5];
+            for (os, is) in out.chunks_mut(w).zip(ips.chunks(w)) {
+                match w {
+                    4 => sweep_sources_lanes::<4>(os, is, &pos, &vel, &mass, eps2),
+                    _ => sweep_sources_lanes::<8>(os, is, &pos, &vel, &mass, eps2),
+                }
+            }
+            for (k, ip) in ips.iter().enumerate() {
+                let want = crate::force::accumulate_on(
+                    ip.pos,
+                    ip.vel,
+                    &pos,
+                    &vel,
+                    &mass,
+                    eps2,
+                    usize::MAX,
+                );
+                assert_eq!(out[k].acc, want.acc, "W={w} lane {k} acc");
+                assert_eq!(out[k].jerk, want.jerk, "W={w} lane {k} jerk");
+                assert_eq!(out[k].pot.to_bits(), want.pot.to_bits(), "W={w} lane {k} pot");
+                assert!(out[k].nn.is_none(), "W={w} lane {k}: a source is no neighbour");
+            }
         }
     }
 }

@@ -111,12 +111,41 @@ fn encode_tail<E: ForceEngine>(sim: &Simulation<E>) -> Vec<u8> {
     buf
 }
 
+/// Bytes before the first body chunk: magic, version, then the system
+/// header (particle count, `t`, softening, central mass).
+const HEADER_BYTES: usize = 4 + 4 + 8 + 3 * 8;
+
+fn put_header(buf: &mut Vec<u8>, sys: &ParticleSystem) {
+    use bytes::BufMut;
+    buf.put_slice(CHECKPOINT_MAGIC);
+    buf.put_u32_le(CHECKPOINT_VERSION);
+    buf.put_u64_le(sys.len() as u64);
+    buf.put_f64_le(sys.t);
+    buf.put_f64_le(sys.softening);
+    buf.put_f64_le(sys.central_mass);
+}
+
+/// The particle ranges of the body chunks, in order.
+fn body_chunks(n: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    (0..n)
+        .step_by(CHECKPOINT_CHUNK_PARTICLES)
+        .map(move |lo| lo..(lo + CHECKPOINT_CHUNK_PARTICLES).min(n))
+}
+
+/// Append one `u32`-length-prefixed body chunk: the records of `range`.
+fn put_body_chunk(buf: &mut Vec<u8>, sys: &ParticleSystem, range: std::ops::Range<usize>) {
+    use bytes::BufMut;
+    buf.put_u32_le((range.len() * BINARY_PARTICLE_BYTES) as u32);
+    crate::io::encode_particle_range(sys, range, buf);
+}
+
 /// Stream a running simulation into `w` as a `G6CK` v2 container.
 ///
-/// The particle body goes out in [`CHECKPOINT_CHUNK_PARTICLES`]-record
-/// chunks through one reused buffer, so peak encoder memory is O(chunk)
-/// regardless of N — this is the path the paper-scale runs take (via
-/// [`save_checkpoint`] / [`checkpoint_now`]).
+/// The particle body goes out one [`CHECKPOINT_CHUNK_PARTICLES`]-record
+/// chunk per write through one reused buffer, so peak encoder memory is
+/// O(chunk) regardless of N — this is the path the paper-scale runs take
+/// (via [`save_checkpoint`] / [`checkpoint_now`]). The bytes are those of
+/// [`encode_checkpoint`].
 ///
 /// The telemetry state captured here deliberately does **not** include the
 /// cost of writing this checkpoint itself: checkpoint I/O is charged to the
@@ -127,35 +156,47 @@ pub fn write_checkpoint<E: ForceEngine, W: Write>(
     sim: &Simulation<E>,
     w: &mut W,
 ) -> std::io::Result<()> {
+    use bytes::BufMut;
     let sys = &sim.sys;
-    w.write_all(CHECKPOINT_MAGIC)?;
-    w.write_all(&CHECKPOINT_VERSION.to_le_bytes())?;
-    w.write_all(&(sys.len() as u64).to_le_bytes())?;
-    w.write_all(&sys.t.to_le_bytes())?;
-    w.write_all(&sys.softening.to_le_bytes())?;
-    w.write_all(&sys.central_mass.to_le_bytes())?;
-    let mut chunk: Vec<u8> = Vec::new();
-    let mut start = 0;
-    while start < sys.len() {
-        let end = (start + CHECKPOINT_CHUNK_PARTICLES).min(sys.len());
-        chunk.clear();
-        crate::io::encode_particle_range(sys, start..end, &mut chunk);
-        w.write_all(&(chunk.len() as u32).to_le_bytes())?;
-        w.write_all(&chunk)?;
-        start = end;
+    let first = CHECKPOINT_CHUNK_PARTICLES.min(sys.len());
+    let mut buf = Vec::with_capacity(HEADER_BYTES + 4 + first * BINARY_PARTICLE_BYTES);
+    // The header rides with the first chunk (or the sentinel, if none).
+    put_header(&mut buf, sys);
+    for range in body_chunks(sys.len()) {
+        put_body_chunk(&mut buf, sys, range);
+        w.write_all(&buf)?;
+        buf.clear();
     }
-    w.write_all(&0u32.to_le_bytes())?;
+    buf.put_u32_le(0);
+    w.write_all(&buf)?;
     w.write_all(&encode_tail(sim))
 }
 
-/// Encode a running simulation into an in-memory `G6CK` v2 container.
+/// Encode a running simulation into an in-memory `G6CK` v2 container —
+/// byte for byte what [`write_checkpoint`] streams.
 ///
-/// Convenience wrapper over [`write_checkpoint`] for tests and small runs;
-/// paper-scale runs should stream with [`save_checkpoint`] instead.
+/// The container is sized exactly up front and every record is written
+/// straight into it, which the `Bytes` then takes over without a copy.
+/// Paper-scale runs that only need a file should stream with
+/// [`save_checkpoint`] instead.
 pub fn encode_checkpoint<E: ForceEngine>(sim: &Simulation<E>) -> bytes::Bytes {
-    let mut buf: Vec<u8> =
-        Vec::with_capacity(64 + sim.sys.len() * BINARY_PARTICLE_BYTES + sim.sys.len() / 16);
-    write_checkpoint(sim, &mut buf).expect("in-memory checkpoint write cannot fail");
+    use bytes::BufMut;
+    let sys = &sim.sys;
+    let tail = encode_tail(sim);
+    let n = sys.len();
+    let len = HEADER_BYTES
+        + n.div_ceil(CHECKPOINT_CHUNK_PARTICLES) * 4
+        + n * BINARY_PARTICLE_BYTES
+        + 4
+        + tail.len();
+    let mut buf = Vec::with_capacity(len);
+    put_header(&mut buf, sys);
+    for range in body_chunks(n) {
+        put_body_chunk(&mut buf, sys, range);
+    }
+    buf.put_u32_le(0);
+    buf.put_slice(&tail);
+    debug_assert_eq!(buf.len(), len, "container size");
     bytes::Bytes::from(buf)
 }
 
@@ -310,9 +351,8 @@ fn decode_chunked_system(buf: &mut bytes::Bytes) -> std::io::Result<ParticleSyst
         if buf.len() < len {
             return Err(bad("truncated body chunk"));
         }
-        for _ in 0..len / BINARY_PARTICLE_BYTES {
-            crate::io::decode_particle_record(buf, &mut sys);
-        }
+        crate::io::decode_particle_records(&buf[..len], &mut sys);
+        buf.advance(len);
         if sys.len() > n {
             return Err(bad(format!("body chunks carry more particles than the declared {n}")));
         }
@@ -551,5 +591,70 @@ mod tests {
         raw.extend_from_slice(&0u32.to_le_bytes());
         let err = decode_chunked_system(&mut bytes::Bytes::from(raw)).unwrap_err();
         assert!(err.to_string().contains("1 of the declared"), "{err}");
+    }
+
+    #[test]
+    fn a_hostile_snapshot_count_is_rejected_not_wrapped() {
+        // `24 + n·136` wraps to 40 for this `n`: the old length check passed
+        // and the record loop ran off the buffer — a panic in the shim's
+        // cursor in release, an overflowing multiply in debug — through
+        // `load_binary_snapshot`, `load_auto` and a v1 G6CK alike.
+        let n = u64::MAX / BINARY_PARTICLE_BYTES as u64 + 1;
+        assert_eq!(n.wrapping_mul(BINARY_PARTICLE_BYTES as u64), 16);
+        let sys = DiskBuilder::paper(1).with_seed(3).build();
+        let mut snap = crate::io::encode_binary_snapshot(&sys).to_vec();
+        snap[8..16].copy_from_slice(&n.to_le_bytes());
+        let err = crate::io::decode_binary_snapshot(bytes::Bytes::from(snap.clone())).unwrap_err();
+        assert!(err.to_string().contains("truncated body"), "G6SN: {err}");
+        // The same snapshot as the system section of a v1 container.
+        let mut v1 = CHECKPOINT_MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&(snap.len() as u64).to_le_bytes());
+        v1.extend_from_slice(&snap);
+        let err = match decode_checkpoint(bytes::Bytes::from(v1), DirectEngine::new()) {
+            Err(e) => e,
+            Ok(_) => panic!("hostile v1 particle count accepted"),
+        };
+        assert!(err.to_string().contains("truncated body"), "v1 G6CK: {err}");
+    }
+
+    #[test]
+    fn encode_checkpoint_is_the_streamed_container_byte_for_byte() {
+        // Chunk boundaries on either side of every count; every record field
+        // distinct, so a misplaced word would show.
+        for n in [1usize, 8191, 8192, 8193, 20000] {
+            let mut sys = ParticleSystem::new(0.008, 1.0);
+            sys.t = 0.375;
+            for i in 0..n {
+                let x = i as f64;
+                let v = |k: f64| grape6_core::vec3::Vec3::new(x + k, -x * k, 1.0 / (x + k));
+                sys.push_with_id(v(0.5), v(1.5), 1e-9 * (1.0 + x), 3 * i as u64 + 1);
+                (sys.acc[i], sys.jerk[i]) = (v(2.5), v(3.5));
+                (sys.time[i], sys.dt[i], sys.pot[i]) = (0.25, 0.125, -x);
+            }
+            let sim = Simulation {
+                sys,
+                integrator: BlockHermite::new(cfg()),
+                engine: DirectEngine::new(),
+                ledger: EnergyLedger { e0: -1.5, l0: 2.5 },
+                block_hist: BlockSizeHistogram::new(),
+                diagnostics: Vec::new(),
+                radius_model: None,
+                accretion_log: Default::default(),
+                encounter_log: None,
+                telemetry: None,
+            };
+            let mut streamed = Vec::new();
+            write_checkpoint(&sim, &mut streamed).unwrap();
+            let encoded = encode_checkpoint(&sim);
+            assert_eq!(encoded.len(), streamed.len(), "n={n}");
+            assert!(encoded.as_slice() == streamed.as_slice(), "n={n}: bytes differ");
+            let back = decode_checkpoint(encoded, DirectEngine::new()).unwrap();
+            assert_bitwise_equal(&sim.sys, &back.sys);
+            assert_eq!(
+                (back.sys.mass, back.sys.pot, back.sys.id),
+                (sim.sys.mass, sim.sys.pot, sim.sys.id)
+            );
+        }
     }
 }

@@ -53,22 +53,22 @@ pub const BINARY_PARTICLE_BYTES: usize = 12 * 8 + 4 * 8 + 8;
 
 /// Append particle `i`'s binary record — the [`BINARY_PARTICLE_BYTES`]-long
 /// body layout shared by the `G6SN` snapshot and the chunked `G6CK` v2
-/// checkpoint container.
-fn put_particle_record(buf: &mut impl bytes::BufMut, sys: &ParticleSystem, i: usize) {
-    for v in [sys.pos[i], sys.vel[i], sys.acc[i], sys.jerk[i]] {
-        buf.put_f64_le(v.x);
-        buf.put_f64_le(v.y);
-        buf.put_f64_le(v.z);
+/// checkpoint container: 17 little-endian words at fixed offsets (pos, vel,
+/// acc, jerk as x, y, z; mass, time, dt, pot; id), moved as one array.
+pub(crate) fn put_particle_record(buf: &mut impl bytes::BufMut, sys: &ParticleSystem, i: usize) {
+    let (p, v, a, j) = (sys.pos[i], sys.vel[i], sys.acc[i], sys.jerk[i]);
+    let vectors = [p.x, p.y, p.z, v.x, v.y, v.z, a.x, a.y, a.z, j.x, j.y, j.z];
+    let scalars = [sys.mass[i], sys.time[i], sys.dt[i], sys.pot[i]];
+    let words = vectors.into_iter().chain(scalars).map(f64::to_bits).chain([sys.id[i]]);
+    let mut rec = [0u8; BINARY_PARTICLE_BYTES];
+    for (slot, w) in rec.as_chunks_mut::<8>().0.iter_mut().zip(words) {
+        *slot = w.to_le_bytes();
     }
-    buf.put_f64_le(sys.mass[i]);
-    buf.put_f64_le(sys.time[i]);
-    buf.put_f64_le(sys.dt[i]);
-    buf.put_f64_le(sys.pot[i]);
-    buf.put_u64_le(sys.id[i]);
+    buf.put_slice(&rec);
 }
 
 /// Append the binary records of particles `range` to `buf` — one chunk
-/// payload of the streamed `G6CK` v2 body.
+/// payload of the `G6CK` v2 body.
 pub(crate) fn encode_particle_range(
     sys: &ParticleSystem,
     range: std::ops::Range<usize>,
@@ -80,29 +80,27 @@ pub(crate) fn encode_particle_range(
     }
 }
 
-/// Decode one binary particle record from `buf` onto `sys`. The caller must
-/// have verified that at least [`BINARY_PARTICLE_BYTES`] remain.
-pub(crate) fn decode_particle_record(buf: &mut bytes::Bytes, sys: &mut ParticleSystem) {
-    use bytes::Buf;
-    let get_v = |buf: &mut bytes::Bytes| {
-        grape6_core::vec3::Vec3::new(buf.get_f64_le(), buf.get_f64_le(), buf.get_f64_le())
-    };
-    let pos = get_v(buf);
-    let vel = get_v(buf);
-    let acc = get_v(buf);
-    let jerk = get_v(buf);
-    let mass = buf.get_f64_le();
-    let time = buf.get_f64_le();
-    let dt = buf.get_f64_le();
-    let pot = buf.get_f64_le();
-    let id = buf.get_u64_le();
-    let i = sys.push(pos, vel, mass);
-    sys.acc[i] = acc;
-    sys.jerk[i] = jerk;
-    sys.time[i] = time;
-    sys.dt[i] = dt;
-    sys.pot[i] = pot;
-    sys.id[i] = id;
+/// Decode one binary particle record (the layout of
+/// [`put_particle_record`]) onto `sys`.
+pub(crate) fn decode_particle_record(rec: &[u8; BINARY_PARTICLE_BYTES], sys: &mut ParticleSystem) {
+    let word = |k: usize| u64::from_le_bytes(rec[8 * k..8 * k + 8].try_into().expect("8 bytes"));
+    let f = |k: usize| f64::from_bits(word(k));
+    let v = |k: usize| grape6_core::vec3::Vec3::new(f(k), f(k + 1), f(k + 2));
+    let i = sys.push_with_id(v(0), v(3), f(12), word(16));
+    sys.acc[i] = v(6);
+    sys.jerk[i] = v(9);
+    sys.time[i] = f(13);
+    sys.dt[i] = f(14);
+    sys.pot[i] = f(15);
+}
+
+/// Decode `body`, whole records end to end, onto `sys`.
+pub(crate) fn decode_particle_records(body: &[u8], sys: &mut ParticleSystem) {
+    let (recs, rest) = body.as_chunks::<BINARY_PARTICLE_BYTES>();
+    debug_assert!(rest.is_empty(), "{} bytes of a partial record", rest.len());
+    for rec in recs {
+        decode_particle_record(rec, sys);
+    }
 }
 
 /// Serialize a system to the compact binary snapshot format (lossless f64;
@@ -140,7 +138,8 @@ pub fn decode_binary_snapshot(mut buf: bytes::Bytes) -> std::io::Result<Particle
         return Err(err(&format!("unsupported binary version {version}")));
     }
     let n = buf.get_u64_le() as usize;
-    if buf.len() < 24 + n * BINARY_PARTICLE_BYTES {
+    // Divide, never multiply: a hostile `n` must not wrap past the check.
+    if n > (buf.len() - 24) / BINARY_PARTICLE_BYTES {
         return Err(err("truncated body"));
     }
     let t = buf.get_f64_le();
@@ -148,11 +147,8 @@ pub fn decode_binary_snapshot(mut buf: bytes::Bytes) -> std::io::Result<Particle
     let central_mass = buf.get_f64_le();
     let mut sys = ParticleSystem::new(softening, central_mass);
     sys.t = t;
-    // Bounded by the bytes present: a hostile `n` cannot demand memory.
-    sys.reserve(n.min(buf.len() / BINARY_PARTICLE_BYTES));
-    for _ in 0..n {
-        decode_particle_record(&mut buf, &mut sys);
-    }
+    sys.reserve(n);
+    decode_particle_records(&buf[..n * BINARY_PARTICLE_BYTES], &mut sys);
     Ok(sys)
 }
 

@@ -251,32 +251,49 @@ impl Sweep<'_> {
     }
 
     /// Sweep one group's shared lists for its active members, a tile of
-    /// `LANE_WIDTH` members at a time.
+    /// `LANE_WIDTH` members at a time; a ragged tail of at most half that
+    /// takes a half-width tile (lanes span i only, so no bit depends on W).
     // grape6-lint: hot
     fn sum(&self, ips: &[IParticle], lists: &InteractionLists, out: &mut [ForceResult]) {
-        let (jpos, jvel, jmass) = self.tree.bodies();
-        let r2_near = self.r_near * self.r_near;
         for (os, is) in out.chunks_mut(LANE_WIDTH).zip(ips.chunks(LANE_WIDTH)) {
-            // Near field: one ascending-j sweep of the group's candidates.
-            let mut tile = LaneTile::<LANE_WIDTH>::load(is, os);
-            for &j in &lists.near {
-                let j = j as usize;
-                tile.interact(j, jpos[j], jvel[j], jmass[j], self.eps2);
+            if is.len() <= LANE_WIDTH / 2 {
+                self.sum_tile::<{ LANE_WIDTH / 2 }>(is, lists, os);
+            } else {
+                self.sum_tile::<LANE_WIDTH>(is, lists, os);
             }
-            tile.store(os);
-            // The tile saw every candidate; the report is radius-limited.
-            os.iter_mut().for_each(|o| o.nn = o.nn.filter(|nb| nb.r2 <= r2_near));
-            // Far field: one j-sweep over the shared list (cells + far leaf
-            // bodies) from a zero seed, added after the near sum.
-            if !lists.far_pos.is_empty() {
-                let (fp, fv, fm) = (&lists.far_pos, &lists.far_vel, &lists.far_mass);
-                let mut partial = [ForceResult::default(); LANE_WIDTH];
-                let partial = &mut partial[..is.len()];
-                sweep_sources_lanes::<LANE_WIDTH>(partial, is, fp, fv, fm, self.eps2);
-                for (o, far) in os.iter_mut().zip(partial.iter()) {
-                    // A source has no j-index: sums only.
-                    o.merge(&ForceResult { nn: None, ..*far });
-                }
+        }
+    }
+
+    /// Both lists for up to `W` members through one `W`-lane tile each.
+    #[inline]
+    // grape6-lint: hot
+    fn sum_tile<const W: usize>(
+        &self,
+        is: &[IParticle],
+        lists: &InteractionLists,
+        os: &mut [ForceResult],
+    ) {
+        let (jpos, jvel, jmass) = self.tree.bodies();
+        // Near field: one ascending-j sweep of the group's candidates.
+        let mut tile = LaneTile::<W>::load(is, os);
+        for &j in &lists.near {
+            let j = j as usize;
+            tile.interact(j, jpos[j], jvel[j], jmass[j], self.eps2);
+        }
+        tile.store(os);
+        // The tile saw every candidate; the report is radius-limited.
+        let r2_near = self.r_near * self.r_near;
+        os.iter_mut().for_each(|o| o.nn = o.nn.filter(|nb| nb.r2 <= r2_near));
+        // Far field: one sweep over the shared list (cells + far leaf
+        // bodies) from a zero seed, added after the near sum. A source is
+        // no neighbour: `far.nn` stays `None`.
+        if !lists.far_pos.is_empty() {
+            let (fp, fv, fm) = (&lists.far_pos, &lists.far_vel, &lists.far_mass);
+            let mut partial = [ForceResult::default(); W];
+            let partial = &mut partial[..is.len()];
+            sweep_sources_lanes::<W>(partial, is, fp, fv, fm, self.eps2);
+            for (o, far) in os.iter_mut().zip(partial.iter()) {
+                o.merge(far);
             }
         }
     }

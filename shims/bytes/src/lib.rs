@@ -1,6 +1,11 @@
-//! Offline shim for `bytes`: an `Arc`-backed immutable byte buffer with a
-//! read cursor (`Bytes`), a growable write buffer (`BytesMut`), and the
+//! Offline shim for `bytes`: a shared immutable byte buffer with a read
+//! cursor (`Bytes`), a growable write buffer (`BytesMut`), and the
 //! little-endian `Buf`/`BufMut` accessors the wire model uses.
+//!
+//! As upstream, `Bytes::from(Vec<u8>)` and [`BytesMut::freeze`] take the
+//! vector's allocation over without copying a byte, and [`Bytes::slice`] /
+//! [`Buf::copy_to_bytes`] return views that share it: a checkpoint encoded
+//! into a `Vec` or read with `fs::read` is held once, never twice.
 
 #![forbid(unsafe_code)]
 use std::sync::Arc;
@@ -8,22 +13,26 @@ use std::sync::Arc;
 /// Cheaply clonable immutable byte buffer with an internal read cursor.
 ///
 /// `len()`/`remaining()` report the unread suffix, matching upstream
-/// semantics where reads consume the front of the buffer.
+/// semantics where reads consume the front of the buffer. Clones and views
+/// share one allocation.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
+    /// Read cursor: the unread bytes are `data[pos..end]`.
     pos: usize,
+    /// End of this view within `data`.
+    end: usize,
 }
 
 impl Bytes {
     /// A buffer over static data.
     pub fn from_static(data: &'static [u8]) -> Self {
-        Self { data: Arc::from(data), pos: 0 }
+        Self::from(data.to_vec())
     }
 
     /// Unread bytes left.
     pub fn len(&self) -> usize {
-        self.data.len() - self.pos
+        self.end - self.pos
     }
 
     /// Whether all bytes have been consumed.
@@ -33,7 +42,7 @@ impl Bytes {
 
     /// The unread suffix as a slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.pos..]
+        &self.data[self.pos..self.end]
     }
 
     /// Copy the unread suffix into a `Vec`.
@@ -41,9 +50,18 @@ impl Bytes {
         self.as_slice().to_vec()
     }
 
-    /// A new buffer over `range` of the unread suffix.
+    /// A view of `range` of the unread suffix, sharing this allocation.
     pub fn slice(&self, range: std::ops::Range<usize>) -> Self {
-        Self::from(self.as_slice()[range].to_vec())
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "slice {range:?} out of bounds of {} unread bytes",
+            self.len()
+        );
+        Self {
+            data: Arc::clone(&self.data),
+            pos: self.pos + range.start,
+            end: self.pos + range.end,
+        }
     }
 
     fn take(&mut self, n: usize) -> &[u8] {
@@ -55,8 +73,10 @@ impl Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes the vector's allocation over: no byte is copied.
     fn from(v: Vec<u8>) -> Self {
-        Self { data: Arc::from(v), pos: 0 }
+        let end = v.len();
+        Self { data: Arc::new(v), pos: 0, end }
     }
 }
 
@@ -126,8 +146,8 @@ pub trait Buf {
     fn advance(&mut self, n: usize);
     /// Copy `dst.len()` bytes out, advancing the cursor.
     fn copy_to_slice(&mut self, dst: &mut [u8]);
-    /// Split off the next `n` bytes as an owned [`Bytes`], advancing the
-    /// cursor.
+    /// Split off the next `n` bytes as a [`Bytes`] (a shared view, as
+    /// upstream), advancing the cursor.
     fn copy_to_bytes(&mut self, n: usize) -> Bytes;
     /// Read one byte.
     fn get_u8(&mut self) -> u8;
@@ -154,7 +174,9 @@ impl Buf for Bytes {
         dst.copy_from_slice(self.take(n));
     }
     fn copy_to_bytes(&mut self, n: usize) -> Bytes {
-        Bytes::from(self.take(n).to_vec())
+        let start = self.pos;
+        self.take(n);
+        Bytes { data: Arc::clone(&self.data), pos: start, end: self.pos }
     }
     fn get_u8(&mut self) -> u8 {
         self.take(1)[0]
@@ -202,7 +224,7 @@ impl BytesMut {
         self.data.is_empty()
     }
 
-    /// Freeze into an immutable [`Bytes`].
+    /// Freeze into an immutable [`Bytes`], moving the buffer (no copy).
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
@@ -345,6 +367,57 @@ mod tests {
         assert_eq!(b.remaining(), 4);
         assert_eq!(b.get_u8(), 1);
         assert_eq!(a.remaining(), 3);
+    }
+
+    #[test]
+    fn from_vec_and_freeze_keep_the_allocation_and_clones_share_it() {
+        let v: Vec<u8> = (0..=255).collect();
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr, "From<Vec<u8>> moved, not copied");
+        assert_eq!(b.clone().as_ptr(), ptr, "a clone shares the buffer");
+        let mut w = BytesMut::with_capacity(8);
+        w.put_u64_le(7);
+        let ptr = w.as_ptr();
+        assert_eq!(w.freeze().as_ptr(), ptr, "freeze moved, not copied");
+    }
+
+    #[test]
+    fn views_read_the_same_content_as_copies() {
+        let v: Vec<u8> = (0..64).map(|k| (k * 7 + 3) as u8).collect();
+        let mut b = Bytes::from(v.clone());
+        assert_eq!((b.len(), b.to_vec()), (64, v.clone()));
+        assert_eq!(b.get_u32_le(), u32::from_le_bytes(v[0..4].try_into().unwrap()));
+        // Views are relative to the unread suffix and share the allocation.
+        let s = b.slice(2..10);
+        assert_eq!((s.len(), s.to_vec()), (8, v[6..14].to_vec()));
+        assert_eq!(s.as_ptr(), b.as_ptr().wrapping_add(2));
+        let mut part = b.copy_to_bytes(12);
+        assert_eq!(part.to_vec(), v[4..16].to_vec());
+        assert_eq!((b.len(), b.as_slice()), (48, &v[16..]));
+        // A view has its own cursor and its own end.
+        assert_eq!(part.get_u64_le(), u64::from_le_bytes(v[4..12].try_into().unwrap()));
+        assert_eq!(part.to_vec(), v[12..16].to_vec());
+        assert_eq!(part.slice(1..3).to_vec(), v[13..15].to_vec());
+        assert!(part.slice(4..4).is_empty());
+        let mut rest = [0u8; 4];
+        part.copy_to_slice(&mut rest);
+        assert!(part.is_empty());
+        assert_eq!(b.copy_to_bytes(0).len(), 0);
+        assert_eq!(Bytes::from_static(b"abc").slice(1..3), Bytes::from(b"bc".to_vec()));
+    }
+
+    #[test]
+    #[should_panic(expected = "underflow")]
+    fn copy_to_bytes_past_the_end_panics() {
+        let mut b = Bytes::from(vec![1u8, 2, 3]);
+        let _ = b.copy_to_bytes(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_past_the_end_panics() {
+        let _ = Bytes::from(vec![1u8, 2, 3]).slice(1..4);
     }
 
     #[test]
