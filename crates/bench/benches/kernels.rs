@@ -6,8 +6,9 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use grape6_core::blockstep::BlockScheduler;
 use grape6_core::engine::ForceEngine;
 use grape6_core::force::{accumulate_on, pair_force_jerk, DirectEngine};
-use grape6_core::hermite::{correct, predict};
-use grape6_core::particle::{ForceResult, IParticle};
+use grape6_core::hermite::{correct, predict, CorrectorTile};
+use grape6_core::lanes::LANE_WIDTH;
+use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_core::vec3::Vec3;
 use grape6_disk::DiskBuilder;
 
@@ -79,6 +80,34 @@ fn bench_hermite(c: &mut Criterion) {
             correct(black_box(xp), black_box(vp), a0, j0, black_box(a1), black_box(j1), 0.125)
         })
     });
+    // The block-step corrector over one full tile — gather, central field,
+    // correction and Aarseth step, scatter — as `BlockHermite` runs it. One
+    // iteration corrects LANE_WIDTH particles, so the row's elem/s is
+    // particles per second (1e9 / rate = ns per particle).
+    let mut sys = ParticleSystem::new(0.0, 1.0);
+    for k in 0..LANE_WIDTH {
+        let i = sys.push(x + Vec3::new(0.0, k as f64, 0.0), v, 1e-9);
+        (sys.acc[i], sys.jerk[i]) = (a0, j0);
+    }
+    let ips: Vec<IParticle> = (0..LANE_WIDTH)
+        .map(|i| {
+            let (pos, vel) = sys.predict(i, 0.125);
+            IParticle { index: i, pos, vel }
+        })
+        .collect();
+    let results = vec![ForceResult { acc: a1, jerk: j1, pot: -1e-9, nn: None }; LANE_WIDTH];
+    let mut out = sys.clone();
+    let mut group = c.benchmark_group(&format!("hermite_correct_tile_w{LANE_WIDTH}"));
+    group.throughput(Throughput::Elements(LANE_WIDTH as u64));
+    group.bench_function("particles", |b| {
+        b.iter(|| {
+            let mut tile =
+                CorrectorTile::<LANE_WIDTH>::load(black_box(&ips), &results, &sys, 0.125);
+            tile.compute(black_box(1.0), 0.02);
+            tile.store(&ips, &results, &mut out, 0.125)[0]
+        })
+    });
+    group.finish();
 }
 
 fn bench_scheduler(c: &mut Criterion) {

@@ -11,8 +11,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Round `dt` down to the nearest power of two, clamped to
-/// `[dt_min, dt_max]`. `dt_max` and `dt_min` must themselves be powers of
-/// two.
+/// `[dt_min, dt_max]`. `dt_max` and `dt_min` must themselves be normal
+/// powers of two, so a subnormal `dt` (whose exponent field is zero) lands
+/// on `dt_min`.
 #[inline]
 #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(dt > 0)` also catches NaN
 pub fn quantize_dt(dt: f64, dt_min: f64, dt_max: f64) -> f64 {
@@ -24,11 +25,8 @@ pub fn quantize_dt(dt: f64, dt_min: f64, dt_max: f64) -> f64 {
     if dt >= dt_max {
         return dt_max;
     }
-    // Largest power of two ≤ dt: exact via exponent extraction.
-    let q = 2.0f64.powi(dt.log2().floor() as i32);
-    // log2/floor can land one octave high for values just below a power of
-    // two due to rounding; fix up deterministically.
-    let q = if q > dt { q * 0.5 } else { q };
+    // Largest power of two ≤ dt: keep the exponent, clear the mantissa.
+    let q = f64::from_bits(dt.to_bits() & 0xfff0_0000_0000_0000);
     q.clamp(dt_min, dt_max)
 }
 
@@ -568,6 +566,66 @@ mod tests {
         }
     }
 
+    /// `quantize_dt` as `2^floor(log2 dt)` with an octave fix-up: the formula
+    /// the exponent mask replaced, kept as the oracle it must match.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(dt > 0)` also catches NaN
+    fn quantize_dt_log2(dt: f64, dt_min: f64, dt_max: f64) -> f64 {
+        if !(dt > 0.0) {
+            return dt_min;
+        }
+        if dt >= dt_max {
+            return dt_max;
+        }
+        let q = 2.0f64.powi(dt.log2().floor() as i32);
+        let q = if q > dt { q * 0.5 } else { q };
+        q.clamp(dt_min, dt_max)
+    }
+
+    fn assert_quantize_matches_log2(dt: f64, dt_min: f64, dt_max: f64) {
+        assert_eq!(
+            quantize_dt(dt, dt_min, dt_max).to_bits(),
+            quantize_dt_log2(dt, dt_min, dt_max).to_bits(),
+            "dt = {dt:e} ({:#018x}) in [{dt_min:e}, {dt_max:e}]",
+            dt.to_bits()
+        );
+    }
+
+    /// A wide range that leaves the whole sweep unclamped, and the
+    /// integrator's default.
+    const QUANTIZE_RANGES: [(f64, f64); 2] =
+        [(1.0 / (1u64 << 62) as f64, 32.0), (1.0 / (1u64 << 40) as f64, 0.125)];
+
+    #[test]
+    fn quantize_mask_matches_log2_around_every_power_of_two() {
+        for (dt_min, dt_max) in QUANTIZE_RANGES {
+            for e in -60..=4 {
+                let p = 2.0f64.powi(e).to_bits();
+                for ulps in 0..=4 {
+                    for dt in [f64::from_bits(p - ulps), f64::from_bits(p + ulps)] {
+                        assert_quantize_matches_log2(dt, dt_min, dt_max);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_mask_matches_log2_on_edge_inputs() {
+        let subnormals =
+            [f64::from_bits(1), f64::MIN_POSITIVE / 3.0, f64::from_bits(0x000f_ffff_ffff_ffff)];
+        let specials = [0.0, -0.0, -1.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let ranges = QUANTIZE_RANGES.into_iter().chain([(f64::MIN_POSITIVE, 1.0)]);
+        for (dt_min, dt_max) in ranges {
+            let at_or_above_max = [dt_max, dt_max * 1.5, dt_max * 2.0, 1e300, f64::MAX];
+            for dt in subnormals.into_iter().chain(subnormals.map(|s| -s)) {
+                assert_quantize_matches_log2(dt, dt_min, dt_max);
+            }
+            for dt in specials.into_iter().chain(at_or_above_max) {
+                assert_quantize_matches_log2(dt, dt_min, dt_max);
+            }
+        }
+    }
+
     #[test]
     fn commensurability_basic() {
         assert!(is_commensurate(0.0, 0.25));
@@ -844,6 +902,15 @@ mod tests {
                     .map(|&e| base + dt_min * 2.0f64.powi(e as i32))
                     .collect();
                 assert_schedulers_agree(&times, dt_min, rounds);
+            }
+
+            /// The exponent mask is the `log2` oracle, bit for bit, over
+            /// every scale a desired step takes.
+            #[test]
+            fn quantize_mask_matches_log2_on_random_steps(dt in 1e-12..100.0f64) {
+                for (dt_min, dt_max) in QUANTIZE_RANGES {
+                    assert_quantize_matches_log2(dt, dt_min, dt_max);
+                }
             }
         }
     }

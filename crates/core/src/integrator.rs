@@ -11,7 +11,8 @@
 use crate::blockstep::{next_block_dt, quantize_dt, EventQueue, SchedulerKind};
 use crate::central::central_acc_jerk;
 use crate::engine::ForceEngine;
-use crate::hermite::{aarseth_dt, correct, initial_dt};
+use crate::hermite::{initial_dt, CorrectorTile};
+use crate::lanes::LANE_WIDTH;
 use crate::observer::{HostPhase, StepObserver};
 use crate::particle::{ForceResult, IParticle, ParticleSystem};
 use crate::vec3::Vec3;
@@ -384,30 +385,7 @@ impl BlockHermite {
         // The corrector span also covers the scheduler re-pushes, which are
         // interleaved per particle; `Schedule` covers block extraction only.
         obs.phase_begin(HostPhase::Correct);
-        for (k, &i) in block.iter().enumerate() {
-            let dt = t_block - sys.time[i];
-            debug_assert!(dt > 0.0, "non-positive step for particle {i}");
-            let mut acc1 = self.results[k].acc;
-            let mut jerk1 = self.results[k].jerk;
-            if sys.central_mass > 0.0 {
-                let (ca, cj) = central_acc_jerk(sys.central_mass, self.ips[k].pos, self.ips[k].vel);
-                acc1 += ca;
-                jerk1 += cj;
-            }
-            let corrected =
-                correct(self.ips[k].pos, self.ips[k].vel, sys.acc[i], sys.jerk[i], acc1, jerk1, dt);
-            sys.pos[i] = corrected.pos;
-            sys.vel[i] = corrected.vel;
-            sys.acc[i] = acc1;
-            sys.jerk[i] = jerk1;
-            sys.pot[i] = self.results[k].pot;
-            sys.time[i] = t_block;
-            let dt_des =
-                aarseth_dt(acc1, jerk1, corrected.snap, corrected.crackle, self.config.eta);
-            sys.dt[i] =
-                next_block_dt(sys.dt[i], dt_des, t_block, self.config.dt_min, self.config.dt_max);
-            self.scheduler.push(i, t_block + sys.dt[i]);
-        }
+        self.correct_block(sys, t_block);
         obs.phase_end(HostPhase::Correct);
         // Defer the block's j-updates: they batch with any accretion marks
         // and land just before the next force evaluation (see `pending_j`).
@@ -422,6 +400,30 @@ impl BlockHermite {
         let info = BlockStepInfo { t: t_block, n_active: block.len(), interactions };
         self.block = block;
         info
+    }
+
+    /// Correct the slots of the block just computed (`ips`, with their engine
+    /// results), [`LANE_WIDTH`] at a time through a [`CorrectorTile`], then
+    /// choose each particle's next step and reschedule it, slot by slot in
+    /// block order. A tile reads all its slots before it writes any; the
+    /// bits are those of one slot at a time because a block holds each
+    /// particle once.
+    // grape6-lint: hot
+    fn correct_block(&mut self, sys: &mut ParticleSystem, t_block: f64) {
+        let HermiteConfig { eta, dt_min, dt_max, .. } = self.config;
+        let b = self.ips.len();
+        debug_assert!(self.ips.windows(2).all(|w| w[0].index < w[1].index));
+        let slots = self.ips.chunks(LANE_WIDTH).zip(self.results[..b].chunks(LANE_WIDTH));
+        for (ips, results) in slots {
+            let mut tile = CorrectorTile::<LANE_WIDTH>::load(ips, results, sys, t_block);
+            tile.compute(sys.central_mass, eta);
+            let dt_des = tile.store(ips, results, sys, t_block);
+            for (ip, &dt_des) in ips.iter().zip(dt_des) {
+                let i = ip.index;
+                sys.dt[i] = next_block_dt(sys.dt[i], dt_des, t_block, dt_min, dt_max);
+                self.scheduler.push(i, t_block + sys.dt[i]);
+            }
+        }
     }
 
     /// Step until the system time reaches (at least) `t_end`.
