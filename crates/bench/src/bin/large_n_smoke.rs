@@ -16,6 +16,9 @@
 //! Exit status is nonzero if the run produces no work or the checkpoint
 //! cannot be written/reloaded.
 
+// Per-phase wall times are this harness's output.
+#![allow(clippy::disallowed_methods)]
+
 use grape6_bench::{arg_or, experiment_config, fmt, paper_disk, print_header, print_row};
 use grape6_core::blockstep::SchedulerKind;
 use grape6_core::engine::ForceEngine;

@@ -11,6 +11,9 @@
 //!    of at most 16 i-particles is summed directly, which is cheaper than
 //!    rebuilding at any N); every block above that still rebuilds.
 
+// Table 2 reports wall time per block step.
+#![allow(clippy::disallowed_methods)]
+
 use grape6_bench::{arg_or, experiment_config, fmt, paper_disk, print_header, print_row};
 use grape6_core::engine::ForceEngine;
 use grape6_core::force::DirectEngine;

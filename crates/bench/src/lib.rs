@@ -11,6 +11,8 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// The load generator times jobs against the wall clock.
+#![allow(clippy::disallowed_methods)]
 pub mod loadgen;
 
 use grape6_core::integrator::HermiteConfig;

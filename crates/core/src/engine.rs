@@ -207,47 +207,3 @@ pub trait ForceEngine {
     /// Short human-readable engine name.
     fn name(&self) -> &'static str;
 }
-
-/// Blanket helper: compute forces for a set of system indices, predicting the
-/// i-particles on the host side.
-pub fn compute_for_indices<E: ForceEngine + ?Sized>(
-    engine: &mut E,
-    sys: &ParticleSystem,
-    t: f64,
-    indices: &[usize],
-    out: &mut Vec<ForceResult>,
-) -> Vec<IParticle> {
-    let ips: Vec<IParticle> = indices
-        .iter()
-        .map(|&i| {
-            let (pos, vel) = sys.predict(i, t);
-            IParticle { index: i, pos, vel }
-        })
-        .collect();
-    out.clear();
-    out.resize(ips.len(), ForceResult::default());
-    engine.compute(t, &ips, out);
-    ips
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::force::DirectEngine;
-    use crate::vec3::Vec3;
-
-    #[test]
-    fn compute_for_indices_predicts_i_particles() {
-        let mut sys = ParticleSystem::new(0.0, 0.0);
-        sys.push(Vec3::new(0.0, 0.0, 0.0), Vec3::new(1.0, 0.0, 0.0), 1.0);
-        sys.push(Vec3::new(10.0, 0.0, 0.0), Vec3::zero(), 1.0);
-        let mut e = DirectEngine::new();
-        e.load(&sys);
-        let mut out = Vec::new();
-        // At t = 2 particle 0 has drifted to x = 2 (pure velocity, no acc).
-        let ips = compute_for_indices(&mut e, &sys, 2.0, &[0], &mut out);
-        assert_eq!(ips[0].pos, Vec3::new(2.0, 0.0, 0.0));
-        // Distance to particle 1 is 8 → acc = 1/64.
-        assert!((out[0].acc.x - 1.0 / 64.0).abs() < 1e-15);
-    }
-}

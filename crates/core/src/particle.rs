@@ -114,15 +114,6 @@ impl ParticleSystem {
         self.pos.iter().zip(&self.mass).map(|(&p, &mi)| p * mi).sum::<Vec3>() / m
     }
 
-    /// Centre-of-mass velocity of the particles.
-    pub fn com_velocity(&self) -> Vec3 {
-        let m = self.total_mass();
-        if m == 0.0 {
-            return Vec3::zero();
-        }
-        self.vel.iter().zip(&self.mass).map(|(&v, &mi)| v * mi).sum::<Vec3>() / m
-    }
-
     /// Predict the phase-space state of particle `i` at time `t` with the
     /// Hermite predictor polynomial (position to 3rd order, velocity to 2nd).
     ///
@@ -260,7 +251,6 @@ mod tests {
         let s = two_body();
         assert_eq!(s.total_mass(), 2.0);
         assert_eq!(s.center_of_mass(), Vec3::zero());
-        assert_eq!(s.com_velocity(), Vec3::zero());
     }
 
     #[test]
@@ -276,7 +266,6 @@ mod tests {
         let s = ParticleSystem::new(0.0, 0.0);
         assert!(s.is_empty());
         assert_eq!(s.center_of_mass(), Vec3::zero());
-        assert_eq!(s.com_velocity(), Vec3::zero());
     }
 
     #[test]

@@ -63,36 +63,12 @@ pub fn mutual_hill_radius(a1: f64, m1: f64, a2: f64, m2: f64, m_central: f64) ->
     0.5 * (a1 + a2) * ((m1 + m2) / (3.0 * m_central)).cbrt()
 }
 
-/// Two-body escape speed from separation `r` for total mass `m`.
-#[inline]
-pub fn escape_speed(r: f64, m: f64) -> f64 {
-    (2.0 * G * m / r).sqrt()
-}
-
 /// One AU in kilometres.
 pub const AU_KM: f64 = 1.495_978_707e8;
 
 /// The unit of velocity (AU per time unit) in km/s: the Earth's orbital
 /// speed, ≈ 29.78 km/s.
 pub const VELOCITY_KMS: f64 = 29.784_69;
-
-/// Convert a simulation velocity to km/s.
-#[inline]
-pub fn velocity_to_kms(v: f64) -> f64 {
-    v * VELOCITY_KMS
-}
-
-/// Convert a simulation mass (M_sun) to kilograms.
-#[inline]
-pub fn mass_to_kg(m: f64) -> f64 {
-    m * 1.988_92e30
-}
-
-/// Convert a simulation length (AU) to kilometres.
-#[inline]
-pub fn length_to_km(x: f64) -> f64 {
-    x * AU_KM
-}
 
 /// Parameters of the paper's production configuration (§2, §6), used as the
 /// reference workload across examples, tests and benches.
@@ -197,25 +173,11 @@ mod tests {
     }
 
     #[test]
-    fn escape_speed_matches_energy_argument() {
-        // (1/2) v_esc² = G m / r.
-        let v = escape_speed(2.0, 3.0);
-        assert!((0.5 * v * v - G * 3.0 / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn physical_conversions_are_consistent() {
-        // v_circ(1 AU) = 1 unit = 2π AU/yr ≈ 29.78 km/s.
-        let kms = velocity_to_kms(circular_speed(1.0, 1.0));
-        assert!((kms - 29.78).abs() < 0.05, "1 AU circular speed = {kms} km/s");
         // AU/yr from first principles: AU_KM / seconds-per-year / (1/2π).
         let seconds_per_year = 365.25 * 86_400.0;
         let derived = AU_KM / seconds_per_year * YEAR;
         assert!((derived - VELOCITY_KMS).abs() < 0.05, "derived {derived}");
-        // An Earth mass in kg.
-        let me_kg = mass_to_kg(M_EARTH);
-        assert!((me_kg / 5.972e24 - 1.0).abs() < 0.01, "M_earth = {me_kg} kg");
-        assert_eq!(length_to_km(1.0), AU_KM);
     }
 
     #[test]

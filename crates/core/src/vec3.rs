@@ -73,17 +73,6 @@ impl Vec3 {
         self.norm2().sqrt()
     }
 
-    /// Unit vector in the direction of `self`. Returns zero for the zero vector.
-    #[inline]
-    pub fn normalized(self) -> Self {
-        let n = self.norm();
-        if n > 0.0 {
-            self / n
-        } else {
-            ZERO
-        }
-    }
-
     /// Component-wise minimum.
     #[inline]
     pub fn min(self, rhs: Self) -> Self {
@@ -321,17 +310,6 @@ mod tests {
     fn norm_pythagorean() {
         assert_eq!(v(3.0, 4.0, 0.0).norm(), 5.0);
         assert_eq!(v(3.0, 4.0, 0.0).norm2(), 25.0);
-    }
-
-    #[test]
-    fn normalized_has_unit_length() {
-        let n = v(1.0, -2.0, 2.5).normalized();
-        assert!((n.norm() - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn normalized_zero_is_zero() {
-        assert_eq!(ZERO.normalized(), ZERO);
     }
 
     #[test]

@@ -231,16 +231,6 @@ impl MassSpectrum {
         };
         Self { edges, counts, slope }
     }
-
-    /// Largest populated mass bin's upper edge (tracks the runaway tail).
-    pub fn max_mass(&self) -> f64 {
-        for b in (0..self.counts.len()).rev() {
-            if self.counts[b] > 0 {
-                return self.edges[b + 1];
-            }
-        }
-        0.0
-    }
 }
 
 /// Tisserand parameter of an orbit with respect to a perturber at
@@ -391,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn mass_spectrum_ignores_ghosts_and_tracks_max() {
+    fn mass_spectrum_ignores_ghosts() {
         let mut sys = ParticleSystem::new(0.0, 1.0);
         for k in 1..=8 {
             sys.push(Vec3::new(k as f64, 0.0, 0.0), Vec3::zero(), 1e-10 * k as f64);
@@ -400,7 +390,6 @@ mod tests {
         let idx: Vec<usize> = (0..8).collect();
         let spec = MassSpectrum::from_system(&sys, &idx, 4);
         assert_eq!(spec.counts.iter().sum::<usize>(), 7);
-        assert!(spec.max_mass() >= 8e-10);
     }
 
     #[test]

@@ -139,11 +139,6 @@ impl DiskBuilder {
         }
         sys
     }
-
-    /// Indices of the protoplanets in the built system.
-    pub fn protoplanet_indices(&self) -> std::ops::Range<usize> {
-        self.n..self.n + self.protoplanets.len()
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +155,6 @@ mod tests {
         let b = small_disk();
         let sys = b.build();
         assert_eq!(sys.len(), 502);
-        assert_eq!(b.protoplanet_indices(), 500..502);
         assert!(sys.validate().is_ok());
     }
 

@@ -57,17 +57,6 @@ impl RadialProfile {
         }
     }
 
-    /// Surface density at `r` for a ring of total mass `m_total`.
-    pub fn sigma(&self, r: f64, m_total: f64) -> f64 {
-        let q2 = self.exponent + 2.0;
-        let norm = if q2.abs() < 1e-12 {
-            (self.r_out / self.r_in).ln()
-        } else {
-            (self.r_out.powf(q2) - self.r_in.powf(q2)) / q2
-        };
-        m_total / (std::f64::consts::TAU * norm) * r.powf(self.exponent)
-    }
-
     /// Width of the annulus.
     pub fn width(&self) -> f64 {
         self.r_out - self.r_in
@@ -108,30 +97,6 @@ mod tests {
         assert_eq!(p.mass_fraction_within(p.r_in), 0.0);
         assert_eq!(p.mass_fraction_within(p.r_out), 1.0);
         assert_eq!(p.mass_fraction_within(5.0), 0.0); // clamped
-    }
-
-    #[test]
-    fn sigma_follows_power_law() {
-        let p = RadialProfile::paper();
-        let m = 3e-4;
-        let ratio = p.sigma(30.0, m) / p.sigma(20.0, m);
-        assert!((ratio - (30.0f64 / 20.0).powf(-1.5)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sigma_integrates_to_total_mass() {
-        let p = RadialProfile::paper();
-        let m = 3e-4;
-        // ∫ 2π r Σ dr over the annulus by midpoint rule.
-        let n = 10_000;
-        let dr = p.width() / n as f64;
-        let total: f64 = (0..n)
-            .map(|k| {
-                let r = p.r_in + (k as f64 + 0.5) * dr;
-                std::f64::consts::TAU * r * p.sigma(r, m) * dr
-            })
-            .sum();
-        assert!((total - m).abs() / m < 1e-4, "integrated {total:e}");
     }
 
     #[test]

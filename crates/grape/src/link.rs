@@ -48,22 +48,6 @@ impl Link {
         }
         self.latency + bytes as f64 / self.bytes_per_second
     }
-
-    /// Extra time lost to `retries` stop-and-wait retransmissions of one
-    /// `packet_bytes` packet: each checksum-detected corruption pays the
-    /// link latency and the packet body again. This is the timing cost of
-    /// the retry rung of the fault-recovery ladder.
-    pub fn retransmit_time(&self, packet_bytes: u64, retries: u64) -> f64 {
-        retries as f64 * self.transfer_time(packet_bytes)
-    }
-
-    /// Effective bandwidth (bytes/s) achieved for a message of `bytes`.
-    pub fn effective_bandwidth(&self, bytes: u64) -> f64 {
-        if bytes == 0 {
-            return 0.0;
-        }
-        bytes as f64 / self.transfer_time(bytes)
-    }
 }
 
 /// Wire formats of the data that crosses the links, in bytes per particle.
@@ -103,7 +87,6 @@ mod tests {
     #[test]
     fn zero_bytes_is_free() {
         assert_eq!(Link::lvds().transfer_time(0), 0.0);
-        assert_eq!(Link::pci().effective_bandwidth(0), 0.0);
     }
 
     #[test]
@@ -111,15 +94,6 @@ mod tests {
         let l = Link::gigabit_ethernet();
         let t_small = l.transfer_time(64);
         assert!(t_small > 0.9 * l.latency && t_small < 2.0 * l.latency);
-        // Effective bandwidth for tiny messages is far below wire rate.
-        assert!(l.effective_bandwidth(64) < l.bytes_per_second / 10.0);
-    }
-
-    #[test]
-    fn bandwidth_asymptote_for_large_messages() {
-        let l = Link::pci();
-        let eff = l.effective_bandwidth(1 << 30);
-        assert!((eff / l.bytes_per_second - 1.0).abs() < 0.01);
     }
 
     #[test]
@@ -127,15 +101,6 @@ mod tests {
         // LVDS and PCI are comparable; fast ethernet is far slower.
         assert!(Link::fast_ethernet().bytes_per_second < Link::gigabit_ethernet().bytes_per_second);
         assert!(Link::gigabit_ethernet().bytes_per_second < Link::pci().bytes_per_second);
-    }
-
-    #[test]
-    fn retransmissions_charge_latency_each() {
-        let l = Link::lvds();
-        assert_eq!(l.retransmit_time(60, 0), 0.0);
-        let one = l.retransmit_time(60, 1);
-        assert_eq!(one, l.transfer_time(60));
-        assert!((l.retransmit_time(60, 3) - 3.0 * one).abs() < 1e-18);
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl NetworkMode {
             NetworkMode::PointToPoint => 4,
         }
     }
-
-    /// Downlinks available to each partition (of the NB's four).
-    pub fn links_per_partition(&self) -> usize {
-        4 / self.partitions()
-    }
 }
 
 /// Geometry of one network board.
@@ -110,13 +105,6 @@ impl NetworkTree {
     pub fn reduce_time(&self, bytes: u64) -> f64 {
         self.broadcast_time(bytes)
     }
-
-    /// Time to deliver distinct payloads of `bytes` each to every leaf
-    /// (point-to-point mode): the uplink serializes all of them.
-    pub fn scatter_time(&self, bytes_per_leaf: u64) -> f64 {
-        self.board.link.transfer_time(bytes_per_leaf * self.leaves as u64)
-            + self.levels() as f64 * self.board.forward_latency
-    }
 }
 
 #[cfg(test)]
@@ -128,8 +116,6 @@ mod tests {
         assert_eq!(NetworkMode::Broadcast.partitions(), 1);
         assert_eq!(NetworkMode::TwoWayMulticast.partitions(), 2);
         assert_eq!(NetworkMode::PointToPoint.partitions(), 4);
-        assert_eq!(NetworkMode::Broadcast.links_per_partition(), 4);
-        assert_eq!(NetworkMode::PointToPoint.links_per_partition(), 1);
     }
 
     #[test]
@@ -156,16 +142,6 @@ mod tests {
         let serial = Link::lvds().transfer_time(bytes);
         assert!(time >= serial);
         assert!(time < serial + 1e-5, "tree overhead too high: {time}");
-    }
-
-    #[test]
-    fn scatter_costs_scale_with_leaves() {
-        let t = NetworkTree::spanning(4, NetworkBoardGeometry::default());
-        let b = t.broadcast_time(1000);
-        let s = t.scatter_time(1000);
-        assert!(s > 2.0 * b || s > b, "scatter {s} vs broadcast {b}");
-        // 4 distinct payloads serialize through the uplink.
-        assert!((s - Link::lvds().transfer_time(4000) - t.board.forward_latency).abs() < 1e-12);
     }
 
     #[test]

@@ -37,8 +37,6 @@ pub struct Grape6Node {
     boards: Vec<ProcessorBoard>,
     /// The NB tree spanning them.
     pub tree: NetworkTree,
-    format: FixedPointFormat,
-    precision: Precision,
     /// j index → (board, local index) routing.
     routes: Vec<(usize, usize)>,
     /// Boards taken out of service by [`Self::fail_board`].
@@ -59,8 +57,6 @@ impl Grape6Node {
         Self {
             boards: (0..n_boards).map(|_| ProcessorBoard::new(board, format, precision)).collect(),
             tree: NetworkTree::spanning(n_boards, NetworkBoardGeometry::default()),
-            format,
-            precision,
             routes: Vec::new(),
             failed: vec![false; n_boards],
             traffic: NodeTraffic::default(),
@@ -76,16 +72,6 @@ impl Grape6Node {
     /// Bytes moved so far.
     pub fn traffic(&self) -> NodeTraffic {
         self.traffic
-    }
-
-    /// The position format this node's memories use.
-    pub fn format(&self) -> FixedPointFormat {
-        self.format
-    }
-
-    /// The arithmetic precision this node emulates.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Number of resident j-particles.

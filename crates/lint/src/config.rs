@@ -1,68 +1,25 @@
 //! `lint.toml` parsing: a hand-rolled parser for the TOML subset the
 //! configuration actually uses (no external deps, offline like the shims).
 //!
-//! Supported grammar: `[section.sub]` headers, `key = "string"`,
-//! `key = ["a", "b"]` (arrays may span lines), `key = true|false`, and `#`
-//! comments. That is the whole surface `lint.toml` needs; anything else is
-//! a hard configuration error, never a silent skip.
+//! Supported grammar: `[section.sub]` headers, `key = ["a", "b"]` (arrays
+//! of strings, which may span lines), and `#` comments. That is the whole
+//! surface `lint.toml` needs; anything else — including a section for a rule
+//! this linter does not have — is a hard configuration error, never a silent
+//! skip. Every rule is deny: a finding fails the run unless path scoping or
+//! an inline waiver removes it.
 
+use crate::rules::RULES;
 use std::collections::BTreeMap;
 
-/// How a rule's findings are treated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Level {
-    /// Rule disabled.
-    Allow,
-    /// Findings printed, exit status unaffected.
-    Warn,
-    /// Findings printed and fail the run.
-    Deny,
-}
-
-impl Level {
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "allow" => Ok(Level::Allow),
-            "warn" => Ok(Level::Warn),
-            "deny" => Ok(Level::Deny),
-            other => Err(format!("unknown lint level {other:?} (allow|warn|deny)")),
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Level::Allow => "allow",
-            Level::Warn => "warn",
-            Level::Deny => "deny",
-        }
-    }
-}
-
 /// Per-rule configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RuleConfig {
-    /// Findings treatment.
-    pub level: Level,
     /// Path prefixes (relative, `/`-separated) the rule applies to; empty
     /// means every scanned file.
     pub paths: Vec<String>,
-    /// Path prefixes exempted from the rule (subtracted from `paths`).
-    pub allow_paths: Vec<String>,
     /// Exact relative file paths whose functions seed P001's reachability
     /// walk (the protocol entry points). Ignored by every other rule.
     pub entry_paths: Vec<String>,
-}
-
-impl Default for RuleConfig {
-    fn default() -> Self {
-        Self {
-            level: Level::Deny,
-            paths: Vec::new(),
-            allow_paths: Vec::new(),
-            entry_paths: Vec::new(),
-        }
-    }
 }
 
 /// The whole `lint.toml`.
@@ -72,8 +29,8 @@ pub struct Config {
     pub include: Vec<String>,
     /// Path prefixes never scanned (fixture corpora, generated code).
     pub exclude: Vec<String>,
-    /// Per-rule settings, keyed by rule id (`D001`, …). Rules absent from
-    /// the file run with [`RuleConfig::default`] (deny, everywhere).
+    /// Per-rule settings, keyed by rule id (`U001`, …). Rules absent from
+    /// the file run with [`RuleConfig::default`] (everywhere).
     pub rules: BTreeMap<String, RuleConfig>,
 }
 
@@ -83,19 +40,20 @@ impl Config {
         let mut cfg = Config::default();
         for (section, key, value) in parse_toml(text)? {
             match (section.as_str(), key.as_str()) {
-                ("lint", "include") => cfg.include = value.into_strings()?,
-                ("lint", "exclude") => cfg.exclude = value.into_strings()?,
+                ("lint", "include") => cfg.include = value,
+                ("lint", "exclude") => cfg.exclude = value,
                 ("lint", other) => return Err(format!("unknown [lint] key {other:?}")),
                 (sec, k) => {
                     let rule_id = sec
                         .strip_prefix("rules.")
                         .ok_or_else(|| format!("unknown section [{sec}]"))?;
+                    if !RULES.iter().any(|r| r.id == rule_id) {
+                        return Err(format!("unknown rule [rules.{rule_id}]"));
+                    }
                     let rule = cfg.rules.entry(rule_id.to_string()).or_default();
                     match k {
-                        "level" => rule.level = Level::parse(&value.into_string()?)?,
-                        "paths" => rule.paths = value.into_strings()?,
-                        "allow_paths" => rule.allow_paths = value.into_strings()?,
-                        "entry_paths" => rule.entry_paths = value.into_strings()?,
+                        "paths" => rule.paths = value,
+                        "entry_paths" => rule.entry_paths = value,
                         other => return Err(format!("unknown key {other:?} in [rules.{rule_id}]")),
                     }
                 }
@@ -104,56 +62,33 @@ impl Config {
         Ok(cfg)
     }
 
-    /// The effective configuration for `rule_id` (default: deny everywhere).
+    /// The effective configuration for `rule_id` (default: everywhere).
     pub fn rule(&self, rule_id: &str) -> RuleConfig {
         self.rules.get(rule_id).cloned().unwrap_or_default()
     }
 
-    /// True when `rel_path` is inside the rule's scope: matched by `paths`
-    /// (or `paths` empty) and not matched by `allow_paths`.
+    /// True when `rel_path` is inside the rule's scope: matched by `paths`,
+    /// or `paths` is empty.
     pub fn rule_applies(&self, rule_id: &str, rel_path: &str) -> bool {
         let rc = self.rule(rule_id);
-        let matches = |prefixes: &[String]| {
-            prefixes.iter().any(|p| {
-                p == "." || rel_path == p.as_str() || rel_path.starts_with(&format!("{p}/"))
-            })
-        };
-        (rc.paths.is_empty() || matches(&rc.paths)) && !matches(&rc.allow_paths)
+        rc.paths.is_empty()
+            || rc.paths.iter().any(|p| p == "." || rel_path == p.as_str() || is_under(rel_path, p))
     }
 
     /// True when `rel_path` falls under an `exclude` prefix.
     pub fn is_excluded(&self, rel_path: &str) -> bool {
-        self.exclude
-            .iter()
-            .any(|p| rel_path == p.as_str() || rel_path.starts_with(&format!("{p}/")))
+        self.exclude.iter().any(|p| rel_path == p.as_str() || is_under(rel_path, p))
     }
 }
 
-/// A parsed TOML value (only the shapes `lint.toml` uses).
-enum TomlValue {
-    Str(String),
-    Array(Vec<String>),
-    Bool(#[allow(dead_code)] bool),
-}
-
-impl TomlValue {
-    fn into_string(self) -> Result<String, String> {
-        match self {
-            TomlValue::Str(s) => Ok(s),
-            _ => Err("expected a string value".into()),
-        }
-    }
-
-    fn into_strings(self) -> Result<Vec<String>, String> {
-        match self {
-            TomlValue::Array(v) => Ok(v),
-            _ => Err("expected an array of strings".into()),
-        }
-    }
+/// Component-wise prefix test: `crates/core/x.rs` is under `crates/core`,
+/// `crates/core2/x.rs` is not.
+fn is_under(rel_path: &str, prefix: &str) -> bool {
+    rel_path.strip_prefix(prefix).is_some_and(|rest| rest.starts_with('/'))
 }
 
 /// Flatten the file into `(section, key, value)` triples.
-fn parse_toml(text: &str) -> Result<Vec<(String, String, TomlValue)>, String> {
+fn parse_toml(text: &str) -> Result<Vec<(String, String, Vec<String>)>, String> {
     let mut out = Vec::new();
     let mut section = String::new();
     let mut lines = text.lines().enumerate();
@@ -215,34 +150,28 @@ fn bracket_closed(accum: &str) -> bool {
     depth == 0
 }
 
-fn parse_value(v: &str) -> Result<TomlValue, String> {
-    if v == "true" {
-        return Ok(TomlValue::Bool(true));
-    }
-    if v == "false" {
-        return Ok(TomlValue::Bool(false));
-    }
-    if let Some(s) = v.strip_prefix('"').and_then(|r| r.strip_suffix('"')) {
+/// An array of strings — the only value shape `lint.toml` has.
+fn parse_value(v: &str) -> Result<Vec<String>, String> {
+    let inner = v
+        .strip_prefix('[')
+        .and_then(|r| r.strip_suffix(']'))
+        .ok_or("expected an array of strings")?;
+    let mut items = Vec::new();
+    for part in inner.split(',') {
+        let part = part.trim();
+        if part.is_empty() {
+            continue; // trailing comma
+        }
+        let s = part
+            .strip_prefix('"')
+            .and_then(|r| r.strip_suffix('"'))
+            .ok_or("arrays may only hold strings")?;
         if s.contains('"') {
             return Err("string with embedded quote".into());
         }
-        return Ok(TomlValue::Str(s.to_string()));
+        items.push(s.to_string());
     }
-    if let Some(inner) = v.strip_prefix('[').and_then(|r| r.strip_suffix(']')) {
-        let mut items = Vec::new();
-        for part in inner.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue; // trailing comma
-            }
-            match parse_value(part)? {
-                TomlValue::Str(s) => items.push(s),
-                _ => return Err("arrays may only hold strings".into()),
-            }
-        }
-        return Ok(TomlValue::Array(items));
-    }
-    Err("unsupported value syntax".into())
+    Ok(items)
 }
 
 #[cfg(test)]
@@ -257,38 +186,34 @@ exclude = [
     "crates/lint/tests/fixtures",
 ]
 
-[rules.D001]
-level = "deny"
+[rules.U001]
 paths = ["crates/core"]
 
-[rules.D002]
-level = "warn"
+[rules.P001]
 paths = ["crates"]
-allow_paths = ["crates/bench"]
+entry_paths = ["crates/serve/src/protocol.rs"]
 "#;
 
     #[test]
-    fn parses_sections_arrays_and_levels() {
+    fn parses_sections_and_arrays() {
         let cfg = Config::parse(SAMPLE).unwrap();
         assert_eq!(cfg.include, vec!["crates", "src"]);
         assert_eq!(cfg.exclude, vec!["crates/lint/tests/fixtures"]);
-        assert_eq!(cfg.rule("D001").level, Level::Deny);
-        assert_eq!(cfg.rule("D002").level, Level::Warn);
-        assert_eq!(cfg.rule("D002").allow_paths, vec!["crates/bench"]);
-        // Unconfigured rules default to deny-everywhere.
-        assert_eq!(cfg.rule("U001").level, Level::Deny);
-        assert!(cfg.rule("U001").paths.is_empty());
+        assert_eq!(cfg.rule("U001").paths, vec!["crates/core"]);
+        assert_eq!(cfg.rule("P001").entry_paths, vec!["crates/serve/src/protocol.rs"]);
+        // Unconfigured rules default to everywhere.
+        assert!(cfg.rule("H001").paths.is_empty());
     }
 
     #[test]
     fn rule_scoping_and_exclusion() {
         let cfg = Config::parse(SAMPLE).unwrap();
-        assert!(cfg.rule_applies("D001", "crates/core/src/force.rs"));
-        assert!(!cfg.rule_applies("D001", "crates/sim/src/lib.rs"));
-        assert!(cfg.rule_applies("D002", "crates/sim/src/lib.rs"));
-        assert!(!cfg.rule_applies("D002", "crates/bench/src/lib.rs"));
-        assert!(cfg.rule_applies("U001", "anything/at/all.rs"));
-        assert!(cfg.is_excluded("crates/lint/tests/fixtures/d001.rs"));
+        assert!(cfg.rule_applies("U001", "crates/core/src/force.rs"));
+        assert!(!cfg.rule_applies("U001", "crates/sim/src/lib.rs"));
+        assert!(cfg.rule_applies("P001", "crates/sim/src/lib.rs"));
+        assert!(!cfg.rule_applies("P001", "src/main.rs"));
+        assert!(cfg.rule_applies("H001", "anything/at/all.rs"));
+        assert!(cfg.is_excluded("crates/lint/tests/fixtures/u001.rs"));
         assert!(!cfg.is_excluded("crates/lint/tests/fixtures.rs"));
     }
 
@@ -296,18 +221,22 @@ allow_paths = ["crates/bench"]
     fn prefix_match_is_component_wise() {
         let mut cfg = Config::default();
         cfg.rules.insert(
-            "D001".into(),
+            "U001".into(),
             RuleConfig { paths: vec!["crates/core".into()], ..Default::default() },
         );
-        assert!(!cfg.rule_applies("D001", "crates/core2/src/lib.rs"));
+        assert!(!cfg.rule_applies("U001", "crates/core2/src/lib.rs"));
     }
 
     #[test]
     fn errors_are_loud() {
         assert!(Config::parse("[lint]\ninclude = 5\n").is_err());
-        assert!(Config::parse("[rules.D001]\nlevel = \"fatal\"\n").is_err());
-        assert!(Config::parse("[lint]\nbogus = \"x\"\n").is_err());
-        assert!(Config::parse("[typo]\nx = \"y\"\n").is_err());
-        assert!(Config::parse("[rules.D001]\nbogus = \"x\"\n").is_err());
+        assert!(Config::parse("[lint]\ninclude = \"crates\"\n").is_err());
+        assert!(Config::parse("[lint]\nbogus = [\"x\"]\n").is_err());
+        assert!(Config::parse("[typo]\nx = [\"y\"]\n").is_err());
+        assert!(Config::parse("[rules.U001]\nbogus = [\"x\"]\n").is_err());
+        // Every rule is deny: there is no level to set.
+        assert!(Config::parse("[rules.U001]\nlevel = \"deny\"\n").is_err());
+        // A section for a rule this linter does not have is a stale config.
+        assert!(Config::parse("[rules.D001]\npaths = [\"crates\"]\n").is_err());
     }
 }

@@ -1,15 +1,18 @@
-//! `grape6-lint`: determinism & unsafe-audit static analysis for the grape6
-//! workspace.
+//! `grape6-lint`: unsafe-audit, hot-path and concurrency static analysis for
+//! the grape6 workspace — the rules clippy cannot express.
 //!
 //! The workspace's central contract — bit-identical trajectories for any
 //! `RAYON_NUM_THREADS`, any fault plan, and across checkpoint/restart — is
-//! enforced dynamically by the tier-1 tests. This crate enforces the *source*
-//! invariants behind that contract statically: no unordered collections in
-//! the deterministic crates (D001), no wall-clock reads outside the
-//! telemetry seam (D002), no thread-count-dependent expressions outside
-//! `shims/rayon` (D003), a `// SAFETY:` comment on every `unsafe` (U001),
-//! `#![forbid(unsafe_code)]` in every unsafe-free crate (U002), and no heap
-//! allocation in `// grape6-lint: hot` kernels (H001).
+//! enforced dynamically by the tier-1 tests. Its type-level source bans
+//! (`HashMap`/`HashSet`, `SystemTime`/`Instant::now`,
+//! `available_parallelism`/`thread::current`) are `clippy.toml`'s
+//! `disallowed-types` / `disallowed-methods`. This crate checks what needs
+//! comments, crate structure or a call graph: a `// SAFETY:` comment on
+//! every `unsafe` (U001), `#![forbid(unsafe_code)]` in every unsafe-free
+//! crate (U002), no heap allocation in `// grape6-lint: hot` kernels (H001),
+//! a consistent lock order (C001), no guard held across a blocking call
+//! (C002), and no panic reachable from a protocol entry point (P001). Every
+//! rule is deny.
 //!
 //! Everything is hand-rolled (lexer, TOML-subset config parser, file walk)
 //! so the tool builds offline with zero external dependencies, like the
@@ -26,7 +29,7 @@ pub mod rules;
 pub mod rules_v2;
 
 use callgraph::CallGraph;
-use config::{Config, Level};
+use config::Config;
 use lexer::TokKind;
 use rules::SourceFile;
 use rules_v2::Unit;
@@ -34,16 +37,14 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-/// One reportable diagnostic, after scoping/level filtering.
+/// One reportable diagnostic, after path scoping.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     /// `/`-separated path relative to the linted root.
     pub path: String,
     /// 1-based source line.
     pub line: u32,
-    /// Effective level (never [`Level::Allow`]).
-    pub level: Level,
-    /// Rule id (`D001`, …).
+    /// Rule id (`U001`, …).
     pub rule: String,
     /// Human-readable description.
     pub message: String,
@@ -54,16 +55,13 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// `path:line: level [rule] message` — stable, test-assertable format.
+    fn new(path: &str, line: u32, rule: &str, message: String, waived: bool) -> Self {
+        Self { path: path.to_string(), line, rule: rule.to_string(), message, waived }
+    }
+
+    /// `path:line: deny [rule] message` — stable, test-assertable format.
     pub fn render(&self) -> String {
-        format!(
-            "{}:{}: {} [{}] {}",
-            self.path,
-            self.line,
-            self.level.name(),
-            self.rule,
-            self.message
-        )
+        format!("{}:{}: deny [{}] {}", self.path, self.line, self.rule, self.message)
     }
 }
 
@@ -71,18 +69,16 @@ impl Diagnostic {
 /// *active* (non-waived) diagnostics — the set that drives text output and
 /// the exit code.
 ///
-/// `deny_all` escalates every non-suppressed finding to [`Level::Deny`]
-/// (path scoping and inline waivers still apply — they express *intent*,
-/// not severity). Diagnostics come back sorted by `(path, line, rule)` so
-/// output is deterministic regardless of filesystem iteration order.
-pub fn run_lint(root: &Path, cfg: &Config, deny_all: bool) -> Result<Vec<Diagnostic>, String> {
-    Ok(run_lint_full(root, cfg, deny_all)?.into_iter().filter(|d| !d.waived).collect())
+/// Diagnostics come back sorted by `(path, line, rule)` so output is
+/// deterministic regardless of filesystem iteration order.
+pub fn run_lint(root: &Path, cfg: &Config) -> Result<Vec<Diagnostic>, String> {
+    Ok(run_lint_full(root, cfg)?.into_iter().filter(|d| !d.waived).collect())
 }
 
 /// Like [`run_lint`], but waived findings are retained (with
 /// [`Diagnostic::waived`] set) so `--json` can report the waiver audit
 /// trail alongside the active findings.
-pub fn run_lint_full(root: &Path, cfg: &Config, deny_all: bool) -> Result<Vec<Diagnostic>, String> {
+pub fn run_lint_full(root: &Path, cfg: &Config) -> Result<Vec<Diagnostic>, String> {
     let files = discover(root, cfg)?;
     let mut out = Vec::new();
     let mut sources: BTreeMap<&str, SourceFile> = BTreeMap::new();
@@ -95,11 +91,11 @@ pub fn run_lint_full(root: &Path, cfg: &Config, deny_all: bool) -> Result<Vec<Di
         for f in sf.scan() {
             if cfg.rule_applies(f.rule, rel) {
                 let waived = sf.is_waived(f.rule, f.line);
-                push(cfg, deny_all, rel, f.line, f.rule, f.message, waived, &mut out);
+                out.push(Diagnostic::new(rel, f.line, f.rule, f.message, waived));
             }
         }
     }
-    scan_u002(root, cfg, deny_all, &files, &sources, &mut out)?;
+    scan_u002(root, cfg, &files, &sources, &mut out)?;
     // Pass 2: the interprocedural rules need every file parsed up front —
     // the call graph crosses file and crate boundaries.
     let units: Vec<Unit> = sources
@@ -128,35 +124,10 @@ pub fn run_lint_full(root: &Path, cfg: &Config, deny_all: bool) -> Result<Vec<Di
         let waived = sf.is_some_and(|sf| {
             sf.is_waived(f.rule, f.line) || (f.rule == "P001" && sf.is_infallible(f.line))
         });
-        push(cfg, deny_all, &rel, f.line, f.rule, f.message, waived, &mut out);
+        out.push(Diagnostic::new(&rel, f.line, f.rule, f.message, waived));
     }
     out.sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
     Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn push(
-    cfg: &Config,
-    deny_all: bool,
-    rel: &str,
-    line: u32,
-    rule: &str,
-    message: String,
-    waived: bool,
-    out: &mut Vec<Diagnostic>,
-) {
-    let level = if deny_all { Level::Deny } else { cfg.rule(rule).level };
-    if level == Level::Allow {
-        return;
-    }
-    out.push(Diagnostic {
-        path: rel.to_string(),
-        line,
-        level,
-        rule: rule.to_string(),
-        message,
-        waived,
-    });
 }
 
 /// Render diagnostics as the stable machine-readable JSON report
@@ -166,12 +137,11 @@ pub fn render_json(diagnostics: &[Diagnostic]) -> String {
     let mut s = String::from("{\n  \"version\": 1,\n  \"diagnostics\": [\n");
     for (i, d) in diagnostics.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"level\": {}, \"message\": {}, \
-             \"waiver_status\": {}}}{}\n",
+            "    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"level\": \"deny\", \"message\": \
+             {}, \"waiver_status\": {}}}{}\n",
             json_str(&d.rule),
             json_str(&d.path),
             d.line,
-            json_str(d.level.name()),
             json_str(&d.message),
             json_str(if d.waived { "waived" } else { "active" }),
             if i + 1 < diagnostics.len() { "," } else { "" },
@@ -179,10 +149,10 @@ pub fn render_json(diagnostics: &[Diagnostic]) -> String {
     }
     let active = diagnostics.iter().filter(|d| !d.waived).count();
     let waived = diagnostics.len() - active;
-    let denied = diagnostics.iter().filter(|d| !d.waived && d.level == Level::Deny).count();
+    // Every rule is deny, so `denied` (kept for schema v1) equals `active`.
     s.push_str(&format!(
         "  ],\n  \"summary\": {{\"active\": {active}, \"waived\": {waived}, \"denied\": \
-         {denied}}}\n}}\n"
+         {active}}}\n}}\n"
     ));
     s
 }
@@ -210,7 +180,6 @@ fn json_str(raw: &str) -> String {
 fn scan_u002(
     root: &Path,
     cfg: &Config,
-    deny_all: bool,
     files: &Discovered,
     sources: &BTreeMap<&str, SourceFile>,
     out: &mut Vec<Diagnostic>,
@@ -253,9 +222,7 @@ fn scan_u002(
             }
             let has_forbid = sf.lines.iter().any(|l| l.trim().starts_with("#![forbid(unsafe_code"));
             if !has_forbid {
-                push(
-                    cfg,
-                    deny_all,
+                out.push(Diagnostic::new(
                     &rel,
                     1,
                     "U002",
@@ -264,8 +231,7 @@ fn scan_u002(
                          #![forbid(unsafe_code)] in this crate root so it stays that way"
                     ),
                     false,
-                    out,
-                );
+                ));
             }
         }
     }
@@ -386,12 +352,11 @@ mod tests {
         let d = Diagnostic {
             path: "crates/core/src/force.rs".into(),
             line: 12,
-            level: Level::Deny,
-            rule: "D001".into(),
+            rule: "U001".into(),
             message: "msg".into(),
             waived: false,
         };
-        assert_eq!(d.render(), "crates/core/src/force.rs:12: deny [D001] msg");
+        assert_eq!(d.render(), "crates/core/src/force.rs:12: deny [U001] msg");
     }
 
     #[test]
@@ -400,7 +365,6 @@ mod tests {
             Diagnostic {
                 path: "a.rs".into(),
                 line: 3,
-                level: Level::Deny,
                 rule: "P001".into(),
                 message: "`.unwrap()` with \"quotes\"".into(),
                 waived: false,
@@ -408,7 +372,6 @@ mod tests {
             Diagnostic {
                 path: "a.rs".into(),
                 line: 9,
-                level: Level::Warn,
                 rule: "C002".into(),
                 message: "held".into(),
                 waived: true,

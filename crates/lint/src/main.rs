@@ -1,7 +1,7 @@
 //! CLI entry point for `grape6-lint`.
 //!
-//! Exit codes: 0 clean (or warnings only), 1 at least one denied
-//! diagnostic, 2 usage/configuration/IO error.
+//! Exit codes: 0 clean, 1 at least one active diagnostic, 2
+//! usage/configuration/IO error.
 
 #![forbid(unsafe_code)]
 
@@ -12,17 +12,16 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-grape6-lint: determinism & unsafe-audit static analysis for the grape6 workspace
+grape6-lint: unsafe-audit, hot-path and concurrency static analysis for the
+grape6 workspace. Every finding is denied unless lint.toml path scoping or an
+inline waiver removes it.
 
 USAGE:
-    grape6-lint [--root DIR] [--config FILE] [--deny-all] [--json FILE]
-                [--list-rules]
+    grape6-lint [--root DIR] [--config FILE] [--json FILE] [--list-rules]
 
 OPTIONS:
     --root DIR      workspace root to lint (default: current directory)
     --config FILE   lint configuration (default: <root>/lint.toml)
-    --deny-all      escalate every finding to deny (CI mode); path scoping
-                    and inline waivers still apply
     --json FILE     also write a machine-readable report (schema v1: rule,
                     path, line, level, message, waiver_status) to FILE;
                     waived findings are included there as an audit trail
@@ -43,7 +42,6 @@ fn main() -> ExitCode {
 fn real_main() -> Result<ExitCode, String> {
     let mut root = PathBuf::from(".");
     let mut config_path: Option<PathBuf> = None;
-    let mut deny_all = false;
     let mut json_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -52,7 +50,6 @@ fn real_main() -> Result<ExitCode, String> {
             "--config" => {
                 config_path = Some(PathBuf::from(args.next().ok_or("--config requires a value")?))
             }
-            "--deny-all" => deny_all = true,
             "--json" => {
                 json_path = Some(PathBuf::from(args.next().ok_or("--json requires a value")?))
             }
@@ -73,15 +70,14 @@ fn real_main() -> Result<ExitCode, String> {
     let text = std::fs::read_to_string(&config_path)
         .map_err(|e| format!("reading {}: {e}", config_path.display()))?;
     let cfg = Config::parse(&text)?;
-    let all = run_lint_full(&root, &cfg, deny_all)?;
+    let all = run_lint_full(&root, &cfg)?;
     if let Some(path) = json_path {
         std::fs::write(&path, render_json(&all))
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
     }
     let active: Vec<Diagnostic> = all.into_iter().filter(|d| !d.waived).collect();
     report(&active);
-    let denied = active.iter().filter(|d| d.level == grape6_lint::config::Level::Deny).count();
-    Ok(if denied > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
+    Ok(if active.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
 fn report(diagnostics: &[Diagnostic]) {

@@ -4,7 +4,7 @@
 //!
 //! This is deliberately *recovery*, not parsing: it tracks just enough
 //! structure (`mod`/`impl`/`fn` + brace matching) for the interprocedural
-//! rules (C001/C002/P001/H002) to build a call graph, and over-approximates
+//! rules (C001/C002/P001) to build a call graph, and over-approximates
 //! everywhere the grammar gets subtle (turbofish calls are missed, closures
 //! are attributed to the enclosing `fn`). `#[cfg(test)]` modules and
 //! `#[test]` functions are recovered but marked, so analyses can skip them.
@@ -23,8 +23,6 @@ pub struct CallSite {
     /// True when the call has no arguments (`name()`); the lock analysis
     /// only treats empty calls as possible guard constructors.
     pub empty_args: bool,
-    /// 1-based line of the callee identifier.
-    pub line: u32,
     /// Raw token index of the callee identifier.
     pub tok: usize,
 }
@@ -367,7 +365,7 @@ fn extract_calls(toks: &[Token], lo: usize, hi: usize, nested: &[(usize, usize)]
         }
         let empty_args =
             code.get(w + 2).is_some_and(|&i| toks[i].kind == TokKind::Punct && toks[i].text == ")");
-        out.push(CallSite { name: t.text.clone(), path, method, empty_args, line: t.line, tok: i });
+        out.push(CallSite { name: t.text.clone(), path, method, empty_args, tok: i });
     }
     out
 }

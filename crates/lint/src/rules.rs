@@ -1,5 +1,5 @@
-//! The rule engine: token-tree scans for the determinism (D), unsafe-audit
-//! (U) and hot-path hygiene (H) rule families.
+//! The rule engine: token-tree scans for the unsafe-audit (U) and hot-path
+//! hygiene (H) rule families.
 //!
 //! Every rule matches **lexed tokens**, never raw text, so identifiers in
 //! strings or comments can never fire a diagnostic. Inline waivers
@@ -12,29 +12,14 @@ use std::collections::BTreeMap;
 
 /// Static description of one rule (for `--list-rules` and the README table).
 pub struct RuleInfo {
-    /// Rule id (`D001`, …).
+    /// Rule id (`U001`, …).
     pub id: &'static str,
     /// One-line summary.
     pub summary: &'static str,
 }
 
 /// Every rule this linter knows, in reporting order.
-pub const RULES: [RuleInfo; 10] = [
-    RuleInfo {
-        id: "D001",
-        summary: "HashMap/HashSet in deterministic crates (unordered iteration breaks \
-                  bit-reproducibility; use BTreeMap/BTreeSet or a sorted drain)",
-    },
-    RuleInfo {
-        id: "D002",
-        summary: "Instant::now/SystemTime outside the telemetry/bench allowlist (wall-clock \
-                  reads belong behind the StepObserver/Telemetry seam)",
-    },
-    RuleInfo {
-        id: "D003",
-        summary: "thread-count- or scheduling-dependent expression (available_parallelism, \
-                  thread::current) outside shims/rayon",
-    },
+pub const RULES: [RuleInfo; 6] = [
     RuleInfo {
         id: "U001",
         summary: "unsafe block/impl/fn without a `// SAFETY:` comment on the preceding lines",
@@ -63,16 +48,10 @@ pub const RULES: [RuleInfo; 10] = [
         summary: "unwrap/expect/panic!/indexing reachable from a protocol entry point; refactor \
                   to an Error response or waive with `// grape6-lint: infallible(reason)`",
     },
-    RuleInfo {
-        id: "H002",
-        summary: "`grape6-lint: hot` function calls a helper that heap-allocates (directly or \
-                  one call deeper) — allocation laundered through the call graph",
-    },
 ];
 
-/// The allocation patterns H001 bans in hot bodies, shared with H002's
-/// transitive check (`(label, token pattern)`).
-pub(crate) const ALLOC_PATTERNS: &[(&str, &[(TokKind, &str)])] = &[
+/// The allocation patterns H001 bans in hot bodies (`(label, token pattern)`).
+const ALLOC_PATTERNS: &[(&str, &[(TokKind, &str)])] = &[
     ("Vec::new", &[(TokKind::Ident, "Vec"), (TokKind::Punct, "::"), (TokKind::Ident, "new")]),
     ("vec![", &[(TokKind::Ident, "vec"), (TokKind::Punct, "!")]),
     ("to_vec", &[(TokKind::Ident, "to_vec")]),
@@ -88,7 +67,7 @@ pub(crate) const ALLOC_PATTERNS: &[(&str, &[(TokKind, &str)])] = &[
     ),
 ];
 
-/// One raw finding, before scoping/waiver/level filtering.
+/// One raw finding, before scoping/waiver filtering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule id.
@@ -149,11 +128,6 @@ impl SourceFile {
         self.infallible.contains(&line)
     }
 
-    /// Token-index spans of `// grape6-lint: hot` function bodies.
-    pub fn hot_regions(&self) -> &[(usize, usize)] {
-        &self.hot_regions
-    }
-
     /// Token (by code index), or None past the end.
     fn code_tok(&self, pos: usize) -> Option<&Token> {
         self.code.get(pos).map(|&i| &self.tokens[i])
@@ -166,83 +140,14 @@ impl SourceFile {
         })
     }
 
-    /// Run every token-level rule (D001–D003, U001, H001) over this file.
-    /// U002 is crate-level and lives in the runner.
+    /// Run every token-level rule (U001, H001) over this file. U002 is
+    /// crate-level and lives in the runner.
     pub fn scan(&self) -> Vec<Finding> {
         let mut out = Vec::new();
-        self.scan_d001(&mut out);
-        self.scan_d002(&mut out);
-        self.scan_d003(&mut out);
         self.scan_u001(&mut out);
         self.scan_h001(&mut out);
         out.sort_by_key(|f| (f.line, f.rule));
         out
-    }
-
-    fn scan_d001(&self, out: &mut Vec<Finding>) {
-        use TokKind::Ident;
-        for pos in 0..self.code.len() {
-            let t = self.code_tok(pos).expect("pos in range");
-            if t.kind == Ident && (t.text == "HashMap" || t.text == "HashSet") {
-                out.push(Finding {
-                    rule: "D001",
-                    line: t.line,
-                    message: format!(
-                        "`{}` iterates in unordered (RandomState) order, which breaks \
-                         bit-reproducibility; use BTreeMap/BTreeSet or drain through a sort",
-                        t.text
-                    ),
-                });
-            }
-        }
-    }
-
-    fn scan_d002(&self, out: &mut Vec<Finding>) {
-        use TokKind::{Ident, Punct};
-        for pos in 0..self.code.len() {
-            let t = self.code_tok(pos).expect("pos in range");
-            if self.matches(pos, &[(Ident, "Instant"), (Punct, "::"), (Ident, "now")]) {
-                out.push(Finding {
-                    rule: "D002",
-                    line: t.line,
-                    message: "`Instant::now()` outside the telemetry/bench allowlist; route \
-                              wall-clock reads through the StepObserver/Telemetry phase spans"
-                        .into(),
-                });
-            } else if t.kind == Ident && t.text == "SystemTime" {
-                out.push(Finding {
-                    rule: "D002",
-                    line: t.line,
-                    message: "`SystemTime` outside the telemetry/bench allowlist; wall-clock \
-                              reads belong behind the StepObserver/Telemetry seam"
-                        .into(),
-                });
-            }
-        }
-    }
-
-    fn scan_d003(&self, out: &mut Vec<Finding>) {
-        use TokKind::{Ident, Punct};
-        for pos in 0..self.code.len() {
-            let t = self.code_tok(pos).expect("pos in range");
-            let what = if t.kind == Ident && t.text == "available_parallelism" {
-                Some("std::thread::available_parallelism")
-            } else if self.matches(pos, &[(Ident, "thread"), (Punct, "::"), (Ident, "current")]) {
-                Some("thread::current")
-            } else {
-                None
-            };
-            if let Some(what) = what {
-                out.push(Finding {
-                    rule: "D003",
-                    line: t.line,
-                    message: format!(
-                        "`{what}` outside shims/rayon: results must not depend on the machine's \
-                         thread count or scheduling (determinism contract)"
-                    ),
-                });
-            }
-        }
     }
 
     fn scan_u001(&self, out: &mut Vec<Finding>) {
@@ -306,23 +211,6 @@ impl SourceFile {
                 }
             }
         }
-    }
-
-    /// First H001 allocation pattern inside the raw-token span `[lo, hi]`
-    /// (`(label, line)`), for H002's transitive check.
-    pub fn span_allocates(&self, lo: usize, hi: usize) -> Option<(&'static str, u32)> {
-        for pos in 0..self.code.len() {
-            let raw = self.code[pos];
-            if raw < lo || raw > hi {
-                continue;
-            }
-            for (what, pat) in ALLOC_PATTERNS {
-                if self.matches(pos, pat) {
-                    return Some((what, self.tokens[raw].line));
-                }
-            }
-        }
-        None
     }
 }
 
@@ -411,27 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn d001_fires_on_hash_collections_only_in_code() {
-        let src = "use std::collections::HashMap;\n// HashMap in a comment\nlet s = \
-                   \"HashSet\";\nlet m: HashMap<u32, u32> = HashMap::new();\n";
-        assert_eq!(findings(src), vec![("D001", 1), ("D001", 4), ("D001", 4)]);
-    }
-
-    #[test]
-    fn d002_matches_instant_now_but_not_bare_instant() {
-        let src = "let t = Instant::now();\nlet ty: Instant = t;\nlet s = SystemTime::now();\n";
-        assert_eq!(findings(src), vec![("D002", 1), ("D002", 3)]);
-    }
-
-    #[test]
-    fn d003_matches_both_forms() {
-        let src = "let n = std::thread::available_parallelism();\nlet id = \
-                   thread::current().id();\n";
-        // `thread::available_parallelism` also matches no `thread::current`.
-        assert_eq!(findings(src), vec![("D003", 1), ("D003", 2)]);
-    }
-
-    #[test]
     fn u001_requires_safety_comment() {
         let bad = "fn f(p: *mut u8) {\n    unsafe { *p = 0 };\n}\n";
         assert_eq!(findings(bad), vec![("U001", 2)]);
@@ -479,17 +346,16 @@ mod tests {
 
     #[test]
     fn waivers_suppress_same_and_next_line() {
-        let src = "// grape6-lint: allow(D001)\nuse std::collections::HashMap;\nuse \
-                   std::collections::HashSet;\n";
+        let src = "// grape6-lint: allow(U001)\nunsafe fn a() {}\nunsafe fn b() {}\n";
         let f = SourceFile::new(src);
-        assert!(f.is_waived("D001", 2));
-        assert!(!f.is_waived("D001", 3));
-        assert!(!f.is_waived("D002", 2));
+        assert!(f.is_waived("U001", 2));
+        assert!(!f.is_waived("U001", 3));
+        assert!(!f.is_waived("H001", 2));
     }
 
     #[test]
     fn waiver_parses_multiple_rules() {
-        assert_eq!(parse_waiver("// grape6-lint: allow(D001, H001)"), vec!["D001", "H001"]);
+        assert_eq!(parse_waiver("// grape6-lint: allow(U001, H001)"), vec!["U001", "H001"]);
         assert_eq!(parse_waiver("// grape6-lint: hot"), Vec::<String>::new());
         assert_eq!(parse_waiver("// plain comment"), Vec::<String>::new());
     }
@@ -497,10 +363,10 @@ mod tests {
     #[test]
     fn doc_comments_never_carry_directives() {
         assert_eq!(
-            parse_waiver("/// use `// grape6-lint: allow(D001)` to waive"),
+            parse_waiver("/// use `// grape6-lint: allow(U001)` to waive"),
             Vec::<String>::new()
         );
-        assert_eq!(parse_waiver("//! `// grape6-lint: allow(D001)`"), Vec::<String>::new());
+        assert_eq!(parse_waiver("//! `// grape6-lint: allow(U001)`"), Vec::<String>::new());
         let src = "/// Mark kernels with `// grape6-lint: hot`.\nfn doc_mentions_hot() {\n    let \
                    v = Vec::new();\n}\n";
         assert_eq!(findings(src), vec![]);

@@ -1,6 +1,6 @@
 //! The interprocedural rule family: lock-order (C001), guard-across-blocking
-//! (C002), panic-path (P001) and transitive hot allocation (H002), all built
-//! on the `parse` item recovery and the `callgraph` resolution.
+//! (C002) and panic-path (P001), all built on the `parse` item recovery and
+//! the `callgraph` resolution.
 //!
 //! The guard model is a deliberate heuristic, not a borrow checker:
 //! a `let g = x.lock()…;` guard lives until `drop(g)` or its enclosing
@@ -62,8 +62,8 @@ const GUARD_RETURNS: &[&str] = &["MutexGuard", "RwLockReadGuard", "RwLockWriteGu
 const SYNC_PRIMITIVES: &[&str] =
     &["lock", "try_lock", "read", "write", "try_read", "try_write", "wait", "wait_timeout"];
 
-/// Run all four interprocedural rules. Returns raw `(file, finding)` pairs;
-/// the caller applies path scoping, waivers and levels (except C001's pair
+/// Run all three interprocedural rules. Returns raw `(file, finding)` pairs;
+/// the caller applies path scoping and waivers (except C001's pair
 /// evidence, which is scope-filtered here — an acquisition order only
 /// *conflicts* with sites inside the rule's own scope).
 pub fn scan(units: &[Unit], graph: &CallGraph, cfg: &Config) -> Vec<(String, Finding)> {
@@ -115,17 +115,6 @@ pub fn scan(units: &[Unit], graph: &CallGraph, cfg: &Config) -> Vec<(String, Fin
     }
     let locks = graph.transitive_sets_over(&sync_edges, &direct_locks);
     let blocking = graph.transitive_sets_over(&sync_edges, &direct_blocking);
-    let hot: Vec<bool> = graph
-        .nodes
-        .iter()
-        .map(|node| {
-            node.item.body.is_some_and(|(lo, _)| {
-                sf_by_file
-                    .get(node.file.as_str())
-                    .is_some_and(|sf| sf.hot_regions().iter().any(|&(rlo, _)| rlo == lo))
-            })
-        })
-        .collect();
 
     let mut out: Vec<(String, Finding)> = Vec::new();
     let mut pairs: Vec<PairSite> = Vec::new();
@@ -135,7 +124,6 @@ pub fn scan(units: &[Unit], graph: &CallGraph, cfg: &Config) -> Vec<(String, Fin
     }
     resolve_lock_order(&pairs, &mut out);
     scan_p001(units, graph, cfg, &sf_by_file, &mut out);
-    scan_h002(graph, &sf_by_file, &hot, &mut out);
 
     // One finding per (file, rule, line): overlapping candidates collapse.
     let mut seen = BTreeSet::new();
@@ -466,73 +454,6 @@ fn scan_panics(
                 }
             }
             _ => {}
-        }
-    }
-}
-
-/// H002: a hot function calling a helper (directly or one call deeper) that
-/// heap-allocates — the hole token-level H001 cannot see.
-fn scan_h002(
-    graph: &CallGraph,
-    sf_by_file: &BTreeMap<&str, &SourceFile>,
-    hot: &[bool],
-    out: &mut Vec<(String, Finding)>,
-) {
-    let alloc: Vec<Option<(&'static str, u32)>> = graph
-        .nodes
-        .iter()
-        .map(|node| {
-            let sf = sf_by_file.get(node.file.as_str())?;
-            let (lo, hi) = node.item.body?;
-            sf.span_allocates(lo, hi)
-        })
-        .collect();
-    for (i, node) in graph.nodes.iter().enumerate() {
-        if !hot[i] {
-            continue;
-        }
-        for (c, site) in node.item.calls.iter().enumerate() {
-            'cands: for &callee in &graph.resolved[i][c] {
-                if hot[callee] {
-                    continue; // the callee's own H001 covers it
-                }
-                if let Some((what, _)) = alloc[callee] {
-                    out.push((
-                        node.file.clone(),
-                        Finding {
-                            rule: "H002",
-                            line: site.line,
-                            message: format!(
-                                "hot function calls `{}()`, which heap-allocates (`{what}`); \
-                                 allocation laundered through a helper still stalls the hot \
-                                 path — pass a scratch buffer or mark the helper hot",
-                                site.name
-                            ),
-                        },
-                    ));
-                    break 'cands;
-                }
-                for &deeper in &graph.edges[callee] {
-                    if hot[deeper] {
-                        continue;
-                    }
-                    if let Some((what, _)) = alloc[deeper] {
-                        out.push((
-                            node.file.clone(),
-                            Finding {
-                                rule: "H002",
-                                line: site.line,
-                                message: format!(
-                                    "hot function reaches an allocation (`{what}`) via `{}()` \
-                                     → `{}()`; pass a scratch buffer or mark the helpers hot",
-                                    site.name, graph.nodes[deeper].item.name
-                                ),
-                            },
-                        ));
-                        break 'cands;
-                    }
-                }
-            }
         }
     }
 }

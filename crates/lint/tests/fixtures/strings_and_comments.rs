@@ -1,10 +1,12 @@
-// Instant::now() HashMap HashSet unsafe vec![ Box::new — comments never match.
-/* Nor block comments: SystemTime thread::current available_parallelism. */
+// unsafe { } vec![ Box::new Vec::new to_vec — comments never match.
+/* Nor block comments: unsafe fn collect::<Vec<_>>(). */
 
+// grape6-lint: hot
 fn spelled_out() -> &'static str {
-    "Instant::now() SystemTime HashMap HashSet unsafe Box::new vec![ to_vec"
+    "unsafe { } Vec::new() vec![0] Box::new(1) to_vec collect::<Vec<_>>"
 }
 
+// grape6-lint: hot
 fn raw_spelled_out() -> &'static str {
-    r#"thread::current() available_parallelism "unsafe" collect::<Vec<_>>"#
+    r#"unsafe "vec![0]" .to_vec() Box::new(1)"#
 }

@@ -1,8 +1,9 @@
-// grape6-lint: allow(D001)
-use std::collections::HashMap;
-use std::collections::HashSet;
+// grape6-lint: allow(U001)
+unsafe fn waived_here() {}
+unsafe fn one_line_too_far() {}
 
-fn noisy() {
-    // grape6-lint: allow(U001)
-    unsafe { std::hint::unreachable_unchecked() };
+// grape6-lint: hot
+fn kernel(xs: &[u8]) -> Vec<u8> {
+    // grape6-lint: allow(H001)
+    xs.to_vec()
 }

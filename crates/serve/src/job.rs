@@ -112,7 +112,8 @@ impl JobSpec {
         if self.n == 0 {
             return Err("n must be at least 1".into());
         }
-        if self.n + 2 > max_bodies {
+        // The disk adds two protoplanets; `n + 2` would wrap for a hostile n.
+        if self.n > max_bodies.saturating_sub(2) {
             return Err(format!("n = {} exceeds the server's {max_bodies}-body limit", self.n));
         }
         if !self.t_end.is_finite() || self.t_end < 0.0 {

@@ -4,6 +4,7 @@
 
 use grape6_serve::job::{JobSpec, RunnerSim};
 use grape6_serve::protocol::{hex_decode, JobState, Request, Response};
+use grape6_serve::server::dispatch_line;
 use grape6_serve::service::{ServeConfig, ServiceHandle, TenantQuota};
 use grape6_serve::TcpServer;
 use proptest::prelude::*;
@@ -331,6 +332,28 @@ fn rejected_submissions_are_counted_and_explain_themselves() {
     assert!(err.contains("unknown engine"), "{err}");
     let rows = svc.tenants();
     assert_eq!((rows[0].rejected, rows[0].submitted), (2, 0));
+    handle.stop();
+}
+
+#[test]
+fn hostile_body_counts_get_an_error_naming_the_body_limit() {
+    // `n + 2` wraps for these: a debug build panicked, a release build let
+    // u64::MAX - 1 through as if it were a one-body job.
+    let handle = ServiceHandle::start(cfg(1));
+    for n in [u64::MAX, u64::MAX - 1] {
+        let line =
+            format!(r#"{{"Submit":{{"tenant":"t","job":{{"n":{n},"seed":1,"t_end":0.5}}}}}}"#);
+        let mut out = Vec::new();
+        assert!(!dispatch_line(handle.service(), &line, &mut out).unwrap());
+        let text = String::from_utf8(out).unwrap();
+        match serde_json::from_str::<Response>(text.trim()).unwrap() {
+            Response::Error { message } => {
+                assert!(message.contains("4096-body limit"), "n = {n}: {message}")
+            }
+            other => panic!("n = {n} must be rejected, got {other:?}"),
+        }
+    }
+    assert_eq!(handle.service().tenants()[0].rejected, 2);
     handle.stop();
 }
 

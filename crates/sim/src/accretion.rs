@@ -80,11 +80,6 @@ impl AccretionLog {
     pub fn count(&self) -> usize {
         self.events.len()
     }
-
-    /// Largest body produced so far (by merged mass).
-    pub fn largest_merged_mass(&self) -> f64 {
-        self.events.iter().map(|e| e.merged_mass).fold(0.0, f64::max)
-    }
 }
 
 /// Test whether an active particle and its reported nearest neighbour
@@ -219,7 +214,6 @@ mod tests {
         // Second attempt against the ghost is a no-op.
         assert!(try_merge(&mut sys, 0, nn, &model, &mut log).is_none());
         assert_eq!(log.count(), 1);
-        assert!((log.largest_merged_mass() - 2e-8).abs() < 1e-20);
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl EncounterLog {
         self.events.len()
     }
 
-    /// Closest approach seen (AU).
-    pub fn min_separation(&self) -> Option<f64> {
-        self.events.iter().map(|e| e.r).min_by(f64::total_cmp)
-    }
-
     /// Shortest encounter timescale seen (time units).
     pub fn min_timescale(&self) -> Option<f64> {
         self.events.iter().map(|e| e.timescale).min_by(f64::total_cmp)
@@ -168,7 +163,6 @@ mod tests {
             log.observe(&sys, k as f64, 0, Neighbor { index: 1, r2: r * r }).unwrap();
         }
         assert_eq!(log.count(), 3);
-        assert!((log.min_separation().unwrap() - 5e-4).abs() < 1e-18);
         assert!(log.min_timescale().unwrap() < (1e-3f64.powi(3) / (2.0 * m)).sqrt());
     }
 }

@@ -89,21 +89,6 @@ impl BlockSizeHistogram {
             self.particle_steps as f64 / self.blocks as f64
         }
     }
-
-    /// Median block size (from the log2 bins; returns the bin's lower edge).
-    pub fn median_bin_size(&self) -> usize {
-        if self.blocks == 0 {
-            return 0;
-        }
-        let mut seen = 0u64;
-        for (k, &c) in self.bins.iter().enumerate() {
-            seen += c;
-            if seen * 2 >= self.blocks {
-                return 1usize << k;
-            }
-        }
-        1usize << (self.bins.len().max(1) - 1)
-    }
 }
 
 #[cfg(test)]
@@ -149,13 +134,11 @@ mod tests {
         // bins: 1→2 blocks (k=0), 2..3→2 (k=1), 4..8→2 (k=2,3), 100→k=6
         assert_eq!(h.bins[0], 2);
         assert_eq!(h.bins[1], 2);
-        assert_eq!(h.median_bin_size(), 2);
     }
 
     #[test]
     fn empty_histograms_are_safe() {
         let h = BlockSizeHistogram::new();
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.median_bin_size(), 0);
     }
 }

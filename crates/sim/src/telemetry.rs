@@ -215,6 +215,8 @@ impl Telemetry {
 }
 
 impl StepObserver for Telemetry {
+    // The one wall-clock read on the simulation path: the telemetry seam.
+    #[allow(clippy::disallowed_methods)]
     fn phase_begin(&mut self, phase: HostPhase) {
         self.open[phase.index()] = Some(Instant::now());
     }

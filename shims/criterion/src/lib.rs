@@ -5,6 +5,8 @@
 //! `cargo bench` compiling offline.
 
 #![forbid(unsafe_code)]
+// A timing harness: reading the wall clock is its job.
+#![allow(clippy::disallowed_methods)]
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;

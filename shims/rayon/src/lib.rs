@@ -40,8 +40,8 @@ thread_local! {
 /// Number of threads parallel drives will use: a [`with_num_threads`]
 /// override if one is active, else `RAYON_NUM_THREADS`, else the machine's
 /// [`std::thread::available_parallelism`].
-// The one legitimate thread-count probe in the workspace (clippy backup for
-// grape6-lint D003, which allowlists shims/rayon).
+// The one legitimate thread-count probe in the workspace (clippy.toml bans
+// it everywhere else).
 #[allow(clippy::disallowed_methods)]
 pub fn current_num_threads() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(|c| c.get()) {
@@ -139,8 +139,8 @@ mod tests {
     }
 
     #[test]
-    // Compares against the machine probe on purpose (D003/clippy backup
-    // allowlists shims/rayon).
+    // Compares against the machine probe on purpose (clippy.toml bans it
+    // outside the thread pool).
     #[allow(clippy::disallowed_methods)]
     fn default_thread_count_tracks_the_machine() {
         // Satellite fix: without RAYON_NUM_THREADS the shim must see the real

@@ -187,8 +187,8 @@ mod tests {
     }
 
     #[test]
-    // Asserts *about* scheduling on purpose (D003/clippy backup allowlists
-    // shims/rayon).
+    // Asserts *about* scheduling on purpose (clippy.toml bans it outside
+    // the thread pool).
     #[allow(clippy::disallowed_methods)]
     fn broadcast_one_runs_on_caller_thread() {
         let caller = std::thread::current().id();
