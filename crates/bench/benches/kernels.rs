@@ -3,7 +3,7 @@
 //! predictor/corrector, and the block scheduler.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use grape6_core::blockstep::BlockScheduler;
+use grape6_core::blockstep::TickScheduler;
 use grape6_core::engine::ForceEngine;
 use grape6_core::force::{accumulate_on, pair_force_jerk, DirectEngine};
 use grape6_core::hermite::{correct, predict, CorrectorTile};
@@ -112,11 +112,14 @@ fn bench_hermite(c: &mut Criterion) {
 
 fn bench_scheduler(c: &mut Criterion) {
     let n = 16384usize;
+    let dt_min = 2.0f64.powi(-10);
     c.bench_function("scheduler_push_pop_16k", |b| {
         b.iter(|| {
-            let mut s = BlockScheduler::new();
+            // The integrator's schedule just after start: particle i on rung
+            // i % 11, first due one step of 2^rung ticks after t = 0.
+            let mut s = TickScheduler::new(dt_min);
             for i in 0..n {
-                s.push(i, ((i % 11) as f64 + 1.0) * 0.125);
+                s.push(i, dt_min * (1u64 << (i % 11)) as f64);
             }
             let mut block = Vec::new();
             let mut total = 0usize;

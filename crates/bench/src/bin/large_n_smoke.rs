@@ -20,7 +20,6 @@
 #![allow(clippy::disallowed_methods)]
 
 use grape6_bench::{arg_or, experiment_config, fmt, paper_disk, print_header, print_row};
-use grape6_core::blockstep::SchedulerKind;
 use grape6_core::engine::ForceEngine;
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_sim::checkpoint::{checkpoint_now, load_checkpoint};
@@ -66,7 +65,6 @@ impl ForceEngine for NullForceEngine {
 #[derive(Debug, Serialize)]
 struct SmokeReport {
     n_bodies: u64,
-    scheduler: &'static str,
     block_steps: u64,
     particle_steps: u64,
     build_seconds: f64,
@@ -182,7 +180,6 @@ fn main() -> std::process::ExitCode {
 
     let report = SmokeReport {
         n_bodies,
-        scheduler: SchedulerKind::TickBucket.name(),
         block_steps: stats.block_steps,
         particle_steps: stats.particle_steps,
         build_seconds,

@@ -19,7 +19,7 @@ use crate::metamorphic;
 use crate::oracle::{Oracle, Tolerances, SAFETY};
 use crate::scenario::Scenario;
 use crate::shrink::drop_particle;
-use grape6_core::blockstep::SchedulerKind;
+use grape6_core::blockstep::ShadowReplay;
 use grape6_core::engine::{ForceEngine, TreeWork};
 use grape6_core::force::{DirectEngine, ScalarDirectEngine};
 use grape6_core::integrator::{BlockHermite, HermiteConfig};
@@ -322,17 +322,19 @@ fn run_trajectory<E: ForceEngine>(sc: &Scenario, engine: E) -> ParticleSystem {
     sim.sys
 }
 
-fn run_trajectory_sched<E: ForceEngine>(
-    sc: &Scenario,
-    engine: E,
-    scheduler: SchedulerKind,
-) -> ParticleSystem {
+/// [`run_trajectory`]'s integration with the heap replaying every block
+/// step in its shadow; the first disagreement.
+fn shadow_trajectory<E: ForceEngine>(sc: &Scenario, engine: E) -> Option<String> {
     let cfg = HermiteConfig { dt_max: sc.dt_max, ..HermiteConfig::default() };
-    let mut sim = Simulation::new_ext(sc.sys.clone(), cfg, engine, scheduler, false);
+    let mut sim = Simulation::new(sc.sys.clone(), cfg, engine);
+    let mut shadow = ShadowReplay::new(&sim.sys);
     for _ in 0..sc.steps {
-        sim.step();
+        let t = sim.step().t;
+        if let Err(d) = shadow.check(t, sim.integrator.last_block(), &sim.sys) {
+            return Some(d);
+        }
     }
-    sim.sys
+    None
 }
 
 fn cmp_system_bits(a: &ParticleSystem, b: &ParticleSystem) -> Option<String> {
@@ -641,17 +643,12 @@ pub fn run_check(sc: &Scenario, check: &str) -> Option<String> {
             cmp_system_bits(&four, &one)
         }
         "sched/tick-vs-heap" => {
-            // Whole integrations: the tick-bucket scheduler must reproduce
-            // the heap reference's (time, block) sequence exactly, and hence
-            // the whole trajectory bit for bit — on both engine families.
-            let heap_d = run_trajectory_sched(sc, DirectEngine::new(), SchedulerKind::Heap);
-            let tick_d = run_trajectory_sched(sc, DirectEngine::new(), SchedulerKind::TickBucket);
-            if let Some(d) = cmp_system_bits(&tick_d, &heap_d) {
-                return Some(format!("direct: {d}"));
-            }
-            let heap_g = run_trajectory_sched(sc, grape6(), SchedulerKind::Heap);
-            let tick_g = run_trajectory_sched(sc, grape6(), SchedulerKind::TickBucket);
-            cmp_system_bits(&tick_g, &heap_g).map(|d| format!("grape6: {d}"))
+            // Whole integrations: after every block step the tick-bucket
+            // scheduler's (time, block) must be the heap reference's — on
+            // both engine families.
+            shadow_trajectory(sc, DirectEngine::new())
+                .map(|d| format!("direct: {d}"))
+                .or_else(|| shadow_trajectory(sc, grape6()).map(|d| format!("grape6: {d}")))
         }
         "hybrid/theta0-bitwise-vs-direct" => {
             // The anchor: θ = 0 never accepts a cell and an infinite

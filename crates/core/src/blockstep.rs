@@ -7,6 +7,7 @@
 //! the property that makes the GRAPE pipelines (and any parallel hardware)
 //! usable at all with individual timesteps.
 
+use crate::particle::ParticleSystem;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -108,7 +109,8 @@ impl Ord for OrdF64 {
     }
 }
 
-/// Event queue over particle update times.
+/// Binary-heap event queue over particle update times: the reference the
+/// integrator's [`TickScheduler`] is checked against (see [`ShadowReplay`]).
 ///
 /// Every particle has exactly one pending event (its next update time
 /// `time[i] + dt[i]`). A block step pops *all* events sharing the minimum
@@ -184,8 +186,9 @@ struct TickBucket {
     items: Vec<usize>,
 }
 
-/// Integer tick-bucket event queue — the O(block) replacement for the
-/// float-keyed [`BlockScheduler`] heap.
+/// Integer tick-bucket event queue — the integrator's scheduler: O(block)
+/// per pop, where the float-keyed [`BlockScheduler`] heap, its oracle, pays
+/// O(b log N).
 ///
 /// # Tick representation
 ///
@@ -207,14 +210,24 @@ struct TickBucket {
 /// 64-bucket min-scan plus a drain of the winning bucket — no comparisons
 /// against float keys, no heap, O(block) amortized.
 ///
+/// # Which times it can hold
+///
+/// A time `t` has a tick only if it is finite, non-negative, a multiple of
+/// `dt_min`, and `t / dt_min < 2^64`. On that range `t ↔ tick` is exact
+/// (scaling by a power of two, then an integer-valued float to `u64`) and
+/// strictly monotone. Outside it the cast saturates or truncates, and runs
+/// go wrong silently: a start time of 0.1 steps by `dt_min` forever, one of
+/// 3e7 (3.3e19 ticks of 2^-40) merges distinct blocks. Times read from a
+/// file are checked with [`Self::check_span`] before anything is scheduled.
+///
 /// # Equivalence with the heap scheduler
 ///
-/// For tick counts below 2^53 the map `t ↔ tick` is a strictly monotone
-/// bijection on multiples of `dt_min`, so the minimum tick is the minimum
+/// Because the map is strictly monotone, the minimum tick is the minimum
 /// time, the popped set is exactly the heap's popped set, and both sort the
 /// block ascending — the emitted `(time, block)` sequence is identical, and
-/// therefore so is every downstream trajectory bit. The f64 time returned
-/// is the value the caller pushed, never a back-conversion.
+/// therefore so is every downstream trajectory bit ([`ShadowReplay`] checks
+/// this per block step). The f64 time returned is the value the caller
+/// pushed, never a back-conversion.
 ///
 /// Pushes that violate the contract (times that are not commensurate
 /// multiples of `dt_min`) spill into an overflow list that the pop scan
@@ -279,6 +292,30 @@ impl TickScheduler {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Refuse a run from `t_start` to `t_end` whose times the scheduler
+    /// cannot represent (see the type docs): the start time must have a
+    /// tick, and the end time must be finite, not before the start, and
+    /// below `2^64` ticks. The end need not be a multiple of `dt_min` — it
+    /// only bounds the block times, it is never scheduled.
+    pub fn check_span(t_start: f64, t_end: f64, dt_min: f64) -> Result<(), String> {
+        if !(t_start.is_finite() && t_start >= 0.0) {
+            return Err(format!("start time {t_start} must be finite and non-negative"));
+        }
+        if !is_commensurate(t_start, dt_min) {
+            return Err(format!("start time {t_start} is not a multiple of dt_min = {dt_min:e}"));
+        }
+        if !(t_end.is_finite() && t_end >= t_start) {
+            return Err(format!("end time {t_end} must be finite and not before {t_start}"));
+        }
+        if t_end / dt_min >= 2f64.powi(64) {
+            return Err(format!(
+                "end time {t_end:e} is {:e} ticks of dt_min = {dt_min:e}, beyond the u64 range",
+                t_end / dt_min
+            ));
+        }
+        Ok(())
     }
 
     #[inline]
@@ -429,103 +466,52 @@ impl TickScheduler {
     }
 }
 
-/// Which event-queue implementation the integrator schedules blocks with.
+/// The integrator's one scheduler kind. It remains only because `benchmark/`
+/// pins it (with [`crate::integrator::BlockHermite::with_scheduler`]);
+/// ROADMAP 7(e) deletes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// Integer tick buckets (default): O(block) pops, no float keys.
+    /// Integer tick buckets ([`TickScheduler`]).
     TickBucket,
-    /// The original `BinaryHeap<Reverse<(OrdF64, usize)>>` reference.
-    Heap,
 }
 
-impl SchedulerKind {
-    /// Stable lowercase name (CLI / bench / report vocabulary).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::TickBucket => "tick",
-            Self::Heap => "heap",
-        }
-    }
-
-    /// Parse the vocabulary accepted on the command line.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "tick" | "tick-bucket" | "bucket" => Some(Self::TickBucket),
-            "heap" => Some(Self::Heap),
-            _ => None,
-        }
-    }
-}
-
-/// The integrator-facing event queue: either scheduler behind one API.
-///
-/// Both variants emit bitwise-identical `(time, block)` sequences on
-/// commensurate power-of-two schedules (see [`TickScheduler`]), so the
-/// choice can never change trajectory bits — a property pinned by the
-/// differential proptest below, `tests/scheduler_determinism.rs`, and the
-/// `sched/tick-vs-heap` conformance check.
+/// The heap as a shadow oracle of the [`TickScheduler`] that drives the
+/// integrator. Fed the same `time[i] + dt[i]` pushes, it must pop the same
+/// `(t, block)` after every block step; tests and the `sched/tick-vs-heap`
+/// conformance check replay whole integrations through it. No run
+/// schedules with it.
 #[derive(Debug, Clone)]
-pub enum EventQueue {
-    /// Tick-bucket scheduler.
-    Tick(TickScheduler),
-    /// Binary-heap scheduler.
-    Heap(BlockScheduler),
+pub struct ShadowReplay {
+    heap: BlockScheduler,
+    block: Vec<usize>,
+    steps: u64,
 }
 
-impl EventQueue {
-    /// Empty queue of the given kind; `dt_min` is the tick quantum.
-    pub fn new(kind: SchedulerKind, dt_min: f64) -> Self {
-        match kind {
-            SchedulerKind::TickBucket => Self::Tick(TickScheduler::new(dt_min)),
-            SchedulerKind::Heap => Self::Heap(BlockScheduler::new()),
-        }
+impl ShadowReplay {
+    /// Shadow the schedule of an initialized or resumed system: every
+    /// particle is due at `time[i] + dt[i]`.
+    pub fn new(sys: &ParticleSystem) -> Self {
+        let next: Vec<f64> = sys.time.iter().zip(&sys.dt).map(|(t, dt)| t + dt).collect();
+        Self { heap: BlockScheduler::from_times(&next), block: Vec::new(), steps: 0 }
     }
 
-    /// Which implementation this queue uses.
-    pub fn kind(&self) -> SchedulerKind {
-        match self {
-            Self::Tick(_) => SchedulerKind::TickBucket,
-            Self::Heap(_) => SchedulerKind::Heap,
+    /// Check the block step the integrator just took — its time `t` and
+    /// `block` (`BlockHermite::last_block`) — against the heap's next pop,
+    /// then reschedule the block from the corrected `sys`.
+    pub fn check(&mut self, t: f64, block: &[usize], sys: &ParticleSystem) -> Result<(), String> {
+        let step = self.steps;
+        self.steps += 1;
+        let want = self.heap.pop_block(&mut self.block);
+        if want.map(f64::to_bits) != Some(t.to_bits()) || self.block != block {
+            return Err(format!(
+                "block step {step}: tick scheduler popped t = {t} {block:?}, heap t = {want:?} {:?}",
+                self.block
+            ));
         }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            Self::Tick(s) => s.len(),
-            Self::Heap(s) => s.len(),
+        for &i in block {
+            self.heap.push(i, sys.time[i] + sys.dt[i]);
         }
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Schedule (or reschedule after an update) particle `i` at time `t`.
-    #[inline]
-    pub fn push(&mut self, i: usize, t: f64) {
-        match self {
-            Self::Tick(s) => s.push(i, t),
-            Self::Heap(s) => s.push(i, t),
-        }
-    }
-
-    /// The earliest pending update time.
-    pub fn peek_time(&self) -> Option<f64> {
-        match self {
-            Self::Tick(s) => s.peek_time(),
-            Self::Heap(s) => s.peek_time(),
-        }
-    }
-
-    /// Pop the block due at the minimum time (see [`TickScheduler::pop_block`]).
-    #[inline]
-    pub fn pop_block(&mut self, out: &mut Vec<usize>) -> Option<f64> {
-        match self {
-            Self::Tick(s) => s.pop_block(out),
-            Self::Heap(s) => s.pop_block(out),
-        }
+        Ok(())
     }
 }
 
@@ -832,6 +818,38 @@ mod tests {
         assert_eq!(bh, vec![1, 4, 4]);
         assert_eq!(bh, bt);
         assert_eq!(heap.len(), tick.len());
+    }
+
+    #[test]
+    fn tick_scheduler_check_span_refuses_unrepresentable_times() {
+        let dt_min = 2.0f64.powi(-40);
+        assert_eq!(TickScheduler::check_span(0.0, 0.1, dt_min), Ok(()));
+        assert_eq!(TickScheduler::check_span(12.0, 1e6, dt_min), Ok(()));
+        for (t0, t1) in [(0.1, 2.1), (-1.0, 1.0), (f64::NAN, 1.0), (1.0, f64::INFINITY), (2.0, 1.0)]
+        {
+            let err = TickScheduler::check_span(t0, t1, dt_min).unwrap_err();
+            assert!(err.contains("time"), "{t0} → {t1}: {err}");
+            assert_eq!(err.contains("dt_min"), t0 == 0.1, "{t0} → {t1}: {err}");
+        }
+        // 3e7 is a multiple of 2^-40 but 3.3e19 ticks overflow a u64.
+        let err = TickScheduler::check_span(3e7, 3e7 + 2.0, dt_min).unwrap_err();
+        assert!(err.contains("dt_min") && err.contains("u64"), "{err}");
+    }
+
+    #[test]
+    fn shadow_replay_catches_a_wrong_block() {
+        let mut sys = ParticleSystem::new(0.0, 0.0);
+        for _ in 0..3 {
+            sys.push(Default::default(), Default::default(), 1.0);
+        }
+        sys.dt = vec![0.5, 0.25, 0.25];
+        let mut shadow = ShadowReplay::new(&sys);
+        assert!(shadow.check(0.25, &[1], &sys).is_err(), "particle 2 is due too");
+        let mut shadow = ShadowReplay::new(&sys);
+        sys.time[1] = 0.25; // the corrector advanced the block
+        sys.time[2] = 0.25;
+        assert_eq!(shadow.check(0.25, &[1, 2], &sys), Ok(()));
+        assert!(shadow.check(0.5, &[0], &sys).is_err(), "1 and 2 are due at 0.5 too");
     }
 
     /// Drive both schedulers through the same schedule and demand identical

@@ -8,7 +8,7 @@
 //! the quantized Aarseth timestep, and (6) writes the corrected particles
 //! back to the engine's j-memory.
 
-use crate::blockstep::{next_block_dt, quantize_dt, EventQueue, SchedulerKind};
+use crate::blockstep::{next_block_dt, quantize_dt, SchedulerKind, TickScheduler};
 use crate::central::central_acc_jerk;
 use crate::engine::ForceEngine;
 use crate::hermite::{initial_dt, CorrectorTile};
@@ -112,7 +112,7 @@ fn first_slots(results: &mut Vec<ForceResult>, b: usize) -> &mut [ForceResult] {
 pub struct BlockHermite {
     /// Accuracy configuration.
     pub config: HermiteConfig,
-    scheduler: EventQueue,
+    scheduler: TickScheduler,
     stats: RunStats,
     // Reused workspaces (guide: keep workhorse collections out of hot loops).
     block: Vec<usize>,
@@ -132,20 +132,12 @@ pub struct BlockHermite {
 }
 
 impl BlockHermite {
-    /// Create an integrator with the given configuration and the default
-    /// tick-bucket scheduler.
+    /// Create an integrator with the given configuration.
     pub fn new(config: HermiteConfig) -> Self {
-        Self::with_scheduler(config, SchedulerKind::TickBucket)
-    }
-
-    /// Create an integrator with an explicit scheduler implementation. Both
-    /// kinds produce bitwise-identical trajectories; the heap is kept as the
-    /// differential reference.
-    pub fn with_scheduler(config: HermiteConfig, kind: SchedulerKind) -> Self {
         config.validate().expect("invalid HermiteConfig");
         Self {
             config,
-            scheduler: EventQueue::new(kind, config.dt_min),
+            scheduler: TickScheduler::new(config.dt_min),
             stats: RunStats::default(),
             block: Vec::new(),
             ips: Vec::new(),
@@ -153,6 +145,12 @@ impl BlockHermite {
             pending_j: Vec::new(),
             initialized: false,
         }
+    }
+
+    /// [`Self::new`]: there is one scheduler kind. It remains only because
+    /// `benchmark/` pins it; ROADMAP 7(e) deletes it.
+    pub fn with_scheduler(config: HermiteConfig, _kind: SchedulerKind) -> Self {
+        Self::new(config)
     }
 
     /// Rebuild an integrator mid-run from a checkpointed system state,
@@ -167,18 +165,8 @@ impl BlockHermite {
     /// owning particle's state as of its last correction) and restore
     /// engine counters via `ForceEngine::restore_checkpoint_state`.
     pub fn resume_from(config: HermiteConfig, sys: &ParticleSystem, stats: RunStats) -> Self {
-        Self::resume_from_with(config, sys, stats, SchedulerKind::TickBucket)
-    }
-
-    /// [`Self::resume_from`] with an explicit scheduler implementation.
-    pub fn resume_from_with(
-        config: HermiteConfig,
-        sys: &ParticleSystem,
-        stats: RunStats,
-        kind: SchedulerKind,
-    ) -> Self {
         config.validate().expect("invalid HermiteConfig");
-        let mut scheduler = EventQueue::new(kind, config.dt_min);
+        let mut scheduler = TickScheduler::new(config.dt_min);
         for i in 0..sys.len() {
             scheduler.push(i, sys.time[i] + sys.dt[i]);
         }
@@ -278,7 +266,7 @@ impl BlockHermite {
         self.pending_j.clear();
         self.pending_j.extend(0..n);
         obs.phase_begin(HostPhase::Schedule);
-        self.scheduler = EventQueue::new(self.scheduler.kind(), self.config.dt_min);
+        self.scheduler = TickScheduler::new(self.config.dt_min);
         for i in 0..n {
             self.scheduler.push(i, sys.time[i] + sys.dt[i]);
         }

@@ -59,7 +59,6 @@ pub mod vec3;
 
 /// Convenient re-exports of the types most programs need.
 pub mod prelude {
-    pub use crate::blockstep::SchedulerKind;
     pub use crate::energy::{total_energy, EnergyLedger};
     pub use crate::engine::{FaultStats, ForceEngine};
     pub use crate::force::DirectEngine;

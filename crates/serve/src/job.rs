@@ -6,7 +6,7 @@
 //! A job's result is a pure function of its *effective* specification: the
 //! disk realization seed and the integrator/engine configuration, with every
 //! defaulted field resolved. Engines are bit-deterministic (any thread
-//! count, any lane width, any scheduler), and checkpoint/resume is
+//! count, any lane width), and checkpoint/resume is
 //! bit-identical, so two jobs with the same effective specification produce
 //! byte-identical result snapshots no matter how often either was preempted.
 //! That is what lets the server cache results *exactly*: the cache key is

@@ -10,8 +10,7 @@
 //!             [--eta <η>] [--accrete <inflation>] [--out <snap.json>]
 //!             [--diag <diag.csv>] [--telemetry <tele.json>]
 //!             [--faults <plan.json>] [--checkpoint <file.g6ck>]
-//!             [--checkpoint-every <blocks>] [--resume <file.g6ck>]
-//!             [--scheduler tick|heap]`
+//!             [--checkpoint-every <blocks>] [--resume <file.g6ck>]`
 //! * `analyze  --in <snap.json> [--bins <B>] [--protoplanets <K>]`
 //! * `perf     --n <N> --block <n_act>`
 //!
@@ -28,9 +27,11 @@
 //! per-body masses instead of the ring's total mass; `analyze --protoplanets`
 //! is how many of the heaviest bodies to set aside (default 2). An unknown
 //! flag, a valued flag with no value and a value that does not parse are
-//! errors before any work or output — never a silent default.
+//! errors before any work or output — never a silent default. So is a start
+//! time (from `--in` or `--resume`) or end time the block scheduler cannot
+//! hold: see [`TickScheduler::check_span`].
 
-use grape6_core::blockstep::SchedulerKind;
+use grape6_core::blockstep::TickScheduler;
 use grape6_core::engine::ForceEngine;
 use grape6_core::force::DirectEngine;
 use grape6_core::integrator::HermiteConfig;
@@ -149,11 +150,15 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         dt_min: 2.0f64.powi(-40),
     };
     config.validate()?;
+    // `--t` counts from the start time: the snapshot's, or the checkpoint's.
+    let check_span = |t0: f64, dt_min: f64| TickScheduler::check_span(t0, t0 + t_end, dt_min);
     // The initial system is only loaded for fresh runs; a resume rebuilds
     // everything (system, schedule, counters) from the checkpoint.
     let sys = match (&resume, &input) {
         (None, Some(path)) => {
-            Some(load_auto(path).map_err(|e| format!("reading {}: {e}", path.display()))?)
+            let sys = load_auto(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+            check_span(sys.t, config.dt_min).map_err(|e| format!("{}: {e}", path.display()))?;
+            Some(sys)
         }
         _ => None,
     };
@@ -174,15 +179,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
         (name, None) => name.unwrap_or("direct").to_string(),
     };
-    // Scheduler choice is bitwise-neutral (tick buckets and the heap emit
-    // identical block sequences); the flag exists for differential testing.
-    let scheduler = match args.get("--scheduler") {
-        None => SchedulerKind::TickBucket,
-        Some(s) => match SchedulerKind::parse(s) {
-            Some(k) => k,
-            None => return Err(format!("unknown --scheduler '{s}' (use tick|heap)")),
-        },
-    };
     let checkpoint = args.get("--checkpoint").map(PathBuf::from);
     let checkpoint_every = args.parse::<u64>("--checkpoint-every")?.unwrap_or(256);
     if checkpoint.is_none() && args.get("--checkpoint-every").is_some() {
@@ -197,11 +193,20 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     macro_rules! drive {
         ($engine:expr) => {{
             let mut sim = match &resume {
-                Some(path) => load_checkpoint(path, $engine)
-                    .map_err(|e| format!("resuming {}: {e}", path.display()))?,
+                Some(path) => {
+                    let sim = load_checkpoint(path, $engine)
+                        .map_err(|e| format!("resuming {}: {e}", path.display()))?;
+                    check_span(sim.t(), sim.integrator.config.dt_min)
+                        .map_err(|e| format!("resuming {}: {e}", path.display()))?;
+                    sim
+                }
                 None => {
                     let sys = sys.expect("fresh run loads --in");
-                    Simulation::new_ext(sys, config, $engine, scheduler, telemetry_out.is_some())
+                    if telemetry_out.is_some() {
+                        Simulation::with_telemetry(sys, config, $engine)
+                    } else {
+                        Simulation::new(sys, config, $engine)
+                    }
                 }
             };
             if let Some(inflation) = accrete {
@@ -422,7 +427,6 @@ fn main() -> ExitCode {
                 "--checkpoint",
                 "--checkpoint-every",
                 "--resume",
-                "--scheduler",
             ],
             &[],
             cmd_run,

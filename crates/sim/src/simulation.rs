@@ -6,7 +6,6 @@ use crate::accretion::{try_merge, AccretionLog, RadiusModel};
 use crate::encounters::EncounterLog;
 use crate::stats::{BlockSizeHistogram, TimestepHistogram};
 use crate::telemetry::{Telemetry, TelemetryReport};
-use grape6_core::blockstep::SchedulerKind;
 use grape6_core::energy::EnergyLedger;
 use grape6_core::engine::ForceEngine;
 use grape6_core::integrator::{BlockHermite, HermiteConfig, RunStats};
@@ -64,27 +63,23 @@ impl<E: ForceEngine> Simulation<E> {
     /// forces, potentials and timesteps, then the energy ledger in O(N) from
     /// those potentials ([`EnergyLedger::from_sweep`]; no host pair sum).
     pub fn new(sys: ParticleSystem, config: HermiteConfig, engine: E) -> Self {
-        Self::new_ext(sys, config, engine, SchedulerKind::TickBucket, false)
+        Self::init(sys, config, engine, false)
     }
 
     /// Like [`Simulation::new`], but with host wall-clock telemetry attached
     /// from the first force evaluation (the initialization sweep is timed and
     /// counted too).
     pub fn with_telemetry(sys: ParticleSystem, config: HermiteConfig, engine: E) -> Self {
-        Self::new_ext(sys, config, engine, SchedulerKind::TickBucket, true)
+        Self::init(sys, config, engine, true)
     }
 
-    /// Fully explicit constructor: choose the block-scheduler implementation
-    /// (tick buckets and the heap are bitwise-equivalent; the heap is kept
-    /// as the differential reference) and whether telemetry is attached.
-    pub fn new_ext(
+    fn init(
         mut sys: ParticleSystem,
         config: HermiteConfig,
         mut engine: E,
-        scheduler: SchedulerKind,
         telemetry: bool,
     ) -> Self {
-        let mut integrator = BlockHermite::with_scheduler(config, scheduler);
+        let mut integrator = BlockHermite::new(config);
         let telemetry = if telemetry {
             let mut t = Telemetry::new();
             integrator.initialize_observed(&mut sys, &mut engine, &mut t);

@@ -140,3 +140,24 @@ fn hybrid_resume_under_another_theta_is_refused_naming_both() {
     assert!(dir.join("never.g6sn").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn start_times_the_block_scheduler_cannot_hold_are_refused_naming_dt_min() {
+    // The tick scheduler keys events by `t / dt_min` in a u64. A start time
+    // off the dt_min grid used to hang a release build (a debug build
+    // panicked); one of 3e7 (3.3e19 ticks) saturated and merged blocks.
+    let dir = scratch("span");
+    let disk = std::fs::read_to_string(gen_disk(&dir)).unwrap();
+    assert_eq!(disk.matches("\"t\":0.0").count(), 2, "snapshot and system time");
+    for t0 in ["0.1", "30000000.0"] {
+        let edited = dir.join(format!("t{t0}.json")).display().to_string();
+        std::fs::write(&edited, disk.replace("\"t\":0.0", &format!("\"t\":{t0}"))).unwrap();
+        let snap = dir.join("never.g6sn").display().to_string();
+        let out = grape6(&["run", "--in", &edited, "--t", "2", "--out", &snap]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "start time {t0}:\n{err}");
+        assert!(err.contains("error:") && err.contains("dt_min"), "start time {t0}:\n{err}");
+        assert!(!dir.join("never.g6sn").exists(), "a refused run must not write output");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

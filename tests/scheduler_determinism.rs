@@ -1,81 +1,60 @@
-//! The scheduler-equivalence contract, end to end: the tick-bucket event
-//! queue must reproduce the binary-heap reference's (time, block) sequence
-//! exactly, so whole block-timestep integrations land on **bit-identical**
-//! trajectories whichever scheduler drives them — on every engine family.
-//! (The (time, block)-sequence property itself is pinned by the
-//! differential proptest in `grape6_core::blockstep`; here the claim is
-//! carried through predictor, force, corrector and j-update.)
+//! The scheduler-equivalence contract, end to end: at every block step of a
+//! whole integration, the tick-bucket event queue that drives it must pop
+//! exactly the (time, block) the binary-heap reference pops when it replays
+//! the same `time[i] + dt[i]` pushes in the shadow — so no trajectory bit
+//! depends on which of the two is the product path, on any engine family.
+//! (The (time, block)-sequence property on synthetic schedules is pinned by
+//! the differential proptest in `grape6_core::blockstep`.)
 
 mod common;
 
 use common::{assert_systems_bit_equal, disk};
 use grape6::prelude::*;
-use grape6_core::blockstep::SchedulerKind;
+use grape6_core::blockstep::ShadowReplay;
 use proptest::prelude::*;
 
-/// Integrate `steps` block steps of the standard disk under the given
-/// scheduler, returning the final system and the run counters.
-fn run<E: ForceEngine>(
-    engine: E,
-    n: usize,
-    seed: u64,
-    steps: usize,
-    kind: SchedulerKind,
-) -> Simulation<E> {
-    let cfg = HermiteConfig { dt_max: 2.0f64.powi(2), ..HermiteConfig::default() };
-    let mut sim = Simulation::new_ext(disk(n, seed), cfg, engine, kind, false);
+/// Step `sim` `steps` block steps with the heap replaying each one in its
+/// shadow; panics at the first block the two disagree on.
+fn replay<E: ForceEngine>(mut sim: Simulation<E>, steps: usize, tag: &str) -> Simulation<E> {
+    let mut shadow = ShadowReplay::new(&sim.sys);
     for _ in 0..steps {
-        sim.step();
+        let t = sim.step().t;
+        if let Err(e) = shadow.check(t, sim.integrator.last_block(), &sim.sys) {
+            panic!("{tag}: {e}");
+        }
     }
     sim
+}
+
+/// Integrate `steps` block steps of the standard disk under the heap's
+/// shadow, returning the simulation.
+fn run<E: ForceEngine>(engine: E, n: usize, seed: u64, steps: usize) -> Simulation<E> {
+    let cfg = HermiteConfig { dt_max: 2.0f64.powi(2), ..HermiteConfig::default() };
+    let tag = format!("{} n={n} seed={seed} steps={steps}", engine.name());
+    replay(Simulation::new(disk(n, seed), cfg, engine), steps, &tag)
 }
 
 #[test]
 fn direct_trajectories_bitwise_equal_across_schedulers() {
     // The matrix axis: system size × seed × integration length.
     for &(n, seed, steps) in &[(24usize, 7u64, 160usize), (96, 3, 120), (257, 11, 60)] {
-        let heap = run(DirectEngine::new(), n, seed, steps, SchedulerKind::Heap);
-        let tick = run(DirectEngine::new(), n, seed, steps, SchedulerKind::TickBucket);
-        let tag = format!("direct n={n} seed={seed} steps={steps}");
-        assert_systems_bit_equal(&tick.sys, &heap.sys, &tag);
-        assert_eq!(tick.stats(), heap.stats(), "{tag}: run counters");
+        run(DirectEngine::new(), n, seed, steps);
     }
 }
 
 #[test]
 fn grape6_trajectories_bitwise_equal_across_schedulers() {
     for &(n, seed, steps) in &[(32usize, 5u64, 120usize), (200, 9, 40)] {
-        let heap = run(Grape6Engine::sc2002(), n, seed, steps, SchedulerKind::Heap);
-        let tick = run(Grape6Engine::sc2002(), n, seed, steps, SchedulerKind::TickBucket);
-        let tag = format!("grape6 n={n} seed={seed} steps={steps}");
-        assert_systems_bit_equal(&tick.sys, &heap.sys, &tag);
-        assert_eq!(tick.stats(), heap.stats(), "{tag}: run counters");
-        assert_eq!(
-            tick.engine.interaction_count(),
-            heap.engine.interaction_count(),
-            "{tag}: engine interactions"
-        );
+        run(Grape6Engine::sc2002(), n, seed, steps);
     }
 }
 
 #[test]
 fn hybrid_trajectories_bitwise_equal_across_schedulers() {
-    // The approximate engine rides the same contract: identical (time,
-    // block) sequences feed identical tree builds and walks, so whole
-    // trajectories — and the exact walk counters — stay bitwise locked
-    // across scheduler kinds.
+    // The approximate engine rides the same contract: the blocks it is
+    // asked for are the heap's, so its tree builds and walks are too.
     for &(n, seed, steps) in &[(24usize, 7u64, 120usize), (96, 3, 60)] {
-        let heap = run(HybridTreeEngine::new(0.5, 3.0), n, seed, steps, SchedulerKind::Heap);
-        let tick = run(HybridTreeEngine::new(0.5, 3.0), n, seed, steps, SchedulerKind::TickBucket);
-        let tag = format!("hybrid n={n} seed={seed} steps={steps}");
-        assert_systems_bit_equal(&tick.sys, &heap.sys, &tag);
-        assert_eq!(tick.stats(), heap.stats(), "{tag}: run counters");
-        assert_eq!(
-            tick.engine.interaction_count(),
-            heap.engine.interaction_count(),
-            "{tag}: engine interactions"
-        );
-        assert_eq!(tick.engine.tree_work(), heap.engine.tree_work(), "{tag}: walk counters");
+        run(HybridTreeEngine::new(0.5, 3.0), n, seed, steps);
     }
 }
 
@@ -89,8 +68,8 @@ fn hybrid_survives_checkpoint_kill_resume_bitwise() {
     // (0.5, 0.0) is the Barnes-Hut baseline `--engine tree` runs.
     for r_near in [3.0, 0.0] {
         let mk = || HybridTreeEngine::new(0.5, r_near);
-        let reference = run(mk(), 48, 21, 30, SchedulerKind::Heap);
-        let half = run(mk(), 48, 21, 15, SchedulerKind::Heap);
+        let reference = run(mk(), 48, 21, 30);
+        let half = run(mk(), 48, 21, 15);
         let bytes = encode_checkpoint(&half);
         drop(half); // the "kill": nothing survives but the checkpoint bytes
         let mut resumed = decode_checkpoint(bytes, mk()).unwrap();
@@ -113,33 +92,28 @@ fn hybrid_survives_checkpoint_kill_resume_bitwise() {
 
 #[test]
 fn scheduler_kind_survives_checkpoint_resume() {
-    // A heap-scheduled run checkpointed and resumed must continue the same
-    // trajectory as the uninterrupted run (the scheduler is rebuilt from
-    // particle times on resume, so the kind is a pure implementation axis).
+    // The resumed integrator rebuilds its schedule from the decoded
+    // particle times; a shadow heap rebuilt from the same system must pop
+    // the same blocks, and the run must continue the uninterrupted one.
     use grape6_sim::checkpoint::{decode_checkpoint, encode_checkpoint};
-    let reference = run(DirectEngine::new(), 48, 21, 30, SchedulerKind::Heap);
-    let half = run(DirectEngine::new(), 48, 21, 15, SchedulerKind::Heap);
+    let reference = run(DirectEngine::new(), 48, 21, 30);
+    let half = run(DirectEngine::new(), 48, 21, 15);
     let bytes = encode_checkpoint(&half);
-    let mut resumed = decode_checkpoint(bytes, DirectEngine::new()).unwrap();
-    for _ in 0..15 {
-        resumed.step();
-    }
-    assert_systems_bit_equal(&resumed.sys, &reference.sys, "resume across scheduler kinds");
+    let resumed = decode_checkpoint(bytes, DirectEngine::new()).unwrap();
+    let resumed = replay(resumed, 15, "resumed direct n=48 seed=21");
+    assert_systems_bit_equal(&resumed.sys, &reference.sys, "resume under the shadow heap");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-    /// Randomized end-to-end differential: any small disk, any integration
-    /// length — the two schedulers must agree on every trajectory bit.
+    /// Randomized end-to-end replay: any small disk, any integration
+    /// length — the two schedulers must agree on every block.
     #[test]
     fn random_disks_integrate_identically_under_both_schedulers(
         n in 8usize..48,
         seed in 0u64..1000,
         steps in 1usize..80,
     ) {
-        let heap = run(DirectEngine::new(), n, seed, steps, SchedulerKind::Heap);
-        let tick = run(DirectEngine::new(), n, seed, steps, SchedulerKind::TickBucket);
-        assert_systems_bit_equal(&tick.sys, &heap.sys, "proptest trajectory");
-        prop_assert_eq!(tick.stats(), heap.stats());
+        run(DirectEngine::new(), n, seed, steps);
     }
 }
