@@ -4,10 +4,10 @@
 //! `fig13_gaps`, `table_hardware`, `table_blockstep`, `table_tree_vs_direct`,
 //! `table_network_scaling`, `table_small_blocks`, `table_scattering`,
 //! `table_accuracy`), the job-service load generator (`load_gen`,
-//! [`loadgen`]), the 1.8M-body host-path smoke (`large_n_smoke`) and
-//! Criterion micro-benches of the hot kernels; wall-clock performance is
-//! measured by the standalone `benchmark/` package, not here. This library
-//! holds the shared table-printing, workload and flag helpers.
+//! [`loadgen`]) and the 1.8M-body host-path smoke (`large_n_smoke`).
+//! Wall-clock performance is measured by the standalone `benchmark/` package
+//! alone, not here. This library holds the shared table-printing, workload
+//! and flag helpers.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -194,11 +194,6 @@ impl BlockHermite {
         self.stats
     }
 
-    /// Whether `initialize` has been called.
-    pub fn is_initialized(&self) -> bool {
-        self.initialized
-    }
-
     /// Compute initial accelerations, jerks and timesteps for every particle
     /// and build the event schedule. Must be called once before `step`.
     pub fn initialize<E: ForceEngine + ?Sized>(
@@ -303,9 +298,8 @@ impl BlockHermite {
     }
 
     /// Write all deferred j-updates (sorted, deduplicated) to the engine.
-    /// Runs automatically before every force evaluation; exposed for callers
-    /// that hand the engine to other readers between steps.
-    pub fn flush_j_updates<E: ForceEngine + ?Sized, O: StepObserver>(
+    /// Runs before every block step's force evaluation.
+    fn flush_j_updates<E: ForceEngine + ?Sized, O: StepObserver>(
         &mut self,
         sys: &ParticleSystem,
         engine: &mut E,
@@ -421,20 +415,9 @@ impl BlockHermite {
         engine: &mut E,
         t_end: f64,
     ) -> RunStats {
-        self.evolve_observed(sys, engine, t_end, &mut ())
-    }
-
-    /// [`Self::evolve`] with telemetry hooks.
-    pub fn evolve_observed<E: ForceEngine + ?Sized, O: StepObserver>(
-        &mut self,
-        sys: &mut ParticleSystem,
-        engine: &mut E,
-        t_end: f64,
-        obs: &mut O,
-    ) -> RunStats {
         let start = self.stats;
         while self.next_time().is_some_and(|t| t <= t_end) {
-            self.step_observed(sys, engine, obs);
+            self.step(sys, engine);
         }
         sys.t = sys.t.max(t_end.min(self.next_time().unwrap_or(t_end)));
         RunStats {
@@ -503,7 +486,7 @@ mod tests {
         let mut engine = DirectEngine::new();
         let mut integ = BlockHermite::new(HermiteConfig::default());
         integ.initialize(&mut sys, &mut engine);
-        assert!(integ.is_initialized());
+        assert!(integ.next_time().is_some());
         for i in 0..2 {
             assert!(sys.acc[i].norm() > 0.0);
             assert!(sys.dt[i] > 0.0);
@@ -620,7 +603,7 @@ mod tests {
         let mut eng_c = DirectEngine::new();
         eng_c.load(&sys_c);
         let mut integ_c = BlockHermite::resume_from(HermiteConfig::default(), &sys_c, stats);
-        assert!(integ_c.is_initialized());
+        assert!(integ_c.next_time().is_some());
         integ_c.evolve(&mut sys_c, &mut eng_c, 2.0);
 
         assert_eq!(sys_a.t.to_bits(), sys_c.t.to_bits());

@@ -111,9 +111,6 @@ pub struct Grape6Config {
     pub format: FixedPointFormat,
     /// Pipeline arithmetic emulation.
     pub precision: Precision,
-    /// Refuse particle sets that exceed one node's j-memory (on by default;
-    /// the real machine simply cannot run them).
-    pub enforce_memory_limit: bool,
 }
 
 impl Grape6Config {
@@ -123,7 +120,6 @@ impl Grape6Config {
             timing: TimingModel::sc2002(),
             format: FixedPointFormat::default(),
             precision: Precision::grape6(),
-            enforce_memory_limit: true,
         }
     }
 
@@ -215,7 +211,7 @@ impl Grape6Engine {
             None if address > len => return Err(ChipError::BadSlot { slot: address, len }),
             None => {
                 let capacity = self.config.timing.geometry.node_jmem_capacity();
-                if self.config.enforce_memory_limit && len >= capacity {
+                if len >= capacity {
                     return Err(ChipError::MemoryOverflow { requested: len + 1, capacity });
                 }
                 self.jmem.push(word);
@@ -254,14 +250,13 @@ impl Grape6Engine {
 
 impl ForceEngine for Grape6Engine {
     fn load(&mut self, sys: &ParticleSystem) {
-        if self.config.enforce_memory_limit {
-            let cap = self.config.timing.geometry.node_jmem_capacity();
-            assert!(
-                sys.len() <= cap,
-                "particle set ({}) exceeds node j-memory capacity ({cap})",
-                sys.len()
-            );
-        }
+        // The real machine cannot run a set larger than one node's j-memory.
+        let cap = self.config.timing.geometry.node_jmem_capacity();
+        assert!(
+            sys.len() <= cap,
+            "particle set ({}) exceeds node j-memory capacity ({cap})",
+            sys.len()
+        );
         assert!(
             sys.softening > 0.0,
             "GRAPE-6 requires a positive softening length (the pipeline has no \
@@ -279,9 +274,9 @@ impl ForceEngine for Grape6Engine {
 
     /// Write back a batch of j-particles. The integrator defers corrector
     /// and accretion write-backs and flushes them here as one sorted,
-    /// deduplicated batch per block step (see
-    /// `BlockHermite::flush_j_updates`), so a particle touched by both the
-    /// corrector and a merge crosses the wire once, not twice. Encoding is a
+    /// deduplicated batch per block step, just before its force evaluation,
+    /// so a particle touched by both the corrector and a merge crosses the
+    /// wire once, not twice. Encoding is a
     /// pure function of the particle's own system state, so batching never
     /// changes the bits that land in j-memory.
     // grape6-lint: hot

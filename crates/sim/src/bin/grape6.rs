@@ -324,8 +324,11 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     let Some(input) = args.get("--in").map(PathBuf::from) else {
         return Err("analyze requires --in <snap.json>".into());
     };
-    let sys = load_auto(&input).map_err(|e| format!("reading {}: {e}", input.display()))?;
     let bins = args.parse::<usize>("--bins")?.unwrap_or(22);
+    if bins == 0 {
+        return Err("--bins must be at least 1".into());
+    }
+    let sys = load_auto(&input).map_err(|e| format!("reading {}: {e}", input.display()))?;
     // The K heaviest bodies are treated as protoplanets and excluded from
     // the planetesimal statistics (mass alone cannot separate them from a
     // rescaled spectrum's top end, so the count is explicit).

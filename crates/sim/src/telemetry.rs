@@ -80,11 +80,6 @@ impl Telemetry {
         self.init_interactions + self.step_interactions
     }
 
-    /// Interactions charged by block steps only (initialization excluded).
-    pub fn step_interactions(&self) -> u64 {
-        self.step_interactions
-    }
-
     /// Bytes moved through the modeled host↔hardware wire.
     pub fn wire_bytes(&self) -> u64 {
         self.wire_bytes
@@ -408,13 +403,13 @@ mod tests {
     fn counters_track_events() {
         let mut t = Telemetry::new();
         t.init_step(10, 100);
+        assert_eq!(t.interactions(), 100);
         t.block_step(4, 40);
         t.block_step(2, 20);
         t.wire_transfer(64);
         t.wire_transfer(8);
         assert_eq!(t.block_steps(), 2);
         assert_eq!(t.particle_steps(), 6);
-        assert_eq!(t.step_interactions(), 60);
         assert_eq!(t.interactions(), 160);
         assert_eq!(t.wire_bytes(), 72);
     }

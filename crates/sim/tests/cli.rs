@@ -60,10 +60,11 @@ fn unknown_flags_and_valueless_flags_are_errors_before_any_output() {
     let snap = dir.join("never.g6sn").display().to_string();
     // Unchecked, the first three exit 0 on the default direct engine with no
     // fault injected, and the fourth takes the next flag as the engine name.
-    // The last six parse but are out of range: unchecked, `gen --n 0` and
-    // `--eta 0 | -1 | nan` panic in the library (exit 101), `--t nan` exits 0
-    // after zero block steps and `--t inf` never returns.
-    let cases: [(&[&str], &str); 10] = [
+    // The last seven parse but are out of range: unchecked, `gen --n 0`,
+    // `--eta 0 | -1 | nan` and `analyze --bins 0` panic in the library (exit
+    // 101), `--t nan` exits 0 after zero block steps and `--t inf` never
+    // returns.
+    let cases: [(&[&str], &str); 11] = [
         (
             &["run", "--in", &disk, "--t", "2", "--engin", "grape6", "--out", &snap],
             "unknown flag '--engin' for run",
@@ -77,6 +78,7 @@ fn unknown_flags_and_valueless_flags_are_errors_before_any_output() {
         (&["run", "--in", &disk, "--t", "2", "--eta", "nan", "--out", &snap], "eta and eta_start"),
         (&["run", "--in", &disk, "--t", "nan", "--out", &snap], "--t = NaN must be finite"),
         (&["run", "--in", &disk, "--t", "inf", "--out", &snap], "--t = inf must be finite"),
+        (&["analyze", "--in", &disk, "--bins", "0"], "--bins must be at least 1"),
     ];
     for (args, message) in cases {
         let out = grape6(args);
