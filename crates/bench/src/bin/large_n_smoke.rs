@@ -7,14 +7,17 @@
 //! checkpoint — all through the zero-force [`NullForceEngine`], so the
 //! run isolates exactly the O(N) host terms this harness guards: tick
 //! scheduling, block prediction, lazy j-update flushes and the streamed
-//! checkpoint writer. Logs RSS and per-phase wall times, and writes a
-//! JSON telemetry artifact for the CI upload.
+//! checkpoint writer. It then encodes the in-memory container twice, the
+//! second time into the allocation the dropped first one left behind, and
+//! times both. Logs RSS and per-phase wall times, and writes a JSON
+//! telemetry artifact for the CI upload.
 //!
 //! Usage: `large_n_smoke [--n 1799998] [--steps 200]
 //!         [--out large_n_smoke.json] [--checkpoint large_n_smoke.g6ck]`
 //!
-//! Exit status is nonzero if the run produces no work or the checkpoint
-//! cannot be written/reloaded.
+//! Exit status is nonzero if the run produces no work, the checkpoint
+//! cannot be written/reloaded, or an in-memory container is not the
+//! streamed checkpoint byte for byte.
 
 // Per-phase wall times are this harness's output.
 #![allow(clippy::disallowed_methods)]
@@ -22,7 +25,9 @@
 use grape6_bench::{arg_or, experiment_config, fmt, paper_disk, print_header, print_row};
 use grape6_core::engine::ForceEngine;
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
-use grape6_sim::checkpoint::{checkpoint_now, load_checkpoint};
+use grape6_sim::checkpoint::{
+    checkpoint_now, encode_checkpoint, load_checkpoint, write_checkpoint,
+};
 use grape6_sim::{Simulation, TelemetryReport};
 use serde::Serialize;
 use std::path::Path;
@@ -73,9 +78,37 @@ struct SmokeReport {
     checkpoint_seconds: f64,
     checkpoint_bytes: u64,
     reload_seconds: f64,
+    encode_cold_mib_per_s: f64,
+    encode_reused_mib_per_s: f64,
     rss_mib: f64,
     peak_rss_mib: f64,
     telemetry: TelemetryReport,
+}
+
+/// A sink that checks the bytes streamed into it against `expect`.
+struct SameBytes<'a> {
+    expect: &'a [u8],
+    equal: bool,
+}
+
+impl std::io::Write for SameBytes<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let (head, rest) = self.expect.split_at(buf.len().min(self.expect.len()));
+        self.equal &= head == buf;
+        self.expect = rest;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Whether `container` is, byte for byte, what [`write_checkpoint`]
+/// streams for `sim` (compared chunk by chunk: no second container).
+fn is_streamed_checkpoint<E: ForceEngine>(sim: &Simulation<E>, container: &[u8]) -> bool {
+    let mut sink = SameBytes { expect: container, equal: true };
+    write_checkpoint(sim, &mut sink).is_ok() && sink.equal && sink.expect.is_empty()
 }
 
 /// Current and peak resident set size in MiB, from `/proc/self/status`
@@ -155,6 +188,33 @@ fn main() -> std::process::ExitCode {
     println!("reload: checkpoint resumes at t = {} in {reload_seconds:.1} s", reloaded.sys.t);
     drop(reloaded);
 
+    // The in-memory container: cold into fresh pages, then, the first one
+    // dropped, into the allocation it left behind. Both must be the
+    // streamed checkpoint of this state, so byte-identical to each other.
+    const MIB: f64 = 1024.0 * 1024.0;
+    let t_cold = Instant::now();
+    let cold = encode_checkpoint(&sim);
+    let cold_seconds = t_cold.elapsed().as_secs_f64();
+    let (container_mib, cold_at) = (cold.len() as f64 / MIB, cold.as_slice().as_ptr());
+    let cold_same = is_streamed_checkpoint(&sim, &cold);
+    drop(cold);
+    let t_reused = Instant::now();
+    let reused = encode_checkpoint(&sim);
+    let reused_seconds = t_reused.elapsed().as_secs_f64();
+    let reused_in_place = reused.as_slice().as_ptr() == cold_at;
+    if !(cold_same && is_streamed_checkpoint(&sim, &reused)) {
+        eprintln!("error: the in-memory checkpoint containers are not the streamed checkpoint");
+        return std::process::ExitCode::FAILURE;
+    }
+    drop(reused);
+    let encode_cold_mib_per_s = container_mib / cold_seconds;
+    let encode_reused_mib_per_s = container_mib / reused_seconds;
+    println!(
+        "encode: {container_mib:.1} MiB in-memory G6CK at {encode_cold_mib_per_s:.0} MiB/s cold, \
+         {encode_reused_mib_per_s:.0} MiB/s {}",
+        if reused_in_place { "into the reused container" } else { "again (not reused)" }
+    );
+
     let (rss, peak) = rss_mib();
     let telemetry = sim.telemetry_report().expect("telemetry attached");
     println!("\nper-phase host seconds:");
@@ -188,6 +248,8 @@ fn main() -> std::process::ExitCode {
         checkpoint_seconds,
         checkpoint_bytes,
         reload_seconds,
+        encode_cold_mib_per_s,
+        encode_reused_mib_per_s,
         rss_mib: rss,
         peak_rss_mib: peak,
         telemetry,

@@ -14,6 +14,7 @@
 //! hash), so distinct configurations can never collide, and a cache hit
 //! returns the same bytes a fresh run would produce.
 
+use grape6_core::blockstep::TickScheduler;
 use grape6_core::force::DirectEngine;
 use grape6_core::integrator::{HermiteConfig, RunStats};
 use grape6_disk::DiskBuilder;
@@ -119,7 +120,11 @@ impl JobSpec {
         if !self.t_end.is_finite() || self.t_end < 0.0 {
             return Err(format!("t_end = {} must be finite and non-negative", self.t_end));
         }
-        self.hermite_config().validate()?;
+        let config = self.hermite_config();
+        config.validate()?;
+        // The run's tick scheduler counts time in u64 ticks of dt_min: an
+        // end it cannot hold is refused here, at submit, naming the range.
+        TickScheduler::check_span(0.0, self.t_end, config.dt_min)?;
         self.engine_sel()?;
         Ok(())
     }
@@ -300,6 +305,17 @@ mod tests {
         assert!(JobSpec { t_end: -1.0, ..spec() }.validate(4096).is_err());
         assert!(JobSpec { engine: "warp".into(), ..spec() }.validate(4096).is_err());
         assert!(JobSpec { dt_max: -0.5, ..spec() }.validate(4096).is_err());
+    }
+
+    #[test]
+    fn an_end_beyond_the_tick_range_is_refused_at_submit() {
+        // 2^24 is 2^64 ticks of the fixed dt_min = 2^-40.
+        assert_eq!(spec().hermite_config().dt_min, 2f64.powi(-40));
+        let limit = 2f64.powi(24);
+        let below = f64::from_bits(limit.to_bits() - 1);
+        assert!(JobSpec { t_end: below, ..spec() }.validate(4096).is_ok());
+        let err = JobSpec { t_end: limit, ..spec() }.validate(4096).unwrap_err();
+        assert!(err.contains("ticks") && err.contains("u64 range"), "{err}");
     }
 
     #[test]

@@ -204,14 +204,16 @@ pub enum Response {
 
 /// Hex-encode bytes (lowercase, two digits per byte).
 pub fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        // A nibble is always a valid base-16 digit, so the fallback arm of
-        // `unwrap_or` can never fire — but it keeps the encoder panic-free.
-        out.push(char::from_digit((b >> 4) as u32, 16).unwrap_or('0'));
-        out.push(char::from_digit((b & 0xf) as u32, 16).unwrap_or('0'));
+    // A nibble's ASCII digit: `'0' + n`, skipping the 39 bytes between `'9'`
+    // and `'a'` when n > 9.
+    let digit = |n: u8| b'0' + n + 39 * u8::from(n > 9);
+    let mut out = vec![0u8; bytes.len() * 2];
+    for (pair, &b) in out.as_chunks_mut::<2>().0.iter_mut().zip(bytes) {
+        *pair = [digit(b >> 4), digit(b & 0xf)];
     }
-    out
+    // Every byte is an ASCII digit, so the empty fallback never fires — but
+    // it keeps the encoder panic-free.
+    String::from_utf8(out).unwrap_or_default()
 }
 
 /// Decode a string produced by [`hex_encode`].
@@ -353,6 +355,13 @@ mod tests {
         assert_eq!(hex_encode(&[]), "");
         assert!(hex_decode("abc").is_err());
         assert!(hex_decode("zz").is_err());
+    }
+
+    #[test]
+    fn hex_encode_spells_every_byte_as_format_does() {
+        let data: Vec<u8> = (0..=255).rev().chain(0..=255).collect();
+        let expect: String = data.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex_encode(&data), expect);
     }
 
     #[test]

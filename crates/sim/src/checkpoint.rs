@@ -54,6 +54,7 @@ use grape6_core::engine::ForceEngine;
 use grape6_core::integrator::{BlockHermite, HermiteConfig, RunStats};
 use grape6_core::observer::{HostPhase, StepObserver};
 use grape6_core::particle::ParticleSystem;
+use std::cell::Cell;
 use std::io::Write;
 use std::path::Path;
 
@@ -115,8 +116,7 @@ fn encode_tail<E: ForceEngine>(sim: &Simulation<E>) -> Vec<u8> {
 /// header (particle count, `t`, softening, central mass).
 const HEADER_BYTES: usize = 4 + 4 + 8 + 3 * 8;
 
-fn put_header(buf: &mut Vec<u8>, sys: &ParticleSystem) {
-    use bytes::BufMut;
+fn put_header(buf: &mut impl bytes::BufMut, sys: &ParticleSystem) {
     buf.put_slice(CHECKPOINT_MAGIC);
     buf.put_u32_le(CHECKPOINT_VERSION);
     buf.put_u64_le(sys.len() as u64);
@@ -133,8 +133,11 @@ fn body_chunks(n: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
 }
 
 /// Append one `u32`-length-prefixed body chunk: the records of `range`.
-fn put_body_chunk(buf: &mut Vec<u8>, sys: &ParticleSystem, range: std::ops::Range<usize>) {
-    use bytes::BufMut;
+fn put_body_chunk(
+    buf: &mut impl bytes::BufMut,
+    sys: &ParticleSystem,
+    range: std::ops::Range<usize>,
+) {
     buf.put_u32_le((range.len() * BINARY_PARTICLE_BYTES) as u32);
     crate::io::encode_particle_range(sys, range, buf);
 }
@@ -172,13 +175,48 @@ pub fn write_checkpoint<E: ForceEngine, W: Write>(
     w.write_all(&encode_tail(sim))
 }
 
+thread_local! {
+    /// A second handle to the container this thread's last
+    /// [`encode_checkpoint`] returned, so the next encode can write into it
+    /// once every caller has dropped theirs.
+    static LAST_CONTAINER: Cell<Option<bytes::Bytes>> = const { Cell::new(None) };
+}
+
+/// An empty buffer of at least `len` bytes: the container this thread last
+/// returned, if no other handle to it is left and it holds between `len` and
+/// twice `len` bytes, or else (the old one let go first) a fresh allocation
+/// of exactly `len`.
+fn reusable_container(len: usize) -> bytes::BytesMut {
+    let reclaimed = LAST_CONTAINER
+        .try_with(Cell::take)
+        .ok()
+        .flatten()
+        .and_then(|last| last.try_into_mut().ok())
+        .filter(|buf| (len..=len.saturating_mul(2)).contains(&buf.capacity()));
+    match reclaimed {
+        Some(mut buf) => {
+            buf.clear();
+            buf
+        }
+        None => bytes::BytesMut::with_capacity(len),
+    }
+}
+
 /// Encode a running simulation into an in-memory `G6CK` v2 container —
 /// byte for byte what [`write_checkpoint`] streams.
 ///
-/// The container is sized exactly up front and every record is written
-/// straight into it, which the `Bytes` then takes over without a copy.
-/// Paper-scale runs that only need a file should stream with
-/// [`save_checkpoint`] instead.
+/// Every record is written straight into a container of at least the exact
+/// size, which the `Bytes` then takes over without a copy. The container is
+/// the one this thread's previous encode returned whenever every handle to
+/// that one has been dropped (on any thread) and it holds between one and
+/// two times the new length: rewriting pages already mapped runs at memory
+/// speed, where a fresh allocation of more than 32 MiB (which glibc always
+/// maps afresh) first pays a page fault per 4 KiB. Smaller containers come
+/// from the heap's free lists and gain next to nothing. A checkpoint some
+/// caller still holds is never written to, and no checkpoint holds more than
+/// twice its length. Between encodes each thread keeps one container alive:
+/// the last it returned, until its next encode or its exit. Paper-scale runs
+/// that only need a file should stream with [`save_checkpoint`] instead.
 pub fn encode_checkpoint<E: ForceEngine>(sim: &Simulation<E>) -> bytes::Bytes {
     use bytes::BufMut;
     let sys = &sim.sys;
@@ -189,7 +227,7 @@ pub fn encode_checkpoint<E: ForceEngine>(sim: &Simulation<E>) -> bytes::Bytes {
         + n * BINARY_PARTICLE_BYTES
         + 4
         + tail.len();
-    let mut buf = Vec::with_capacity(len);
+    let mut buf = reusable_container(len);
     put_header(&mut buf, sys);
     for range in body_chunks(n) {
         put_body_chunk(&mut buf, sys, range);
@@ -197,7 +235,10 @@ pub fn encode_checkpoint<E: ForceEngine>(sim: &Simulation<E>) -> bytes::Bytes {
     buf.put_u32_le(0);
     buf.put_slice(&tail);
     debug_assert_eq!(buf.len(), len, "container size");
-    bytes::Bytes::from(buf)
+    let container = buf.freeze();
+    // Off a thread that is shutting down the slot is gone; nothing is kept.
+    let _ = LAST_CONTAINER.try_with(|slot| slot.set(Some(container.clone())));
+    container
 }
 
 /// Rebuild a simulation from checkpoint bytes, continuing bit-identically.
@@ -616,6 +657,100 @@ mod tests {
             Ok(_) => panic!("hostile v1 particle count accepted"),
         };
         assert!(err.to_string().contains("truncated body"), "v1 G6CK: {err}");
+    }
+
+    fn streamed<E: ForceEngine>(sim: &Simulation<E>) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_checkpoint(sim, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn a_dropped_checkpoint_is_rewritten_in_place_byte_for_byte() {
+        let sim = fresh(300, 4);
+        let first = encode_checkpoint(&sim);
+        let (copy, at) = (first.to_vec(), first.as_slice().as_ptr());
+        drop(first);
+        // Same-sized memory the allocator would hand out next: a fresh
+        // allocation could not land where the first container was.
+        let decoy = vec![1u8; copy.len()];
+        let second = encode_checkpoint(&sim);
+        assert_eq!(second.as_slice().as_ptr(), at, "the dropped container was not reused");
+        assert!(second.as_slice() == copy.as_slice(), "reused container bytes differ");
+        assert!(second.as_slice() == streamed(&sim).as_slice());
+        drop(decoy);
+    }
+
+    #[test]
+    fn a_checkpoint_still_held_is_never_written() {
+        let mut sim = fresh(64, 9);
+        let held = encode_checkpoint(&sim);
+        let copy = held.to_vec();
+        sim.run_to(0.5, 0.0);
+        let next = encode_checkpoint(&sim);
+        assert_ne!(next.as_slice().as_ptr(), held.as_slice().as_ptr());
+        assert!(held.as_slice() == copy.as_slice(), "a held checkpoint was overwritten");
+        assert!(next.as_slice() == streamed(&sim).as_slice());
+        assert!(next.as_slice() != copy.as_slice(), "the state did not move");
+        // A view of part of a checkpoint keeps all of it from reuse.
+        let header = next.slice(0..HEADER_BYTES);
+        let header_copy = header.to_vec();
+        let at = next.as_slice().as_ptr();
+        drop(next);
+        let again = encode_checkpoint(&sim);
+        assert_ne!(again.as_slice().as_ptr(), at, "a container with a live view was reused");
+        assert_eq!(header.to_vec(), header_copy);
+    }
+
+    /// The capacity of the allocation behind `ckpt`, once this thread's
+    /// slot has let go of it.
+    fn capacity_of(ckpt: bytes::Bytes) -> usize {
+        LAST_CONTAINER.with(Cell::take);
+        ckpt.try_into_mut().map_or(0, |buf| buf.capacity())
+    }
+
+    #[test]
+    fn a_larger_container_reused_for_a_smaller_system_has_the_exact_length() {
+        let big = encode_checkpoint(&fresh(400, 1));
+        let (big_len, at) = (big.len(), big.as_slice().as_ptr());
+        drop(big);
+        let smaller_sim = fresh(300, 2);
+        let smaller = encode_checkpoint(&smaller_sim);
+        assert_eq!(smaller.as_slice().as_ptr(), at, "the larger container was not reused");
+        let expect = streamed(&smaller_sim);
+        assert!(smaller.len() < big_len);
+        assert_eq!(smaller.len(), expect.len());
+        assert!(smaller.as_slice() == expect.as_slice(), "stale bytes in a reused container");
+        drop(smaller);
+        // Too small a container for the next system: a fresh, exact one.
+        let bigger_sim = fresh(500, 3);
+        let bigger = encode_checkpoint(&bigger_sim);
+        assert!(bigger.as_slice() == streamed(&bigger_sim).as_slice());
+        drop(bigger);
+        // More than twice what the next system needs: let go, so that a
+        // small checkpoint never holds a large allocation.
+        let small_sim = fresh(40, 4);
+        let small = encode_checkpoint(&small_sim);
+        let expect = streamed(&small_sim);
+        assert!(small.as_slice() == expect.as_slice());
+        assert_eq!(capacity_of(small), expect.len(), "a small checkpoint kept a large container");
+    }
+
+    #[test]
+    fn a_container_dropped_on_another_thread_is_reclaimed() {
+        let sim = fresh(300, 4);
+        let ckpt = encode_checkpoint(&sim);
+        let (len, at) = (ckpt.len(), ckpt.as_slice().as_ptr());
+        // Resumed, and so dropped, on another thread.
+        let resumed = std::thread::spawn(move || {
+            decode_checkpoint(ckpt, DirectEngine::new()).map(|s| s.sys.len())
+        });
+        assert_eq!(resumed.join().unwrap().unwrap(), sim.sys.len());
+        let decoy = vec![1u8; len];
+        let next = encode_checkpoint(&sim);
+        assert_eq!(next.as_slice().as_ptr(), at, "not reclaimed across threads");
+        assert!(next.as_slice() == streamed(&sim).as_slice());
+        drop(decoy);
     }
 
     #[test]

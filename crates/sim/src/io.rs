@@ -72,9 +72,8 @@ pub(crate) fn put_particle_record(buf: &mut impl bytes::BufMut, sys: &ParticleSy
 pub(crate) fn encode_particle_range(
     sys: &ParticleSystem,
     range: std::ops::Range<usize>,
-    buf: &mut Vec<u8>,
+    buf: &mut impl bytes::BufMut,
 ) {
-    buf.reserve(range.len() * BINARY_PARTICLE_BYTES);
     for i in range {
         put_particle_record(buf, sys, i);
     }

@@ -64,6 +64,20 @@ impl Bytes {
         }
     }
 
+    /// Take the allocation back as a [`BytesMut`] holding the same bytes,
+    /// as upstream. Succeeds only for the unique handle that views the
+    /// whole allocation from its first byte: while a clone or a
+    /// [`slice`](Self::slice) / [`copy_to_bytes`](Buf::copy_to_bytes) view
+    /// is alive, or once this handle's cursor or end has moved, the handle
+    /// comes back unchanged as `Err`. The allocation is never copied.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        if self.pos != 0 || self.end != self.data.len() {
+            return Err(self);
+        }
+        let Self { data, pos, end } = self;
+        Arc::try_unwrap(data).map(|data| BytesMut { data }).map_err(|data| Self { data, pos, end })
+    }
+
     fn take(&mut self, n: usize) -> &[u8] {
         assert!(self.len() >= n, "buffer underflow: need {n}, have {}", self.len());
         let s = &self.data[self.pos..self.pos + n];
@@ -217,6 +231,16 @@ impl BytesMut {
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.data.len()
+    }
+
+    /// Bytes the buffer can hold without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
+    /// Forget the written bytes, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.data.clear();
     }
 
     /// Whether nothing has been written.
@@ -405,6 +429,66 @@ mod tests {
         assert!(part.is_empty());
         assert_eq!(b.copy_to_bytes(0).len(), 0);
         assert_eq!(Bytes::from_static(b"abc").slice(1..3), Bytes::from(b"bc".to_vec()));
+    }
+
+    #[test]
+    fn try_into_mut_takes_back_the_unique_whole_allocation() {
+        let mut v = Vec::with_capacity(64);
+        v.extend_from_slice(b"G6CK container");
+        let ptr = v.as_ptr();
+        let mut m = Bytes::from(v).try_into_mut().expect("the only handle");
+        assert_eq!((m.as_slice(), m.as_ptr()), (&b"G6CK container"[..], ptr));
+        assert_eq!(m.capacity(), 64, "the allocation, not a copy");
+        m.clear();
+        assert!(m.is_empty());
+        assert_eq!((m.capacity(), m.as_ptr()), (64, ptr), "clear keeps the allocation");
+        m.put_u32_le(7);
+        assert_eq!(m.freeze().as_ptr(), ptr);
+        // The last of several handles is unique again once the others drop.
+        let b = Bytes::from(vec![9u8; 8]);
+        let other = std::thread::spawn({
+            let c = b.clone();
+            move || drop(c)
+        });
+        other.join().unwrap();
+        assert!(b.try_into_mut().is_ok(), "a clone dropped on another thread");
+    }
+
+    #[test]
+    fn try_into_mut_refuses_shared_views_and_moved_cursors() {
+        let whole: Vec<u8> = (0..32).collect();
+        let refused = |r: Result<BytesMut, Bytes>| match r {
+            Err(b) => b,
+            Ok(_) => panic!("a handle that is not unique and whole was taken back"),
+        };
+        // A clone is alive: both handles refuse and come back unchanged.
+        let b = Bytes::from(whole.clone());
+        let c = b.clone();
+        let b = refused(b.try_into_mut());
+        let c = refused(c.try_into_mut());
+        assert_eq!((b.to_vec(), c.to_vec()), (whole.clone(), whole.clone()));
+        drop(c);
+        // A slice view is alive: the parent refuses, and so does the view,
+        // even once it is the last handle — it does not see the whole buffer.
+        let s = b.slice(4..12);
+        let b = refused(b.try_into_mut());
+        assert_eq!(b.as_slice(), &whole[..]);
+        drop(b);
+        let s = refused(s.try_into_mut());
+        assert_eq!(s.as_slice(), &whole[4..12]);
+        // A partly read cursor refuses, with its cursor where it was.
+        let mut r = Bytes::from(whole.clone());
+        assert_eq!(r.get_u16_le(), 0x0100);
+        let r = refused(r.try_into_mut());
+        assert_eq!((r.len(), r.as_slice()), (30, &whole[2..]));
+        // So does a view split off with `copy_to_bytes`, and its source.
+        let mut src = Bytes::from(whole.clone());
+        let head = src.copy_to_bytes(8);
+        let src = refused(src.try_into_mut());
+        assert_eq!(src.as_slice(), &whole[8..]);
+        drop(src);
+        let head = refused(head.try_into_mut());
+        assert_eq!(head.as_slice(), &whole[..8]);
     }
 
     #[test]

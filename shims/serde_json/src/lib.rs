@@ -49,19 +49,36 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 // ---- writing ---------------------------------------------------------------
 
+/// Append `c`, escaped as JSON requires.
+fn push_escaped_char(out: &mut String, c: char) {
+    match c {
+        '"' => out.push_str("\\\""),
+        '\\' => out.push_str("\\\\"),
+        '\n' => out.push_str("\\n"),
+        '\r' => out.push_str("\\r"),
+        '\t' => out.push_str("\\t"),
+        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+        c => out.push(c),
+    }
+}
+
+/// Append `s` as a JSON string literal. Only `"`, `\` and the control
+/// characters need escaping, and all are ASCII, so every run between them
+/// is copied with one `push_str`.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        // The byte at `at` is ASCII, so both sides of it are char boundaries.
+        let (run, tail) = rest.split_at(at);
+        out.push_str(run);
+        let mut tail = tail.chars();
+        if let Some(c) = tail.next() {
+            push_escaped_char(out, c);
         }
+        rest = tail.as_str();
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -293,6 +310,18 @@ impl<'a> Parser<'a> {
                         other => return Err(self.err(&format!("bad escape `\\{}`", other as char))),
                     }
                 }
+                lead if lead.is_ascii() => {
+                    // A run of ASCII up to the next quote, backslash or
+                    // non-ASCII byte needs no decoding: copy it at once.
+                    let rest = self.bytes.get(self.pos..).unwrap_or_default();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || !b.is_ascii())
+                        .unwrap_or(rest.len());
+                    let run = rest.split_at(len).0;
+                    out.push_str(std::str::from_utf8(run).map_err(|_| self.err("invalid UTF-8"))?);
+                    self.pos += len;
+                }
                 lead => {
                     // Consume one UTF-8 code point: its length comes from the
                     // lead byte, and only those bytes are validated (bad
@@ -300,7 +329,6 @@ impl<'a> Parser<'a> {
                     // — never the rest of the input, which made long strings
                     // quadratic.
                     let len = match lead {
-                        0x00..=0x7F => 1,
                         0xC0..=0xDF => 2,
                         0xE0..=0xEF => 3,
                         _ => 4,
@@ -507,6 +535,48 @@ mod tests {
             let err = value_from_slice(bytes).unwrap_err();
             assert!(err.to_string().contains("invalid UTF-8"), "{bytes:?}: {err}");
         }
+    }
+
+    /// Reference writer: one `match` and one push per character.
+    fn write_escaped_per_char(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn run_writer_matches_the_per_char_writer_and_round_trips() {
+        let mut special: Vec<char> = (0u8..0x20).map(char::from).collect();
+        // `/` needs no escape; 2-, 3- and 4-byte UTF-8; DEL and plain ASCII.
+        special.extend(['"', '\\', '/', 'é', '\u{7FF}', '€', '\u{FFFF}', '😀', '\u{7F}', 'a']);
+        let mut cases = vec![String::new(), special.iter().collect::<String>()];
+        for c in &special {
+            // Alone, and opening, inside and closing a run.
+            cases.push(c.to_string());
+            cases.push(format!("{c}ab{c}{c}cd/é{c}"));
+        }
+        for s in cases {
+            let (mut runs, mut per_char) = (String::new(), String::new());
+            write_escaped(&mut runs, &s);
+            write_escaped_per_char(&mut per_char, &s);
+            assert_eq!(runs, per_char, "{s:?}");
+            assert_eq!(from_str::<String>(&runs).unwrap(), s, "{runs}");
+        }
+        // Escapes the writer never produces still read back.
+        assert_eq!(from_str::<String>(r#""a\/b\u00e9\b\f""#).unwrap(), "a/bé\u{8}\u{c}");
+        // An ASCII run stops at the first non-ASCII byte, which is validated.
+        let err = value_from_slice(b"\"abc\xC3\x28def\"").unwrap_err();
+        assert!(err.to_string().contains("invalid UTF-8 at byte 4"), "{err}");
     }
 
     #[test]
