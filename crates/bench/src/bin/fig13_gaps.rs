@@ -8,17 +8,19 @@
 //! square of the protoplanet mass — while leaving the mechanism (scattering
 //! out of the feeding zone) untouched. See DESIGN.md §3.
 
-use grape6_bench::{arg_or, experiment_config, fmt, print_header, print_row};
+use grape6_bench::{experiment_config, fmt, print_header, print_row, Flags};
 use grape6_core::force::DirectEngine;
 use grape6_core::integrator::BlockHermite;
 use grape6_disk::{DiskBuilder, DiskSnapshot, RadialHistogram};
 use grape6_sim::Simulation;
 
 fn main() {
-    let n: usize = arg_or("--n", 2048);
-    let mass_boost: f64 = arg_or("--mass-boost", 10.0);
-    let t_early: f64 = arg_or("--t-early", 800.0);
-    let t_late: f64 = arg_or("--t-late", 2400.0);
+    let flags = Flags::parse(&["--n", "--mass-boost", "--t-early", "--t-late", "--csv"]);
+    let n: usize = flags.get_or("--n", 2048);
+    let mass_boost: f64 = flags.get_or("--mass-boost", 10.0);
+    let t_early: f64 = flags.get_or("--t-early", 800.0);
+    let t_late: f64 = flags.get_or("--t-late", 2400.0);
+    let csv_dir: String = flags.get_or("--csv", String::new());
     println!("E2 / Fig 13: gap formation near the protoplanets");
     println!(
         "N = {n}, protoplanet mass boost ×{mass_boost}, snapshots at T = {t_early} and {t_late}\n"
@@ -59,8 +61,8 @@ fn main() {
         let hist = RadialHistogram::from_system(&snap_sys, &planetesimals, 14.0, 36.0, 44);
         let snap = DiskSnapshot::capture(&snap_sys, &planetesimals, t);
         // Optional CSV dump of the scatter data (the actual Fig 13 panels).
-        if let Some(dir) = std::env::args().skip_while(|a| a != "--csv").nth(1) {
-            let path = format!("{dir}/fig13_t{t:.0}.csv");
+        if !csv_dir.is_empty() {
+            let path = format!("{csv_dir}/fig13_t{t:.0}.csv");
             let mut out = String::from("r_au,phi_rad,z_au\n");
             for k in 0..snap.r.len() {
                 out.push_str(&format!("{},{},{}\n", snap.r[k], snap.phi[k], snap.z[k]));

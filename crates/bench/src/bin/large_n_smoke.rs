@@ -22,7 +22,7 @@
 // Per-phase wall times are this harness's output.
 #![allow(clippy::disallowed_methods)]
 
-use grape6_bench::{arg_or, experiment_config, fmt, paper_disk, print_header, print_row};
+use grape6_bench::{experiment_config, fmt, paper_disk, print_header, print_row, Flags};
 use grape6_core::engine::ForceEngine;
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_sim::checkpoint::{
@@ -129,10 +129,11 @@ fn rss_mib() -> (f64, f64) {
 }
 
 fn main() -> std::process::ExitCode {
-    let n: usize = arg_or("--n", 1_799_998);
-    let steps: u64 = arg_or("--steps", 200);
-    let out: String = arg_or("--out", "large_n_smoke.json".to_string());
-    let ckpt: String = arg_or("--checkpoint", "large_n_smoke.g6ck".to_string());
+    let flags = Flags::parse(&["--n", "--steps", "--out", "--checkpoint"]);
+    let n: usize = flags.get_or("--n", 1_799_998);
+    let steps: u64 = flags.get_or("--steps", 200);
+    let out: String = flags.get_or("--out", "large_n_smoke.json".to_string());
+    let ckpt: String = flags.get_or("--checkpoint", "large_n_smoke.g6ck".to_string());
 
     let t_build = Instant::now();
     let sys = paper_disk(n, 20020616);

@@ -10,16 +10,17 @@
 //! timing model. The paper's comparison row: 29.5 Tflops sustained, 63.4
 //! peak (46.5 %).
 
-use grape6_bench::{arg_or, experiment_config, fmt, paper_disk, print_header, print_row};
+use grape6_bench::{experiment_config, fmt, paper_disk, print_header, print_row, Flags};
 use grape6_core::force::DirectEngine;
 use grape6_hw::perf::PerfReport;
 use grape6_hw::timing::{StepBreakdown, TimingModel};
 use grape6_sim::Simulation;
 
 fn main() {
-    let n_ref: usize = arg_or("--n-ref", 8192);
-    let warmup: f64 = arg_or("--warmup", 16.0);
-    let t_run: f64 = arg_or("--t", 48.0);
+    let flags = Flags::parse(&["--n-ref", "--warmup", "--t"]);
+    let n_ref: usize = flags.get_or("--n-ref", 8192);
+    let warmup: f64 = flags.get_or("--warmup", 16.0);
+    let t_run: f64 = flags.get_or("--t", 48.0);
     println!("E1: headline performance (paper §6)");
     println!("reference integration: N = {n_ref}, warmup {warmup} + window {t_run} units\n");
 

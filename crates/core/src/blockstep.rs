@@ -52,6 +52,22 @@ fn odd_mantissa_exp(x: f64) -> (u64, i64) {
     (m >> tz, e + i64::from(tz))
 }
 
+/// The rules of [`TickScheduler::check_clocks`] one particle's clock breaks,
+/// one bit each in the order that function reports them (0 when all hold).
+/// Branch-free, so the scan over all particles vectorizes.
+#[inline]
+fn clock_faults(t: f64, time: f64, dt: f64, dt_min: f64, dt_max: f64, tick_limit: f64) -> u8 {
+    // A normal power of two has an all-zero fraction field, and dividing by
+    // one is exact once the quotient is 1 or more.
+    let step = (dt >= dt_min) & (dt <= dt_max) & (dt.to_bits() & ((1 << 52) - 1) == 0);
+    let k = time / dt;
+    let on_grid = (time == 0.0) | ((k >= 1.0) & (k.fract() == 0.0));
+    let next = time + dt;
+    let within = (time <= t) & (t < next);
+    let in_range = next < tick_limit;
+    u8::from(!step) | u8::from(!on_grid) << 1 | u8::from(!within) << 2 | u8::from(!in_range) << 3
+}
+
 /// True if time `t` is an integer multiple of `dt`, computed **exactly** via
 /// mantissa/exponent arithmetic.
 ///
@@ -316,6 +332,43 @@ impl TickScheduler {
             ));
         }
         Ok(())
+    }
+
+    /// Refuse per-particle clocks the scheduler cannot resume from (see the
+    /// type docs). At system time `t`, every particle's step `dt[i]` must be a
+    /// power of two in `[dt_min, dt_max]`, and its last-step time `time[i]` a
+    /// finite, non-negative multiple of it with `time[i] ≤ t < time[i] +
+    /// dt[i]`, the pending event below `2^64` ticks. One O(N) pass that
+    /// vectorizes; the particles are scanned again only to name a bad one.
+    pub fn check_clocks(
+        t: f64,
+        time: &[f64],
+        dt: &[f64],
+        dt_min: f64,
+        dt_max: f64,
+    ) -> Result<(), String> {
+        // dt_min is a power of two, so this product is exact.
+        let tick_limit = dt_min * 2f64.powi(64);
+        let faults =
+            |(&time, &dt): (&f64, &f64)| clock_faults(t, time, dt, dt_min, dt_max, tick_limit);
+        if time.iter().zip(dt).fold(0, |any, clock| any | faults(clock)) == 0 {
+            return Ok(());
+        }
+        let Some((i, fault)) = time.iter().zip(dt).map(faults).enumerate().find(|&(_, f)| f != 0)
+        else {
+            return Ok(());
+        };
+        let (time, dt, next) = (time[i], dt[i], time[i] + dt[i]);
+        Err(match fault.trailing_zeros() {
+            0 => format!("particle {i}: step {dt} is not a power of two in [{dt_min:e}, {dt_max}]"),
+            1 => {
+                format!("particle {i}: time {time} is not a non-negative multiple of its step {dt}")
+            }
+            2 => format!("particle {i}: system time {t} is outside its step [{time}, {next})"),
+            _ => format!(
+                "particle {i}: next time {next:e} is beyond the u64 range of dt_min = {dt_min:e}"
+            ),
+        })
     }
 
     #[inline]
@@ -834,6 +887,24 @@ mod tests {
         // 3e7 is a multiple of 2^-40 but 3.3e19 ticks overflow a u64.
         let err = TickScheduler::check_span(3e7, 3e7 + 2.0, dt_min).unwrap_err();
         assert!(err.contains("dt_min") && err.contains("u64"), "{err}");
+    }
+
+    #[test]
+    fn tick_scheduler_check_clocks_takes_every_resumable_clock() {
+        let (dt_min, dt_max) = (2.0f64.powi(-40), 8.0);
+        // Steps at both ends of the ladder; a time of 0, a time at t, and a
+        // time of 2^53 - 1 ticks of dt_min.
+        let time = [0.0, 3.0, 2.0, 3.0, 8192.0 - dt_min];
+        let dt = [dt_max, 1.0, 2.0, dt_min, dt_min];
+        assert_eq!(TickScheduler::check_clocks(3.0, &time[..4], &dt[..4], dt_min, dt_max), Ok(()));
+        let at = 8192.0 - dt_min;
+        assert_eq!(TickScheduler::check_clocks(at, &time[4..], &dt[4..], dt_min, dt_max), Ok(()));
+        assert_eq!(TickScheduler::check_clocks(f64::NAN, &[], &[], dt_min, dt_max), Ok(()));
+        // One bad clock among good ones is named by index.
+        let err = TickScheduler::check_clocks(3.0, &[0.0, 2.0], &[4.0, 1.5], dt_min, dt_max);
+        assert!(err.unwrap_err().starts_with("particle 1: step 1.5"));
+        let err = TickScheduler::check_clocks(3.0, &[0.0, 2.5], &[4.0, 1.0], dt_min, dt_max);
+        assert!(err.unwrap_err().starts_with("particle 1: time 2.5"));
     }
 
     #[test]

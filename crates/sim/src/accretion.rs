@@ -107,14 +107,23 @@ pub fn try_merge(
     let m_s = sys.mass[s];
     let m_a = sys.mass[a];
     let m = m_s + m_a;
-    // Bring both to a common time before forming the centre of mass.
+    // Form the centre of mass at the common time: the block time, since
+    // body `i` is in the block.
     let t = sys.time[s].max(sys.time[a]);
     let (ps, vs) = sys.predict(s, t);
     let (pa, va) = sys.predict(a, t);
-    sys.pos[s] = (ps * m_s + pa * m_a) / m;
-    sys.vel[s] = (vs * m_s + va * m_a) / m;
+    let vel = (vs * m_s + va * m_a) / m;
+    let mut pos = (ps * m_s + pa * m_a) / m;
+    // A party outside the block keeps its own time: the scheduler holds its
+    // event at `time + dt`, on its step grid, and a resumed run reschedules
+    // it there too. So the survivor's merged state is drifted back to its
+    // time along the line its zeroed acc and jerk predict forward.
+    if sys.time[s] < t {
+        pos -= vel * (t - sys.time[s]);
+    }
+    sys.pos[s] = pos;
+    sys.vel[s] = vel;
     sys.mass[s] = m;
-    sys.time[s] = t;
     // The survivor's derivatives are stale after the jump; zero them so the
     // integrator rebuilds from the next force evaluation rather than
     // extrapolating through the collision.
@@ -122,7 +131,6 @@ pub fn try_merge(
     sys.jerk[s] = grape6_core::vec3::Vec3::zero();
     // Ghost the absorbed body.
     sys.mass[a] = 0.0;
-    sys.time[a] = t;
     sys.acc[a] = grape6_core::vec3::Vec3::zero();
     sys.jerk[a] = grape6_core::vec3::Vec3::zero();
     let event = MergerEvent { t, survivor: s, absorbed: a, merged_mass: m, separation: r };
@@ -178,6 +186,28 @@ mod tests {
         assert!((p1 - p0).norm() < 1e-18);
         assert!((v1 - v0).norm() < 1e-18);
         assert_eq!(log.count(), 1);
+    }
+
+    #[test]
+    fn a_party_outside_the_block_keeps_its_time_and_step() {
+        // Body 0 is in the block at t = 2; the heavier body 1 last stepped at
+        // t = 0 with dt = 4, so its scheduled event is t = 4.
+        let mut sys = pair(1e-7, 1e-8);
+        sys.mass[1] = 3e-8;
+        sys.time[0] = 2.0;
+        (sys.dt[0], sys.dt[1]) = (2.0, 4.0);
+        let (p0, v0) = sys.predict(0, 2.0);
+        let (p1, v1) = sys.predict(1, 2.0);
+        let cm = (p0 * 1e-8 + p1 * 3e-8) / 4e-8;
+        let model = RadiusModel::icy_inflated(1e4);
+        let nn = Neighbor { index: 1, r2: p0.distance2(p1) };
+        let ev = try_merge(&mut sys, 0, nn, &model, &mut AccretionLog::default()).unwrap();
+        assert_eq!((ev.t, ev.survivor), (2.0, 1));
+        assert_eq!((sys.time[0], sys.dt[0]), (2.0, 2.0));
+        assert_eq!((sys.time[1], sys.dt[1]), (0.0, 4.0));
+        // Predicted to the block time, the survivor is the centre of mass.
+        let (p, v) = sys.predict(1, 2.0);
+        assert!((p - cm).norm() < 1e-12 && (v - (v0 * 1e-8 + v1 * 3e-8) / 4e-8).norm() < 1e-18);
     }
 
     #[test]

@@ -49,6 +49,7 @@ use crate::io::BINARY_PARTICLE_BYTES;
 use crate::simulation::Simulation;
 use crate::stats::BlockSizeHistogram;
 use crate::telemetry::Telemetry;
+use grape6_core::blockstep::TickScheduler;
 use grape6_core::energy::EnergyLedger;
 use grape6_core::engine::ForceEngine;
 use grape6_core::integrator::{BlockHermite, HermiteConfig, RunStats};
@@ -286,6 +287,8 @@ pub fn decode_checkpoint<E: ForceEngine>(
         dt_min: buf.get_f64_le(),
     };
     config.validate().map_err(bad)?;
+    TickScheduler::check_clocks(sys.t, &sys.time, &sys.dt, config.dt_min, config.dt_max)
+        .map_err(bad)?;
     let stats = RunStats {
         block_steps: buf.get_u64_le(),
         particle_steps: buf.get_u64_le(),
@@ -659,6 +662,86 @@ mod tests {
         assert!(err.to_string().contains("truncated body"), "v1 G6CK: {err}");
     }
 
+    /// Decode a checkpoint at t = 1 (every body just stepped, so its time
+    /// is 1 and its step 2^-2 or less) after `patch` rewrote the system time
+    /// and record 0's time and step; the error it is refused with.
+    fn refused_clock(patch: impl FnOnce(&mut f64, &mut f64, &mut f64)) -> String {
+        let mut sim = fresh(16, 7);
+        sim.run_to(1.0, 0.0);
+        let mut raw = encode_checkpoint(&sim).to_vec();
+        let word = |at: usize, raw: &[u8]| f64::from_le_bytes(raw[at..at + 8].try_into().unwrap());
+        let (t_at, record) = (16, HEADER_BYTES + 4);
+        let (time_at, dt_at) = (record + 13 * 8, record + 14 * 8);
+        let (mut t, mut time, mut dt) = (word(t_at, &raw), word(time_at, &raw), word(dt_at, &raw));
+        assert_eq!((t, time, sim.sys.dt[0]), (1.0, 1.0, dt));
+        patch(&mut t, &mut time, &mut dt);
+        for (at, v) in [(t_at, t), (time_at, time), (dt_at, dt)] {
+            raw[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        match decode_checkpoint(bytes::Bytes::from(raw), DirectEngine::new()) {
+            Err(e) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                e.to_string()
+            }
+            Ok(_) => panic!("clock t = {t}, time = {time}, dt = {dt} accepted"),
+        }
+    }
+
+    #[test]
+    fn a_nan_step_is_refused() {
+        let err = refused_clock(|_, _, dt| *dt = f64::NAN);
+        assert!(err.contains("particle 0: step NaN is not a power of two"), "{err}");
+    }
+
+    #[test]
+    fn a_step_off_the_power_of_two_ladder_is_refused() {
+        let err = refused_clock(|_, _, dt| *dt = 0.3);
+        assert!(err.contains("step 0.3 is not a power of two"), "{err}");
+    }
+
+    #[test]
+    fn a_negative_step_is_refused() {
+        let err = refused_clock(|_, _, dt| *dt = -1.0);
+        assert!(err.contains("step -1 is not a power of two"), "{err}");
+    }
+
+    #[test]
+    fn a_step_outside_dt_min_to_dt_max_is_refused() {
+        let err = refused_clock(|_, _, dt| *dt = 0.5);
+        assert!(err.contains("step 0.5 is not a power of two in [9.094947017729282e-13, 0.25]"));
+        let err = refused_clock(|_, _, dt| *dt = 2f64.powi(-41));
+        assert!(err.contains("is not a power of two in"), "{err}");
+    }
+
+    #[test]
+    fn a_time_off_the_step_grid_is_refused() {
+        let err = refused_clock(|_, time, dt| *time -= *dt / 2.0);
+        assert!(err.contains("is not a non-negative multiple of its step"), "{err}");
+        let err = refused_clock(|_, time, _| *time = f64::NAN);
+        assert!(err.contains("time NaN is not a non-negative multiple"), "{err}");
+        let err = refused_clock(|_, time, _| *time = -1.0);
+        assert!(err.contains("time -1 is not a non-negative multiple"), "{err}");
+    }
+
+    #[test]
+    fn a_time_after_the_system_time_is_refused() {
+        let err = refused_clock(|_, time, dt| *time += *dt);
+        assert!(err.contains("particle 0: system time 1 is outside its step"), "{err}");
+    }
+
+    #[test]
+    fn a_step_that_ends_by_the_system_time_is_refused() {
+        let err = refused_clock(|_, time, dt| *time -= *dt);
+        assert!(err.contains("particle 0: system time 1 is outside its step"), "{err}");
+    }
+
+    #[test]
+    fn a_next_time_beyond_the_tick_range_is_refused() {
+        // 2^24 is 2^64 ticks of dt_min = 2^-40.
+        let err = refused_clock(|t, time, _| (*t, *time) = (2f64.powi(24), 2f64.powi(24)));
+        assert!(err.contains("particle 0: next time") && err.contains("u64 range"), "{err}");
+    }
+
     fn streamed<E: ForceEngine>(sim: &Simulation<E>) -> Vec<u8> {
         let mut out = Vec::new();
         write_checkpoint(sim, &mut out).unwrap();
@@ -756,10 +839,11 @@ mod tests {
     #[test]
     fn encode_checkpoint_is_the_streamed_container_byte_for_byte() {
         // Chunk boundaries on either side of every count; every record field
-        // distinct, so a misplaced word would show.
+        // distinct, so a misplaced word would show. The clocks are a state
+        // the decoder accepts: every body stepped at t = 0.25 with dt 0.125.
         for n in [1usize, 8191, 8192, 8193, 20000] {
             let mut sys = ParticleSystem::new(0.008, 1.0);
-            sys.t = 0.375;
+            sys.t = 0.25;
             for i in 0..n {
                 let x = i as f64;
                 let v = |k: f64| grape6_core::vec3::Vec3::new(x + k, -x * k, 1.0 / (x + k));

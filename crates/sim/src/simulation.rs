@@ -167,12 +167,25 @@ impl<E: ForceEngine> Simulation<E> {
                     touched.push(ev.absorbed);
                 }
             }
-            if !touched.is_empty() {
-                // Batch with the integrator's deferred block updates: the
-                // write lands (sorted, deduplicated) before the next force
-                // evaluation, so a survivor corrected this block is sent to
-                // the engine once instead of twice.
-                self.integrator.mark_dirty(&touched);
+            // A party in the block batches with the integrator's deferred
+            // block updates: the write lands (sorted, deduplicated) before
+            // the next force evaluation, so a survivor corrected this block
+            // is sent to the engine once instead of twice. A party outside
+            // the block keeps its own time (see `try_merge`), and a resumed
+            // run rebuilds the deferred set from the bodies at the block time
+            // only, so its entry is written now.
+            let t = self.sys.t;
+            let (deferred, mut now): (Vec<usize>, Vec<usize>) =
+                touched.into_iter().partition(|&x| self.sys.time[x] == t);
+            self.integrator.mark_dirty(&deferred);
+            if !now.is_empty() {
+                now.sort_unstable();
+                now.dedup();
+                let wire0 = self.engine.bytes_transferred();
+                self.engine.update_j(&self.sys, &now);
+                if let Some(tel) = &mut self.telemetry {
+                    tel.wire_transfer(self.engine.bytes_transferred() - wire0);
+                }
             }
         }
         info

@@ -90,3 +90,50 @@ fn no_spurious_mergers_in_a_sparse_disk() {
     sim.run_to(20.0, 0.0);
     assert_eq!(sim.accretion_log.count(), 0);
 }
+
+/// Resume bit-identically across a merge whose partner is not in the block.
+/// The partner is between its own steps, so its scheduled event is still
+/// `time + dt` on its step grid. The merge must leave it there, because a
+/// run resumed from a checkpoint reschedules every body at `time + dt`.
+#[test]
+fn resume_after_a_merge_outside_the_block_is_bit_identical() {
+    let sys = DiskBuilder::paper(256).with_seed(5).build();
+    let config = HermiteConfig { dt_max: 8.0, ..HermiteConfig::default() };
+    let model = RadiusModel::icy_inflated(3000.0);
+    let mut live = Simulation::new(sys, config, DirectEngine::new());
+    live.enable_accretion(model);
+
+    // Step until a merge pulls in a body from outside the block, then cut.
+    let mut cuts = 0;
+    while cuts == 0 {
+        let merged = live.accretion_log.count();
+        live.step();
+        let block = live.integrator.last_block();
+        cuts = live.accretion_log.events[merged..]
+            .iter()
+            .filter(|ev| !block.contains(&ev.survivor) || !block.contains(&ev.absorbed))
+            .count();
+        assert!(live.stats().block_steps < 20_000, "no merge outside the block");
+    }
+    let (cut, merged_at_cut) = (live.stats().block_steps, live.accretion_log.count());
+    let mut twin = decode_checkpoint(encode_checkpoint(&live), DirectEngine::new()).unwrap();
+    twin.enable_accretion(model);
+
+    for step in cut..cut + 2_000 {
+        let (a, b) = (live.step(), twin.step());
+        let at = format!("block step {step}, t = {}", a.t);
+        assert_eq!(a.t.to_bits(), b.t.to_bits(), "{at}");
+        assert_eq!(live.integrator.last_block(), twin.integrator.last_block(), "{at}");
+        let (x, y) = (&live.sys, &twin.sys);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let vbits =
+            |v: &[V]| v.iter().flat_map(|p| [p.x, p.y, p.z]).map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(vbits(&x.pos), vbits(&y.pos), "{at}: positions differ");
+        assert_eq!(vbits(&x.vel), vbits(&y.vel), "{at}: velocities differ");
+        assert_eq!(bits(&x.time), bits(&y.time), "{at}: particle times differ");
+        assert_eq!(bits(&x.dt), bits(&y.dt), "{at}: particle steps differ");
+        assert_eq!(bits(&x.mass), bits(&y.mass), "{at}: masses differ");
+    }
+    assert_eq!(live.stats(), twin.stats());
+    assert_eq!(live.accretion_log.count(), merged_at_cut + twin.accretion_log.count());
+}
