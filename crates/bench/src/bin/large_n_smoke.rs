@@ -9,8 +9,9 @@
 //! scheduling, block prediction, lazy j-update flushes and the streamed
 //! checkpoint writer. It then encodes the in-memory container twice, the
 //! second time into the allocation the dropped first one left behind, and
-//! times both. Logs RSS and per-phase wall times, and writes a JSON
-//! telemetry artifact for the CI upload.
+//! times both. Logs per-phase wall times, the resident and peak memory
+//! (`VmRSS` / `VmHWM`) as each phase ends — so a run shows which phase sets
+//! the peak — and writes a JSON telemetry artifact for the CI upload.
 //!
 //! Usage: `large_n_smoke [--n 1799998] [--steps 200]
 //!         [--out large_n_smoke.json] [--checkpoint large_n_smoke.g6ck]`
@@ -82,7 +83,24 @@ struct SmokeReport {
     encode_reused_mib_per_s: f64,
     rss_mib: f64,
     peak_rss_mib: f64,
+    /// Memory as each phase ended, in run order.
+    memory: Vec<PhaseMemory>,
     telemetry: TelemetryReport,
+}
+
+/// Resident and peak memory of the process as one phase ended.
+#[derive(Debug, Serialize)]
+struct PhaseMemory {
+    phase: &'static str,
+    rss_mib: f64,
+    peak_rss_mib: f64,
+}
+
+/// Print and record the process's memory as `phase` ends.
+fn memory_after(phase: &'static str, log: &mut Vec<PhaseMemory>) {
+    let (rss_mib, peak_rss_mib) = rss_mib();
+    println!("  memory after {phase}: rss {rss_mib:.0} MiB, peak {peak_rss_mib:.0} MiB");
+    log.push(PhaseMemory { phase, rss_mib, peak_rss_mib });
 }
 
 /// A sink that checks the bytes streamed into it against `expect`.
@@ -140,11 +158,14 @@ fn main() -> std::process::ExitCode {
     let n_bodies = sys.len() as u64;
     let build_seconds = t_build.elapsed().as_secs_f64();
     println!("disk: {n_bodies} bodies in {build_seconds:.1} s");
+    let mut memory = Vec::new();
+    memory_after("build", &mut memory);
 
     let t_init = Instant::now();
     let mut sim = Simulation::with_telemetry(sys, experiment_config(), NullForceEngine::default());
     let init_seconds = t_init.elapsed().as_secs_f64();
     println!("init: forces + schedule + energy ledger in {init_seconds:.1} s");
+    memory_after("init", &mut memory);
 
     let t_steps = Instant::now();
     for _ in 0..steps {
@@ -159,6 +180,7 @@ fn main() -> std::process::ExitCode {
         stats.particle_steps,
         1e3 * step_seconds / stats.block_steps.max(1) as f64
     );
+    memory_after("steps", &mut memory);
 
     let t_ckpt = Instant::now();
     if let Err(e) = checkpoint_now(&mut sim, Path::new(&ckpt)) {
@@ -171,6 +193,7 @@ fn main() -> std::process::ExitCode {
         "checkpoint: {:.1} MiB chunked G6CK v2 in {checkpoint_seconds:.1} s -> {ckpt}",
         checkpoint_bytes as f64 / (1024.0 * 1024.0)
     );
+    memory_after("checkpoint", &mut memory);
 
     // The artifact must round-trip: reload it and spot-check the header.
     let t_reload = Instant::now();
@@ -187,6 +210,7 @@ fn main() -> std::process::ExitCode {
         return std::process::ExitCode::FAILURE;
     }
     println!("reload: checkpoint resumes at t = {} in {reload_seconds:.1} s", reloaded.sys.t);
+    memory_after("reload", &mut memory);
     drop(reloaded);
 
     // The in-memory container: cold into fresh pages, then, the first one
@@ -215,6 +239,7 @@ fn main() -> std::process::ExitCode {
          {encode_reused_mib_per_s:.0} MiB/s {}",
         if reused_in_place { "into the reused container" } else { "again (not reused)" }
     );
+    memory_after("encode", &mut memory);
 
     let (rss, peak) = rss_mib();
     let telemetry = sim.telemetry_report().expect("telemetry attached");
@@ -253,6 +278,7 @@ fn main() -> std::process::ExitCode {
         encode_reused_mib_per_s,
         rss_mib: rss,
         peak_rss_mib: peak,
+        memory,
         telemetry,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize smoke report");

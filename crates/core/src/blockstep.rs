@@ -78,6 +78,8 @@ fn clock_faults(t: f64, time: f64, dt: f64, dt_min: f64, dt_max: f64, tick_limit
 /// dt_min-scale divisor — inside the paper's integration span. Writing
 /// `t = mt · 2^et` and `dt = md · 2^ed` with odd `mt`, `md`, the ratio is an
 /// integer iff `md` divides `mt` and `et ≥ ed`; both tests are exact in u64.
+/// A power-of-two `dt` — every step [`next_block_dt`] asks about — has
+/// `md = 1`, which divides anything, so the u64 division is skipped.
 #[inline]
 pub fn is_commensurate(t: f64, dt: f64) -> bool {
     if dt == 0.0 || !t.is_finite() || !dt.is_finite() {
@@ -88,7 +90,7 @@ pub fn is_commensurate(t: f64, dt: f64) -> bool {
     }
     let (mt, et) = odd_mantissa_exp(t);
     let (md, ed) = odd_mantissa_exp(dt);
-    et >= ed && mt % md == 0
+    et >= ed && (md == 1 || mt % md == 0)
 }
 
 /// Given the step `dt_old` just completed at new time `t_new` and the desired
@@ -194,12 +196,21 @@ impl BlockScheduler {
 /// One rung of the tick-bucket ring: all pending events whose tick shares
 /// this bucket's trailing-zero count. Under the commensurate power-of-two
 /// contract they all share a *single* tick (see [`TickScheduler`]), recorded
-/// here together with the f64 time exactly as it was pushed.
+/// here together with the f64 time exactly as it was pushed. The events
+/// themselves are a bitmap over particle indices (bit `i` set ⇔ particle `i`
+/// is due at `tick`), so draining the rung in word order emits the block
+/// ascending without a sort.
 #[derive(Debug, Clone, Default)]
 struct TickBucket {
     tick: u64,
     time: f64,
-    items: Vec<usize>,
+    bits: Vec<u64>,
+    /// The words of `bits` that may hold set bits, `lo..=hi`; set by the
+    /// first push into an empty rung.
+    lo: usize,
+    hi: usize,
+    /// Set bits in `bits`; the rung is empty when 0.
+    count: usize,
 }
 
 /// Integer tick-bucket event queue — the integrator's scheduler: O(block)
@@ -224,7 +235,7 @@ struct TickBucket {
 /// contains at most one multiple of `2^b`. Hence all events that land in
 /// bucket `b` share one tick, pushes are O(1), and [`Self::pop_block`] is a
 /// 64-bucket min-scan plus a drain of the winning bucket — no comparisons
-/// against float keys, no heap, O(block) amortized.
+/// against float keys, no heap, O(block + words spanned by the block).
 ///
 /// # Which times it can hold
 ///
@@ -239,16 +250,18 @@ struct TickBucket {
 /// # Equivalence with the heap scheduler
 ///
 /// Because the map is strictly monotone, the minimum tick is the minimum
-/// time, the popped set is exactly the heap's popped set, and both sort the
+/// time, the popped set is exactly the heap's popped set, and both emit the
 /// block ascending — the emitted `(time, block)` sequence is identical, and
 /// therefore so is every downstream trajectory bit ([`ShadowReplay`] checks
 /// this per block step). The f64 time returned is the value the caller
 /// pushed, never a back-conversion.
 ///
-/// Pushes that violate the contract (times that are not commensurate
-/// multiples of `dt_min`) spill into an overflow list that the pop scan
-/// also consults, so the queue degrades gracefully instead of reordering
-/// events; the integrator never exercises that path.
+/// Pushes that violate the contract — a tick other than the one its rung
+/// holds, or a second push of an index already pending at that tick — spill
+/// into an overflow list that the pop scan also consults; the pop appends
+/// the overflow entries at the minimum tick and sorts, so the queue emits the
+/// heap's multiset instead of reordering events. The integrator never
+/// exercises that path.
 #[derive(Debug, Clone)]
 pub struct TickScheduler {
     /// 1 / dt_min — a power of two, so `t * inv_dt_min` is exact.
@@ -258,15 +271,6 @@ pub struct TickScheduler {
     occupied: u64,
     /// Out-of-contract events: (tick, pushed time, index).
     overflow: Vec<(u64, f64, usize)>,
-    /// Scratch bitmap over particle indices (bit `i` set ⇔ `i` is in the
-    /// block being drained): emitting set bits in word order yields the
-    /// ascending block without an O(b log b) sort. Always all-zero between
-    /// [`Self::pop_block`] calls.
-    block_bits: Vec<u64>,
-    /// Out-of-contract duplicate indices seen while draining one block
-    /// (a particle pushed twice at the same time); forces the sort
-    /// fallback so the emitted multiset still matches the heap's.
-    dup_scratch: Vec<usize>,
     len: usize,
 }
 
@@ -285,8 +289,6 @@ impl TickScheduler {
             buckets: vec![TickBucket::default(); TICK_BUCKETS],
             occupied: 0,
             overflow: Vec::new(),
-            block_bits: Vec::new(),
-            dup_scratch: Vec::new(),
             len: 0,
         }
     }
@@ -387,17 +389,35 @@ impl TickScheduler {
         let tick = self.tick_of(t);
         let b = (tick.trailing_zeros() as usize).min(TICK_BUCKETS - 1);
         let bucket = &mut self.buckets[b];
-        if bucket.items.is_empty() {
-            bucket.tick = tick;
-            bucket.time = t;
-            bucket.items.push(i);
+        let w = i >> 6;
+        if bucket.count == 0 {
+            (bucket.tick, bucket.time, bucket.lo, bucket.hi) = (tick, t, w, w);
             self.occupied |= 1 << b;
-        } else if bucket.tick == tick {
-            bucket.items.push(i);
-        } else {
-            // Out-of-contract push; spill rather than corrupt the bucket.
-            self.overflow.push((tick, t, i));
+        } else if bucket.tick != tick {
+            return self.spill(tick, t, i);
         }
+        if w >= bucket.bits.len() {
+            // Grows with the highest index pushed to this rung — to N/64
+            // words at most — and then never reallocates.
+            bucket.bits.resize(w + 1, 0);
+        }
+        let (word, bit) = (&mut bucket.bits[w], 1u64 << (i & 63));
+        if *word & bit != 0 {
+            return self.spill(tick, t, i);
+        }
+        *word |= bit;
+        bucket.lo = bucket.lo.min(w);
+        bucket.hi = bucket.hi.max(w);
+        bucket.count += 1;
+        self.len += 1;
+    }
+
+    /// Park an out-of-contract push — a tick other than the one its rung
+    /// holds, or an index already pending at that tick — in `overflow`
+    /// rather than corrupt the rung.
+    #[cold]
+    fn spill(&mut self, tick: u64, t: f64, i: usize) {
+        self.overflow.push((tick, t, i));
         self.len += 1;
     }
 
@@ -427,94 +447,48 @@ impl TickScheduler {
         self.peek_min().map(|(_, t)| t)
     }
 
-    /// Mark index `i` in the block bitmap. An already-set bit is an
-    /// out-of-contract duplicate (one particle pushed twice at one time);
-    /// it is parked in `dup_scratch` so [`Self::pop_block`] can fall back
-    /// to a sort and still emit the heap scheduler's exact multiset.
-    #[inline]
-    fn mark(&mut self, i: usize) {
-        let w = i >> 6;
-        if w >= self.block_bits.len() {
-            // Grows to max-seen-index/64 words once (16 KiB at N = 2^20),
-            // then never again — not a steady-state allocation.
-            self.block_bits.resize(w + 1, 0);
-        }
-        let bit = 1u64 << (i & 63);
-        if self.block_bits[w] & bit != 0 {
-            self.dup_scratch.push(i);
-        } else {
-            self.block_bits[w] |= bit;
-        }
-    }
-
     /// Pop the full block of particles due at the minimum time. Returns the
     /// block time and the particle indices (ascending) — the same set, order
     /// and f64 time the heap scheduler would produce. The caller must push
     /// each popped particle back with its new next-update time.
     ///
-    /// Ascending order comes from a scratch bitmap over particle indices,
-    /// emitted in word order: O(block + touched words), no comparison sort
-    /// — the sort the heap pays per pop is exactly the O(b log b) term this
-    /// scheduler removes from the large-N host budget.
+    /// A tick has one rung (its trailing-zero count), so the block is that
+    /// rung's bitmap, emitted in word order: O(block + words spanned), no
+    /// comparison sort — the sort the heap pays per pop is exactly the
+    /// O(b log b) term this scheduler removes from the large-N host budget.
     // grape6-lint: hot
     pub fn pop_block(&mut self, out: &mut Vec<usize>) -> Option<f64> {
         out.clear();
         let (tick0, t0) = self.peek_min()?;
-        let mut drained = 0usize;
-        let (mut lo, mut hi) = (usize::MAX, 0usize);
-        // Under the contract exactly one bucket holds tick0; scanning all of
-        // them (plus overflow) keeps out-of-contract pushes heap-equivalent.
-        let mut mask = self.occupied;
-        while mask != 0 {
-            let b = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            if self.buckets[b].tick != tick0 {
-                continue;
+        let b = (tick0.trailing_zeros() as usize).min(TICK_BUCKETS - 1);
+        let bucket = &mut self.buckets[b];
+        if bucket.count != 0 && bucket.tick == tick0 {
+            for w in bucket.lo..=bucket.hi {
+                let mut word = std::mem::take(&mut bucket.bits[w]);
+                while word != 0 {
+                    out.push((w << 6) | word.trailing_zeros() as usize);
+                    word &= word - 1;
+                }
             }
-            let mut items = std::mem::take(&mut self.buckets[b].items);
-            for &i in &items {
-                self.mark(i);
-                lo = lo.min(i >> 6);
-                hi = hi.max(i >> 6);
-            }
-            drained += items.len();
-            items.clear();
-            self.buckets[b].items = items; // hand the capacity back
+            bucket.count = 0;
             self.occupied &= !(1 << b);
         }
         if !self.overflow.is_empty() {
-            let mut spill = std::mem::take(&mut self.overflow);
-            spill.retain(|&(tick, _, i)| {
-                if tick == tick0 {
-                    self.mark(i);
-                    lo = lo.min(i >> 6);
-                    hi = hi.max(i >> 6);
-                    drained += 1;
-                    false
-                } else {
-                    true
+            // Out-of-contract events at tick0: append and sort, so the
+            // emitted multiset still matches the heap scheduler bit for bit.
+            let ascending = out.len();
+            self.overflow.retain(|&(tick, _, i)| {
+                let due = tick == tick0;
+                if due {
+                    out.push(i);
                 }
+                !due
             });
-            self.overflow = spill;
-        }
-        if lo <= hi {
-            for w in lo..=hi {
-                let mut word = self.block_bits[w];
-                self.block_bits[w] = 0;
-                while word != 0 {
-                    let b = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    out.push((w << 6) | b);
-                }
+            if out.len() != ascending {
+                out.sort_unstable();
             }
         }
-        if !self.dup_scratch.is_empty() {
-            // Out-of-contract duplicates: sort the combined multiset so the
-            // emitted block still matches the heap scheduler bit for bit.
-            out.append(&mut self.dup_scratch);
-            out.sort_unstable();
-        }
-        self.len -= drained;
+        self.len -= out.len();
         Some(t0)
     }
 }
@@ -785,6 +759,19 @@ mod tests {
     }
 
     #[test]
+    fn commensurability_skips_the_division_only_for_a_unit_mantissa() {
+        // md == 1 is taken for every power of two, subnormal ones included.
+        let tiny = f64::from_bits(1); // 2^-1074, the smallest subnormal
+        assert!(is_commensurate(3.0 * tiny, tiny));
+        assert!(is_commensurate(1.0, tiny));
+        assert!(!is_commensurate(tiny, 2.0 * tiny));
+        assert!(is_commensurate(0.0, tiny));
+        // Odd mantissas still divide: 0.75 = 3 · 2^-2 against 0.375 = 3 · 2^-3.
+        assert!(is_commensurate(0.75, 0.375));
+        assert!(!is_commensurate(0.5, 0.375));
+    }
+
+    #[test]
     fn commensurability_degenerate_inputs() {
         assert!(!is_commensurate(f64::INFINITY, 0.25));
         assert!(!is_commensurate(f64::NAN, 0.25));
@@ -871,6 +858,88 @@ mod tests {
         assert_eq!(bh, vec![1, 4, 4]);
         assert_eq!(bh, bt);
         assert_eq!(heap.len(), tick.len());
+    }
+
+    /// Push `pushes` into both schedulers, then pop both dry, demanding the
+    /// same (time-bits, block) at every pop and the same pending count.
+    fn assert_pops_match_heap(pushes: &[(usize, f64)]) -> TickScheduler {
+        let mut heap = BlockScheduler::new();
+        let mut tick = TickScheduler::new(DT_MIN);
+        for &(i, t) in pushes {
+            heap.push(i, t);
+            tick.push(i, t);
+        }
+        let (mut bh, mut bt) = (Vec::new(), Vec::new());
+        loop {
+            assert_eq!(heap.len(), tick.len());
+            let (th, tt) = (heap.pop_block(&mut bh), tick.pop_block(&mut bt));
+            assert_eq!(th.map(f64::to_bits), tt.map(f64::to_bits), "{pushes:?}");
+            assert_eq!(bh, bt, "t = {th:?} after {pushes:?}");
+            if th.is_none() {
+                return tick;
+            }
+        }
+    }
+
+    #[test]
+    fn tick_scheduler_same_index_twice_at_one_tick_matches_heap() {
+        // The second push of 3 finds its bit set and spills to overflow.
+        assert_pops_match_heap(&[(3, 0.5), (3, 0.5)]);
+        assert_pops_match_heap(&[(3, 0.5), (0, 0.5), (3, 0.5), (3, 0.5), (64, 0.5)]);
+    }
+
+    #[test]
+    fn tick_scheduler_duplicate_split_between_rung_and_overflow_matches_heap() {
+        // 0.25 and 0.75 (ticks 16 and 48) share rung 4. Index 3 first spills
+        // at 0.75 while the rung holds 0.25, then lands in the rung at 0.25
+        // and spills again as a duplicate there.
+        let pushes = [(1, 0.25), (3, 0.75), (3, 0.25), (3, 0.25), (2, 0.75)];
+        assert_pops_match_heap(&pushes);
+    }
+
+    #[test]
+    fn tick_scheduler_tick_held_only_by_overflow_matches_heap() {
+        // The rung holds 0.75; the earlier 0.25 of the same rung exists only
+        // in overflow, so the first pop drains no rung at all.
+        let mut s = TickScheduler::new(DT_MIN);
+        s.push(0, 0.75);
+        s.push(1, 0.25);
+        let mut block = Vec::new();
+        assert_eq!(s.pop_block(&mut block), Some(0.25));
+        assert_eq!(block, vec![1]);
+        assert_eq!(s.pop_block(&mut block), Some(0.75));
+        assert_eq!(block, vec![0]);
+        assert_pops_match_heap(&[(0, 0.75), (1, 0.25), (5, 0.25), (2, 0.75)]);
+    }
+
+    #[test]
+    fn tick_scheduler_block_spanning_far_apart_words_matches_heap() {
+        // Words 0 and 2^16 of one rung: the drain walks every word between.
+        let far = 1usize << 22;
+        assert_pops_match_heap(&[(far, 0.5), (0, 0.5), (far - 1, 1.0), (far, 1.5), (1, 1.5)]);
+    }
+
+    #[test]
+    fn tick_scheduler_drained_rung_resets_its_word_range() {
+        let mut s = TickScheduler::new(DT_MIN);
+        let rung = 5; // 0.5 is 32 ticks of 2^-6
+        s.push(700, 0.5);
+        s.push(70, 0.5);
+        assert_eq!((s.buckets[rung].lo, s.buckets[rung].hi, s.buckets[rung].count), (1, 10, 2));
+        let mut block = Vec::new();
+        assert_eq!(s.pop_block(&mut block), Some(0.5));
+        assert_eq!(block, vec![70, 700]);
+        let drained = &s.buckets[rung];
+        assert_eq!(drained.count, 0);
+        assert!(drained.bits.iter().all(|&w| w == 0), "a drained rung holds no bits");
+        // Refilled at another tick with an index below the old range: the
+        // range restarts from that index alone.
+        s.push(5, 1.5);
+        assert_eq!((s.buckets[rung].lo, s.buckets[rung].hi, s.buckets[rung].count), (0, 0, 1));
+        assert_eq!(s.pop_block(&mut block), Some(1.5));
+        assert_eq!(block, vec![5]);
+        let s = assert_pops_match_heap(&[(700, 0.5), (70, 0.5), (5, 0.5), (6, 1.5), (699, 1.5)]);
+        assert!(s.buckets.iter().all(|b| b.count == 0 && b.bits.iter().all(|&w| w == 0)));
     }
 
     #[test]
@@ -1000,6 +1069,41 @@ mod tests {
                 for (dt_min, dt_max) in QUANTIZE_RANGES {
                     assert_quantize_matches_log2(dt, dt_min, dt_max);
                 }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+            /// The `md == 1` shortcut is the plain u64 `%` test, over ratios
+            /// past 2^53, subnormals and zero on either side.
+            #[test]
+            fn commensurability_matches_the_plain_remainder(
+                t_kind in 0u8..4,
+                raw in 0u64..u64::MAX,
+                dt_exp in -1074i32..64,
+                dt_odd in 0u64..(1 << 20),
+                unit in 0u8..2,
+            ) {
+                // dt = odd · 2^dt_exp: a power of two half the time; subnormal
+                // below 2^-1022.
+                let odd = if unit == 0 { 1 } else { 2 * dt_odd + 1 };
+                let scale = 2f64.powi(dt_exp.max(-1022)) * 2f64.powi((dt_exp + 1022).min(0));
+                let dt = odd as f64 * scale;
+                let t = match t_kind {
+                    0 => 0.0,
+                    1 => f64::from_bits(raw & ((1 << 52) - 1)), // subnormal
+                    2 => (raw >> 4) as f64 * dt,                // often a multiple, t/dt up to 2^60
+                    _ => f64::from_bits(raw),                   // anything, NaN and ∞ included
+                };
+                let plain = if dt == 0.0 || !t.is_finite() || !dt.is_finite() {
+                    false
+                } else if t == 0.0 {
+                    true
+                } else {
+                    let ((mt, et), (md, ed)) = (odd_mantissa_exp(t), odd_mantissa_exp(dt));
+                    et >= ed && mt % md == 0
+                };
+                prop_assert_eq!(is_commensurate(t, dt), plain, "t = {:e}, dt = {:e}", t, dt);
             }
         }
     }

@@ -107,8 +107,11 @@ impl DiskBuilder {
         assert!(self.n > 0, "empty disk");
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut sys = ParticleSystem::new(self.softening, units::M_SUN);
+        sys.reserve(self.n + self.protoplanets.len());
 
-        let mut masses: Vec<f64> = (0..self.n).map(|_| self.mass_fn.sample(&mut rng)).collect();
+        let mass_cdf = self.mass_fn.inverse_cdf();
+        let radius_cdf = self.profile.inverse_cdf();
+        let mut masses: Vec<f64> = (0..self.n).map(|_| mass_cdf.sample(&mut rng)).collect();
         if self.total_mass > 0.0 {
             let sum: f64 = masses.iter().sum();
             let scale = self.total_mass / sum;
@@ -118,7 +121,7 @@ impl DiskBuilder {
         }
 
         for &m in &masses {
-            let a = self.profile.sample_radius(&mut rng);
+            let a = radius_cdf.sample(&mut rng);
             let e: f64 = sample_rayleigh(&mut rng, self.sigma_e).min(0.9);
             let inc: f64 = sample_rayleigh(&mut rng, self.sigma_i).min(0.5);
             let el = Elements {

@@ -34,16 +34,13 @@ impl PowerLawMass {
 
     /// Draw one mass by inverse-CDF sampling.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen();
-        let p1 = self.exponent + 1.0;
-        if p1.abs() < 1e-12 {
-            // p = −1: logarithmic CDF.
-            (self.lo.ln() + u * (self.hi / self.lo).ln()).exp()
-        } else {
-            let a = self.lo.powf(p1);
-            let b = self.hi.powf(p1);
-            (a + u * (b - a)).powf(1.0 / p1)
-        }
+        self.inverse_cdf().sample(rng)
+    }
+
+    /// The inverse CDF with its loop-invariant terms computed once, for a
+    /// caller that draws many masses.
+    pub(crate) fn inverse_cdf(&self) -> PowerLawCdf {
+        PowerLawCdf::new(self.exponent + 1.0, self.lo, self.hi)
     }
 
     /// Analytic mean of the distribution.
@@ -69,6 +66,39 @@ impl PowerLawMass {
             (self.hi / m).ln() / (self.hi / self.lo).ln()
         } else {
             (self.hi.powf(p1) - m.powf(p1)) / (self.hi.powf(p1) - self.lo.powf(p1))
+        }
+    }
+}
+
+/// Inverse-CDF sampler of a power law whose CDF on `[lo, hi]` grows as `x^k`
+/// (`k = 0`: as `ln x`), with every term that does not depend on the uniform
+/// draw precomputed. The one formula behind [`PowerLawMass::sample`],
+/// [`crate::RadialProfile::sample_radius`] and the disk builder.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PowerLawCdf {
+    /// `k = 0`: `x = exp(ln lo + u · ln(hi / lo))`.
+    Log { ln_lo: f64, ln_ratio: f64 },
+    /// `x = (lo^k + u · (hi^k − lo^k))^(1/k)`.
+    Power { lo_k: f64, span: f64, inv_k: f64 },
+}
+
+impl PowerLawCdf {
+    pub(crate) fn new(k: f64, lo: f64, hi: f64) -> Self {
+        if k.abs() < 1e-12 {
+            Self::Log { ln_lo: lo.ln(), ln_ratio: (hi / lo).ln() }
+        } else {
+            let lo_k = lo.powf(k);
+            Self::Power { lo_k, span: hi.powf(k) - lo_k, inv_k: 1.0 / k }
+        }
+    }
+
+    /// One draw: a uniform `u` in `[0, 1)` mapped through the inverse CDF.
+    #[inline]
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        let u: f64 = rng.gen();
+        match *self {
+            Self::Log { ln_lo, ln_ratio } => (ln_lo + u * ln_ratio).exp(),
+            Self::Power { lo_k, span, inv_k } => (lo_k + u * span).powf(inv_k),
         }
     }
 }

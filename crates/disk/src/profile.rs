@@ -2,6 +2,7 @@
 //! density `Σ(r) ∝ r^-1.5` between 15 and 35 AU, "consistent with the
 //! standard Solar nebula model" (Hayashi 1981).
 
+use crate::massfn::PowerLawCdf;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -35,15 +36,13 @@ impl RadialProfile {
     /// Draw a radius with probability ∝ 2π r Σ(r) dr (mass-weighted, which
     /// for equal-mass tracers is the right particle weighting).
     pub fn sample_radius<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen();
-        let q2 = self.exponent + 2.0;
-        if q2.abs() < 1e-12 {
-            (self.r_in.ln() + u * (self.r_out / self.r_in).ln()).exp()
-        } else {
-            let a = self.r_in.powf(q2);
-            let b = self.r_out.powf(q2);
-            (a + u * (b - a)).powf(1.0 / q2)
-        }
+        self.inverse_cdf().sample(rng)
+    }
+
+    /// The radius sampler with its loop-invariant terms computed once, for a
+    /// caller that draws many radii. The enclosed mass grows as `r^(q+2)`.
+    pub(crate) fn inverse_cdf(&self) -> PowerLawCdf {
+        PowerLawCdf::new(self.exponent + 2.0, self.r_in, self.r_out)
     }
 
     /// Fraction of the ring's mass inside radius `r`.

@@ -10,7 +10,9 @@ mod common;
 
 use common::{assert_systems_bit_equal, disk};
 use grape6::prelude::*;
-use grape6_core::blockstep::ShadowReplay;
+use grape6_core::blockstep::{ShadowReplay, TickScheduler};
+use grape6_core::particle::{ForceResult, IParticle};
+use grape6_core::vec3::Vec3;
 use proptest::prelude::*;
 
 /// Step `sim` `steps` block steps with the heap replaying each one in its
@@ -102,6 +104,59 @@ fn scheduler_kind_survives_checkpoint_resume() {
     let resumed = decode_checkpoint(bytes, DirectEngine::new()).unwrap();
     let resumed = replay(resumed, 15, "resumed direct n=48 seed=21");
     assert_systems_bit_equal(&resumed.sys, &reference.sys, "resume under the shadow heap");
+}
+
+/// Zero mutual forces: the central body alone moves the bodies, so a
+/// million-body block step costs host work only.
+struct ZeroForces;
+
+impl ForceEngine for ZeroForces {
+    fn load(&mut self, _sys: &ParticleSystem) {}
+    fn update_j(&mut self, _sys: &ParticleSystem, _indices: &[usize]) {}
+    fn compute(&mut self, _t: f64, _ips: &[IParticle], out: &mut [ForceResult]) {
+        out.fill(ForceResult::default());
+    }
+    fn interaction_count(&self) -> u64 {
+        0
+    }
+    fn name(&self) -> &'static str {
+        "zero"
+    }
+}
+
+#[test]
+fn million_body_resume_pops_the_heaps_blocks() {
+    // 2^20 bodies on circular orbits at t = 3, resumed from eight clocks
+    // (steps 4 down to 1/32, last corrected at 0, 2 or 3) scattered over the
+    // indices, so every rung's bitmap spans all 2^14 words and the blocks
+    // hold indices from word 0 to the last.
+    let n = 1usize << 20;
+    let mut sys = ParticleSystem::new(0.0, 1.0);
+    sys.reserve(n);
+    for i in 0..n {
+        let (r, phi) = (20.0 + (i % 1000) as f64 * 0.01, i as f64 * 0.618);
+        let pos = Vec3::new(r * phi.cos(), r * phi.sin(), 0.0);
+        let vel = Vec3::new(-phi.sin(), phi.cos(), 0.0) * r.powf(-0.5);
+        sys.push(pos, vel, 1e-12);
+    }
+    sys.t = 3.0;
+    for i in 0..n {
+        let rung = (i.wrapping_mul(0x9e37_79b9) >> 7) % 8;
+        sys.dt[i] = 4.0 / (1u32 << rung) as f64;
+        sys.time[i] = (3.0 / sys.dt[i]).floor() * sys.dt[i];
+    }
+    let cfg = HermiteConfig { dt_max: 4.0, ..HermiteConfig::default() };
+    TickScheduler::check_clocks(sys.t, &sys.time, &sys.dt, cfg.dt_min, cfg.dt_max).unwrap();
+    let mut integrator = BlockHermite::resume_from(cfg, &sys, RunStats::default());
+    let mut shadow = ShadowReplay::new(&sys);
+    let mut engine = ZeroForces;
+    while integrator.stats().particle_steps < 2 * n as u64 {
+        let t = integrator.step(&mut sys, &mut engine).t;
+        if let Err(e) = shadow.check(t, integrator.last_block(), &sys) {
+            panic!("resumed n = 2^20: {e}");
+        }
+    }
+    assert!(integrator.stats().block_steps >= 8, "{:?}", integrator.stats());
 }
 
 proptest! {
