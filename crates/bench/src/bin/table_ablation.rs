@@ -9,7 +9,7 @@
 //! 4. accumulator type → bitwise reproducibility across summation orders
 //!    (why force accumulation is fixed point).
 
-use grape6_bench::{fmt, print_header, print_row, Flags};
+use grape6_bench::{fmt, print_header, print_row, read_flags};
 use grape6_core::energy::synchronized_total_energy;
 use grape6_core::engine::ForceEngine;
 use grape6_core::force::DirectEngine;
@@ -28,7 +28,7 @@ fn accuracy_disk(n: usize) -> grape6_core::particle::ParticleSystem {
 }
 
 fn main() {
-    let flags = Flags::parse(&["--t"]);
+    let flags = read_flags(&["--t"]);
     let t_end: f64 = flags.get_or("--t", 32.0);
     println!("ablations of the GRAPE-6 design choices\n");
 

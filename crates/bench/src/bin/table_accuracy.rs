@@ -11,7 +11,7 @@
 //! arithmetic differences are isolated from N-body chaos. Energies are
 //! measured on states synchronized to a common time.
 
-use grape6_bench::{fmt, print_header, print_row, Flags};
+use grape6_bench::{fmt, print_header, print_row, read_flags};
 use grape6_core::energy::synchronized_total_energy;
 use grape6_core::engine::ForceEngine;
 use grape6_core::force::DirectEngine;
@@ -45,7 +45,7 @@ fn run_with<E: ForceEngine>(mut engine: E, eta: f64, t_end: f64) -> (f64, u64) {
 }
 
 fn main() {
-    let flags = Flags::parse(&["--t"]);
+    let flags = read_flags(&["--t"]);
     let t_end: f64 = flags.get_or("--t", 64.0);
     println!("E9: energy conservation vs accuracy parameter (N = 256, T = {t_end})\n");
     print_header(&["eta", "engine", "|dE/E|", "block steps"], 16);

@@ -3,12 +3,12 @@
 //! orders of magnitudes") and the mean active block is a tiny fraction of N
 //! ("might be as few as one hundred or less, even for N = 10⁵ or larger").
 
-use grape6_bench::{experiment_config, fmt, paper_disk, print_header, print_row, Flags};
+use grape6_bench::{experiment_config, fmt, paper_disk, print_header, print_row, read_flags};
 use grape6_core::force::DirectEngine;
 use grape6_sim::Simulation;
 
 fn main() {
-    let flags = Flags::parse(&["--t", "--warmup"]);
+    let flags = read_flags(&["--t", "--warmup"]);
     let t_run: f64 = flags.get_or("--t", 64.0);
     let warmup: f64 = flags.get_or("--warmup", 16.0);
     println!("E4: block-timestep structure (paper §3, §4.2)");

@@ -5,12 +5,12 @@
 //! system peak, 90 MB/s LVDS links, and the 16-host / 64-board / 4-cluster
 //! organization.
 
-use grape6_bench::{fmt, print_header, print_row, Flags};
+use grape6_bench::{fmt, print_header, print_row, read_flags};
 use grape6_hw::network::NetworkBoardGeometry;
 use grape6_hw::{ChipGeometry, Link, MachineGeometry, NetworkTree};
 
 fn main() {
-    Flags::parse(&[]);
+    read_flags(&[]);
     println!("E3: GRAPE-6 hardware self-check (paper §5.2-5.3)\n");
     let chip = ChipGeometry::default();
     let machine = MachineGeometry::sc2002();

@@ -8,13 +8,13 @@
 //! dispersion, strongest near the protoplanet radii, and (b) the census of
 //! fates (retained / scattered in / scattered out / ejected).
 
-use grape6_bench::{experiment_config, fmt, print_header, print_row, Flags};
+use grape6_bench::{experiment_config, fmt, print_header, print_row, read_flags};
 use grape6_core::force::DirectEngine;
 use grape6_disk::{DiskBuilder, RadialHistogram, ScatteringCensus};
 use grape6_sim::Simulation;
 
 fn main() {
-    let flags = Flags::parse(&["--n", "--mass-boost", "--t"]);
+    let flags = read_flags(&["--n", "--mass-boost", "--t"]);
     let n: usize = flags.get_or("--n", 1024);
     let mass_boost: f64 = flags.get_or("--mass-boost", 10.0);
     let t_end: f64 = flags.get_or("--t", 1200.0);

@@ -7,12 +7,12 @@
 //! multipipeline (8 i-particle register sets per physical pipeline) and the
 //! splitting of the j-set over many chips with a hardware reduction tree.
 
-use grape6_bench::{fmt, print_header, print_row, Flags};
+use grape6_bench::{fmt, print_header, print_row, read_flags};
 use grape6_hw::timing::TimingModel;
 use grape6_hw::ChipGeometry;
 
 fn main() {
-    Flags::parse(&[]);
+    read_flags(&[]);
     println!("E7: efficiency vs active-block size (paper §4.2)\n");
     let n_total = 1_800_000usize;
     let model = TimingModel::sc2002();

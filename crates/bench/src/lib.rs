@@ -7,7 +7,8 @@
 //! host-path smoke (`large_n_smoke`). Wall-clock performance is measured by
 //! the standalone `benchmark/` package alone, not here; the service's
 //! exactness contracts under load are `grape6-serve`'s `tests/load.rs`. This
-//! library holds the shared table-printing, workload and flag helpers.
+//! library holds the shared table-printing and workload helpers; flags are
+//! read through `grape6_sim::cli`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -15,6 +16,7 @@
 use grape6_core::integrator::HermiteConfig;
 use grape6_core::particle::ParticleSystem;
 use grape6_disk::DiskBuilder;
+use grape6_sim::cli::Flags;
 
 /// Print a table header row followed by a separator, padding each column to
 /// `width`.
@@ -56,55 +58,16 @@ pub fn experiment_config() -> HermiteConfig {
     HermiteConfig { dt_max: 2.0f64.powi(3), ..HermiteConfig::default() }
 }
 
-fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-/// A bench binary's command line: `--key value` pairs (integers, floats and
-/// strings via `FromStr`) from a fixed set of keys.
-///
-/// Anything the binary does not read — an unknown flag, a stray argument, a
-/// flag without a value, a value that does not parse — is a usage error
-/// (stderr, exit status 2), never the default: a typo in `large_n_smoke`'s
-/// `--n` must not start the full 1.8M-body run.
-pub struct Flags {
-    pairs: Vec<(String, String)>,
-}
-
-impl Flags {
-    /// Read the command line, whose flags must all be among `known`. Call it
-    /// first in `main`, so that a bad command line does no work.
-    pub fn parse(known: &[&str]) -> Self {
-        Self::from_args(std::env::args().skip(1), known).unwrap_or_else(|msg| usage_error(&msg))
-    }
-
-    /// The pairs of `args`: a token that is not a key in `known` is an
-    /// unknown flag or a stray argument, and a key followed by nothing or by
-    /// another flag has no value.
-    fn from_args(args: impl IntoIterator<Item = String>, known: &[&str]) -> Result<Self, String> {
-        let mut args = args.into_iter();
-        let mut pairs = Vec::new();
-        while let Some(key) = args.next() {
-            if !known.contains(&key.as_str()) {
-                let what = if key.starts_with("--") { "unknown flag" } else { "stray argument" };
-                return Err(format!("{what} '{key}'"));
-            }
-            match args.next() {
-                Some(value) if !value.starts_with("--") => pairs.push((key, value)),
-                _ => return Err(format!("{key} needs a value")),
-            }
-        }
-        Ok(Self { pairs })
-    }
-
-    /// The value of `key`, or `default` when the flag is absent.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        let Some((_, text)) = self.pairs.iter().find(|(k, _)| k == key) else {
-            return default;
-        };
-        text.parse().unwrap_or_else(|_| usage_error(&format!("invalid value '{text}' for {key}")))
-    }
+/// A bench binary's command line: its `valued` flags (each `--key value`)
+/// through the workspace's one parser, [`Flags`]. A usage error — an
+/// unknown flag, a flag without a value, a value that does not parse — is
+/// printed and exits with status 2, never the default: a typo in
+/// `large_n_smoke`'s `--n` must not start the full 1.8M-body run.
+pub fn read_flags(valued: &[&str]) -> Flags {
+    Flags::from_env(valued, &[], |msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    })
 }
 
 #[cfg(test)]
@@ -124,31 +87,5 @@ mod tests {
         let sys = paper_disk(100, 1);
         assert_eq!(sys.len(), 102);
         assert_eq!(sys.softening, 0.008);
-    }
-
-    fn flags(tokens: &[&str], known: &[&str]) -> Result<Flags, String> {
-        Flags::from_args(tokens.iter().map(|t| t.to_string()), known)
-    }
-
-    #[test]
-    fn get_or_reads_a_flag_or_returns_the_default() {
-        let flags = flags(&["--steps", "3", "--n", "2k"], &["--n", "--steps"]).unwrap();
-        assert_eq!(flags.get_or("--t", 2.5f64), 2.5);
-        assert_eq!(flags.get_or("--steps", 7u64), 3);
-        assert_eq!(flags.get_or("--n", String::new()), "2k");
-    }
-
-    #[test]
-    fn from_args_rejects_what_no_lookup_reads() {
-        let known = ["--n", "--steps"];
-        let err = |tokens: &[&str]| flags(tokens, &known).err();
-        assert_eq!(err(&[]), None);
-        assert_eq!(err(&["--n", "8", "--steps", "2"]), None);
-        assert_eq!(err(&["--N", "8"]), Some("unknown flag '--N'".into()));
-        assert_eq!(err(&["8"]), Some("stray argument '8'".into()));
-        assert_eq!(err(&["--n", "8", "2"]), Some("stray argument '2'".into()));
-        assert_eq!(err(&["--n", "--steps", "2"]), Some("--n needs a value".into()));
-        assert_eq!(err(&["--steps"]), Some("--steps needs a value".into()));
-        assert_eq!(flags(&["--n", "8"], &[]).err(), Some("unknown flag '--n'".into()));
     }
 }

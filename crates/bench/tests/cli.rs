@@ -1,8 +1,8 @@
 //! The bench binaries at their trust boundary: a flag value that does not
-//! parse, and a flag the binary does not know, are usage errors naming the
-//! token — never the default (a typo in `large_n_smoke --n` must not start
-//! the full 1.8M-body run). A run that does parse reports its memory phase
-//! by phase.
+//! parse, a flag the binary does not know and a flag given twice are usage
+//! errors naming the token — never the default (a typo in `large_n_smoke --n`
+//! must not start the full 1.8M-body run). A run that does parse reports its
+//! memory phase by phase.
 
 use std::process::Command;
 
@@ -38,6 +38,7 @@ fn large_n_smoke_rejects_an_unparsable_flag_value() {
 fn large_n_smoke_rejects_an_unknown_flag() {
     assert_refused("unknown", &["--N", "4096"], "unknown flag '--N'");
     assert_refused("stray", &["--steps", "2", "4096"], "stray argument '4096'");
+    assert_refused("twice", &["--n", "2000", "--n", "4096"], "--n given twice");
 }
 
 #[test]

@@ -20,51 +20,17 @@ use grape6_conformance::corpus;
 use grape6_conformance::runner::{run_check, run_scenario, BROKEN_CHECKS};
 use grape6_conformance::scenario::generate;
 use grape6_conformance::shrink::shrink;
-use std::path::PathBuf;
+use grape6_sim::cli::Flags;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-struct Args {
-    seeds: u64,
-    start_seed: u64,
-    corpus: Option<PathBuf>,
-    failures: PathBuf,
-    broken_kernel: bool,
-}
 
 const USAGE: &str = "usage: grape6-conformance [--seeds N] [--start-seed K] \
                      [--corpus DIR] [--failures DIR] [--broken-kernel]";
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        seeds: 16,
-        start_seed: 0,
-        corpus: default_corpus(),
-        failures: PathBuf::from("conformance/failures"),
-        broken_kernel: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().ok_or_else(|| format!("{name} needs a value\n{USAGE}"));
-        match flag.as_str() {
-            "--seeds" => {
-                args.seeds = value("--seeds")?.parse().map_err(|e| format!("--seeds: {e}"))?;
-            }
-            "--start-seed" => {
-                args.start_seed =
-                    value("--start-seed")?.parse().map_err(|e| format!("--start-seed: {e}"))?;
-            }
-            "--corpus" => args.corpus = Some(PathBuf::from(value("--corpus")?)),
-            "--failures" => args.failures = PathBuf::from(value("--failures")?),
-            "--broken-kernel" => args.broken_kernel = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
-        }
-    }
-    Ok(args)
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2);
 }
 
 /// The checked-in corpus, if the binary runs from the workspace root.
@@ -75,8 +41,8 @@ fn default_corpus() -> Option<PathBuf> {
 
 /// Dev-only self-test: the harness must catch every intentionally broken
 /// kernel and minimize the failure to a handful of particles.
-fn broken_kernel_selftest(args: &Args) -> ExitCode {
-    for seed in args.start_seed..args.start_seed + args.seeds {
+fn broken_kernel_selftest(seeds: Range<u64>, failures: &Path) -> ExitCode {
+    for seed in seeds {
         let sc = generate(seed);
         if sc.len() < 2 {
             continue; // one lone particle exposes neither a dropped pair nor a group
@@ -97,7 +63,7 @@ fn broken_kernel_selftest(args: &Args) -> ExitCode {
                 println!("FAIL  minimized repro still has {} particles (want ≤ 8)", min.len());
                 return ExitCode::from(2);
             }
-            match corpus::write_failure(&args.failures, &min, check, &detail) {
+            match corpus::write_failure(failures, &min, check, &detail) {
                 Ok(path) => println!("        repro written to {}", path.display()),
                 Err(e) => {
                     eprintln!("error: cannot write repro: {e}");
@@ -111,24 +77,31 @@ fn broken_kernel_selftest(args: &Args) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+    let flags = Flags::from_env(
+        &["--seeds", "--start-seed", "--corpus", "--failures"],
+        &["--broken-kernel", "--help", "-h"],
+        usage_error,
+    );
+    if flags.has("--help") || flags.has("-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let start_seed: u64 = flags.get_or("--start-seed", 0);
+    let Some(end_seed) = start_seed.checked_add(flags.get_or("--seeds", 16)) else {
+        usage_error("--start-seed + --seeds must fit in a u64");
     };
-
-    if args.broken_kernel {
-        return broken_kernel_selftest(&args);
+    let seeds = start_seed..end_seed;
+    let failures_dir = flags.get_or("--failures", PathBuf::from("conformance/failures"));
+    if flags.has("--broken-kernel") {
+        return broken_kernel_selftest(seeds, &failures_dir);
     }
 
     let mut failed = 0usize;
     let mut ran = 0usize;
 
     // Phase 1: replay the checked-in corpus of minimized repros.
-    if let Some(dir) = &args.corpus {
-        match corpus::replay_dir(dir) {
+    if let Some(dir) = flags.get::<PathBuf>("--corpus").or_else(default_corpus) {
+        match corpus::replay_dir(&dir) {
             Ok(failures) => {
                 let n = failures.len();
                 for (path, check, detail) in failures {
@@ -148,7 +121,7 @@ fn main() -> ExitCode {
     }
 
     // Phase 2: fuzz generated scenarios.
-    for seed in args.start_seed..args.start_seed + args.seeds {
+    for seed in seeds {
         let sc = generate(seed);
         let failures = run_scenario(&sc);
         ran += 1;
@@ -164,7 +137,7 @@ fn main() -> ExitCode {
         let first = &failures[0];
         let min = shrink(&sc, &first.check);
         let detail = run_check(&min, &first.check).unwrap_or_else(|| first.detail.clone());
-        match corpus::write_failure(&args.failures, &min, &first.check, &detail) {
+        match corpus::write_failure(&failures_dir, &min, &first.check, &detail) {
             Ok(path) => println!(
                 "      minimized to {} particles; repro written to {}",
                 min.len(),

@@ -45,14 +45,16 @@ fn real_main() -> Result<ExitCode, String> {
     let mut json_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        // A value may not be another flag: `--json --list-rules` must not
+        // write the report to a file named `--list-rules`.
+        let mut value = || match args.next() {
+            Some(value) if !value.starts_with("--") => Ok(PathBuf::from(value)),
+            _ => Err(format!("{arg} needs a value")),
+        };
         match arg.as_str() {
-            "--root" => root = PathBuf::from(args.next().ok_or("--root requires a value")?),
-            "--config" => {
-                config_path = Some(PathBuf::from(args.next().ok_or("--config requires a value")?))
-            }
-            "--json" => {
-                json_path = Some(PathBuf::from(args.next().ok_or("--json requires a value")?))
-            }
+            "--root" => root = value()?,
+            "--config" => config_path = Some(value()?),
+            "--json" => json_path = Some(value()?),
             "--list-rules" => {
                 for rule in &RULES {
                     println!("{}  {}", rule.id, rule.summary);

@@ -219,3 +219,32 @@ fn list_rules_names_every_rule() {
     let ids: Vec<&str> = stdout.lines().filter_map(|l| l.split_whitespace().next()).collect();
     assert_eq!(ids, ["U001", "U002", "H001", "C001", "C002", "P001"], "{stdout}");
 }
+
+#[test]
+fn a_valued_flag_never_takes_another_flag_as_its_value() {
+    // Run from an empty directory, so that a report written to a file named
+    // after the next flag would show up there.
+    let dir = std::env::temp_dir().join(format!("g6-lint-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let root = workspace_root();
+    let cases: [(&[&str], &str); 3] = [
+        (&["--json", "--list-rules"], "--json needs a value"),
+        (&["--config", "--json", "x.json"], "--config needs a value"),
+        (&["--root", "--list-rules"], "--root needs a value"),
+    ];
+    for (args, message) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_grape6-lint"))
+            .arg("--root")
+            .arg(&root)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("run grape6-lint");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr:\n{stderr}");
+        assert!(stderr.contains(message), "{args:?}: expected '{message}', got:\n{stderr}");
+        let written: Vec<_> = std::fs::read_dir(&dir).expect("read temp dir").collect();
+        assert!(written.is_empty(), "{args:?} wrote {written:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

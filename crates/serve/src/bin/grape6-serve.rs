@@ -5,8 +5,9 @@
 //!              [--max-running J] [--block-budget S] [--max-bodies M]
 //! ```
 //!
-//! An unknown flag, a flag with no value, a value that does not parse and a
-//! zero `--slice-blocks` or `--max-running` are usage errors (exit 2).
+//! An unknown flag, a flag given twice or with no value, a value that does
+//! not parse and a zero `--slice-blocks` or `--max-running` are usage errors
+//! (exit 2).
 //!
 //! With `--tcp ADDR` (e.g. `127.0.0.1:7346`) the server listens for
 //! JSON-lines connections and also accepts requests on stdin; without it,
@@ -14,6 +15,7 @@
 //! a `Shutdown` request.
 
 use grape6_serve::service::{ServeConfig, TenantQuota};
+use grape6_sim::cli::Flags;
 use std::io::{BufRead, BufWriter, Write};
 
 /// Every flag the server knows; each takes a value.
@@ -25,66 +27,30 @@ fn usage_error(message: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Reject what the lookups below would never see: a token outside [`FLAGS`]
-/// (a typo must not run the default) and a flag followed by nothing or by
-/// another flag.
-fn check_args() {
-    let mut args = std::env::args().skip(1);
-    while let Some(token) = args.next() {
-        if !FLAGS.contains(&token.as_str()) {
-            let what = if token.starts_with("--") { "unknown flag" } else { "stray argument" };
-            usage_error(&format!("{what} {token:?}"));
-        }
-        if args.next().is_none_or(|value| value.starts_with("--")) {
-            usage_error(&format!("{token} needs a value"));
-        }
-    }
-}
-
-fn flag_value(key: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == key {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn parsed_flag<T: std::str::FromStr>(key: &str, default: T) -> T {
-    match flag_value(key) {
-        None => default,
-        Some(raw) => match raw.parse() {
-            Ok(v) => v,
-            Err(_) => usage_error(&format!("invalid value {raw:?} for {key}")),
-        },
-    }
-}
-
 /// A count that must be positive: at zero the scheduler never runs a job
 /// (`--max-running`) or a slice never advances one (`--slice-blocks`), and
 /// every `Wait` hangs.
-fn positive_flag(key: &str, default: u64) -> u64 {
-    match parsed_flag(key, default) {
+fn positive_flag(flags: &Flags, key: &str, default: u64) -> u64 {
+    match flags.get_or(key, default) {
         0 => usage_error(&format!("{key} must be at least 1")),
         v => v,
     }
 }
 
 fn main() -> std::io::Result<()> {
-    check_args();
+    let flags = Flags::from_env(&FLAGS, &[], usage_error);
     let cfg = ServeConfig {
-        workers: parsed_flag("--workers", 2u64),
-        slice_blocks: positive_flag("--slice-blocks", 64),
-        max_bodies: parsed_flag("--max-bodies", 4096u64),
+        workers: flags.get_or("--workers", 2),
+        slice_blocks: positive_flag(&flags, "--slice-blocks", 64),
+        max_bodies: flags.get_or("--max-bodies", 4096),
         quota: TenantQuota {
-            max_running: positive_flag("--max-running", 2),
-            block_budget: parsed_flag("--block-budget", 0u64),
+            max_running: positive_flag(&flags, "--max-running", 2),
+            block_budget: flags.get_or("--block-budget", 0),
         },
         preempt_always: false,
     };
 
-    match flag_value("--tcp") {
+    match flags.get::<String>("--tcp") {
         None => grape6_serve::serve_stdio(cfg),
         Some(addr) => {
             let server = grape6_serve::TcpServer::start(cfg, &addr)?;

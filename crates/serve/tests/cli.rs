@@ -1,7 +1,7 @@
 //! The `grape6-serve` binary at its trust boundary: a flag it does not know, a
-//! flag with no value and a zero `--slice-blocks` or `--max-running` are usage
-//! errors (exit 2) before any request is read — never a silently ignored typo
-//! and never a server whose `Wait` hangs.
+//! flag given twice or with no value and a zero `--slice-blocks` or
+//! `--max-running` are usage errors (exit 2) before any request is read —
+//! never a silently ignored typo and never a server whose `Wait` hangs.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -48,15 +48,17 @@ fn default_flags_answer_the_wait() {
 
 #[test]
 fn zero_counts_unknown_and_valueless_flags_are_usage_errors() {
-    // Unchecked, the first two never answer the `Wait` and the third runs the
-    // default slice as if the flag were not there.
-    let cases: [(&[&str], &str); 6] = [
+    // Unchecked, the first two never answer the `Wait`, the third runs the
+    // default slice as if the flag were not there and the last runs one
+    // worker.
+    let cases: [(&[&str], &str); 7] = [
         (&["--slice-blocks", "0"], "--slice-blocks must be at least 1"),
         (&["--max-running", "0"], "--max-running must be at least 1"),
-        (&["--slice-block", "5"], "unknown flag \"--slice-block\""),
+        (&["--slice-block", "5"], "unknown flag '--slice-block'"),
         (&["--workers"], "--workers needs a value"),
         (&["--workers", "--max-running", "1"], "--workers needs a value"),
-        (&["--workers", "two"], "invalid value \"two\" for --workers"),
+        (&["--workers", "two"], "invalid value 'two' for --workers"),
+        (&["--workers", "1", "--workers", "2"], "--workers given twice"),
     ];
     for (args, message) in cases {
         let out = serve(args).unwrap_or_else(|| panic!("{args:?} must exit, not hang"));

@@ -26,8 +26,8 @@
 //! at a zero neighbour radius. `gen --production-masses` keeps the paper's
 //! per-body masses instead of the ring's total mass; `analyze --protoplanets`
 //! is how many of the heaviest bodies to set aside (default 2). An unknown
-//! flag, a valued flag with no value and a value that does not parse are
-//! errors before any work or output — never a silent default. So is a start
+//! flag, a flag given twice, a valued flag with no value and a value that
+//! does not parse are errors before any work or output — never a silent default. So is a start
 //! time (from `--in` or `--resume`) or end time the block scheduler cannot
 //! hold: see [`TickScheduler::check_span`].
 
@@ -39,81 +39,32 @@ use grape6_core::units;
 use grape6_disk::{DiskBuilder, RadialHistogram, ScatteringCensus};
 use grape6_hw::{FaultPlan, FaultTolerantEngine, Grape6Config, Grape6Engine, TimingModel};
 use grape6_sim::accretion::RadiusModel;
+use grape6_sim::cli::Flags;
 use grape6_sim::{
     load_auto, load_checkpoint, run_to_with_checkpoints, save_auto, save_diagnostics_csv,
     Simulation,
 };
 use grape6_tree::HybridTreeEngine;
 use std::path::PathBuf;
-use std::process::ExitCode;
 
-/// Tiny flag parser: `--key value` pairs and bare `--switch`es.
-struct Args {
-    argv: Vec<String>,
-}
-
-impl Args {
-    fn new() -> Self {
-        Self { argv: std::env::args().skip(1).collect() }
-    }
-
-    fn subcommand(&self) -> Option<&str> {
-        self.argv.first().map(|s| s.as_str())
-    }
-
-    /// Reject what the lookups below would never see: a token outside the
-    /// subcommand's `valued` flags and `switches`, and a valued flag followed
-    /// by nothing or by another flag.
-    fn check(&self, valued: &[&str], switches: &[&str]) -> Result<(), String> {
-        let sub = self.subcommand().unwrap_or_default();
-        let mut rest = self.argv.iter().skip(1);
-        while let Some(token) = rest.next() {
-            if valued.contains(&token.as_str()) {
-                if rest.next().is_none_or(|value| value.starts_with("--")) {
-                    return Err(format!("{token} needs a value"));
-                }
-            } else if !switches.contains(&token.as_str()) {
-                let what = if token.starts_with("--") { "unknown flag" } else { "stray argument" };
-                return Err(format!("{what} '{token}' for {sub}"));
-            }
-        }
-        Ok(())
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.argv.windows(2).find(|w| w[0] == key).map(|w| w[1].as_str())
-    }
-
-    /// The typed value of `key`: `None` when the flag is absent, an error
-    /// naming the flag and the offending text when it does not parse.
-    fn parse<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        let typed = |v: &str| v.parse().map_err(|_| format!("invalid value '{v}' for {key}"));
-        self.get(key).map(typed).transpose()
-    }
-
-    fn has(&self, key: &str) -> bool {
-        self.argv.iter().any(|a| a == key)
-    }
-}
-
-fn cmd_gen(args: &Args) -> Result<(), String> {
-    let Some(n) = args.parse::<usize>("--n")? else {
+fn cmd_gen(flags: &Flags) -> Result<(), String> {
+    let Some(n) = flags.get::<usize>("--n") else {
         return Err("gen requires --n <planetesimals>".into());
     };
-    let Some(out) = args.get("--out").map(PathBuf::from) else {
+    let Some(out) = flags.get::<PathBuf>("--out") else {
         return Err("gen requires --out <file.json>".into());
     };
     if n == 0 {
         return Err("--n must be at least 1".into());
     }
     let mut builder = DiskBuilder::paper(n);
-    if let Some(seed) = args.parse::<u64>("--seed")? {
+    if let Some(seed) = flags.get::<u64>("--seed") {
         builder = builder.with_seed(seed);
     }
-    if args.has("--no-protoplanets") {
+    if flags.has("--no-protoplanets") {
         builder = builder.without_protoplanets();
     }
-    if args.has("--production-masses") {
+    if flags.has("--production-masses") {
         builder.total_mass = grape6_disk::PowerLawMass::paper().mean() * n as f64;
     }
     let sys = builder.build();
@@ -127,22 +78,22 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(args: &Args) -> Result<(), String> {
-    let Some(t_end) = args.parse::<f64>("--t")? else {
+fn cmd_run(flags: &Flags) -> Result<(), String> {
+    let Some(t_end) = flags.get::<f64>("--t") else {
         return Err("run requires --t <time units>".into());
     };
     if !t_end.is_finite() || t_end < 0.0 {
         return Err(format!("--t = {t_end} must be finite and non-negative"));
     }
-    let resume = args.get("--resume").map(PathBuf::from);
-    let input = args.get("--in").map(PathBuf::from);
+    let resume = flags.get::<PathBuf>("--resume");
+    let input = flags.get::<PathBuf>("--in");
     if resume.is_none() && input.is_none() {
         return Err("run requires --in <snap.json> (or --resume <file.g6ck>)".into());
     }
-    let eta = args.parse::<f64>("--eta")?.unwrap_or(0.02);
-    let theta = args.parse::<f64>("--theta")?.unwrap_or(0.5);
-    let near_radius = args.parse::<f64>("--near-radius")?.unwrap_or(1.0);
-    let accrete = args.parse::<f64>("--accrete")?;
+    let eta = flags.get_or::<f64>("--eta", 0.02);
+    let theta = flags.get_or::<f64>("--theta", 0.5);
+    let near_radius = flags.get_or::<f64>("--near-radius", 1.0);
+    let accrete = flags.get::<f64>("--accrete");
     let config = HermiteConfig {
         eta,
         eta_start: eta / 8.0,
@@ -162,30 +113,30 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
         _ => None,
     };
-    let fault_plan = match args.get("--faults") {
+    let fault_plan = match flags.get::<String>("--faults") {
         None => None,
         Some(path) => {
-            let parsed = std::fs::read_to_string(path)
+            let parsed = std::fs::read_to_string(&path)
                 .map_err(|e| e.to_string())
                 .and_then(|s| serde_json::from_str::<FaultPlan>(&s).map_err(|e| e.to_string()));
             Some(parsed.map_err(|e| format!("reading fault plan {path}: {e}"))?)
         }
     };
     // A fault plan implies the fault-tolerant engine.
-    let engine_name = match (args.get("--engine"), &fault_plan) {
+    let engine_name = match (flags.get::<String>("--engine").as_deref(), &fault_plan) {
         (Some("grape6") | Some("grape6-ft") | None, Some(_)) => "grape6-ft".to_string(),
         (Some(other), Some(_)) => {
             return Err(format!("--faults requires the grape6 engine, not '{other}'"))
         }
         (name, None) => name.unwrap_or("direct").to_string(),
     };
-    let checkpoint = args.get("--checkpoint").map(PathBuf::from);
-    let checkpoint_every = args.parse::<u64>("--checkpoint-every")?.unwrap_or(256);
-    if checkpoint.is_none() && args.get("--checkpoint-every").is_some() {
+    let checkpoint = flags.get::<PathBuf>("--checkpoint");
+    let checkpoint_every = flags.get_or::<u64>("--checkpoint-every", 256);
+    if checkpoint.is_none() && flags.has("--checkpoint-every") {
         return Err("--checkpoint-every needs --checkpoint <file.g6ck>".into());
     }
 
-    let telemetry_out = args.get("--telemetry").map(PathBuf::from);
+    let telemetry_out = flags.get::<PathBuf>("--telemetry");
 
     // Monomorphized per engine; the driver logic is shared. `$engine` is the
     // freshly configured engine; for a resume it is reloaded and its
@@ -257,12 +208,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             if sim.accretion_log.count() > 0 {
                 println!("mergers: {}", sim.accretion_log.count());
             }
-            if let Some(out) = args.get("--out").map(PathBuf::from) {
+            if let Some(out) = flags.get::<PathBuf>("--out") {
                 save_auto(&out, &sim.sys)
                     .map_err(|e| format!("writing {}: {e}", out.display()))?;
                 println!("snapshot -> {}", out.display());
             }
-            if let Some(diag) = args.get("--diag").map(PathBuf::from) {
+            if let Some(diag) = flags.get::<PathBuf>("--diag") {
                 save_diagnostics_csv(&diag, &sim.diagnostics)
                     .map_err(|e| format!("writing {}: {e}", diag.display()))?;
                 println!("diagnostics -> {}", diag.display());
@@ -320,11 +271,11 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_analyze(args: &Args) -> Result<(), String> {
-    let Some(input) = args.get("--in").map(PathBuf::from) else {
+fn cmd_analyze(flags: &Flags) -> Result<(), String> {
+    let Some(input) = flags.get::<PathBuf>("--in") else {
         return Err("analyze requires --in <snap.json>".into());
     };
-    let bins = args.parse::<usize>("--bins")?.unwrap_or(22);
+    let bins = flags.get_or::<usize>("--bins", 22);
     if bins == 0 {
         return Err("--bins must be at least 1".into());
     }
@@ -332,7 +283,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     // The K heaviest bodies are treated as protoplanets and excluded from
     // the planetesimal statistics (mass alone cannot separate them from a
     // rescaled spectrum's top end, so the count is explicit).
-    let k_proto = args.parse::<usize>("--protoplanets")?.unwrap_or(2);
+    let k_proto = flags.get_or::<usize>("--protoplanets", 2);
     let mut by_mass: Vec<usize> = (0..sys.len()).filter(|&i| sys.mass[i] > 0.0).collect();
     by_mass.sort_by(|&a, &b| sys.mass[b].total_cmp(&sys.mass[a]));
     let protos: Vec<usize> = by_mass.iter().copied().take(k_proto).collect();
@@ -378,11 +329,11 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_perf(args: &Args) -> Result<(), String> {
-    let Some(n) = args.parse::<usize>("--n")? else {
+fn cmd_perf(flags: &Flags) -> Result<(), String> {
+    let Some(n) = flags.get::<usize>("--n") else {
         return Err("perf requires --n <total particles>".into());
     };
-    let Some(block) = args.parse::<usize>("--block")? else {
+    let Some(block) = flags.get::<usize>("--block") else {
         return Err("perf requires --block <active particles>".into());
     };
     let model = TimingModel::sc2002();
@@ -404,50 +355,50 @@ fn cmd_perf(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args = Args::new();
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("usage: grape6 <gen|run|analyze|perf> [flags]   (see module docs)");
+    std::process::exit(1);
+}
+
+fn main() {
     // Each subcommand's valued flags and switches; anything else is an error.
-    type Cmd = fn(&Args) -> Result<(), String>;
-    let table: Option<(&[&str], &[&str], Cmd)> = match args.subcommand() {
-        Some("gen") => Some((
-            &["--n", "--seed", "--out"],
-            &["--no-protoplanets", "--production-masses"],
-            cmd_gen,
-        )),
-        Some("run") => Some((
-            &[
-                "--in",
-                "--t",
-                "--engine",
-                "--theta",
-                "--near-radius",
-                "--eta",
-                "--accrete",
-                "--out",
-                "--diag",
-                "--telemetry",
-                "--faults",
-                "--checkpoint",
-                "--checkpoint-every",
-                "--resume",
-            ],
-            &[],
-            cmd_run,
-        )),
-        Some("analyze") => Some((&["--in", "--bins", "--protoplanets"], &[], cmd_analyze)),
-        Some("perf") => Some((&["--n", "--block"], &[], cmd_perf)),
-        _ => None,
-    };
-    let done = match table {
-        Some((valued, switches, cmd)) => args.check(valued, switches).and_then(|()| cmd(&args)),
-        None => Err("missing or unknown subcommand".into()),
-    };
-    match done {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("usage: grape6 <gen|run|analyze|perf> [flags]   (see module docs)");
-            ExitCode::FAILURE
-        }
+    type Cmd = fn(&Flags) -> Result<(), String>;
+    let (cmd, flags) = Flags::subcommand_from_env::<Cmd>(
+        &[
+            (
+                "gen",
+                &["--n", "--seed", "--out"],
+                &["--no-protoplanets", "--production-masses"],
+                cmd_gen,
+            ),
+            (
+                "run",
+                &[
+                    "--in",
+                    "--t",
+                    "--engine",
+                    "--theta",
+                    "--near-radius",
+                    "--eta",
+                    "--accrete",
+                    "--out",
+                    "--diag",
+                    "--telemetry",
+                    "--faults",
+                    "--checkpoint",
+                    "--checkpoint-every",
+                    "--resume",
+                ],
+                &[],
+                cmd_run,
+            ),
+            ("analyze", &["--in", "--bins", "--protoplanets"], &[], cmd_analyze),
+            ("perf", &["--n", "--block"], &[], cmd_perf),
+        ],
+        usage_error,
+    );
+    if let Err(msg) = cmd(&flags) {
+        usage_error(&msg);
     }
 }

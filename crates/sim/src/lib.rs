@@ -10,6 +10,7 @@
 #![forbid(unsafe_code)]
 pub mod accretion;
 pub mod checkpoint;
+pub mod cli;
 pub mod encounters;
 pub mod ensemble;
 pub mod io;

@@ -1,6 +1,7 @@
 //! The `grape6` binary at its trust boundary: a value that does not parse, an
-//! unknown flag and a valued flag with no value are errors naming the flag —
-//! never a silent default — and `--engine tree` is hybrid at `--near-radius 0`.
+//! unknown flag, a flag given twice and a valued flag with no value are
+//! errors naming the flag — never a silent default — and `--engine tree` is
+//! hybrid at `--near-radius 0`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -59,12 +60,12 @@ fn unknown_flags_and_valueless_flags_are_errors_before_any_output() {
     let disk = gen_disk(&dir);
     let snap = dir.join("never.g6sn").display().to_string();
     // Unchecked, the first three exit 0 on the default direct engine with no
-    // fault injected, and the fourth takes the next flag as the engine name.
-    // The last seven parse but are out of range: unchecked, `gen --n 0`,
-    // `--eta 0 | -1 | nan` and `analyze --bins 0` panic in the library (exit
-    // 101), `--t nan` exits 0 after zero block steps and `--t inf` never
-    // returns.
-    let cases: [(&[&str], &str); 11] = [
+    // fault injected, the fourth takes the next flag as the engine name, and
+    // the fifth builds 5 bodies. The last seven parse but are out of range:
+    // unchecked, `gen --n 0`, `--eta 0 | -1 | nan` and `analyze --bins 0`
+    // panic in the library (exit 101), `--t nan` exits 0 after zero block
+    // steps and `--t inf` never returns.
+    let cases: [(&[&str], &str); 12] = [
         (
             &["run", "--in", &disk, "--t", "2", "--engin", "grape6", "--out", &snap],
             "unknown flag '--engin' for run",
@@ -72,6 +73,7 @@ fn unknown_flags_and_valueless_flags_are_errors_before_any_output() {
         (&["run", "--in", &disk, "--t", "2", "--out", &snap, "--engine"], "--engine needs a value"),
         (&["run", "--in", &disk, "--t", "2", "--out", &snap, "--faults"], "--faults needs a value"),
         (&["run", "--in", &disk, "--t", "2", "--engine", "--out", &snap], "--engine needs a value"),
+        (&["gen", "--n", "3", "--n", "5", "--out", &snap], "--n given twice"),
         (&["gen", "--n", "0", "--out", &snap], "--n must be at least 1"),
         (&["run", "--in", &disk, "--t", "2", "--eta", "0", "--out", &snap], "eta and eta_start"),
         (&["run", "--in", &disk, "--t", "2", "--eta", "-1", "--out", &snap], "eta and eta_start"),
