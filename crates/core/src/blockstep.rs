@@ -52,6 +52,12 @@ fn odd_mantissa_exp(x: f64) -> (u64, i64) {
     (m >> tz, e + i64::from(tz))
 }
 
+/// Whether `x` is exactly a positive finite power of two: its mantissa, odd
+/// part taken, is 1. (A `log2` test rounds, and takes `2^-40 · (1 + 2^-52)`.)
+pub(crate) fn is_power_of_two(x: f64) -> bool {
+    x > 0.0 && x.is_finite() && odd_mantissa_exp(x).0 == 1
+}
+
 /// The rules of [`TickScheduler::check_clocks`] one particle's clock breaks,
 /// one bit each in the order that function reports them (0 when all hold).
 /// Branch-free, so the scan over all particles vectorizes.
@@ -280,10 +286,7 @@ impl TickScheduler {
     /// Empty scheduler for a schedule quantized to `dt_min` (must be a
     /// positive power of two).
     pub fn new(dt_min: f64) -> Self {
-        assert!(
-            dt_min > 0.0 && dt_min.is_finite() && odd_mantissa_exp(dt_min).0 == 1,
-            "dt_min = {dt_min} must be a positive power of two"
-        );
+        assert!(is_power_of_two(dt_min), "dt_min = {dt_min} must be a positive power of two");
         Self {
             inv_dt_min: 1.0 / dt_min,
             buckets: vec![TickBucket::default(); TICK_BUCKETS],

@@ -7,6 +7,7 @@
 //! convention the paper adopts, this costs 38 + 19 = 57 floating-point
 //! operations per interaction.
 
+use crate::fields::Fields;
 use crate::jmem::JMemory;
 use crate::lanes::{fold_lanes, sweep_tile_lanes, JLanes, J_LANES, LANE_WIDTH};
 use crate::particle::{ForceResult, IParticle, Neighbor, ParticleSystem};
@@ -318,14 +319,10 @@ impl crate::engine::ForceEngine for DirectEngine {
     }
 
     fn restore_checkpoint_state(&mut self, state: &[u8]) -> Result<(), String> {
-        if state.len() != 16 {
-            return Err(format!(
-                "direct-cpu checkpoint state: expected 16 bytes, got {}",
-                state.len()
-            ));
-        }
-        self.interactions = u64::from_le_bytes(state[0..8].try_into().unwrap());
-        self.force_calls = u64::from_le_bytes(state[8..16].try_into().unwrap());
+        let mut f = Fields::new(state, "direct-cpu checkpoint state");
+        let (interactions, force_calls) = (f.u64()?, f.u64()?);
+        f.finish()?;
+        (self.interactions, self.force_calls) = (interactions, force_calls);
         Ok(())
     }
 

@@ -44,7 +44,7 @@ impl HermiteConfig {
             return Err("eta and eta_start must be positive".into());
         }
         for (name, v) in [("dt_max", self.dt_max), ("dt_min", self.dt_min)] {
-            if !(v > 0.0) || v.log2().fract() != 0.0 {
+            if !crate::blockstep::is_power_of_two(v) {
                 return Err(format!("{name} = {v} must be a positive power of two"));
             }
         }
@@ -467,6 +467,12 @@ mod tests {
         // 0.3 is not a power of two.
         let c = HermiteConfig { dt_max: 0.3, ..HermiteConfig::default() };
         assert!(c.validate().is_err());
+        // One ulp off a power of two, which a rounded `log2` takes for one.
+        let c =
+            HermiteConfig { dt_min: 2f64.powi(-40) * (1.0 + f64::EPSILON), ..Default::default() };
+        assert!(c.validate().unwrap_err().contains("dt_min"));
+        let c = HermiteConfig { dt_max: 1024.0 * (1.0 + f64::EPSILON), ..HermiteConfig::default() };
+        assert!(c.validate().unwrap_err().contains("dt_max"));
         let c = HermiteConfig { dt_min: 1.0, dt_max: 0.5, ..HermiteConfig::default() };
         assert!(c.validate().is_err());
         let c = HermiteConfig { eta: 0.0, ..HermiteConfig::default() };

@@ -10,6 +10,8 @@
 //! * the block individual-timestep algorithm ([`blockstep`], [`integrator`]),
 //! * the Sun as an external potential ([`central`]),
 //! * Kepler-element machinery ([`kepler`]) and diagnostics ([`energy`]),
+//! * the one bounds-checked reader of checkpoint and snapshot bytes
+//!   ([`fields`]),
 //! * a shared-timestep baseline ([`shared_step`]) for the paper's §3
 //!   algorithmic comparison,
 //! * the [`engine::ForceEngine`] seam along which the GRAPE-6 hardware
@@ -44,6 +46,7 @@ pub mod blockstep;
 pub mod central;
 pub mod energy;
 pub mod engine;
+pub mod fields;
 pub mod force;
 pub mod hermite;
 pub mod integrator;

@@ -17,8 +17,9 @@ use crate::format::{FixedPointFormat, Precision};
 use crate::lanes::{scalar_sweep, GrapeJLanes, GrapeLaneTile, SweepPartial, LANE_WIDTH};
 use crate::perf::HardwareClock;
 use crate::predictor::{predict_j, JParticle, PredictedJ};
-use crate::timing::TimingModel;
+use crate::timing::{StepBreakdown, TimingModel};
 use grape6_core::engine::ForceEngine;
+use grape6_core::fields::Fields;
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_core::sweep::{chunked_jsweep, j_chunk_size, SMALL_BLOCK_MAX};
 use rayon::prelude::*;
@@ -376,23 +377,21 @@ impl ForceEngine for Grape6Engine {
     }
 
     fn restore_checkpoint_state(&mut self, state: &[u8]) -> Result<(), String> {
-        if state.len() != 81 {
-            return Err(format!("grape6 checkpoint state: expected 81 bytes, got {}", state.len()));
-        }
-        let u64_at = |k: usize| u64::from_le_bytes(state[k..k + 8].try_into().unwrap());
-        let f64_at = |k: usize| f64::from_le_bytes(state[k..k + 8].try_into().unwrap());
-        self.interactions = u64_at(0);
-        self.wire_bytes = u64_at(8);
-        self.clock.steps = u64_at(16);
-        let b = &mut self.clock.breakdown;
-        b.host = f64_at(24);
-        b.send_i = f64_at(32);
-        b.pipeline = f64_at(40);
-        b.receive = f64_at(48);
-        b.jshare_intra = f64_at(56);
-        b.jshare_inter = f64_at(64);
-        b.sync = f64_at(72);
-        b.overlapped = state[80] != 0;
+        let mut f = Fields::new(state, "grape6 checkpoint state");
+        let (interactions, wire_bytes, steps) = (f.u64()?, f.u64()?, f.u64()?);
+        let breakdown = StepBreakdown {
+            host: f.f64()?,
+            send_i: f.f64()?,
+            pipeline: f.f64()?,
+            receive: f.f64()?,
+            jshare_intra: f.f64()?,
+            jshare_inter: f.f64()?,
+            sync: f.f64()?,
+            overlapped: f.u8()? != 0,
+        };
+        f.finish()?;
+        (self.interactions, self.wire_bytes) = (interactions, wire_bytes);
+        (self.clock.steps, self.clock.breakdown) = (steps, breakdown);
         Ok(())
     }
 

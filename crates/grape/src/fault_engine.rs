@@ -37,6 +37,7 @@ use crate::wire::{
 };
 use bytes::BytesMut;
 use grape6_core::engine::{FaultStats, ForceEngine};
+use grape6_core::fields::Fields;
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 
 /// Dual-modular redundant GRAPE-6 with fault injection and recovery.
@@ -272,25 +273,21 @@ impl ForceEngine for FaultTolerantEngine {
     }
 
     fn restore_checkpoint_state(&mut self, state: &[u8]) -> Result<(), String> {
-        let fixed = 12 * 8 + 1 + 8;
-        if state.len() < fixed {
-            return Err(format!("grape6-ft checkpoint state too short: {} bytes", state.len()));
-        }
-        let u64_at = |k: usize| u64::from_le_bytes(state[k..k + 8].try_into().unwrap());
-        self.stats.injected = u64_at(0);
-        self.stats.dmr_mismatches = u64_at(8);
-        self.stats.checksum_errors = u64_at(16);
-        self.stats.retries = u64_at(24);
-        self.stats.scrubs = u64_at(32);
-        self.stats.words_scrubbed = u64_at(40);
-        self.stats.boards_failed = u64_at(48);
-        self.step = u64_at(56);
-        self.injector.set_cursor(u64_at(64) as usize)?;
-        self.extra_wire_bytes = u64_at(72);
+        let mut f = Fields::new(state, "grape6-ft checkpoint state");
+        self.stats.injected = f.u64()?;
+        self.stats.dmr_mismatches = f.u64()?;
+        self.stats.checksum_errors = f.u64()?;
+        self.stats.retries = f.u64()?;
+        self.stats.scrubs = f.u64()?;
+        self.stats.words_scrubbed = f.u64()?;
+        self.stats.boards_failed = f.u64()?;
+        self.step = f.u64()?;
+        self.injector.set_cursor(f.u64()? as usize)?;
+        self.extra_wire_bytes = f.u64()?;
         // Degrading only ever decrements a unit's board count, never below 1.
-        for (k, unit) in [(80, &mut self.unit_a), (88, &mut self.unit_b)] {
+        for unit in [&mut self.unit_a, &mut self.unit_b] {
             let boards = &mut unit.config.timing.geometry.boards_per_host;
-            let saved = u64_at(k);
+            let saved = f.u64()?;
             if saved == 0 || saved > *boards as u64 {
                 return Err(format!(
                     "grape6-ft checkpoint state: boards_per_host {saved} outside 1..={boards}"
@@ -298,28 +295,16 @@ impl ForceEngine for FaultTolerantEngine {
             }
             *boards = saved as usize;
         }
-        self.armed_link_flip = match state[96] {
+        let (tag, bit) = (f.u8()?, f.u64()?);
+        self.armed_link_flip = match tag {
             0 => None,
-            1 => Some(u64_at(97) as usize),
+            1 => Some(bit as usize),
             tag => return Err(format!("grape6-ft checkpoint state: armed_link_flip tag {tag}")),
         };
-        let mut k = fixed;
         for unit in [&mut self.unit_a, &mut self.unit_b] {
-            if state.len() < k + 4 {
-                return Err("grape6-ft checkpoint state truncated at unit header".into());
-            }
-            let len = u32::from_le_bytes(state[k..k + 4].try_into().unwrap()) as usize;
-            k += 4;
-            if state.len() < k + len {
-                return Err("grape6-ft checkpoint state truncated at unit payload".into());
-            }
-            unit.restore_checkpoint_state(&state[k..k + len])?;
-            k += len;
+            unit.restore_checkpoint_state(f.prefixed()?)?;
         }
-        if k != state.len() {
-            return Err(format!("grape6-ft checkpoint state: {} trailing bytes", state.len() - k));
-        }
-        Ok(())
+        f.finish()
     }
 
     fn name(&self) -> &'static str {

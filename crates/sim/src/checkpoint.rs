@@ -40,18 +40,29 @@
 //! moved to v2. `tests/checkpoint_golden.rs` pins both directions with
 //! golden files.
 //!
+//! ## Reading untrusted bytes
+//!
+//! G6CK carries no checksum, so a damaged file must come back as an error,
+//! never a panic. Every section and every opaque state blob is read front
+//! to back through one [`grape6_core::fields::Fields`] (each body chunk as
+//! one slice of whole records), and then checked before anything acts on
+//! it: softening and central mass finite and non-negative, step bounds
+//! exact powers of two, every particle's clock
+//! ([`TickScheduler::check_clocks`]), the engine's name and its blob fields.
+//!
 //! Diagnostics rows and the accretion/encounter logs are **not**
 //! checkpointed: they are append-only observational byproducts that do not
 //! feed back into the dynamics, so a resumed run continues producing correct
 //! rows from the resume point onward.
 
-use crate::io::BINARY_PARTICLE_BYTES;
+use crate::io::{invalid, BINARY_PARTICLE_BYTES};
 use crate::simulation::Simulation;
 use crate::stats::BlockSizeHistogram;
 use crate::telemetry::Telemetry;
 use grape6_core::blockstep::TickScheduler;
 use grape6_core::energy::EnergyLedger;
 use grape6_core::engine::ForceEngine;
+use grape6_core::fields::Fields;
 use grape6_core::integrator::{BlockHermite, HermiteConfig, RunStats};
 use grape6_core::observer::{HostPhase, StepObserver};
 use grape6_core::particle::ParticleSystem;
@@ -67,10 +78,6 @@ pub const CHECKPOINT_VERSION: u32 = 2;
 /// enough that chunk framing is noise, small enough that the writer's
 /// resident buffer stays far below the body size at paper-scale N.
 pub const CHECKPOINT_CHUNK_PARTICLES: usize = 8192;
-
-fn bad(m: impl Into<String>) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, m.into())
-}
 
 /// Everything after the system body: integrator, ledger, histogram,
 /// telemetry and engine sections. Identical in v1 and v2, and small — safe
@@ -251,104 +258,63 @@ pub fn encode_checkpoint<E: ForceEngine>(sim: &Simulation<E>) -> bytes::Bytes {
 /// snapshot and its counters restored from the opaque state section.
 pub fn decode_checkpoint<E: ForceEngine>(
     data: bytes::Bytes,
-    mut engine: E,
+    engine: E,
 ) -> std::io::Result<Simulation<E>> {
-    use bytes::Buf;
-    let mut buf = data;
-    if buf.len() < 16 {
-        return Err(bad("truncated checkpoint header"));
+    decode_container(&data, engine).map_err(invalid)
+}
+
+/// [`decode_checkpoint`] over borrowed bytes: every section read front to
+/// back through one [`Fields`].
+fn decode_container<E: ForceEngine>(data: &[u8], mut engine: E) -> Result<Simulation<E>, String> {
+    let mut f = Fields::new(data, "checkpoint header");
+    if f.take(4)? != CHECKPOINT_MAGIC {
+        return Err("bad checkpoint magic".into());
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != CHECKPOINT_MAGIC {
-        return Err(bad("bad checkpoint magic"));
-    }
-    let version = buf.get_u32_le();
-    let sys: ParticleSystem = match version {
+    let sys = match f.u32()? {
         // v1 embedded a whole length-prefixed G6SN snapshot.
         1 => {
-            let snap_len = buf.get_u64_le() as usize;
-            if buf.len() < snap_len {
-                return Err(bad("truncated system snapshot"));
-            }
-            let snap = buf.copy_to_bytes(snap_len);
-            crate::io::decode_binary_snapshot(snap)?
+            f.section("system snapshot");
+            let len = f.u64()?;
+            crate::io::decode_snapshot(f.take(len)?)?
         }
-        2 => decode_chunked_system(&mut buf)?,
-        v => return Err(bad(format!("unsupported checkpoint version {v}"))),
+        2 => decode_chunked_system(&mut f)?,
+        v => return Err(format!("unsupported checkpoint version {v}")),
     };
-    if buf.len() < 4 * 8 + 3 * 8 + 2 * 8 + 4 {
-        return Err(bad("truncated integrator section"));
-    }
-    let config = HermiteConfig {
-        eta: buf.get_f64_le(),
-        eta_start: buf.get_f64_le(),
-        dt_max: buf.get_f64_le(),
-        dt_min: buf.get_f64_le(),
-    };
-    config.validate().map_err(bad)?;
-    TickScheduler::check_clocks(sys.t, &sys.time, &sys.dt, config.dt_min, config.dt_max)
-        .map_err(bad)?;
-    let stats = RunStats {
-        block_steps: buf.get_u64_le(),
-        particle_steps: buf.get_u64_le(),
-        interactions: buf.get_u64_le(),
-    };
-    let ledger = EnergyLedger { e0: buf.get_f64_le(), l0: buf.get_f64_le() };
-    let n_bins = buf.get_u32_le() as usize;
-    if buf.len() < (n_bins + 2) * 8 + 1 {
-        return Err(bad("truncated block histogram"));
-    }
+    f.section("integrator section");
+    let config =
+        HermiteConfig { eta: f.f64()?, eta_start: f.f64()?, dt_max: f.f64()?, dt_min: f.f64()? };
+    config.validate()?;
+    TickScheduler::check_clocks(sys.t, &sys.time, &sys.dt, config.dt_min, config.dt_max)?;
+    let stats =
+        RunStats { block_steps: f.u64()?, particle_steps: f.u64()?, interactions: f.u64()? };
+    let ledger = EnergyLedger { e0: f.f64()?, l0: f.f64()? };
+    f.section("block histogram");
     let mut block_hist = BlockSizeHistogram::new();
-    block_hist.bins = (0..n_bins).map(|_| buf.get_u64_le()).collect();
-    block_hist.blocks = buf.get_u64_le();
-    block_hist.particle_steps = buf.get_u64_le();
-    let telemetry = match buf.get_u8() {
+    block_hist.bins = (0..f.u32()?).map(|_| f.u64()).collect::<Result<_, _>>()?;
+    block_hist.blocks = f.u64()?;
+    block_hist.particle_steps = f.u64()?;
+    f.section("telemetry section");
+    let telemetry = match f.u8()? {
         0 => None,
-        1 => {
-            if buf.len() < 4 {
-                return Err(bad("truncated telemetry section"));
-            }
-            let len = buf.get_u32_le() as usize;
-            if buf.len() < len {
-                return Err(bad("truncated telemetry state"));
-            }
-            let state = buf.copy_to_bytes(len);
-            Some(Telemetry::restore_checkpoint_state(&state).map_err(bad)?)
-        }
-        f => return Err(bad(format!("bad telemetry flag {f}"))),
+        1 => Some(Telemetry::restore_checkpoint_state(f.prefixed()?)?),
+        flag => return Err(format!("bad telemetry flag {flag}")),
     };
-    if buf.len() < 4 {
-        return Err(bad("truncated engine name"));
-    }
-    let name_len = buf.get_u32_le() as usize;
-    if buf.len() < name_len {
-        return Err(bad("truncated engine name"));
-    }
-    let name_bytes = buf.copy_to_bytes(name_len);
-    let name = std::str::from_utf8(&name_bytes).map_err(|e| bad(e.to_string()))?;
+    f.section("engine name");
+    let name = std::str::from_utf8(f.prefixed()?).map_err(|e| e.to_string())?;
     if name != engine.name() {
-        return Err(bad(format!(
+        return Err(format!(
             "checkpoint was written by engine '{name}' but resume got '{}'",
             engine.name()
-        )));
+        ));
     }
-    if buf.len() < 4 {
-        return Err(bad("truncated engine state"));
-    }
-    let state_len = buf.get_u32_le() as usize;
-    if buf.len() < state_len {
-        return Err(bad("truncated engine state"));
-    }
-    let engine_state = buf.copy_to_bytes(state_len);
-    if !buf.is_empty() {
-        return Err(bad(format!("{} trailing bytes after engine state", buf.len())));
-    }
+    f.section("engine state");
+    let engine_state = f.prefixed()?;
+    f.finish()?;
     // Reload j-memory from the snapshot (bit-exact by construction), *then*
     // overwrite the counters `load` itself charged with the checkpointed
     // ones, so wire-byte accounting resumes where it stopped.
     engine.load(&sys);
-    engine.restore_checkpoint_state(&engine_state).map_err(bad)?;
+    engine.restore_checkpoint_state(engine_state)?;
     let integrator = BlockHermite::resume_from(config, &sys, stats);
     Ok(Simulation {
         sys,
@@ -366,43 +332,30 @@ pub fn decode_checkpoint<E: ForceEngine>(
 
 /// Decode the v2 system section: header fields, then length-prefixed chunks
 /// of whole particle records up to the `u32` 0 sentinel.
-fn decode_chunked_system(buf: &mut bytes::Bytes) -> std::io::Result<ParticleSystem> {
-    use bytes::Buf;
-    if buf.len() < 8 + 3 * 8 {
-        return Err(bad("truncated system header"));
-    }
-    let n = buf.get_u64_le() as usize;
-    let t = buf.get_f64_le();
-    let softening = buf.get_f64_le();
-    let central_mass = buf.get_f64_le();
-    let mut sys = ParticleSystem::new(softening, central_mass);
-    sys.t = t;
+fn decode_chunked_system(f: &mut Fields) -> Result<ParticleSystem, String> {
+    f.section("system header");
+    let (n, mut sys) = crate::io::decode_system_header(f)?;
     // Bounded by the bytes present: a hostile `n` cannot demand memory.
-    sys.reserve(n.min(buf.len() / BINARY_PARTICLE_BYTES));
+    sys.reserve((n as usize).min(f.remaining() / BINARY_PARTICLE_BYTES));
+    f.section("body chunk");
     loop {
-        if buf.len() < 4 {
-            return Err(bad("truncated body chunk length"));
-        }
-        let len = buf.get_u32_le() as usize;
-        if len == 0 {
+        let chunk = f.prefixed()?;
+        if chunk.is_empty() {
             break;
         }
-        if !len.is_multiple_of(BINARY_PARTICLE_BYTES) {
-            return Err(bad(format!(
-                "body chunk length {len} is not a whole number of particle records"
-            )));
+        if !chunk.len().is_multiple_of(BINARY_PARTICLE_BYTES) {
+            return Err(format!(
+                "body chunk length {} is not a whole number of particle records",
+                chunk.len()
+            ));
         }
-        if buf.len() < len {
-            return Err(bad("truncated body chunk"));
-        }
-        crate::io::decode_particle_records(&buf[..len], &mut sys);
-        buf.advance(len);
-        if sys.len() > n {
-            return Err(bad(format!("body chunks carry more particles than the declared {n}")));
+        crate::io::decode_particle_records(chunk, &mut sys);
+        if sys.len() as u64 > n {
+            return Err(format!("body chunks carry more particles than the declared {n}"));
         }
     }
-    if sys.len() != n {
-        return Err(bad(format!("body chunks carry {} of the declared {n} particles", sys.len())));
+    if sys.len() as u64 != n {
+        return Err(format!("body chunks carry {} of the declared {n} particles", sys.len()));
     }
     Ok(sys)
 }
@@ -633,7 +586,7 @@ mod tests {
         raw.extend_from_slice(&(BINARY_PARTICLE_BYTES as u32).to_le_bytes());
         crate::io::encode_particle_range(&sys, 0..1, &mut raw);
         raw.extend_from_slice(&0u32.to_le_bytes());
-        let err = decode_chunked_system(&mut bytes::Bytes::from(raw)).unwrap_err();
+        let err = decode_chunked_system(&mut Fields::new(&raw, "system header")).unwrap_err();
         assert!(err.to_string().contains("1 of the declared"), "{err}");
     }
 
@@ -660,6 +613,49 @@ mod tests {
             Ok(_) => panic!("hostile v1 particle count accepted"),
         };
         assert!(err.to_string().contains("truncated body"), "v1 G6CK: {err}");
+    }
+
+    #[test]
+    fn a_dt_min_one_ulp_off_a_power_of_two_is_refused() {
+        // A rounded `log2` took 2^-40 · (1 + 2^-52) for a power of two, and
+        // the resume then tripped the tick scheduler's exact assert.
+        let sim = fresh(16, 7);
+        let mut raw = encode_checkpoint(&sim).to_vec();
+        // The tail opens with eta, eta_start, dt_max, dt_min.
+        let dt_min = raw.len() - encode_tail(&sim).len() + 3 * 8;
+        assert_eq!(raw[dt_min..dt_min + 8], 2f64.powi(-40).to_le_bytes());
+        raw[dt_min] ^= 1;
+        let err = match decode_checkpoint(bytes::Bytes::from(raw), DirectEngine::new()) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("dt_min one ulp off 2^-40 accepted"),
+        };
+        assert!(err.contains("dt_min"), "{err}");
+    }
+
+    #[test]
+    fn a_softening_or_central_mass_not_finite_and_non_negative_is_refused() {
+        // The GRAPE engines' `load` asserts a positive softening: a G6CK or
+        // G6SN with a flipped sign bit must be refused before any engine
+        // sees it. Both headers hold them at bytes 24..32 and 32..40.
+        let sys = DiskBuilder::paper(16).with_seed(7).build();
+        let ckpt = encode_checkpoint(&Simulation::new(sys.clone(), cfg(), DirectEngine::new()));
+        let snap = crate::io::encode_binary_snapshot(&sys);
+        for (at, name) in [(24, "softening"), (32, "central mass")] {
+            for v in [-0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let patched = |good: &[u8]| {
+                    let mut raw = good.to_vec();
+                    raw[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                    bytes::Bytes::from(raw)
+                };
+                let err = match decode_checkpoint(patched(&ckpt), DirectEngine::new()) {
+                    Err(e) => e.to_string(),
+                    Ok(_) => panic!("G6CK {name} {v} accepted"),
+                };
+                assert!(err.contains(name), "G6CK {name} {v}: {err}");
+                let err = crate::io::decode_binary_snapshot(patched(&snap)).unwrap_err();
+                assert!(err.to_string().contains(name), "G6SN {name} {v}: {err}");
+            }
+        }
     }
 
     /// Decode a checkpoint at t = 1 (every body just stepped, so its time

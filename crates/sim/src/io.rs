@@ -1,7 +1,9 @@
 //! Snapshot and diagnostic I/O (JSON; buffered, per the performance guide).
 
 use crate::simulation::DiagnosticRow;
+use grape6_core::fields::{words, Fields};
 use grape6_core::particle::ParticleSystem;
+use grape6_core::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
@@ -32,12 +34,14 @@ pub fn save_snapshot(path: &Path, sys: &ParticleSystem) -> std::io::Result<()> {
 /// Read a snapshot back.
 pub fn load_snapshot(path: &Path) -> std::io::Result<ParticleSystem> {
     let f = std::fs::File::open(path)?;
-    let snap: Snapshot = serde_json::from_reader(BufReader::new(f))?;
+    snapshot_system(serde_json::from_reader(BufReader::new(f))?)
+}
+
+/// The system of a JSON snapshot, if it has the current schema version.
+fn snapshot_system(snap: Snapshot) -> std::io::Result<ParticleSystem> {
     if snap.version != SNAPSHOT_VERSION {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("snapshot version {} (expected {SNAPSHOT_VERSION})", snap.version),
-        ));
+        let found = snap.version;
+        return Err(invalid(format!("snapshot version {found} (expected {SNAPSHOT_VERSION})")));
     }
     Ok(snap.system)
 }
@@ -79,27 +83,45 @@ pub(crate) fn encode_particle_range(
     }
 }
 
+/// Words per binary particle record.
+const RECORD_WORDS: usize = BINARY_PARTICLE_BYTES / 8;
+
 /// Decode one binary particle record (the layout of
 /// [`put_particle_record`]) onto `sys`.
-pub(crate) fn decode_particle_record(rec: &[u8; BINARY_PARTICLE_BYTES], sys: &mut ParticleSystem) {
-    let word = |k: usize| u64::from_le_bytes(rec[8 * k..8 * k + 8].try_into().expect("8 bytes"));
-    let f = |k: usize| f64::from_bits(word(k));
-    let v = |k: usize| grape6_core::vec3::Vec3::new(f(k), f(k + 1), f(k + 2));
-    let i = sys.push_with_id(v(0), v(3), f(12), word(16));
+fn decode_particle_record(rec: &[[u8; 8]; RECORD_WORDS], sys: &mut ParticleSystem) {
+    let [vectors @ .., mass, time, dt, pot, id] = words(rec);
+    let f = f64::from_bits;
+    let v = |k: usize| Vec3::new(f(vectors[k]), f(vectors[k + 1]), f(vectors[k + 2]));
+    let i = sys.push_with_id(v(0), v(3), f(mass), id);
     sys.acc[i] = v(6);
     sys.jerk[i] = v(9);
-    sys.time[i] = f(13);
-    sys.dt[i] = f(14);
-    sys.pot[i] = f(15);
+    (sys.time[i], sys.dt[i], sys.pot[i]) = (f(time), f(dt), f(pot));
 }
 
-/// Decode `body`, whole records end to end, onto `sys`.
+/// Decode `body`, whole records end to end, onto `sys`. The caller took
+/// `body` from a [`Fields`] as one slice of whole records.
 pub(crate) fn decode_particle_records(body: &[u8], sys: &mut ParticleSystem) {
-    let (recs, rest) = body.as_chunks::<BINARY_PARTICLE_BYTES>();
-    debug_assert!(rest.is_empty(), "{} bytes of a partial record", rest.len());
+    let recs = body.as_chunks::<8>().0.as_chunks::<RECORD_WORDS>().0;
+    debug_assert_eq!(recs.len() * BINARY_PARTICLE_BYTES, body.len(), "a partial record");
     for rec in recs {
         decode_particle_record(rec, sys);
     }
+}
+
+/// Read the system header the `G6SN` snapshot and the `G6CK` v2 system
+/// section share: the particle count, then `t`, softening and central mass.
+/// A softening or central mass that is NaN, infinite or negative is refused
+/// here, before any engine sees it.
+pub(crate) fn decode_system_header(f: &mut Fields) -> Result<(u64, ParticleSystem), String> {
+    let (n, t, softening, central_mass) = (f.u64()?, f.f64()?, f.f64()?, f.f64()?);
+    for (name, v) in [("softening", softening), ("central mass", central_mass)] {
+        if !v.is_finite() || v < 0.0 {
+            return Err(format!("{name} {v} is not a finite non-negative number"));
+        }
+    }
+    let mut sys = ParticleSystem::new(softening, central_mass);
+    sys.t = t;
+    Ok((n, sys))
 }
 
 /// Serialize a system to the compact binary snapshot format (lossless f64;
@@ -121,34 +143,34 @@ pub fn encode_binary_snapshot(sys: &ParticleSystem) -> bytes::Bytes {
 }
 
 /// Deserialize a binary snapshot.
-pub fn decode_binary_snapshot(mut buf: bytes::Bytes) -> std::io::Result<ParticleSystem> {
-    use bytes::Buf;
-    let err = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-    if buf.len() < 40 {
-        return Err(err("truncated header"));
+pub fn decode_binary_snapshot(buf: bytes::Bytes) -> std::io::Result<ParticleSystem> {
+    decode_snapshot(&buf).map_err(invalid)
+}
+
+/// [`decode_binary_snapshot`] over borrowed bytes; also the system section
+/// of a v1 `G6CK` container.
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<ParticleSystem, String> {
+    let mut f = Fields::new(bytes, "header");
+    if f.take(4)? != BINARY_MAGIC {
+        return Err("bad magic".into());
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != BINARY_MAGIC {
-        return Err(err("bad magic"));
-    }
-    let version = buf.get_u32_le();
+    let version = f.u32()?;
     if version != BINARY_VERSION {
-        return Err(err(&format!("unsupported binary version {version}")));
+        return Err(format!("unsupported binary version {version}"));
     }
-    let n = buf.get_u64_le() as usize;
-    // Divide, never multiply: a hostile `n` must not wrap past the check.
-    if n > (buf.len() - 24) / BINARY_PARTICLE_BYTES {
-        return Err(err("truncated body"));
-    }
-    let t = buf.get_f64_le();
-    let softening = buf.get_f64_le();
-    let central_mass = buf.get_f64_le();
-    let mut sys = ParticleSystem::new(softening, central_mass);
-    sys.t = t;
-    sys.reserve(n);
-    decode_particle_records(&buf[..n * BINARY_PARTICLE_BYTES], &mut sys);
+    let (n, mut sys) = decode_system_header(&mut f)?;
+    f.section("body");
+    // Saturate, never wrap: a hostile `n` must not fit the bytes present.
+    let body = f.take(n.saturating_mul(BINARY_PARTICLE_BYTES as u64))?;
+    f.finish()?;
+    sys.reserve(body.len() / BINARY_PARTICLE_BYTES);
+    decode_particle_records(body, &mut sys);
     Ok(sys)
+}
+
+/// An [`std::io::ErrorKind::InvalidData`] error: bytes a decoder refused.
+pub(crate) fn invalid(m: impl Into<String>) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, m.into())
 }
 
 /// Write a binary snapshot to `path`.
@@ -178,14 +200,7 @@ pub fn load_auto(path: &Path) -> std::io::Result<ParticleSystem> {
     if data.len() >= 4 && &data[..4] == BINARY_MAGIC {
         decode_binary_snapshot(bytes::Bytes::from(data))
     } else {
-        let snap: Snapshot = serde_json::from_slice(&data)?;
-        if snap.version != SNAPSHOT_VERSION {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("snapshot version {} (expected {SNAPSHOT_VERSION})", snap.version),
-            ));
-        }
-        Ok(snap.system)
+        snapshot_system(serde_json::from_slice(&data)?)
     }
 }
 
@@ -327,6 +342,11 @@ mod tests {
         let mut good = encode_binary_snapshot(&sample_system()).to_vec();
         good.truncate(40);
         assert!(decode_binary_snapshot(bytes::Bytes::from(good)).is_err());
+        // Bytes after the `n` records are refused, as G6CK refuses them.
+        let mut trailing = encode_binary_snapshot(&sample_system()).to_vec();
+        trailing.push(0);
+        let err = decode_binary_snapshot(bytes::Bytes::from(trailing)).unwrap_err();
+        assert!(err.to_string().contains("1 trailing bytes after body"), "{err}");
     }
 
     #[test]

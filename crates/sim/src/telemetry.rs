@@ -12,6 +12,7 @@
 //! so the hot path pays only when a `Telemetry` is actually attached.
 
 use grape6_core::engine::{FaultStats, ForceEngine, TreeWork};
+use grape6_core::fields::Fields;
 use grape6_core::observer::{HostPhase, StepObserver};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -132,35 +133,22 @@ impl Telemetry {
     /// resumed process keeps its *own* thread count (wall clocks from the
     /// interrupted run still add in, but new spans time the new host).
     pub fn restore_checkpoint_state(state: &[u8]) -> Result<Self, String> {
-        let expect = N_PHASES * 16 + 7 * 8;
-        if state.len() != expect {
-            return Err(format!(
-                "telemetry checkpoint state: expected {expect} bytes, got {}",
-                state.len()
-            ));
-        }
+        let mut f = Fields::new(state, "telemetry checkpoint state");
         let mut t = Telemetry::new();
-        let mut k = 0;
         for v in &mut t.phase_seconds {
-            *v = f64::from_le_bytes(state[k..k + 8].try_into().unwrap());
-            k += 8;
+            *v = f.f64()?;
         }
         for v in &mut t.phase_calls {
-            *v = u64::from_le_bytes(state[k..k + 8].try_into().unwrap());
-            k += 8;
+            *v = f.u64()?;
         }
-        let mut next = || {
-            let v = u64::from_le_bytes(state[k..k + 8].try_into().unwrap());
-            k += 8;
-            v
-        };
-        t.block_steps = next();
-        t.particle_steps = next();
-        t.step_interactions = next();
-        t.init_calls = next();
-        t.init_interactions = next();
-        t.wire_bytes = next();
-        let _checkpointed_threads = next();
+        t.block_steps = f.u64()?;
+        t.particle_steps = f.u64()?;
+        t.step_interactions = f.u64()?;
+        t.init_calls = f.u64()?;
+        t.init_interactions = f.u64()?;
+        t.wire_bytes = f.u64()?;
+        let _checkpointed_threads = f.u64()?;
+        f.finish()?;
         Ok(t)
     }
 

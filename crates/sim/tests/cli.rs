@@ -146,6 +146,31 @@ fn hybrid_resume_under_another_theta_is_refused_naming_both() {
 }
 
 #[test]
+fn a_resume_whose_dt_min_is_one_ulp_off_a_power_of_two_is_refused() {
+    // With its lowest bit flipped, dt_min passed a rounded `log2` test and
+    // the resume panicked in the tick scheduler (exit 101).
+    let dir = scratch("dtmin");
+    let disk = gen_disk(&dir);
+    let ck = dir.join("half.g6ck").display().to_string();
+    let done =
+        grape6(&["run", "--in", &disk, "--t", "4", "--checkpoint", &ck, "--checkpoint-every", "4"]);
+    assert!(done.status.success(), "{}", String::from_utf8_lossy(&done.stderr));
+    let mut raw = std::fs::read(&ck).unwrap();
+    let at = raw.windows(8).rposition(|w| w == 2f64.powi(-40).to_le_bytes()).unwrap();
+    raw[at] ^= 1;
+    let bad = dir.join("bad.g6ck").display().to_string();
+    std::fs::write(&bad, raw).unwrap();
+    let snap = dir.join("never.g6sn").display().to_string();
+    let out = grape6(&["run", "--resume", &bad, "--t", "4", "--out", &snap]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "must fail cleanly, not panic:\n{stderr}");
+    assert!(stderr.contains(&format!("error: resuming {bad}")), "{stderr}");
+    assert!(stderr.contains("dt_min"), "must name dt_min:\n{stderr}");
+    assert!(!dir.join("never.g6sn").exists(), "a refused resume must not write output");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn start_times_the_block_scheduler_cannot_hold_are_refused_naming_dt_min() {
     // The tick scheduler keys events by `t / dt_min` in a u64. A start time
     // off the dt_min grid used to hang a release build (a debug build

@@ -40,6 +40,7 @@
 
 use crate::octree::{InteractionLists, Octree};
 use grape6_core::engine::{ForceEngine, TreeWork};
+use grape6_core::fields::Fields;
 use grape6_core::force::{
     accumulate_on, accumulate_with_nn, scalar_small_block, small_block_forces,
 };
@@ -402,27 +403,20 @@ impl ForceEngine for HybridTreeEngine {
                         recorded theta and r_near — it cannot be continued bit-identically"
                 .into());
         }
-        if state.len() != STATE_BYTES {
-            return Err(format!(
-                "hybrid-tree checkpoint state: expected {STATE_BYTES} bytes, got {}",
-                state.len()
-            ));
-        }
-        let mut words =
-            state.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")));
-        let mut next = || words.next().expect("length checked above");
-        let (interactions, force_calls) = (next(), next());
+        let mut f = Fields::new(state, "hybrid-tree checkpoint state");
+        let (interactions, force_calls) = (f.u64()?, f.u64()?);
         let work = TreeWork {
-            builds: next(),
-            cells_opened: next(),
-            near_interactions: next(),
-            far_interactions: next(),
-            list_len_sum: next(),
-            list_len_max: next(),
-            lists_emitted: next(),
-            walks: next(),
+            builds: f.u64()?,
+            cells_opened: f.u64()?,
+            near_interactions: f.u64()?,
+            far_interactions: f.u64()?,
+            list_len_sum: f.u64()?,
+            list_len_max: f.u64()?,
+            lists_emitted: f.u64()?,
+            walks: f.u64()?,
         };
-        let (theta, r_near) = (f64::from_bits(next()), f64::from_bits(next()));
+        let (theta, r_near) = (f.f64()?, f.f64()?);
+        f.finish()?;
         if theta.to_bits() != self.theta.to_bits() || r_near.to_bits() != self.r_near.to_bits() {
             return Err(format!(
                 "hybrid-tree checkpoint was written with theta {theta} and near radius {r_near}, \

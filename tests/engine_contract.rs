@@ -5,6 +5,9 @@
 //! small-block path (b = 1, 16), the large-block path (b = 17, N), and for
 //! the hybrid engine on both of its paths. (`large_n_smoke`'s zero-force
 //! engine, private to that binary, is pinned by its own unit test.)
+//!
+//! And the resume contract every engine that writes a checkpoint shares:
+//! a damaged `G6CK` decodes to `Ok` or `Err`, never a panic.
 
 mod common;
 
@@ -14,6 +17,8 @@ use grape6_conformance::broken::BrokenEngine;
 use grape6_core::force::ScalarDirectEngine;
 use grape6_core::particle::{ForceResult, IParticle, Neighbor, ParticleSystem};
 use grape6_hw::ScalarGrape6Engine;
+use grape6_sim::io::BINARY_PARTICLE_BYTES;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn poison(b: usize) -> Vec<ForceResult> {
     let nan = Vec3::new(f64::NAN, f64::NAN, f64::NAN);
@@ -80,4 +85,51 @@ fn every_engine_overwrites_every_element_of_out() {
         FaultTolerantEngine::new(Grape6Config::single_host(), &FaultPlan::empty())
     });
     assert_overwrites_out("broken-dropped-pair", BrokenEngine::new);
+}
+
+/// Every strict prefix of a checkpoint `make`'s engine wrote a few steps
+/// into a `DiskBuilder::paper(1)` run is refused, and every single-bit flip
+/// of every byte but the particle records decodes to `Ok` or `Err` — never
+/// a panic.
+fn assert_decode_never_panics<E: ForceEngine>(name: &str, make: impl Fn() -> E) {
+    for telemetry in [false, true] {
+        let (sys, cfg) = (DiskBuilder::paper(1).with_seed(5).build(), HermiteConfig::default());
+        let mut sim = match telemetry {
+            false => Simulation::new(sys, cfg, make()),
+            true => Simulation::with_telemetry(sys, cfg, make()),
+        };
+        for _ in 0..4 {
+            sim.step();
+        }
+        let ckpt = encode_checkpoint(&sim).to_vec();
+        let decode = |raw: &[u8]| {
+            catch_unwind(AssertUnwindSafe(|| {
+                decode_checkpoint(raw.to_vec().into(), make()).is_ok()
+            }))
+        };
+        let tag = format!("{name}, telemetry {telemetry}");
+        assert!(matches!(decode(&ckpt), Ok(true)), "{tag}: the intact checkpoint");
+        for cut in 0..ckpt.len() {
+            assert!(matches!(decode(&ckpt[..cut]), Ok(false)), "{tag}: a {cut}-byte prefix");
+        }
+        // Magic, version, system header and the one chunk's length: 44 bytes.
+        let records = 44..44 + sim.sys.len() * BINARY_PARTICLE_BYTES;
+        for at in (0..ckpt.len()).filter(|at| !records.contains(at)) {
+            for bit in 0..8 {
+                let mut raw = ckpt.clone();
+                raw[at] ^= 1 << bit;
+                assert!(decode(&raw).is_ok(), "{tag}: flipping bit {bit} of byte {at} panics");
+            }
+        }
+    }
+}
+
+#[test]
+fn every_resumable_engine_decodes_a_damaged_checkpoint_without_panicking() {
+    assert_decode_never_panics("direct", DirectEngine::new);
+    assert_decode_never_panics("grape6", || Grape6Engine::new(Grape6Config::single_host()));
+    assert_decode_never_panics("grape6-ft", || {
+        FaultTolerantEngine::new(Grape6Config::single_host(), &FaultPlan::empty())
+    });
+    assert_decode_never_panics("hybrid", || HybridTreeEngine::new(0.5, 1.0));
 }
