@@ -125,8 +125,10 @@ impl ParticleSystem {
         hermite::predict(self.pos[i], self.vel[i], self.acc[i], self.jerk[i], t - self.time[i])
     }
 
-    /// Check structural invariants; used by tests and debug assertions.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x >= 0)` also catches NaN
+    /// Check structural invariants: the acceptance rule every decoder applies
+    /// (JSON, `G6SN`, `G6CK`) before anything acts on a system. Arrays agree
+    /// in length, states are finite, masses, softening and central mass are
+    /// finite and non-negative, and no body is ahead of the system time.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.len();
         for (name, l) in [
@@ -143,12 +145,19 @@ impl ParticleSystem {
                 return Err(format!("array {name} has length {l}, expected {n}"));
             }
         }
+        let finite_non_negative = |v: f64| v.is_finite() && v >= 0.0;
         for i in 0..n {
-            if !self.pos[i].is_finite() || !self.vel[i].is_finite() {
+            if ![self.pos[i], self.vel[i], self.acc[i], self.jerk[i]]
+                .into_iter()
+                .all(Vec3::is_finite)
+            {
                 return Err(format!("particle {i} has non-finite state"));
             }
-            if !(self.mass[i] >= 0.0) {
-                return Err(format!("particle {i} has negative/NaN mass {}", self.mass[i]));
+            if !finite_non_negative(self.mass[i]) {
+                return Err(format!(
+                    "particle {i} mass {} is not a finite non-negative number",
+                    self.mass[i]
+                ));
             }
             if self.time[i] > self.t + 1e-12 {
                 return Err(format!(
@@ -157,8 +166,10 @@ impl ParticleSystem {
                 ));
             }
         }
-        if !(self.softening >= 0.0) {
-            return Err(format!("negative softening {}", self.softening));
+        for (name, v) in [("softening", self.softening), ("central mass", self.central_mass)] {
+            if !finite_non_negative(v) {
+                return Err(format!("{name} {v} is not a finite non-negative number"));
+            }
         }
         Ok(())
     }
@@ -320,6 +331,31 @@ mod tests {
         let mut s = two_body();
         s.time[0] = 1.0; // system t is still 0
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_acc_jerk_and_mass() {
+        for patch in [
+            |s: &mut ParticleSystem| s.acc[0].y = f64::NAN,
+            |s: &mut ParticleSystem| s.jerk[1].z = f64::NEG_INFINITY,
+            |s: &mut ParticleSystem| s.mass[1] = f64::INFINITY,
+        ] {
+            let mut s = two_body();
+            patch(&mut s);
+            assert!(s.validate().is_err());
+        }
+    }
+
+    #[test]
+    fn validate_rejects_softening_or_central_mass_not_finite_and_non_negative() {
+        for v in [-0.5, f64::NAN, f64::INFINITY] {
+            let mut s = two_body();
+            s.softening = v;
+            assert!(s.validate().unwrap_err().contains("softening"));
+            let mut s = two_body();
+            s.central_mass = v;
+            assert!(s.validate().unwrap_err().contains("central mass"));
+        }
     }
 
     #[test]

@@ -130,6 +130,17 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         }
         (name, None) => name.unwrap_or("direct").to_string(),
     };
+    // The GRAPE pipelines have no self-interaction cutoff: refuse here what
+    // their `load` would assert on.
+    if let (Some(sys), Some(path), "grape6" | "grape6-ft") = (&sys, &input, engine_name.as_str()) {
+        if sys.softening <= 0.0 {
+            return Err(format!(
+                "--engine {engine_name} needs a positive softening, but {} has softening {}",
+                path.display(),
+                sys.softening
+            ));
+        }
+    }
     let checkpoint = flags.get::<PathBuf>("--checkpoint");
     let checkpoint_every = flags.get_or::<u64>("--checkpoint-every", 256);
     if checkpoint.is_none() && flags.has("--checkpoint-every") {

@@ -46,9 +46,10 @@
 //! never a panic. Every section and every opaque state blob is read front
 //! to back through one [`grape6_core::fields::Fields`] (each body chunk as
 //! one slice of whole records), and then checked before anything acts on
-//! it: softening and central mass finite and non-negative, step bounds
-//! exact powers of two, every particle's clock
-//! ([`TickScheduler::check_clocks`]), the engine's name and its blob fields.
+//! it: step bounds exact powers of two, every particle's clock
+//! ([`TickScheduler::check_clocks`]), the system's invariants
+//! ([`ParticleSystem::validate`]: finite state, masses, softening and central
+//! mass), the engine's name and its blob fields.
 //!
 //! Diagnostics rows and the accretion/encounter logs are **not**
 //! checkpointed: they are append-only observational byproducts that do not
@@ -84,7 +85,9 @@ pub const CHECKPOINT_CHUNK_PARTICLES: usize = 8192;
 /// to materialize even at paper-scale N.
 fn encode_tail<E: ForceEngine>(sim: &Simulation<E>) -> Vec<u8> {
     use bytes::BufMut;
-    let tel_state = sim.telemetry.as_ref().map(|t| t.checkpoint_state());
+    let stats = sim.integrator.stats();
+    let wire_bytes = sim.engine.bytes_transferred();
+    let tel_state = sim.telemetry.as_ref().map(|t| t.checkpoint_state(&stats, wire_bytes));
     let engine_state = sim.engine.checkpoint_state();
     let name = sim.engine.name().as_bytes();
     let mut buf: Vec<u8> = Vec::with_capacity(engine_state.len() + 256);
@@ -93,7 +96,6 @@ fn encode_tail<E: ForceEngine>(sim: &Simulation<E>) -> Vec<u8> {
     buf.put_f64_le(cfg.eta_start);
     buf.put_f64_le(cfg.dt_max);
     buf.put_f64_le(cfg.dt_min);
-    let stats = sim.integrator.stats();
     buf.put_u64_le(stats.block_steps);
     buf.put_u64_le(stats.particle_steps);
     buf.put_u64_le(stats.interactions);
@@ -285,6 +287,7 @@ fn decode_container<E: ForceEngine>(data: &[u8], mut engine: E) -> Result<Simula
         HermiteConfig { eta: f.f64()?, eta_start: f.f64()?, dt_max: f.f64()?, dt_min: f.f64()? };
     config.validate()?;
     TickScheduler::check_clocks(sys.t, &sys.time, &sys.dt, config.dt_min, config.dt_max)?;
+    sys.validate()?;
     let stats =
         RunStats { block_steps: f.u64()?, particle_steps: f.u64()?, interactions: f.u64()? };
     let ledger = EnergyLedger { e0: f.f64()?, l0: f.f64()? };
@@ -296,7 +299,7 @@ fn decode_container<E: ForceEngine>(data: &[u8], mut engine: E) -> Result<Simula
     f.section("telemetry section");
     let telemetry = match f.u8()? {
         0 => None,
-        1 => Some(Telemetry::restore_checkpoint_state(f.prefixed()?)?),
+        1 => Some(Telemetry::restore_checkpoint_state(f.prefixed()?, &stats)?),
         flag => return Err(format!("bad telemetry flag {flag}")),
     };
     f.section("engine name");
@@ -496,12 +499,13 @@ mod tests {
         assert!(sim.telemetry.as_ref().unwrap().phase_calls(HostPhase::Checkpoint) >= 1);
         let resumed = load_checkpoint(&path, DirectEngine::new()).unwrap();
         assert_bitwise_equal(&sim.sys, &resumed.sys);
-        let t0 = sim.telemetry.as_ref().unwrap();
-        let t1 = resumed.telemetry.as_ref().unwrap();
-        assert_eq!(t0.block_steps(), t1.block_steps());
-        assert_eq!(t0.interactions(), t1.interactions());
+        let (r0, r1) = (sim.telemetry_report().unwrap(), resumed.telemetry_report().unwrap());
+        assert_eq!(r0.block_steps, r1.block_steps);
+        assert_eq!(r0.interactions, r1.interactions);
+        assert_eq!(r0.init_interactions, r1.init_interactions);
+        assert_eq!(r0.wire_bytes, r1.wire_bytes);
         // The checkpoint span itself is charged to the writer, not the state.
-        assert_eq!(t1.phase_calls(HostPhase::Checkpoint), 0);
+        assert_eq!(resumed.telemetry.as_ref().unwrap().phase_calls(HostPhase::Checkpoint), 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -655,6 +659,30 @@ mod tests {
                 let err = crate::io::decode_binary_snapshot(patched(&snap)).unwrap_err();
                 assert!(err.to_string().contains(name), "G6SN {name} {v}: {err}");
             }
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_whose_system_fails_validate_is_refused() {
+        // One row per case `ParticleSystem::validate` refuses in a record
+        // that the clock checks pass: record 0's word `word` set to `v`.
+        let good = encode_checkpoint(&fresh(16, 7));
+        for (what, word, v, expect) in [
+            ("x NaN", 0, f64::NAN, "particle 0 has non-finite state"),
+            ("vx +inf", 3, f64::INFINITY, "particle 0 has non-finite state"),
+            ("acc NaN", 6, f64::NAN, "particle 0 has non-finite state"),
+            ("jerk -inf", 11, f64::NEG_INFINITY, "particle 0 has non-finite state"),
+            ("mass -1", 12, -1.0, "particle 0 mass -1 is not a finite non-negative number"),
+            ("mass +inf", 12, f64::INFINITY, "particle 0 mass inf is not a finite"),
+        ] {
+            let mut raw = good.to_vec();
+            let at = HEADER_BYTES + 4 + 8 * word;
+            raw[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            let err = match decode_checkpoint(bytes::Bytes::from(raw), DirectEngine::new()) {
+                Err(e) => e.to_string(),
+                Ok(_) => panic!("G6CK {what} accepted"),
+            };
+            assert!(err.contains(expect), "G6CK {what}: {err}");
         }
     }
 

@@ -37,12 +37,14 @@ pub fn load_snapshot(path: &Path) -> std::io::Result<ParticleSystem> {
     snapshot_system(serde_json::from_reader(BufReader::new(f))?)
 }
 
-/// The system of a JSON snapshot, if it has the current schema version.
+/// The system of a JSON snapshot, if it has the current schema version and
+/// passes [`ParticleSystem::validate`].
 fn snapshot_system(snap: Snapshot) -> std::io::Result<ParticleSystem> {
     if snap.version != SNAPSHOT_VERSION {
         let found = snap.version;
         return Err(invalid(format!("snapshot version {found} (expected {SNAPSHOT_VERSION})")));
     }
+    snap.system.validate().map_err(invalid)?;
     Ok(snap.system)
 }
 
@@ -110,15 +112,10 @@ pub(crate) fn decode_particle_records(body: &[u8], sys: &mut ParticleSystem) {
 
 /// Read the system header the `G6SN` snapshot and the `G6CK` v2 system
 /// section share: the particle count, then `t`, softening and central mass.
-/// A softening or central mass that is NaN, infinite or negative is refused
-/// here, before any engine sees it.
+/// The decoders check them with the rest of the system, through
+/// [`ParticleSystem::validate`].
 pub(crate) fn decode_system_header(f: &mut Fields) -> Result<(u64, ParticleSystem), String> {
     let (n, t, softening, central_mass) = (f.u64()?, f.f64()?, f.f64()?, f.f64()?);
-    for (name, v) in [("softening", softening), ("central mass", central_mass)] {
-        if !v.is_finite() || v < 0.0 {
-            return Err(format!("{name} {v} is not a finite non-negative number"));
-        }
-    }
     let mut sys = ParticleSystem::new(softening, central_mass);
     sys.t = t;
     Ok((n, sys))
@@ -148,7 +145,8 @@ pub fn decode_binary_snapshot(buf: bytes::Bytes) -> std::io::Result<ParticleSyst
 }
 
 /// [`decode_binary_snapshot`] over borrowed bytes; also the system section
-/// of a v1 `G6CK` container.
+/// of a v1 `G6CK` container. The decoded system must pass
+/// [`ParticleSystem::validate`].
 pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<ParticleSystem, String> {
     let mut f = Fields::new(bytes, "header");
     if f.take(4)? != BINARY_MAGIC {
@@ -165,6 +163,7 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<ParticleSystem, String> {
     f.finish()?;
     sys.reserve(body.len() / BINARY_PARTICLE_BYTES);
     decode_particle_records(body, &mut sys);
+    sys.validate()?;
     Ok(sys)
 }
 
@@ -347,6 +346,52 @@ mod tests {
         trailing.push(0);
         let err = decode_binary_snapshot(bytes::Bytes::from(trailing)).unwrap_err();
         assert!(err.to_string().contains("1 trailing bytes after body"), "{err}");
+    }
+
+    /// `sample_system` as `G6SN` bytes, with record 0's word `word` (the
+    /// layout of [`put_particle_record`]) set to `v`.
+    fn g6sn_with(word: usize, v: f64) -> bytes::Bytes {
+        let mut raw = encode_binary_snapshot(&sample_system()).to_vec();
+        let at = 40 + 8 * word;
+        raw[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        bytes::Bytes::from(raw)
+    }
+
+    #[test]
+    fn a_binary_snapshot_that_fails_validate_is_refused() {
+        // One row per case `ParticleSystem::validate` refuses in a record.
+        for (what, word, v, expect) in [
+            ("x NaN", 0, f64::NAN, "particle 0 has non-finite state"),
+            ("vx +inf", 3, f64::INFINITY, "particle 0 has non-finite state"),
+            ("acc NaN", 6, f64::NAN, "particle 0 has non-finite state"),
+            ("jerk -inf", 11, f64::NEG_INFINITY, "particle 0 has non-finite state"),
+            ("mass -1", 12, -1.0, "particle 0 mass -1 is not a finite non-negative number"),
+            ("mass +inf", 12, f64::INFINITY, "particle 0 mass inf is not a finite"),
+            ("time ahead", 13, 20.0, "particle 0 time 20 is ahead of system time 12.5"),
+        ] {
+            let err = decode_binary_snapshot(g6sn_with(word, v)).unwrap_err();
+            assert!(err.to_string().contains(expect), "G6SN {what}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_json_snapshot_that_fails_validate_is_refused() {
+        type Patch = fn(&mut ParticleSystem);
+        let rows: [(&str, Patch, &str); 5] = [
+            ("ragged vel", |s| s.vel.truncate(1), "array vel has length 1, expected 2"),
+            ("ragged acc", |s| s.acc.clear(), "array acc has length 0, expected 2"),
+            ("negative softening", |s| s.softening = -0.5, "softening -0.5 is not a finite"),
+            ("mass -1", |s| s.mass[1] = -1.0, "particle 1 mass -1 is not a finite"),
+            ("time ahead", |s| s.time[0] = 20.0, "particle 0 time 20 is ahead of system time"),
+        ];
+        for (what, patch, expect) in rows {
+            let mut system = sample_system();
+            patch(&mut system);
+            let snap = Snapshot { version: SNAPSHOT_VERSION, t: system.t, system };
+            let json = serde_json::to_string(&snap).unwrap();
+            let err = snapshot_system(serde_json::from_str(&json).unwrap()).unwrap_err();
+            assert!(err.to_string().contains(expect), "JSON {what}: {err}");
+        }
     }
 
     #[test]

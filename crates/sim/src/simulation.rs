@@ -106,7 +106,7 @@ impl<E: ForceEngine> Simulation<E> {
     /// Telemetry summary for everything run so far (`None` when telemetry is
     /// disabled).
     pub fn telemetry_report(&self) -> Option<TelemetryReport> {
-        self.telemetry.as_ref().map(|t| t.report(&self.engine))
+        self.telemetry.as_ref().map(|t| t.report(&self.stats(), &self.engine))
     }
 
     /// Enable collision detection + perfect merging using the engines'
@@ -181,11 +181,7 @@ impl<E: ForceEngine> Simulation<E> {
             if !now.is_empty() {
                 now.sort_unstable();
                 now.dedup();
-                let wire0 = self.engine.bytes_transferred();
                 self.engine.update_j(&self.sys, &now);
-                if let Some(tel) = &mut self.telemetry {
-                    tel.wire_transfer(self.engine.bytes_transferred() - wire0);
-                }
             }
         }
         info
@@ -302,10 +298,9 @@ mod tests {
         let cfg = HermiteConfig { dt_max: 2.0f64.powi(-2), ..HermiteConfig::default() };
         let mut sim = Simulation::with_telemetry(sys, cfg, DirectEngine::new());
         sim.run_to(1.0, 0.25);
-        let t = sim.telemetry.as_ref().unwrap();
-        assert!(t.block_steps() > 0);
-        assert_eq!(t.interactions(), sim.engine.interaction_count());
         let rep = sim.telemetry_report().unwrap();
+        assert!(rep.block_steps > 0);
+        assert_eq!(rep.interactions, sim.engine.interaction_count());
         assert_eq!(rep.engine, "direct-cpu");
         assert!(rep.phase_calls.io > 0, "diagnostics should record Io spans");
         assert!((rep.total_host_seconds - rep.phase_seconds.total()).abs() < 1e-12);

@@ -2,10 +2,11 @@
 //!
 //! [`Telemetry`] is a [`StepObserver`] that mirrors, for the host CPU, what
 //! `grape6_hw::HardwareClock` does for the modeled machine: phase-scoped
-//! span timers (schedule/predict/force/correct/j-update/io), monotonic
-//! counters (block steps, active-particle steps, pairwise interactions,
-//! wire-model bytes) and derived rates (interactions per *real* second vs
-//! per *modeled* second, host-time fraction).
+//! span timers and counts (schedule/predict/force/correct/j-update/io/
+//! checkpoint), plus the one count nothing else keeps, the initialization
+//! sweep's interactions. Its [`TelemetryReport`] reads the run's totals from
+//! their owners — [`RunStats`] and the engine — and derives rates
+//! (interactions per *real* vs per *modeled* second, host-time fraction).
 //!
 //! Telemetry is strictly opt-in: the integrator's uninstrumented entry
 //! points pass the null observer `()` whose hooks monomorphize to nothing,
@@ -13,24 +14,20 @@
 
 use grape6_core::engine::{FaultStats, ForceEngine, TreeWork};
 use grape6_core::fields::Fields;
+use grape6_core::integrator::RunStats;
 use grape6_core::observer::{HostPhase, StepObserver};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 const N_PHASES: usize = HostPhase::ALL.len();
 
-/// Accumulated host-side wall times and work counters for one run.
+/// Accumulated host-side wall times for one run.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     phase_seconds: [f64; N_PHASES],
     phase_calls: [u64; N_PHASES],
     open: [Option<Instant>; N_PHASES],
-    block_steps: u64,
-    particle_steps: u64,
-    step_interactions: u64,
-    init_calls: u64,
     init_interactions: u64,
-    wire_bytes: u64,
     host_threads: u64,
 }
 
@@ -64,28 +61,6 @@ impl Telemetry {
         HostPhase::ALL.iter().map(|p| self.phase_seconds(*p)).sum()
     }
 
-    /// Completed block steps.
-    pub fn block_steps(&self) -> u64 {
-        self.block_steps
-    }
-
-    /// Total active-particle steps (sum of block sizes).
-    pub fn particle_steps(&self) -> u64 {
-        self.particle_steps
-    }
-
-    /// Total pairwise interactions, including the initialization sweep —
-    /// this matches `ForceEngine::interaction_count()` exactly when the
-    /// engine's counters were fresh at attach time.
-    pub fn interactions(&self) -> u64 {
-        self.init_interactions + self.step_interactions
-    }
-
-    /// Bytes moved through the modeled host↔hardware wire.
-    pub fn wire_bytes(&self) -> u64 {
-        self.wire_bytes
-    }
-
     /// Run `f` inside an [`HostPhase::Io`] span (driver-level output that
     /// happens outside the integrator).
     pub fn io_span<T>(&mut self, f: impl FnOnce() -> T) -> T {
@@ -104,10 +79,12 @@ impl Telemetry {
         out
     }
 
-    /// Serialize the accumulator for a run checkpoint: every closed span
-    /// and counter, as fixed-width little-endian words. Open spans are not
-    /// carried (a checkpoint is always written between spans).
-    pub fn checkpoint_state(&self) -> Vec<u8> {
+    /// Serialize the accumulator for a run checkpoint as fixed-width
+    /// little-endian words: every closed span, then seven counter words, five
+    /// of them written from their owners (`stats`, the sweep count 1, the
+    /// engine's `wire_bytes`) to keep the blob's frozen layout. Open spans are
+    /// not carried (a checkpoint is always written between spans).
+    pub fn checkpoint_state(&self, stats: &RunStats, wire_bytes: u64) -> Vec<u8> {
         let mut s = Vec::with_capacity(N_PHASES * 16 + 7 * 8);
         for v in &self.phase_seconds {
             s.extend_from_slice(&v.to_le_bytes());
@@ -116,12 +93,12 @@ impl Telemetry {
             s.extend_from_slice(&v.to_le_bytes());
         }
         for v in [
-            self.block_steps,
-            self.particle_steps,
-            self.step_interactions,
-            self.init_calls,
+            stats.block_steps,
+            stats.particle_steps,
+            stats.interactions - self.init_interactions,
+            1,
             self.init_interactions,
-            self.wire_bytes,
+            wire_bytes,
             self.host_threads,
         ] {
             s.extend_from_slice(&v.to_le_bytes());
@@ -129,10 +106,11 @@ impl Telemetry {
         s
     }
 
-    /// Rebuild an accumulator from [`Self::checkpoint_state`] bytes. The
-    /// resumed process keeps its *own* thread count (wall clocks from the
-    /// interrupted run still add in, but new spans time the new host).
-    pub fn restore_checkpoint_state(state: &[u8]) -> Result<Self, String> {
+    /// Rebuild an accumulator from [`Self::checkpoint_state`] bytes, skipping
+    /// the copied words and refusing more sweep interactions than `stats`
+    /// holds. The resumed process keeps its *own* thread count (wall clocks
+    /// from the interrupted run still add in, but new spans time the new host).
+    pub fn restore_checkpoint_state(state: &[u8], stats: &RunStats) -> Result<Self, String> {
         let mut f = Fields::new(state, "telemetry checkpoint state");
         let mut t = Telemetry::new();
         for v in &mut t.phase_seconds {
@@ -141,51 +119,50 @@ impl Telemetry {
         for v in &mut t.phase_calls {
             *v = f.u64()?;
         }
-        t.block_steps = f.u64()?;
-        t.particle_steps = f.u64()?;
-        t.step_interactions = f.u64()?;
-        t.init_calls = f.u64()?;
+        // Block steps, particle steps, step interactions, sweeps.
+        f.take(4 * 8)?;
         t.init_interactions = f.u64()?;
-        t.wire_bytes = f.u64()?;
-        let _checkpointed_threads = f.u64()?;
+        // Wire bytes, the writer's thread count.
+        f.take(2 * 8)?;
         f.finish()?;
+        if t.init_interactions > stats.interactions {
+            return Err(format!(
+                "telemetry: {} initialization interactions exceed the run's {}",
+                t.init_interactions, stats.interactions
+            ));
+        }
         Ok(t)
     }
 
-    /// Fold another accumulator into this one. Counter accumulation is
-    /// order-independent (exact integer sums); wall times add as f64.
+    /// Fold another accumulator into this one. Counts add exactly, in any
+    /// order; wall times add as f64.
     pub fn merge(&mut self, other: &Telemetry) {
         for k in 0..N_PHASES {
             self.phase_seconds[k] += other.phase_seconds[k];
             self.phase_calls[k] += other.phase_calls[k];
         }
-        self.block_steps += other.block_steps;
-        self.particle_steps += other.particle_steps;
-        self.step_interactions += other.step_interactions;
-        self.init_calls += other.init_calls;
         self.init_interactions += other.init_interactions;
-        self.wire_bytes += other.wire_bytes;
         self.host_threads = self.host_threads.max(other.host_threads);
     }
 
-    /// Snapshot everything into a serializable report, pulling the engine's
-    /// name and modeled machine time for the real-vs-modeled comparison.
-    pub fn report<E: ForceEngine + ?Sized>(&self, engine: &E) -> TelemetryReport {
+    /// Snapshot everything into a serializable report, with the run's totals
+    /// from `stats` and the engine's name, wire bytes and modeled time.
+    pub fn report<E: ForceEngine + ?Sized>(&self, stats: &RunStats, engine: &E) -> TelemetryReport {
         let total = self.total_seconds();
         let force = self.phase_seconds(HostPhase::Force);
         let modeled = engine.modeled_seconds();
-        let interactions = self.interactions();
+        let interactions = stats.interactions;
         let rate = |secs: f64| if secs > 0.0 { interactions as f64 / secs } else { 0.0 };
         TelemetryReport {
             engine: engine.name().to_string(),
             phase_seconds: PhaseSeconds::from_array(&self.phase_seconds),
             phase_calls: PhaseCalls::from_array(&self.phase_calls),
             total_host_seconds: total,
-            block_steps: self.block_steps,
-            particle_steps: self.particle_steps,
+            block_steps: stats.block_steps,
+            particle_steps: stats.particle_steps,
             init_interactions: self.init_interactions,
             interactions,
-            wire_bytes: self.wire_bytes,
+            wire_bytes: engine.bytes_transferred(),
             host_threads: self.host_threads,
             faults: engine.fault_stats(),
             tree: engine.tree_work(),
@@ -212,20 +189,8 @@ impl StepObserver for Telemetry {
         }
     }
 
-    fn block_step(&mut self, n_active: usize, interactions: u64) {
-        self.block_steps += 1;
-        self.particle_steps += n_active as u64;
-        self.step_interactions += interactions;
-    }
-
-    fn init_step(&mut self, n: usize, interactions: u64) {
-        self.init_calls += 1;
-        let _ = n;
+    fn init_step(&mut self, _n: usize, interactions: u64) {
         self.init_interactions += interactions;
-    }
-
-    fn wire_transfer(&mut self, bytes: u64) {
-        self.wire_bytes += bytes;
     }
 }
 
@@ -313,7 +278,7 @@ impl PhaseCalls {
 /// The serializable end-of-run telemetry summary (`--telemetry out.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TelemetryReport {
-    /// Engine name (`direct`, `grape6`, `tree`).
+    /// Engine name (`direct-cpu`, `grape6`, `grape6-ft`, `hybrid-tree`).
     pub engine: String,
     /// Wall seconds per host phase.
     pub phase_seconds: PhaseSeconds,
@@ -321,15 +286,16 @@ pub struct TelemetryReport {
     pub phase_calls: PhaseCalls,
     /// Total recorded host wall seconds (= sum of `phase_seconds`).
     pub total_host_seconds: f64,
-    /// Completed block steps.
+    /// Completed block steps (the integrator's [`RunStats`]).
     pub block_steps: u64,
-    /// Active-particle steps (sum of block sizes).
+    /// Active-particle steps, the sum of block sizes ([`RunStats`]).
     pub particle_steps: u64,
     /// Interactions charged during initialization (subset of `interactions`).
     pub init_interactions: u64,
-    /// Total pairwise interactions (hardware convention, init included).
+    /// Total pairwise interactions (hardware convention, init included; [`RunStats`]).
     pub interactions: u64,
-    /// Bytes through the modeled host↔hardware wire.
+    /// Bytes through the modeled host↔hardware wire: the engine's own
+    /// `bytes_transferred` counter, the one its checkpoint carries.
     pub wire_bytes: u64,
     /// Host worker threads the parallel kernels used (wall clocks scale
     /// with this; work counters are independent of it by construction).
@@ -389,52 +355,53 @@ mod tests {
 
     #[test]
     fn counters_track_events() {
+        // Telemetry counts the initialization sweep; the run's totals are
+        // read from its stats and the engine when the report is made.
         let mut t = Telemetry::new();
         t.init_step(10, 100);
-        assert_eq!(t.interactions(), 100);
-        t.block_step(4, 40);
-        t.block_step(2, 20);
-        t.wire_transfer(64);
-        t.wire_transfer(8);
-        assert_eq!(t.block_steps(), 2);
-        assert_eq!(t.particle_steps(), 6);
-        assert_eq!(t.interactions(), 160);
-        assert_eq!(t.wire_bytes(), 72);
+        let stats = RunStats { block_steps: 2, particle_steps: 6, interactions: 160 };
+        let rep = t.report(&stats, &DirectEngine::new());
+        assert_eq!(rep.init_interactions, 100);
+        assert_eq!((rep.block_steps, rep.particle_steps, rep.interactions), (2, 6, 160));
+        assert_eq!(rep.wire_bytes, 0, "the CPU engine's own counter");
     }
 
     #[test]
     fn merge_adds_counters_exactly() {
         let mut a = Telemetry::new();
-        a.block_step(3, 30);
-        a.wire_transfer(100);
+        a.init_step(3, 30);
+        spin(&mut a, HostPhase::Force);
         let mut b = Telemetry::new();
         b.init_step(5, 25);
-        b.block_step(1, 10);
+        spin(&mut b, HostPhase::Force);
+        spin(&mut b, HostPhase::Io);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
-        assert_eq!(ab.interactions(), 65);
-        assert_eq!(ab.interactions(), ba.interactions());
-        assert_eq!(ab.block_steps(), ba.block_steps());
-        assert_eq!(ab.particle_steps(), ba.particle_steps());
-        assert_eq!(ab.wire_bytes(), ba.wire_bytes());
+        let init =
+            |t: &Telemetry| t.report(&RunStats::default(), &DirectEngine::new()).init_interactions;
+        assert_eq!(init(&ab), 55);
+        assert_eq!(init(&ab), init(&ba));
+        assert_eq!(ab.phase_calls(HostPhase::Force), 2);
+        for p in HostPhase::ALL {
+            assert_eq!(ab.phase_calls(p), ba.phase_calls(p));
+        }
     }
 
     #[test]
     fn report_round_trips_through_json() {
         let mut t = Telemetry::new();
         t.init_step(8, 64);
-        t.block_step(2, 16);
-        t.wire_transfer(640);
         spin(&mut t, HostPhase::Force);
         spin(&mut t, HostPhase::Io);
         let engine = DirectEngine::new();
-        let rep = t.report(&engine);
+        let stats = RunStats { block_steps: 1, particle_steps: 2, interactions: 80 };
+        let rep = t.report(&stats, &engine);
         assert_eq!(rep.engine, "direct-cpu");
         assert_eq!(rep.interactions, 80);
         assert_eq!(rep.init_interactions, 64);
-        assert_eq!(rep.wire_bytes, 640);
+        assert_eq!(rep.wire_bytes, engine.bytes_transferred());
         assert!((rep.phase_seconds.total() - rep.total_host_seconds).abs() < 1e-15);
         assert!(rep.host_time_fraction > 0.0 && rep.host_time_fraction < 1.0);
         let json = serde_json::to_string_pretty(&rep).unwrap();
@@ -452,7 +419,8 @@ mod tests {
         let mut ab = a.clone();
         ab.merge(&b);
         assert_eq!(ab.host_threads(), 8);
-        let rep = rayon::with_num_threads(3, || a.report(&DirectEngine::new()));
+        let rep =
+            rayon::with_num_threads(3, || a.report(&RunStats::default(), &DirectEngine::new()));
         assert_eq!(rep.host_threads, 3);
     }
 
@@ -471,7 +439,7 @@ mod tests {
         assert_eq!(v, 7);
         assert_eq!(t.phase_calls(HostPhase::Checkpoint), 1);
         assert!(t.phase_seconds(HostPhase::Checkpoint) >= 0.0);
-        let rep = t.report(&DirectEngine::new());
+        let rep = t.report(&RunStats::default(), &DirectEngine::new());
         assert_eq!(rep.phase_calls.checkpoint, 1);
         assert!((rep.phase_seconds.total() - rep.total_host_seconds).abs() < 1e-15);
     }
@@ -480,28 +448,46 @@ mod tests {
     fn checkpoint_state_roundtrip_preserves_counters_and_clocks() {
         let mut t = Telemetry::new();
         t.init_step(8, 64);
-        t.block_step(2, 16);
-        t.block_step(5, 40);
-        t.wire_transfer(640);
         spin(&mut t, HostPhase::Force);
         spin(&mut t, HostPhase::Checkpoint);
-        let state = t.checkpoint_state();
-        let back = Telemetry::restore_checkpoint_state(&state).unwrap();
-        assert_eq!(back.block_steps(), t.block_steps());
-        assert_eq!(back.particle_steps(), t.particle_steps());
-        assert_eq!(back.interactions(), t.interactions());
-        assert_eq!(back.wire_bytes(), t.wire_bytes());
+        let stats = RunStats { block_steps: 2, particle_steps: 7, interactions: 120 };
+        let state = t.checkpoint_state(&stats, 640);
+        // The seven counter words keep their frozen order: block steps,
+        // particle steps, step interactions, sweeps, init interactions, wire
+        // bytes, host threads.
+        let words: Vec<u64> = state[N_PHASES * 16..]
+            .chunks(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        assert_eq!(words, [2, 7, 56, 1, 64, 640, t.host_threads()]);
+        let back = Telemetry::restore_checkpoint_state(&state, &stats).unwrap();
+        let engine = DirectEngine::new();
+        assert_eq!(back.report(&stats, &engine).init_interactions, 64);
+        assert_eq!(back.checkpoint_state(&stats, 640), state);
         for p in HostPhase::ALL {
             assert_eq!(back.phase_seconds(p).to_bits(), t.phase_seconds(p).to_bits());
             assert_eq!(back.phase_calls(p), t.phase_calls(p));
         }
-        assert!(Telemetry::restore_checkpoint_state(&state[..5]).is_err());
+        assert!(Telemetry::restore_checkpoint_state(&state[..5], &stats).is_err());
+    }
+
+    #[test]
+    fn an_init_sweep_larger_than_the_run_is_refused() {
+        // The blob's step-interactions word is the run's interactions less
+        // the initialization sweep's: a damaged sweep word larger than the
+        // run's total must be refused here, not underflow the next encode.
+        let mut t = Telemetry::new();
+        t.init_step(8, 64);
+        let state = t.checkpoint_state(&RunStats { interactions: 64, ..RunStats::default() }, 0);
+        let fewer = RunStats { interactions: 63, ..RunStats::default() };
+        let err = Telemetry::restore_checkpoint_state(&state, &fewer).unwrap_err();
+        assert!(err.contains("telemetry") && err.contains("64"), "{err}");
     }
 
     #[test]
     fn report_carries_engine_fault_stats() {
         let t = Telemetry::new();
-        let rep = t.report(&DirectEngine::new());
+        let rep = t.report(&RunStats::default(), &DirectEngine::new());
         assert!(rep.faults.is_zero(), "engines without a fault model report zeros");
         let json = serde_json::to_string(&rep).unwrap();
         let back: TelemetryReport = serde_json::from_str(&json).unwrap();
@@ -511,9 +497,10 @@ mod tests {
     #[test]
     fn report_carries_tree_work_for_tree_engines() {
         let t = Telemetry::new();
-        let rep = t.report(&DirectEngine::new());
+        let rep = t.report(&RunStats::default(), &DirectEngine::new());
         assert!(rep.tree.is_none(), "direct engine never builds a tree");
-        let rep = t.report(&grape6_tree::HybridTreeEngine::direct_equivalent());
+        let rep =
+            t.report(&RunStats::default(), &grape6_tree::HybridTreeEngine::direct_equivalent());
         let tree = rep.tree.expect("hybrid engine reports tree work");
         assert!(tree.is_zero(), "no work yet — but the counters must be present");
         let json = serde_json::to_string(&rep).unwrap();

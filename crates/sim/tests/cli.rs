@@ -1,13 +1,36 @@
 //! The `grape6` binary at its trust boundary: a value that does not parse, an
 //! unknown flag, a flag given twice and a valued flag with no value are
-//! errors naming the flag — never a silent default — and `--engine tree` is
-//! hybrid at `--near-radius 0`.
+//! errors naming the flag — never a silent default — `--engine tree` is
+//! hybrid at `--near-radius 0`, and an input no decoder or engine can take is
+//! refused with exit 1, never a panic or a hang.
 
+use grape6_sim::{load_auto, save_auto};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::Duration;
 
 fn grape6(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_grape6")).args(args).output().expect("spawn grape6")
+}
+
+/// [`grape6`], killed if it has not exited after about `secs` seconds of
+/// polling: a hang fails the test instead of hanging the suite.
+fn grape6_within(secs: u64, args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_grape6"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn grape6");
+    for _ in 0..secs * 50 {
+        if child.try_wait().expect("poll grape6").is_some() {
+            return child.wait_with_output().expect("collect grape6 output");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.kill().ok();
+    child.wait().ok();
+    panic!("grape6 {args:?} did not exit within {secs} s");
 }
 
 /// A scratch directory unique to one test (tests run on parallel threads).
@@ -187,6 +210,71 @@ fn start_times_the_block_scheduler_cannot_hold_are_refused_naming_dt_min() {
         assert_eq!(out.status.code(), Some(1), "start time {t0}:\n{err}");
         assert!(err.contains("error:") && err.contains("dt_min"), "start time {t0}:\n{err}");
         assert!(!dir.join("never.g6sn").exists(), "a refused run must not write output");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Run `grape6 run <args> --out <never>` under a kill timeout: it must exit 1
+/// with `error:` on stderr, naming each of `names`, and write no snapshot.
+fn assert_refused(dir: &std::path::Path, args: &[&str], names: &[&str]) {
+    let never = dir.join("never.g6sn");
+    let snap = never.display().to_string();
+    let args = [&["run"], args, &["--t", "1", "--out", &snap]].concat();
+    let out = grape6_within(60, &args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?} must fail cleanly, not panic:\n{stderr}");
+    assert!(stderr.contains("error:"), "{args:?}:\n{stderr}");
+    for name in names {
+        assert!(stderr.contains(name), "{args:?} must name {name}:\n{stderr}");
+    }
+    assert!(!never.exists(), "{args:?}: a refused run must not write output");
+}
+
+#[test]
+fn inputs_that_fail_validate_or_the_engine_are_refused_with_exit_1() {
+    let dir = scratch("refuse");
+    let disk = gen_disk(&dir);
+    let sys = load_auto(disk.as_ref()).unwrap();
+    let path = |name: &str| dir.join(name).display().to_string();
+
+    // A JSON snapshot with fewer velocities than bodies: an out-of-bounds
+    // index in the integrator (direct) or the predictor (grape6).
+    let mut ragged = sys.clone();
+    ragged.vel.truncate(2);
+    save_auto(path("ragged.json").as_ref(), &ragged).unwrap();
+    for engine in ["direct", "grape6"] {
+        assert_refused(&dir, &["--in", &path("ragged.json"), "--engine", engine], &["vel"]);
+    }
+
+    // A G6SN with a NaN position: a run that never finished on direct and a
+    // panic on grape6.
+    let mut nan = sys.clone();
+    nan.pos[0].x = f64::NAN;
+    save_auto(path("nan.g6sn").as_ref(), &nan).unwrap();
+    for engine in ["direct", "grape6"] {
+        assert_refused(&dir, &["--in", &path("nan.g6sn"), "--engine", engine], &["non-finite"]);
+    }
+
+    // A G6CK whose record 0 mass is -1: resumed to |dE/E| = 7e3. Record 0
+    // opens after the 40-byte header and the first chunk's u32 length; its
+    // mass is word 12.
+    let ck = path("run.g6ck");
+    let done = grape6(&["run", "--in", &disk, "--t", "1", "--checkpoint", &ck]);
+    assert!(done.status.success(), "{}", String::from_utf8_lossy(&done.stderr));
+    let mut raw = std::fs::read(&ck).unwrap();
+    let mass_at = 40 + 4 + 12 * 8;
+    assert_eq!(raw[mass_at..mass_at + 8], sys.mass[0].to_le_bytes());
+    raw[mass_at..mass_at + 8].copy_from_slice(&(-1f64).to_le_bytes());
+    std::fs::write(path("negative-mass.g6ck"), raw).unwrap();
+    assert_refused(&dir, &["--resume", &path("negative-mass.g6ck")], &["mass -1"]);
+
+    // Zero softening: the GRAPE engines' `load` asserts it is positive.
+    let mut unsoftened = sys.clone();
+    unsoftened.softening = 0.0;
+    save_auto(path("eps0.json").as_ref(), &unsoftened).unwrap();
+    for engine in ["grape6", "grape6-ft"] {
+        let args = ["--in", &path("eps0.json"), "--engine", engine];
+        assert_refused(&dir, &args, &["softening", engine]);
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,6 +10,11 @@
 //!   (chunked, streamed body) landed, by transcoding the v1 fixture so the
 //!   opaque engine counters carry over bit-for-bit. Today's writer must
 //!   reproduce its exact container bytes from the decoded state.
+//! * `tests/fixtures/golden-v2-telemetry.g6ck` is the same run with
+//!   telemetry attached (`Simulation::with_telemetry`), written under one
+//!   host thread: it pins the telemetry section's layout — 7 phase-second
+//!   words, 7 span-count words, then block steps, particle steps, step
+//!   interactions, sweeps, init interactions, wire bytes and host threads.
 //!
 //! Any intentional format change must bump `CHECKPOINT_VERSION` and add a
 //! new golden file (see `refreeze_current_golden` below), not rewrite these.
@@ -22,6 +27,7 @@ use grape6_sim::checkpoint::{decode_checkpoint, encode_checkpoint, CHECKPOINT_VE
 
 const GOLDEN_V1: &[u8] = include_bytes!("fixtures/golden-v1.g6ck");
 const GOLDEN_V2: &[u8] = include_bytes!("fixtures/golden-v2.g6ck");
+const GOLDEN_V2_TELEMETRY: &[u8] = include_bytes!("fixtures/golden-v2-telemetry.g6ck");
 
 fn golden_cfg() -> HermiteConfig {
     HermiteConfig { dt_max: 2.0f64.powi(-2), ..HermiteConfig::default() }
@@ -112,6 +118,48 @@ fn golden_checkpoint_resumes_the_original_trajectory() {
         reference.step();
     }
     assert_systems_bit_equal(&resumed.sys, &reference.sys, "post-resume trajectory");
+}
+
+#[test]
+fn golden_telemetry_checkpoint_reencodes_and_reports_its_owners() {
+    // The restore stamps the current host thread count, and the fixture was
+    // written under one thread: decode and encode under one too.
+    rayon::with_num_threads(1, || {
+        let decode = |bytes: &[u8]| decode_checkpoint(Vec::from(bytes).into(), golden_engine());
+        let sim = decode(GOLDEN_V2_TELEMETRY).expect("the telemetry golden must stay readable");
+        let reencoded = encode_checkpoint(&sim);
+        assert!(&reencoded[..] == GOLDEN_V2_TELEMETRY, "decode → encode is not the identity");
+
+        // Block steps, particle steps and interactions come from the
+        // integrator, wire bytes from the engine.
+        let rep = sim.telemetry_report().expect("telemetry section present");
+        let stats = sim.stats();
+        assert_eq!(stats, golden_reference().stats(), "integrator counters");
+        assert_eq!(
+            (rep.block_steps, rep.particle_steps, rep.interactions),
+            (stats.block_steps, stats.particle_steps, stats.interactions)
+        );
+        assert_eq!(rep.interactions, sim.engine.interaction_count());
+        assert_eq!(rep.wire_bytes, sim.engine.bytes_transferred());
+        assert!(rep.init_interactions > 0 && rep.init_interactions < rep.interactions);
+        assert_eq!(rep.host_threads, 1);
+
+        // The init-interactions word sits 3 words before the end of the
+        // telemetry blob, which ends where the engine name's prefix begins.
+        let name = b"grape6";
+        let at = GOLDEN_V2_TELEMETRY.windows(name.len()).rposition(|w| w == name).unwrap();
+        let init_at = at - 4 - 3 * 8;
+        let word =
+            u64::from_le_bytes(GOLDEN_V2_TELEMETRY[init_at..init_at + 8].try_into().unwrap());
+        assert_eq!(word, rep.init_interactions);
+        let mut damaged = GOLDEN_V2_TELEMETRY.to_vec();
+        damaged[init_at..init_at + 8].copy_from_slice(&(stats.interactions + 1).to_le_bytes());
+        let err = match decode(&damaged) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("init interactions above the run's total accepted"),
+        };
+        assert!(err.contains("telemetry"), "{err}");
+    });
 }
 
 /// Freeze the *current* format's golden file by transcoding the v1 fixture

@@ -1,7 +1,7 @@
-//! Integration tests for the wall-clock telemetry subsystem: counters must
-//! agree exactly with the engines' own accounting, phase wall times must
-//! decompose the recorded total, and every counter must be independent of
-//! the host thread count.
+//! Integration tests for the wall-clock telemetry subsystem: the report's
+//! counters must agree exactly with the integrator's and the engines' own
+//! accounting, phase wall times must decompose the recorded total, and every
+//! counter must be independent of the host thread count.
 
 use grape6::prelude::*;
 use grape6_core::observer::HostPhase;
@@ -18,22 +18,26 @@ fn run_with_telemetry<E: ForceEngine>(engine: E, n: usize, t_end: f64) -> Simula
 #[test]
 fn counters_match_engine_exactly_direct() {
     let sim = run_with_telemetry(DirectEngine::new(), 96, 1.0);
-    let tele = sim.telemetry.as_ref().unwrap();
-    assert!(tele.block_steps() > 0);
-    assert_eq!(tele.interactions(), sim.engine.interaction_count());
-    assert_eq!(tele.wire_bytes(), sim.engine.bytes_transferred());
-    assert_eq!(tele.wire_bytes(), 0, "CPU engine has no wire");
+    let rep = sim.telemetry_report().unwrap();
+    assert!(rep.block_steps > 0);
+    let s = sim.stats();
+    assert_eq!((rep.block_steps, rep.particle_steps), (s.block_steps, s.particle_steps));
+    assert_eq!(rep.interactions, sim.engine.interaction_count());
+    assert!(rep.init_interactions > 0 && rep.init_interactions < rep.interactions);
+    assert_eq!(rep.wire_bytes, sim.engine.bytes_transferred());
+    assert_eq!(rep.wire_bytes, 0, "CPU engine has no wire");
 }
 
 #[test]
 fn counters_match_engine_exactly_grape6() {
     let sim = run_with_telemetry(Grape6Engine::sc2002(), 96, 1.0);
-    let tele = sim.telemetry.as_ref().unwrap();
-    assert!(tele.block_steps() > 0);
-    assert_eq!(tele.interactions(), sim.engine.interaction_count());
-    assert_eq!(tele.wire_bytes(), sim.engine.bytes_transferred());
-    assert!(tele.wire_bytes() > 0, "GRAPE engine moves bytes on every call");
     let rep = sim.telemetry_report().unwrap();
+    assert!(rep.block_steps > 0);
+    let s = sim.stats();
+    assert_eq!((rep.block_steps, rep.particle_steps), (s.block_steps, s.particle_steps));
+    assert_eq!(rep.interactions, sim.engine.interaction_count());
+    assert_eq!(rep.wire_bytes, sim.engine.bytes_transferred());
+    assert!(rep.wire_bytes > 0, "GRAPE engine moves bytes on every call");
     assert_eq!(rep.engine, "grape6");
     assert!(rep.modeled_seconds > 0.0);
     assert!(rep.interactions_per_second_modeled > 0.0);
@@ -42,9 +46,9 @@ fn counters_match_engine_exactly_grape6() {
 #[test]
 fn counters_match_engine_exactly_tree() {
     let sim = run_with_telemetry(HybridTreeEngine::new(0.5, 0.0), 96, 1.0);
-    let tele = sim.telemetry.as_ref().unwrap();
-    assert_eq!(tele.interactions(), sim.engine.interaction_count());
-    assert_eq!(tele.wire_bytes(), sim.engine.bytes_transferred());
+    let rep = sim.telemetry_report().unwrap();
+    assert_eq!(rep.interactions, sim.engine.interaction_count());
+    assert_eq!(rep.wire_bytes, sim.engine.bytes_transferred());
 }
 
 #[test]
@@ -81,13 +85,15 @@ fn counters_are_thread_count_independent() {
     let run = |threads: &str| {
         std::env::set_var("RAYON_NUM_THREADS", threads);
         let sim = run_with_telemetry(Grape6Engine::sc2002(), 64, 1.0);
-        let t = sim.telemetry.as_ref().unwrap();
+        let rep = sim.telemetry_report().unwrap();
         (
-            t.block_steps(),
-            t.particle_steps(),
-            t.interactions(),
-            t.wire_bytes(),
+            rep.block_steps,
+            rep.particle_steps,
+            rep.init_interactions,
+            rep.interactions,
+            rep.wire_bytes,
             sim.engine.clock().steps,
+            rep.phase_calls,
         )
     };
     let single = run("1");
@@ -126,7 +132,11 @@ fn telemetry_accumulates_across_merged_runs() {
     let mut merged = Telemetry::new();
     merged.merge(ta);
     merged.merge(tb);
-    assert_eq!(merged.interactions(), ta.interactions() + tb.interactions());
-    assert_eq!(merged.block_steps(), ta.block_steps() + tb.block_steps());
+    let stats = RunStats::default();
+    let init = |t: &Telemetry| t.report(&stats, &DirectEngine::new()).init_interactions;
+    assert_eq!(init(&merged), init(ta) + init(tb));
+    for p in HostPhase::ALL {
+        assert_eq!(merged.phase_calls(p), ta.phase_calls(p) + tb.phase_calls(p));
+    }
     assert!(merged.total_seconds() >= ta.total_seconds());
 }
