@@ -67,19 +67,14 @@ fn main() {
     for engine_name in ["direct", "tree"] {
         let sys = paper_disk(n, 3);
         let start = Instant::now();
-        let (blocks, mean_block) = match engine_name {
-            "direct" => {
-                let mut sim = Simulation::new(sys, experiment_config(), DirectEngine::new());
-                sim.run_to(t_run, 0.0);
-                (sim.block_hist.blocks, sim.block_hist.mean())
-            }
+        let mut sim: Box<Simulation<dyn ForceEngine>> = match engine_name {
+            "direct" => Box::new(Simulation::new(sys, experiment_config(), DirectEngine::new())),
             _ => {
-                let mut sim =
-                    Simulation::new(sys, experiment_config(), HybridTreeEngine::new(0.5, 0.0));
-                sim.run_to(t_run, 0.0);
-                (sim.block_hist.blocks, sim.block_hist.mean())
+                Box::new(Simulation::new(sys, experiment_config(), HybridTreeEngine::new(0.5, 0.0)))
             }
         };
+        sim.run_to(t_run, 0.0);
+        let (blocks, mean_block) = (sim.block_hist.blocks, sim.block_hist.mean());
         let wall = start.elapsed().as_secs_f64();
         print_row(
             &[

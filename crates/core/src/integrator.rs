@@ -95,6 +95,19 @@ impl RunStats {
     }
 }
 
+/// The work done between two snapshots of the counters: `later - earlier`.
+impl std::ops::Sub for RunStats {
+    type Output = RunStats;
+
+    fn sub(self, earlier: RunStats) -> RunStats {
+        RunStats {
+            block_steps: self.block_steps - earlier.block_steps,
+            particle_steps: self.particle_steps - earlier.particle_steps,
+            interactions: self.interactions - earlier.interactions,
+        }
+    }
+}
+
 /// The first `b` slots of the reused result buffer, for the engine to fill.
 /// The buffer only grows and is never cleared: [`ForceEngine::compute`]
 /// overwrites every element of `out`, so no stale result can leak through.
@@ -420,11 +433,7 @@ impl BlockHermite {
             self.step(sys, engine);
         }
         sys.t = sys.t.max(t_end.min(self.next_time().unwrap_or(t_end)));
-        RunStats {
-            block_steps: self.stats.block_steps - start.block_steps,
-            particle_steps: self.stats.particle_steps - start.particle_steps,
-            interactions: self.stats.interactions - start.interactions,
-        }
+        self.stats - start
     }
 
     /// Positions and velocities of all particles predicted to the common

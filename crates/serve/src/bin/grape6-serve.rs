@@ -39,15 +39,17 @@ fn positive_flag(flags: &Flags, key: &str, default: u64) -> u64 {
 
 fn main() -> std::io::Result<()> {
     let flags = Flags::from_env(&FLAGS, &[], usage_error);
+    // A flag left out keeps its `ServeConfig::default()` value.
+    let d = ServeConfig::default();
     let cfg = ServeConfig {
-        workers: flags.get_or("--workers", 2),
-        slice_blocks: positive_flag(&flags, "--slice-blocks", 64),
-        max_bodies: flags.get_or("--max-bodies", 4096),
+        workers: flags.get_or("--workers", d.workers),
+        slice_blocks: positive_flag(&flags, "--slice-blocks", d.slice_blocks),
+        max_bodies: flags.get_or("--max-bodies", d.max_bodies),
         quota: TenantQuota {
-            max_running: positive_flag(&flags, "--max-running", 2),
-            block_budget: flags.get_or("--block-budget", 0),
+            max_running: positive_flag(&flags, "--max-running", d.quota.max_running),
+            block_budget: flags.get_or("--block-budget", d.quota.block_budget),
         },
-        preempt_always: false,
+        ..d
     };
 
     match flags.get::<String>("--tcp") {

@@ -15,6 +15,7 @@
 //! returns the same bytes a fresh run would produce.
 
 use grape6_core::blockstep::TickScheduler;
+use grape6_core::engine::ForceEngine;
 use grape6_core::force::DirectEngine;
 use grape6_core::integrator::{HermiteConfig, RunStats};
 use grape6_disk::DiskBuilder;
@@ -52,14 +53,9 @@ pub struct JobSpec {
     pub engine: String,
 }
 
-/// Which engine a resolved spec runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineSel {
-    /// CPU direct summation.
-    Direct,
-    /// Single-host GRAPE-6 simulator.
-    Grape6,
-}
+/// How a job opens its simulation on the engine its spec names: from the
+/// job's checkpoint when it has one, else from its seeded disk.
+type Open = fn(&JobSpec, Option<bytes::Bytes>) -> Result<RunnerSim, String>;
 
 impl JobSpec {
     /// Resolved `dt_max` (the effective value the run and cache key use).
@@ -80,21 +76,38 @@ impl JobSpec {
         }
     }
 
-    /// Resolved engine selector.
-    pub fn engine_sel(&self) -> Result<EngineSel, String> {
+    /// The service's engines, and the one place their names are mapped:
+    /// the name the cache key spells for this spec's engine, and how a job
+    /// opens on it. `direct` (the default) is CPU direct summation;
+    /// `grape6` is the single-host GRAPE-6 simulator, whose j-memory holds
+    /// one node's capacity, so a larger disk is refused here rather than
+    /// asserted on by the engine's `load` on a worker thread.
+    fn engine(&self) -> Result<(&'static str, Open), String> {
         match self.engine.as_str() {
-            "" | "direct" => Ok(EngineSel::Direct),
-            "grape6" => Ok(EngineSel::Grape6),
+            "" | "direct" => {
+                Ok(("direct", |spec, ckpt| RunnerSim::open(spec, ckpt, DirectEngine::new())))
+            }
+            "grape6" => {
+                let capacity = Grape6Config::single_host().timing.geometry.node_jmem_capacity();
+                if self.n.saturating_add(2) > capacity as u64 {
+                    return Err(format!(
+                        "n = {} and two protoplanets exceed the grape6 engine's j-memory \
+                         capacity of {capacity} bodies",
+                        self.n
+                    ));
+                }
+                Ok(("grape6", |spec, ckpt| {
+                    RunnerSim::open(spec, ckpt, Grape6Engine::new(Grape6Config::single_host()))
+                }))
+            }
             other => Err(format!("unknown engine '{other}' (expected 'direct' or 'grape6')")),
         }
     }
 
     /// Resolved engine name (as the cache key spells it).
     pub fn effective_engine(&self) -> Result<&'static str, String> {
-        Ok(match self.engine_sel()? {
-            EngineSel::Direct => "direct",
-            EngineSel::Grape6 => "grape6",
-        })
+        let (name, _) = self.engine()?;
+        Ok(name)
     }
 
     /// The integrator configuration this spec resolves to.
@@ -125,7 +138,7 @@ impl JobSpec {
         // The run's tick scheduler counts time in u64 ticks of dt_min: an
         // end it cannot hold is refused here, at submit, naming the range.
         TickScheduler::check_span(0.0, self.t_end, config.dt_min)?;
-        self.engine_sel()?;
+        self.engine()?;
         Ok(())
     }
 
@@ -180,85 +193,63 @@ pub struct SliceReport {
     pub done: bool,
 }
 
-/// A live simulation for one job, dispatched over the engine kinds the
-/// server supports. Pause (checkpoint) and resume go through the `G6CK` v2
-/// container, so a preempted job continues bit-identically.
-pub enum RunnerSim {
-    /// CPU direct-summation job.
-    Direct(Box<Simulation<DirectEngine>>),
-    /// Single-host GRAPE-6 job.
-    Grape6(Box<Simulation<Grape6Engine>>),
-}
+/// A live simulation for one job, on whichever engine its spec names. Pause
+/// (checkpoint) and resume go through the `G6CK` v2 container, so a
+/// preempted job continues bit-identically.
+pub struct RunnerSim(Box<Simulation<dyn ForceEngine + Send>>);
 
 impl RunnerSim {
     /// Start a job from scratch: build the seeded disk and initialize.
     pub fn fresh(spec: &JobSpec) -> Result<Self, String> {
-        let sys = DiskBuilder::paper(spec.n as usize).with_seed(spec.seed).build();
-        let cfg = spec.hermite_config();
-        Ok(match spec.engine_sel()? {
-            EngineSel::Direct => {
-                Self::Direct(Box::new(Simulation::new(sys, cfg, DirectEngine::new())))
-            }
-            EngineSel::Grape6 => Self::Grape6(Box::new(Simulation::new(
-                sys,
-                cfg,
-                Grape6Engine::new(Grape6Config::single_host()),
-            ))),
-        })
+        let (_, open) = spec.engine()?;
+        open(spec, None)
     }
 
     /// Resume a preempted job from its `G6CK` checkpoint bytes.
     pub fn resume(spec: &JobSpec, ckpt: bytes::Bytes) -> Result<Self, String> {
-        Ok(match spec.engine_sel()? {
-            EngineSel::Direct => Self::Direct(Box::new(
-                decode_checkpoint(ckpt, DirectEngine::new()).map_err(|e| e.to_string())?,
-            )),
-            EngineSel::Grape6 => Self::Grape6(Box::new(
-                decode_checkpoint(ckpt, Grape6Engine::new(Grape6Config::single_host()))
-                    .map_err(|e| e.to_string())?,
-            )),
-        })
+        let (_, open) = spec.engine()?;
+        open(spec, Some(ckpt))
+    }
+
+    /// The job on `engine`, as [`Open`] describes.
+    fn open<E: ForceEngine + Send + 'static>(
+        spec: &JobSpec,
+        ckpt: Option<bytes::Bytes>,
+        engine: E,
+    ) -> Result<Self, String> {
+        Ok(Self(match ckpt {
+            Some(ckpt) => Box::new(decode_checkpoint(ckpt, engine).map_err(|e| e.to_string())?),
+            None => {
+                let sys = DiskBuilder::paper(spec.n as usize).with_seed(spec.seed).build();
+                Box::new(Simulation::new(sys, spec.hermite_config(), engine))
+            }
+        }))
     }
 
     /// Pause: serialize the full `G6CK` v2 checkpoint container.
     pub fn checkpoint(&self) -> bytes::Bytes {
-        match self {
-            Self::Direct(sim) => encode_checkpoint(sim),
-            Self::Grape6(sim) => encode_checkpoint(sim),
-        }
+        encode_checkpoint(&self.0)
     }
 
     /// Run up to `max_blocks` block steps toward `t_end`.
     pub fn run_slice(&mut self, t_end: f64, max_blocks: u64) -> SliceReport {
-        fn drive<E: grape6_core::engine::ForceEngine>(
-            sim: &mut Simulation<E>,
-            t_end: f64,
-            max_blocks: u64,
-        ) -> SliceReport {
-            let mut blocks = 0;
-            while blocks < max_blocks {
-                if !sim.integrator.next_time().is_some_and(|t| t <= t_end) {
-                    return SliceReport { blocks, done: true };
-                }
-                sim.step();
-                blocks += 1;
+        let sim = &mut self.0;
+        let mut blocks = 0;
+        while blocks < max_blocks {
+            if !sim.integrator.next_time().is_some_and(|t| t <= t_end) {
+                return SliceReport { blocks, done: true };
             }
-            let done = !sim.integrator.next_time().is_some_and(|t| t <= t_end);
-            SliceReport { blocks, done }
+            sim.step();
+            blocks += 1;
         }
-        match self {
-            Self::Direct(sim) => drive(sim, t_end, max_blocks),
-            Self::Grape6(sim) => drive(sim, t_end, max_blocks),
-        }
+        let done = !sim.integrator.next_time().is_some_and(|t| t <= t_end);
+        SliceReport { blocks, done }
     }
 
     /// Final result: the binary snapshot bytes plus run statistics.
     pub fn result(&self) -> JobResultData {
-        let (snapshot, stats) = match self {
-            Self::Direct(sim) => (grape6_sim::io::encode_binary_snapshot(&sim.sys), sim.stats()),
-            Self::Grape6(sim) => (grape6_sim::io::encode_binary_snapshot(&sim.sys), sim.stats()),
-        };
-        JobResultData { snapshot, stats }
+        let snapshot = grape6_sim::io::encode_binary_snapshot(&self.0.sys);
+        JobResultData { snapshot, stats: self.0.stats() }
     }
 }
 
@@ -305,6 +296,12 @@ mod tests {
         assert!(JobSpec { t_end: -1.0, ..spec() }.validate(4096).is_err());
         assert!(JobSpec { engine: "warp".into(), ..spec() }.validate(4096).is_err());
         assert!(JobSpec { dt_max: -0.5, ..spec() }.validate(4096).is_err());
+        // The single-host grape6 engine holds 524,288 bodies, two of them
+        // protoplanets; above the server's limit, its capacity refuses.
+        let grape6 = |n| JobSpec { n, engine: "grape6".into(), ..spec() };
+        assert!(grape6(524_286).validate(1_000_000).is_ok());
+        let err = grape6(524_287).validate(1_000_000).unwrap_err();
+        assert!(err.contains("capacity of 524288 bodies"), "{err}");
     }
 
     #[test]
@@ -318,39 +315,46 @@ mod tests {
         assert!(err.contains("ticks") && err.contains("u64 range"), "{err}");
     }
 
+    /// The default spec on each engine the service runs.
+    fn on_each_engine() -> [JobSpec; 2] {
+        ["direct", "grape6"].map(|engine| JobSpec { engine: engine.into(), ..spec() })
+    }
+
     #[test]
     fn slice_runner_finishes_and_matches_one_shot() {
-        let s = spec();
-        let mut sliced = RunnerSim::fresh(&s).unwrap();
-        let mut total = 0;
-        loop {
-            let rep = sliced.run_slice(s.t_end, 5);
-            total += rep.blocks;
-            if rep.done {
-                break;
+        for s in on_each_engine() {
+            let mut sliced = RunnerSim::fresh(&s).unwrap();
+            let mut total = 0;
+            loop {
+                let rep = sliced.run_slice(s.t_end, 5);
+                total += rep.blocks;
+                if rep.done {
+                    break;
+                }
             }
+            let mut oneshot = RunnerSim::fresh(&s).unwrap();
+            let rep = oneshot.run_slice(s.t_end, u64::MAX);
+            assert_eq!(total, rep.blocks, "{}", s.engine);
+            assert!(rep.done);
+            assert_eq!(sliced.result(), oneshot.result(), "{}", s.engine);
         }
-        let mut oneshot = RunnerSim::fresh(&s).unwrap();
-        let rep = oneshot.run_slice(s.t_end, u64::MAX);
-        assert_eq!(total, rep.blocks);
-        assert!(rep.done);
-        assert_eq!(sliced.result(), oneshot.result());
     }
 
     #[test]
     fn checkpoint_pause_resume_is_bit_identical() {
-        let s = spec();
-        let mut reference = RunnerSim::fresh(&s).unwrap();
-        reference.run_slice(s.t_end, u64::MAX);
+        for s in on_each_engine() {
+            let mut reference = RunnerSim::fresh(&s).unwrap();
+            reference.run_slice(s.t_end, u64::MAX);
 
-        let mut interrupted = RunnerSim::fresh(&s).unwrap();
-        interrupted.run_slice(s.t_end, 7);
-        let ckpt = interrupted.checkpoint();
-        drop(interrupted);
-        let mut resumed = RunnerSim::resume(&s, ckpt).unwrap();
-        resumed.run_slice(s.t_end, u64::MAX);
+            let mut interrupted = RunnerSim::fresh(&s).unwrap();
+            interrupted.run_slice(s.t_end, 7);
+            let ckpt = interrupted.checkpoint();
+            drop(interrupted);
+            let mut resumed = RunnerSim::resume(&s, ckpt).unwrap();
+            resumed.run_slice(s.t_end, u64::MAX);
 
-        assert_eq!(reference.result(), resumed.result());
+            assert_eq!(reference.result(), resumed.result(), "{}", s.engine);
+        }
     }
 
     #[test]

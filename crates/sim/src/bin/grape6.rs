@@ -17,6 +17,13 @@
 //! Times are in simulation units (1 yr = 2π); snapshots are JSON, or the
 //! compact binary format when the filename ends in `.g6sn`.
 //!
+//! `run` has one code path for every engine: `open` builds the chosen engine's
+//! simulation (fresh, with telemetry, or resumed) as a boxed
+//! `Simulation<dyn ForceEngine>`, and `drive` runs it, prints the summary
+//! and writes the files. `--engine grape6` adds a `modeled hardware:` line,
+//! the §6 report of the production machine from the engine's interaction
+//! count and modeled seconds.
+//!
 //! `--faults` loads a JSON [`grape6_hw::FaultPlan`] and runs it on the
 //! fault-tolerant dual-unit GRAPE engine (`--engine grape6-ft`, implied).
 //! `--checkpoint` writes a `G6CK` restart file every `--checkpoint-every`
@@ -35,8 +42,10 @@ use grape6_core::blockstep::TickScheduler;
 use grape6_core::engine::ForceEngine;
 use grape6_core::force::DirectEngine;
 use grape6_core::integrator::HermiteConfig;
+use grape6_core::particle::ParticleSystem;
 use grape6_core::units;
 use grape6_disk::{DiskBuilder, RadialHistogram, ScatteringCensus};
+use grape6_hw::perf::PerfReport;
 use grape6_hw::{FaultPlan, FaultTolerantEngine, Grape6Config, Grape6Engine, TimingModel};
 use grape6_sim::accretion::RadiusModel;
 use grape6_sim::cli::Flags;
@@ -87,9 +96,6 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
     }
     let resume = flags.get::<PathBuf>("--resume");
     let input = flags.get::<PathBuf>("--in");
-    if resume.is_none() && input.is_none() {
-        return Err("run requires --in <snap.json> (or --resume <file.g6ck>)".into());
-    }
     let eta = flags.get_or::<f64>("--eta", 0.02);
     let theta = flags.get_or::<f64>("--theta", 0.5);
     let near_radius = flags.get_or::<f64>("--near-radius", 1.0);
@@ -105,13 +111,16 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
     let check_span = |t0: f64, dt_min: f64| TickScheduler::check_span(t0, t0 + t_end, dt_min);
     // The initial system is only loaded for fresh runs; a resume rebuilds
     // everything (system, schedule, counters) from the checkpoint.
-    let sys = match (&resume, &input) {
+    let start = match (&resume, &input) {
+        (Some(path), _) => Start::Resume(path.clone()),
         (None, Some(path)) => {
             let sys = load_auto(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
             check_span(sys.t, config.dt_min).map_err(|e| format!("{}: {e}", path.display()))?;
-            Some(sys)
+            Start::Fresh(Box::new(sys))
         }
-        _ => None,
+        (None, None) => {
+            return Err("run requires --in <snap.json> (or --resume <file.g6ck>)".into())
+        }
     };
     let fault_plan = match flags.get::<String>("--faults") {
         None => None,
@@ -132,7 +141,9 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
     };
     // The GRAPE pipelines have no self-interaction cutoff: refuse here what
     // their `load` would assert on.
-    if let (Some(sys), Some(path), "grape6" | "grape6-ft") = (&sys, &input, engine_name.as_str()) {
+    if let (Start::Fresh(sys), Some(path), "grape6" | "grape6-ft") =
+        (&start, &input, engine_name.as_str())
+    {
         if sys.softening <= 0.0 {
             return Err(format!(
                 "--engine {engine_name} needs a positive softening, but {} has softening {}",
@@ -141,128 +152,19 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
             ));
         }
     }
-    let checkpoint = flags.get::<PathBuf>("--checkpoint");
     let checkpoint_every = flags.get_or::<u64>("--checkpoint-every", 256);
-    if checkpoint.is_none() && flags.has("--checkpoint-every") {
+    if !flags.has("--checkpoint") && flags.has("--checkpoint-every") {
         return Err("--checkpoint-every needs --checkpoint <file.g6ck>".into());
     }
 
-    let telemetry_out = flags.get::<PathBuf>("--telemetry");
-
-    // Monomorphized per engine; the driver logic is shared. `$engine` is the
-    // freshly configured engine; for a resume it is reloaded and its
-    // counters restored from the checkpoint instead of initialized anew.
-    macro_rules! drive {
-        ($engine:expr) => {{
-            let mut sim = match &resume {
-                Some(path) => {
-                    let sim = load_checkpoint(path, $engine)
-                        .map_err(|e| format!("resuming {}: {e}", path.display()))?;
-                    check_span(sim.t(), sim.integrator.config.dt_min)
-                        .map_err(|e| format!("resuming {}: {e}", path.display()))?;
-                    sim
-                }
-                None => {
-                    let sys = sys.expect("fresh run loads --in");
-                    if telemetry_out.is_some() {
-                        Simulation::with_telemetry(sys, config, $engine)
-                    } else {
-                        Simulation::new(sys, config, $engine)
-                    }
-                }
-            };
-            if let Some(inflation) = accrete {
-                sim.enable_accretion(RadiusModel::icy_inflated(inflation));
-            }
-            let t_target = sim.t() + t_end;
-            let diag_interval = (t_target - sim.t()) / 16.0;
-            match &checkpoint {
-                Some(path) => {
-                    run_to_with_checkpoints(
-                        &mut sim,
-                        t_target,
-                        diag_interval,
-                        checkpoint_every,
-                        path,
-                    )
-                    .map_err(|e| format!("checkpointing {}: {e}", path.display()))?;
-                    println!("checkpoints -> {} (every {checkpoint_every} blocks)", path.display());
-                }
-                None => {
-                    sim.run_to(t_target, diag_interval);
-                }
-            }
-            sim.record_diagnostics();
-            let d = *sim.diagnostics.last().unwrap();
-            println!(
-                "t = {:.3} ({:.1} yr): {} block steps, mean block {:.1}, |dE/E| = {:.3e}",
-                sim.t(),
-                units::time_to_years(sim.t()),
-                d.block_steps,
-                sim.block_hist.mean(),
-                d.energy_error
-            );
-            let faults = sim.engine.fault_stats();
-            if !faults.is_zero() {
-                println!(
-                    "faults: {} injected, {} DMR mismatches, {} checksum errors, \
-                     {} retries, {} scrubs ({} words), {} boards failed",
-                    faults.injected,
-                    faults.dmr_mismatches,
-                    faults.checksum_errors,
-                    faults.retries,
-                    faults.scrubs,
-                    faults.words_scrubbed,
-                    faults.boards_failed
-                );
-            }
-            if sim.accretion_log.count() > 0 {
-                println!("mergers: {}", sim.accretion_log.count());
-            }
-            if let Some(out) = flags.get::<PathBuf>("--out") {
-                save_auto(&out, &sim.sys)
-                    .map_err(|e| format!("writing {}: {e}", out.display()))?;
-                println!("snapshot -> {}", out.display());
-            }
-            if let Some(diag) = flags.get::<PathBuf>("--diag") {
-                save_diagnostics_csv(&diag, &sim.diagnostics)
-                    .map_err(|e| format!("writing {}: {e}", diag.display()))?;
-                println!("diagnostics -> {}", diag.display());
-            }
-            if let Some(tele) = &telemetry_out {
-                match sim.telemetry_report() {
-                    Some(rep) => {
-                        let json = serde_json::to_string_pretty(&rep);
-                        json.and_then(|j| Ok(std::fs::write(tele, j)?))
-                            .map_err(|e| format!("writing {}: {e}", tele.display()))?;
-                        println!(
-                            "telemetry -> {} ({:.3} s host, {:.2e} interactions/s real)",
-                            tele.display(),
-                            rep.total_host_seconds,
-                            rep.interactions_per_second_real
-                        );
-                    }
-                    // A resumed run only has telemetry if the original did.
-                    None => eprintln!(
-                        "warning: --telemetry ignored (checkpoint was written without telemetry)"
-                    ),
-                }
-            }
-            sim
-        }};
-    }
-
-    match engine_name.as_str() {
-        "direct" => {
-            drive!(DirectEngine::new());
-        }
-        "grape6" => {
-            let sim = drive!(Grape6Engine::sc2002());
-            println!("modeled hardware: {}", sim.engine.perf_report());
-        }
+    let telemetry = flags.has("--telemetry");
+    let mut sim = match engine_name.as_str() {
+        "direct" => open(start, config, telemetry, DirectEngine::new())?,
+        "grape6" => open(start, config, telemetry, Grape6Engine::sc2002())?,
         "grape6-ft" => {
-            let plan = fault_plan.clone().unwrap_or_default();
-            drive!(FaultTolerantEngine::new(Grape6Config::sc2002(), &plan));
+            let plan = fault_plan.unwrap_or_default();
+            let engine = FaultTolerantEngine::new(Grape6Config::sc2002(), &plan);
+            open(start, config, telemetry, engine)?
         }
         "tree" | "hybrid" => {
             // Barnes-Hut is the hybrid engine's zero-neighbour-radius limit.
@@ -273,10 +175,130 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
             if !(r_near >= 0.0 && r_near.is_finite()) {
                 return Err("--near-radius must be a finite non-negative number".into());
             }
-            drive!(HybridTreeEngine::new(theta, r_near));
+            open(start, config, telemetry, HybridTreeEngine::new(theta, r_near))?
         }
         other => {
             return Err(format!("unknown engine '{other}' (direct|grape6|grape6-ft|tree|hybrid)"))
+        }
+    };
+    if let Some(path) = &resume {
+        check_span(sim.t(), sim.integrator.config.dt_min)
+            .map_err(|e| format!("resuming {}: {e}", path.display()))?;
+    }
+    if let Some(inflation) = accrete {
+        sim.enable_accretion(RadiusModel::icy_inflated(inflation));
+    }
+    drive(&mut sim, flags, t_end, checkpoint_every)?;
+    if engine_name == "grape6" {
+        let peak = Grape6Config::sc2002().timing.geometry.peak_flops();
+        let report =
+            PerfReport::new(sim.engine.interaction_count(), sim.engine.modeled_seconds(), peak);
+        println!("modeled hardware: {report}");
+    }
+    Ok(())
+}
+
+/// Where `grape6 run` starts: a loaded snapshot, or a checkpoint to resume.
+enum Start {
+    Fresh(Box<ParticleSystem>),
+    Resume(PathBuf),
+}
+
+/// The run's simulation on `engine`, boxed so that one [`drive`] serves
+/// every engine. A resume reloads the engine and restores its counters from
+/// the checkpoint; a fresh run initializes it, with telemetry from the first
+/// force evaluation when asked.
+fn open<E: ForceEngine + 'static>(
+    start: Start,
+    config: HermiteConfig,
+    telemetry: bool,
+    engine: E,
+) -> Result<Box<Simulation<dyn ForceEngine>>, String> {
+    Ok(match start {
+        Start::Resume(path) => Box::new(
+            load_checkpoint(&path, engine)
+                .map_err(|e| format!("resuming {}: {e}", path.display()))?,
+        ),
+        Start::Fresh(sys) if telemetry => {
+            Box::new(Simulation::with_telemetry(*sys, config, engine))
+        }
+        Start::Fresh(sys) => Box::new(Simulation::new(*sys, config, engine)),
+    })
+}
+
+/// Run `sim` for `t_end` more time units, print the summary and write the
+/// `--out`, `--diag` and `--telemetry` files asked for.
+fn drive(
+    sim: &mut Simulation<dyn ForceEngine>,
+    flags: &Flags,
+    t_end: f64,
+    checkpoint_every: u64,
+) -> Result<(), String> {
+    let t_target = sim.t() + t_end;
+    let diag_interval = (t_target - sim.t()) / 16.0;
+    match flags.get::<PathBuf>("--checkpoint") {
+        Some(path) => {
+            run_to_with_checkpoints(sim, t_target, diag_interval, checkpoint_every, &path)
+                .map_err(|e| format!("checkpointing {}: {e}", path.display()))?;
+            println!("checkpoints -> {} (every {checkpoint_every} blocks)", path.display());
+        }
+        None => {
+            sim.run_to(t_target, diag_interval);
+        }
+    }
+    sim.record_diagnostics();
+    let d = *sim.diagnostics.last().expect("record_diagnostics appends a row");
+    println!(
+        "t = {:.3} ({:.1} yr): {} block steps, mean block {:.1}, |dE/E| = {:.3e}",
+        sim.t(),
+        units::time_to_years(sim.t()),
+        d.block_steps,
+        sim.block_hist.mean(),
+        d.energy_error
+    );
+    let faults = sim.engine.fault_stats();
+    if !faults.is_zero() {
+        println!(
+            "faults: {} injected, {} DMR mismatches, {} checksum errors, \
+             {} retries, {} scrubs ({} words), {} boards failed",
+            faults.injected,
+            faults.dmr_mismatches,
+            faults.checksum_errors,
+            faults.retries,
+            faults.scrubs,
+            faults.words_scrubbed,
+            faults.boards_failed
+        );
+    }
+    if sim.accretion_log.count() > 0 {
+        println!("mergers: {}", sim.accretion_log.count());
+    }
+    if let Some(out) = flags.get::<PathBuf>("--out") {
+        save_auto(&out, &sim.sys).map_err(|e| format!("writing {}: {e}", out.display()))?;
+        println!("snapshot -> {}", out.display());
+    }
+    if let Some(diag) = flags.get::<PathBuf>("--diag") {
+        save_diagnostics_csv(&diag, &sim.diagnostics)
+            .map_err(|e| format!("writing {}: {e}", diag.display()))?;
+        println!("diagnostics -> {}", diag.display());
+    }
+    if let Some(tele) = flags.get::<PathBuf>("--telemetry") {
+        match sim.telemetry_report() {
+            Some(rep) => {
+                let json = serde_json::to_string_pretty(&rep);
+                json.and_then(|j| Ok(std::fs::write(&tele, j)?))
+                    .map_err(|e| format!("writing {}: {e}", tele.display()))?;
+                println!(
+                    "telemetry -> {} ({:.3} s host, {:.2e} interactions/s real)",
+                    tele.display(),
+                    rep.total_host_seconds,
+                    rep.interactions_per_second_real
+                );
+            }
+            // A resumed run only has telemetry if the original did.
+            None => {
+                eprintln!("warning: --telemetry ignored (checkpoint was written without telemetry)")
+            }
         }
     }
     Ok(())

@@ -83,7 +83,7 @@ pub const CHECKPOINT_CHUNK_PARTICLES: usize = 8192;
 /// Everything after the system body: integrator, ledger, histogram,
 /// telemetry and engine sections. Identical in v1 and v2, and small — safe
 /// to materialize even at paper-scale N.
-fn encode_tail<E: ForceEngine>(sim: &Simulation<E>) -> Vec<u8> {
+fn encode_tail<E: ForceEngine + ?Sized>(sim: &Simulation<E>) -> Vec<u8> {
     use bytes::BufMut;
     let stats = sim.integrator.stats();
     let wire_bytes = sim.engine.bytes_transferred();
@@ -129,10 +129,7 @@ const HEADER_BYTES: usize = 4 + 4 + 8 + 3 * 8;
 fn put_header(buf: &mut impl bytes::BufMut, sys: &ParticleSystem) {
     buf.put_slice(CHECKPOINT_MAGIC);
     buf.put_u32_le(CHECKPOINT_VERSION);
-    buf.put_u64_le(sys.len() as u64);
-    buf.put_f64_le(sys.t);
-    buf.put_f64_le(sys.softening);
-    buf.put_f64_le(sys.central_mass);
+    crate::io::put_system_header(buf, sys);
 }
 
 /// The particle ranges of the body chunks, in order.
@@ -165,7 +162,7 @@ fn put_body_chunk(
 /// run that pays it, so an interrupted-and-resumed run reports the same
 /// counters as an uninterrupted one. (The open `Checkpoint` span under
 /// which [`checkpoint_now`] calls this is not serialized.)
-pub fn write_checkpoint<E: ForceEngine, W: Write>(
+pub fn write_checkpoint<E: ForceEngine + ?Sized, W: Write>(
     sim: &Simulation<E>,
     w: &mut W,
 ) -> std::io::Result<()> {
@@ -227,7 +224,7 @@ fn reusable_container(len: usize) -> bytes::BytesMut {
 /// twice its length. Between encodes each thread keeps one container alive:
 /// the last it returned, until its next encode or its exit. Paper-scale runs
 /// that only need a file should stream with [`save_checkpoint`] instead.
-pub fn encode_checkpoint<E: ForceEngine>(sim: &Simulation<E>) -> bytes::Bytes {
+pub fn encode_checkpoint<E: ForceEngine + ?Sized>(sim: &Simulation<E>) -> bytes::Bytes {
     use bytes::BufMut;
     let sys = &sim.sys;
     let tail = encode_tail(sim);
@@ -322,7 +319,6 @@ fn decode_container<E: ForceEngine>(data: &[u8], mut engine: E) -> Result<Simula
     Ok(Simulation {
         sys,
         integrator,
-        engine,
         ledger,
         block_hist,
         diagnostics: Vec::new(),
@@ -330,6 +326,7 @@ fn decode_container<E: ForceEngine>(data: &[u8], mut engine: E) -> Result<Simula
         accretion_log: Default::default(),
         encounter_log: None,
         telemetry,
+        engine,
     })
 }
 
@@ -367,7 +364,10 @@ fn decode_chunked_system(f: &mut Fields) -> Result<ParticleSystem, String> {
 /// a crash mid-write never clobbers the previous good checkpoint), streaming
 /// the particle body in [`CHECKPOINT_CHUNK_PARTICLES`]-record chunks through
 /// a buffered writer — the container is never materialized in memory.
-pub fn save_checkpoint<E: ForceEngine>(path: &Path, sim: &Simulation<E>) -> std::io::Result<()> {
+pub fn save_checkpoint<E: ForceEngine + ?Sized>(
+    path: &Path,
+    sim: &Simulation<E>,
+) -> std::io::Result<()> {
     let tmp = path.with_extension("ckpt.tmp");
     let f = std::fs::File::create(&tmp)?;
     let mut w = std::io::BufWriter::new(f);
@@ -388,7 +388,7 @@ pub fn load_checkpoint<E: ForceEngine>(path: &Path, engine: E) -> std::io::Resul
 /// encode+write time is recorded under the `checkpoint` telemetry phase when
 /// telemetry is enabled — but the state *inside* each checkpoint excludes
 /// that cost (see [`encode_checkpoint`]).
-pub fn run_to_with_checkpoints<E: ForceEngine>(
+pub fn run_to_with_checkpoints<E: ForceEngine + ?Sized>(
     sim: &mut Simulation<E>,
     t_end: f64,
     diag_interval: f64,
@@ -412,12 +412,7 @@ pub fn run_to_with_checkpoints<E: ForceEngine>(
         }
     }
     checkpoint_now(sim, path)?;
-    let s = sim.stats();
-    Ok(RunStats {
-        block_steps: s.block_steps - start.block_steps,
-        particle_steps: s.particle_steps - start.particle_steps,
-        interactions: s.interactions - start.interactions,
-    })
+    Ok(sim.stats() - start)
 }
 
 /// Write one checkpoint immediately, timed under the `checkpoint` phase.
@@ -427,7 +422,10 @@ pub fn run_to_with_checkpoints<E: ForceEngine>(
 /// serialized (see [`Telemetry::checkpoint_state`]), so the resumed run
 /// starts with zero checkpoint cost, exactly as if the writer had paid for
 /// the I/O out of band.
-pub fn checkpoint_now<E: ForceEngine>(sim: &mut Simulation<E>, path: &Path) -> std::io::Result<()> {
+pub fn checkpoint_now<E: ForceEngine + ?Sized>(
+    sim: &mut Simulation<E>,
+    path: &Path,
+) -> std::io::Result<()> {
     if let Some(t) = &mut sim.telemetry {
         t.phase_begin(HostPhase::Checkpoint);
     }

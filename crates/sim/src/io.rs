@@ -110,6 +110,16 @@ pub(crate) fn decode_particle_records(body: &[u8], sys: &mut ParticleSystem) {
     }
 }
 
+/// Append the system header the `G6SN` snapshot and the `G6CK` v2 system
+/// section share: the particle count, then `t`, softening and central mass
+/// ([`decode_system_header`] reads it back).
+pub(crate) fn put_system_header(buf: &mut impl bytes::BufMut, sys: &ParticleSystem) {
+    buf.put_u64_le(sys.len() as u64);
+    buf.put_f64_le(sys.t);
+    buf.put_f64_le(sys.softening);
+    buf.put_f64_le(sys.central_mass);
+}
+
 /// Read the system header the `G6SN` snapshot and the `G6CK` v2 system
 /// section share: the particle count, then `t`, softening and central mass.
 /// The decoders check them with the rest of the system, through
@@ -129,10 +139,7 @@ pub fn encode_binary_snapshot(sys: &ParticleSystem) -> bytes::Bytes {
     let mut buf = bytes::BytesMut::with_capacity(48 + sys.len() * BINARY_PARTICLE_BYTES);
     buf.put_slice(BINARY_MAGIC);
     buf.put_u32_le(BINARY_VERSION);
-    buf.put_u64_le(sys.len() as u64);
-    buf.put_f64_le(sys.t);
-    buf.put_f64_le(sys.softening);
-    buf.put_f64_le(sys.central_mass);
+    put_system_header(&mut buf, sys);
     for i in 0..sys.len() {
         put_particle_record(&mut buf, sys, i);
     }

@@ -33,13 +33,16 @@ pub struct DiagnosticRow {
 }
 
 /// A running simulation: system + integrator + engine + bookkeeping.
-pub struct Simulation<E: ForceEngine> {
+///
+/// The engine is the last field, so code that picks its engine at run time
+/// holds a `Box<Simulation<dyn ForceEngine>>`: it builds a concrete
+/// `Simulation<E>` and boxes it, and every method but the constructors runs
+/// on either.
+pub struct Simulation<E: ForceEngine + ?Sized> {
     /// The particle system.
     pub sys: ParticleSystem,
     /// The block-timestep integrator.
     pub integrator: BlockHermite,
-    /// The force engine (CPU, GRAPE-6 simulator, or tree).
-    pub engine: E,
     /// Energy/angular-momentum reference.
     pub ledger: EnergyLedger,
     /// Block-size statistics.
@@ -56,6 +59,8 @@ pub struct Simulation<E: ForceEngine> {
     /// [`Simulation::with_telemetry`]). `None` keeps the hot path on the
     /// uninstrumented integrator entry points.
     pub telemetry: Option<Telemetry>,
+    /// The force engine (CPU, GRAPE-6 simulator, or tree).
+    pub engine: E,
 }
 
 impl<E: ForceEngine> Simulation<E> {
@@ -92,7 +97,6 @@ impl<E: ForceEngine> Simulation<E> {
         Self {
             sys,
             integrator,
-            engine,
             ledger,
             block_hist: BlockSizeHistogram::new(),
             diagnostics: Vec::new(),
@@ -100,9 +104,12 @@ impl<E: ForceEngine> Simulation<E> {
             accretion_log: AccretionLog::default(),
             encounter_log: None,
             telemetry,
+            engine,
         }
     }
+}
 
+impl<E: ForceEngine + ?Sized> Simulation<E> {
     /// Telemetry summary for everything run so far (`None` when telemetry is
     /// disabled).
     pub fn telemetry_report(&self) -> Option<TelemetryReport> {
@@ -138,30 +145,26 @@ impl<E: ForceEngine> Simulation<E> {
             None => self.integrator.step(&mut self.sys, &mut self.engine),
         };
         self.block_hist.record(info.n_active);
+        if self.encounter_log.is_none() && self.radius_model.is_none() {
+            return info;
+        }
+        // Gather (active index, neighbour) pairs once for both consumers;
+        // merging mutates the system.
+        let pairs: Vec<(usize, grape6_core::particle::Neighbor)> = self
+            .integrator
+            .last_block()
+            .iter()
+            .zip(self.integrator.last_results())
+            .filter_map(|(&i, r)| r.nn.map(|nn| (i, nn)))
+            .collect();
         if let Some(log) = &mut self.encounter_log {
-            let blk: Vec<(usize, grape6_core::particle::Neighbor)> = self
-                .integrator
-                .last_block()
-                .iter()
-                .zip(self.integrator.last_results())
-                .filter_map(|(&i, r)| r.nn.map(|nn| (i, nn)))
-                .collect();
-            for (i, nn) in blk {
+            for &(i, nn) in &pairs {
                 log.observe(&self.sys, info.t, i, nn);
             }
         }
         if let Some(model) = self.radius_model {
             let mut touched: Vec<usize> = Vec::new();
-            // Collect (active index, neighbour) pairs first; merging mutates
-            // the system.
-            let candidates: Vec<(usize, grape6_core::particle::Neighbor)> = self
-                .integrator
-                .last_block()
-                .iter()
-                .zip(self.integrator.last_results())
-                .filter_map(|(&i, r)| r.nn.map(|nn| (i, nn)))
-                .collect();
-            for (i, nn) in candidates {
+            for (i, nn) in pairs {
                 if let Some(ev) = try_merge(&mut self.sys, i, nn, &model, &mut self.accretion_log) {
                     touched.push(ev.survivor);
                     touched.push(ev.absorbed);
@@ -200,12 +203,7 @@ impl<E: ForceEngine> Simulation<E> {
                 next_diag += diag_interval;
             }
         }
-        let s = self.stats();
-        RunStats {
-            block_steps: s.block_steps - start.block_steps,
-            particle_steps: s.particle_steps - start.particle_steps,
-            interactions: s.interactions - start.interactions,
-        }
+        self.stats() - start
     }
 
     /// Append a diagnostic row at the current state (energies measured on

@@ -1,8 +1,9 @@
 //! The `grape6` binary at its trust boundary: a value that does not parse, an
 //! unknown flag, a flag given twice and a valued flag with no value are
 //! errors naming the flag — never a silent default — `--engine tree` is
-//! hybrid at `--near-radius 0`, and an input no decoder or engine can take is
-//! refused with exit 1, never a panic or a hang.
+//! hybrid at `--near-radius 0`, every engine resumes a checkpoint to the
+//! bytes of an uninterrupted run, and an input no decoder or engine can take
+//! is refused with exit 1, never a panic or a hang.
 
 use grape6_sim::{load_auto, save_auto};
 use std::path::PathBuf;
@@ -133,6 +134,32 @@ fn engine_tree_is_the_hybrid_engine_at_zero_near_radius() {
     let (a, b) = (std::fs::read(&tree).unwrap(), std::fs::read(&hybrid).unwrap());
     assert!(!a.is_empty());
     assert_eq!(a, b, "--engine tree must be --engine hybrid --near-radius 0, byte for byte");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_engine_resumes_to_the_bytes_of_a_straight_run() {
+    let dir = scratch("engines");
+    let disk = gen_disk(&dir);
+    for engine in ["direct", "grape6", "grape6-ft", "tree", "hybrid"] {
+        let file = |name: &str| dir.join(format!("{engine}-{name}")).display().to_string();
+        let (half, resumed, straight) = (file("half.g6ck"), file("resumed.g6sn"), file("8.g6sn"));
+        let run = |args: &[&str]| {
+            let mut all = vec!["run", "--engine", engine];
+            all.extend_from_slice(args);
+            let out = grape6(&all);
+            assert!(out.status.success(), "{all:?}: {}", String::from_utf8_lossy(&out.stderr));
+            String::from_utf8(out.stdout).unwrap()
+        };
+        run(&["--in", &disk, "--t", "4", "--checkpoint", &half]);
+        let stdout = run(&["--resume", &half, "--t", "4", "--out", &resumed]);
+        run(&["--in", &disk, "--t", "8", "--out", &straight]);
+        let (a, b) = (std::fs::read(&resumed).unwrap(), std::fs::read(&straight).unwrap());
+        assert!(!a.is_empty());
+        assert_eq!(a, b, "--engine {engine}: a resumed run must write the straight run's bytes");
+        let modeled = stdout.contains("modeled hardware:");
+        assert_eq!(modeled, engine == "grape6", "--engine {engine} printed:\n{stdout}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

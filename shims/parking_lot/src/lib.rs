@@ -2,7 +2,7 @@
 //! poison-free `lock()` signature.
 
 #![forbid(unsafe_code)]
-use std::sync::{self, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{self, MutexGuard};
 
 /// A mutex whose `lock` never returns a poison error.
 #[derive(Debug, Default)]
@@ -32,34 +32,6 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// A reader-writer lock with parking_lot's panic-free API.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Create a lock holding `value`.
-    pub const fn new(value: T) -> Self {
-        Self(sync::RwLock::new(value))
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquire an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,13 +41,5 @@ mod tests {
         let m = Mutex::new(vec![1]);
         m.lock().push(2);
         assert_eq!(m.into_inner(), vec![1, 2]);
-    }
-
-    #[test]
-    fn rwlock_read_write() {
-        let l = RwLock::new(5);
-        assert_eq!(*l.read(), 5);
-        *l.write() = 6;
-        assert_eq!(l.into_inner(), 6);
     }
 }

@@ -140,20 +140,6 @@ pub trait ParallelIterator: Sized + Send + Sync {
         Enumerate { base: self }
     }
 
-    /// Group elements into `Vec`s of at most `size` elements, preserving
-    /// order. The hot kernels avoid this adaptor (the per-chunk `Vec` is an
-    /// allocation per chunk); it exists for API compatibility.
-    fn chunks(self, size: usize) -> IterChunks<Self> {
-        assert!(size > 0, "chunk size must be positive");
-        IterChunks { base: self, size }
-    }
-
-    /// rayon's `with_min_len` tuning knob: accepted and ignored (chunk
-    /// policy is fixed by the determinism contract).
-    fn with_min_len(self, _min: usize) -> Self {
-        self
-    }
-
     /// Run `f` on every element, in parallel.
     fn for_each<F: Fn(Self::Item) + Sync + Send>(self, f: F) {
         let it = &self;
@@ -440,28 +426,6 @@ impl<P: ParallelIterator> ParallelIterator for Enumerate<P> {
     // SAFETY: forwards the caller's contract unchanged to the base producer.
     unsafe fn get(&self, i: usize) -> (usize, P::Item) {
         (i, self.base.get(i))
-    }
-}
-
-/// `chunks` adaptor: groups of at most `size` elements as owned `Vec`s.
-pub struct IterChunks<P> {
-    base: P,
-    size: usize,
-}
-
-impl<P: ParallelIterator> ParallelIterator for IterChunks<P> {
-    type Item = Vec<P::Item>;
-    fn len(&self) -> usize {
-        self.base.len().div_ceil(self.size)
-    }
-    // SAFETY: relies on the trait contract — chunk index i produced at most
-    // once per drive.
-    unsafe fn get(&self, i: usize) -> Vec<P::Item> {
-        let lo = i * self.size;
-        let hi = (lo + self.size).min(self.base.len());
-        // SAFETY: chunk windows partition the index space; each base index
-        // is produced at most once.
-        (lo..hi).map(|j| self.base.get(j)).collect()
     }
 }
 

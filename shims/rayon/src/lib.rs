@@ -23,8 +23,8 @@ mod iter;
 pub mod pool;
 
 pub use iter::{
-    Enumerate, FromParallelIterator, IntoParallelIterator, IterChunks, Map, ParChunks,
-    ParChunksMut, ParIter, ParIterMut, ParallelIterator, ParallelSlice, RangeIter, Zip,
+    Enumerate, FromParallelIterator, IntoParallelIterator, Map, ParChunks, ParChunksMut, ParIter,
+    ParIterMut, ParallelIterator, ParallelSlice, RangeIter, Zip,
 };
 pub use pool::broadcast;
 
@@ -73,12 +73,6 @@ pub fn with_num_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-
-    #[test]
-    fn chunks_cover_all_items() {
-        let v: Vec<Vec<usize>> = (0..10usize).into_par_iter().chunks(4).collect();
-        assert_eq!(v, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]]);
-    }
 
     #[test]
     fn collect_into_vec_replaces_contents() {

@@ -168,25 +168,6 @@ pub fn to_writer<W: std::io::Write, T: Serialize + ?Sized>(mut writer: W, value:
     Ok(())
 }
 
-/// Serialize pretty JSON into a writer.
-pub fn to_writer_pretty<W: std::io::Write, T: Serialize + ?Sized>(
-    mut writer: W,
-    value: &T,
-) -> Result<()> {
-    writer.write_all(to_string_pretty(value)?.as_bytes())?;
-    Ok(())
-}
-
-/// Serialize to a `Value` tree.
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value> {
-    Ok(value.serialize_value())
-}
-
-/// Deserialize from a `Value` tree.
-pub fn from_value<T: Deserialize>(value: &Value) -> Result<T> {
-    Ok(T::deserialize_value(value)?)
-}
-
 // ---- reading ---------------------------------------------------------------
 
 struct Parser<'a> {
