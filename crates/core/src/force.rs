@@ -48,7 +48,7 @@ fn tiled_block_sweep(
     while jlo < n {
         let jhi = (jlo + J_TILE).min(n);
         for (rs, is) in os.chunks_mut(LANE_WIDTH).zip(ips.chunks(LANE_WIDTH)) {
-            sweep_tile_lanes::<LANE_WIDTH>(rs, is, jlo, jhi, ppos, pvel, jmass, eps2);
+            sweep_tile_lanes::<LANE_WIDTH>(rs, is, jlo..jhi, ppos, pvel, jmass, eps2);
         }
         jlo = jhi;
     }

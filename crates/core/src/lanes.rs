@@ -9,8 +9,10 @@
 //! all `W` lanes per iteration.
 //! Every per-lane operation is a straight-line `f64` add/mul/div/sqrt or a
 //! select over a fixed-width array, which the autovectorizer lowers to
-//! packed SIMD on x86-64 (2 lanes on SSE2, 4 on AVX2) without any `unsafe`
-//! or `core::arch` intrinsics — the crate stays `forbid(unsafe_code)`.
+//! packed SIMD on x86-64 (2 lanes per instruction on SSE2, 4 on AVX2, 8 on
+//! AVX-512 once `.cargo/config.toml` lifts LLVM's 256-bit preference)
+//! without any `unsafe` or `core::arch` intrinsics — the crate stays
+//! `forbid(unsafe_code)`.
 //!
 //! # Determinism contract (why `LANE_WIDTH` cannot change bits)
 //!
@@ -162,7 +164,6 @@ impl<const W: usize> LaneTile<W> {
     /// lanes keep their previous accumulator bits untouched, which is
     /// bitwise identical to the scalar kernel's `continue`.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
     // grape6-lint: hot
     pub fn interact(&mut self, j: usize, pj: Vec3, vj: Vec3, mj: f64, eps2: f64) {
         let j64 = j as u64;
@@ -252,23 +253,22 @@ impl<const W: usize> LaneTile<W> {
     }
 }
 
-/// Sweep the j-range `jlo..jhi` for up to `W` i-particles through an AoSoA
-/// tile, continuing the accumulation already present in `os`.
+/// Sweep the j-particles `js` (ascending indices into `ppos`, `pvel`,
+/// `jmass`) for up to `W` i-particles through an AoSoA tile, continuing the
+/// accumulation already present in `os`.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 // grape6-lint: hot
 pub fn sweep_tile_lanes<const W: usize>(
     os: &mut [ForceResult],
     ips: &[IParticle],
-    jlo: usize,
-    jhi: usize,
+    js: impl IntoIterator<Item = usize>,
     ppos: &[Vec3],
     pvel: &[Vec3],
     jmass: &[f64],
     eps2: f64,
 ) {
     let mut tile = LaneTile::<W>::load(ips, os);
-    for j in jlo..jhi {
+    for j in js {
         tile.interact(j, ppos[j], pvel[j], jmass[j], eps2);
     }
     tile.store(os);
@@ -448,8 +448,8 @@ mod tests {
             (0..b).map(|i| IParticle { index: i, pos: pos[i], vel: vel[i] }).collect();
         let mut out = vec![ForceResult::default(); b];
         // Two j-segments to exercise accumulator reload between tiles.
-        sweep_tile_lanes::<W>(&mut out, &ips, 0, 20, &pos, &vel, &mass, eps2);
-        sweep_tile_lanes::<W>(&mut out, &ips, 20, 37, &pos, &vel, &mass, eps2);
+        sweep_tile_lanes::<W>(&mut out, &ips, 0..20, &pos, &vel, &mass, eps2);
+        sweep_tile_lanes::<W>(&mut out, &ips, 20..37, &pos, &vel, &mass, eps2);
         for (k, ip) in ips.iter().enumerate() {
             let want = accumulate_with_nn(ip, 0..37, &pos, &vel, &mass, eps2);
             assert_eq!(out[k].acc, want.acc, "W={W} b={b} lane {k} acc");
@@ -485,7 +485,7 @@ mod tests {
         let ips: Vec<IParticle> =
             (0..3).map(|i| IParticle { index: i, pos: pos[i], vel: vel[i] }).collect();
         let mut out = vec![ForceResult::default(); 3];
-        sweep_tile_lanes::<4>(&mut out, &ips, 0, 9, &pos, &vel, &mass, 1e-4);
+        sweep_tile_lanes::<4>(&mut out, &ips, 0..9, &pos, &vel, &mass, 1e-4);
         for (k, ip) in ips.iter().enumerate() {
             assert_ne!(out[k].nn.unwrap().index, ip.index);
             let want = accumulate_with_nn(ip, 0..9, &pos, &vel, &mass, 1e-4);

@@ -42,13 +42,14 @@ use crate::predictor::{predict_lane, JParticle, PredictedJ};
 use grape6_core::particle::{IParticle, Neighbor};
 use grape6_core::vec3::Vec3;
 
-/// Lanes per [`GrapeLaneTile`] / [`GrapeJLanes`] of the engine's kernels. A
-/// compile-time constant chosen by end-to-end measurement (README, "SIMD
-/// kernels": 4 beats 8 on 10 of 10 `grape6_2k` pairs — the integer limb
-/// lanes fill 256-bit vectors); the output bits cannot depend on it, so it
-/// is not an option. The kernels stay generic over `W`; retuning for another
-/// CPU is this one constant, backed by `benchmark`'s `grape.engine.interactions_per_s`.
-pub const LANE_WIDTH: usize = 4;
+/// Lanes per [`GrapeLaneTile`] / [`GrapeJLanes`] of the engine's kernels: the
+/// chip's eight virtual pipelines per physical one. A compile-time constant
+/// chosen by end-to-end measurement (README, "SIMD kernels": with 512-bit
+/// vectors allowed, 8 `i64` limb lanes fill one zmm register and 8 beats 4
+/// on `grape6_2k`); the output bits cannot depend on it, so it is not an
+/// option. The kernels stay generic over `W`; retuning for another CPU is
+/// this one constant, backed by `benchmark`'s `grape.engine.interactions_per_s`.
+pub const LANE_WIDTH: usize = 8;
 
 /// Partial pipeline state for one i-particle over one j-chunk. The
 /// fixed-point accumulators merge exactly associatively (the hardware

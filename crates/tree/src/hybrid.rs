@@ -9,8 +9,9 @@
 //! i-particles are bucketed by tree *group* ([`Octree::group_lists`]), each
 //! group with an active member walks the tree **once**, and the two lists
 //! it emits are swept for all its active members through
-//! [`LaneTile`]s — `LANE_WIDTH` i-lanes, one broadcast j, the shape of the
-//! hardware's j-stream over a bank of i-pipelines (paper §5.2) and of
+//! [`LaneTile`](grape6_core::lanes::LaneTile)s — `LANE_WIDTH` i-lanes, one
+//! broadcast j, the shape of the hardware's j-stream over a bank of
+//! i-pipelines (paper §5.2) and of
 //! [`DirectEngine`](grape6_core::force::DirectEngine)'s large-block path.
 //! Near: every candidate of the group (a superset of each member's own
 //! `r_near` sphere) summed directly, ascending j, self skipped by the
@@ -45,7 +46,7 @@ use grape6_core::force::{
     accumulate_on, accumulate_with_nn, scalar_small_block, small_block_forces,
 };
 use grape6_core::jmem::JMemory;
-use grape6_core::lanes::{sweep_sources_lanes, JLanes, LaneTile, LANE_WIDTH};
+use grape6_core::lanes::{sweep_sources_lanes, sweep_tile_lanes, JLanes, LANE_WIDTH};
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_core::sweep::SMALL_BLOCK_MAX;
 use rayon::prelude::*;
@@ -275,13 +276,10 @@ impl Sweep<'_> {
         os: &mut [ForceResult],
     ) {
         let (jpos, jvel, jmass) = self.tree.bodies();
-        // Near field: one ascending-j sweep of the group's candidates.
-        let mut tile = LaneTile::<W>::load(is, os);
-        for &j in &lists.near {
-            let j = j as usize;
-            tile.interact(j, jpos[j], jvel[j], jmass[j], self.eps2);
-        }
-        tile.store(os);
+        // Near field: one ascending-j sweep of the group's candidates, the
+        // members' own slots among them.
+        let near = lists.near.iter().map(|&j| j as usize);
+        sweep_tile_lanes::<W>(os, is, near, jpos, jvel, jmass, self.eps2);
         // The tile saw every candidate; the report is radius-limited.
         let r2_near = self.r_near * self.r_near;
         os.iter_mut().for_each(|o| o.nn = o.nn.filter(|nb| nb.r2 <= r2_near));

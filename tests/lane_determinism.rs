@@ -12,7 +12,7 @@ use common::{assert_forces_bit_equal, assert_systems_bit_equal, disk, ips_for};
 use grape6::prelude::*;
 use grape6_core::force::ScalarDirectEngine;
 use grape6_core::integrator::BlockHermite;
-use grape6_core::particle::ForceResult;
+use grape6_core::particle::{ForceResult, IParticle};
 use grape6_hw::ScalarGrape6Engine;
 use proptest::prelude::*;
 
@@ -26,16 +26,137 @@ fn force_at<E: ForceEngine>(
     block: usize,
     t: usize,
 ) -> Vec<ForceResult> {
+    let sys = disk(n, seed);
+    let idx: Vec<usize> = (0..block).collect();
+    force_on(mk, &sys, &ips_for(&sys, &idx), t)
+}
+
+/// Compute the forces on `ips` from `sys` with a fresh engine at the given
+/// thread count.
+fn force_on<E: ForceEngine>(
+    mk: impl Fn() -> E,
+    sys: &ParticleSystem,
+    ips: &[IParticle],
+    t: usize,
+) -> Vec<ForceResult> {
     rayon::with_num_threads(t, || {
-        let sys = disk(n, seed);
         let mut e = mk();
-        e.load(&sys);
-        let idx: Vec<usize> = (0..block).collect();
-        let ips = ips_for(&sys, &idx);
-        let mut out = vec![ForceResult::default(); block];
-        e.compute(0.0, &ips, &mut out);
+        e.load(sys);
+        let mut out = vec![ForceResult::default(); ips.len()];
+        e.compute(0.0, ips, &mut out);
         out
     })
+}
+
+/// The block of `idx`, with the slot at `probe` (if any) replaced by a
+/// probe that is no body (`usize::MAX`, the index no sweep reaches).
+fn block_of(sys: &ParticleSystem, idx: &[usize], probe: Option<usize>) -> Vec<IParticle> {
+    let mut ips = ips_for(sys, idx);
+    if let Some(k) = probe {
+        ips[k] = IParticle { index: usize::MAX, pos: Vec3::new(20.5, -3.25, 0.01), ..ips[k] };
+    }
+    ips
+}
+
+/// j-particles per cache tile of `DirectEngine`'s large-block sweep.
+const J_TILE: usize = 1024;
+
+#[test]
+fn direct_own_slots_across_j_tiles_match_the_scalar_oracle() {
+    // N > 2 J_TILE, so every large-block sweep crosses j = 1024 and 2048,
+    // and each j-tile must skip exactly the lanes' own slots inside it.
+    let n = 2 * J_TILE + 555;
+    let sys = disk(n, 7);
+    let last = n - 1;
+    let straddle: Vec<usize> =
+        (J_TILE - 9..J_TILE + 9).chain(2 * J_TILE - 7..2 * J_TILE + 6).collect();
+    // The first and last j of every j-tile in one i-tile, then their
+    // neighbours and one more body to reach the large-block path.
+    let edges = [
+        0,
+        J_TILE - 1,
+        J_TILE,
+        2 * J_TILE - 1,
+        2 * J_TILE,
+        last,
+        1,
+        J_TILE + 1,
+        J_TILE - 2,
+        2 * J_TILE + 1,
+        2 * J_TILE - 2,
+        last - 1,
+        2,
+        J_TILE + 2,
+        J_TILE - 3,
+        2 * J_TILE + 2,
+        700,
+    ];
+    let strided: Vec<usize> = (0..n).step_by(97).collect();
+    // 8 + 8 + 3: the ragged last tile's padding lanes repeat lane 0's slot,
+    // which sits at the first j of the second j-tile.
+    let ragged: Vec<usize> =
+        (0..16).map(|k| 131 * k + 3).chain([J_TILE, 5, 2 * J_TILE - 1]).collect();
+    let mut blocks: Vec<(&str, Vec<usize>, Option<usize>)> = vec![
+        ("straddle", straddle.clone(), None),
+        ("straddle + probe", straddle, Some(11)),
+        ("tile edges", edges.into(), None),
+        ("strided", strided.clone(), None),
+        ("strided + probe", strided, Some(0)),
+        ("ragged", ragged.clone(), None),
+        ("ragged + probe", ragged, Some(16)),
+    ];
+    // Every remainder 1..7 of a large block (17..23 bodies), the own slots
+    // spread across all three j-tiles.
+    for b in 17..24 {
+        blocks.push(("remainder", (0..b).map(|k| (k * 151 + J_TILE - 3) % n).collect(), None));
+    }
+    for (what, idx, probe) in blocks {
+        let ips = block_of(&sys, &idx, probe);
+        let reference = force_on(ScalarDirectEngine::default, &sys, &ips, 1);
+        for &t in &THREADS {
+            let got = force_on(DirectEngine::new, &sys, &ips, t);
+            let tag = format!("direct {what} b={} t={t}", ips.len());
+            assert_forces_bit_equal(&got, &reference, &tag);
+            for (k, (g, r)) in got.iter().zip(&reference).enumerate() {
+                let bits = |f: &ForceResult| f.nn.map(|nb| nb.r2.to_bits());
+                assert_eq!(bits(g), bits(r), "{tag}: particle {k} nn r2");
+            }
+        }
+    }
+}
+
+#[test]
+fn grape6_ragged_tiles_and_leftover_j_match_the_scalar_oracle() {
+    // The GRAPE lanes at their engine width: large blocks of every
+    // remainder 1..7 (ragged i-tiles, padding repeating lane 0), and small
+    // blocks whose j-chunks leave 1..7 leftover j for `scalar_sweep`.
+    let sys = disk(300, 99);
+    for b in 17..24 {
+        let idx: Vec<usize> = (0..b).map(|k| (k * 37 + 11) % sys.len()).collect();
+        for probe in [None, Some(b - 1)] {
+            let ips = block_of(&sys, &idx, probe);
+            let oracle = || ScalarGrape6Engine(Grape6Engine::sc2002());
+            let reference = force_on(oracle, &sys, &ips, 1);
+            for &t in &THREADS {
+                let got = force_on(Grape6Engine::sc2002, &sys, &ips, t);
+                let tag = format!("grape6 b={b} probe={probe:?} t={t}");
+                assert_forces_bit_equal(&got, &reference, &tag);
+            }
+        }
+    }
+    // n = 64 c − 5 has j-chunks of c = 65..71 (`j_chunk_size`), so every
+    // full chunk leaves c mod 8 = 1..7 j past its last full lane group,
+    // and the last chunk leaves its own remainder.
+    for c in 65..72 {
+        let sys = disk(64 * c - 5, c as u64);
+        let n = sys.len();
+        let ips = block_of(&sys, &[0, c - 1, c, n / 2, n - 1, 3], Some(5));
+        let reference = force_on(|| ScalarGrape6Engine(Grape6Engine::sc2002()), &sys, &ips, 1);
+        for &t in &THREADS {
+            let got = force_on(Grape6Engine::sc2002, &sys, &ips, t);
+            assert_forces_bit_equal(&got, &reference, &format!("grape6 n={n} t={t}"));
+        }
+    }
 }
 
 #[test]
