@@ -23,9 +23,8 @@ fn main() {
         let mut sim = Simulation::new(sys, experiment_config(), DirectEngine::new());
         sim.enable_encounter_log(3.0);
         sim.run_to(warmup, 0.0);
-        // Fresh statistics for the measurement window.
-        sim.block_hist = grape6_sim::BlockSizeHistogram::new();
-        sim.run_to(warmup + t_run, 0.0);
+        // Statistics of the measurement window only, warm-up excluded.
+        let window = sim.run_to(warmup + t_run, 0.0);
         let ts = sim.timestep_histogram();
         let enc = sim.encounter_log.as_ref().unwrap();
         print_row(
@@ -34,7 +33,7 @@ fn main() {
                 ts.occupied_rungs().to_string(),
                 fmt(ts.dynamic_range()),
                 fmt(ts.orders_of_magnitude()),
-                fmt(sim.block_hist.mean()),
+                fmt(window.mean_block_size()),
                 enc.count().to_string(),
                 enc.timescale_range(20.0).map_or("-".into(), fmt),
             ],

@@ -73,8 +73,8 @@ fn main() {
                 Box::new(Simulation::new(sys, experiment_config(), HybridTreeEngine::new(0.5, 0.0)))
             }
         };
-        sim.run_to(t_run, 0.0);
-        let (blocks, mean_block) = (sim.block_hist.blocks, sim.block_hist.mean());
+        let run = sim.run_to(t_run, 0.0);
+        let (blocks, mean_block) = (run.block_steps, run.mean_block_size());
         let wall = start.elapsed().as_secs_f64();
         print_row(
             &[

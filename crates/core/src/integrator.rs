@@ -37,11 +37,12 @@ impl Default for HermiteConfig {
 }
 
 impl HermiteConfig {
-    /// Validate the power-of-two constraints on the step bounds.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0)` also catches NaN
+    /// Validate the accuracy parameters (finite and positive) and the
+    /// power-of-two constraints on the step bounds.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.eta > 0.0 && self.eta_start > 0.0) {
-            return Err("eta and eta_start must be positive".into());
+        let fine = |eta: f64| eta > 0.0 && eta.is_finite();
+        if !(fine(self.eta) && fine(self.eta_start)) {
+            return Err("eta and eta_start must be positive and finite".into());
         }
         for (name, v) in [("dt_max", self.dt_max), ("dt_min", self.dt_min)] {
             if !crate::blockstep::is_power_of_two(v) {
@@ -486,6 +487,11 @@ mod tests {
         assert!(c.validate().is_err());
         let c = HermiteConfig { eta: 0.0, ..HermiteConfig::default() };
         assert!(c.validate().is_err());
+        // An infinite eta runs zero block steps and reports success.
+        for (eta, eta_start) in [(f64::INFINITY, 0.0025), (0.02, f64::INFINITY)] {
+            let c = HermiteConfig { eta, eta_start, ..HermiteConfig::default() };
+            assert!(c.validate().unwrap_err().contains("eta and eta_start"), "{eta} {eta_start}");
+        }
     }
 
     #[test]

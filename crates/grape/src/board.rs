@@ -33,16 +33,9 @@ impl BoardGeometry {
     pub fn jmem_capacity(&self) -> usize {
         self.chips * self.chip.jmem_capacity
     }
-
-    /// Cycles for a board-level force call: chips run in parallel on their
-    /// local j-slices, so the board takes as long as its fullest chip.
-    pub fn compute_cycles(&self, n_i: usize, n_j_total: usize) -> u64 {
-        let n_j_chip = n_j_total.div_ceil(self.chips);
-        self.chip.compute_cycles(n_i, n_j_chip)
-    }
 }
 
-/// Functional + cycle model of a processor board.
+/// Functional model of a processor board.
 #[derive(Debug, Clone)]
 pub struct ProcessorBoard {
     /// Board geometry.
@@ -64,12 +57,6 @@ impl ProcessorBoard {
     /// Resident j-particle count.
     pub fn n_j(&self) -> usize {
         self.routes.len()
-    }
-
-    /// Total cycles issued (the board advances at the pace of its slowest
-    /// chip per call; see [`BoardGeometry::compute_cycles`]).
-    pub fn cycles(&self) -> u64 {
-        self.chips.iter().map(|c| c.cycles()).max().unwrap_or(0)
     }
 
     /// Distribute a j-particle set across the chips (block distribution, as
@@ -98,12 +85,6 @@ impl ProcessorBoard {
             }
         }
         Ok(())
-    }
-
-    /// Read back one j-particle by global index (diagnostic port).
-    pub fn peek_j(&self, index: usize) -> Option<&JParticle> {
-        let &(chip, slot) = self.routes.get(index)?;
-        self.chips[chip].peek_j(slot)
     }
 
     /// Write back one updated j-particle by global index.
@@ -220,12 +201,5 @@ mod tests {
             (1..=9).map(|k| 1.0 / (k as f64 * k as f64)).sum::<f64>() + 1.0 / (100.0 * 100.0);
         assert!((acc.x - expect).abs() < 1e-12);
         assert!(b.store_j(10, j_at(0.0, 1.0)).is_err());
-    }
-
-    #[test]
-    fn board_cycles_track_fullest_chip() {
-        let g = BoardGeometry::default();
-        // 1000 j over 32 chips → 32 each (ceil 31.25 → 32).
-        assert_eq!(g.compute_cycles(48, 1000), g.chip.compute_cycles(48, 32));
     }
 }

@@ -100,7 +100,8 @@ impl HwIParticle {
     }
 }
 
-/// Functional + cycle model of one processor chip.
+/// Functional model of one processor chip. Its cost is
+/// [`ChipGeometry::compute_cycles`], charged by [`crate::timing::TimingModel`].
 #[derive(Debug, Clone)]
 pub struct Grape6Chip {
     /// Chip geometry.
@@ -110,23 +111,17 @@ pub struct Grape6Chip {
     /// Arithmetic precision emulation.
     pub precision: Precision,
     jmem: Vec<JParticle>,
-    cycles: u64,
 }
 
 impl Grape6Chip {
     /// A chip with empty j-memory.
     pub fn new(geometry: ChipGeometry, format: FixedPointFormat, precision: Precision) -> Self {
-        Self { geometry, format, precision, jmem: Vec::new(), cycles: 0 }
+        Self { geometry, format, precision, jmem: Vec::new() }
     }
 
     /// Number of resident j-particles.
     pub fn n_j(&self) -> usize {
         self.jmem.len()
-    }
-
-    /// Total compute cycles issued so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
     }
 
     /// Load a fresh j-particle set. Fails if it exceeds the SSRAM capacity.
@@ -142,12 +137,6 @@ impl Grape6Chip {
         Ok(())
     }
 
-    /// Read back one j-memory slot (diagnostic port; a board failure
-    /// migrates the resident words through it).
-    pub fn peek_j(&self, slot: usize) -> Option<&JParticle> {
-        self.jmem.get(slot)
-    }
-
     /// Overwrite one j-memory slot (the per-blockstep write-back path).
     pub fn store_j(&mut self, slot: usize, particle: JParticle) -> Result<(), ChipError> {
         if slot >= self.jmem.len() {
@@ -159,7 +148,7 @@ impl Grape6Chip {
 
     /// Compute forces on up to `i_parallel()` i-particles against the full
     /// resident j-memory at block time `t`. Returns one register set per
-    /// i-particle. Also advances the chip's cycle counter.
+    /// i-particle.
     pub fn compute(&mut self, t: f64, ips: &[HwIParticle], eps2: f64) -> Vec<PipelineRegisters> {
         assert!(
             ips.len() <= self.geometry.i_parallel(),
@@ -167,7 +156,6 @@ impl Grape6Chip {
             self.geometry.i_parallel(),
             ips.len()
         );
-        self.cycles += self.geometry.compute_cycles(ips.len(), self.jmem.len());
         let mut regs = vec![PipelineRegisters::new(); ips.len()];
         for j in &self.jmem {
             let pj = predict_j(&self.format, self.precision, j, t);
@@ -325,21 +313,6 @@ mod tests {
         let (acc, _, pot) = regs[0].read();
         assert!((acc.x - 2.0).abs() < 1e-12); // m/r² = 2
         assert!((pot + 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn chip_cycle_counter_accumulates() {
-        let mut chip = test_chip();
-        chip.load_j(&[j_at(1.0, 1.0), j_at(2.0, 1.0)]).unwrap();
-        let ip = HwIParticle::encode(
-            &FixedPointFormat::default(),
-            Precision::Exact,
-            Vec3::zero(),
-            Vec3::zero(),
-        );
-        chip.compute(0.0, &[ip], 0.0);
-        chip.compute(0.0, &[ip], 0.0);
-        assert_eq!(chip.cycles(), 2 * (8 * 2 + 56));
     }
 
     #[test]

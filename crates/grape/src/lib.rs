@@ -59,9 +59,9 @@ pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use fault_engine::FaultTolerantEngine;
 pub use format::{FixedPointFormat, Precision};
 pub use lanes::{GrapeJLanes, GrapeLaneTile, SweepPartial};
-pub use link::{Link, WireFormat};
+pub use link::Link;
 pub use network::{NetworkMode, NetworkTree};
-pub use node::{Grape6Node, NodeTraffic};
+pub use node::Grape6Node;
 pub use parallel_models::{ParallelModel, Strategy};
 pub use perf::{HardwareClock, PerfReport};
 pub use timing::{MachineGeometry, StepBreakdown, TimingModel};

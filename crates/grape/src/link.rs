@@ -4,6 +4,8 @@
 //!   twisted pairs (DS90C363A/DS90CF364A devices),
 //! * the PCI bus between the host and its host-interface board,
 //! * Gigabit Ethernet between host computers of different clusters.
+//!
+//! What crosses them is the fixed-size packets of [`crate::wire`].
 
 use serde::{Deserialize, Serialize};
 
@@ -50,28 +52,6 @@ impl Link {
     }
 }
 
-/// Wire formats of the data that crosses the links, in bytes per particle.
-///
-/// Sizes follow the GRAPE-6 interface: positions in 64-bit fixed point,
-/// velocities and higher derivatives in shorter words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireFormat {
-    /// i-particle upload: position (3×8) + velocity (3×4) + id/padding.
-    pub i_particle_bytes: u64,
-    /// j-particle write-back: position (3×8) + velocity, acceleration, jerk
-    /// (3×4 each) + mass (4) + time (8).
-    pub j_particle_bytes: u64,
-    /// Force readout: acceleration, jerk, potential at accumulator width
-    /// (7×8).
-    pub result_bytes: u64,
-}
-
-impl Default for WireFormat {
-    fn default() -> Self {
-        Self { i_particle_bytes: 40, j_particle_bytes: 72, result_bytes: 56 }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,13 +81,5 @@ mod tests {
         // LVDS and PCI are comparable; fast ethernet is far slower.
         assert!(Link::fast_ethernet().bytes_per_second < Link::gigabit_ethernet().bytes_per_second);
         assert!(Link::gigabit_ethernet().bytes_per_second < Link::pci().bytes_per_second);
-    }
-
-    #[test]
-    fn wire_format_sizes() {
-        let w = WireFormat::default();
-        assert!(w.i_particle_bytes >= 36);
-        assert!(w.j_particle_bytes > w.i_particle_bytes);
-        assert!(w.result_bytes >= 36);
     }
 }

@@ -5,43 +5,27 @@
 //! Unlike [`crate::engine::Grape6Engine`] (which shortcuts the topology for
 //! speed, justified by the exactly-associative reduction), this module
 //! routes every i-particle broadcast, j write-back and force readout through
-//! the wire protocol and the board structure, and accounts the bytes moved.
-//! Integration tests use it to prove the shortcut engine is bit-identical to
-//! the fully-routed machine.
+//! the wire protocol and the board structure. Integration tests use it to
+//! prove the shortcut engine is bit-identical to the fully-routed machine.
+//! It keeps no books: bytes are counted by `Grape6Engine::bytes_transferred`
+//! and time by [`crate::timing::TimingModel`].
 
 use crate::board::{BoardGeometry, ProcessorBoard};
 use crate::chip::HwIParticle;
 use crate::format::{FixedPointFormat, Precision};
-use crate::network::{NetworkBoardGeometry, NetworkTree};
 use crate::pipeline::PipelineRegisters;
 use crate::predictor::JParticle;
 use crate::wire;
 use bytes::{Bytes, BytesMut};
 use grape6_core::particle::ForceResult;
 
-/// Byte-transfer statistics of a node (what crossed which wire).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct NodeTraffic {
-    /// Bytes broadcast down the NB tree (i-particles).
-    pub i_bytes: u64,
-    /// Bytes written back into j-memories.
-    pub j_bytes: u64,
-    /// Bytes read back up the reduction tree (forces).
-    pub f_bytes: u64,
-}
-
 /// One node: 4 processor boards behind a network-board tree.
 #[derive(Debug, Clone)]
 pub struct Grape6Node {
     /// Per-board functional models.
     boards: Vec<ProcessorBoard>,
-    /// The NB tree spanning them.
-    pub tree: NetworkTree,
     /// j index → (board, local index) routing.
     routes: Vec<(usize, usize)>,
-    /// Boards taken out of service by [`Self::fail_board`].
-    failed: Vec<bool>,
-    traffic: NodeTraffic,
     eps2: f64,
 }
 
@@ -56,10 +40,7 @@ impl Grape6Node {
         assert!(n_boards >= 1);
         Self {
             boards: (0..n_boards).map(|_| ProcessorBoard::new(board, format, precision)).collect(),
-            tree: NetworkTree::spanning(n_boards, NetworkBoardGeometry::default()),
             routes: Vec::new(),
-            failed: vec![false; n_boards],
-            traffic: NodeTraffic::default(),
             eps2: 0.0,
         }
     }
@@ -69,24 +50,14 @@ impl Grape6Node {
         Self::new(4, BoardGeometry::default(), FixedPointFormat::default(), precision)
     }
 
-    /// Bytes moved so far.
-    pub fn traffic(&self) -> NodeTraffic {
-        self.traffic
-    }
-
     /// Number of resident j-particles.
     pub fn n_j(&self) -> usize {
         self.routes.len()
     }
 
-    /// j-particle capacity of the boards still in service.
+    /// j-particle capacity of all boards together.
     pub fn capacity(&self) -> usize {
-        self.boards
-            .iter()
-            .zip(&self.failed)
-            .filter(|(_, dead)| !**dead)
-            .map(|(b, _)| b.geometry.jmem_capacity())
-            .sum()
+        self.boards.iter().map(|b| b.geometry.jmem_capacity()).sum()
     }
 
     /// Set the softening used by subsequent force calls.
@@ -95,10 +66,12 @@ impl Grape6Node {
         self.eps2 = eps * eps;
     }
 
-    /// Deal `particles` over the boards in service in contiguous blocks (the
-    /// DMA order of the real hardware), rebuilding the routing table; boards
-    /// out of service end up empty.
-    fn distribute(&mut self, particles: &[JParticle]) -> Result<(), crate::chip::ChipError> {
+    /// Load a j-particle set, dealing it over the boards in contiguous
+    /// blocks (the DMA order of the real hardware) and rebuilding the
+    /// routing table. The data arrives as a wire-encoded stream, as it would
+    /// over the host port.
+    pub fn load_j_stream(&mut self, stream: Bytes) -> Result<(), crate::chip::ChipError> {
+        let particles = wire::decode_j_block(stream);
         let capacity = self.capacity();
         if particles.len() > capacity {
             return Err(crate::chip::ChipError::MemoryOverflow {
@@ -107,70 +80,19 @@ impl Grape6Node {
             });
         }
         self.routes.clear();
-        let per_board = particles.len().div_ceil(self.live_boards()).max(1);
+        let per_board = particles.len().div_ceil(self.boards.len()).max(1);
         let mut chunks = particles.chunks(per_board);
         for (b, board) in self.boards.iter_mut().enumerate() {
-            let chunk = if self.failed[b] { &[] } else { chunks.next().unwrap_or(&[]) };
+            let chunk = chunks.next().unwrap_or(&[]);
             board.load_j(chunk)?;
             self.routes.extend((0..chunk.len()).map(|s| (b, s)));
         }
         Ok(())
     }
 
-    /// Load a j-particle set, distributing it over the boards. The data
-    /// arrives as a wire-encoded stream, as it would over the host port.
-    pub fn load_j_stream(&mut self, stream: Bytes) -> Result<(), crate::chip::ChipError> {
-        self.traffic.j_bytes += stream.len() as u64;
-        self.distribute(&wire::decode_j_block(stream))
-    }
-
     /// Convenience: encode + load.
     pub fn load_j(&mut self, particles: &[JParticle]) -> Result<(), crate::chip::ChipError> {
         self.load_j_stream(wire::encode_j_block(particles))
-    }
-
-    /// Read back one j-particle by global index (diagnostic port).
-    pub fn peek_j(&self, index: usize) -> Option<&JParticle> {
-        let &(board, slot) = self.routes.get(index)?;
-        self.boards[board].peek_j(slot)
-    }
-
-    /// Boards still in service.
-    pub fn live_boards(&self) -> usize {
-        self.failed.iter().filter(|f| !**f).count()
-    }
-
-    /// Kill a processor board: take it out of service and redistribute its
-    /// resident j-particles over the survivors (the migrated share is
-    /// re-DMA'd over the wire and charged to `j_bytes`). Returns the number
-    /// of particles migrated. Refuses to kill the last live board or to
-    /// overflow the survivors' capacity.
-    pub fn fail_board(&mut self, board: usize) -> Result<usize, crate::chip::ChipError> {
-        if board >= self.boards.len() {
-            return Err(crate::chip::ChipError::BadSlot { slot: board, len: self.boards.len() });
-        }
-        if self.failed[board] {
-            return Ok(0);
-        }
-        if self.live_boards() == 1 {
-            // Nothing left to repartition onto.
-            return Err(crate::chip::ChipError::MemoryOverflow {
-                requested: self.n_j(),
-                capacity: 0,
-            });
-        }
-        let migrated = self.routes.iter().filter(|&&(b, _)| b == board).count();
-        // Gather the resident set in global order (still readable — the
-        // board died, its last-known memory image is the host's copy).
-        let particles: Vec<JParticle> =
-            (0..self.routes.len()).map(|k| *self.peek_j(k).expect("routed j missing")).collect();
-        self.failed[board] = true;
-        if let Err(overflow) = self.distribute(&particles) {
-            self.failed[board] = false;
-            return Err(overflow);
-        }
-        self.traffic.j_bytes += (migrated * wire::J_PACKET_BYTES) as u64;
-        Ok(migrated)
     }
 
     /// Write back one updated j-particle by global index (over the wire).
@@ -181,7 +103,6 @@ impl Grape6Node {
     ) -> Result<(), crate::chip::ChipError> {
         let mut buf = BytesMut::new();
         wire::encode_j_particle(&mut buf, particle);
-        self.traffic.j_bytes += buf.len() as u64;
         let decoded = wire::decode_j_particle(&mut buf.freeze());
         let &(board, slot) = self
             .routes
@@ -204,7 +125,6 @@ impl Grape6Node {
             for (ip, id) in chunk {
                 wire::encode_i_particle(&mut buf, ip, *id);
             }
-            self.traffic.i_bytes += buf.len() as u64;
             let mut stream = buf.freeze();
             let mut decoded = Vec::with_capacity(chunk.len());
             while !stream.is_empty() {
@@ -229,16 +149,10 @@ impl Grape6Node {
                 let mut fbuf = BytesMut::new();
                 let f = ForceResult { acc, jerk, pot, nn: None };
                 wire::encode_force(&mut fbuf, &f);
-                self.traffic.f_bytes += fbuf.len() as u64;
                 results.push(wire::decode_force(&mut fbuf.freeze()));
             }
         }
         results
-    }
-
-    /// Cycles consumed by the busiest board so far.
-    pub fn cycles(&self) -> u64 {
-        self.boards.iter().map(|b| b.cycles()).max().unwrap_or(0)
     }
 }
 
@@ -276,7 +190,7 @@ mod tests {
         let js: Vec<JParticle> = (1..=10).map(|k| j_at(k as f64, 1e-6)).collect();
         node.load_j(&js).unwrap();
         assert_eq!(node.n_j(), 10);
-        assert_eq!(node.traffic().j_bytes, 10 * wire::J_PACKET_BYTES as u64);
+        assert_eq!([node.boards[0].n_j(), node.boards[1].n_j()], [5, 5]);
     }
 
     #[test]
@@ -306,8 +220,6 @@ mod tests {
             })
             .sum();
         assert!((out[0].acc.x - expect).abs() < 1e-10, "{} vs {expect}", out[0].acc.x);
-        assert_eq!(node.traffic().i_bytes, wire::I_PACKET_BYTES as u64);
-        assert_eq!(node.traffic().f_bytes, wire::F_PACKET_BYTES as u64);
     }
 
     #[test]
@@ -359,50 +271,8 @@ mod tests {
     }
 
     #[test]
-    fn failed_board_repartitions_without_changing_forces() {
-        let mut node = small_node();
-        let js: Vec<JParticle> = (1..=10).map(|k| j_at(k as f64, 1.0)).collect();
-        node.load_j(&js).unwrap();
-        let ip = HwIParticle::encode(
-            &FixedPointFormat::default(),
-            Precision::Exact,
-            Vec3::zero(),
-            Vec3::zero(),
-        );
-        let before = node.compute(0.0, &[(ip, 0)]);
-        let j_bytes_before = node.traffic().j_bytes;
-        // Kill board 0 (held the first 5 particles): they migrate to board 1.
-        let migrated = node.fail_board(0).unwrap();
-        assert_eq!(migrated, 5);
-        assert_eq!(node.live_boards(), 1);
-        assert_eq!(node.capacity(), 32);
-        assert_eq!(node.n_j(), 10);
-        assert_eq!(
-            node.traffic().j_bytes,
-            j_bytes_before + 5 * wire::J_PACKET_BYTES as u64,
-            "the migrated share crosses the wire again"
-        );
-        // Same forces, bit for bit, from the surviving board.
-        let after = node.compute(0.0, &[(ip, 0)]);
-        assert_eq!(before[0].acc, after[0].acc);
-        assert_eq!(before[0].jerk, after[0].jerk);
-        assert_eq!(before[0].pot, after[0].pot);
-        // Killing the same board again is a no-op; killing the last live
-        // board is refused.
-        assert_eq!(node.fail_board(0).unwrap(), 0);
-        assert!(node.fail_board(1).is_err());
-        assert!(node.fail_board(9).is_err());
-        // A reload on the degraded node routes around the dead board.
-        node.load_j(&js).unwrap();
-        assert_eq!(node.n_j(), 10);
-        let reloaded = node.compute(0.0, &[(ip, 0)]);
-        assert_eq!(before[0].acc, reloaded[0].acc);
-    }
-
-    #[test]
     fn production_node_holds_a_quarter_million_particles() {
         let node = Grape6Node::production(Precision::grape6());
         assert_eq!(node.capacity(), 4 * 32 * 16384);
-        assert_eq!(node.tree.levels(), 1);
     }
 }

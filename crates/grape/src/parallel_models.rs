@@ -13,7 +13,8 @@
 //!    integration and the others emulating network boards (Fig 6); traffic
 //!    per host scales with n/√p.
 
-use crate::link::{Link, WireFormat};
+use crate::link::Link;
+use crate::wire::J_PACKET_BYTES;
 use serde::{Deserialize, Serialize};
 
 /// A host-parallelization strategy.
@@ -50,18 +51,11 @@ pub struct ParallelModel {
     pub pci: Link,
     /// GRAPE-to-GRAPE hardware link (LVDS).
     pub lvds: Link,
-    /// Wire sizes.
-    pub wire: WireFormat,
 }
 
 impl Default for ParallelModel {
     fn default() -> Self {
-        Self {
-            host_net: Link::gigabit_ethernet(),
-            pci: Link::pci(),
-            lvds: Link::lvds(),
-            wire: WireFormat::default(),
-        }
+        Self { host_net: Link::gigabit_ethernet(), pci: Link::pci(), lvds: Link::lvds() }
     }
 }
 
@@ -70,7 +64,7 @@ impl ParallelModel {
     /// `n_active`, under the given strategy with `p` hosts.
     pub fn inbound_bytes_per_host(&self, strategy: Strategy, p: usize, n_active: usize) -> u64 {
         assert!(p >= 1);
-        let jb = self.wire.j_particle_bytes;
+        let jb = J_PACKET_BYTES as u64;
         let n_host = n_active.div_ceil(p);
         match strategy {
             // Everyone needs everyone else's block, over the host NIC.
@@ -88,7 +82,7 @@ impl ParallelModel {
 
     /// Per-step communication time for the j-exchange phase.
     pub fn exchange_time(&self, strategy: Strategy, p: usize, n_active: usize) -> f64 {
-        let jb = self.wire.j_particle_bytes;
+        let jb = J_PACKET_BYTES as u64;
         let n_host = n_active.div_ceil(p);
         match strategy {
             Strategy::Naive => {
@@ -113,10 +107,11 @@ impl ParallelModel {
     /// GRAPE write-back alone (higher is better; the naive strategy should
     /// flatline — the paper's point).
     pub fn exchange_speedup(&self, strategy: Strategy, p: usize, n_active: usize) -> f64 {
-        let single = self.pci.transfer_time(n_active as u64 * self.wire.j_particle_bytes);
+        let jb = J_PACKET_BYTES as u64;
+        let single = self.pci.transfer_time(n_active as u64 * jb);
         let parallel = self
             .exchange_time(strategy, p, n_active)
-            .max(self.pci.transfer_time(n_active.div_ceil(p) as u64 * self.wire.j_particle_bytes));
+            .max(self.pci.transfer_time(n_active.div_ceil(p) as u64 * jb));
         single / parallel
     }
 }

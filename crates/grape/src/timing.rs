@@ -13,8 +13,9 @@
 //! computes complete forces for its share of the block.
 
 use crate::board::BoardGeometry;
-use crate::link::{Link, WireFormat};
+use crate::link::Link;
 use crate::network::{NetworkBoardGeometry, NetworkTree};
+use crate::wire::{F_PACKET_BYTES, I_PACKET_BYTES, J_PACKET_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// Geometry of the complete machine.
@@ -134,8 +135,6 @@ pub struct TimingModel {
     pub nb: NetworkBoardGeometry,
     /// Inter-cluster fabric.
     pub ethernet: Link,
-    /// Per-particle wire sizes.
-    pub wire: WireFormat,
     /// Host cost model.
     pub host: HostModel,
     /// Per-blockstep barrier cost across all hosts.
@@ -156,7 +155,6 @@ impl TimingModel {
             pci: Link::pci(),
             nb: NetworkBoardGeometry::default(),
             ethernet: Link::gigabit_ethernet(),
-            wire: WireFormat::default(),
             host: HostModel::default(),
             sync_latency: 100.0e-6,
             overlap: false,
@@ -192,22 +190,22 @@ impl TimingModel {
 
         // i-particle upload: PCI transfer pipelined with the NB broadcast —
         // charge the slower stage.
-        let i_bytes = n_i_host as u64 * self.wire.i_particle_bytes;
+        let i_bytes = (n_i_host * I_PACKET_BYTES) as u64;
         let send_i = self.pci.transfer_time(i_bytes).max(tree.broadcast_time(i_bytes));
 
         // The pipeline sweep (all chips in parallel on their j-slices).
         let pipeline = g.board.chip.compute_seconds(n_i_host, n_j_chip);
 
         // Force readout through the reduction tree, then PCI.
-        let f_bytes = n_i_host as u64 * self.wire.result_bytes;
+        let f_bytes = (n_i_host * F_PACKET_BYTES) as u64;
         let receive = self.pci.transfer_time(f_bytes).max(tree.reduce_time(f_bytes));
 
         // j write-back: the host's own corrected particles to its boards…
-        let j_local_bytes = n_i_host as u64 * self.wire.j_particle_bytes;
+        let j_local_bytes = (n_i_host * J_PACKET_BYTES) as u64;
         // …and the other intra-cluster hosts' blocks arriving over the NB
         // data ports (paper Fig 4/5: the hosts themselves exchange nothing).
         let peers = g.hosts_per_cluster.saturating_sub(1);
-        let j_intra_bytes = (peers * n_i_host) as u64 * self.wire.j_particle_bytes;
+        let j_intra_bytes = (peers * n_i_host * J_PACKET_BYTES) as u64;
         let jshare_intra =
             self.pci.transfer_time(j_local_bytes).max(self.nb.link.transfer_time(j_intra_bytes));
 
@@ -215,7 +213,7 @@ impl TimingModel {
         // receive the blocks integrated by the other clusters.
         let other_clusters = g.clusters.saturating_sub(1);
         let j_inter_bytes =
-            (other_clusters * g.hosts_per_cluster * n_i_host) as u64 * self.wire.j_particle_bytes;
+            (other_clusters * g.hosts_per_cluster * n_i_host * J_PACKET_BYTES) as u64;
         let jshare_inter =
             if other_clusters == 0 { 0.0 } else { self.ethernet.transfer_time(j_inter_bytes) };
 

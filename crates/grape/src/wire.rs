@@ -11,9 +11,11 @@
 //!   accumulators are wide fixed point in hardware; their readout keeps full
 //!   width).
 //!
-//! The sizes match [`crate::link::WireFormat`] — the timing model charges
-//! exactly these bytes — and encode/decode round-trips are lossless at the
-//! hardware's own word precision, which the tests pin down.
+//! These sizes are the one packet-size table: the timing model
+//! ([`crate::timing::TimingModel`], [`crate::parallel_models`]) charges and
+//! `Grape6Engine::bytes_transferred` counts exactly these bytes.
+//! Encode/decode round-trips are lossless at the hardware's own word
+//! precision, which the tests pin down.
 
 use crate::chip::HwIParticle;
 #[cfg(test)]
@@ -210,14 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn packet_sizes_match_timing_model() {
-        let w = crate::link::WireFormat::default();
-        assert_eq!(w.i_particle_bytes as usize, I_PACKET_BYTES);
-        assert_eq!(w.j_particle_bytes as usize, J_PACKET_BYTES);
-        assert_eq!(w.result_bytes as usize, F_PACKET_BYTES);
-    }
-
-    #[test]
     fn i_particle_roundtrip_exact() {
         let fmt = FixedPointFormat::default();
         let ip = HwIParticle::encode(
@@ -343,14 +337,13 @@ mod tests {
     }
 
     #[test]
-    fn block_transfer_time_consistency() {
-        // 1000 j-particles over LVDS: the timing model and the actual byte
-        // count must agree.
+    fn timing_model_charges_the_encoded_bytes() {
+        // One host writing back 1000 j-particles: the modeled write-back
+        // moves exactly the bytes the encoder produces.
         let js: Vec<JParticle> = (0..1000).map(|_| sample_j()).collect();
         let stream = encode_j_block(&js);
-        let t_wire = crate::link::Link::lvds().transfer_time(stream.len() as u64);
-        let w = crate::link::WireFormat::default();
-        let t_model = crate::link::Link::lvds().transfer_time(1000 * w.j_particle_bytes);
-        assert!((t_wire - t_model).abs() < 1e-12);
+        let m = crate::timing::TimingModel::single_host();
+        let charged = m.block_step(1000, 100_000).jshare_intra;
+        assert_eq!(charged, m.pci.transfer_time(stream.len() as u64));
     }
 }

@@ -296,6 +296,8 @@ mod tests {
         assert!(JobSpec { t_end: -1.0, ..spec() }.validate(4096).is_err());
         assert!(JobSpec { engine: "warp".into(), ..spec() }.validate(4096).is_err());
         assert!(JobSpec { dt_max: -0.5, ..spec() }.validate(4096).is_err());
+        let err = JobSpec { eta: f64::INFINITY, ..spec() }.validate(4096).unwrap_err();
+        assert!(err.contains("eta and eta_start"), "{err}");
         // The single-host grape6 engine holds 524,288 bodies, two of them
         // protoplanets; above the server's limit, its capacity refuses.
         let grape6 = |n| JobSpec { n, engine: "grape6".into(), ..spec() };

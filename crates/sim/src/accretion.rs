@@ -87,6 +87,7 @@ impl AccretionLog {
 ///
 /// The caller supplies the neighbour report from the force engine (both
 /// bodies predicted to the same block time, so the distance is meaningful).
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(r < d)`: a NaN distance merges nothing
 pub fn try_merge(
     sys: &mut ParticleSystem,
     i: usize,
@@ -99,7 +100,7 @@ pub fn try_merge(
         return None;
     }
     let r = nn.r2.sqrt();
-    if r >= model.collision_distance(sys.mass[i], sys.mass[j]) {
+    if !(r < model.collision_distance(sys.mass[i], sys.mass[j])) {
         return None;
     }
     // Survivor = heavier body (ties: lower index).

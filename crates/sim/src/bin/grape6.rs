@@ -100,6 +100,9 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
     let theta = flags.get_or::<f64>("--theta", 0.5);
     let near_radius = flags.get_or::<f64>("--near-radius", 1.0);
     let accrete = flags.get::<f64>("--accrete");
+    if accrete.is_some_and(|f| !(f > 0.0 && f.is_finite())) {
+        return Err("--accrete must be a finite positive inflation factor".into());
+    }
     let config = HermiteConfig {
         eta,
         eta_start: eta / 8.0,
@@ -253,7 +256,7 @@ fn drive(
         sim.t(),
         units::time_to_years(sim.t()),
         d.block_steps,
-        sim.block_hist.mean(),
+        d.mean_block,
         d.energy_error
     );
     let faults = sim.engine.fault_stats();
@@ -369,6 +372,9 @@ fn cmd_perf(flags: &Flags) -> Result<(), String> {
     let Some(block) = flags.get::<usize>("--block") else {
         return Err("perf requires --block <active particles>".into());
     };
+    if n == 0 || block == 0 || block > n {
+        return Err(format!("--block = {block} must be between 1 and --n = {n}"));
+    }
     let model = TimingModel::sc2002();
     let b = model.block_step(block, n);
     let flops = 57.0 * block as f64 * n as f64;

@@ -23,7 +23,7 @@
 //! | system body | `u32`-length-prefixed chunks of whole particle records, `u32` 0 sentinel |
 //! | integrator | 4×`f64` [`HermiteConfig`] + 3×`u64` [`RunStats`] |
 //! | ledger | 2×`f64` (`e0`, `l0` reference invariants) |
-//! | block histogram | `u32` bin count + bins + blocks + particle steps |
+//! | block histogram | `u32` bin count + bins + block and particle steps (copies of [`RunStats`]'s, skipped on read) |
 //! | telemetry | flag byte + `u32`-length-prefixed opaque state |
 //! | engine | `u32`-length-prefixed name + `u32`-length-prefixed opaque state |
 //!
@@ -105,8 +105,9 @@ fn encode_tail<E: ForceEngine + ?Sized>(sim: &Simulation<E>) -> Vec<u8> {
     for &b in &sim.block_hist.bins {
         buf.put_u64_le(b);
     }
-    buf.put_u64_le(sim.block_hist.blocks);
-    buf.put_u64_le(sim.block_hist.particle_steps);
+    // The histogram's two frozen total words: block and particle steps.
+    buf.put_u64_le(stats.block_steps);
+    buf.put_u64_le(stats.particle_steps);
     match &tel_state {
         Some(state) => {
             buf.put_u8(1);
@@ -289,10 +290,10 @@ fn decode_container<E: ForceEngine>(data: &[u8], mut engine: E) -> Result<Simula
         RunStats { block_steps: f.u64()?, particle_steps: f.u64()?, interactions: f.u64()? };
     let ledger = EnergyLedger { e0: f.f64()?, l0: f.f64()? };
     f.section("block histogram");
-    let mut block_hist = BlockSizeHistogram::new();
-    block_hist.bins = (0..f.u32()?).map(|_| f.u64()).collect::<Result<_, _>>()?;
-    block_hist.blocks = f.u64()?;
-    block_hist.particle_steps = f.u64()?;
+    let block_hist =
+        BlockSizeHistogram { bins: (0..f.u32()?).map(|_| f.u64()).collect::<Result<_, _>>()? };
+    // Block and particle steps: copies of the integrator section's.
+    f.take(2 * 8)?;
     f.section("telemetry section");
     let telemetry = match f.u8()? {
         0 => None,

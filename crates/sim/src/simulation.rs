@@ -254,7 +254,7 @@ mod tests {
         let info = sim.step();
         assert!(info.n_active >= 1);
         assert!(sim.t() > 0.0);
-        assert_eq!(sim.block_hist.blocks, 1);
+        assert_eq!(sim.block_hist.bins.iter().sum::<u64>(), 1);
     }
 
     #[test]

@@ -50,15 +50,13 @@ impl TimestepHistogram {
     }
 }
 
-/// Histogram of active-block sizes across a run.
+/// Histogram of active-block sizes across a run. It holds the bins only:
+/// block and particle steps, and their mean, are
+/// [`grape6_core::integrator::RunStats`]'s.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BlockSizeHistogram {
     /// Counts per log2-size bin: bin k holds blocks with 2^k ≤ n < 2^(k+1).
     pub bins: Vec<u64>,
-    /// Total blocks recorded.
-    pub blocks: u64,
-    /// Total particle-steps recorded.
-    pub particle_steps: u64,
 }
 
 impl BlockSizeHistogram {
@@ -77,17 +75,6 @@ impl BlockSizeHistogram {
             self.bins.resize(bin + 1, 0);
         }
         self.bins[bin] += 1;
-        self.blocks += 1;
-        self.particle_steps += n as u64;
-    }
-
-    /// Mean block size.
-    pub fn mean(&self) -> f64 {
-        if self.blocks == 0 {
-            0.0
-        } else {
-            self.particle_steps as f64 / self.blocks as f64
-        }
     }
 }
 
@@ -122,23 +109,20 @@ mod tests {
     }
 
     #[test]
-    fn block_histogram_statistics() {
+    fn block_histogram_bins_by_log2_size() {
         let mut h = BlockSizeHistogram::new();
         for n in [1usize, 1, 2, 3, 4, 8, 100] {
             h.record(n);
         }
-        h.record(0); // ignored
-        assert_eq!(h.blocks, 7);
-        assert_eq!(h.particle_steps, 119);
-        assert!((h.mean() - 17.0).abs() < 1e-12);
-        // bins: 1→2 blocks (k=0), 2..3→2 (k=1), 4..8→2 (k=2,3), 100→k=6
-        assert_eq!(h.bins[0], 2);
-        assert_eq!(h.bins[1], 2);
+        // A block of 0 is ignored; 1 → k=0, 2..3 → k=1, 4 → k=2, 8 → k=3,
+        // 100 → k=6.
+        h.record(0);
+        assert_eq!(h.bins, [2, 2, 1, 1, 0, 0, 1]);
     }
 
     #[test]
     fn empty_histograms_are_safe() {
         let h = BlockSizeHistogram::new();
-        assert_eq!(h.mean(), 0.0);
+        assert!(h.bins.is_empty());
     }
 }

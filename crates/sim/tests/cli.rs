@@ -85,11 +85,14 @@ fn unknown_flags_and_valueless_flags_are_errors_before_any_output() {
     let snap = dir.join("never.g6sn").display().to_string();
     // Unchecked, the first three exit 0 on the default direct engine with no
     // fault injected, the fourth takes the next flag as the engine name, and
-    // the fifth builds 5 bodies. The last seven parse but are out of range:
+    // the fifth builds 5 bodies. The rest parse but are out of range:
     // unchecked, `gen --n 0`, `--eta 0 | -1 | nan` and `analyze --bins 0`
-    // panic in the library (exit 101), `--t nan` exits 0 after zero block
-    // steps and `--t inf` never returns.
-    let cases: [(&[&str], &str); 12] = [
+    // panic in the library (exit 101), `--t nan` and `--eta inf` exit 0
+    // after zero block steps, `--t inf` never returns, `--accrete nan | inf`
+    // merge every reported neighbour, `--accrete 0 | -1` switch accretion
+    // off without a word, and `perf` models a block of 0 bodies or one
+    // larger than the system.
+    let cases: [(&[&str], &str); 20] = [
         (
             &["run", "--in", &disk, "--t", "2", "--engin", "grape6", "--out", &snap],
             "unknown flag '--engin' for run",
@@ -102,9 +105,17 @@ fn unknown_flags_and_valueless_flags_are_errors_before_any_output() {
         (&["run", "--in", &disk, "--t", "2", "--eta", "0", "--out", &snap], "eta and eta_start"),
         (&["run", "--in", &disk, "--t", "2", "--eta", "-1", "--out", &snap], "eta and eta_start"),
         (&["run", "--in", &disk, "--t", "2", "--eta", "nan", "--out", &snap], "eta and eta_start"),
+        (&["run", "--in", &disk, "--t", "2", "--eta", "inf", "--out", &snap], "eta and eta_start"),
         (&["run", "--in", &disk, "--t", "nan", "--out", &snap], "--t = NaN must be finite"),
         (&["run", "--in", &disk, "--t", "inf", "--out", &snap], "--t = inf must be finite"),
         (&["analyze", "--in", &disk, "--bins", "0"], "--bins must be at least 1"),
+        (&["run", "--in", &disk, "--t", "1", "--accrete", "nan", "--out", &snap], "--accrete"),
+        (&["run", "--in", &disk, "--t", "1", "--accrete", "inf", "--out", &snap], "--accrete"),
+        (&["run", "--in", &disk, "--t", "1", "--accrete", "0", "--out", &snap], "--accrete"),
+        (&["run", "--in", &disk, "--t", "1", "--accrete", "-1", "--out", &snap], "--accrete"),
+        (&["perf", "--n", "10", "--block", "100"], "--block = 100 must be between 1 and --n"),
+        (&["perf", "--n", "0", "--block", "0"], "--block = 0 must be between 1 and --n"),
+        (&["perf", "--n", "10", "--block", "0"], "--block = 0 must be between 1 and --n"),
     ];
     for (args, message) in cases {
         let out = grape6(args);

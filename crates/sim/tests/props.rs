@@ -87,14 +87,39 @@ proptest! {
     }
 
     #[test]
-    fn block_histogram_mean_is_exact(ns in prop::collection::vec(1usize..10_000, 1..100)) {
+    fn a_nan_inflation_merges_nothing(
+        sep in 0.0..1e-3f64,
+        m1 in 1e-10..1e-6f64,
+        m2 in 1e-10..1e-6f64,
+    ) {
+        // A NaN collision distance compares false both ways: the test must
+        // read "not closer than", or every reported neighbour merges.
+        let model = RadiusModel::icy_inflated(f64::NAN);
+        let mut sys = two_body_system(
+            Vec3::new(20.0, 0.0, 0.0),
+            Vec3::zero(),
+            m1,
+            Vec3::new(20.0 + sep, 0.0, 0.0),
+            Vec3::zero(),
+            m2,
+        );
+        let mut log = AccretionLog::default();
+        let nn = Neighbor { index: 1, r2: sep * sep };
+        prop_assert!(try_merge(&mut sys, 0, nn, &model, &mut log).is_none());
+        prop_assert_eq!((sys.mass[0], sys.mass[1], log.count()), (m1, m2, 0));
+    }
+
+    #[test]
+    fn block_histogram_bins_every_block_once(ns in prop::collection::vec(1usize..10_000, 1..100)) {
         let mut h = BlockSizeHistogram::new();
         for &n in &ns {
             h.record(n);
         }
-        let expect = ns.iter().sum::<usize>() as f64 / ns.len() as f64;
-        prop_assert!((h.mean() - expect).abs() < 1e-9);
-        prop_assert_eq!(h.blocks, ns.len() as u64);
+        prop_assert_eq!(h.bins.iter().sum::<u64>(), ns.len() as u64);
+        for (k, &count) in h.bins.iter().enumerate() {
+            let expect = ns.iter().filter(|&&n| n >> k == 1).count() as u64;
+            prop_assert_eq!(count, expect, "bin {}", k);
+        }
     }
 
     #[test]

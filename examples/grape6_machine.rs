@@ -51,11 +51,8 @@ fn main() {
         acc.norm(),
         pot
     );
-    println!(
-        "  cycles spent: {} ({:.1} µs at 90 MHz)\n",
-        chip.cycles(),
-        chip.cycles() as f64 / 90.0
-    );
+    let cycles = geom.compute_cycles(1, js.len());
+    println!("  cycles spent: {} ({:.1} µs at 90 MHz)\n", cycles, cycles as f64 / 90.0);
 
     // --- one processor board ---
     let bgeom = BoardGeometry::default();

@@ -35,7 +35,7 @@ fn main() {
         stats.block_steps,
         stats.particle_steps
     );
-    println!("mean active block: {:.1} particles", sim.block_hist.mean());
+    println!("mean active block: {:.1} particles", stats.mean_block_size());
     let ts = sim.timestep_histogram();
     println!(
         "timestep rungs occupied: {} (dt spans {:.1} octaves)",

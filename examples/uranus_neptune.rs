@@ -29,7 +29,7 @@ fn main() {
     println!("\nintegrated {years} years:");
     println!("  block steps      : {}", stats.block_steps);
     println!("  particle steps   : {}", stats.particle_steps);
-    println!("  mean block size  : {:.1}", sim.block_hist.mean());
+    println!("  mean block size  : {:.1}", stats.mean_block_size());
     println!("  |dE/E|           : {:.3e}", sim.diagnostics.last().unwrap().energy_error);
 
     // What would the real 63-Tflops machine have taken?

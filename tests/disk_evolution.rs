@@ -56,9 +56,9 @@ fn block_structure_emerges() {
     let ts = sim.timestep_histogram();
     assert!(ts.occupied_rungs() >= 2, "only {} rungs", ts.occupied_rungs());
     assert!(
-        sim.block_hist.mean() < 514.0 * 0.9,
+        sim.stats().mean_block_size() < 514.0 * 0.9,
         "mean block {} ≈ whole system",
-        sim.block_hist.mean()
+        sim.stats().mean_block_size()
     );
 }
 
