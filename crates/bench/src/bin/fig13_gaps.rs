@@ -8,7 +8,7 @@
 //! square of the protoplanet mass — while leaving the mechanism (scattering
 //! out of the feeding zone) untouched. See DESIGN.md §3.
 
-use grape6_bench::{experiment_config, fmt, print_header, print_row, read_flags};
+use grape6_bench::{experiment_config, fmt, print_header, print_row, read_count, read_flags};
 use grape6_core::force::DirectEngine;
 use grape6_core::integrator::BlockHermite;
 use grape6_disk::{DiskBuilder, DiskSnapshot, RadialHistogram};
@@ -16,7 +16,7 @@ use grape6_sim::Simulation;
 
 fn main() {
     let flags = read_flags(&["--n", "--mass-boost", "--t-early", "--t-late", "--csv"]);
-    let n: usize = flags.get_or("--n", 2048);
+    let n = read_count(&flags, "--n", 2048);
     let mass_boost: f64 = flags.get_or("--mass-boost", 10.0);
     let t_early: f64 = flags.get_or("--t-early", 800.0);
     let t_late: f64 = flags.get_or("--t-late", 2400.0);

@@ -23,7 +23,9 @@
 // Per-phase wall times are this harness's output.
 #![allow(clippy::disallowed_methods)]
 
-use grape6_bench::{experiment_config, fmt, paper_disk, print_header, print_row, read_flags};
+use grape6_bench::{
+    experiment_config, fmt, paper_disk, print_header, print_row, read_count, read_flags,
+};
 use grape6_core::engine::ForceEngine;
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_sim::checkpoint::{
@@ -148,7 +150,7 @@ fn rss_mib() -> (f64, f64) {
 
 fn main() -> std::process::ExitCode {
     let flags = read_flags(&["--n", "--steps", "--out", "--checkpoint"]);
-    let n: usize = flags.get_or("--n", 1_799_998);
+    let n = read_count(&flags, "--n", 1_799_998);
     let steps: u64 = flags.get_or("--steps", 200);
     let out: String = flags.get_or("--out", "large_n_smoke.json".to_string());
     let ckpt: String = flags.get_or("--checkpoint", "large_n_smoke.g6ck".to_string());

@@ -8,7 +8,7 @@
 //! the onset of runaway growth. Radii are inflated to bring the collision
 //! rate into CPU range (standard practice; the mechanism is unchanged).
 
-use grape6_bench::{fmt, print_header, print_row, read_flags};
+use grape6_bench::{fmt, print_header, print_row, read_count, read_flags};
 use grape6_core::force::DirectEngine;
 use grape6_core::integrator::HermiteConfig;
 use grape6_disk::{DiskBuilder, MassSpectrum};
@@ -16,7 +16,7 @@ use grape6_sim::{RadiusModel, Simulation};
 
 fn main() {
     let flags = read_flags(&["--n", "--inflation", "--t"]);
-    let n: usize = flags.get_or("--n", 768);
+    let n = read_count(&flags, "--n", 768);
     let inflation: f64 = flags.get_or("--inflation", 400.0);
     let t_end: f64 = flags.get_or("--t", 600.0);
     println!("E11 (extension): planetary accretion (paper §2)");

@@ -10,7 +10,9 @@
 //! timing model. The paper's comparison row: 29.5 Tflops sustained, 63.4
 //! peak (46.5 %).
 
-use grape6_bench::{experiment_config, fmt, paper_disk, print_header, print_row, read_flags};
+use grape6_bench::{
+    experiment_config, fmt, paper_disk, print_header, print_row, read_count, read_flags,
+};
 use grape6_core::force::DirectEngine;
 use grape6_hw::perf::PerfReport;
 use grape6_hw::timing::{StepBreakdown, TimingModel};
@@ -18,7 +20,7 @@ use grape6_sim::Simulation;
 
 fn main() {
     let flags = read_flags(&["--n-ref", "--warmup", "--t"]);
-    let n_ref: usize = flags.get_or("--n-ref", 8192);
+    let n_ref = read_count(&flags, "--n-ref", 8192);
     let warmup: f64 = flags.get_or("--warmup", 16.0);
     let t_run: f64 = flags.get_or("--t", 48.0);
     println!("E1: headline performance (paper §6)");

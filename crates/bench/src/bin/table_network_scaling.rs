@@ -3,12 +3,12 @@
 //! the network-board tree, and the 2-D host grid, as a function of host
 //! count.
 
-use grape6_bench::{fmt, print_header, print_row, read_flags};
+use grape6_bench::{fmt, print_header, print_row, read_count, read_flags};
 use grape6_hw::{ParallelModel, Strategy};
 
 fn main() {
     let flags = read_flags(&["--block"]);
-    let n_active: usize = flags.get_or("--block", 8192);
+    let n_active = read_count(&flags, "--block", 8192);
     println!("E6: host-parallelization scaling (paper §4.3, figs 3-6)");
     println!("block size n = {n_active} particles updated per step\n");
 

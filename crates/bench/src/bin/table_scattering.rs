@@ -8,14 +8,14 @@
 //! dispersion, strongest near the protoplanet radii, and (b) the census of
 //! fates (retained / scattered in / scattered out / ejected).
 
-use grape6_bench::{experiment_config, fmt, print_header, print_row, read_flags};
+use grape6_bench::{experiment_config, fmt, print_header, print_row, read_count, read_flags};
 use grape6_core::force::DirectEngine;
 use grape6_disk::{DiskBuilder, RadialHistogram, ScatteringCensus};
 use grape6_sim::Simulation;
 
 fn main() {
     let flags = read_flags(&["--n", "--mass-boost", "--t"]);
-    let n: usize = flags.get_or("--n", 1024);
+    let n = read_count(&flags, "--n", 1024);
     let mass_boost: f64 = flags.get_or("--mass-boost", 10.0);
     let t_end: f64 = flags.get_or("--t", 1200.0);
     println!("E8: excitation and scattering by the protoplanets (paper §2)");

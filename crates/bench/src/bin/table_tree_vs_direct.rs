@@ -14,7 +14,9 @@
 // Table 2 reports wall time per block step.
 #![allow(clippy::disallowed_methods)]
 
-use grape6_bench::{experiment_config, fmt, paper_disk, print_header, print_row, read_flags};
+use grape6_bench::{
+    experiment_config, fmt, paper_disk, print_header, print_row, read_count, read_flags,
+};
 use grape6_core::engine::ForceEngine;
 use grape6_core::force::DirectEngine;
 use grape6_core::particle::{ForceResult, IParticle};
@@ -24,7 +26,7 @@ use std::time::Instant;
 
 fn main() {
     let flags = read_flags(&["--n", "--t"]);
-    let n: usize = flags.get_or("--n", 8192);
+    let n = read_count(&flags, "--n", 8192);
     let t_run: f64 = flags.get_or("--t", 24.0);
     println!("E5: tree vs direct (paper §3), N = {n}\n");
 

@@ -64,10 +64,24 @@ pub fn experiment_config() -> HermiteConfig {
 /// printed and exits with status 2, never the default: a typo in
 /// `large_n_smoke`'s `--n` must not start the full 1.8M-body run.
 pub fn read_flags(valued: &[&str]) -> Flags {
-    Flags::from_env(valued, &[], |msg| {
-        eprintln!("error: {msg}");
-        std::process::exit(2)
-    })
+    Flags::from_env(valued, &[], usage_error)
+}
+
+/// The count flag `key` (a disk size or a block size), or `default` when
+/// absent. Zero is a usage error like any other: there is no empty disk
+/// to build and no empty block to model.
+pub fn read_count(flags: &Flags, key: &str, default: usize) -> usize {
+    let n = flags.get_or(key, default);
+    if n == 0 {
+        usage_error(&format!("{key} must be at least 1"));
+    }
+    n
+}
+
+/// Print a usage error and exit with status 2, before any other output.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]

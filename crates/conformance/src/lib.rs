@@ -18,7 +18,8 @@
 //!   quanta), not from hand-tuned epsilons;
 //! * [`runner`] — drives the same scenario through `DirectEngine`,
 //!   `Grape6Engine` (hardware and exact arithmetic), `ClusterEngine` (one
-//!   host — the routed node of the `*node*` checks — and four) and
+//!   host — the routed node of the `*node*` checks — and four hosts with
+//!   mirrored nodes) and
 //!   `FaultTolerantEngine`, comparing forces against
 //!   the oracle and requiring **bitwise** equality wherever the
 //!   determinism contract promises it (routed-vs-flat, cluster-vs-flat,

@@ -7,8 +7,9 @@
 //!
 //! * [`crate::force::DirectEngine`] — CPU direct summation (reference),
 //! * `grape6_hw::Grape6Engine` — the functional + timing GRAPE-6 simulator;
-//!   around it the routed `ClusterEngine` (one host is the routed node, four
-//!   the production cluster) and the DMR `FaultTolerantEngine`, which
+//!   around it the routed `ClusterEngine` (one mirrored node per host: one
+//!   host is the routed node, four the production cluster) and the DMR
+//!   `FaultTolerantEngine`, which
 //!   writes j-memory through the flat engine's one write port,
 //! * `grape6_tree::HybridTreeEngine` — octree far field + exact near field
 //!   for blocks large enough to pay for a tree build, the direct engine's

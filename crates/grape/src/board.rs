@@ -41,8 +41,6 @@ pub struct ProcessorBoard {
     /// Board geometry.
     pub geometry: BoardGeometry,
     chips: Vec<Grape6Chip>,
-    /// j index → (chip, slot) routing table built at load time.
-    routes: Vec<(usize, usize)>,
 }
 
 impl ProcessorBoard {
@@ -51,16 +49,18 @@ impl ProcessorBoard {
         let chips = (0..geometry.chips)
             .map(|_| Grape6Chip::new(geometry.chip, format, precision))
             .collect();
-        Self { geometry, chips, routes: Vec::new() }
+        Self { geometry, chips }
     }
 
     /// Resident j-particle count.
     pub fn n_j(&self) -> usize {
-        self.routes.len()
+        self.chips.iter().map(Grape6Chip::n_j).sum()
     }
 
-    /// Distribute a j-particle set across the chips (block distribution, as
-    /// the hardware DMA does). Fails if the board capacity is exceeded.
+    /// Distribute a j-particle set across the chips in contiguous blocks of
+    /// `ceil(n / chips)` (as the hardware DMA does), so global index `i`
+    /// sits in chip `i / per`, slot `i % per`. Fails if the board capacity
+    /// is exceeded.
     pub fn load_j(&mut self, particles: &[JParticle]) -> Result<(), ChipError> {
         if particles.len() > self.geometry.jmem_capacity() {
             return Err(ChipError::MemoryOverflow {
@@ -68,31 +68,16 @@ impl ProcessorBoard {
                 capacity: self.geometry.jmem_capacity(),
             });
         }
-        self.routes.clear();
-        let per_chip = particles.len().div_ceil(self.geometry.chips).max(1);
-        let mut chunks: Vec<&[JParticle]> = Vec::with_capacity(self.geometry.chips);
-        let mut rest = particles;
-        for _ in 0..self.geometry.chips {
-            let take = per_chip.min(rest.len());
-            let (head, tail) = rest.split_at(take);
-            chunks.push(head);
-            rest = tail;
-        }
-        for (c, chunk) in chunks.iter().enumerate() {
-            self.chips[c].load_j(chunk)?;
-            for s in 0..chunk.len() {
-                self.routes.push((c, s));
-            }
+        let mut chunks = particles.chunks(per_unit(particles.len(), self.chips.len()));
+        for chip in &mut self.chips {
+            chip.load_j(chunks.next().unwrap_or(&[]))?;
         }
         Ok(())
     }
 
     /// Write back one updated j-particle by global index.
     pub fn store_j(&mut self, index: usize, particle: JParticle) -> Result<(), ChipError> {
-        let &(chip, slot) = self
-            .routes
-            .get(index)
-            .ok_or(ChipError::BadSlot { slot: index, len: self.routes.len() })?;
+        let (chip, slot) = locate(index, self.n_j(), self.chips.len())?;
         self.chips[chip].store_j(slot, particle)
     }
 
@@ -112,6 +97,22 @@ impl ProcessorBoard {
         }
         total
     }
+}
+
+/// Particles per unit when `n` are dealt over `units` in contiguous blocks
+/// (the last blocks may be short or empty): `ceil(n / units)`, at least 1.
+pub(crate) fn per_unit(n: usize, units: usize) -> usize {
+    n.div_ceil(units).max(1)
+}
+
+/// Where global index `i` of `n` particles dealt as [`per_unit`] says sits:
+/// `(unit, local index)`, or `BadSlot` past the last particle.
+pub(crate) fn locate(i: usize, n: usize, units: usize) -> Result<(usize, usize), ChipError> {
+    if i >= n {
+        return Err(ChipError::BadSlot { slot: i, len: n });
+    }
+    let per = per_unit(n, units);
+    Ok((i / per, i % per))
 }
 
 #[cfg(test)]

@@ -1,17 +1,20 @@
-//! [`ClusterEngine`]: the functional multi-host [`Grape6Cluster`] as a
+//! [`ClusterEngine`]: the fully-routed GRAPE-6 — one
+//! [`crate::node::Grape6Node`] per host — as a
 //! [`grape6_core::engine::ForceEngine`].
 //!
-//! Each host of the cluster owns a static slice of the particle indices
-//! (`index % hosts`) and writes back only the particles it owns; the
-//! inter-GRAPE exchange network mirrors those write-backs into every peer's
-//! j-memory, and a barrier at the end of every `update_j` plays the role of
-//! the per-blockstep synchronization of §4.3. Force calls partition the
-//! active i-block across the hosts in contiguous chunks.
+//! The hosts exchange no particle data (paper §4.3): every node's
+//! j-memory is a mirror fed by the network boards. Here that holds by
+//! construction. `load` wire-encodes the j-stream once and loads it into
+//! every node; `update_j` wire-encodes each corrected particle once and
+//! stores that packet in every node (the owner's host port plus the NB
+//! mirror into every other node's data-in port). There is no host-to-host
+//! path. Force calls partition the active i-block across the hosts in
+//! contiguous chunks, each computed against its host's mirror.
 //!
 //! With `hosts = 1` this is the fully-routed single node (GRAPE-6A's
-//! single-card unit is the degenerate member of the cluster): no peers, an
-//! empty barrier, one i-chunk — every packet still crosses the wire protocol
-//! and the board structure of one [`crate::node::Grape6Node`].
+//! single-card unit is the degenerate member of the cluster): one i-chunk,
+//! and every packet still crosses the wire protocol and the board structure
+//! of one node.
 //!
 //! Because the j-memories are mirrored and the fixed-point reduction is
 //! exactly associative, the forces are **bit-identical** to
@@ -19,17 +22,20 @@
 //! conformance harness pins this down across thousands of fuzzed scenarios,
 //! and `tests/routed_vs_flat.rs` through whole integrations at 1 and 4 hosts.
 
-use crate::board::BoardGeometry;
 use crate::chip::HwIParticle;
-use crate::cluster::Grape6Cluster;
 use crate::format::{FixedPointFormat, Precision};
+use crate::node::Grape6Node;
 use crate::predictor::JParticle;
+use crate::wire;
+use bytes::BytesMut;
 use grape6_core::engine::ForceEngine;
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 
-/// The functional GRAPE-6 cluster as a force engine.
+/// The fully-routed GRAPE-6 machine as a force engine: production nodes
+/// (4 boards × 32 chips) with hardware arithmetic, one per host.
 pub struct ClusterEngine {
-    cluster: Grape6Cluster,
+    /// One node per host, each holding a mirror of every j-particle.
+    nodes: Vec<Grape6Node>,
     format: FixedPointFormat,
     precision: Precision,
     /// Masses as resident in hardware (host-side self-potential correction).
@@ -39,18 +45,13 @@ pub struct ClusterEngine {
 }
 
 impl ClusterEngine {
-    /// Build an engine over `hosts` nodes of `boards_per_node` boards each
-    /// (the softening arrives with the particle system at `load`).
-    pub fn new(
-        hosts: usize,
-        boards_per_node: usize,
-        board: BoardGeometry,
-        format: FixedPointFormat,
-        precision: Precision,
-    ) -> Self {
+    /// `hosts` production nodes (the softening arrives with the particle
+    /// system at `load`).
+    fn new(hosts: usize) -> Self {
+        let precision = Precision::grape6();
         Self {
-            cluster: Grape6Cluster::new(hosts, boards_per_node, board, format, precision),
-            format,
+            nodes: (0..hosts).map(|_| Grape6Node::production(precision)).collect(),
+            format: FixedPointFormat::default(),
             precision,
             jmass: Vec::new(),
             eps: 0.0,
@@ -58,21 +59,21 @@ impl ClusterEngine {
         }
     }
 
-    /// The production cluster: 4 hosts × 4 boards (paper Fig 7), hardware
-    /// arithmetic.
+    /// The production cluster: 4 hosts, each with a 4-board node (paper
+    /// Fig 7).
     pub fn production() -> Self {
-        Self::new(4, 4, BoardGeometry::default(), FixedPointFormat::default(), Precision::grape6())
+        Self::new(4)
     }
 
-    /// One production node (4 boards × 32 chips) behind one host: the
-    /// fully-routed data path with no exchange network.
+    /// One production node behind one host: the fully-routed data path
+    /// with nothing to mirror.
     pub fn single_node() -> Self {
-        Self::new(1, 4, BoardGeometry::default(), FixedPointFormat::default(), Precision::grape6())
+        Self::new(1)
     }
 
     /// Number of hosts in the cluster.
     pub fn hosts(&self) -> usize {
-        self.cluster.hosts()
+        self.nodes.len()
     }
 }
 
@@ -80,36 +81,39 @@ impl ForceEngine for ClusterEngine {
     fn load(&mut self, sys: &ParticleSystem) {
         assert!(sys.softening > 0.0, "GRAPE-6 requires positive softening");
         self.eps = sys.softening;
-        self.cluster.set_softening(sys.softening);
         let js: Vec<JParticle> = (0..sys.len())
             .map(|i| JParticle::from_system(&self.format, self.precision, sys, i))
             .collect();
         self.jmass = js.iter().map(|j| j.mass).collect();
-        self.cluster.load_j(&js).expect("particle set exceeds cluster node capacity");
+        let stream = wire::encode_j_block(&js);
+        for node in &mut self.nodes {
+            node.set_softening(sys.softening);
+            node.load_j_stream(stream.clone()).expect("particle set exceeds node capacity");
+        }
     }
 
     fn update_j(&mut self, sys: &ParticleSystem, indices: &[usize]) {
         for &i in indices {
             let j = JParticle::from_system(&self.format, self.precision, sys, i);
             self.jmass[i] = j.mass;
-            // Each particle has one owning host; only that host writes it
-            // back, and the exchange network mirrors the packet to peers.
-            let owner = i % self.hosts();
-            self.cluster.write_back(owner, i, &j).expect("bad j index");
+            let mut buf = BytesMut::new();
+            wire::encode_j_particle(&mut buf, &j);
+            let packet = buf.freeze();
+            for node in &mut self.nodes {
+                node.store_j(i, packet.clone()).expect("bad j index");
+            }
         }
-        // Blockstep barrier: every node drains its data-in port before the
-        // next force call.
-        self.cluster.barrier();
     }
 
     fn compute(&mut self, t: f64, ips: &[IParticle], out: &mut [ForceResult]) {
         assert_eq!(ips.len(), out.len());
-        let hosts = self.hosts();
-        self.interactions += (ips.len() as u64) * (self.cluster.n_j() as u64);
+        self.interactions += (ips.len() as u64) * (self.jmass.len() as u64);
         // Contiguous partition of the i-block across hosts (the paper's
         // block-cyclic assignment reduced to one block per host per call).
-        let chunk = ips.len().div_ceil(hosts).max(1);
-        for (c, (ips_c, out_c)) in ips.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate() {
+        let chunk = ips.len().div_ceil(self.hosts()).max(1);
+        for ((ips_c, out_c), node) in
+            ips.chunks(chunk).zip(out.chunks_mut(chunk)).zip(&mut self.nodes)
+        {
             let hw: Vec<(HwIParticle, u32)> = ips_c
                 .iter()
                 .map(|ip| {
@@ -119,7 +123,7 @@ impl ForceEngine for ClusterEngine {
                     )
                 })
                 .collect();
-            let results = self.cluster.compute(c % hosts, t, &hw);
+            let results = node.compute(t, &hw);
             for ((o, mut r), ip) in out_c.iter_mut().zip(results).zip(ips_c) {
                 if ip.index < self.jmass.len() {
                     r.pot += self.jmass[ip.index] / self.eps;
@@ -165,6 +169,52 @@ mod tests {
 
     fn ips_for(sys: &ParticleSystem, idx: &[usize]) -> Vec<IParticle> {
         idx.iter().map(|&i| IParticle { index: i, pos: sys.pos[i], vel: sys.vel[i] }).collect()
+    }
+
+    /// Four copies of one probe that is not a resident particle: a block
+    /// the production cluster deals one copy per host.
+    fn probe_block(sys: &ParticleSystem) -> Vec<IParticle> {
+        let probe =
+            IParticle { index: sys.len(), pos: Vec3::new(5.0, 2.0, 0.0), vel: Vec3::zero() };
+        vec![probe; 4]
+    }
+
+    fn probe_forces(cl: &mut ClusterEngine, sys: &ParticleSystem) -> Vec<ForceResult> {
+        let ips = probe_block(sys);
+        let mut out = vec![ForceResult::default(); ips.len()];
+        cl.compute(0.0, &ips, &mut out);
+        out
+    }
+
+    fn assert_hosts_agree(fs: &[ForceResult]) {
+        for (h, f) in fs.iter().enumerate() {
+            assert_eq!(f.acc, fs[0].acc, "host {h}: mirrored memories must give identical bits");
+            assert_eq!(f.jerk, fs[0].jerk, "host {h}");
+            assert_eq!(f.pot.to_bits(), fs[0].pot.to_bits(), "host {h}");
+        }
+    }
+
+    #[test]
+    fn all_hosts_compute_identical_forces() {
+        let sys = disk(40);
+        let mut cl = ClusterEngine::production();
+        cl.load(&sys);
+        assert_hosts_agree(&probe_forces(&mut cl, &sys));
+    }
+
+    #[test]
+    fn a_write_is_seen_by_every_node() {
+        let mut sys = disk(8);
+        let mut cl = ClusterEngine::production();
+        cl.load(&sys);
+        let before = probe_forces(&mut cl, &sys);
+        sys.pos[3] = Vec3::new(500.0, 0.0, 0.0);
+        cl.update_j(&sys, &[3]);
+        let after = probe_forces(&mut cl, &sys);
+        assert_hosts_agree(&after);
+        for (h, (b, a)) in before.iter().zip(&after).enumerate() {
+            assert_ne!(b.acc, a.acc, "host {h} must see the write");
+        }
     }
 
     /// The routed single node and the four-host production cluster.

@@ -26,14 +26,15 @@
 //! loops over it, and so is the engine layered on it, the dual-modular
 //! [`fault_engine::FaultTolerantEngine`]. The fully-routed data paths —
 //! every packet over the wire protocol and the board structure — are one
-//! engine too, [`cluster_engine::ClusterEngine`]: one host is the routed
-//! node, four the production cluster, both bit-identical to the flat engine.
+//! engine too, [`cluster_engine::ClusterEngine`]: one [`node::Grape6Node`]
+//! per host, each a mirror of every j-particle that every write-back packet
+//! lands in. One host is the routed node, four the production cluster, both
+//! bit-identical to the flat engine.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 pub mod board;
 pub mod chip;
-pub mod cluster;
 pub mod cluster_engine;
 pub mod engine;
 pub mod fault;
@@ -52,7 +53,6 @@ pub mod wire;
 
 pub use board::{BoardGeometry, ProcessorBoard};
 pub use chip::{ChipGeometry, Grape6Chip, HwIParticle};
-pub use cluster::Grape6Cluster;
 pub use cluster_engine::ClusterEngine;
 pub use engine::{Grape6Config, Grape6Engine, ScalarGrape6Engine};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};

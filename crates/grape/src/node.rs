@@ -10,7 +10,7 @@
 //! It keeps no books: bytes are counted by `Grape6Engine::bytes_transferred`
 //! and time by [`crate::timing::TimingModel`].
 
-use crate::board::{BoardGeometry, ProcessorBoard};
+use crate::board::{locate, per_unit, BoardGeometry, ProcessorBoard};
 use crate::chip::HwIParticle;
 use crate::format::{FixedPointFormat, Precision};
 use crate::pipeline::PipelineRegisters;
@@ -24,8 +24,6 @@ use grape6_core::particle::ForceResult;
 pub struct Grape6Node {
     /// Per-board functional models.
     boards: Vec<ProcessorBoard>,
-    /// j index → (board, local index) routing.
-    routes: Vec<(usize, usize)>,
     eps2: f64,
 }
 
@@ -40,7 +38,6 @@ impl Grape6Node {
         assert!(n_boards >= 1);
         Self {
             boards: (0..n_boards).map(|_| ProcessorBoard::new(board, format, precision)).collect(),
-            routes: Vec::new(),
             eps2: 0.0,
         }
     }
@@ -52,7 +49,7 @@ impl Grape6Node {
 
     /// Number of resident j-particles.
     pub fn n_j(&self) -> usize {
-        self.routes.len()
+        self.boards.iter().map(ProcessorBoard::n_j).sum()
     }
 
     /// j-particle capacity of all boards together.
@@ -67,9 +64,10 @@ impl Grape6Node {
     }
 
     /// Load a j-particle set, dealing it over the boards in contiguous
-    /// blocks (the DMA order of the real hardware) and rebuilding the
-    /// routing table. The data arrives as a wire-encoded stream, as it would
-    /// over the host port.
+    /// blocks of `ceil(n / boards)` (the DMA order of the real hardware), so
+    /// global index `i` sits on board `i / per`, local index `i % per`. The
+    /// data arrives as a wire-encoded stream, as it would over the host
+    /// port.
     pub fn load_j_stream(&mut self, stream: Bytes) -> Result<(), crate::chip::ChipError> {
         let particles = wire::decode_j_block(stream);
         let capacity = self.capacity();
@@ -79,13 +77,9 @@ impl Grape6Node {
                 capacity,
             });
         }
-        self.routes.clear();
-        let per_board = particles.len().div_ceil(self.boards.len()).max(1);
-        let mut chunks = particles.chunks(per_board);
-        for (b, board) in self.boards.iter_mut().enumerate() {
-            let chunk = chunks.next().unwrap_or(&[]);
-            board.load_j(chunk)?;
-            self.routes.extend((0..chunk.len()).map(|s| (b, s)));
+        let mut chunks = particles.chunks(per_unit(particles.len(), self.boards.len()));
+        for board in &mut self.boards {
+            board.load_j(chunks.next().unwrap_or(&[]))?;
         }
         Ok(())
     }
@@ -95,20 +89,16 @@ impl Grape6Node {
         self.load_j_stream(wire::encode_j_block(particles))
     }
 
-    /// Write back one updated j-particle by global index (over the wire).
+    /// Write back one updated j-particle by global index; it arrives as a
+    /// wire packet ([`wire::encode_j_particle`]), as over the host port or
+    /// the network boards' data-in port.
     pub fn store_j(
         &mut self,
         index: usize,
-        particle: &JParticle,
+        mut packet: Bytes,
     ) -> Result<(), crate::chip::ChipError> {
-        let mut buf = BytesMut::new();
-        wire::encode_j_particle(&mut buf, particle);
-        let decoded = wire::decode_j_particle(&mut buf.freeze());
-        let &(board, slot) = self
-            .routes
-            .get(index)
-            .ok_or(crate::chip::ChipError::BadSlot { slot: index, len: self.routes.len() })?;
-        self.boards[board].store_j(slot, decoded)
+        let (board, local) = locate(index, self.n_j(), self.boards.len())?;
+        self.boards[board].store_j(local, wire::decode_j_particle(&mut packet))
     }
 
     /// Full force call through the node: i-particles are wire-encoded,
@@ -249,12 +239,18 @@ mod tests {
         }
     }
 
+    fn packet(j: &JParticle) -> Bytes {
+        let mut buf = BytesMut::new();
+        wire::encode_j_particle(&mut buf, j);
+        buf.freeze()
+    }
+
     #[test]
     fn node_writeback_via_wire() {
         let mut node = small_node();
         let js: Vec<JParticle> = (1..=4).map(|k| j_at(k as f64, 1.0)).collect();
         node.load_j(&js).unwrap();
-        node.store_j(3, &j_at(100.0, 1.0)).unwrap();
+        node.store_j(3, packet(&j_at(100.0, 1.0))).unwrap();
         let ip = HwIParticle::encode(
             &FixedPointFormat::default(),
             Precision::Exact,
@@ -267,7 +263,7 @@ mod tests {
         let term = |x: f64| x / (x * x + eps2).powf(1.5);
         let expect = term(1.0) + term(2.0) + term(3.0) + term(100.0);
         assert!((out[0].acc.x - expect).abs() < 1e-10);
-        assert!(node.store_j(4, &j_at(0.0, 1.0)).is_err());
+        assert!(node.store_j(4, packet(&j_at(0.0, 1.0))).is_err());
     }
 
     #[test]

@@ -61,24 +61,6 @@ impl Telemetry {
         HostPhase::ALL.iter().map(|p| self.phase_seconds(*p)).sum()
     }
 
-    /// Run `f` inside an [`HostPhase::Io`] span (driver-level output that
-    /// happens outside the integrator).
-    pub fn io_span<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        self.phase_begin(HostPhase::Io);
-        let out = f();
-        self.phase_end(HostPhase::Io);
-        out
-    }
-
-    /// Run `f` inside an [`HostPhase::Checkpoint`] span (serializing a
-    /// restartable checkpoint, also driver-level).
-    pub fn checkpoint_span<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        self.phase_begin(HostPhase::Checkpoint);
-        let out = f();
-        self.phase_end(HostPhase::Checkpoint);
-        out
-    }
-
     /// Serialize the accumulator for a run checkpoint as fixed-width
     /// little-endian words: every closed span, then seven counter words, five
     /// of them written from their owners (`stats`, the sweep count 1, the
@@ -422,26 +404,6 @@ mod tests {
         let rep =
             rayon::with_num_threads(3, || a.report(&RunStats::default(), &DirectEngine::new()));
         assert_eq!(rep.host_threads, 3);
-    }
-
-    #[test]
-    fn io_span_records_io_phase() {
-        let mut t = Telemetry::new();
-        let v = t.io_span(|| 42);
-        assert_eq!(v, 42);
-        assert_eq!(t.phase_calls(HostPhase::Io), 1);
-    }
-
-    #[test]
-    fn checkpoint_span_records_checkpoint_phase() {
-        let mut t = Telemetry::new();
-        let v = t.checkpoint_span(|| 7);
-        assert_eq!(v, 7);
-        assert_eq!(t.phase_calls(HostPhase::Checkpoint), 1);
-        assert!(t.phase_seconds(HostPhase::Checkpoint) >= 0.0);
-        let rep = t.report(&RunStats::default(), &DirectEngine::new());
-        assert_eq!(rep.phase_calls.checkpoint, 1);
-        assert!((rep.phase_seconds.total() - rep.total_host_seconds).abs() < 1e-15);
     }
 
     #[test]

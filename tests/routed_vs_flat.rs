@@ -1,7 +1,8 @@
 //! The strongest hardware-model statement in the suite: an entire
 //! block-timestep integration through the *fully-routed* machine (wire
-//! packets, per-board j-slices, reduction merges; at four hosts also the
-//! write-back exchange and the blockstep barrier) is **bit-identical** to the
+//! packets, per-board j-slices, reduction merges; at four hosts also one
+//! mirrored j-memory per host, each taking every write-back) is
+//! **bit-identical** to the
 //! fast flat-memory engine. This is the software proof of the property the
 //! GRAPE-6 designers built in hardware: fixed-point accumulation makes the
 //! reduction order irrelevant, so topology cannot change the answer.
@@ -34,49 +35,35 @@ fn full_integration_is_bit_identical_across_data_paths() {
 
 #[test]
 fn cluster_mirrors_stay_consistent_through_writebacks() {
-    use grape6_hw::chip::HwIParticle;
-    use grape6_hw::predictor::JParticle;
-    use grape6_hw::{FixedPointFormat, Grape6Cluster, Precision};
+    use grape6_core::particle::{ForceResult, IParticle};
+    use grape6_core::vec3::Vec3;
 
-    let sys = disk();
-    let fmt = FixedPointFormat::default();
-    let precision = Precision::grape6();
-    let js: Vec<JParticle> = (0..sys.len())
-        .map(|i| {
-            JParticle::encode(
-                &fmt,
-                precision,
-                sys.pos[i],
-                sys.vel[i],
-                sys.acc[i],
-                sys.jerk[i],
-                sys.mass[i],
-                0.0,
-            )
-        })
-        .collect();
-    let mut cluster = Grape6Cluster::production(precision, sys.softening);
-    cluster.load_j(&js).unwrap();
+    let mut sys = disk();
+    let mut cluster = ClusterEngine::production();
+    let mut flat = Grape6Engine::sc2002();
+    cluster.load(&sys);
+    flat.load(&sys);
 
-    // Hosts take turns writing back "their" particles; all four nodes must
-    // agree on every force afterwards.
-    for (k, j) in js.iter().enumerate().take(32) {
-        let host = k % 4;
-        let mut moved = *j;
-        moved.qpos[0] += (k as i64 + 1) << 20;
-        cluster.write_back(host, k, &moved).unwrap();
+    // Write-backs of one particle each, rotating over the four hosts that
+    // own index k % 4; every node's mirror takes every one of them.
+    for k in 0..32 {
+        sys.pos[k] += Vec3::new(0.01 * (k as f64 + 1.0), -0.005, 0.001);
+        sys.vel[k] *= 1.001;
+        sys.time[k] = 0.25;
+        cluster.update_j(&sys, &[k]);
+        flat.update_j(&sys, &[k]);
     }
-    cluster.barrier();
-    let probe = HwIParticle::encode(
-        &fmt,
-        precision,
-        grape6_core::vec3::Vec3::zero(),
-        grape6_core::vec3::Vec3::zero(),
-    );
-    let fs: Vec<_> = (0..4).map(|h| cluster.compute(h, 0.0, &[(probe, 0)])[0]).collect();
-    for f in &fs[1..] {
-        assert_eq!(f.acc, fs[0].acc);
-        assert_eq!(f.pot, fs[0].pot);
+
+    // Four copies of one probe: the cluster deals one copy to each host.
+    let probe = IParticle { index: sys.len(), pos: Vec3::zero(), vel: Vec3::zero() };
+    let ips = vec![probe; cluster.hosts()];
+    let mut fs = vec![ForceResult::default(); ips.len()];
+    let mut reference = vec![ForceResult::default(); 1];
+    cluster.compute(0.5, &ips, &mut fs);
+    flat.compute(0.5, &ips[..1], &mut reference);
+    for (h, f) in fs.iter().enumerate() {
+        assert_eq!(f.acc, reference[0].acc, "host {h} acc vs Grape6Engine");
+        assert_eq!(f.jerk, reference[0].jerk, "host {h} jerk vs Grape6Engine");
+        assert_eq!(f.pot.to_bits(), reference[0].pot.to_bits(), "host {h} pot vs Grape6Engine");
     }
-    assert_eq!(cluster.host_nic_particle_bytes(), 0);
 }
