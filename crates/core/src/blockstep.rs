@@ -497,8 +497,8 @@ impl TickScheduler {
 }
 
 /// The integrator's one scheduler kind. It remains only because `benchmark/`
-/// pins it (with [`crate::integrator::BlockHermite::with_scheduler`]);
-/// ROADMAP 7(e) deletes both.
+/// pins it (with [`crate::integrator::BlockHermite::with_scheduler`]); the
+/// ROADMAP item "One `benchmark` PR that unblocks six items" deletes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Integer tick buckets ([`TickScheduler`]).

@@ -162,7 +162,8 @@ impl BlockHermite {
     }
 
     /// [`Self::new`]: there is one scheduler kind. It remains only because
-    /// `benchmark/` pins it; ROADMAP 7(e) deletes it.
+    /// `benchmark/` pins it; the ROADMAP item "One `benchmark` PR that
+    /// unblocks six items" deletes it.
     pub fn with_scheduler(config: HermiteConfig, _kind: SchedulerKind) -> Self {
         Self::new(config)
     }

@@ -13,7 +13,7 @@
 //! partitioning enters only through the (analytic) timing model.
 
 use crate::chip::ChipError;
-use crate::format::{FixedPointFormat, Precision};
+use crate::format::{ConstWord, FixedPointFormat, PipelineWord, Precision, ShortWord};
 use crate::lanes::{scalar_sweep, GrapeJLanes, GrapeLaneTile, SweepPartial, LANE_WIDTH};
 use crate::perf::HardwareClock;
 use crate::predictor::{predict_j, JParticle, PredictedJ};
@@ -37,9 +37,12 @@ fn read_out(p: &SweepPartial, ip: &IParticle, jmem: &[JParticle], eps2: f64) -> 
 
 /// Large-block path: sweep every predicted j-particle for up to
 /// [`LANE_WIDTH`] i-particles through one AoSoA lane tile and read the
-/// results out.
+/// results out. With `finite` false (a non-finite j-word, block time or ε²),
+/// or when the tile reports a lane out of the limb domain, every i-particle
+/// of the tile sweeps `pred` through the scalar oracle instead.
+#[allow(clippy::too_many_arguments)]
 // grape6-lint: hot
-fn sweep_group_lanes(
+fn sweep_group_lanes<R: PipelineWord>(
     fmt: &FixedPointFormat,
     precision: Precision,
     os: &mut [ForceResult],
@@ -47,14 +50,23 @@ fn sweep_group_lanes(
     pred: &[PredictedJ],
     jmem: &[JParticle],
     eps2: f64,
+    finite: bool,
 ) {
-    let mut tile = GrapeLaneTile::<LANE_WIDTH>::load(fmt, precision, ips);
-    for (j, pj) in pred.iter().enumerate() {
-        tile.interact(j, pj, eps2);
-    }
     let mut parts = [SweepPartial::default(); LANE_WIDTH];
-    tile.store(&mut parts[..ips.len()]);
-    for ((o, p), ip) in os.iter_mut().zip(&parts).zip(ips) {
+    let parts = &mut parts[..ips.len()];
+    let in_domain = finite && {
+        let mut tile = GrapeLaneTile::<LANE_WIDTH, R>::load(fmt, precision, ips);
+        for (j, pj) in pred.iter().enumerate() {
+            tile.interact(j, pj, eps2);
+        }
+        tile.store(parts)
+    };
+    if !in_domain {
+        for (p, ip) in parts.iter_mut().zip(ips) {
+            *p = scalar_sweep(fmt, precision, ip, pred.iter().copied().enumerate(), eps2);
+        }
+    }
+    for ((o, p), ip) in os.iter_mut().zip(parts.iter()).zip(ips) {
         *o = read_out(p, ip, jmem, eps2);
     }
 }
@@ -64,10 +76,11 @@ fn sweep_group_lanes(
 /// into the lane loop — a pure function of `(j, t)`, so re-evaluating it per
 /// i-particle cannot change any bit), then the leftover j through the scalar
 /// oracle. Exact associativity of the fixed-point sums makes the lane order
-/// invisible.
+/// invisible. A row whose inputs are not `finite`, or whose lanes left the
+/// limb domain, is swept whole by the oracle instead.
 #[allow(clippy::too_many_arguments)]
 // grape6-lint: hot
-fn small_fill_jlanes(
+fn small_fill_jlanes<R: PipelineWord>(
     fmt: &FixedPointFormat,
     precision: Precision,
     js: std::ops::Range<usize>,
@@ -76,16 +89,27 @@ fn small_fill_jlanes(
     jmem: &[JParticle],
     t: f64,
     eps2: f64,
+    finite: bool,
 ) {
     let (groups, tail) = jmem[js.clone()].as_chunks::<LANE_WIDTH>();
     let tail_start = js.end - tail.len();
     for (r, ip) in row.iter_mut().zip(ips) {
-        let mut lanes = GrapeJLanes::<LANE_WIDTH>::load(fmt, precision, ip);
-        for (g, group) in groups.iter().enumerate() {
-            lanes.interact(js.start + g * LANE_WIDTH, group, t, eps2);
-        }
-        *r = lanes.store();
-        r.merge(&small_fill_scalar(fmt, precision, tail_start..js.end, ip, jmem, t, eps2));
+        let swept = if finite {
+            let mut lanes = GrapeJLanes::<LANE_WIDTH, R>::load(fmt, precision, ip);
+            for (g, group) in groups.iter().enumerate() {
+                lanes.interact(js.start + g * LANE_WIDTH, group, t, eps2);
+            }
+            lanes.store()
+        } else {
+            None
+        };
+        *r = match swept {
+            Some(mut p) => {
+                p.merge(&small_fill_scalar(fmt, precision, tail_start..js.end, ip, jmem, t, eps2));
+                p
+            }
+            None => small_fill_scalar(fmt, precision, js.clone(), ip, jmem, t, eps2),
+        };
     }
 }
 
@@ -142,6 +166,9 @@ pub struct Grape6Engine {
     /// Configuration.
     pub config: Grape6Config,
     jmem: Vec<JParticle>,
+    // Resident words with a non-finite field, kept at the write port: while
+    // any is resident the lane kernels are bypassed for the scalar oracle.
+    non_finite_words: usize,
     eps2: f64,
     clock: HardwareClock,
     interactions: u64,
@@ -162,6 +189,7 @@ impl Grape6Engine {
         Self {
             config,
             jmem: Vec::new(),
+            non_finite_words: 0,
             eps2: 0.0,
             clock: HardwareClock::new(),
             interactions: 0,
@@ -208,7 +236,10 @@ impl Grape6Engine {
     pub fn write_j(&mut self, address: usize, word: JParticle) -> Result<(), ChipError> {
         let len = self.jmem.len();
         match self.jmem.get_mut(address) {
-            Some(resident) => *resident = word,
+            Some(resident) => {
+                self.non_finite_words -= usize::from(!resident.is_finite());
+                *resident = word;
+            }
             None if address > len => return Err(ChipError::BadSlot { slot: address, len }),
             None => {
                 let capacity = self.config.timing.geometry.node_jmem_capacity();
@@ -218,6 +249,7 @@ impl Grape6Engine {
                 self.jmem.push(word);
             }
         }
+        self.non_finite_words += usize::from(!word.is_finite());
         self.wire_bytes += crate::wire::J_PACKET_BYTES as u64;
         Ok(())
     }
@@ -240,12 +272,64 @@ impl Grape6Engine {
         let mut repaired = Vec::new();
         for (i, (res, truth)) in self.jmem.iter_mut().zip(authoritative).enumerate() {
             if res != truth {
+                self.non_finite_words -= usize::from(!res.is_finite());
+                self.non_finite_words += usize::from(!truth.is_finite());
                 *res = *truth;
                 repaired.push(i);
             }
         }
         self.wire_bytes += (repaired.len() * crate::wire::J_PACKET_BYTES) as u64;
         repaired
+    }
+
+    /// The functional half of [`ForceEngine::compute`], with the lane kernels
+    /// rounding through `R`.
+    // grape6-lint: hot
+    fn sweep<R: PipelineWord>(&mut self, t: f64, ips: &[IParticle], out: &mut [ForceResult]) {
+        let n_j = self.jmem.len();
+        let fmt = self.config.format;
+        let precision = self.config.precision;
+        let eps2 = self.eps2;
+        let jmem = &self.jmem;
+        // The lane kernels' input domain; i-velocities are checked per tile.
+        let finite = self.non_finite_words == 0 && t.is_finite() && eps2.is_finite();
+        if ips.len() > SMALL_BLOCK_MAX {
+            // Predictor pipelines: every chip predicts its resident
+            // j-particles, then i-particles sweep the shared prediction in
+            // parallel.
+            self.pred.clear();
+            jmem.par_iter()
+                .map(|j| predict_j(&fmt, precision, j, t))
+                .collect_into_vec(&mut self.pred);
+
+            // Force pipelines + reduction tree. The fixed-point accumulators
+            // make the reduction order irrelevant, so a flat parallel sweep
+            // is bit-identical to the hardware's chip/board/NB tree.
+            let pred = &self.pred;
+            out.par_chunks_mut(LANE_WIDTH).zip(ips.par_chunks(LANE_WIDTH)).for_each(|(os, is)| {
+                sweep_group_lanes::<R>(&fmt, precision, os, is, pred, jmem, eps2, finite)
+            });
+        } else {
+            // Small block: split j-space across the pool instead, prediction
+            // fused into each chunk (the chip predicts the j-particle right
+            // before feeding its pipelines). Exact fixed-point associativity
+            // makes the chunked merge bit-identical to the flat sweep above.
+            self.swept.clear();
+            self.swept.resize(ips.len(), SweepPartial::default());
+            chunked_jsweep(
+                n_j,
+                j_chunk_size(n_j),
+                &mut self.partials,
+                &mut self.swept,
+                |js, row| {
+                    small_fill_jlanes::<R>(&fmt, precision, js, row, ips, jmem, t, eps2, finite)
+                },
+                SweepPartial::merge,
+            );
+            for ((o, p), ip) in out.iter_mut().zip(&self.swept).zip(ips) {
+                *o = read_out(p, ip, jmem, eps2);
+            }
+        }
     }
 }
 
@@ -265,6 +349,7 @@ impl ForceEngine for Grape6Engine {
         );
         self.eps2 = sys.softening * sys.softening;
         self.jmem.clear();
+        self.non_finite_words = 0;
         self.jmem.reserve(sys.len());
         let (fmt, precision) = (self.config.format, self.config.precision);
         for i in 0..sys.len() {
@@ -301,44 +386,12 @@ impl ForceEngine for Grape6Engine {
         self.wire_bytes +=
             (ips.len() * (crate::wire::I_PACKET_BYTES + crate::wire::F_PACKET_BYTES)) as u64;
 
-        let fmt = self.config.format;
-        let precision = self.config.precision;
-        let eps2 = self.eps2;
-        let jmem = &self.jmem;
-        if ips.len() > SMALL_BLOCK_MAX {
-            // Predictor pipelines: every chip predicts its resident
-            // j-particles, then i-particles sweep the shared prediction in
-            // parallel.
-            self.pred.clear();
-            jmem.par_iter()
-                .map(|j| predict_j(&fmt, precision, j, t))
-                .collect_into_vec(&mut self.pred);
-
-            // Force pipelines + reduction tree. The fixed-point accumulators
-            // make the reduction order irrelevant, so a flat parallel sweep
-            // is bit-identical to the hardware's chip/board/NB tree.
-            let pred = &self.pred;
-            out.par_chunks_mut(LANE_WIDTH)
-                .zip(ips.par_chunks(LANE_WIDTH))
-                .for_each(|(os, is)| sweep_group_lanes(&fmt, precision, os, is, pred, jmem, eps2));
+        // The production word runs with its rounding shift a compile-time
+        // constant; every other precision through the runtime word.
+        if self.config.precision.mantissa_bits() == 24 {
+            self.sweep::<ConstWord<24>>(t, ips, out);
         } else {
-            // Small block: split j-space across the pool instead, prediction
-            // fused into each chunk (the chip predicts the j-particle right
-            // before feeding its pipelines). Exact fixed-point associativity
-            // makes the chunked merge bit-identical to the flat sweep above.
-            self.swept.clear();
-            self.swept.resize(ips.len(), SweepPartial::default());
-            chunked_jsweep(
-                n_j,
-                j_chunk_size(n_j),
-                &mut self.partials,
-                &mut self.swept,
-                |js, row| small_fill_jlanes(&fmt, precision, js, row, ips, jmem, t, eps2),
-                SweepPartial::merge,
-            );
-            for ((o, p), ip) in out.iter_mut().zip(&self.swept).zip(ips) {
-                *o = read_out(p, ip, jmem, eps2);
-            }
+            self.sweep::<ShortWord>(t, ips, out);
         }
     }
 

@@ -57,9 +57,10 @@ pub fn round_vec(v: Vec3, bits: u32) -> Vec3 {
 /// bits exactly when the dropped fraction is above half, or equal to half
 /// with an odd kept mantissa — the round-to-nearest-even predicate of
 /// [`round_mantissa`] as one add chain. ±0 maps to itself and a carry out
-/// of the mantissa steps the exponent, as in the predicate form; only
-/// non-finite inputs need a select. `bits ≥ 53` is the same expression with
-/// all-pass constants, so one loop body serves every [`Precision`].
+/// of the mantissa steps the exponent, as in the predicate form; only a NaN
+/// with an arbitrary payload needs a select ([`round`](Self::round)).
+/// `bits ≥ 53` is the same expression with all-pass constants, so one loop
+/// body serves every [`Precision`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShortWord {
     shift: u32,
@@ -73,7 +74,7 @@ pub struct ShortWord {
 
 impl ShortWord {
     /// The word of a `bits`-bit mantissa (implicit leading bit included).
-    pub fn new(bits: u32) -> Self {
+    pub const fn new(bits: u32) -> Self {
         if bits >= 53 {
             return Self { shift: 0, bias: 0, odd: 0, keep: !0 };
         }
@@ -81,17 +82,75 @@ impl ShortWord {
         Self { shift, bias: (1u64 << (shift - 1)) - 1, odd: 1, keep: !((1u64 << shift) - 1) }
     }
 
-    /// Round `x` to this word, bit-identical to [`round_mantissa`].
+    /// Round `x` to this word, bit-identical to [`round_mantissa`] on every
+    /// input, NaN payloads included.
     #[inline(always)]
-    // grape6-lint: hot
     pub fn round(self, x: f64) -> f64 {
-        let b = x.to_bits();
-        let r = b.wrapping_add(self.bias).wrapping_add((b >> self.shift) & self.odd) & self.keep;
         if x.is_finite() {
-            f64::from_bits(r)
+            self.round_finite(x)
         } else {
             x
         }
+    }
+
+    /// The select-free twin of [`round`](Self::round): the add chain alone.
+    ///
+    /// It equals [`round_mantissa`] on every finite value and on ±∞ (a zero
+    /// fraction under an even exponent field rounds to itself), and for
+    /// `bits ≥ 3` it also maps both default NaNs, `0x7FF8…0` and `0xFFF8…0`,
+    /// to themselves (their only mantissa bit sits above the dropped ones;
+    /// ±∞ has a zero fraction, so the add never reaches the kept bits).
+    /// Any other NaN payload may come out as another value: `0x7FFF…F`
+    /// carries into the sign bit and reads −0. IEEE arithmetic on non-NaN
+    /// operands makes only ±∞ and a default NaN, so a pipeline whose inputs
+    /// are all finite rounds every intermediate exactly as the oracle does —
+    /// the lane kernels use this behind the engine's finite-input gate.
+    #[inline(always)]
+    // grape6-lint: hot
+    pub fn round_finite(self, x: f64) -> f64 {
+        let b = x.to_bits();
+        f64::from_bits(
+            b.wrapping_add(self.bias).wrapping_add((b >> self.shift) & self.odd) & self.keep,
+        )
+    }
+}
+
+/// A pipeline word the lane kernels round to: [`ShortWord`], its constants
+/// loop-invariant values, or [`ConstWord`], the same constants known at
+/// compile time (a rounding shift by an immediate instead of by a register).
+pub trait PipelineWord: Copy {
+    /// The word of a `bits`-bit mantissa.
+    fn of(bits: u32) -> Self;
+    /// [`ShortWord::round_finite`].
+    fn round_finite(self, x: f64) -> f64;
+}
+
+impl PipelineWord for ShortWord {
+    fn of(bits: u32) -> Self {
+        Self::new(bits)
+    }
+
+    #[inline(always)]
+    fn round_finite(self, x: f64) -> f64 {
+        ShortWord::round_finite(self, x)
+    }
+}
+
+/// The [`ShortWord`] of `BITS` mantissa bits as a type. The engine runs
+/// [`Precision::grape6`]'s 24-bit word through it and every other precision
+/// through the runtime word; both round identically.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConstWord<const BITS: u32>;
+
+impl<const BITS: u32> PipelineWord for ConstWord<BITS> {
+    fn of(bits: u32) -> Self {
+        assert_eq!(bits, BITS, "a {BITS}-bit word kernel asked for {bits} bits");
+        Self
+    }
+
+    #[inline(always)]
+    fn round_finite(self, x: f64) -> f64 {
+        const { ShortWord::new(BITS) }.round_finite(x)
     }
 }
 
@@ -233,13 +292,18 @@ impl FixedAccumulator {
         self.value += other.value;
     }
 
-    /// Fold deferred-carry limb sums — per-digit totals of [`split_limbs`]
-    /// outputs — into the register: the same integer, modulo 2¹²⁸, as one
-    /// [`add`](Self::add) per contribution.
+    /// Fold the wrapping `i64` sums of `n` contributions' [`split_limbs`]
+    /// words into the register: the same integer, modulo 2¹²⁸, as one
+    /// [`add`](Self::add) per contribution. Each word is its digit plus
+    /// [`LIMB_ZERO`], so the digit totals are `words − n·LIMB_ZERO`, exact in
+    /// wrapping `i64` arithmetic while they fit (every in-domain digit is at
+    /// most 2⁴² in magnitude, so any `n ≤ 2²⁰`).
     #[inline]
-    pub fn add_limbs(&mut self, sums: [i128; 3]) {
+    pub fn add_limbs(&mut self, words: [i64; 3], n: u32) {
+        let digit =
+            |k: usize| i128::from(words[k].wrapping_sub(LIMB_ZERO[k].wrapping_mul(i64::from(n))));
         let folded =
-            sums[0].wrapping_add(sums[1] << LIMB_BITS).wrapping_add(sums[2] << (2 * LIMB_BITS));
+            digit(0).wrapping_add(digit(1) << LIMB_BITS).wrapping_add(digit(2) << (2 * LIMB_BITS));
         self.value = self.value.wrapping_add(folded);
     }
 
@@ -263,7 +327,7 @@ const LIMB_BITS: u32 = 42;
 
 /// Contributions a limb lane may absorb between folds into the `i128`
 /// register. Every digit of an in-domain contribution has magnitude ≤ 2⁴²
-/// ([`limbs_out_of_domain`]), so 2¹⁶ of them sum below 2⁵⁸ — no `i64` limb
+/// ([`limb_domain_offset`]), so 2¹⁶ of them sum below 2⁵⁸ — no digit total
 /// can wrap, at any j-count.
 pub(crate) const LIMB_FOLD_INTERVAL: u32 = 1 << 16;
 const _: () = assert!((LIMB_FOLD_INTERVAL as u64) << LIMB_BITS < 1 << 62);
@@ -277,14 +341,22 @@ const SPLIT_C2: f64 = 1.5 * (1u64 << 40) as f64;
 const SPLIT_C1: f64 = 1.5 / (1u64 << 2) as f64;
 const SPLIT_C0: f64 = 1.5 / (1u64 << 44) as f64;
 
-/// Split one contribution into the digits `[d0, d1, d2]` of
-/// `round_ties_even(x·2⁹⁶) = d0 + d1·2⁴² + d2·2⁸⁴` — the integer
+/// The word of digit zero, per digit: `bits(C0)`, `bits(C1)`, `bits(C2)`.
+/// A [`split_limbs`] word minus its entry is the signed digit.
+pub const LIMB_ZERO: [i64; 3] =
+    [SPLIT_C0.to_bits() as i64, SPLIT_C1.to_bits() as i64, SPLIT_C2.to_bits() as i64];
+
+/// Split one contribution into the limb words `[w0, w1, w2]`, the raw bits
+/// of `C0 + r0`, `C1 + r1`, `C2 + x`: word minus [`LIMB_ZERO`] is the digit
+/// `dk` of `round_ties_even(x·2⁹⁶) = d0 + d1·2⁴² + d2·2⁸⁴` — the integer
 /// [`FixedAccumulator::add`] would add — using only correctly-rounded f64
 /// add/sub and integer bit operations, so a lane loop over it vectorises.
+/// The kernels sum the words and subtract `n·LIMB_ZERO` once per fold
+/// ([`FixedAccumulator::add_limbs`]), not once per contribution.
 ///
-/// Exact whenever [`limbs_out_of_domain`] of `d2` is zero — every finite `x`
-/// inside the accumulator contract |x| < 2²⁹, and on up to 2³⁰ — and
-/// meaningless otherwise. Range arguments, top down:
+/// Exact whenever `w2` is inside the limb domain ([`limb_domain_offset`]) —
+/// every finite `x` inside the accumulator contract |x| < 2²⁹, and on up to
+/// 2³⁰ — and meaningless otherwise. Range arguments, top down:
 ///
 /// * `x + C2` stays inside [2⁴⁰, 2⁴¹) because |x| < 2³⁹, so `d2` is the
 ///   integer nearest x·2¹² and `h2 = d2·2⁻¹²` is exact. `r1 = x − h2` is exact:
@@ -300,23 +372,29 @@ const SPLIT_C0: f64 = 1.5 / (1u64 << 44) as f64;
 #[inline(always)]
 // grape6-lint: hot
 pub fn split_limbs(x: f64) -> [i64; 3] {
-    let digit = |t: f64, c: f64| (t.to_bits() as i64).wrapping_sub(c.to_bits() as i64);
     let t2 = x + SPLIT_C2;
     let r1 = x - (t2 - SPLIT_C2);
     let t1 = r1 + SPLIT_C1;
     let r0 = r1 - (t1 - SPLIT_C1);
     let t0 = r0 + SPLIT_C0;
-    [digit(t0, SPLIT_C0), digit(t1, SPLIT_C1), digit(t2, SPLIT_C2)]
+    [t0, t1, t2].map(|t| t.to_bits() as i64)
 }
 
-/// Nonzero iff the top digit `d2` of [`split_limbs`] lies outside
-/// [−2⁴², 2⁴²), i.e. the input was NaN, ±∞ or |x| ≥ 2³⁰ (a NaN or overflowed
-/// `x + C2` leaves the binade, which moves `bits − bits(C2)` by ≥ 2⁵¹).
-/// OR-reduce it over lanes and registers; any set bit sends that
-/// j-particle through [`FixedAccumulator::add`] instead.
+/// The top limb word `w2` offset into the limb domain: below 2⁴³ exactly
+/// when the digit `d2` lies in [−2⁴², 2⁴²), which fails iff the input was
+/// NaN, ±∞ or |x| ≥ 2³⁰ (a NaN or overflowed `x + C2` leaves the binade,
+/// which moves `w2` by ≥ 2⁵¹). Offsets OR together, so a kernel keeps one
+/// sticky word per lane and tests it once with [`limbs_out_of_domain`]: any
+/// contribution out of domain sends the whole sweep to the scalar oracle.
 #[inline(always)]
-pub fn limbs_out_of_domain(d2: i64) -> u64 {
-    (d2.wrapping_add(1 << LIMB_BITS) as u64) >> (LIMB_BITS + 1)
+pub fn limb_domain_offset(w2: i64) -> u64 {
+    w2.wrapping_sub(LIMB_ZERO[2] - (1 << LIMB_BITS)) as u64
+}
+
+/// Whether an OR of [`limb_domain_offset`]s holds one out of the domain.
+#[inline]
+pub fn limbs_out_of_domain(offsets: u64) -> bool {
+    offsets >> (LIMB_BITS + 1) != 0
 }
 
 /// Accumulator triple for a vector quantity.
@@ -341,12 +419,12 @@ impl VecAccumulator {
         self.z.add(v.z);
     }
 
-    /// Fold per-component limb sums ([`FixedAccumulator::add_limbs`]).
+    /// Fold per-component limb word sums ([`FixedAccumulator::add_limbs`]).
     #[inline]
-    pub(crate) fn add_limbs(&mut self, sums: [[i128; 3]; 3]) {
-        self.x.add_limbs(sums[0]);
-        self.y.add_limbs(sums[1]);
-        self.z.add_limbs(sums[2]);
+    pub(crate) fn add_limbs(&mut self, words: [[i64; 3]; 3], n: u32) {
+        self.x.add_limbs(words[0], n);
+        self.y.add_limbs(words[1], n);
+        self.z.add_limbs(words[2], n);
     }
 
     /// Merge another vector accumulator.

@@ -12,10 +12,13 @@
 //! Both run the whole stage chain of [`crate::pipeline::pipeline_interaction`]
 //! as one straight-line `for k in 0..W` loop that the autovectorizer lowers
 //! to packed SIMD: exact fixed-point subtraction, decode, the 19 stage
-//! roundings as the integer identity of [`ShortWord::round`], and the seven
-//! wide accumulators as deferred-carry limbs ([`split_limbs`]) — `i64` digit
+//! roundings as the select-free [`ShortWord::round_finite`], and the seven
+//! wide accumulators as deferred-carry limbs ([`split_limbs`]) — `i64` word
 //! lanes that are folded into the `i128` registers every 2¹⁶ contributions
-//! and at `store`.
+//! and at `store`. The kernels are generic over the [`PipelineWord`]: the
+//! engine runs [`Precision::grape6`]'s 24-bit word as
+//! [`ConstWord<24>`](crate::format::ConstWord), whose rounding shift is an
+//! immediate, and every other precision through the runtime [`ShortWord`].
 //!
 //! Determinism: every stage is exact integer arithmetic or one correctly
 //! rounded IEEE f64 operation followed by the rounding the scalar path
@@ -24,9 +27,20 @@
 //! Integer sums are associative, so neither the lane width nor which side of
 //! the interaction the lanes span can change an output bit — the contract
 //! pinned against [`scalar_sweep`] here and by the conformance runner's
-//! `lanes/*` checks. A contribution outside the limb domain (NaN, ±∞,
-//! |x| ≥ 2³⁰) is detected by one OR-reduced flag per j and rerouted through
-//! the scalar accumulator, never summed differently.
+//! `lanes/*` checks. Two domains bound that contract:
+//!
+//! * **Finite inputs.** `round_finite` agrees with the oracle's rounding on
+//!   finite values, ±∞ and the default NaN — everything IEEE arithmetic
+//!   makes from finite operands — but not on an input NaN with another
+//!   payload. A kernel's j-words, block time and ε² must therefore be
+//!   finite; the engine gates on that and sends anything else through
+//!   [`scalar_sweep`]. A non-finite i-velocity is flagged at `load`.
+//! * **The limb domain.** A contribution that is NaN, ±∞ or |x| ≥ 2³⁰ has no
+//!   limb digits. Each lane ORs its top-digit offsets into one sticky word
+//!   ([`limb_domain_offset`]) and tests it once, at `store`; a flagged tile
+//!   or j-lane row reports failure and the caller recomputes it whole with
+//!   [`scalar_sweep`] — the same bits, since the oracle is what the lanes
+//!   reproduce everywhere they are defined.
 //!
 //! Ragged i-tiles follow the core remainder-lane rule: padded by replicating
 //! lane 0, padding results never stored. Ragged j-groups never reach
@@ -35,12 +49,12 @@
 
 use crate::chip::HwIParticle;
 use crate::format::{
-    limbs_out_of_domain, split_limbs, FixedPointFormat, Precision, ShortWord, LIMB_FOLD_INTERVAL,
+    limb_domain_offset, limbs_out_of_domain, split_limbs, FixedPointFormat, PipelineWord,
+    Precision, ShortWord, LIMB_FOLD_INTERVAL,
 };
 use crate::pipeline::PipelineRegisters;
 use crate::predictor::{predict_lane, JParticle, PredictedJ};
 use grape6_core::particle::{IParticle, Neighbor};
-use grape6_core::vec3::Vec3;
 
 /// Lanes per [`GrapeLaneTile`] / [`GrapeJLanes`] of the engine's kernels: the
 /// chip's eight virtual pipelines per physical one. A compile-time constant
@@ -78,8 +92,9 @@ impl SweepPartial {
 
 /// The scalar oracle: sweep the predicted j-particles `js` (index, state)
 /// for one i-particle through [`PipelineRegisters::accumulate`]. The lane
-/// kernels must reproduce this bit for bit; the engine itself runs it only
-/// over the `< W` leftover j of a small-block chunk.
+/// kernels must reproduce this bit for bit; the engine itself runs it over
+/// the `< W` leftover j of a small-block chunk, and in place of a kernel
+/// whose inputs are not finite or whose sums left the limb domain.
 ///
 /// The force accumulates *unmasked* over every j, the own slot included
 /// (its self term contributes no force but −m/ε of potential, removed by
@@ -121,13 +136,13 @@ type Contribution = [f64; 7];
 
 /// One lane of the force pipeline: stages 1–3 of
 /// [`crate::pipeline::pipeline_interaction`] on the exact fixed-point
-/// difference `dq = q_j − q_i`. Also returns the unrounded r² the
-/// nearest-neighbour unit compares (same association order as
-/// `Vec3::norm2`).
+/// difference `dq = q_j − q_i`, with finite inputs (the module's first
+/// domain). Also returns the unrounded r² the nearest-neighbour unit
+/// compares (same association order as `Vec3::norm2`).
 #[inline(always)]
 // grape6-lint: hot
 fn pipeline_lane(
-    word: ShortWord,
+    word: impl PipelineWord,
     res: f64,
     eps2: f64,
     dq: [i64; 3],
@@ -135,76 +150,72 @@ fn pipeline_lane(
     vj: [f64; 3],
     mj: f64,
 ) -> (Contribution, f64) {
+    let round = |x: f64| word.round_finite(x);
     // Stage 1: decode the exact difference (unrounded).
     let dxu = dq[0] as f64 * res;
     let dyu = dq[1] as f64 * res;
     let dzu = dq[2] as f64 * res;
     let r2u = dxu * dxu + dyu * dyu + dzu * dzu;
     // Stage 2: conversion to the short pipeline word.
-    let dx = word.round(dxu);
-    let dy = word.round(dyu);
-    let dz = word.round(dzu);
-    let dvx = word.round(vj[0] - vi[0]);
-    let dvy = word.round(vj[1] - vi[1]);
-    let dvz = word.round(vj[2] - vi[2]);
+    let dx = round(dxu);
+    let dy = round(dyu);
+    let dz = round(dzu);
+    let dvx = round(vj[0] - vi[0]);
+    let dvy = round(vj[1] - vi[1]);
+    let dvz = round(vj[2] - vi[2]);
     // Stage 3: the arithmetic pipeline, one rounding per stage.
-    let r2 = word.round(dx * dx + dy * dy + dz * dz + eps2);
-    let rinv = word.round(1.0 / r2.sqrt());
-    let rinv2 = word.round(rinv * rinv);
-    let mr3inv = word.round(mj * word.round(rinv2 * rinv));
-    let rv = word.round(dx * dvx + dy * dvy + dz * dvz);
-    let alpha = word.round(3.0 * rv * rinv2);
+    let r2 = round(dx * dx + dy * dy + dz * dz + eps2);
+    let rinv = round(1.0 / r2.sqrt());
+    let rinv2 = round(rinv * rinv);
+    let mr3inv = round(mj * round(rinv2 * rinv));
+    let rv = round(dx * dvx + dy * dvy + dz * dvz);
+    let alpha = round(3.0 * rv * rinv2);
     let c = [
-        word.round(dx * mr3inv),
-        word.round(dy * mr3inv),
-        word.round(dz * mr3inv),
-        word.round((dvx - dx * alpha) * mr3inv),
-        word.round((dvy - dy * alpha) * mr3inv),
-        word.round((dvz - dz * alpha) * mr3inv),
-        word.round(-mj * rinv),
+        round(dx * mr3inv),
+        round(dy * mr3inv),
+        round(dz * mr3inv),
+        round((dvx - dx * alpha) * mr3inv),
+        round((dvy - dy * alpha) * mr3inv),
+        round((dvz - dz * alpha) * mr3inv),
+        round(-mj * rinv),
     ];
     (c, r2u)
 }
 
 /// Deferred-carry limbs of the seven wide accumulators, `W` lanes each, and
-/// the protocol around them: add in the lane loop, then [`close_j`] once per
-/// j — reroute if a lane flagged, fold when the interval is up.
-///
-/// [`close_j`]: Self::close_j
+/// the protocol around them: [`add`](Self::add) in the lane loop,
+/// [`close_j`](Self::close_j) once per j (a fold when the interval is up),
+/// and one domain test at the end ([`in_domain`](Self::in_domain)).
 #[derive(Debug, Clone)]
 struct LimbBank<const W: usize> {
-    /// `d[register][digit][lane]`: running sums of [`split_limbs`] digits.
-    d: [[[i64; W]; 3]; 7],
-    /// Contributions per lane in `d` not yet folded into the registers.
+    /// `w[register][digit][lane]`: wrapping sums of [`split_limbs`] words.
+    w: [[[i64; W]; 3]; 7],
+    /// Contributions per lane in `w` not yet folded into the registers.
     pending: u32,
-    /// The current j's contributions, `[register][lane]`, kept for a reroute.
-    last: [[f64; W]; 7],
-    /// Per lane: nonzero iff the current j left the limb domain there. (A
-    /// per-lane array, OR-reduced after the loop: a scalar reduction carried
-    /// through the lane loop stops it vectorising.)
-    bad: [u64; W],
+    /// Per lane: the OR of every top-digit [`limb_domain_offset`] it has
+    /// added (all ones for a lane loaded with a non-finite i-velocity).
+    flags: [u64; W],
 }
 
 impl<const W: usize> LimbBank<W> {
     fn new() -> Self {
-        Self { d: [[[0; W]; 3]; 7], pending: 0, last: [[0.0; W]; 7], bad: [0; W] }
+        Self { w: [[[0; W]; 3]; 7], pending: 0, flags: [0; W] }
     }
 
-    /// Stage 4 for lane `k` of the current j: wide accumulation, carries
-    /// deferred.
+    /// Stage 4 for lane `k` of the current j: wide accumulation, carries and
+    /// digit offsets deferred to the fold.
     #[inline(always)]
     // grape6-lint: hot
     fn add(&mut self, k: usize, c: &Contribution) {
-        let mut bad = 0;
-        for ((d, last), &x) in self.d.iter_mut().zip(&mut self.last).zip(c) {
+        let mut flags = 0;
+        for (w, &x) in self.w.iter_mut().zip(c) {
             let s = split_limbs(x);
-            d[0][k] = d[0][k].wrapping_add(s[0]);
-            d[1][k] = d[1][k].wrapping_add(s[1]);
-            d[2][k] = d[2][k].wrapping_add(s[2]);
-            bad |= limbs_out_of_domain(s[2]);
-            last[k] = x;
+            w[0][k] = w[0][k].wrapping_add(s[0]);
+            w[1][k] = w[1][k].wrapping_add(s[1]);
+            w[2][k] = w[2][k].wrapping_add(s[2]);
+            flags |= limb_domain_offset(s[2]);
         }
-        self.bad[k] = bad;
+        self.flags[k] |= flags;
     }
 
     /// Close the current j after every lane has [`add`](Self::add)ed its
@@ -214,47 +225,32 @@ impl<const W: usize> LimbBank<W> {
     // grape6-lint: hot
     fn close_j(&mut self, regs: &mut [PipelineRegisters]) {
         self.pending += 1;
-        if self.bad.iter().fold(0, |a, b| a | b) != 0 {
-            self.reroute(regs);
-        }
         if self.pending == LIMB_FOLD_INTERVAL {
             self.fold(regs);
         }
     }
 
-    /// Out-of-domain j: take its digits back out of every lane (wrapping
-    /// `i64` arithmetic is exactly invertible, whatever the digits were) and
-    /// send the contributions through the scalar accumulator instead.
-    #[cold]
-    #[inline(never)]
-    fn reroute(&mut self, regs: &mut [PipelineRegisters]) {
+    /// Fold every lane's word sums into its register set and zero them.
+    fn fold(&mut self, regs: &mut [PipelineRegisters]) {
+        let n = self.pending;
         for k in 0..W {
-            let c = self.last.map(|lane| lane[k]);
-            for (d, x) in self.d.iter_mut().zip(c) {
-                let s = split_limbs(x);
-                d[0][k] = d[0][k].wrapping_sub(s[0]);
-                d[1][k] = d[1][k].wrapping_sub(s[1]);
-                d[2][k] = d[2][k].wrapping_sub(s[2]);
-            }
+            let sums = self.w.map(|digits| digits.map(|lanes| lanes[k]));
             let r = &mut regs[k % regs.len()];
-            r.acc.add(Vec3::new(c[0], c[1], c[2]));
-            r.jerk.add(Vec3::new(c[3], c[4], c[5]));
-            r.pot.add(c[6]);
+            r.acc.add_limbs([sums[0], sums[1], sums[2]], n);
+            r.jerk.add_limbs([sums[3], sums[4], sums[5]], n);
+            r.pot.add_limbs(sums[6], n);
+            r.count += u64::from(n);
         }
+        self.w = [[[0; W]; 3]; 7];
+        self.pending = 0;
     }
 
-    /// Fold every lane's digit sums into its register set and zero them.
-    fn fold(&mut self, regs: &mut [PipelineRegisters]) {
-        for k in 0..W {
-            let sums = self.d.map(|digits| digits.map(|lanes| i128::from(lanes[k])));
-            let r = &mut regs[k % regs.len()];
-            r.acc.add_limbs([sums[0], sums[1], sums[2]]);
-            r.jerk.add_limbs([sums[3], sums[4], sums[5]]);
-            r.pot.add_limbs(sums[6]);
-            r.count += u64::from(self.pending);
-        }
-        self.d = [[[0; W]; 3]; 7];
-        self.pending = 0;
+    /// Fold what is pending and report whether every contribution of every
+    /// lane had limb digits, i.e. whether the registers hold the oracle's
+    /// sums.
+    fn in_domain(&mut self, regs: &mut [PipelineRegisters]) -> bool {
+        self.fold(regs);
+        !limbs_out_of_domain(self.flags.iter().fold(0, |a, b| a | b))
     }
 }
 
@@ -292,8 +288,8 @@ impl<const W: usize> NearestLanes<W> {
 /// `W` virtual-pipeline register sets in structure-of-arrays lanes (the
 /// large-block kernel: lanes span i-particles, one j broadcast per call).
 #[derive(Debug, Clone)]
-pub struct GrapeLaneTile<const W: usize> {
-    word: ShortWord,
+pub struct GrapeLaneTile<const W: usize, R = ShortWord> {
+    word: R,
     res: f64,
     /// Fixed-point i-positions (lanes).
     qx: [i64; W],
@@ -312,13 +308,13 @@ pub struct GrapeLaneTile<const W: usize> {
     nn: NearestLanes<W>,
 }
 
-impl<const W: usize> GrapeLaneTile<W> {
+impl<const W: usize, R: PipelineWord> GrapeLaneTile<W, R> {
     /// Encode up to `W` i-particles into a tile with zeroed registers.
     /// Ragged tails are padded by replicating lane 0.
     pub fn load(fmt: &FixedPointFormat, precision: Precision, ips: &[IParticle]) -> Self {
         assert!(!ips.is_empty() && ips.len() <= W);
         let mut t = Self {
-            word: ShortWord::new(precision.mantissa_bits()),
+            word: R::of(precision.mantissa_bits()),
             res: fmt.resolution(),
             qx: [0; W],
             qy: [0; W],
@@ -341,11 +337,16 @@ impl<const W: usize> GrapeLaneTile<W> {
             t.vy[k] = hw.vel.y;
             t.vz[k] = hw.vel.z;
             t.skip[k] = ip.index as u64;
+            if !hw.vel.is_finite() {
+                t.limbs.flags[k] = !0;
+            }
         }
         t
     }
 
-    /// Feed one predicted j-particle through all `W` lanes.
+    /// Feed one predicted j-particle through all `W` lanes. `pj` must be a
+    /// finite j-word predicted to a finite time, and `eps2` finite (the
+    /// module doc's first domain).
     #[inline(always)]
     // grape6-lint: hot
     pub fn interact(&mut self, j: usize, pj: &PredictedJ, eps2: f64) {
@@ -367,12 +368,17 @@ impl<const W: usize> GrapeLaneTile<W> {
     }
 
     /// Write the first `out.len()` lanes back as partials (padding dropped).
-    pub fn store(mut self, out: &mut [SweepPartial]) {
+    /// Returns `false`, and leaves `out` meaningless, when a lane left the
+    /// limb domain or was loaded with a non-finite velocity: the caller then
+    /// recomputes the tile with [`scalar_sweep`].
+    #[must_use]
+    pub fn store(mut self, out: &mut [SweepPartial]) -> bool {
         debug_assert!(out.len() <= W);
-        self.limbs.fold(&mut self.regs);
+        let in_domain = self.limbs.in_domain(&mut self.regs);
         for (k, o) in out.iter_mut().enumerate() {
             *o = SweepPartial { regs: self.regs[k], nn: self.nn.get(k) };
         }
+        in_domain
     }
 }
 
@@ -382,8 +388,8 @@ impl<const W: usize> GrapeLaneTile<W> {
 /// nearest-neighbour registers reduce to one register set at
 /// [`store`](Self::store).
 #[derive(Debug, Clone)]
-pub struct GrapeJLanes<const W: usize> {
-    word: ShortWord,
+pub struct GrapeJLanes<const W: usize, R = ShortWord> {
+    word: R,
     res: f64,
     scale: f64,
     qi: [i64; 3],
@@ -394,25 +400,30 @@ pub struct GrapeJLanes<const W: usize> {
     nn: NearestLanes<W>,
 }
 
-impl<const W: usize> GrapeJLanes<W> {
+impl<const W: usize, R: PipelineWord> GrapeJLanes<W, R> {
     /// Encode one i-particle with zeroed registers.
     pub fn load(fmt: &FixedPointFormat, precision: Precision, ip: &IParticle) -> Self {
         let hw = HwIParticle::encode(fmt, precision, ip.pos, ip.vel);
+        let mut limbs = LimbBank::new();
+        if !hw.vel.is_finite() {
+            limbs.flags = [!0; W];
+        }
         Self {
-            word: ShortWord::new(precision.mantissa_bits()),
+            word: R::of(precision.mantissa_bits()),
             res: fmt.resolution(),
             scale: fmt.scale(),
             qi: hw.qpos,
             vi: hw.vel.to_array(),
             skip: ip.index as u64,
-            limbs: LimbBank::new(),
+            limbs,
             regs: PipelineRegisters::new(),
             nn: NearestLanes::new(),
         }
     }
 
     /// Predict the j-particles `j0..j0 + W` (`js`, in memory order) to block
-    /// time `t` and feed each through the pipeline in its own lane.
+    /// time `t` and feed each through the pipeline in its own lane. The
+    /// j-words, `t` and `eps2` must be finite (see the module doc).
     #[inline(always)]
     // grape6-lint: hot
     pub fn interact(&mut self, j0: usize, js: &[JParticle; W], t: f64, eps2: f64) {
@@ -435,15 +446,19 @@ impl<const W: usize> GrapeJLanes<W> {
     /// Reduce the lanes to one partial. The nearest neighbour is the
     /// minimum r² across lanes, then the lowest j — which is the first
     /// minimum of the ascending sweep, since each lane kept its own first.
-    pub fn store(mut self) -> SweepPartial {
-        self.limbs.fold(std::slice::from_mut(&mut self.regs));
+    /// `None` when a lane left the limb domain or the i-velocity is not
+    /// finite: the caller then recomputes the row with [`scalar_sweep`].
+    pub fn store(mut self) -> Option<SweepPartial> {
+        if !self.limbs.in_domain(std::slice::from_mut(&mut self.regs)) {
+            return None;
+        }
         let mut nn: Option<Neighbor> = None;
         for nb in (0..W).filter_map(|k| self.nn.get(k)) {
             if nn.is_none_or(|n| nb.r2 < n.r2 || (nb.r2 == n.r2 && nb.index < n.index)) {
                 nn = Some(nb);
             }
         }
-        SweepPartial { regs: self.regs, nn }
+        Some(SweepPartial { regs: self.regs, nn })
     }
 }
 
@@ -451,6 +466,7 @@ impl<const W: usize> GrapeJLanes<W> {
 mod tests {
     use super::*;
     use crate::predictor::predict_j;
+    use grape6_core::vec3::Vec3;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn jmem(fmt: &FixedPointFormat, precision: Precision, n: usize) -> Vec<JParticle> {
@@ -494,49 +510,59 @@ mod tests {
     }
 
     /// i-lane tile over all of `mem`, in two chunks merged like the engine's
-    /// reduction tree.
+    /// reduction tree. A chunk whose tile reports a lane out of the limb
+    /// domain is recomputed by the oracle, as the engine does; the count of
+    /// such chunks comes back beside the partials.
     fn tile_sweep<const W: usize>(
         precision: Precision,
         ips: &[IParticle],
         mem: &[JParticle],
         eps2: f64,
-    ) -> Vec<SweepPartial> {
+    ) -> (Vec<SweepPartial>, usize) {
         let fmt = FixedPointFormat::default();
         let cut = mem.len() * 5 / 9;
         let mut out = vec![SweepPartial::default(); ips.len()];
+        let mut redone = 0;
         for js in [0..cut, cut..mem.len()] {
             let mut part = vec![SweepPartial::default(); ips.len()];
             let mut tile = GrapeLaneTile::<W>::load(&fmt, precision, ips);
-            for j in js {
+            for j in js.clone() {
                 tile.interact(j, &predict_j(&fmt, precision, &mem[j], T), eps2);
             }
-            tile.store(&mut part);
+            if !tile.store(&mut part) {
+                redone += 1;
+                for (p, ip) in part.iter_mut().zip(ips) {
+                    let pred = js.clone().map(|j| (j, predict_j(&fmt, precision, &mem[j], T)));
+                    *p = scalar_sweep(&fmt, precision, ip, pred, eps2);
+                }
+            }
             for (o, p) in out.iter_mut().zip(&part) {
                 o.merge(p);
             }
         }
-        out
+        (out, redone)
     }
 
-    /// j-lane sweep over the full groups of `mem`, scalar tail merged after.
+    /// j-lane sweep over the full groups of `mem`, scalar tail merged after;
+    /// `None` when the lanes report the row out of the limb domain.
     fn jlane_sweep<const W: usize>(
         precision: Precision,
         ip: &IParticle,
         mem: &[JParticle],
         eps2: f64,
-    ) -> SweepPartial {
+    ) -> Option<SweepPartial> {
         let fmt = FixedPointFormat::default();
         let (groups, tail) = mem.as_chunks::<W>();
         let mut lanes = GrapeJLanes::<W>::load(&fmt, precision, ip);
         for (g, group) in groups.iter().enumerate() {
             lanes.interact(g * W, group, T, eps2);
         }
-        let mut out = lanes.store();
+        let mut out = lanes.store()?;
         let first = mem.len() - tail.len();
         let js =
             tail.iter().enumerate().map(|(k, j)| (first + k, predict_j(&fmt, precision, j, T)));
         out.merge(&scalar_sweep(&fmt, precision, ip, js, eps2));
-        out
+        Some(out)
     }
 
     fn ips_of(mem: &[JParticle], idx: impl IntoIterator<Item = usize>) -> Vec<IParticle> {
@@ -549,12 +575,13 @@ mod tests {
     fn assert_kernels_match_oracle<const W: usize>(precision: Precision, b: usize) {
         let mem = jmem(&FixedPointFormat::default(), precision, 41);
         let ips = ips_of(&mem, 0..b);
-        let tiles = tile_sweep::<W>(precision, &ips, &mem, EPS2);
+        let (tiles, redone) = tile_sweep::<W>(precision, &ips, &mem, EPS2);
+        assert_eq!(redone, 0, "W={W} b={b}: in-domain tiles recomputed");
         for (k, ip) in ips.iter().enumerate() {
             let want = bits(&oracle(precision, ip, &mem, EPS2));
             assert_eq!(bits(&tiles[k]), want, "W={W} b={b} i-lane {k}");
             assert_eq!(
-                bits(&jlane_sweep::<W>(precision, ip, &mem, EPS2)),
+                bits(&jlane_sweep::<W>(precision, ip, &mem, EPS2).unwrap()),
                 want,
                 "W={W} j-lanes i={k}"
             );
@@ -603,8 +630,8 @@ mod tests {
         let ip = IParticle { index: 40, pos: Vec3::new(20.0, 0.0, 0.0), vel: Vec3::zero() };
         let want = oracle(precision, &ip, &mem, EPS2);
         assert_eq!(want.nn.map(|n| n.index), Some(6));
-        assert_eq!(bits(&jlane_sweep::<8>(precision, &ip, &mem, EPS2)), bits(&want));
-        assert_eq!(bits(&jlane_sweep::<4>(precision, &ip, &mem, EPS2)), bits(&want));
+        assert_eq!(bits(&jlane_sweep::<8>(precision, &ip, &mem, EPS2).unwrap()), bits(&want));
+        assert_eq!(bits(&jlane_sweep::<4>(precision, &ip, &mem, EPS2).unwrap()), bits(&want));
     }
 
     #[test]
@@ -617,8 +644,8 @@ mod tests {
         for ip in ips_of(&mem, 0..21) {
             let want = oracle(precision, &ip, &mem, EPS2);
             assert_ne!(want.nn.map(|n| n.index), Some(ip.index));
-            assert_eq!(bits(&jlane_sweep::<8>(precision, &ip, &mem, EPS2)), bits(&want));
-            assert_eq!(bits(&jlane_sweep::<4>(precision, &ip, &mem, EPS2)), bits(&want));
+            assert_eq!(bits(&jlane_sweep::<8>(precision, &ip, &mem, EPS2).unwrap()), bits(&want));
+            assert_eq!(bits(&jlane_sweep::<4>(precision, &ip, &mem, EPS2).unwrap()), bits(&want));
         }
     }
 
@@ -651,7 +678,7 @@ mod tests {
             tile.interact(j, &pj, eps2);
         }
         let mut out = [SweepPartial::default()];
-        tile.store(&mut out);
+        assert!(tile.store(&mut out));
         assert_eq!(bits(&out[0]), want, "i-lanes");
 
         // One contribution per lane per call: n calls put n in every lane.
@@ -659,56 +686,73 @@ mod tests {
         for g in 0..n {
             lanes.interact(g * 4, &[heavy; 4], T, eps2);
         }
-        let got = lanes.store();
+        let got = lanes.store().unwrap();
         let all = scalar_sweep(&fmt, precision, &ip, (0..4 * n).map(|j| (j, pj)), eps2);
         assert_eq!(bits(&got), bits(&all), "j-lanes");
     }
 
     #[test]
-    fn out_of_contract_contributions_take_the_scalar_accumulator() {
-        // NaN, ±∞ and ≥ 2²⁹ contributions are outside the accumulator
-        // contract: a debug build trips `FixedAccumulator`'s assertion, a
-        // release build saturates. Either way the lane kernels must do what
-        // the oracle does — in the lanes the bad j hits and in its
-        // neighbours — because they hand exactly those j to the same code.
+    fn out_of_domain_lanes_are_flagged_and_recomputed_by_the_oracle() {
+        // Finite inputs whose contributions leave the limb domain (a 2⁴⁰
+        // mass: |pot| ≥ 2³⁴ everywhere), and a non-finite i-velocity, which
+        // `load` flags. They are outside the accumulator contract: a debug
+        // build trips `FixedAccumulator`'s assertion, a release build
+        // saturates. Either way the kernels must flag the tile or row, and
+        // the oracle's recomputation is then what the engine returns.
+        // (Non-finite j-words never reach the kernels: the engine's gate,
+        // pinned in `tests/lane_determinism.rs`.)
         let fmt = FixedPointFormat::default();
         let precision = Precision::grape6();
         let clean = jmem(&fmt, precision, 19);
-        type Corrupt = fn(&mut JParticle);
-        let poison: [(&str, Corrupt); 5] = [
-            ("nan velocity", |j| j.vel.y = f64::NAN),
-            ("infinite mass", |j| j.mass = f64::INFINITY),
-            ("negative infinite jerk", |j| j.jerk.z = f64::NEG_INFINITY),
-            ("huge mass", |j| j.mass = 2.0f64.powi(40)),
-            ("nan payload time", |j| j.t0 = f64::from_bits(0x7FF0_0000_0000_0001)),
-        ];
-        for (what, corrupt) in poison {
-            for slot in [2usize, 13, 18] {
-                let mut mem = clean.clone();
-                corrupt(&mut mem[slot]);
-                let ips = ips_of(&clean, [0, 5]);
-                let run = |f: &dyn Fn() -> Vec<Bits>| catch_unwind(AssertUnwindSafe(f)).ok();
-                let want = run(&|| {
-                    ips.iter().map(|ip| bits(&oracle(precision, ip, &mem, EPS2))).collect()
-                });
-                assert_eq!(want.is_none(), cfg!(debug_assertions), "{what}: oracle");
-                let tile = run(&|| {
-                    tile_sweep::<8>(precision, &ips, &mem, EPS2).iter().map(bits).collect()
-                });
-                assert_eq!(tile, want, "{what} at j = {slot}: i-lanes");
-                let jl = run(&|| {
-                    ips.iter()
-                        .map(|ip| bits(&jlane_sweep::<8>(precision, ip, &mem, EPS2)))
-                        .collect()
-                });
-                assert_eq!(jl, want, "{what} at j = {slot}: j-lanes");
+        // The kernels never panic, so a debug-build panic on the tile path
+        // is the oracle's recomputation at work.
+        let run = |f: &dyn Fn() -> Vec<Bits>| catch_unwind(AssertUnwindSafe(f)).ok();
+        let check = |what: &str, mem: &[JParticle], ips: &[IParticle], eps2: f64, rows: bool| {
+            let want =
+                run(&|| ips.iter().map(|ip| bits(&oracle(precision, ip, mem, eps2))).collect());
+            assert_eq!(want.is_none(), cfg!(debug_assertions), "{what}: oracle");
+            let got = run(&|| {
+                let (tiles, redone) = tile_sweep::<8>(precision, ips, mem, eps2);
+                assert!(redone > 0, "{what}: i-lanes not flagged");
+                tiles.iter().map(bits).collect()
+            });
+            assert_eq!(got, want, "{what}: i-lanes");
+            for ip in ips {
+                // (A row that is not flagged goes on to its scalar tail.)
+                let flagged = catch_unwind(|| jlane_sweep::<8>(precision, ip, mem, eps2).is_none());
+                assert_eq!(flagged.unwrap_or(false), rows, "{what}: j-lanes");
+            }
+        };
+        // Slot 18 falls in the j-lanes' scalar tail (19 = 2·8 + 3), so no row
+        // flags there; the tail's oracle is the recomputation itself.
+        for slot in [2usize, 13, 18] {
+            let mut mem = clean.clone();
+            mem[slot].mass = 2.0f64.powi(40);
+            check(
+                &format!("huge mass at j = {slot}"),
+                &mem,
+                &ips_of(&clean, [0, 5]),
+                EPS2,
+                slot < 16,
+            );
+        }
+        let mut ips = ips_of(&clean, [0, 5, 7]);
+        ips[1].vel.y = f64::from_bits(0x7FFF_FFFF_FFFF_FFFF);
+        check("payload NaN i-velocity", &clean, &ips[1..2], EPS2, true);
+        if !cfg!(debug_assertions) {
+            let (tiles, _) = tile_sweep::<8>(precision, &ips, &clean, EPS2);
+            for k in [0, 2] {
+                let want = bits(&oracle(precision, &ips[k], &clean, EPS2));
+                assert_eq!(bits(&tiles[k]), want, "tile-mate {k} of the flagged lane");
             }
         }
-        // Zero softening on a coincident pair: 1/√0 = ∞ inside the pipeline.
-        let ips = ips_of(&clean, [3]);
-        let run = |f: &dyn Fn() -> Bits| catch_unwind(AssertUnwindSafe(f)).ok();
-        let want = run(&|| bits(&oracle(precision, &ips[0], &clean, 0.0)));
-        assert_eq!(run(&|| bits(&tile_sweep::<4>(precision, &ips, &clean, 0.0)[0])), want);
-        assert_eq!(run(&|| bits(&jlane_sweep::<4>(precision, &ips[0], &clean, 0.0))), want);
+        // Zero softening on a coincident pair (words stored at the block
+        // time, so i sits on its own predicted slot): 1/√0 = ∞ inside the
+        // pipeline, then 0·∞ = NaN — the non-finite values finite inputs make.
+        let mut now = clean.clone();
+        for j in &mut now {
+            j.t0 = T;
+        }
+        check("zero softening", &now, &ips_of(&now, [3]), 0.0, true);
     }
 }

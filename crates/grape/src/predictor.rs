@@ -8,7 +8,7 @@
 //! exact, because the increment is small); velocities in short floating
 //! point.
 
-use crate::format::{round_mantissa, round_vec, FixedPointFormat, Precision, ShortWord};
+use crate::format::{round_mantissa, round_vec, FixedPointFormat, PipelineWord, Precision};
 use grape6_core::particle::ParticleSystem;
 use grape6_core::vec3::Vec3;
 
@@ -73,6 +73,16 @@ impl JParticle {
             sys.time[i],
         )
     }
+
+    /// Whether every floating-point field is finite: the words the lane
+    /// kernels may read ([`crate::lanes`], first domain).
+    pub fn is_finite(&self) -> bool {
+        self.vel.is_finite()
+            && self.acc.is_finite()
+            && self.jerk.is_finite()
+            && self.mass.is_finite()
+            && self.t0.is_finite()
+    }
 }
 
 /// Predicted j-particle: fixed-point position at the block time plus
@@ -112,27 +122,30 @@ pub fn predict_j(
 }
 
 /// [`predict_j`] for one lane of a `for k in 0..W` loop: the same
-/// expression tree with [`ShortWord::round`] for the stage roundings and the
-/// precomputed grid [`scale`](FixedPointFormat::scale), so the loop body is
-/// branch-free. Returns the predicted fixed-point position and velocity.
+/// expression tree with [`PipelineWord::round_finite`] for the stage
+/// roundings and the precomputed grid [`scale`](FixedPointFormat::scale), so
+/// the loop body is branch-free. Bit-identical to [`predict_j`] when `j` and `t` are
+/// finite ([`JParticle::is_finite`]). Returns the predicted fixed-point
+/// position and velocity.
 #[inline(always)]
 // grape6-lint: hot
 pub(crate) fn predict_lane(
-    word: ShortWord,
+    word: impl PipelineWord,
     scale: f64,
     j: &JParticle,
     t: f64,
 ) -> ([i64; 3], [f64; 3]) {
-    let dt = word.round(t - j.t0);
-    let dt2h = word.round(dt * dt * 0.5);
-    let dt3s = word.round(dt * dt * dt / 6.0);
+    let round = |x: f64| word.round_finite(x);
+    let dt = round(t - j.t0);
+    let dt2h = round(dt * dt * 0.5);
+    let dt3s = round(dt * dt * dt / 6.0);
     let (v, a, k) = (j.vel.to_array(), j.acc.to_array(), j.jerk.to_array());
     let mut qpos = [0i64; 3];
     let mut vel = [0.0f64; 3];
     for c in 0..3 {
-        let dpos = word.round(v[c] * dt + a[c] * dt2h + k[c] * dt3s);
+        let dpos = round(v[c] * dt + a[c] * dt2h + k[c] * dt3s);
         qpos[c] = j.qpos[c].wrapping_add(FixedPointFormat::to_grid(dpos * scale));
-        vel[c] = word.round(v[c] + a[c] * dt + k[c] * dt2h);
+        vel[c] = round(v[c] + a[c] * dt + k[c] * dt2h);
     }
     (qpos, vel)
 }
@@ -140,6 +153,7 @@ pub(crate) fn predict_lane(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::ShortWord;
 
     fn sample_j(fmt: &FixedPointFormat) -> JParticle {
         JParticle::encode(
@@ -198,8 +212,10 @@ mod tests {
 
     #[test]
     fn lane_predictor_matches_predict_j_bitwise() {
-        // Random states, then the same with one field made non-finite,
-        // huge (position increment saturates the grid) or subnormal.
+        // Random states, then the same with one field made huge (position
+        // increment saturates the grid), subnormal, or one of the non-finite
+        // values IEEE arithmetic makes from finite operands (±∞, the default
+        // NaN) — what the select-free rounding must pass through unchanged.
         let fmt = FixedPointFormat::default();
         let mut seed = 7u64;
         let mut rng = move || {

@@ -3,8 +3,9 @@
 use grape6_core::force::pair_force_jerk;
 use grape6_core::vec3::Vec3;
 use grape6_hw::format::{
-    limbs_out_of_domain, round_mantissa, split_limbs, FixedAccumulator, FixedPointFormat,
-    Precision, ShortWord, VecAccumulator,
+    limb_domain_offset, limbs_out_of_domain, round_mantissa, split_limbs, ConstWord,
+    FixedAccumulator, FixedPointFormat, PipelineWord, Precision, ShortWord, VecAccumulator,
+    LIMB_ZERO,
 };
 use grape6_hw::pipeline::{pipeline_interaction, PipelineRegisters};
 use grape6_hw::predictor::{predict_j, JParticle};
@@ -284,6 +285,46 @@ proptest! {
         }
     }
 
+    #[test]
+    fn round_finite_matches_round_mantissa_where_the_pipeline_can_reach(
+        raw in prop::collection::vec(0u64..u64::MAX, 8),
+        bits in 3u32..=60,
+    ) {
+        // The select-free twin the lane kernels run behind the engine's
+        // finite-input gate: every finite bit pattern (normals, subnormals,
+        // ±0, and f64::MAX rounding up to ∞), ±∞, and both default NaNs —
+        // all that IEEE arithmetic makes from finite operands.
+        let word = ShortWord::new(bits);
+        let mut xs: Vec<f64> = raw
+            .iter()
+            .flat_map(|&r| [r, r & 0x800F_FFFF_FFFF_FFFF])
+            .map(f64::from_bits)
+            .filter(|x| x.is_finite())
+            .collect();
+        xs.extend([
+            0.0,
+            -0.0,
+            f64::MAX,
+            -f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(0x7FF8_0000_0000_0000),
+            f64::from_bits(0xFFF8_0000_0000_0000),
+        ]);
+        for x in xs {
+            prop_assert_eq!(
+                word.round_finite(x).to_bits(), round_mantissa(x, bits).to_bits(),
+                "x = {:e} ({:#018x}), bits = {}", x, x.to_bits(), bits
+            );
+            // The production word, its shift a compile-time constant.
+            prop_assert_eq!(
+                ConstWord::<24>::of(24).round_finite(x).to_bits(),
+                round_mantissa(x, 24).to_bits(),
+                "x = {:e} ({:#018x})", x, x.to_bits()
+            );
+        }
+    }
+
     // ---------- deferred-carry limbs vs the i128 accumulator ----------
 
     #[test]
@@ -313,17 +354,18 @@ proptest! {
 }
 
 /// The limb path for one value: either flagged out of domain — allowed only
-/// outside the accumulator contract (finite, |x| < 2²⁹), where the kernels
-/// hand the value to `FixedAccumulator::add` itself — or digits that fold to
+/// outside the accumulator contract (finite, |x| < 2²⁹), where the engine
+/// hands the sweep to `FixedAccumulator::add` itself — or digits that fold to
 /// exactly what `add` accumulates.
 fn check_limbs_against_accumulator(x: f64) -> Result<(), proptest::TestCaseError> {
-    let d = split_limbs(x);
+    let w = split_limbs(x);
     let in_contract = x.abs() < 2.0f64.powi(29);
-    if limbs_out_of_domain(d[2]) != 0 {
+    if limbs_out_of_domain(limb_domain_offset(w[2])) {
         prop_assert!(!in_contract, "in-contract x = {:e} flagged out of domain", x);
         return Ok(());
     }
     prop_assert!(x.abs() <= 2.0f64.powi(30), "x = {:e} ({:#018x}) not flagged", x, x.to_bits());
+    let d = [0, 1, 2].map(|k| w[k].wrapping_sub(LIMB_ZERO[k]));
     prop_assert!(d.iter().all(|d| d.abs() <= 1 << 42), "x = {:e}: digit too large {:?}", x, d);
     // `add` debug-asserts its contract; between 2²⁹ and the limb domain's
     // edge only a release build can ask it.
@@ -331,7 +373,7 @@ fn check_limbs_against_accumulator(x: f64) -> Result<(), proptest::TestCaseError
         let mut want = FixedAccumulator::new();
         want.add(x);
         let mut got = FixedAccumulator::new();
-        got.add_limbs(d.map(i128::from));
+        got.add_limbs(w, 1);
         prop_assert_eq!(got, want, "x = {:e} ({:#018x})", x, x.to_bits());
     }
     Ok(())
@@ -394,16 +436,21 @@ fn limb_digits_directed_edges() {
     for x in
         [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 2.0f64.powi(30), -2.0f64.powi(31), -f64::MAX]
     {
-        assert_ne!(limbs_out_of_domain(split_limbs(x)[2]), 0, "x = {x:e} not flagged");
+        assert!(
+            limbs_out_of_domain(limb_domain_offset(split_limbs(x)[2])),
+            "x = {x:e} not flagged"
+        );
     }
 }
 
 #[test]
 fn limb_sums_fold_like_sequential_adds() {
-    // Digit sums of many contributions (mixed signs and magnitudes) fold to
-    // the same register as one `add` each.
+    // Wrapping word sums of many contributions (mixed signs and magnitudes)
+    // fold to the same register as one `add` each, and the OR of their
+    // domain offsets stays in the domain.
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut sums = [0i128; 3];
+    let mut sums = [0i64; 3];
+    let mut offsets = 0;
     let mut want = FixedAccumulator::new();
     for _ in 0..10_000 {
         state ^= state << 13;
@@ -412,13 +459,18 @@ fn limb_sums_fold_like_sequential_adds() {
         let mantissa = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
         let x = mantissa * 2.0f64.powi((state % 120) as i32 - 100);
         want.add(x);
-        for (s, d) in sums.iter_mut().zip(split_limbs(x)) {
-            *s += i128::from(d);
+        let w = split_limbs(x);
+        for (s, w) in sums.iter_mut().zip(w) {
+            *s = s.wrapping_add(w);
         }
+        offsets |= limb_domain_offset(w[2]);
     }
     let mut got = FixedAccumulator::new();
-    got.add_limbs(sums);
+    got.add_limbs(sums, 10_000);
     assert_eq!(got, want);
+    assert!(!limbs_out_of_domain(offsets));
+    // One out-of-domain contribution anywhere keeps the OR flagged.
+    assert!(limbs_out_of_domain(offsets | limb_domain_offset(split_limbs(-f64::MAX)[2])));
 }
 
 #[test]
@@ -460,4 +512,16 @@ fn short_word_edge_cases_bit_exact() {
             assert_same(x, bits);
         }
     }
+}
+
+#[test]
+fn round_finite_does_not_keep_an_arbitrary_nan_payload() {
+    // Why the lane kernels sit behind a finite-input gate: the select-free
+    // rounding carries this NaN's all-ones payload into the sign bit, so
+    // a payload NaN read from j-memory would enter the pipeline as −0.
+    let nan = f64::from_bits(0x7FFF_FFFF_FFFF_FFFF);
+    let word = ShortWord::new(24);
+    assert_eq!(word.round(nan).to_bits(), nan.to_bits());
+    assert_eq!(word.round_finite(nan).to_bits(), (-0.0f64).to_bits());
+    assert_ne!(word.round_finite(nan).to_bits(), round_mantissa(nan, 24).to_bits());
 }

@@ -159,6 +159,76 @@ fn grape6_ragged_tiles_and_leftover_j_match_the_scalar_oracle() {
     }
 }
 
+/// acc, jerk and pot bits, then the neighbour's index and r² bits.
+type ForceBits = ([u64; 7], Option<(usize, u64)>);
+
+/// Every output bit of a force set, NaNs included (`assert_eq!` on a NaN
+/// `Vec3` would fail even between identical bits).
+fn force_bits(out: &[ForceResult]) -> Vec<ForceBits> {
+    out.iter()
+        .map(|f| {
+            let (a, j) = (f.acc, f.jerk);
+            let words = [a.x, a.y, a.z, j.x, j.y, j.z, f.pot].map(f64::to_bits);
+            (words, f.nn.map(|n| (n.index, n.r2.to_bits())))
+        })
+        .collect()
+}
+
+#[test]
+fn grape6_non_finite_and_out_of_domain_inputs_match_the_scalar_oracle() {
+    // The lane kernels round without a NaN select and sum limb digits that
+    // exist only for |contribution| < 2³⁰. Each body below breaks one of
+    // those domains: a velocity that is the payload NaN 0x7FFF…F (the
+    // select-free rounding would read it as −0), an infinite mass, and a
+    // 2⁴⁰ mass (finite inputs, out-of-domain contributions); last, a probe
+    // i-particle with that NaN velocity over a clean j-memory. On the
+    // large-block and the small-block path, with and without the body in
+    // the block, the engine must return the scalar oracle's bits — or panic
+    // where the oracle panics (a debug build asserts the accumulator
+    // contract; the lane kernels themselves never panic).
+    let payload_nan = f64::from_bits(0x7FFF_FFFF_FFFF_FFFF);
+    let clean = disk(300, 99);
+    let bad = 123;
+    type Corrupt = fn(&mut ParticleSystem, usize);
+    let cases: [(&str, Corrupt); 4] = [
+        ("payload NaN velocity", |s, i| s.vel[i].y = f64::from_bits(0x7FFF_FFFF_FFFF_FFFF)),
+        ("infinite mass", |s, i| s.mass[i] = f64::INFINITY),
+        ("2^40 mass", |s, i| s.mass[i] = 2.0f64.powi(40)),
+        ("clean j-memory", |_, _| {}),
+    ];
+    let large: Vec<usize> = (0..24).map(|k| k * 13 + 2).collect();
+    let small = vec![5, 200, 299];
+    for (what, corrupt) in cases {
+        let mut sys = clean.clone();
+        corrupt(&mut sys, bad);
+        let with = |idx: &[usize]| {
+            let mut idx = idx.to_vec();
+            idx[1] = bad;
+            idx
+        };
+        for (path, idx) in [("large", large.clone()), ("small", small.clone())] {
+            for idx in [with(&idx), idx] {
+                let mut ips = ips_for(&sys, &idx);
+                if what == "clean j-memory" {
+                    ips[0] = IParticle { index: usize::MAX, ..ips[0] };
+                    ips[0].vel.x = payload_nan;
+                }
+                let run = |f: &dyn Fn() -> Vec<ForceResult>| {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                        .ok()
+                        .map(|o| force_bits(&o))
+                };
+                let oracle = || ScalarGrape6Engine(Grape6Engine::sc2002());
+                let want = run(&|| force_on(oracle, &sys, &ips, 1));
+                for &t in &THREADS {
+                    let got = run(&|| force_on(Grape6Engine::sc2002, &sys, &ips, t));
+                    assert!(got == want, "{what}, {path} block {idx:?}, t={t}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn direct_force_bits_invariant_across_lane_widths() {
     // Blocks chosen to hit the fused small-block path (≤16), the tiled
