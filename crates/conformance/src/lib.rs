@@ -19,7 +19,7 @@
 //! * [`runner`] — drives the same scenario through `DirectEngine`,
 //!   `Grape6Engine` (hardware and exact arithmetic), `ClusterEngine` (one
 //!   host — the routed node of the `*node*` checks — and four hosts with
-//!   mirrored nodes) and
+//!   mirrored j-memories) and
 //!   `FaultTolerantEngine`, comparing forces against
 //!   the oracle and requiring **bitwise** equality wherever the
 //!   determinism contract promises it (routed-vs-flat, cluster-vs-flat,

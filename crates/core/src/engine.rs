@@ -7,7 +7,7 @@
 //!
 //! * [`crate::force::DirectEngine`] — CPU direct summation (reference),
 //! * `grape6_hw::Grape6Engine` — the functional + timing GRAPE-6 simulator;
-//!   around it the routed `ClusterEngine` (one mirrored node per host: one
+//!   around it the routed `ClusterEngine` (one mirrored j-memory per host: one
 //!   host is the routed node, four the production cluster) and the DMR
 //!   `FaultTolerantEngine`, which
 //!   writes j-memory through the flat engine's one write port,

@@ -6,10 +6,15 @@
 //! register sets), so a chip works on up to 48 i-particles per sweep of its
 //! j-memory while fetching each j-particle only once every eight cycles —
 //! the trick that keeps the SSRAM bandwidth requirement feasible.
+//!
+//! This module holds the chip's geometry and cycle count, the hardware
+//! i-particle word and the j-memory write errors. A chip's sweep of its j-slice
+//! (predictor pipeline, then the force pipelines, j as the outer loop) is
+//! part of [`crate::cluster_engine::ClusterEngine`]; its cost,
+//! [`ChipGeometry::compute_cycles`], is charged by
+//! [`crate::timing::TimingModel`].
 
 use crate::format::{FixedPointFormat, Precision};
-use crate::pipeline::PipelineRegisters;
-use crate::predictor::{predict_j, JParticle};
 use grape6_core::vec3::Vec3;
 use serde::{Deserialize, Serialize};
 
@@ -100,83 +105,7 @@ impl HwIParticle {
     }
 }
 
-/// Functional model of one processor chip. Its cost is
-/// [`ChipGeometry::compute_cycles`], charged by [`crate::timing::TimingModel`].
-#[derive(Debug, Clone)]
-pub struct Grape6Chip {
-    /// Chip geometry.
-    pub geometry: ChipGeometry,
-    /// Position format shared with the host.
-    pub format: FixedPointFormat,
-    /// Arithmetic precision emulation.
-    pub precision: Precision,
-    jmem: Vec<JParticle>,
-}
-
-impl Grape6Chip {
-    /// A chip with empty j-memory.
-    pub fn new(geometry: ChipGeometry, format: FixedPointFormat, precision: Precision) -> Self {
-        Self { geometry, format, precision, jmem: Vec::new() }
-    }
-
-    /// Number of resident j-particles.
-    pub fn n_j(&self) -> usize {
-        self.jmem.len()
-    }
-
-    /// Load a fresh j-particle set. Fails if it exceeds the SSRAM capacity.
-    pub fn load_j(&mut self, particles: &[JParticle]) -> Result<(), ChipError> {
-        if particles.len() > self.geometry.jmem_capacity {
-            return Err(ChipError::MemoryOverflow {
-                requested: particles.len(),
-                capacity: self.geometry.jmem_capacity,
-            });
-        }
-        self.jmem.clear();
-        self.jmem.extend_from_slice(particles);
-        Ok(())
-    }
-
-    /// Overwrite one j-memory slot (the per-blockstep write-back path).
-    pub fn store_j(&mut self, slot: usize, particle: JParticle) -> Result<(), ChipError> {
-        if slot >= self.jmem.len() {
-            return Err(ChipError::BadSlot { slot, len: self.jmem.len() });
-        }
-        self.jmem[slot] = particle;
-        Ok(())
-    }
-
-    /// Compute forces on up to `i_parallel()` i-particles against the full
-    /// resident j-memory at block time `t`. Returns one register set per
-    /// i-particle.
-    pub fn compute(&mut self, t: f64, ips: &[HwIParticle], eps2: f64) -> Vec<PipelineRegisters> {
-        assert!(
-            ips.len() <= self.geometry.i_parallel(),
-            "chip accepts at most {} i-particles per call, got {}",
-            self.geometry.i_parallel(),
-            ips.len()
-        );
-        let mut regs = vec![PipelineRegisters::new(); ips.len()];
-        for j in &self.jmem {
-            let pj = predict_j(&self.format, self.precision, j, t);
-            for (r, ip) in regs.iter_mut().zip(ips) {
-                r.accumulate(
-                    &self.format,
-                    self.precision,
-                    ip.qpos,
-                    pj.qpos,
-                    ip.vel,
-                    pj.vel,
-                    pj.mass,
-                    eps2,
-                );
-            }
-        }
-        regs
-    }
-}
-
-/// Errors a chip can raise.
+/// Errors of a j-memory write ([`crate::engine::Grape6Engine::write_j`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChipError {
     /// Attempted to load more j-particles than the SSRAM holds.
@@ -256,99 +185,5 @@ mod tests {
         let cycles = g.compute_cycles(48, n_j);
         let per_cycle = inter as f64 / cycles as f64;
         assert!(per_cycle > 5.97, "interactions/cycle {per_cycle}");
-    }
-
-    fn test_chip() -> Grape6Chip {
-        Grape6Chip::new(
-            ChipGeometry { jmem_capacity: 64, ..ChipGeometry::default() },
-            FixedPointFormat::default(),
-            Precision::Exact,
-        )
-    }
-
-    fn j_at(x: f64, m: f64) -> JParticle {
-        JParticle::encode(
-            &FixedPointFormat::default(),
-            Precision::Exact,
-            Vec3::new(x, 0.0, 0.0),
-            Vec3::zero(),
-            Vec3::zero(),
-            Vec3::zero(),
-            m,
-            0.0,
-        )
-    }
-
-    #[test]
-    fn memory_capacity_enforced() {
-        let mut chip = test_chip();
-        let js: Vec<JParticle> = (0..65).map(|k| j_at(k as f64, 1e-9)).collect();
-        assert!(matches!(
-            chip.load_j(&js),
-            Err(ChipError::MemoryOverflow { requested: 65, capacity: 64 })
-        ));
-        assert!(chip.load_j(&js[..64]).is_ok());
-        assert_eq!(chip.n_j(), 64);
-    }
-
-    #[test]
-    fn store_j_bounds_checked() {
-        let mut chip = test_chip();
-        chip.load_j(&[j_at(1.0, 1e-9)]).unwrap();
-        assert!(chip.store_j(0, j_at(2.0, 1e-9)).is_ok());
-        assert!(matches!(chip.store_j(1, j_at(2.0, 1e-9)), Err(ChipError::BadSlot { .. })));
-    }
-
-    #[test]
-    fn chip_force_matches_analytic_pair() {
-        let mut chip = test_chip();
-        chip.load_j(&[j_at(1.0, 2.0)]).unwrap();
-        let ip = HwIParticle::encode(
-            &FixedPointFormat::default(),
-            Precision::Exact,
-            Vec3::zero(),
-            Vec3::zero(),
-        );
-        let regs = chip.compute(0.0, &[ip], 0.0);
-        let (acc, _, pot) = regs[0].read();
-        assert!((acc.x - 2.0).abs() < 1e-12); // m/r² = 2
-        assert!((pot + 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most")]
-    fn chip_rejects_oversized_i_block() {
-        let mut chip = test_chip();
-        chip.load_j(&[j_at(1.0, 1.0)]).unwrap();
-        let ip = HwIParticle::encode(
-            &FixedPointFormat::default(),
-            Precision::Exact,
-            Vec3::zero(),
-            Vec3::zero(),
-        );
-        chip.compute(0.0, &vec![ip; 49], 0.0);
-    }
-
-    #[test]
-    fn chip_predicts_j_to_block_time() {
-        let fmt = FixedPointFormat::default();
-        let mut chip = test_chip();
-        // j-particle moving at v = 1 along x, stored at t0 = 0, at x = 10.
-        let j = JParticle::encode(
-            &fmt,
-            Precision::Exact,
-            Vec3::new(10.0, 0.0, 0.0),
-            Vec3::new(1.0, 0.0, 0.0),
-            Vec3::zero(),
-            Vec3::zero(),
-            1.0,
-            0.0,
-        );
-        chip.load_j(&[j]).unwrap();
-        let ip = HwIParticle::encode(&fmt, Precision::Exact, Vec3::zero(), Vec3::zero());
-        // At t = 2 the source sits at x = 12 → acc = 1/144.
-        let regs = chip.compute(2.0, &[ip], 0.0);
-        let (acc, _, _) = regs[0].read();
-        assert!((acc.x - 1.0 / 144.0).abs() < 1e-12);
     }
 }

@@ -26,10 +26,11 @@
 //! loops over it, and so is the engine layered on it, the dual-modular
 //! [`fault_engine::FaultTolerantEngine`]. The fully-routed data paths —
 //! every packet over the wire protocol and the board structure — are one
-//! engine too, [`cluster_engine::ClusterEngine`]: one [`node::Grape6Node`]
-//! per host, each a mirror of every j-particle that every write-back packet
-//! lands in. One host is the routed node, four the production cluster, both
-//! bit-identical to the flat engine.
+//! engine too, [`cluster_engine::ClusterEngine`]: one j-memory per host,
+//! each a mirror of every j-particle that every write-back packet lands in,
+//! dealt over the node's boards and chips; each chip sweeps its slice and
+//! the reduction tree sums the partial forces. One host is the routed node,
+//! four the production cluster, both bit-identical to the flat engine.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -43,7 +44,6 @@ pub mod format;
 pub mod lanes;
 pub mod link;
 pub mod network;
-pub mod node;
 pub mod parallel_models;
 pub mod perf;
 pub mod pipeline;
@@ -51,8 +51,8 @@ pub mod predictor;
 pub mod timing;
 pub mod wire;
 
-pub use board::{BoardGeometry, ProcessorBoard};
-pub use chip::{ChipGeometry, Grape6Chip, HwIParticle};
+pub use board::BoardGeometry;
+pub use chip::{ChipGeometry, HwIParticle};
 pub use cluster_engine::ClusterEngine;
 pub use engine::{Grape6Config, Grape6Engine, ScalarGrape6Engine};
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
@@ -61,7 +61,6 @@ pub use format::{FixedPointFormat, Precision};
 pub use lanes::{GrapeJLanes, GrapeLaneTile, SweepPartial};
 pub use link::Link;
 pub use network::{NetworkMode, NetworkTree};
-pub use node::Grape6Node;
 pub use parallel_models::{ParallelModel, Strategy};
 pub use perf::{HardwareClock, PerfReport};
 pub use timing::{MachineGeometry, StepBreakdown, TimingModel};

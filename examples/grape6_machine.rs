@@ -1,73 +1,54 @@
 //! A tour of the simulated GRAPE-6 hardware, bottom-up: one pipeline chip,
-//! one processor board, the network-board tree, and the full 2048-chip
-//! machine's timing model (paper §4-5).
+//! one processor board, the network-board tree, the fully-routed node and
+//! the full 2048-chip machine's timing model (paper §4-5).
 //!
 //! Run with: `cargo run --release --example grape6_machine`
 
+use grape6::core::engine::ForceEngine;
+use grape6::core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6::core::vec3::Vec3;
-use grape6::hw::chip::HwIParticle;
 use grape6::hw::network::NetworkBoardGeometry;
-use grape6::hw::predictor::JParticle;
 use grape6::hw::{
-    BoardGeometry, ChipGeometry, FixedPointFormat, Grape6Chip, MachineGeometry, NetworkTree,
-    Precision, ProcessorBoard, TimingModel,
+    BoardGeometry, ChipGeometry, ClusterEngine, Grape6Engine, MachineGeometry, NetworkTree,
+    TimingModel,
 };
 
-fn main() {
-    let fmt = FixedPointFormat::default();
-    let precision = Precision::grape6();
+/// The force on a test particle at `pos` (not one of the resident bodies)
+/// from everything `engine` holds.
+fn force_at(engine: &mut impl ForceEngine, ring: &ParticleSystem, pos: Vec3) -> ForceResult {
+    let probe = IParticle { index: ring.len(), pos, vel: Vec3::zero() };
+    let mut out = [ForceResult::default()];
+    engine.load(ring);
+    engine.compute(0.0, &[probe], &mut out);
+    out[0]
+}
 
+fn main() {
     // --- one chip ---
     let geom = ChipGeometry::default();
     println!(
-        "GRAPE-6 chip: {} pipelines x {} virtual, {} MHz, peak {:.1} Gflops",
+        "GRAPE-6 chip: {} pipelines x {} virtual, {} MHz, peak {:.1} Gflops, j-capacity {}",
         geom.pipelines,
         geom.vmp,
         geom.clock_hz / 1e6,
-        geom.peak_flops() / 1e9
+        geom.peak_flops() / 1e9,
+        geom.jmem_capacity
     );
-    let mut chip = Grape6Chip::new(geom, fmt, precision);
-    let js: Vec<JParticle> = (0..1000)
-        .map(|k| {
-            let th = k as f64 * 0.00628;
-            JParticle::encode(
-                &fmt,
-                precision,
-                Vec3::new(20.0 * th.cos(), 20.0 * th.sin(), 0.0),
-                Vec3::new(-0.22 * th.sin(), 0.22 * th.cos(), 0.0),
-                Vec3::zero(),
-                Vec3::zero(),
-                1e-9,
-                0.0,
-            )
-        })
-        .collect();
-    chip.load_j(&js).expect("1000 particles fit in 16k SSRAM");
-    let ip = HwIParticle::encode(&fmt, precision, Vec3::new(25.0, 0.0, 0.0), Vec3::zero());
-    let regs = chip.compute(0.0, &[ip], 0.008 * 0.008);
-    let (acc, _, pot) = regs[0].read();
+    let cycles = geom.compute_cycles(1, 1000);
     println!(
-        "  force on a test particle from 1000 ring bodies: |a| = {:.3e}, pot = {:.3e}",
-        acc.norm(),
-        pot
+        "  one test particle against 1000 ring bodies: {} cycles ({:.1} µs at 90 MHz)\n",
+        cycles,
+        cycles as f64 / 90.0
     );
-    let cycles = geom.compute_cycles(1, js.len());
-    println!("  cycles spent: {} ({:.1} µs at 90 MHz)\n", cycles, cycles as f64 / 90.0);
 
     // --- one processor board ---
     let bgeom = BoardGeometry::default();
     println!(
-        "processor board: {} chips, peak {:.2} Tflops, j-capacity {}",
+        "processor board: {} chips, peak {:.2} Tflops, j-capacity {}\n",
         bgeom.chips,
         bgeom.peak_flops() / 1e12,
         bgeom.jmem_capacity()
     );
-    let mut board = ProcessorBoard::new(bgeom, fmt, precision);
-    board.load_j(&js).unwrap();
-    let regs = board.compute(0.0, &[ip], 0.008 * 0.008);
-    let (acc_b, _, _) = regs[0].read();
-    println!("  board force matches chip force bit-for-bit: {}", acc_b == acc);
-    println!("  (fixed-point accumulation makes the reduction order irrelevant)\n");
 
     // --- the network-board tree ---
     let tree = NetworkTree::spanning(16, NetworkBoardGeometry::default());
@@ -80,6 +61,31 @@ fn main() {
         "  1 MB broadcast through 90 MB/s LVDS: {:.2} ms\n",
         tree.broadcast_time(1_000_000) * 1e3
     );
+
+    // --- the fully-routed node against the flat engine ---
+    let mut ring = ParticleSystem::new(0.008, 1.0);
+    for k in 0..1000 {
+        let th = k as f64 * 0.00628;
+        ring.push(
+            Vec3::new(20.0 * th.cos(), 20.0 * th.sin(), 0.0),
+            Vec3::new(-0.22 * th.sin(), 0.22 * th.cos(), 0.0),
+            1e-9,
+        );
+    }
+    let at = Vec3::new(25.0, 0.0, 0.0);
+    let routed = force_at(&mut ClusterEngine::single_node(), &ring, at);
+    let flat = force_at(&mut Grape6Engine::sc2002(), &ring, at);
+    println!(
+        "routed node (4 boards x 32 chips, every packet over the wire): \
+         force from 1000 ring bodies |a| = {:.3e}, pot = {:.3e}",
+        routed.acc.norm(),
+        routed.pot
+    );
+    let same = routed.acc == flat.acc
+        && routed.jerk == flat.jerk
+        && routed.pot.to_bits() == flat.pot.to_bits();
+    println!("  equals the flat Grape6Engine bit for bit: {same}");
+    println!("  (fixed-point accumulation makes the reduction order irrelevant)\n");
 
     // --- the full machine ---
     let machine = MachineGeometry::sc2002();
