@@ -5,11 +5,14 @@
 //! force and its analytic time derivative (jerk), which is what lets a
 //! 4th-order scheme run with a single force evaluation per step.
 //!
-//! The block-step integrator corrects its active particles through a
-//! [`CorrectorTile`]: `W` block slots in structure-of-arrays lanes, each lane
-//! running [`central_acc_jerk`], [`correct`] and [`aarseth_dt`] — the scalar
-//! functions, which stay the oracle the tile is tested against and what the
-//! shared-timestep baseline calls directly.
+//! The block-step integrator corrects its active particles through
+//! [`correct_tile`]: one pass over `W` block slots in `[f64; W]` lanes, each
+//! lane running [`central_acc_jerk`], [`correct`] and [`aarseth_dt`] — the
+//! scalar functions, which stay the oracle the tile is tested against and
+//! what the shared-timestep baseline calls directly. A block step's steps are
+//! powers of two, and for those the tile and the i-predictor replace every
+//! divide by dt and by 6, 24 or 120 with a product of the same bits
+//! (`is_exact_step` says why).
 
 use crate::central::central_acc_jerk;
 use crate::particle::{ForceResult, IParticle, ParticleSystem};
@@ -76,7 +79,7 @@ pub fn correct(
 /// One rule covers a vanishing denominator (e.g. an unperturbed particle),
 /// whatever the numerator: `den == 0 → f64::INFINITY`, and callers clamp
 /// against `dt_max`. It is a select, not a branch, so the lanes of a
-/// [`CorrectorTile`] evaluate it without leaving straight-line code.
+/// [`correct_tile`] evaluate it without leaving straight-line code.
 #[inline]
 pub fn aarseth_dt(acc: Vec3, jerk: Vec3, snap: Vec3, crackle: Vec3, eta: f64) -> f64 {
     let a = acc.norm();
@@ -106,136 +109,196 @@ fn set_lane<const W: usize>(q: &mut Lanes3<W>, k: usize, v: Vec3) {
     (q[0][k], q[1][k], q[2][k]) = (v.x, v.y, v.z);
 }
 
-/// `W` slots of a block step's corrector in structure-of-arrays lanes: the
-/// host-side counterpart of [`crate::lanes::LaneTile`] for the per-particle
-/// host term.
-///
-/// [`Self::load`] gathers each slot's predicted state, its derivatives at the
-/// start of the step, the engine's result and its step `dt`;
-/// [`Self::compute`] runs one straight-line loop over the lanes;
-/// [`Self::store`] scatters the corrected state back. Per lane `compute` is
-/// the scalar sequence — [`central_acc_jerk`] added to the engine result when
-/// the central mass is positive, then [`correct`], then [`aarseth_dt`] —
-/// called on the lane's values, so the expression tree, and every output
-/// bit, is the oracle's for any `W`.
-/// A ragged tail (fewer than `W` slots) pads by replicating slot 0, the
-/// `lanes` remainder rule: the padding computes real, finite values that are
-/// never stored.
-#[derive(Debug, Clone)]
-pub struct CorrectorTile<const W: usize> {
-    /// Predicted position; corrected in place by `compute`.
-    pos: Lanes3<W>,
-    /// Predicted velocity; corrected in place by `compute`.
-    vel: Lanes3<W>,
-    /// Acceleration and jerk at the start of the step.
-    acc0: Lanes3<W>,
-    jerk0: Lanes3<W>,
-    /// The engine's acceleration and jerk at the predicted state; `compute`
-    /// adds the central field.
-    acc1: Lanes3<W>,
-    jerk1: Lanes3<W>,
-    /// Step length `t_block − time[i]`.
-    dt: [f64; W],
-    /// Aarseth step, set by `compute`.
-    dt_des: [f64; W],
+/// The lanes of `f(0), …, f(W − 1)`, in a loop small enough to unroll, so
+/// that the lanes are built in registers rather than through the stack.
+#[inline(always)]
+fn gather<const W: usize>(f: impl Fn(usize) -> Vec3) -> Lanes3<W> {
+    let mut q = [[0.0; W]; 3];
+    for k in 0..W {
+        set_lane(&mut q, k, f(k));
+    }
+    q
 }
 
-impl<const W: usize> CorrectorTile<W> {
-    /// Gather up to `W` block slots: `ips[k]` and `results[k]` are slot `k`'s
-    /// predicted i-particle and engine result, and `sys` holds its state at
-    /// its own time.
-    #[inline]
-    // grape6-lint: hot
-    pub fn load(
-        ips: &[IParticle],
-        results: &[ForceResult],
-        sys: &ParticleSystem,
-        t_block: f64,
-    ) -> Self {
-        assert!(!ips.is_empty() && ips.len() <= W);
-        assert_eq!(ips.len(), results.len());
-        let z = [[0.0; W]; 3];
-        let mut t = Self {
-            pos: z,
-            vel: z,
-            acc0: z,
-            jerk0: z,
-            acc1: z,
-            jerk1: z,
-            dt: [0.0; W],
-            dt_des: [0.0; W],
-        };
-        for k in 0..W {
-            let s = if k < ips.len() { k } else { 0 };
-            let i = ips[s].index;
-            set_lane(&mut t.pos, k, ips[s].pos);
-            set_lane(&mut t.vel, k, ips[s].vel);
-            set_lane(&mut t.acc0, k, sys.acc[i]);
-            set_lane(&mut t.jerk0, k, sys.jerk[i]);
-            set_lane(&mut t.acc1, k, results[s].acc);
-            set_lane(&mut t.jerk1, k, results[s].jerk);
-            t.dt[k] = t_block - sys.time[i];
-            debug_assert!(t.dt[k] > 0.0, "non-positive step for particle {i}");
-        }
-        t
-    }
+/// `1/6`, `1/24` and `1/120`, each rounded once.
+const SIXTH: f64 = 1.0 / 6.0;
+const TWENTY_FOURTH: f64 = 1.0 / 24.0;
+const ONE_HUNDRED_TWENTIETH: f64 = 1.0 / 120.0;
 
-    /// Add the central field of mass `central_mass` (skipped unless it is
-    /// positive, as in the scalar integrator), correct every lane and
-    /// evaluate its Aarseth step with accuracy parameter `eta`.
-    #[inline]
-    // grape6-lint: hot
-    pub fn compute(&mut self, central_mass: f64, eta: f64) {
-        if central_mass > 0.0 {
-            for k in 0..W {
-                let (ca, cj) =
-                    central_acc_jerk(central_mass, lane(&self.pos, k), lane(&self.vel, k));
-                let (acc1, jerk1) = (lane(&self.acc1, k) + ca, lane(&self.jerk1, k) + cj);
-                set_lane(&mut self.acc1, k, acc1);
-                set_lane(&mut self.jerk1, k, jerk1);
-            }
-        }
-        for k in 0..W {
-            let (acc1, jerk1) = (lane(&self.acc1, k), lane(&self.jerk1, k));
-            let c = correct(
-                lane(&self.pos, k),
-                lane(&self.vel, k),
-                lane(&self.acc0, k),
-                lane(&self.jerk0, k),
-                acc1,
-                jerk1,
-                self.dt[k],
-            );
-            set_lane(&mut self.pos, k, c.pos);
-            set_lane(&mut self.vel, k, c.vel);
-            self.dt_des[k] = aarseth_dt(acc1, jerk1, c.snap, c.crackle, eta);
-        }
-    }
+/// Biased exponents of 2⁻²⁰⁰ and 2²⁰⁰, the ends of the steps
+/// [`is_exact_step`] accepts.
+const EXACT_EXP_MIN: u64 = 1023 - 200;
+const EXACT_EXP_SPAN: u64 = 400;
 
-    /// Scatter the first `ips.len()` lanes into `sys` — position, velocity,
-    /// acceleration, jerk, the engine's potential and `time = t_block` — and
-    /// return their Aarseth steps. Padding lanes are dropped.
-    #[inline]
-    // grape6-lint: hot
-    pub fn store(
-        &self,
-        ips: &[IParticle],
-        results: &[ForceResult],
-        sys: &mut ParticleSystem,
-        t_block: f64,
-    ) -> &[f64] {
-        debug_assert!(ips.len() <= W && ips.len() == results.len());
-        for (k, (ip, r)) in ips.iter().zip(results).enumerate() {
-            let i = ip.index;
-            sys.pos[i] = lane(&self.pos, k);
-            sys.vel[i] = lane(&self.vel, k);
-            sys.acc[i] = lane(&self.acc1, k);
-            sys.jerk[i] = lane(&self.jerk1, k);
-            sys.pot[i] = r.pot;
-            sys.time[i] = t_block;
+/// Whether `dt` is a power of two in [2⁻²⁰⁰, 2²⁰⁰]: a zero fraction field
+/// and a biased exponent in range (a sign bit, zero, subnormal, ∞ or NaN
+/// falls outside). For such a step every power up to dt⁵ and down to dt⁻³ is
+/// an exact normal number, so `x / dtᵏ` and `x · dt⁻ᵏ` round the same real
+/// value once and give the same bits (subnormal, ±0, ∞ and NaN results
+/// included), and `dtᵏ / 6` is `dtᵏ · fl(1/6)` (likewise 24 and 120): both
+/// are `fl(1/6)` with its exponent shifted, a normal number.
+#[inline(always)]
+pub(crate) fn is_exact_step(dt: f64) -> bool {
+    let bits = dt.to_bits();
+    (bits & ((1 << 52) - 1) == 0) & ((bits >> 52).wrapping_sub(EXACT_EXP_MIN) <= EXACT_EXP_SPAN)
+}
+
+/// `1 / dt` for a step that passes [`is_exact_step`], from the exponent bits:
+/// 2ᵏ has biased exponent `1023 + k`, 2⁻ᵏ has `1023 − k = 2046 − (1023 + k)`.
+#[inline(always)]
+fn exact_reciprocal(dt: f64) -> f64 {
+    f64::from_bits((2046 << 52) - dt.to_bits())
+}
+
+/// [`predict`] for a step that passes [`is_exact_step`]: the same bits with
+/// `dt³ / 6` taken as `dt³ · fl(1/6)`. The block integrator's i-predictor
+/// calls it; [`predict`] itself keeps its divide, because the j-predictors
+/// run it across j, where steps are rarely powers of two.
+#[inline(always)]
+pub(crate) fn predict_exact_step(
+    pos: Vec3,
+    vel: Vec3,
+    acc: Vec3,
+    jerk: Vec3,
+    dt: f64,
+) -> (Vec3, Vec3) {
+    debug_assert!(is_exact_step(dt));
+    let dt2 = dt * dt;
+    let p = pos + vel * dt + acc * (dt2 / 2.0) + jerk * (dt2 * dt * SIXTH);
+    let v = vel + acc * dt + jerk * (dt2 / 2.0);
+    (p, v)
+}
+
+/// [`correct`] for a step that passes [`is_exact_step`], without a divide:
+/// `/ dt²` and `/ dt³` become products with the exact `1/dt²` and `1/dt³`,
+/// and `/ 6`, `/ 24`, `/ 120` products with the rounded reciprocals. Every
+/// output bit is [`correct`]'s (see [`is_exact_step`]).
+#[inline(always)]
+fn correct_exact_step(
+    pos_p: Vec3,
+    vel_p: Vec3,
+    acc0: Vec3,
+    jerk0: Vec3,
+    acc1: Vec3,
+    jerk1: Vec3,
+    dt: f64,
+) -> Corrected {
+    let dt2 = dt * dt;
+    let dt3 = dt2 * dt;
+    let inv_dt = exact_reciprocal(dt);
+    let inv_dt2 = inv_dt * inv_dt;
+    let inv_dt3 = inv_dt2 * inv_dt;
+    let snap0 = ((acc1 - acc0) * 6.0 - (jerk0 * 4.0 + jerk1 * 2.0) * dt) * inv_dt2;
+    let crackle0 = ((acc0 - acc1) * 12.0 + (jerk0 + jerk1) * 6.0 * dt) * inv_dt3;
+    let vel = vel_p + snap0 * (dt3 * SIXTH) + crackle0 * (dt3 * dt * TWENTY_FOURTH);
+    let pos =
+        pos_p + snap0 * (dt3 * dt * TWENTY_FOURTH) + crackle0 * (dt3 * dt2 * ONE_HUNDRED_TWENTIETH);
+    let snap1 = snap0 + crackle0 * dt;
+    Corrected { pos, vel, snap: snap1, crackle: crackle0 }
+}
+
+/// Correct up to `W` slots of a block step in one pass, the host-side
+/// counterpart of [`crate::lanes::LaneTile`] for the per-particle host term.
+///
+/// `ips[k]` and `results[k]` are slot `k`'s predicted i-particle and engine
+/// result, and `sys` holds its state at its own time. The pass gathers each
+/// slot's predicted state, its derivatives at the start of the step, the
+/// engine's result and its step `t_block − time[i]` into `[f64; W]` lanes;
+/// runs one straight-line loop over them; and scatters position, velocity,
+/// acceleration, jerk, the engine's potential and `time = t_block` back into
+/// `sys`. It returns every lane's Aarseth step (accuracy parameter `eta`);
+/// the first `ips.len()` are the slots'.
+///
+/// Per lane the loop is the scalar sequence — [`central_acc_jerk`] added to
+/// the engine result when `sys.central_mass` is positive, then [`correct`],
+/// then [`aarseth_dt`] — on the lane's values, so every output bit is the
+/// oracle's for any `W`. When every lane's step is a power of two in
+/// [2⁻²⁰⁰, 2²⁰⁰] (in a block step it is the particle's step), the loop runs
+/// `correct_exact_step`, which gives the same bits without a divide; any
+/// other tile keeps [`correct`]'s divisions. One branch per tile.
+/// A ragged tail (fewer than `W` slots) pads by replicating slot 0, the
+/// `lanes` remainder rule: the padding lanes compute slot 0's values again,
+/// and the scatter writes slot 0's particle again with the same bits.
+#[inline]
+// grape6-lint: hot
+pub fn correct_tile<const W: usize>(
+    ips: &[IParticle],
+    results: &[ForceResult],
+    sys: &mut ParticleSystem,
+    t_block: f64,
+    eta: f64,
+) -> [f64; W] {
+    let n = ips.len();
+    assert!(n > 0 && n <= W && results.len() == n);
+    let padded: ([IParticle; W], [ForceResult; W]);
+    let (ips, results) = match (ips.try_into(), results.try_into()) {
+        (Ok(ips), Ok(results)) => (ips, results),
+        _ => {
+            let slot = |k: usize| if k < n { k } else { 0 };
+            padded =
+                (std::array::from_fn(|k| ips[slot(k)]), std::array::from_fn(|k| results[slot(k)]));
+            (&padded.0, &padded.1)
         }
-        &self.dt_des[..ips.len()]
+    };
+    let mut dt = [0.0; W];
+    for (d, ip) in dt.iter_mut().zip(ips) {
+        *d = t_block - sys.time[ip.index];
+        debug_assert!(*d > 0.0, "non-positive step for particle {}", ip.index);
     }
+    if dt.iter().fold(true, |all, &d| all & is_exact_step(d)) {
+        correct_tile_with(correct_exact_step, ips, results, sys, t_block, dt, eta)
+    } else {
+        correct_tile_with(correct, ips, results, sys, t_block, dt, eta)
+    }
+}
+
+/// [`correct_tile`]'s pass over `W` slots with the per-lane corrector
+/// `correct`, given the lanes' steps `dt`: gather, correct, scatter.
+#[inline(always)]
+// grape6-lint: hot
+fn correct_tile_with<const W: usize>(
+    correct: impl Fn(Vec3, Vec3, Vec3, Vec3, Vec3, Vec3, f64) -> Corrected,
+    ips: &[IParticle; W],
+    results: &[ForceResult; W],
+    sys: &mut ParticleSystem,
+    t_block: f64,
+    dt: [f64; W],
+    eta: f64,
+) -> [f64; W] {
+    let mut pos: Lanes3<W> = gather(|k| ips[k].pos);
+    let mut vel: Lanes3<W> = gather(|k| ips[k].vel);
+    let acc0: Lanes3<W> = gather(|k| sys.acc[ips[k].index]);
+    let jerk0: Lanes3<W> = gather(|k| sys.jerk[ips[k].index]);
+    let mut acc1: Lanes3<W> = gather(|k| results[k].acc);
+    let mut jerk1: Lanes3<W> = gather(|k| results[k].jerk);
+    let gm = sys.central_mass;
+    if gm > 0.0 {
+        for k in 0..W {
+            let (ca, cj) = central_acc_jerk(gm, lane(&pos, k), lane(&vel, k));
+            let (a1, j1) = (lane(&acc1, k) + ca, lane(&jerk1, k) + cj);
+            set_lane(&mut acc1, k, a1);
+            set_lane(&mut jerk1, k, j1);
+        }
+    }
+    let mut dt_des = [0.0; W];
+    for k in 0..W {
+        let (a1, j1) = (lane(&acc1, k), lane(&jerk1, k));
+        let c =
+            correct(lane(&pos, k), lane(&vel, k), lane(&acc0, k), lane(&jerk0, k), a1, j1, dt[k]);
+        set_lane(&mut pos, k, c.pos);
+        set_lane(&mut vel, k, c.vel);
+        dt_des[k] = aarseth_dt(a1, j1, c.snap, c.crackle, eta);
+    }
+    for (k, (ip, r)) in ips.iter().zip(results).enumerate() {
+        let i = ip.index;
+        sys.pos[i] = lane(&pos, k);
+        sys.vel[i] = lane(&vel, k);
+        sys.acc[i] = lane(&acc1, k);
+        sys.jerk[i] = lane(&jerk1, k);
+        sys.pot[i] = r.pot;
+        sys.time[i] = t_block;
+    }
+    dt_des
 }
 
 /// Startup timestep before higher derivatives are known:
@@ -402,14 +465,21 @@ mod tests {
         dt: f64,
     }
 
-    const T_BLOCK: f64 = 16.0;
+    /// The block time of the tile tests. A slot with step `dt` sits at
+    /// `time = −dt`, so `T_BLOCK − time` is `dt` exactly for every step, down
+    /// to the smallest subnormal.
+    const T_BLOCK: f64 = 0.0;
 
     fn bits(v: Vec3) -> [u64; 3] {
         v.to_array().map(f64::to_bits)
     }
 
+    /// A tile pass with [`correct_tile`]'s signature.
+    type TileFn<const W: usize> =
+        fn(&[IParticle], &[ForceResult], &mut ParticleSystem, f64, f64) -> [f64; W];
+
     /// Run `slots` through `W`-lane tiles the way `BlockHermite` does, with
-    /// `run` as the compute step, and compare everything the tiles store with
+    /// `run` as the tile pass, and compare everything the tiles store with
     /// the scalar sequence `central_acc_jerk` + `correct` + `aarseth_dt`, bit
     /// for bit; on agreement return the Aarseth steps. Slot `k` is particle
     /// `2k + 1`; the even particles are outside the block and must come back
@@ -418,7 +488,7 @@ mod tests {
         slots: &[Slot],
         gm: f64,
         eta: f64,
-        run: fn(&mut CorrectorTile<W>, f64, f64),
+        run: TileFn<W>,
     ) -> Result<Vec<f64>, String> {
         let mut sys = ParticleSystem::new(0.0, gm);
         for j in 0..2 * slots.len() + 1 {
@@ -436,9 +506,7 @@ mod tests {
         let before = sys.clone();
         let mut dt_des = Vec::new();
         for (ips, results) in ips.chunks(W).zip(results.chunks(W)) {
-            let mut tile = CorrectorTile::<W>::load(ips, results, &sys, T_BLOCK);
-            run(&mut tile, gm, eta);
-            dt_des.extend_from_slice(tile.store(ips, results, &mut sys, T_BLOCK));
+            dt_des.extend_from_slice(&run(ips, results, &mut sys, T_BLOCK, eta)[..ips.len()]);
         }
         let n = slots.len();
         for (k, s) in slots.iter().enumerate() {
@@ -522,9 +590,9 @@ mod tests {
         for n in 1..=17 {
             for gm in [0.0, 1.0] {
                 let s = slots(n, 7 + n as u64, mixed_dt);
-                tile_vs_oracle::<8>(&s, gm, 0.02, CorrectorTile::compute)
+                tile_vs_oracle::<8>(&s, gm, 0.02, correct_tile)
                     .unwrap_or_else(|e| panic!("W=8 n={n} gm={gm}: {e}"));
-                tile_vs_oracle::<4>(&s, gm, 0.02, CorrectorTile::compute)
+                tile_vs_oracle::<4>(&s, gm, 0.02, correct_tile)
                     .unwrap_or_else(|e| panic!("W=4 n={n} gm={gm}: {e}"));
             }
         }
@@ -535,8 +603,58 @@ mod tests {
         for e in -40..=3 {
             let s = slots(11, (100 + e) as u64, |_| 2f64.powi(e));
             for gm in [0.0, 1.0] {
-                tile_vs_oracle::<8>(&s, gm, 0.02, CorrectorTile::compute)
+                tile_vs_oracle::<8>(&s, gm, 0.02, correct_tile)
                     .unwrap_or_else(|err| panic!("dt=2^{e} gm={gm}: {err}"));
+            }
+        }
+    }
+
+    /// Exponents on both sides of each end of [`is_exact_step`]'s range
+    /// [2⁻²⁰⁰, 2²⁰⁰], and the ends of the f64 range beyond them.
+    const EDGE_EXPONENTS: [i32; 13] =
+        [-1074, -1022, -300, -202, -201, -200, -199, 199, 200, 201, 202, 300, 1023];
+
+    /// 2ᵉ for every exponent of a positive finite f64 (`powi` takes
+    /// 2⁻¹⁰⁷⁴ as 1 / 2¹⁰⁷⁴ = 0).
+    fn pow2(e: i32) -> f64 {
+        2f64.powi(e / 2) * 2f64.powi(e - e / 2)
+    }
+
+    #[test]
+    fn exact_steps_are_the_powers_of_two_from_2_pow_minus_200_to_2_pow_200() {
+        for e in EDGE_EXPONENTS {
+            let dt = pow2(e);
+            assert_eq!(dt.log2(), e as f64);
+            assert_eq!(is_exact_step(dt), (-200..=200).contains(&e), "dt = 2^{e}");
+            if is_exact_step(dt) {
+                assert_eq!(exact_reciprocal(dt), 2f64.powi(-e), "1/dt at dt = 2^{e}");
+            }
+        }
+        let off = [0.75, 1.0 + f64::EPSILON, -1.0, -0.0, 0.0, f64::INFINITY, f64::NAN];
+        assert!(off.iter().all(|&dt| !is_exact_step(dt)));
+    }
+
+    #[test]
+    fn corrector_tile_matches_scalar_at_the_ends_of_the_exact_step_range() {
+        for e in EDGE_EXPONENTS {
+            let s = slots(11, (2000 + e) as u64, |_| pow2(e));
+            for gm in [0.0, 1.0] {
+                tile_vs_oracle::<8>(&s, gm, 0.02, correct_tile)
+                    .unwrap_or_else(|err| panic!("dt=2^{e} gm={gm}: {err}"));
+            }
+        }
+    }
+
+    #[test]
+    fn corrector_tile_with_one_step_that_is_not_a_power_of_two_matches_scalar() {
+        // Seven power-of-two lanes and one other, in every position: the one
+        // step sends the whole tile down the dividing branch.
+        for odd in 0..8 {
+            let dt = |k: usize| if k == odd { 0.37 } else { 2f64.powi(-(k as i32)) };
+            let s = slots(8, 300 + odd as u64, dt);
+            for gm in [0.0, 1.0] {
+                tile_vs_oracle::<8>(&s, gm, 0.02, correct_tile)
+                    .unwrap_or_else(|err| panic!("odd lane {odd} gm={gm}: {err}"));
             }
         }
     }
@@ -553,39 +671,45 @@ mod tests {
             dt: 0.125,
         };
         for n in [1, 9] {
-            let dt_des = tile_vs_oracle::<8>(&vec![zero; n], 0.0, 0.02, CorrectorTile::compute);
+            let dt_des = tile_vs_oracle::<8>(&vec![zero; n], 0.0, 0.02, correct_tile);
             assert_eq!(dt_des, Ok(vec![f64::INFINITY; n]));
         }
     }
 
-    /// [`CorrectorTile::compute`] with one factor reassociated: the Aarseth
-    /// step as `eta * (num / den)` in place of `eta * num / den`.
-    fn compute_reassociated(t: &mut CorrectorTile<8>, gm: f64, eta: f64) {
-        for k in 0..8 {
-            let (mut acc1, mut jerk1) = (lane(&t.acc1, k), lane(&t.jerk1, k));
-            if gm > 0.0 {
-                let (ca, cj) = central_acc_jerk(gm, lane(&t.pos, k), lane(&t.vel, k));
+    /// [`correct_tile`] one slot at a time with one factor reassociated: the
+    /// Aarseth step as `eta * (num / den)` in place of `eta * num / den`.
+    fn tile_reassociated(
+        ips: &[IParticle],
+        results: &[ForceResult],
+        sys: &mut ParticleSystem,
+        t_block: f64,
+        eta: f64,
+    ) -> [f64; 8] {
+        let mut dt_des = [0.0; 8];
+        for (k, (ip, r)) in ips.iter().zip(results).enumerate() {
+            let i = ip.index;
+            let (mut acc1, mut jerk1) = (r.acc, r.jerk);
+            if sys.central_mass > 0.0 {
+                let (ca, cj) = central_acc_jerk(sys.central_mass, ip.pos, ip.vel);
                 acc1 += ca;
                 jerk1 += cj;
             }
-            let (pos, vel, acc0, jerk0) =
-                (lane(&t.pos, k), lane(&t.vel, k), lane(&t.acc0, k), lane(&t.jerk0, k));
-            let c = correct(pos, vel, acc0, jerk0, acc1, jerk1, t.dt[k]);
-            set_lane(&mut t.pos, k, c.pos);
-            set_lane(&mut t.vel, k, c.vel);
-            set_lane(&mut t.acc1, k, acc1);
-            set_lane(&mut t.jerk1, k, jerk1);
+            let dt = t_block - sys.time[i];
+            let c = correct(ip.pos, ip.vel, sys.acc[i], sys.jerk[i], acc1, jerk1, dt);
+            (sys.pos[i], sys.vel[i], sys.acc[i], sys.jerk[i]) = (c.pos, c.vel, acc1, jerk1);
+            (sys.pot[i], sys.time[i]) = (r.pot, t_block);
             let (a, j, s, cr) = (acc1.norm(), jerk1.norm(), c.snap.norm(), c.crackle.norm());
             let (num, den) = (a * s + j * j, j * cr + s * s);
-            t.dt_des[k] = if den == 0.0 { f64::INFINITY } else { (eta * (num / den)).sqrt() };
+            dt_des[k] = if den == 0.0 { f64::INFINITY } else { (eta * (num / den)).sqrt() };
         }
+        dt_des
     }
 
     #[test]
     fn corrector_tile_test_rejects_a_reassociated_tile() {
         let rejected = (1..=17).any(|n| {
             let s = slots(n, 7 + n as u64, mixed_dt);
-            tile_vs_oracle::<8>(&s, 1.0, 0.02, compute_reassociated)
+            tile_vs_oracle::<8>(&s, 1.0, 0.02, tile_reassociated)
                 .is_err_and(|e| e.contains("dt_des"))
         });
         assert!(rejected, "a reassociated Aarseth factor passed as bitwise equal");
@@ -599,8 +723,8 @@ mod tests {
             (-range..range, -range..range, -range..range).prop_map(|(x, y, z)| Vec3::new(x, y, z))
         }
 
-        fn slot() -> impl Strategy<Value = Slot> {
-            let state = (vec3(1e3), vec3(10.0), 1e-9..8.0f64);
+        fn slot(dt: impl Strategy<Value = f64>) -> impl Strategy<Value = Slot> {
+            let state = (vec3(1e3), vec3(10.0), dt);
             (state, (vec3(1.0), vec3(1.0)), (vec3(1.0), vec3(1.0))).prop_map(
                 |((pos, vel, dt), (acc0, jerk0), (acc1, jerk1))| Slot {
                     pos,
@@ -614,6 +738,11 @@ mod tests {
             )
         }
 
+        /// A block step: 2⁻⁴⁵..2⁸.
+        fn power_of_two_step() -> impl Strategy<Value = f64> {
+            (-45..=8i32).prop_map(|e| 2f64.powi(e))
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
             /// Random finite block slots: the tile matches the scalar
@@ -621,11 +750,23 @@ mod tests {
             /// without one (`gm ≤ 0` skips the field).
             #[test]
             fn corrector_tile_matches_scalar_on_random_states(
-                s in proptest::collection::vec(slot(), 1..=17),
+                s in proptest::collection::vec(slot(1e-9..8.0f64), 1..=17),
                 gm in -5.0..10.0f64,
                 eta in 1e-4..1.0f64,
             ) {
-                let agree = tile_vs_oracle::<8>(&s, gm, eta, CorrectorTile::compute);
+                let agree = tile_vs_oracle::<8>(&s, gm, eta, correct_tile);
+                prop_assert!(agree.is_ok(), "{:?}", agree);
+            }
+
+            /// The same with power-of-two steps, a block step's, which the
+            /// tile corrects without a divide.
+            #[test]
+            fn corrector_tile_matches_scalar_on_power_of_two_steps(
+                s in proptest::collection::vec(slot(power_of_two_step()), 1..=17),
+                gm in -5.0..10.0f64,
+                eta in 1e-4..1.0f64,
+            ) {
+                let agree = tile_vs_oracle::<8>(&s, gm, eta, correct_tile);
                 prop_assert!(agree.is_ok(), "{:?}", agree);
             }
         }

@@ -11,7 +11,7 @@
 use crate::blockstep::{next_block_dt, quantize_dt, SchedulerKind, TickScheduler};
 use crate::central::central_acc_jerk;
 use crate::engine::ForceEngine;
-use crate::hermite::{initial_dt, CorrectorTile};
+use crate::hermite::{correct_tile, initial_dt, is_exact_step, predict_exact_step};
 use crate::lanes::LANE_WIDTH;
 use crate::observer::{HostPhase, StepObserver};
 use crate::particle::{ForceResult, IParticle, ParticleSystem};
@@ -117,6 +117,20 @@ fn first_slots(results: &mut Vec<ForceResult>, b: usize) -> &mut [ForceResult] {
         results.resize(b, ForceResult::default());
     }
     &mut results[..b]
+}
+
+/// Particle `i` predicted to the block time `t`: [`ParticleSystem::predict`]'s
+/// bits. In a block step `t − time[i]` is the particle's power-of-two step,
+/// which [`predict_exact_step`] takes without a divide; any other step goes
+/// through `ParticleSystem::predict`.
+#[inline(always)]
+fn predict_i(sys: &ParticleSystem, i: usize, t: f64) -> (Vec3, Vec3) {
+    let dt = t - sys.time[i];
+    if is_exact_step(dt) {
+        predict_exact_step(sys.pos[i], sys.vel[i], sys.acc[i], sys.jerk[i], dt)
+    } else {
+        sys.predict(i, t)
+    }
 }
 
 /// The block-timestep Hermite integrator. Generic over the force engine so
@@ -362,7 +376,7 @@ impl BlockHermite {
         obs.phase_begin(HostPhase::Predict);
         self.ips.clear();
         for &i in &block {
-            let (pos, vel) = sys.predict(i, t_block);
+            let (pos, vel) = predict_i(sys, i, t_block);
             self.ips.push(IParticle { index: i, pos, vel });
         }
         obs.phase_end(HostPhase::Predict);
@@ -400,7 +414,7 @@ impl BlockHermite {
     }
 
     /// Correct the slots of the block just computed (`ips`, with their engine
-    /// results), [`LANE_WIDTH`] at a time through a [`CorrectorTile`], then
+    /// results), [`LANE_WIDTH`] at a time through [`correct_tile`], then
     /// choose each particle's next step and reschedule it, slot by slot in
     /// block order. A tile reads all its slots before it writes any; the
     /// bits are those of one slot at a time because a block holds each
@@ -412,10 +426,8 @@ impl BlockHermite {
         debug_assert!(self.ips.windows(2).all(|w| w[0].index < w[1].index));
         let slots = self.ips.chunks(LANE_WIDTH).zip(self.results[..b].chunks(LANE_WIDTH));
         for (ips, results) in slots {
-            let mut tile = CorrectorTile::<LANE_WIDTH>::load(ips, results, sys, t_block);
-            tile.compute(sys.central_mass, eta);
-            let dt_des = tile.store(ips, results, sys, t_block);
-            for (ip, &dt_des) in ips.iter().zip(dt_des) {
+            let dt_des = correct_tile::<LANE_WIDTH>(ips, results, sys, t_block, eta);
+            for (ip, &dt_des) in ips.iter().zip(&dt_des) {
                 let i = ip.index;
                 sys.dt[i] = next_block_dt(sys.dt[i], dt_des, t_block, dt_min, dt_max);
                 self.scheduler.push(i, t_block + sys.dt[i]);
@@ -500,6 +512,27 @@ mod tests {
     fn constructor_rejects_bad_config() {
         let c = HermiteConfig { dt_max: 0.7, ..HermiteConfig::default() };
         let _ = BlockHermite::new(c);
+    }
+
+    #[test]
+    fn block_prediction_matches_particle_system_predict_bitwise() {
+        // Block steps 2^-40..2^3, both sides of each end of the exact-step
+        // range, and steps that are not powers of two.
+        let mut sys = ParticleSystem::new(0.0, 1.0);
+        sys.push(Vec3::new(19.7, -3.1, 0.2), Vec3::new(0.03, 0.21, -0.004), 1e-9);
+        sys.acc[0] = Vec3::new(-2.4e-3, 3.7e-4, -1.1e-5);
+        sys.jerk[0] = Vec3::new(1.3e-5, 9.1e-5, 2.2e-7);
+        let edges = [-202, -201, -200, -199, 199, 200, 201, 202];
+        let steps = (-40..=3).chain(edges).map(|e| 2f64.powi(e)).chain([0.37, 3.0 * 2f64.powi(-9)]);
+        for dt in steps {
+            for time in [0.0, 8.0] {
+                sys.time[0] = time;
+                let t = time + dt;
+                let (got, want) = (predict_i(&sys, 0, t), sys.predict(0, t));
+                let bits = |(p, v): (Vec3, Vec3)| [p, v].map(|q| q.to_array().map(f64::to_bits));
+                assert_eq!(bits(got), bits(want), "dt = {dt:e}, time = {time}");
+            }
+        }
     }
 
     #[test]
