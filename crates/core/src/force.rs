@@ -200,10 +200,8 @@ pub fn accumulate_on(
 /// Sum the forces on one i-particle over the j-indices `js`, in order,
 /// skipping its own slot and tracking the nearest neighbour (by unsoftened
 /// distance) as the GRAPE-6 pipelines do in hardware. The scalar reference
-/// loop: the lane kernels must reproduce its bits over an ascending range,
-/// and the tree engine sums its neighbour lists through it.
+/// loop: the lane kernels must reproduce its bits over an ascending range.
 #[inline]
-// grape6-lint: hot
 pub fn accumulate_with_nn(
     ip: &IParticle,
     js: impl IntoIterator<Item = usize>,
@@ -212,20 +210,35 @@ pub fn accumulate_with_nn(
     jmass: &[f64],
     eps2: f64,
 ) -> ForceResult {
+    let js = js.into_iter().map(|j| (j, jpos[j], jvel[j], jmass[j]));
+    accumulate_bodies_with_nn(ip, js, eps2)
+}
+
+/// [`accumulate_with_nn`] over j-particles given by value as `(index,
+/// position, velocity, mass)`, in order: the index alone names the self
+/// term and the neighbour. The tree engine sums its neighbour lists, whose
+/// bodies it stores in tree order, through it.
+#[inline]
+// grape6-lint: hot
+pub fn accumulate_bodies_with_nn(
+    ip: &IParticle,
+    js: impl IntoIterator<Item = (usize, Vec3, Vec3, f64)>,
+    eps2: f64,
+) -> ForceResult {
     let mut acc = Vec3::zero();
     let mut jerk = Vec3::zero();
     let mut pot = 0.0;
     let mut nn: Option<Neighbor> = None;
-    for j in js {
+    for (j, pj, vj, mj) in js {
         if j == ip.index {
             continue;
         }
-        let dx = jpos[j] - ip.pos;
+        let dx = pj - ip.pos;
         let r2 = dx.norm2();
         if nn.is_none_or(|n| r2 < n.r2) {
             nn = Some(Neighbor { index: j, r2 });
         }
-        let (a, jk, p) = pair_force_jerk(dx, jvel[j] - ip.vel, jmass[j], eps2);
+        let (a, jk, p) = pair_force_jerk(dx, vj - ip.vel, mj, eps2);
         acc += a;
         jerk += jk;
         pot += p;

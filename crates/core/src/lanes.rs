@@ -274,13 +274,39 @@ pub fn sweep_tile_lanes<const W: usize>(
     tile.store(os);
 }
 
+/// [`sweep_tile_lanes`] over j-particles given by value as `(index,
+/// position, velocity, mass)`, in order: the index alone names the self
+/// term and the neighbour (the tree engine's near lists, whose bodies it
+/// stores in tree order).
+///
+/// Never inlined, like [`sweep_sources_lanes`]: each tile width gets a
+/// function and registers of its own. Inlined into the tree engine's group
+/// sweep, the 4-lane instantiations lost their vector form (half-filled
+/// `xmm` and scalar lanes) and the engine's sums took 12 % longer on a
+/// full-N block of the 32k paper disk (one thread, AVX-512 x86-64 host).
+#[inline(never)]
+// grape6-lint: hot
+pub fn sweep_tile_bodies<const W: usize>(
+    os: &mut [ForceResult],
+    ips: &[IParticle],
+    js: impl IntoIterator<Item = (usize, Vec3, Vec3, f64)>,
+    eps2: f64,
+) {
+    let mut tile = LaneTile::<W>::load(ips, os);
+    for (j, pj, vj, mj) in js {
+        tile.interact(j, pj, vj, mj, eps2);
+    }
+    tile.store(os);
+}
+
 /// Sweep a list of far-field *sources* — accepted tree cells and leaf
 /// bodies, which carry no j-index — for up to `W` i-particles, continuing
 /// the accumulation in `os`. No lane skips a source (it is never the
 /// i-particle itself) and none is a neighbour candidate, so per lane acc,
 /// jerk and pot are [`crate::force::accumulate_on`] with skipping
-/// disabled, bit for bit, and `nn` passes through untouched.
-#[inline]
+/// disabled, bit for bit, and `nn` passes through untouched. Never inlined,
+/// for the reason [`sweep_tile_bodies`] gives.
+#[inline(never)]
 // grape6-lint: hot
 pub fn sweep_sources_lanes<const W: usize>(
     os: &mut [ForceResult],

@@ -14,8 +14,9 @@
 //! i-pipelines (paper §5.2) and of
 //! [`DirectEngine`](grape6_core::force::DirectEngine)'s large-block path.
 //! Near: every candidate of the group (a superset of each member's own
-//! `r_near` sphere) summed directly, ascending j, self skipped by the
-//! lane. Far: the shared list of accepted cells and far leaf bodies, swept
+//! `r_near` sphere) summed directly, ascending j — each named by its body
+//! index and read at its slot of the tree's body arrays, self skipped by
+//! the lane. Far: the shared list of accepted cells and far leaf bodies, swept
 //! from a zero seed and added after the near sum. The nearest neighbour is
 //! the nearest candidate, reported only inside `r_near`. Shared lists are
 //! longer than per-particle ones (≈ 900 against ≈ 640 entries per i on
@@ -25,7 +26,7 @@
 //! **Tree for b > 16, direct below.** A block of at most [`SMALL_BLOCK_MAX`]
 //! i-particles never touches the tree: [`small_block_forces`], `DirectEngine`'s
 //! own small path, sums it exactly over the j-memory. A walk first predicts and
-//! rebuilds all N bodies (42–51 ns each) where a direct pair costs 2–6 ns, so
+//! rebuilds all N bodies (≈ 50 ns each) where a direct pair costs 2–6 ns, so
 //! the crossover is b ≈ rebuild ns/body ÷ pair ns ≈ 10–20, N-independent. The
 //! paper's §3 objection — a rebuild per tiny block — is left to 17 ≤ b ≲ a few
 //! hundred, which still rebuild.
@@ -43,12 +44,13 @@ use crate::octree::{InteractionLists, Octree};
 use grape6_core::engine::{ForceEngine, TreeWork};
 use grape6_core::fields::Fields;
 use grape6_core::force::{
-    accumulate_on, accumulate_with_nn, scalar_small_block, small_block_forces,
+    accumulate_bodies_with_nn, accumulate_on, scalar_small_block, small_block_forces,
 };
 use grape6_core::jmem::JMemory;
-use grape6_core::lanes::{sweep_sources_lanes, sweep_tile_lanes, JLanes, LANE_WIDTH};
+use grape6_core::lanes::{sweep_sources_lanes, sweep_tile_bodies, JLanes, LANE_WIDTH};
 use grape6_core::particle::{ForceResult, IParticle, ParticleSystem};
 use grape6_core::sweep::SMALL_BLOCK_MAX;
+use grape6_core::vec3::Vec3;
 use rayon::prelude::*;
 
 /// Group field of the bucket key of an i-particle that walks alone, as a
@@ -240,7 +242,7 @@ impl Sweep<'_> {
             }
             self.sum(&piece.ips, &piece.lists, &mut piece.out[lo..hi]);
             let (members, near, far) =
-                ((hi - lo) as u64, piece.lists.near.len() as u64, piece.lists.far_pos.len() as u64);
+                ((hi - lo) as u64, piece.lists.near_len() as u64, piece.lists.far_len() as u64);
             piece.work.walks += 1;
             piece.work.cells_opened += piece.lists.cells_opened;
             piece.work.near_interactions += members * near;
@@ -275,19 +277,20 @@ impl Sweep<'_> {
         lists: &InteractionLists,
         os: &mut [ForceResult],
     ) {
-        let (jpos, jvel, jmass) = self.tree.bodies();
+        let (jpos, jvel, jmass) = self.tree.tree_bodies();
         // Near field: one ascending-j sweep of the group's candidates, the
-        // members' own slots among them.
-        let near = lists.near.iter().map(|&j| j as usize);
-        sweep_tile_lanes::<W>(os, is, near, jpos, jvel, jmass, self.eps2);
+        // members' own bodies among them: the lanes skip and name a body by
+        // its index and read its state at its tree slot.
+        let near = lists.near().map(|(body, slot)| (body, jpos[slot], jvel[slot], jmass[slot]));
+        sweep_tile_bodies::<W>(os, is, near, self.eps2);
         // The tile saw every candidate; the report is radius-limited.
         let r2_near = self.r_near * self.r_near;
         os.iter_mut().for_each(|o| o.nn = o.nn.filter(|nb| nb.r2 <= r2_near));
         // Far field: one sweep over the shared list (cells + far leaf
         // bodies) from a zero seed, added after the near sum. A source is
         // no neighbour: `far.nn` stays `None`.
-        if !lists.far_pos.is_empty() {
-            let (fp, fv, fm) = (&lists.far_pos, &lists.far_vel, &lists.far_mass);
+        let (fp, fv, fm) = lists.far();
+        if !fp.is_empty() {
             let mut partial = [ForceResult::default(); W];
             let partial = &mut partial[..is.len()];
             sweep_sources_lanes::<W>(partial, is, fp, fv, fm, self.eps2);
@@ -449,8 +452,13 @@ pub fn scalar_block_forces(
     if ips.len() > SMALL_BLOCK_MAX {
         return scalar_group_forces(tree, ips, theta, r_near, eps2);
     }
-    let (pos, vel, mass) = tree.bodies();
-    let sum = |ip| scalar_small_block(ip, pos, vel, mass, eps2);
+    // The small path sums every body in index order.
+    let n = tree.body_count();
+    let (mut pos, mut vel, mut mass) = (vec![Vec3::zero(); n], vec![Vec3::zero(); n], vec![0.0; n]);
+    for b in 0..n {
+        (pos[b], vel[b], mass[b]) = tree.body(b);
+    }
+    let sum = |ip| scalar_small_block(ip, &pos, &vel, &mass, eps2);
     let mut out: Vec<ForceResult> = ips.iter().map(sum).collect();
     out.iter_mut().for_each(|o| o.nn = o.nn.filter(|nb| nb.r2 <= r_near * r_near));
     (out, TreeWork::default())
@@ -482,7 +490,7 @@ pub fn scalar_group_forces(
                 work.walks += 1;
                 work.cells_opened += lists.cells_opened;
             }
-            let (near, far) = (lists.near.len() as u64, lists.far_pos.len() as u64);
+            let (near, far) = (lists.near_len() as u64, lists.far_len() as u64);
             work.near_interactions += near;
             work.far_interactions += far;
             work.list_len_sum += near + far;
@@ -495,10 +503,11 @@ pub fn scalar_group_forces(
 }
 
 /// One i-particle summed over a pair of lists the scalar way, in the
-/// engine's summation structure: the near entries (bodies of `tree`) through
-/// one [`accumulate_with_nn`], the neighbour kept only inside `r_near`, then
-/// the far sources through [`accumulate_on`] from a zero seed, added last
-/// (an empty far list adds +0.0 to sums that are never −0.0: no bit moves).
+/// engine's summation structure: the near entries (bodies of `tree`, by
+/// index, read at their slots) through one [`accumulate_bodies_with_nn`], the
+/// neighbour kept only inside `r_near`, then the far sources through
+/// [`accumulate_on`] from a zero seed, added last (an empty far list adds
+/// +0.0 to sums that are never −0.0: no bit moves).
 pub fn scalar_list_sum(
     ip: &IParticle,
     lists: &InteractionLists,
@@ -506,11 +515,11 @@ pub fn scalar_list_sum(
     r_near: f64,
     eps2: f64,
 ) -> ForceResult {
-    let (pos, vel, mass) = tree.bodies();
-    let near = lists.near.iter().map(|&j| j as usize);
-    let mut o = accumulate_with_nn(ip, near, pos, vel, mass, eps2);
+    let (pos, vel, mass) = tree.tree_bodies();
+    let near = lists.near().map(|(body, slot)| (body, pos[slot], vel[slot], mass[slot]));
+    let mut o = accumulate_bodies_with_nn(ip, near, eps2);
     o.nn = o.nn.filter(|nb| nb.r2 <= r_near * r_near);
-    let (fp, fv, fm) = (&lists.far_pos, &lists.far_vel, &lists.far_mass);
+    let (fp, fv, fm) = lists.far();
     o.merge(&accumulate_on(ip.pos, ip.vel, fp, fv, fm, eps2, usize::MAX));
     o
 }
@@ -519,7 +528,6 @@ pub fn scalar_list_sum(
 mod tests {
     use super::*;
     use grape6_core::force::DirectEngine;
-    use grape6_core::vec3::Vec3;
 
     fn disk_like(n: usize, seed: u64) -> ParticleSystem {
         let mut sys = ParticleSystem::new(0.01, 1.0);

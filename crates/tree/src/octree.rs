@@ -21,6 +21,21 @@
 //! the bodies one by one in index order (the `#[cfg(test)]` oracle below).
 //! [`Octree::rebuild`] reuses the arena and the partition scratch.
 //!
+//! The tree keeps one copy of the bodies, **in tree order**: position `s`
+//! of the arrays — the body's *slot* — holds body `order[s]`, so every
+//! cell's bodies are one contiguous run of slots and a walk reads a leaf
+//! front to back. After the partition the scratch it used becomes the
+//! inverse map, each body's slot ([`Octree::group_of`] and
+//! [`Octree::body`] read it); groups are stored per slot.
+//!
+//! The walks emit into [`InteractionLists`]' retained buffers by index,
+//! without a branch per body: a leaf body is written to both the next near
+//! entry (`body`, `slot`) and the next far source, and only the cursor its
+//! distance test picks advances. The buffers grow in a cold helper before
+//! a leaf or cell could overrun them, never inside the walk; the near
+//! entries are sorted by body afterwards, so the direct sums still run in
+//! ascending body index.
+//!
 //! # Groups (Barnes' modified algorithm)
 //!
 //! The maximal cells holding at most [`group_cap`] bodies ([`GROUP_MAX`] in
@@ -151,18 +166,20 @@ fn box_dist2(p: Vec3, lo: Vec3, hi: Vec3) -> f64 {
 #[derive(Debug, Clone)]
 pub struct Octree {
     nodes: Vec<Node>,
-    /// Body indices in tree order: every cell's bodies are one contiguous
-    /// run, every leaf's run ascending.
+    /// Body index of each slot: every cell's bodies are one contiguous run
+    /// of slots, every leaf's run ascending.
     order: Vec<u32>,
+    /// Positions, velocities and masses by slot (`order` order).
     pos: Vec<Vec3>,
     vel: Vec<Vec3>,
     mass: Vec<f64>,
     /// Node index of each group, in depth-first octant order.
     groups: Vec<u32>,
-    /// Group of each body.
+    /// Group of each slot.
     group_of: Vec<u32>,
-    /// Partition scratch (capacity reused across rebuilds).
-    scratch: Vec<u32>,
+    /// Partition scratch during a build; afterwards the slot of each body
+    /// (the inverse of `order`). Capacity reused across rebuilds.
+    slot_of: Vec<u32>,
     octants: Vec<u8>,
 }
 
@@ -192,7 +209,7 @@ impl Octree {
             mass: Vec::new(),
             groups: Vec::new(),
             group_of: Vec::new(),
-            scratch: Vec::new(),
+            slot_of: Vec::new(),
             octants: Vec::new(),
         }
     }
@@ -206,7 +223,8 @@ impl Octree {
 
     /// Build over a new set of bodies in place, keeping the node arena, the
     /// body arrays and the partition scratch (a steady-state rebuild
-    /// allocates only when the tree grows).
+    /// allocates only when the tree grows). The partition reads the input
+    /// slices; the tree then keeps the bodies in tree order.
     pub fn rebuild(&mut self, pos: &[Vec3], vel: &[Vec3], mass: &[f64]) {
         assert_eq!(pos.len(), vel.len());
         assert_eq!(pos.len(), mass.len());
@@ -222,37 +240,45 @@ impl Octree {
         }
         let center = (lo + hi) * 0.5;
         let half = ((hi - lo).max_component() * 0.5).max(1e-12) * 1.0000001;
-        self.pos.clear();
-        self.pos.extend_from_slice(pos);
-        self.vel.clear();
-        self.vel.extend_from_slice(vel);
-        self.mass.clear();
-        self.mass.extend_from_slice(mass);
         self.order.clear();
         self.order.extend(0..n as u32);
-        self.scratch.resize(n, 0);
+        self.slot_of.resize(n, 0);
         self.octants.resize(n, 0);
         self.group_of.resize(n, 0);
         self.groups.clear();
         self.nodes.clear();
         self.nodes.push(Node::new(center, half, 0, n as u32));
-        self.split(0, 0, false);
+        self.split(0, 0, false, pos);
+        self.store_in_tree_order(pos, vel, mass);
         self.compute_moments();
+    }
+
+    /// Copy the bodies into slot order and turn the partition scratch into
+    /// each body's slot.
+    fn store_in_tree_order(&mut self, pos: &[Vec3], vel: &[Vec3], mass: &[f64]) {
+        let slot_of = &mut self.slot_of;
+        slot_of.resize(self.order.len(), 0);
+        self.pos.clear();
+        self.pos.extend(self.order.iter().enumerate().map(|(slot, &b)| {
+            slot_of[b as usize] = slot as u32;
+            pos[b as usize]
+        }));
+        self.vel.clear();
+        self.vel.extend(self.order.iter().map(|&b| vel[b as usize]));
+        self.mass.clear();
+        self.mass.extend(self.order.iter().map(|&b| mass[b as usize]));
     }
 
     /// Subdivide `node` (at `depth`) until every cell holds at most
     /// `LEAF_CAPACITY` bodies, registering the first cell on each path with
     /// at most [`group_cap`] bodies as a group (`grouped`: an ancestor
-    /// already is one).
-    fn split(&mut self, node: usize, depth: usize, mut grouped: bool) {
+    /// already is one). `pos` are the input bodies, by index.
+    fn split(&mut self, node: usize, depth: usize, mut grouped: bool, pos: &[Vec3]) {
         let run = self.nodes[node].run();
         let is_leaf = run.len() <= LEAF_CAPACITY || depth >= MAX_DEPTH;
-        if !grouped && (run.len() <= group_cap(self.pos.len()) || is_leaf) {
-            let g = self.groups.len() as u32;
+        if !grouped && (run.len() <= group_cap(self.order.len()) || is_leaf) {
+            self.group_of[run.clone()].fill(self.groups.len() as u32);
             self.groups.push(node as u32);
-            for &b in &self.order[run.clone()] {
-                self.group_of[b as usize] = g;
-            }
             grouped = true;
         }
         if is_leaf {
@@ -263,7 +289,7 @@ impl Octree {
         let center = self.nodes[node].center;
         let mut counts = [0u32; 8];
         for (&b, oct) in self.order[run.clone()].iter().zip(&mut self.octants[run.clone()]) {
-            let o = octant_of(center, self.pos[b as usize]);
+            let o = octant_of(center, pos[b as usize]);
             *oct = o as u8;
             counts[o] += 1;
         }
@@ -276,10 +302,10 @@ impl Octree {
         let firsts = next;
         for (&b, &oct) in self.order[run.clone()].iter().zip(&self.octants[run.clone()]) {
             let slot = &mut next[oct as usize];
-            self.scratch[*slot as usize] = b;
+            self.slot_of[*slot as usize] = b;
             *slot += 1;
         }
-        self.order[run.clone()].copy_from_slice(&self.scratch[run]);
+        self.order[run.clone()].copy_from_slice(&self.slot_of[run]);
         // Children sit together, behind their parent, in octant order.
         let half = self.nodes[node].half / 2.0;
         self.nodes[node].first_child = self.nodes.len() as u32;
@@ -291,7 +317,7 @@ impl Octree {
             }
         }
         for c in self.nodes[node].children() {
-            self.split(c, depth + 1, grouped);
+            self.split(c, depth + 1, grouped, pos);
         }
     }
 
@@ -304,11 +330,11 @@ impl Octree {
             let mut wp = Vec3::zero();
             let mut wv = Vec3::zero();
             if self.nodes[node].is_leaf() {
-                for &b in &self.order[self.nodes[node].run()] {
-                    let bm = self.mass[b as usize];
+                for s in self.nodes[node].run() {
+                    let bm = self.mass[s];
                     m += bm;
-                    wp += self.pos[b as usize] * bm;
-                    wv += self.vel[b as usize] * bm;
+                    wp += self.pos[s] * bm;
+                    wv += self.vel[s] * bm;
                 }
             } else {
                 for cn in &self.nodes[self.nodes[node].children()] {
@@ -349,9 +375,17 @@ impl Octree {
         self.nodes[0].com
     }
 
-    /// The bodies the tree was built over: positions, velocities, masses.
-    pub fn bodies(&self) -> (&[Vec3], &[Vec3], &[f64]) {
+    /// The bodies the tree was built over in tree order: positions,
+    /// velocities, masses by slot (the slot of a near entry,
+    /// [`InteractionLists::near`]).
+    pub fn tree_bodies(&self) -> (&[Vec3], &[Vec3], &[f64]) {
         (&self.pos, &self.vel, &self.mass)
+    }
+
+    /// Position, velocity and mass of body `index` (by input index).
+    pub fn body(&self, index: usize) -> (Vec3, Vec3, f64) {
+        let s = self.slot_of[index] as usize;
+        (self.pos[s], self.vel[s], self.mass[s])
     }
 
     /// Number of groups (see the module docs).
@@ -365,7 +399,8 @@ impl Octree {
     /// about somewhere else: such a point walks alone
     /// ([`Self::interaction_lists`]).
     pub fn group_of(&self, body: usize, pos: Vec3) -> Option<usize> {
-        (self.pos.get(body) == Some(&pos)).then(|| self.group_of[body] as usize)
+        let slot = *self.slot_of.get(body)? as usize;
+        (self.pos[slot] == pos).then(|| self.group_of[slot] as usize)
     }
 
     /// Members of group `group`, in tree order.
@@ -375,12 +410,9 @@ impl Octree {
 
     /// Axis-aligned bounding box `(lo, hi)` of the members of `group`.
     pub fn group_box(&self, group: usize) -> (Vec3, Vec3) {
-        let bodies = self.group_bodies(group);
-        let first = self.pos[bodies[0] as usize];
-        bodies.iter().fold((first, first), |(lo, hi), &b| {
-            let p = self.pos[b as usize];
-            (lo.min(p), hi.max(p))
-        })
+        let members = &self.pos[self.nodes[self.groups[group] as usize].run()];
+        let first = members[0];
+        members.iter().fold((first, first), |(lo, hi), &p| (lo.min(p), hi.max(p)))
     }
 
     /// Compute the force on a test point with opening angle `theta` and
@@ -418,14 +450,14 @@ impl Octree {
             return;
         }
         if n.is_leaf() {
-            for &b in &self.order[n.run()] {
-                if b == skip {
+            for s in n.run() {
+                if self.order[s] == skip {
                     continue;
                 }
                 let (a, j, p) = grape6_core::force::pair_force_jerk(
-                    self.pos[b as usize] - pos,
-                    self.vel[b as usize] - vel,
-                    self.mass[b as usize],
+                    self.pos[s] - pos,
+                    self.vel[s] - vel,
+                    self.mass[s],
                     eps2,
                 );
                 out.acc += a;
@@ -440,18 +472,18 @@ impl Octree {
         }
     }
 
-    /// Emit the GRAPE-style interaction lists for a test point: body indices
-    /// within `r_near` (sorted ascending, self included) into `out.near`,
-    /// and every other source — accepted cells as monopole pseudo-particles,
-    /// opened-leaf bodies beyond the radius as point sources — into the far
-    /// arrays, in deterministic depth-first octant order.
+    /// Emit the GRAPE-style interaction lists for a test point: the bodies
+    /// within `r_near` (ascending body index, self included) as near
+    /// entries, and every other source — accepted cells as monopole
+    /// pseudo-particles, opened-leaf bodies beyond the radius as point
+    /// sources — as the far list, in deterministic depth-first octant order.
     ///
     /// The partition is exactly-once by construction: a cell is accepted as
     /// a far source only if it passes the multipole acceptance criterion
     /// **and** its bounding sphere clears the neighbour radius entirely, so
     /// any body within `r_near` of `pos` is always reached through opened
-    /// cells and classified by its exact distance. `out` is cleared first
-    /// (capacity retained — steady-state walks allocate only on list
+    /// cells and classified by its exact distance. `out` is reset first
+    /// (buffers retained — steady-state walks allocate only on list
     /// growth).
     pub fn interaction_lists(
         &self,
@@ -469,29 +501,28 @@ impl Octree {
     /// point. A cell is accepted iff it passes the acceptance criterion at
     /// its distance from the box — nearer than from any member, so it also
     /// passes each member's own test — and its bounding sphere clears
-    /// `r_near` of the box; `out.near` holds the *candidates*, every body
-    /// within `r_near` of the box (ascending; a superset of each member's
-    /// own neighbour sphere, and always the members themselves).
+    /// `r_near` of the box; the near entries are the *candidates*, every
+    /// body within `r_near` of the box (ascending; a superset of each
+    /// member's own neighbour sphere, and always the members themselves).
     pub fn group_lists(&self, group: usize, theta: f64, r_near: f64, out: &mut InteractionLists) {
         let (lo, hi) = self.group_box(group);
         self.box_lists(lo, hi, theta, r_near, out);
     }
 
     fn box_lists(&self, lo: Vec3, hi: Vec3, theta: f64, r_near: f64, out: &mut InteractionLists) {
-        out.near.clear();
-        out.far_pos.clear();
-        out.far_vel.clear();
-        out.far_mass.clear();
+        out.near_len = 0;
+        out.far_len = 0;
         out.cells_opened = 0;
         out.far_bodies = 0;
-        self.list_walk(0, lo, hi, theta, r_near, out);
+        self.emit(0, lo, hi, theta, r_near, out);
         // Tree order is octant order; the direct-summation contract is
-        // ascending body index (in-place, no allocation).
-        out.near.sort_unstable();
+        // ascending body index, the high half of each entry (in place, no
+        // allocation).
+        out.near[..out.near_len].sort_unstable();
     }
 
     // grape6-lint: hot
-    fn list_walk(
+    fn emit(
         &self,
         node: usize,
         lo: Vec3,
@@ -510,54 +541,72 @@ impl Octree {
             let ball = 3.0f64.sqrt() * n.half;
             let center_dist = box_dist2(n.center, lo, hi).sqrt();
             if center_dist - ball > r_near {
-                out.far_pos.push(n.com);
-                out.far_vel.push(n.vcom);
-                out.far_mass.push(n.mass);
-                out.far_bodies += n.len as u64;
+                out.make_room(0, 1);
+                let f = out.far_len;
+                out.far_pos[f] = n.com;
+                out.far_vel[f] = n.vcom;
+                out.far_mass[f] = n.mass;
+                out.far_len = f + 1;
+                out.far_bodies += u64::from(n.len);
                 return;
             }
         }
         if n.is_leaf() {
-            for &b in &self.order[n.run()] {
-                let r2 = box_dist2(self.pos[b as usize], lo, hi);
-                if r2 <= r_near * r_near {
-                    out.near.push(b);
-                } else {
-                    out.far_pos.push(self.pos[b as usize]);
-                    out.far_vel.push(self.vel[b as usize]);
-                    out.far_mass.push(self.mass[b as usize]);
-                    out.far_bodies += 1;
-                }
+            // Every body goes to both the next near and the next far place;
+            // its distance test picks the cursor that moves past it. A leaf
+            // at MAX_DEPTH may hold more than LEAF_CAPACITY bodies.
+            let run = n.run();
+            out.make_room(run.len(), run.len());
+            let (near0, far0) = (out.near_len, out.far_len);
+            let (mut near, mut far) = (near0, far0);
+            let r2_near = r_near * r_near;
+            let near_buf = &mut out.near[..];
+            let (fp, fv, fm) = (&mut out.far_pos[..], &mut out.far_vel[..], &mut out.far_mass[..]);
+            for s in run {
+                let p = self.pos[s];
+                near_buf[near] = (u64::from(self.order[s]) << 32) | s as u64;
+                fp[far] = p;
+                fv[far] = self.vel[s];
+                fm[far] = self.mass[s];
+                let is_near = box_dist2(p, lo, hi) <= r2_near;
+                near += usize::from(is_near);
+                far += usize::from(!is_near);
             }
+            (out.near_len, out.far_len) = (near, far);
+            out.far_bodies += (far - far0) as u64;
+            debug_assert_eq!(near - near0 + far - far0, n.len as usize);
             return;
         }
         out.cells_opened += 1;
         for c in n.children() {
-            self.list_walk(c, lo, hi, theta, r_near, out);
+            self.emit(c, lo, hi, theta, r_near, out);
         }
     }
 }
 
 /// Near/far interaction lists emitted by [`Octree::interaction_lists`] (for
 /// a point) and [`Octree::group_lists`] (for a group of bodies).
-/// Reused across walks: cleared on entry, capacity retained.
+/// Reused across walks: each walk overwrites the front of retained buffers,
+/// which only grow.
 #[derive(Debug, Clone, Default)]
 pub struct InteractionLists {
-    /// Body indices within the neighbour radius of the point — or of the
+    /// Near entries `body << 32 | slot`, the first `near_len` this walk's:
+    /// the bodies within the neighbour radius of the point — or of the
     /// group's box — ascending (the target's own bodies included when they
     /// are tree bodies; callers skip the self term during summation, like
     /// the hardware).
-    pub near: Vec<u32>,
-    /// Far-source positions (cell centers of mass and far leaf bodies).
-    pub far_pos: Vec<Vec3>,
-    /// Far-source velocities (cell vcom moments and far leaf bodies).
-    pub far_vel: Vec<Vec3>,
-    /// Far-source masses (cell monopoles and far leaf bodies).
-    pub far_mass: Vec<f64>,
+    near: Vec<u64>,
+    near_len: usize,
+    /// Far sources (cell monopoles with their centre of mass and vcom, and
+    /// far leaf bodies), the first `far_len` this walk's.
+    far_pos: Vec<Vec3>,
+    far_vel: Vec<Vec3>,
+    far_mass: Vec<f64>,
+    far_len: usize,
     /// Internal cells opened (recursed into) during the walk.
     pub cells_opened: u64,
     /// Bodies represented by the far list (each accepted cell counts its
-    /// whole subtree): `near.len() + far_bodies` must equal the body count
+    /// whole subtree): `near_len() + far_bodies` must equal the body count
     /// — the exactly-once partition invariant.
     pub far_bodies: u64,
 }
@@ -565,20 +614,72 @@ pub struct InteractionLists {
 impl InteractionLists {
     /// Entries across both lists (the GRAPE interaction-list length).
     pub fn len(&self) -> usize {
-        self.near.len() + self.far_pos.len()
+        self.near_len + self.far_len
     }
 
     /// True when the walk emitted nothing.
     pub fn is_empty(&self) -> bool {
-        self.near.is_empty() && self.far_pos.is_empty()
+        self.len() == 0
+    }
+
+    /// Number of near entries.
+    pub fn near_len(&self) -> usize {
+        self.near_len
+    }
+
+    /// Number of far sources.
+    pub fn far_len(&self) -> usize {
+        self.far_len
+    }
+
+    /// The near entries as `(body, slot)`, ascending body index: `slot`
+    /// indexes [`Octree::tree_bodies`].
+    pub fn near(&self) -> impl ExactSizeIterator<Item = (usize, usize)> + '_ {
+        let slot_mask = u64::from(u32::MAX);
+        self.near[..self.near_len]
+            .iter()
+            .map(move |&e| ((e >> 32) as usize, (e & slot_mask) as usize))
+    }
+
+    /// The near bodies' indices, ascending.
+    pub fn near_bodies(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.near[..self.near_len].iter().map(|&e| (e >> 32) as u32)
+    }
+
+    /// The far sources: positions, velocities, masses.
+    pub fn far(&self) -> (&[Vec3], &[Vec3], &[f64]) {
+        let f = self.far_len;
+        (&self.far_pos[..f], &self.far_vel[..f], &self.far_mass[..f])
+    }
+
+    /// Make sure `near` more near entries and `far` more far sources fit.
+    #[inline(always)]
+    fn make_room(&mut self, near: usize, far: usize) {
+        if self.near_len + near > self.near.len() || self.far_len + far > self.far_pos.len() {
+            self.grow(near, far);
+        }
+    }
+
+    /// Lengthen the buffers to exactly what the next cell needs: their
+    /// capacity still grows geometrically, and only entries a walk can
+    /// write are ever touched.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, near: usize, far: usize) {
+        let near = (self.near_len + near).max(self.near.len());
+        let far = (self.far_len + far).max(self.far_pos.len());
+        self.near.resize(near, 0);
+        self.far_pos.resize(far, Vec3::zero());
+        self.far_vel.resize(far, Vec3::zero());
+        self.far_mass.resize(far, 0.0);
     }
 }
 
 /// The one-by-one insertion build this tree used to be made by, kept as the
 /// oracle of the top-down build: bodies enter in index order, a leaf that
 /// overflows splits and pushes its bodies down, moments are a recursive
-/// post-order sum. It lays its cells out as an [`Octree`] (without groups) so
-/// the product walks run on it unchanged.
+/// post-order sum. It lays its cells out as an [`Octree`] (without groups),
+/// bodies in tree order, so the product walks run on it unchanged.
 #[cfg(test)]
 mod insertion {
     use super::*;
@@ -622,16 +723,24 @@ mod insertion {
     }
 
     /// Lay cell `at` and its subtree out in `tree` as node `node` (runs in
-    /// depth-first octant order, children together) and compute its moments.
-    fn lay_out(cells: &[Cell], tree: &mut Octree, at: usize, node: usize) {
+    /// depth-first octant order, children together) and compute its moments
+    /// from the bodies `(pos, vel, mass)`, by index.
+    fn lay_out(
+        cells: &[Cell],
+        bodies: (&[Vec3], &[Vec3], &[f64]),
+        tree: &mut Octree,
+        at: usize,
+        node: usize,
+    ) {
+        let (pos, vel, mass) = bodies;
         let first = tree.order.len() as u32;
         let (mut m, mut wp, mut wv) = (0.0, Vec3::zero(), Vec3::zero());
         if cells[at].is_leaf {
             for &b in &cells[at].members {
-                let bm = tree.mass[b as usize];
+                let bm = mass[b as usize];
                 m += bm;
-                wp += tree.pos[b as usize] * bm;
-                wv += tree.vel[b as usize] * bm;
+                wp += pos[b as usize] * bm;
+                wv += vel[b as usize] * bm;
             }
             tree.order.extend_from_slice(&cells[at].members);
         } else {
@@ -644,7 +753,7 @@ mod insertion {
             tree.nodes[node].first_child = first_child as u32;
             tree.nodes[node].child_count = kids.len() as u8;
             for (k, &c) in kids.iter().enumerate() {
-                lay_out(cells, tree, c, first_child + k);
+                lay_out(cells, bodies, tree, c, first_child + k);
                 let cn = &tree.nodes[first_child + k];
                 m += cn.mass;
                 wp += cn.com * cn.mass;
@@ -671,15 +780,96 @@ mod insertion {
         for b in 0..pos.len() {
             insert(&mut cells, pos, 0, b as u32, 0);
         }
-        let mut tree = Octree {
-            pos: pos.to_vec(),
-            vel: vel.to_vec(),
-            mass: mass.to_vec(),
-            ..Octree::unbuilt()
-        };
+        let mut tree = Octree::unbuilt();
         tree.nodes.push(Node::new(center, half, 0, 0));
-        lay_out(&cells, &mut tree, 0, 0);
+        lay_out(&cells, (pos, vel, mass), &mut tree, 0, 0);
+        tree.store_in_tree_order(pos, vel, mass);
         tree
+    }
+}
+
+/// The recursive, body-indexed list walk the emitter replaced, kept as its
+/// oracle: every source is read by body index from arrays in index order and
+/// pushed behind the near/far branch.
+#[cfg(test)]
+mod push_walk {
+    use super::*;
+
+    /// Lists as the push walk emits them.
+    #[derive(Debug, Default)]
+    pub struct Lists {
+        pub near: Vec<u32>,
+        pub far_pos: Vec<Vec3>,
+        pub far_vel: Vec<Vec3>,
+        pub far_mass: Vec<f64>,
+        pub cells_opened: u64,
+        pub far_bodies: u64,
+    }
+
+    /// The lists of the box `[lo, hi]` over `tree`, whose bodies are `pos`,
+    /// `vel`, `mass` in index order, into `out` (cleared first).
+    #[allow(clippy::too_many_arguments)]
+    pub fn lists(
+        tree: &Octree,
+        (pos, vel, mass): (&[Vec3], &[Vec3], &[f64]),
+        lo: Vec3,
+        hi: Vec3,
+        theta: f64,
+        r_near: f64,
+        out: &mut Lists,
+    ) {
+        out.near.clear();
+        out.far_pos.clear();
+        out.far_vel.clear();
+        out.far_mass.clear();
+        (out.cells_opened, out.far_bodies) = (0, 0);
+        walk(tree, (pos, vel, mass), 0, lo, hi, theta, r_near, out);
+        out.near.sort_unstable();
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn walk(
+        tree: &Octree,
+        (pos, vel, mass): (&[Vec3], &[Vec3], &[f64]),
+        node: usize,
+        lo: Vec3,
+        hi: Vec3,
+        theta: f64,
+        r_near: f64,
+        out: &mut Lists,
+    ) {
+        let n = &tree.nodes[node];
+        let dist2 = box_dist2(n.com, lo, hi);
+        let size = 2.0 * n.half;
+        if !n.is_leaf() && size * size < theta * theta * dist2 {
+            let ball = 3.0f64.sqrt() * n.half;
+            let center_dist = box_dist2(n.center, lo, hi).sqrt();
+            if center_dist - ball > r_near {
+                out.far_pos.push(n.com);
+                out.far_vel.push(n.vcom);
+                out.far_mass.push(n.mass);
+                out.far_bodies += n.len as u64;
+                return;
+            }
+        }
+        if n.is_leaf() {
+            for &b in &tree.order[n.run()] {
+                let r2 = box_dist2(pos[b as usize], lo, hi);
+                if r2 <= r_near * r_near {
+                    out.near.push(b);
+                } else {
+                    out.far_pos.push(pos[b as usize]);
+                    out.far_vel.push(vel[b as usize]);
+                    out.far_mass.push(mass[b as usize]);
+                    out.far_bodies += 1;
+                }
+            }
+            return;
+        }
+        out.cells_opened += 1;
+        for c in n.children() {
+            walk(tree, (pos, vel, mass), c, lo, hi, theta, r_near, out);
+        }
     }
 }
 
@@ -688,6 +878,117 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// A disk of the paper's shape: `n` bodies on near-circular, slightly
+    /// inclined orbits between 15 and 35 AU around a unit mass, the last two
+    /// of them protoplanets 300 times heavier at 20 and 30 AU.
+    fn paper_disk(n: usize, seed: u64) -> (Vec<Vec3>, Vec<Vec3>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut pos, mut vel, mut mass) = (Vec::new(), Vec::new(), Vec::new());
+        for k in 0..n {
+            let (a, m) = match n - k {
+                2 => (20.0, 3e-5),
+                1 => (30.0, 3e-5),
+                _ => (15.0 + 20.0 * rng.gen::<f64>(), 1e-7 * (1.0 + rng.gen::<f64>())),
+            };
+            let (phi, inc, node) = (
+                rng.gen::<f64>() * std::f64::consts::TAU,
+                0.005 * (rng.gen::<f64>() - 0.5),
+                rng.gen::<f64>() * std::f64::consts::TAU,
+            );
+            let (s, c) = phi.sin_cos();
+            let v = (1.0 / a).sqrt();
+            let lift = inc * (phi - node).sin();
+            pos.push(Vec3::new(a * c, a * s, a * lift));
+            vel.push(Vec3::new(-v * s, v * c, v * inc * (phi - node).cos()));
+            mass.push(m);
+        }
+        (pos, vel, mass)
+    }
+
+    /// Everything a walk emits, as bits: near body indices, far sources,
+    /// cells opened, far bodies.
+    type ListBits = (Vec<u32>, Vec<[u64; 7]>, u64, u64);
+
+    fn source_bits(((p, v), m): ((&Vec3, &Vec3), &f64)) -> [u64; 7] {
+        [p.x, p.y, p.z, v.x, v.y, v.z, *m].map(f64::to_bits)
+    }
+
+    fn product_bits(lists: &InteractionLists) -> ListBits {
+        let (fp, fv, fm) = lists.far();
+        let far = fp.iter().zip(fv).zip(fm).map(source_bits).collect();
+        (lists.near_bodies().collect(), far, lists.cells_opened, lists.far_bodies)
+    }
+
+    fn oracle_bits(lists: &push_walk::Lists) -> ListBits {
+        let far = lists.far_pos.iter().zip(&lists.far_vel).zip(&lists.far_mass);
+        let far = far.map(source_bits).collect();
+        (lists.near.clone(), far, lists.cells_opened, lists.far_bodies)
+    }
+
+    /// `product_bits(got) == oracle_bits(want)`, without building either.
+    fn same_lists(got: &InteractionLists, want: &push_walk::Lists) -> bool {
+        let (fp, fv, fm) = got.far();
+        let far = fp.iter().zip(fv).zip(fm).map(source_bits);
+        let want_far = want.far_pos.iter().zip(&want.far_vel).zip(&want.far_mass);
+        (got.cells_opened, got.far_bodies) == (want.cells_opened, want.far_bodies)
+            && got.near_bodies().eq(want.near.iter().copied())
+            && far.eq(want_far.map(source_bits))
+    }
+
+    /// Every group's shared lists and a sample of point walks (bodies and
+    /// one probe off the bodies) over `(pos, vel, mass)`, against the
+    /// body-indexed push walk, at θ ∈ {0, 0.5, 0.9} and r_near ∈ {0, 1, ∞}.
+    fn assert_lists_are_the_push_walks(
+        tag: &str,
+        (pos, vel, mass): &(Vec<Vec3>, Vec<Vec3>, Vec<f64>),
+    ) {
+        let tree = Octree::build(pos, vel, mass);
+        let bodies = (&pos[..], &vel[..], &mass[..]);
+        let probe = pos[0] + Vec3::new(0.25, -0.5, 0.125);
+        let points: Vec<Vec3> =
+            pos.iter().step_by(1 + pos.len() / 64).copied().chain([probe]).collect();
+        let (mut got, mut want) = (InteractionLists::default(), push_walk::Lists::default());
+        for theta in [0.0, 0.5, 0.9] {
+            for r_near in [0.0, 1.0, 1e30] {
+                let tag = format!("{tag} θ={theta} r={r_near}");
+                for g in 0..tree.group_count() {
+                    tree.group_lists(g, theta, r_near, &mut got);
+                    let (lo, hi) = tree.group_box(g);
+                    push_walk::lists(&tree, bodies, lo, hi, theta, r_near, &mut want);
+                    if !same_lists(&got, &want) {
+                        assert_eq!(product_bits(&got), oracle_bits(&want), "{tag} group {g}");
+                    }
+                }
+                for &p in &points {
+                    tree.interaction_lists(p, theta, r_near, &mut got);
+                    push_walk::lists(&tree, bodies, p, p, theta, r_near, &mut want);
+                    if !same_lists(&got, &want) {
+                        assert_eq!(product_bits(&got), oracle_bits(&want), "{tag} at {p:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lists_are_the_push_walks_bit_for_bit() {
+        let n = GROUP_MAX + 6; // one leaf run longer than LEAF_CAPACITY
+        let pile =
+            (vec![Vec3::new(1.0, 1.0, 1.0); n], vec![Vec3::new(0.0, 0.5, 0.0); n], vec![1.0; n]);
+        assert_lists_are_the_push_walks("paper disk 2k", &paper_disk(2048, 71));
+        assert_lists_are_the_push_walks("cloud", &random_cloud(3000, 73));
+        assert_lists_are_the_push_walks("annulus", &annulus(2500, 74));
+        assert_lists_are_the_push_walks("coincident pile", &pile);
+    }
+
+    /// ~17 s in a release build (θ = 0 makes every group's lists the whole
+    /// disk), far longer unoptimised: the release CI step runs it.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "runs in release builds")]
+    fn lists_at_32k_are_the_push_walks_bit_for_bit() {
+        assert_lists_are_the_push_walks("paper disk 32k", &paper_disk(32_768, 72));
+    }
 
     fn random_cloud(n: usize, seed: u64) -> (Vec<Vec3>, Vec<Vec3>, Vec<f64>) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -788,15 +1089,7 @@ mod tests {
                     tree.interaction_lists(*p, theta, r_near, &mut got);
                     oracle.interaction_lists(*p, theta, r_near, &mut want);
                     let tag = format!("{tag} θ={theta} r={r_near} at {p:?}");
-                    assert_eq!(got.near, want.near, "{tag}: near");
-                    assert_eq!(got.far_pos, want.far_pos, "{tag}: far_pos");
-                    assert_eq!(got.far_vel, want.far_vel, "{tag}: far_vel");
-                    assert_eq!(got.far_mass, want.far_mass, "{tag}: far_mass");
-                    assert_eq!(
-                        (got.cells_opened, got.far_bodies),
-                        (want.cells_opened, want.far_bodies),
-                        "{tag}: counters"
-                    );
+                    assert_eq!(product_bits(&got), product_bits(&want), "{tag}");
                 }
             }
         }
@@ -873,11 +1166,12 @@ mod tests {
         for &(theta, r_near) in &[(0.5, 0.0), (0.5, 1.0), (0.75, 3.0), (0.0, 1e30)] {
             for g in (0..tree.group_count()).step_by(7) {
                 tree.group_lists(g, theta, r_near, &mut shared);
-                assert_eq!(shared.near.len() as u64 + shared.far_bodies, 2500);
-                assert!(shared.near.windows(2).all(|w| w[0] < w[1]));
+                assert_eq!(shared.near_len() as u64 + shared.far_bodies, 2500);
+                let candidates: Vec<u32> = shared.near_bodies().collect();
+                assert!(candidates.windows(2).all(|w| w[0] < w[1]));
                 for &b in tree.group_bodies(g) {
                     tree.interaction_lists(pos[b as usize], theta, r_near, &mut own);
-                    assert!(own.near.iter().all(|j| shared.near.binary_search(j).is_ok()));
+                    assert!(own.near_bodies().all(|j| candidates.binary_search(&j).is_ok()));
                     assert!(shared.cells_opened >= own.cells_opened);
                 }
             }
@@ -896,11 +1190,11 @@ mod tests {
         for &(theta, r_near) in &[(0.0, 1e30), (0.6, 0.0), (0.6, 5.0)] {
             for p in &pos {
                 tree.interaction_lists(*p, theta, r_near, &mut lists);
-                assert_eq!(lists.near.len() as u64 + lists.far_bodies, 43, "θ={theta} r={r_near}");
+                assert_eq!(lists.near_len() as u64 + lists.far_bodies, 43, "θ={theta} r={r_near}");
             }
         }
         tree.interaction_lists(pos[1], 0.0, 1e30, &mut lists);
-        assert_eq!(lists.near, (0..43u32).collect::<Vec<_>>());
+        assert!(lists.near_bodies().eq(0..43u32));
         let all_massless = Octree::build(&pos, &vel, &vec![0.0; 43]);
         let f = all_massless.force_on(pos[0], vel[0], 0.5, 0.01, 0);
         assert_eq!((f.acc, f.pot), (Vec3::zero(), 0.0));
@@ -924,15 +1218,16 @@ mod tests {
                     // Exactly-once: every body is a neighbour or a far body
                     // (inside exactly one accepted cell / far leaf entry).
                     assert_eq!(
-                        lists.near.len() as u64 + lists.far_bodies,
+                        lists.near_len() as u64 + lists.far_bodies,
                         600,
                         "theta={theta} r={r_near} i={i}"
                     );
                     // Near membership is exact radius membership, ascending.
-                    for w in lists.near.windows(2) {
+                    let near: Vec<u32> = lists.near_bodies().collect();
+                    for w in near.windows(2) {
                         assert!(w[0] < w[1], "near list not strictly ascending");
                     }
-                    for &b in &lists.near {
+                    for &b in &near {
                         assert!((pos[b as usize] - pos[i]).norm2() <= r_near * r_near);
                     }
                 }
@@ -946,8 +1241,8 @@ mod tests {
         let tree = Octree::build(&pos, &vel, &mass);
         let mut lists = InteractionLists::default();
         tree.interaction_lists(pos[3], 0.0, 1e30, &mut lists);
-        assert_eq!(lists.near, (0..150u32).collect::<Vec<_>>());
-        assert!(lists.far_pos.is_empty(), "theta = 0 must accept no cells");
+        assert!(lists.near_bodies().eq(0..150u32));
+        assert_eq!(lists.far_len(), 0, "theta = 0 must accept no cells");
         assert_eq!(lists.far_bodies, 0);
     }
 
@@ -957,9 +1252,9 @@ mod tests {
         let tree = Octree::build(&pos, &vel, &mass);
         let mut lists = InteractionLists::default();
         tree.interaction_lists(pos[0], 0.7, 3.0, &mut lists);
-        assert!(!lists.far_pos.is_empty(), "moderate theta should accept cells");
-        let near_m: f64 = lists.near.iter().map(|&b| mass[b as usize]).sum();
-        let far_m: f64 = lists.far_mass.iter().sum();
+        assert!(lists.far_len() > 0, "moderate theta should accept cells");
+        let near_m: f64 = lists.near_bodies().map(|b| mass[b as usize]).sum();
+        let far_m: f64 = lists.far().2.iter().sum();
         let total: f64 = mass.iter().sum();
         assert!(
             ((near_m + far_m) - total).abs() < 1e-10 * total,

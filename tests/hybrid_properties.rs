@@ -69,18 +69,19 @@ proptest! {
         let mut lists = InteractionLists::default();
         for i in (0..n).step_by(1 + n / 16) {
             tree.interaction_lists(sys.pos[i], theta, r_near, &mut lists);
+            let near: Vec<u32> = lists.near_bodies().collect();
             prop_assert_eq!(
-                lists.near.len() as u64 + lists.far_bodies,
+                near.len() as u64 + lists.far_bodies,
                 n as u64,
                 "i={}: near {} + far bodies {} must partition n={}",
-                i, lists.near.len(), lists.far_bodies, n
+                i, near.len(), lists.far_bodies, n
             );
             // No double count: strictly ascending indices.
-            for w in lists.near.windows(2) {
+            for w in near.windows(2) {
                 prop_assert!(w[0] < w[1], "i={}: near list repeats or disorders {:?}", i, w);
             }
             // No miss, no trespass: near membership is exactly the ball.
-            let near_set: std::collections::BTreeSet<u32> = lists.near.iter().copied().collect();
+            let near_set: std::collections::BTreeSet<u32> = near.iter().copied().collect();
             for j in 0..n {
                 let inside = (sys.pos[j] - sys.pos[i]).norm2() <= r_near * r_near;
                 prop_assert_eq!(
@@ -113,13 +114,14 @@ proptest! {
         let mut grouped = 0;
         for g in 0..tree.group_count() {
             tree.group_lists(g, theta, r_near, &mut lists);
+            let near: Vec<u32> = lists.near_bodies().collect();
             prop_assert_eq!(
-                lists.near.len() as u64 + lists.far_bodies,
+                near.len() as u64 + lists.far_bodies,
                 n as u64,
                 "group {}: candidates {} + far bodies {} must partition n={}",
-                g, lists.near.len(), lists.far_bodies, n
+                g, near.len(), lists.far_bodies, n
             );
-            for w in lists.near.windows(2) {
+            for w in near.windows(2) {
                 prop_assert!(w[0] < w[1], "group {}: candidates repeat or disorder {:?}", g, w);
             }
             for &i in tree.group_bodies(g) {
@@ -128,7 +130,7 @@ proptest! {
                 for j in 0..n {
                     if (sys.pos[j] - sys.pos[i as usize]).norm2() <= r_near * r_near {
                         prop_assert!(
-                            lists.near.binary_search(&(j as u32)).is_ok(),
+                            near.binary_search(&(j as u32)).is_ok(),
                             "group {}: body {} is within r_near={} of member {} but no candidate",
                             g, j, r_near, i
                         );
@@ -165,7 +167,7 @@ proptest! {
             tree.interaction_lists(sys.pos[old], theta, r_near, &mut lists);
             ptree.interaction_lists(psys.pos[new], theta, r_near, &mut plists);
             prop_assert_eq!(
-                lists.near.len(), plists.near.len(),
+                lists.near_len(), plists.near_len(),
                 "walk {}→{}: near count changed under renumbering", old, new
             );
             prop_assert_eq!(
