@@ -240,6 +240,17 @@ impl Octree {
         }
         let center = (lo + hi) * 0.5;
         let half = ((hi - lo).max_component() * 0.5).max(1e-12) * 1.0000001;
+        // The tree-order arrays are allocated first, as the body-indexed
+        // copies were, so a fresh build faults in as few pages: allocated
+        // after the partition scratch and the node arena, a build-then-drop
+        // loop on the 32k paper disk faulted 723 pages per build against 54
+        // and took 1.5–1.8 times as long.
+        for v in [&mut self.pos, &mut self.vel] {
+            v.clear();
+            v.reserve(n);
+        }
+        self.mass.clear();
+        self.mass.reserve(n);
         self.order.clear();
         self.order.extend(0..n as u32);
         self.slot_of.resize(n, 0);
@@ -253,19 +264,16 @@ impl Octree {
         self.compute_moments();
     }
 
-    /// Copy the bodies into slot order and turn the partition scratch into
-    /// each body's slot.
+    /// Append the bodies to the (empty) body arrays in slot order and turn
+    /// the partition scratch into each body's slot.
     fn store_in_tree_order(&mut self, pos: &[Vec3], vel: &[Vec3], mass: &[f64]) {
         let slot_of = &mut self.slot_of;
         slot_of.resize(self.order.len(), 0);
-        self.pos.clear();
         self.pos.extend(self.order.iter().enumerate().map(|(slot, &b)| {
             slot_of[b as usize] = slot as u32;
             pos[b as usize]
         }));
-        self.vel.clear();
         self.vel.extend(self.order.iter().map(|&b| vel[b as usize]));
-        self.mass.clear();
         self.mass.extend(self.order.iter().map(|&b| mass[b as usize]));
     }
 
